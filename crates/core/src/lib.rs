@@ -9,6 +9,8 @@
 //!   [`RunResult`] (cycles, IPC, every miss/mispredict/coherence ratio),
 //! * [`model`] — [`PerformanceModel`], the façade that runs uniprocessor
 //!   traces and lock-stepped SMP trace sets,
+//! * [`warm`] — [`WarmCursor`], the single functional-warming pass that
+//!   sampled windows fork their warmed machines from,
 //! * [`breakdown`] — the Figure 7 benchmark characterization by cumulative
 //!   idealization (perfect L2 → +perfect L1/TLB → +perfect branch),
 //! * [`versions`] — the Figure 19 model-version ladder v1…v8 (from
@@ -45,6 +47,7 @@ pub mod stability;
 pub mod sweep;
 pub mod system;
 pub mod versions;
+pub mod warm;
 
 pub use breakdown::{characterize, characterize_warm, Breakdown};
 pub use cost::{area_mm2, CostEstimate};
@@ -65,3 +68,4 @@ pub use stability::{seed_study, seed_study_ratio, SeedStudy};
 pub use sweep::{DesignPoint, Sweep};
 pub use system::{RunResult, SystemConfig};
 pub use versions::ModelVersion;
+pub use warm::WarmCursor;

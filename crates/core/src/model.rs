@@ -4,6 +4,7 @@ use crate::faultinject::FaultPlan;
 use crate::integrity::{Auditor, SimError};
 use crate::observe::{ObserveConfig, Observer};
 use crate::system::{RunResult, SystemConfig};
+use crate::warm::WarmCursor;
 use s64v_cpu::Core;
 use s64v_mem::MemorySystem;
 use s64v_observe::RunObservation;
@@ -111,7 +112,7 @@ impl RunOptions {
 /// The shared lock-stepped simulation loop: steps every unfinished core
 /// each cycle, applies any pending fault, and (in checked mode) audits the
 /// invariants. Returns the final cycle count.
-fn drive<S: TraceStream>(
+pub(crate) fn drive<S: TraceStream>(
     cores: &mut [Core],
     mem: &mut MemorySystem,
     streams: &mut [S],
@@ -216,7 +217,7 @@ fn drive<S: TraceStream>(
     Ok(now.saturating_sub(1))
 }
 
-fn collect_result(cycles: u64, cores: &[Core], mem: &MemorySystem) -> RunResult {
+pub(crate) fn collect_result(cycles: u64, cores: &[Core], mem: &MemorySystem) -> RunResult {
     RunResult {
         cycles,
         committed: cores.iter().map(|c| c.stats().committed.get()).sum(),
@@ -525,60 +526,15 @@ impl PerformanceModel {
         Ok((result, observation))
     }
 
-    /// Sampled simulation (§2.2: the paper samples its TPC-C captures):
-    /// runs several timed windows from one long trace, functionally
-    /// warming through everything in between, and merges the results.
-    ///
-    /// `windows` are `(start, len)` record ranges in ascending,
-    /// non-overlapping order; everything outside them is warm-up.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an SMP config, empty/overlapping/out-of-range windows.
-    pub fn run_trace_sampled(&self, trace: &VecTrace, windows: &[(usize, usize)]) -> RunResult {
-        assert_eq!(self.config.cpus, 1, "sampled runs are uniprocessor");
-        assert!(!windows.is_empty(), "need at least one window");
-        let mut mem = MemorySystem::new(self.config.mem.clone(), 1);
-        let mut core = Core::new(self.config.core.clone(), 0);
-
-        let mut pos = 0usize;
-        let mut cursor = 0u64;
-        let records = trace.records();
-        for &(start, len) in windows {
-            assert!(start >= pos, "windows must be ascending and disjoint");
-            assert!(start + len <= records.len(), "window exceeds the trace");
-            assert!(len > 0, "empty window");
-            // Functionally warm through the gap (predictor and caches keep
-            // evolving, no cycles are charged).
-            for rec in &records[pos..start] {
-                core.warm(&mut mem, rec);
-            }
-            // Time the window; the cycle cursor keeps the shared memory
-            // system's resource reservations monotonic across windows.
-            let mut stream = SliceStream::new(&records[start..start + len]);
-            cursor = core.run_from(&mut mem, &mut stream, cursor);
-            pos = start + len;
-        }
-
-        RunResult {
-            cycles: core.stats().cycles.get(),
-            committed: core.stats().committed.get(),
-            core_stats: vec![core.stats().clone()],
-            mem_stats: vec![mem.stats(0).clone()],
-            bus_transactions: mem.bus().transactions(),
-            bus_busy_cycles: mem.bus().busy_cycles(),
-        }
-    }
-
     /// Simulates one detailed window of a long trace in isolation
-    /// (SMARTS-style *limited* warming): functionally fast-forwards the
-    /// `warm` records immediately preceding `start` (anything earlier is
-    /// skipped cold — warming is bounded, so the per-window cost is
-    /// O(warm + len) regardless of where the window sits), then times
-    /// exactly `[start, start + len)` on a fresh core and memory system.
-    /// Windows are fully independent of one another, which is what lets
-    /// the harness fingerprint, cache and parallelize them as ordinary
-    /// campaign points.
+    /// (SMARTS-style functional warming): a [`WarmCursor`] starts cold at
+    /// `origin = start.saturating_sub(warm)` — anything earlier is
+    /// skipped cold — functionally warms through `[origin, start)`, then
+    /// times exactly `[start, start + len)`. A window's result depends
+    /// only on `(trace, start, len, warm)`, never on which other windows
+    /// ran or in what order, which is what lets the harness fingerprint,
+    /// cache and parallelize windows as ordinary campaign points while
+    /// serving them from shared cursors.
     ///
     /// # Panics
     ///
@@ -592,42 +548,44 @@ impl PerformanceModel {
         warm: usize,
         opts: RunOptions,
     ) -> Result<RunResult, SimError> {
-        assert_eq!(self.config.cpus, 1, "sampled windows are uniprocessor");
         let records = trace.records();
         assert!(len > 0, "empty window");
         assert!(start + len <= records.len(), "window exceeds the trace");
-        let mut mem = MemorySystem::new(self.config.mem.clone(), 1);
-        let mut core = Core::new(self.config.core.clone(), 0);
-        let warm_from = start.saturating_sub(warm);
-        let mut warm_stream = SliceStream::new(&records[warm_from..start]);
-        core.fast_forward(&mut mem, &mut warm_stream, (start - warm_from) as u64);
-        let mut streams = [SliceStream::new(&records[start..start + len])];
-        let mut cores = [core];
-        let cycles = drive(&mut cores, &mut mem, &mut streams, opts, None)?;
-        Ok(collect_result(cycles, &cores, &mem))
+        let mut cursor = WarmCursor::new(&self.config, start.saturating_sub(warm));
+        cursor.advance_to(records, start);
+        cursor.try_run_window(records, len, opts)
     }
 
-    /// Runs every detailed window of `plan` over `trace` independently
-    /// (each via [`PerformanceModel::try_run_trace_window`]) and returns
-    /// the per-window results in window order. This is the sequential
-    /// reference form of sampled simulation; the harness distributes the
-    /// same windows across its worker pool instead.
+    /// Runs every detailed window of `plan` over `trace` and returns the
+    /// per-window results in window order: one ascending pass of one
+    /// [`WarmCursor`], forked at each window start. Each result equals
+    /// the window's own [`PerformanceModel::try_run_trace_window`].
+    /// Windows whose warm-up does not reach back to a common origin
+    /// (bounded warming, `warmup < start`) each start their own cursor —
+    /// same code, nothing to share. This is the sequential reference
+    /// form of sampled simulation; the harness distributes the same
+    /// windows across its worker pool instead.
     pub fn try_run_trace_plan(
         &self,
         trace: &VecTrace,
         plan: &SamplePlan,
         opts: RunOptions,
     ) -> Result<Vec<RunResult>, SimError> {
+        let records = trace.records();
+        let mut cursor: Option<WarmCursor> = None;
         plan.windows(trace.len() as u64)
             .into_iter()
             .map(|(start, len)| {
-                self.try_run_trace_window(
-                    trace,
-                    start as usize,
-                    len as usize,
-                    plan.warmup as usize,
-                    opts.clone(),
-                )
+                let start = start as usize;
+                let origin = start.saturating_sub(plan.warmup as usize);
+                let mut c = cursor
+                    .take()
+                    .filter(|c| c.origin() == origin && c.pos() <= start)
+                    .unwrap_or_else(|| WarmCursor::new(&self.config, origin));
+                c.advance_to(records, start);
+                let result = c.fork().try_run_window(records, len as usize, opts.clone());
+                cursor = Some(c);
+                result
             })
             .collect()
     }
@@ -733,43 +691,6 @@ mod tests {
 mod sampled_tests {
     use super::*;
     use s64v_workloads::{Suite, SuiteKind};
-
-    #[test]
-    fn sampled_windows_commit_their_records() {
-        let suite = Suite::preset(SuiteKind::SpecInt95);
-        let t = suite.programs()[0].generate(60_000, 5);
-        let model = PerformanceModel::new(SystemConfig::sparc64_v());
-        let r = model.run_trace_sampled(&t, &[(20_000, 5_000), (40_000, 5_000)]);
-        assert_eq!(r.committed, 10_000);
-        assert!(r.cycles > 0);
-    }
-
-    #[test]
-    fn sampling_approximates_the_contiguous_run() {
-        let suite = Suite::preset(SuiteKind::SpecInt95);
-        let t = suite.programs()[1].generate(80_000, 5);
-        let model = PerformanceModel::new(SystemConfig::sparc64_v());
-        // Three spread windows vs timing the same records contiguously
-        // after an equivalent warm-up.
-        let sampled =
-            model.run_trace_sampled(&t, &[(30_000, 8_000), (50_000, 8_000), (70_000, 8_000)]);
-        let contiguous = model.run_trace_warm(&t, 56_000); // times the last 24k
-        let a = sampled.ipc();
-        let b = contiguous.ipc();
-        assert!(
-            (a - b).abs() / b < 0.25,
-            "sampled IPC {a:.3} should approximate contiguous {b:.3}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending and disjoint")]
-    fn overlapping_windows_are_rejected() {
-        let suite = Suite::preset(SuiteKind::SpecInt95);
-        let t = suite.programs()[0].generate(20_000, 5);
-        let model = PerformanceModel::new(SystemConfig::sparc64_v());
-        let _ = model.run_trace_sampled(&t, &[(5_000, 5_000), (8_000, 2_000)]);
-    }
 
     #[test]
     fn independent_windows_commit_exactly_their_records() {

@@ -313,6 +313,17 @@ impl Core {
         replayed
     }
 
+    /// A fresh core carrying a copy of this core's branch history table —
+    /// the only core state [`Core::warm`] touches — so the copy of a
+    /// functionally warmed core equals one warmed afresh over the same
+    /// records. Pipeline state, statistics, timelines and probes start
+    /// empty, exactly as [`Core::new`] leaves them.
+    pub fn fork_warm(&self) -> Core {
+        let mut core = Core::new(self.cfg.clone(), self.core_id);
+        core.bht = self.bht.clone();
+        core
+    }
+
     /// Advances one cycle.
     ///
     /// # Panics

@@ -2,10 +2,13 @@
 //!
 //! Executes a [`CampaignSpec`]'s points on a pool of worker threads fed
 //! by per-worker work-stealing deques. Results are deterministic by
-//! construction — every point derives all randomness from its own seed
-//! and shares no mutable state — so a campaign produces bit-identical
-//! results on one thread or sixteen; the deques only decide *when* each
-//! point runs, never *what* it computes.
+//! construction — every point derives all randomness from its own seed,
+//! and the only state points share is the campaign's
+//! [`Registry`] of generated traces and warm cursors, whose contents are
+//! pure functions of what was asked for — so a campaign produces
+//! bit-identical results on one thread or sixteen; the deques only
+//! decide *when* each point runs and how much of its input it finds
+//! ready, never *what* it computes.
 //!
 //! Per point, in order: consult the content-addressed cache (hit = no
 //! simulation), else simulate under the campaign's
@@ -29,6 +32,7 @@
 use crate::cache::ResultCache;
 use crate::journal::{journal_path, FailedPoint, Journal};
 use crate::progress::{CampaignReport, ProgressEvent};
+use crate::registry::{Registry, ReuseKey};
 use crate::spec::{CampaignSpec, PointMetrics, SimPoint, WorkUnit};
 use crate::supervise::{CacheLock, ChaosInjector, Watchdog};
 use s64v_core::{
@@ -36,8 +40,6 @@ use s64v_core::{
     RunOptions, RunResult, SimError,
 };
 use s64v_observe::{perfetto_json, render_pipeline, to_jsonl};
-use s64v_trace::VecTrace;
-use s64v_workloads::{smp_traces, suite::tpcc_program, Suite, SuiteKind};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -122,162 +124,184 @@ impl CampaignOutcome {
     }
 }
 
-/// Per-worker deques with stealing: a worker drains its own deque from
-/// the front and, when empty, takes from the *back* of a neighbour's.
-/// All items are enqueued before the workers start, so one full scan
-/// finding nothing means the campaign is drained.
-struct StealDeques {
+/// Reuse-affine work distribution.
+///
+/// The work list is the point list reordered so that points with equal
+/// [`ReuseKey`] are contiguous — groups in order of first appearance,
+/// and within a group the unsampled points first, then sampled windows
+/// ascending by `start`, which is the order a shared warm cursor serves
+/// cheapest. Workers are dealt *contiguous* segments of that list
+/// balanced by [`point_records`]; a group is split between two workers
+/// only when it alone outweighs a worker's fair share. A worker pops its
+/// own segment from the front, so it generates a trace, uses it up and
+/// moves on. An idle worker steals from the *back* of a victim's
+/// segment: a whole trailing group while the victim has more than one
+/// group queued, and only when no victim has — nothing else is left —
+/// the back half of a victim's last group, splitting a chain that is
+/// being served.
+///
+/// Scheduling decides when a point runs and how much of its input it
+/// finds ready, never what it computes: outcomes are index-aligned with
+/// the spec at any thread count.
+struct Schedule {
     queues: Vec<Mutex<VecDeque<usize>>>,
+    /// Reuse group of each point, by point index.
+    group: Vec<usize>,
 }
 
-impl StealDeques {
-    fn new(workers: usize, items: usize) -> Self {
+impl Schedule {
+    fn new(points: &[SimPoint], workers: usize) -> Self {
+        let mut ids: HashMap<ReuseKey, usize> = HashMap::new();
+        let group: Vec<usize> = points
+            .iter()
+            .map(|p| {
+                let next = ids.len();
+                *ids.entry(ReuseKey::of(p)).or_insert(next)
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..points.len()).collect();
+        order.sort_by_key(|&i| {
+            let window_start = match points[i].work {
+                WorkUnit::SampledWindow { start, .. } => Some(start),
+                _ => None,
+            };
+            (group[i], window_start)
+        });
+
+        let cost = |i: &usize| point_records(&points[*i]);
+        let total: u64 = order.iter().map(cost).sum();
+        let share = total / workers as u64;
         let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for i in 0..items {
-            queues[i % workers].push_back(i);
+        let mut dealt = 0u64;
+        // The worker whose share of the cost axis holds the midpoint of
+        // the run starting at `dealt`; midpoints ascend along the list,
+        // so every worker's segment is contiguous.
+        let mut deal = |run: &[usize], run_cost: u64| {
+            let worker = (dealt + run_cost / 2) * workers as u64 / total.max(1);
+            queues[(worker as usize).min(workers - 1)].extend(run);
+            dealt += run_cost;
+        };
+        for run in order.chunk_by(|&a, &b| group[a] == group[b]) {
+            let run_cost: u64 = run.iter().map(cost).sum();
+            if run_cost > share {
+                for i in run {
+                    deal(std::slice::from_ref(i), cost(i));
+                }
+            } else {
+                deal(run, run_cost);
+            }
         }
-        StealDeques {
+        Schedule {
             queues: queues.into_iter().map(Mutex::new).collect(),
+            group,
         }
     }
 
-    fn pop(&self, me: usize) -> Option<usize> {
-        // Deque locks are only held across a pop; a poisoned lock means a
-        // worker died between pops, and the queue itself is still intact —
-        // recover it so the surviving workers drain the campaign.
-        if let Some(i) = self.queues[me]
+    // Deque locks are only held across a pop or a steal; a poisoned lock
+    // means a worker died in between, and the queue itself is still
+    // intact — recover it so the surviving workers drain the campaign.
+    fn queue(&self, worker: usize) -> std::sync::MutexGuard<'_, VecDeque<usize>> {
+        self.queues[worker]
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .pop_front()
-        {
+    }
+
+    /// The next point for worker `me`, or `None` once every queue is
+    /// empty. (Points a thief is carrying between two queues are briefly
+    /// invisible, so a worker can retire a moment early; the thief still
+    /// runs them.)
+    fn pop(&self, me: usize) -> Option<usize> {
+        if let Some(i) = self.queue(me).pop_front() {
             return Some(i);
         }
-        for offset in 1..self.queues.len() {
-            let other = (me + offset) % self.queues.len();
-            if let Some(i) = self.queues[other]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_back()
-            {
-                return Some(i);
+        for split in [false, true] {
+            for offset in 1..self.queues.len() {
+                let victim = (me + offset) % self.queues.len();
+                let mut stolen = {
+                    let mut q = self.queue(victim);
+                    let Some(&back) = q.back() else { continue };
+                    let trailing = q
+                        .iter()
+                        .rev()
+                        .take_while(|&&i| self.group[i] == self.group[back])
+                        .count();
+                    let take = if trailing < q.len() {
+                        trailing
+                    } else if split {
+                        (trailing / 2).max(1)
+                    } else {
+                        continue;
+                    };
+                    let keep = q.len() - take;
+                    q.split_off(keep)
+                };
+                let first = stolen.pop_front();
+                self.queue(me).append(&mut stolen);
+                return first;
             }
         }
         None
     }
 }
 
-/// Key of one generated trace: (suite, program index, length, seed).
-type TraceKey = (SuiteKind, usize, usize, u64);
-
-/// Bound on distinct traces held by [`shared_trace`] at once. Sampled
-/// campaigns touch each workload's trace from many window points but
-/// only a handful of workloads concurrently, so a small cache captures
-/// nearly all reuse while bounding memory on long traces.
-const TRACE_CACHE_CAP: usize = 4;
-
-/// One trace's cache slot: an `Arc`'d `OnceLock` so concurrent first
-/// requests block on a single generation.
-type TraceSlot = Arc<std::sync::OnceLock<Arc<VecTrace>>>;
-
-fn trace_cache() -> &'static Mutex<HashMap<TraceKey, TraceSlot>> {
-    static CACHE: std::sync::OnceLock<Mutex<HashMap<TraceKey, TraceSlot>>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(Default::default)
-}
-
-/// Returns the `(suite, index)` program's generated trace of `records`
-/// records, shared process-wide. Every window point of one sampled plan
-/// needs the *same* full trace; generating it once and handing out
-/// `Arc`s keeps a sampled campaign's generation cost O(trace) instead
-/// of O(windows × trace). Generation is deterministic, so sharing can
-/// never change results; concurrent first requests block on one
-/// `OnceLock` so the trace is built exactly once.
-fn shared_trace(suite: SuiteKind, index: usize, records: usize, seed: u64) -> Arc<VecTrace> {
-    let key = (suite, index, records, seed);
-    let slot = {
-        let mut map = trace_cache().lock().unwrap_or_else(|e| e.into_inner());
-        if map.len() >= TRACE_CACHE_CAP && !map.contains_key(&key) {
-            // Evict everything: in-flight users keep their `Arc`s, and a
-            // campaign revisiting an evicted trace just regenerates it.
-            map.retain(|_, slot| slot.get().is_none());
-            if map.len() >= TRACE_CACHE_CAP {
-                map.clear();
+/// Runs one point over `registry`'s shared inputs, observed per `ocfg`
+/// when given. `Verify` points drive two machines through `compare` and
+/// sampled windows measure steady-state statistics, not instruction
+/// narratives: both run unobserved and return an empty observation.
+fn execute_in(
+    registry: &Registry,
+    point: &SimPoint,
+    opts: RunOptions,
+    ocfg: Option<ObserveConfig>,
+) -> Result<(PointMetrics, RunObservation), SimError> {
+    let traces = registry.traces(point);
+    let unobserved = |r: RunResult| (metrics_from(&r), RunObservation::default());
+    match point.work {
+        WorkUnit::Program { .. } | WorkUnit::SmpTpcc => {
+            let model = PerformanceModel::new(point.config.clone());
+            match ocfg {
+                Some(ocfg) => model
+                    .try_run_traces_warm_observed(&traces, point.warmup, opts, ocfg)
+                    .map(|(r, obs)| (metrics_from(&r), obs)),
+                None => model
+                    .try_run_traces_warm(&traces, point.warmup, opts)
+                    .map(unobserved),
             }
         }
-        map.entry(key).or_default().clone()
-    };
-    slot.get_or_init(|| Arc::new(Suite::preset(suite).programs()[index].generate(records, seed)))
-        .clone()
+        WorkUnit::Verify { .. } => {
+            // `compare` drives both machines itself; checked mode and
+            // fault injection do not apply to the reference cross-check.
+            let check = compare(&point.config, &traces[0], point.warmup);
+            let metrics = PointMetrics {
+                cycles: check.model_cycles,
+                reference_cycles: check.reference_cycles,
+                same_work: check.passed(),
+                ..PointMetrics::default()
+            };
+            Ok((metrics, RunObservation::default()))
+        }
+        WorkUnit::SampledWindow { start, len, .. } => {
+            // `point.records` is the *full trace length* here; only the
+            // `point.warmup` records before `start` are functionally
+            // replayed — by a cursor the plan's other windows share —
+            // and only the window itself is timed.
+            registry
+                .warmed(point, &traces[0], start)
+                .try_run_window(traces[0].records(), len, opts)
+                .map(unobserved)
+        }
+    }
 }
 
 /// Runs one point to completion, returning a simulation fault (a wedged
 /// pipeline, or — in checked mode — an invariant violation) as a
 /// structured [`SimError`]. Pure: everything derives from the point and
-/// the options, so equal fingerprints mean equal return values.
+/// the options, so equal fingerprints mean equal return values. Runs
+/// over a private one-point [`Registry`]: the same path a campaign
+/// takes, with nothing to share.
 pub fn try_execute_point(point: &SimPoint, opts: RunOptions) -> Result<PointMetrics, SimError> {
-    match point.work {
-        WorkUnit::Program { suite, index } => {
-            let programs = Suite::preset(suite);
-            let trace =
-                programs.programs()[index].generate(point.records + point.warmup, point.seed);
-            let model = PerformanceModel::new(point.config.clone());
-            Ok(metrics_from(&model.try_run_trace_warm(
-                &trace,
-                point.warmup,
-                opts,
-            )?))
-        }
-        WorkUnit::SmpTpcc => {
-            let traces = smp_traces(
-                &tpcc_program(),
-                point.config.cpus,
-                point.records + point.warmup,
-                point.seed,
-            );
-            let model = PerformanceModel::new(point.config.clone());
-            Ok(metrics_from(&model.try_run_traces_warm(
-                &traces,
-                point.warmup,
-                opts,
-            )?))
-        }
-        WorkUnit::Verify { suite, index } => {
-            // `compare` drives both machines itself; checked mode and
-            // fault injection do not apply to the reference cross-check.
-            let programs = Suite::preset(suite);
-            let trace =
-                programs.programs()[index].generate(point.records + point.warmup, point.seed);
-            let check = compare(&point.config, &trace, point.warmup);
-            Ok(PointMetrics {
-                cycles: check.model_cycles,
-                reference_cycles: check.reference_cycles,
-                same_work: check.passed(),
-                ..PointMetrics::default()
-            })
-        }
-        WorkUnit::SampledWindow {
-            suite,
-            index,
-            start,
-            len,
-        } => {
-            // `point.records` is the *full trace length* here; only the
-            // `point.warmup` records before `start` are functionally
-            // replayed and only the window itself is timed. The trace is
-            // generated once per plan and shared across its window
-            // points, so a window's cost is O(warmup + len) no matter
-            // how long the trace is.
-            let trace = shared_trace(suite, index, point.records, point.seed);
-            let model = PerformanceModel::new(point.config.clone());
-            Ok(metrics_from(&model.try_run_trace_window(
-                &trace,
-                start,
-                len,
-                point.warmup,
-                opts,
-            )?))
-        }
-    }
+    let registry = Registry::new(std::slice::from_ref(point));
+    execute_in(&registry, point, opts, None).map(|(metrics, _)| metrics)
 }
 
 /// Panicking convenience wrapper around [`try_execute_point`] with
@@ -289,46 +313,14 @@ pub fn execute_point(point: &SimPoint) -> PointMetrics {
 /// Observed variant of [`try_execute_point`]: same simulation, plus the
 /// run's [`RunObservation`] per `ocfg`. Observation is read-only, so the
 /// metrics are byte-identical to the unobserved call — cache entries
-/// written from either path are interchangeable. `Verify` points drive
-/// two machines through `compare` and record nothing (the observation
-/// comes back empty).
+/// written from either path are interchangeable.
 pub fn try_execute_point_observed(
     point: &SimPoint,
     opts: RunOptions,
     ocfg: ObserveConfig,
 ) -> Result<(PointMetrics, RunObservation), SimError> {
-    match point.work {
-        WorkUnit::Program { suite, index } => {
-            let programs = Suite::preset(suite);
-            let trace =
-                programs.programs()[index].generate(point.records + point.warmup, point.seed);
-            let model = PerformanceModel::new(point.config.clone());
-            let (r, obs) = model.try_run_traces_warm_observed(
-                std::slice::from_ref(&trace),
-                point.warmup,
-                opts,
-                ocfg,
-            )?;
-            Ok((metrics_from(&r), obs))
-        }
-        WorkUnit::SmpTpcc => {
-            let traces = smp_traces(
-                &tpcc_program(),
-                point.config.cpus,
-                point.records + point.warmup,
-                point.seed,
-            );
-            let model = PerformanceModel::new(point.config.clone());
-            let (r, obs) = model.try_run_traces_warm_observed(&traces, point.warmup, opts, ocfg)?;
-            Ok((metrics_from(&r), obs))
-        }
-        // Verify drives two machines through `compare`; sampled windows
-        // measure steady-state statistics, not instruction narratives.
-        // Both run unobserved and return an empty observation.
-        WorkUnit::Verify { .. } | WorkUnit::SampledWindow { .. } => {
-            Ok((try_execute_point(point, opts)?, RunObservation::default()))
-        }
-    }
+    let registry = Registry::new(std::slice::from_ref(point));
+    execute_in(&registry, point, opts, Some(ocfg))
 }
 
 /// Renders a traced point's pipeline diagram, one section per CPU.
@@ -343,9 +335,12 @@ fn pipeline_text(obs: &RunObservation) -> String {
     out
 }
 
-/// Trace records a point covers (warm-up included, all CPUs). A sampled
-/// window only touches its functional warm-up (capped at the window
-/// start) plus the timed window, however long the surrounding trace is.
+/// Trace records a point's statistics rest on (warm-up included, all
+/// CPUs). A sampled window rests on its functional warm-up (capped at
+/// the window start) plus the timed window, however long the surrounding
+/// trace is and however much of that warm-up a shared cursor had already
+/// replayed — what was actually generated and replayed is in the
+/// report's registry counters. Also the scheduler's cost estimate.
 fn point_records(point: &SimPoint) -> u64 {
     let per_stream = (point.records + point.warmup) as u64;
     match point.work {
@@ -442,7 +437,8 @@ pub fn run_campaign(
         })
         .min(spec.points.len())
         .max(1);
-    let deques = StealDeques::new(workers, spec.points.len());
+    let registry = Registry::new(&spec.points);
+    let schedule = Schedule::new(&spec.points, workers);
     let slots: Vec<Mutex<Option<PointOutcome>>> =
         spec.points.iter().map(|_| Mutex::new(None)).collect();
     let cache_hits = AtomicUsize::new(0);
@@ -500,7 +496,8 @@ pub fn run_campaign(
 
     std::thread::scope(|scope| {
         for worker in 0..workers {
-            let deques = &deques;
+            let schedule = &schedule;
+            let registry = &registry;
             let slots = &slots;
             let cache = cache.as_ref();
             let journal = journal.as_ref();
@@ -517,7 +514,7 @@ pub fn run_campaign(
             let in_flight = &in_flight;
             let progress = progress.clone();
             scope.spawn(move || {
-                while let Some(index) = deques.pop(worker) {
+                while let Some(index) = schedule.pop(worker) {
                     let point = &spec.points[index];
                     let label = point.label();
                     let fp = point.fingerprint();
@@ -565,6 +562,7 @@ pub fn run_campaign(
                             });
                             *slots[index].lock().unwrap_or_else(|e| e.into_inner()) =
                                 Some(PointOutcome::Metrics(Box::new(hit)));
+                            registry.release(point);
                             done.fetch_add(1, Ordering::Relaxed);
                             in_flight.fetch_sub(1, Ordering::Relaxed);
                             continue;
@@ -605,20 +603,17 @@ pub fn run_campaign(
                             if attempt == 0 && chaos.fire(HarnessFaultClass::WorkerPanic, &fp_hex) {
                                 panic!("chaos: injected worker panic");
                             }
-                            if observed {
-                                let ocfg = if wants_trace {
+                            let ocfg = observed.then(|| {
+                                if wants_trace {
                                     ObserveConfig {
                                         interval: spec.observe.interval,
                                         ..ObserveConfig::default()
                                     }
                                 } else {
                                     ObserveConfig::metrics_only(spec.observe.interval)
-                                };
-                                try_execute_point_observed(point, opts, ocfg)
-                            } else {
-                                try_execute_point(point, opts)
-                                    .map(|m| (m, RunObservation::default()))
-                            }
+                                }
+                            });
+                            execute_in(registry, point, opts, ocfg)
                         }));
                         drop(guard);
 
@@ -760,6 +755,9 @@ pub fn run_campaign(
                         };
                     };
                     *slots[index].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
+                    // The outcome is final (retries are over): the point
+                    // stops holding its trace and cursors alive.
+                    registry.release(point);
                     done.fetch_add(1, Ordering::Relaxed);
                     in_flight.fetch_sub(1, Ordering::Relaxed);
                 }
@@ -800,7 +798,14 @@ pub fn run_campaign(
     slowest.truncate(5);
     let mut quarantined = quarantined.into_inner().unwrap_or_else(|e| e.into_inner());
     quarantined.sort_by_key(|(index, _, _)| *index);
+    debug_assert_eq!(registry.live(), 0, "every point released its inputs");
+    let shared = registry.counters();
     let report = CampaignReport {
+        traces_requested: shared.traces_requested,
+        traces_generated: shared.traces_generated,
+        records_generated: shared.records_generated,
+        records_warm_requested: shared.records_warm_requested,
+        records_warmed: shared.records_warmed,
         completed,
         failed: outcomes.len() - completed,
         cache_hits: cache_hits.into_inner(),
@@ -1131,6 +1136,63 @@ mod tests {
                 assert!(eta.is_none(), "no finished point, no estimate");
             }
         }
+    }
+
+    #[test]
+    fn schedule_keeps_reuse_groups_whole_and_splits_one_only_when_nothing_else_is_left() {
+        // Four programs × four full-warming windows, listed window-major
+        // and descending, so neither groups nor starts arrive in order.
+        let window = |index: usize, start: usize| SimPoint {
+            config: SystemConfig::sparc64_v(),
+            work: WorkUnit::SampledWindow {
+                suite: SuiteKind::SpecInt95,
+                index,
+                start,
+                len: 100,
+            },
+            records: 10_000,
+            warmup: 10_000,
+            seed: 1,
+        };
+        let points: Vec<SimPoint> = [4_000, 3_000, 2_000, 1_000]
+            .iter()
+            .flat_map(|&start| (0..4).map(move |index| window(index, start)))
+            .collect();
+        let at = |i: usize| match points[i].work {
+            WorkUnit::SampledWindow { index, start, .. } => (index, start),
+            _ => unreachable!(),
+        };
+        let s = Schedule::new(&points, 2);
+        let take = |worker: usize, n: usize| -> Vec<(usize, usize)> {
+            (0..n)
+                .map(|_| at(s.pop(worker).expect("work left")))
+                .collect()
+        };
+        let chain =
+            |index: usize, from: usize| (from..=4).map(move |k| (index, k * 1_000)).collect();
+
+        // Worker 0 was dealt programs 0 and 1, each ascending by start.
+        let mut own: Vec<(usize, usize)> = chain(0, 1);
+        own.extend::<Vec<_>>(chain(1, 1));
+        assert_eq!(take(0, 8), own);
+        // Out of work, it steals worker 1's trailing program whole ...
+        assert_eq!(take(0, 4), chain(3, 1));
+        // ... and only then splits the one program worker 1 has left:
+        // the back half, still ascending; worker 1 keeps the front half.
+        assert_eq!(take(0, 2), chain(2, 3));
+        assert_eq!(take(1, 2), vec![(2, 1_000), (2, 2_000)]);
+        assert_eq!(s.pop(0), None);
+        assert_eq!(s.pop(1), None);
+    }
+
+    #[test]
+    fn schedule_splits_a_single_oversized_group_across_workers_at_deal_time() {
+        // An exploration round: one trace, many configurations.
+        let points: Vec<SimPoint> = (0..10).map(|_| program_point(3_000, 1)).collect();
+        let s = Schedule::new(&points, 2);
+        let own = |worker: usize| s.queue(worker).iter().copied().collect::<Vec<usize>>();
+        assert_eq!(own(0), (0..5).collect::<Vec<_>>());
+        assert_eq!(own(1), (5..10).collect::<Vec<_>>());
     }
 
     #[test]

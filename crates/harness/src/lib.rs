@@ -11,6 +11,10 @@
 //! * **Parallel and deterministic** — points run on a work-stealing
 //!   worker pool; every point is seeded independently, so results are
 //!   byte-identical regardless of thread count or scheduling.
+//! * **Shared inputs** — a per-campaign [`registry`] generates each
+//!   distinct trace once and serves a sampled plan's windows from one
+//!   functional-warming pass; the pool deals work so points that share
+//!   inputs run back to back on one worker.
 //! * **Content-addressed caching** — each point's identity is a stable
 //!   [fingerprint](s64v_core::fingerprint) of everything that affects
 //!   its result (plus the model version); finished points persist under
@@ -49,6 +53,7 @@ pub mod figures;
 pub mod journal;
 pub mod perf;
 pub mod progress;
+pub mod registry;
 pub mod spec;
 pub mod supervise;
 pub mod validate;

@@ -84,8 +84,25 @@ pub struct CampaignReport {
     /// Points whose transient failures exhausted the retry budget; their
     /// labels and last errors, in point order.
     pub quarantined: Vec<(String, String)>,
-    /// Trace records simulated (cache hits excluded).
+    /// Trace records the simulated points' statistics rest on (cache
+    /// hits excluded): each point's warm-up plus timed records, whether
+    /// or not a shared cursor spared it the replay. The five counters
+    /// below say what the campaign's shared-input
+    /// [registry](crate::registry) actually did.
     pub simulated_records: u64,
+    /// Trace sets points asked the registry for (one per executed
+    /// attempt).
+    pub traces_requested: u64,
+    /// Trace sets generated — one per distinct reuse key that any
+    /// simulated point needed.
+    pub traces_generated: u64,
+    /// Records generated, summed over every CPU's trace.
+    pub records_generated: u64,
+    /// Functional warm-up records sampled windows asked for,
+    /// Σ `(start − origin)`.
+    pub records_warm_requested: u64,
+    /// Records warm cursors actually replayed to serve them.
+    pub records_warmed: u64,
     /// Wall time for the whole campaign.
     pub elapsed: Duration,
     /// Summed per-point simulation wall time across all workers (the
@@ -118,6 +135,21 @@ impl CampaignReport {
             self.elapsed.as_secs_f64(),
             self.records_per_second() / 1e3,
         );
+        if self.traces_requested > 0 {
+            s.push_str(&format!(
+                "; {} of {} requested traces generated ({:.2}M records)",
+                self.traces_generated,
+                self.traces_requested,
+                self.records_generated as f64 / 1e6,
+            ));
+        }
+        if self.records_warm_requested > 0 {
+            s.push_str(&format!(
+                ", {:.2}M of {:.2}M requested window warm-up records replayed",
+                self.records_warmed as f64 / 1e6,
+                self.records_warm_requested as f64 / 1e6,
+            ));
+        }
         if self.retries > 0 || self.timed_out > 0 || !self.quarantined.is_empty() {
             s.push_str(&format!(
                 ", {} retried, {} timed out, {} quarantined",
@@ -153,6 +185,28 @@ mod tests {
             !s.contains("quarantined"),
             "a healthy campaign's summary stays unchanged"
         );
+    }
+
+    #[test]
+    fn summary_reports_what_the_registry_shared() {
+        let r = CampaignReport {
+            completed: 64,
+            traces_requested: 64,
+            traces_generated: 8,
+            records_generated: 13_120_000,
+            records_warm_requested: 47_360_000,
+            records_warmed: 11_520_000,
+            ..Default::default()
+        };
+        let s = r.summary();
+        assert!(s.contains("8 of 64 requested traces generated (13.12M records)"));
+        assert!(s.contains("11.52M of 47.36M requested window warm-up records replayed"));
+        let all_hits = CampaignReport {
+            completed: 3,
+            cache_hits: 3,
+            ..Default::default()
+        };
+        assert!(!all_hits.summary().contains("traces"));
     }
 
     #[test]

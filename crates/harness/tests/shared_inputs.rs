@@ -1,0 +1,388 @@
+//! End-to-end tests of the per-campaign shared-input registry and the
+//! reuse-affine schedule: sharing and scheduling change how much gets
+//! generated and replayed, never a result; the counters are exact; and
+//! nothing outlives the campaign, including across retries, injected
+//! faults and quarantines.
+
+use s64v_core::{program_seed, ChaosPlan, HarnessFaultClass, SystemConfig};
+use s64v_harness::engine::PointOutcome;
+use s64v_harness::registry::{Registry, ReuseKey};
+use s64v_harness::validate::{full_point, sampled_points, SampleOpts};
+use s64v_harness::{
+    run_campaign, try_execute_point, CampaignOutcome, CampaignSpec, HarnessOpts, SimPoint,
+    SupervisePolicy, WorkUnit,
+};
+use s64v_trace::VecTrace;
+use s64v_workloads::SuiteKind;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Weak};
+use std::time::Duration;
+
+const PROGRAMS: [(SuiteKind, usize); 3] = [
+    (SuiteKind::SpecInt95, 0),
+    (SuiteKind::SpecFp95, 0),
+    (SuiteKind::Tpcc, 0),
+];
+
+fn sizes() -> HarnessOpts {
+    HarnessOpts {
+        records: 3_000,
+        warmup: 2_000,
+        smp_records: 800,
+        smp_warmup: 1_200,
+        ..HarnessOpts::smoke()
+    }
+}
+
+/// Five full-warming windows tiling the timed region.
+fn sample() -> SampleOpts {
+    SampleOpts {
+        windows: 5,
+        window: 600,
+        warmup: 5_000,
+    }
+}
+
+/// Two configurations × three programs, each program as in
+/// `validate::all_points` — one full-detail point and its windows on one
+/// trace — plus a `Verify` on one of those traces and an `SmpTpcc`. The
+/// list is deliberately *not* grouped by reuse key (configuration-major,
+/// windows reversed), so the schedule has reordering to do.
+fn mixed_points() -> Vec<SimPoint> {
+    let base = SystemConfig::sparc64_v();
+    let small_bht = base.clone().with_core(base.core.clone().with_small_bht());
+    let o = sizes();
+    let mut points = Vec::new();
+    for config in [&base, &small_bht] {
+        for &(suite, index) in &PROGRAMS {
+            let mut group = vec![full_point(suite, index, &o)];
+            group.extend(
+                sampled_points(suite, index, &o, &sample())
+                    .into_iter()
+                    .rev(),
+            );
+            for mut p in group {
+                p.config = config.clone();
+                points.push(p);
+            }
+        }
+    }
+    points.push(SimPoint {
+        work: WorkUnit::Verify {
+            suite: PROGRAMS[0].0,
+            index: PROGRAMS[0].1,
+        },
+        ..full_point(PROGRAMS[0].0, PROGRAMS[0].1, &o)
+    });
+    points.push(SimPoint {
+        config: SystemConfig::smp(2),
+        work: WorkUnit::SmpTpcc,
+        records: o.smp_records,
+        warmup: o.smp_warmup,
+        seed: program_seed(o.seed, "tpcc-smp"),
+    });
+    points
+}
+
+fn distinct_keys(points: &[SimPoint]) -> u64 {
+    points
+        .iter()
+        .map(ReuseKey::of)
+        .collect::<HashSet<_>>()
+        .len() as u64
+}
+
+/// Σ over plans — one per `(reuse key, configuration, origin)` — of
+/// `last start − origin`: what one ascending pass per plan replays.
+fn one_pass_per_plan(points: &[SimPoint]) -> u64 {
+    let mut plans: HashMap<(ReuseKey, String, usize), usize> = HashMap::new();
+    for p in points {
+        if let WorkUnit::SampledWindow { start, .. } = p.work {
+            let origin = start.saturating_sub(p.warmup);
+            let last = plans
+                .entry((ReuseKey::of(p), format!("{:?}", p.config), origin))
+                .or_insert(origin);
+            *last = (*last).max(start);
+        }
+    }
+    plans
+        .iter()
+        .map(|((_, _, origin), last)| (last - origin) as u64)
+        .sum()
+}
+
+fn fast() -> SupervisePolicy {
+    SupervisePolicy {
+        backoff: Duration::ZERO,
+        ..SupervisePolicy::default()
+    }
+}
+
+fn run(points: &[SimPoint], threads: usize) -> CampaignOutcome {
+    run_campaign(
+        &CampaignSpec::new("shared-inputs", points.to_vec())
+            .with_threads(threads)
+            .with_heartbeat(None)
+            .with_supervise(fast()),
+        None,
+    )
+    .expect("run")
+}
+
+#[test]
+fn a_mixed_campaign_is_identical_at_any_thread_count_and_to_lone_points() {
+    let points = mixed_points();
+    assert_eq!(distinct_keys(&points), 4, "three programs and the SMP set");
+    let lone: Vec<PointOutcome> = points
+        .iter()
+        .map(|p| {
+            PointOutcome::Metrics(Box::new(
+                try_execute_point(p, Default::default()).expect("clean point"),
+            ))
+        })
+        .collect();
+    let warm_requested: u64 = points
+        .iter()
+        .filter_map(|p| match p.work {
+            WorkUnit::SampledWindow { start, .. } => Some(start.min(p.warmup) as u64),
+            _ => None,
+        })
+        .sum();
+    for threads in [1, 2, 5] {
+        let out = run(&points, threads);
+        assert_eq!(
+            out.outcomes, lone,
+            "{threads} threads: outcomes must be index-aligned and equal lone execution"
+        );
+        let r = &out.report;
+        assert_eq!(r.traces_requested, points.len() as u64, "{threads} threads");
+        assert_eq!(
+            r.traces_generated,
+            distinct_keys(&points),
+            "{threads} threads: one generation per distinct key"
+        );
+        assert_eq!(
+            r.records_generated,
+            3 * 5_000 + 2 * 2_000,
+            "{threads} threads"
+        );
+        assert_eq!(
+            r.records_warm_requested, warm_requested,
+            "{threads} threads"
+        );
+        assert!(r.records_warmed <= r.records_warm_requested);
+        if threads == 1 {
+            assert!(
+                r.records_warmed <= one_pass_per_plan(&points),
+                "one worker serves each plan in one ascending pass: {} > {}",
+                r.records_warmed,
+                one_pass_per_plan(&points)
+            );
+        }
+    }
+}
+
+/// The benchmark's `sampled_long` shape: eight programs, eight sparse
+/// windows each over a long timed region, full functional warming.
+fn sampled_long_shape(lead_in: usize, region: usize, window: usize) -> Vec<SimPoint> {
+    let o = HarnessOpts {
+        records: region,
+        warmup: lead_in,
+        ..HarnessOpts::smoke()
+    };
+    let s = SampleOpts {
+        windows: 8,
+        window,
+        warmup: lead_in + region,
+    };
+    [
+        (SuiteKind::SpecInt95, 0),
+        (SuiteKind::SpecFp95, 0),
+        (SuiteKind::SpecInt2000, 0),
+        (SuiteKind::SpecFp2000, 0),
+        (SuiteKind::SpecInt95, 1),
+        (SuiteKind::SpecFp95, 1),
+        (SuiteKind::SpecInt2000, 1),
+        (SuiteKind::Tpcc, 0),
+    ]
+    .iter()
+    .flat_map(|&(suite, index)| sampled_points(suite, index, &o, &s))
+    .collect()
+}
+
+/// Eight generations for sixty-four windows at 1 and 2 threads, and at
+/// one thread exactly one warming pass per program, up to its last
+/// window's start.
+fn assert_one_generation_and_one_pass_per_program(points: &[SimPoint]) {
+    assert_eq!(points.len(), 64);
+    let last_start = points
+        .iter()
+        .filter_map(|p| match p.work {
+            WorkUnit::SampledWindow { start, .. } => Some(start as u64),
+            _ => None,
+        })
+        .max()
+        .unwrap();
+    for threads in [1, 2] {
+        let out = run(points, threads);
+        assert!(out.failures().is_empty());
+        let r = &out.report;
+        eprintln!("{threads} thread(s): {}", r.summary());
+        assert_eq!(r.traces_requested, 64, "{threads} threads");
+        assert_eq!(r.traces_generated, 8, "{threads} threads");
+        assert!(r.records_warmed <= r.records_warm_requested);
+        if threads == 1 {
+            assert_eq!(r.records_warmed, 8 * last_start);
+        }
+    }
+}
+
+#[test]
+fn a_sampled_long_shaped_campaign_generates_and_warms_once_per_program() {
+    assert_one_generation_and_one_pass_per_program(&sampled_long_shape(2_000, 80_000, 400));
+}
+
+/// The same at the benchmark's full size, for quoting the counts
+/// (EXPERIMENTS.md): `cargo test --release -p s64v-harness --test
+/// shared_inputs -- --ignored --nocapture`.
+#[test]
+#[ignore = "full benchmark size; run in release"]
+fn a_full_size_sampled_long_campaign_generates_and_warms_once_per_program() {
+    assert_one_generation_and_one_pass_per_program(&sampled_long_shape(40_000, 1_600_000, 8_000));
+}
+
+#[test]
+fn the_registry_holds_nothing_once_every_point_is_released() {
+    let points = mixed_points();
+    let registry = Registry::new(&points);
+    assert_eq!(registry.live() as u64, distinct_keys(&points));
+    let mut traces: Vec<Weak<Vec<VecTrace>>> = Vec::new();
+    for p in &points {
+        let t = registry.traces(p);
+        if let WorkUnit::SampledWindow { start, .. } = p.work {
+            let machine = registry.warmed(p, &t[0], start);
+            assert_eq!(machine.pos(), start);
+        }
+        traces.push(Arc::downgrade(&t));
+    }
+    assert!(traces.iter().all(|t| t.upgrade().is_some()));
+    for p in &points {
+        registry.release(p);
+    }
+    assert_eq!(registry.live(), 0);
+    assert!(
+        traces.iter().all(|t| t.upgrade().is_none()),
+        "no trace may outlive its last consumer"
+    );
+    // `run_campaign` itself asserts `live() == 0` before it returns (a
+    // debug assertion, active in every test above and below).
+}
+
+/// A seed under which the chaos schedule hangs one window's first
+/// attempt and panics another's (a hang pre-empts a panic on the same
+/// point, so the panicking window must not also be hung).
+fn chaos_striking_windows(points: &[SimPoint]) -> (ChaosPlan, usize) {
+    let windows: Vec<String> = points
+        .iter()
+        .filter(|p| matches!(p.work, WorkUnit::SampledWindow { .. }))
+        .map(|p| p.fingerprint().to_hex())
+        .collect();
+    for seed in 0..200 {
+        let plan = ChaosPlan::new(seed, 150);
+        let hung = |fp: &String| plan.should_fire(HarnessFaultClass::PointHang, fp);
+        let panicked =
+            |fp: &String| !hung(fp) && plan.should_fire(HarnessFaultClass::WorkerPanic, fp);
+        if windows.iter().any(hung) && windows.iter().any(panicked) {
+            let struck = points
+                .iter()
+                .map(|p| p.fingerprint().to_hex())
+                .filter(|fp| hung(fp) || panicked(fp))
+                .count();
+            return (plan, struck);
+        }
+    }
+    panic!("no seed under 200 strikes windows both ways");
+}
+
+#[test]
+fn injected_hangs_and_panics_on_windows_recover_with_the_registry_intact() {
+    let points = mixed_points();
+    let clean = run(&points, 2);
+    let (plan, struck) = chaos_striking_windows(&points);
+    for threads in [1, 2] {
+        let chaos = run_campaign(
+            &CampaignSpec::new("shared-inputs", points.clone())
+                .with_threads(threads)
+                .with_heartbeat(None)
+                .with_supervise(fast())
+                .with_chaos(plan),
+            None,
+        )
+        .expect("run");
+        assert_eq!(chaos.outcomes, clean.outcomes, "{threads} threads");
+        assert_eq!(chaos.report.retries, struck, "every fault, one retry each");
+        assert!(chaos.report.quarantined.is_empty());
+        // A struck first attempt never reached the registry; its retry
+        // found the trace and cursors where the other windows left them.
+        assert_eq!(chaos.report.traces_requested, points.len() as u64);
+        assert_eq!(chaos.report.traces_generated, distinct_keys(&points));
+    }
+}
+
+#[test]
+fn points_that_die_mid_run_or_panic_every_time_leave_their_neighbours_whole() {
+    let o = sizes();
+    let (suite, index) = PROGRAMS[0];
+    let windows = sampled_points(suite, index, &o, &sample());
+    // Shares the windows' trace (its length is their `records`) and
+    // panics on every attempt: "warmup must leave records to time".
+    let panicking = SimPoint {
+        records: 0,
+        warmup: o.records + o.warmup,
+        ..full_point(suite, index, &o)
+    };
+    let full = full_point(suite, index, &o);
+    let mut points = vec![panicking, full];
+    points.extend(windows);
+    assert_eq!(distinct_keys(&points), 1);
+
+    let clean = run(&points, 1);
+    let cycles = |i: usize| clean.outcomes[i].metrics().expect("clean point").cycles;
+    let longest_window = (2..points.len()).map(cycles).max().unwrap();
+    assert!(
+        cycles(1) > longest_window,
+        "the full point outlasts any window"
+    );
+
+    // A cycle budget between the two: every window finishes, the full
+    // point is cancelled *mid-run* on every attempt.
+    for threads in [1, 2, 5] {
+        let out = run_campaign(
+            &CampaignSpec::new("shared-inputs", points.clone())
+                .with_threads(threads)
+                .with_heartbeat(None)
+                .with_supervise(fast().with_cycle_budget(longest_window + 1)),
+            None,
+        )
+        .expect("run");
+        assert!(
+            matches!(&out.outcomes[0], PointOutcome::Failed { error, attempts: 3, quarantined: true, .. }
+                if error.contains("warmup must leave records to time")),
+            "{threads} threads: got {:?}",
+            out.outcomes[0]
+        );
+        assert!(
+            matches!(&out.outcomes[1], PointOutcome::TimedOut { attempts: 3, .. }),
+            "{threads} threads: got {:?}",
+            out.outcomes[1]
+        );
+        assert_eq!(out.outcomes[2..], clean.outcomes[2..], "{threads} threads");
+        assert_eq!(out.report.retries, 4);
+        assert_eq!(out.report.quarantined.len(), 2);
+        // Six attempts plus five windows asked; one trace was generated
+        // and kept across every retry, then dropped (`live() == 0` is
+        // asserted inside `run_campaign`).
+        assert_eq!(out.report.traces_requested, 6 + 5);
+        assert_eq!(out.report.traces_generated, 1);
+    }
+}

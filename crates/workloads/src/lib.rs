@@ -46,5 +46,5 @@ pub mod suite;
 pub use mix::InstrMix;
 pub use program::{Program, ProgramSpec};
 pub use regions::{DataSpec, Region, RegionKind};
-pub use smp::smp_traces;
+pub use smp::{smp_traces, smp_traces_into};
 pub use suite::{Suite, SuiteKind};

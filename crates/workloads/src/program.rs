@@ -92,6 +92,13 @@ impl Program {
 
     /// Deterministically generates a trace of exactly `n` records.
     pub fn generate(&self, n: usize, seed: u64) -> VecTrace {
+        self.generate_into(VecTrace::new(), n, seed)
+    }
+
+    /// [`Program::generate`] into `buffer`'s allocation (its old records
+    /// are discarded): the same trace, without a fresh allocation when
+    /// the buffer is large enough.
+    pub fn generate_into(&self, buffer: VecTrace, n: usize, seed: u64) -> VecTrace {
         let spec = &self.spec;
         let user_code = StaticCode::build(&spec.code, &spec.mix, seed);
         let user_gen = CodeGen::new(&spec.code, &user_code, false);
@@ -105,7 +112,7 @@ impl Program {
         });
 
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1));
-        let mut builder = TraceBuilder::new(spec.code.base);
+        let mut builder = TraceBuilder::reusing(spec.code.base, buffer);
 
         match kernel_parts {
             None => {
@@ -223,6 +230,17 @@ mod tests {
         let b = p.generate(7777, 3);
         assert_eq!(a.len(), 7777);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn generating_into_a_used_buffer_changes_nothing_but_the_allocation() {
+        let p = Program::new(spec());
+        let fresh = p.generate(5_000, 3);
+        let used = p.generate(9_000, 11);
+        let ptr = used.records().as_ptr();
+        let reused = p.generate_into(used, 5_000, 3);
+        assert_eq!(reused, fresh);
+        assert_eq!(reused.records().as_ptr(), ptr, "no new allocation");
     }
 
     #[test]

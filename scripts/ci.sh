@@ -16,6 +16,10 @@ cargo test --workspace -q
 echo "== fault-injection matrix (every fault class must be caught)"
 cargo test --release -p s64v-core --test fault_matrix -q
 
+echo "== shared-input equivalence (cursor = fresh warm pass; sharing never changes a result)"
+cargo test --release -p s64v-core --test warm_cursor -q
+cargo test --release -p s64v-harness --test shared_inputs -q
+
 echo "== checked-mode smoke campaign (zero invariant violations expected)"
 CHECKED_SCRATCH=target/ci-checked
 rm -rf "$CHECKED_SCRATCH"
@@ -163,6 +167,24 @@ END {
     exit status
 }' specs/bench_floor.json "$BENCH_SCRATCH/smoke.txt"
 rm -rf "$BENCH_SCRATCH"
+
+echo "== benchmark smoke (all six workloads, end to end and traced, must check out)"
+# Invokes the repo benchmark (BENCHMARK.json) at 1/20 size: every
+# workload's exact statistics are compared against benchmark/expected/
+# and, in the traced pass, against the benchmark's own hand-driven
+# execution of the same points. A result line that is not
+# `"correct":true` with `"failed":0` fails the gate. (run.sh pipes
+# through tee, so the result lines — not its exit status — are checked.)
+sh benchmark/run.sh --smoke > /dev/null
+for sink in end_to_end per_layer; do
+    good=$(grep -c '"result":{"correct":true,"attempted":[0-9]*,"failed":0,' \
+        "benchmark/out/$sink.jsonl" || true)
+    if [ "$good" != 6 ]; then
+        echo "benchmark-smoke: $good of 6 workloads correct in $sink.jsonl" >&2
+        cat "benchmark/out/$sink.jsonl" >&2
+        exit 1
+    fi
+done
 
 echo "== perf diff smoke (BENCH trajectory must not regress unattributed)"
 # Diff the two most recent committed BENCH_<n>.json snapshots. BENCH
