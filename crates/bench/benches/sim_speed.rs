@@ -12,7 +12,7 @@
 //! CI regression gating.
 
 use s64v_core::{PerformanceModel, SystemConfig};
-use s64v_workloads::{Suite, SuiteKind};
+use s64v_workloads::{smp_traces, suite::tpcc_program, Suite, SuiteKind};
 use std::time::Instant;
 
 /// Runs `f` a few times and returns the best iteration in seconds.
@@ -24,6 +24,16 @@ fn best_secs(iters: u32, mut f: impl FnMut()) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
+}
+
+/// One `sim_speed` line: the best iteration's time and the rates it gives.
+fn report(label: &str, records: usize, cycles: u64, best: f64) {
+    println!(
+        "sim_speed/{label}: {:.3} ms/iter, {:.0} elem/s, {:.0} cycles/s",
+        best * 1e3,
+        records as f64 / best,
+        cycles as f64 / best
+    );
 }
 
 fn sim_speed(smoke: bool) {
@@ -44,14 +54,27 @@ fn sim_speed(smoke: bool) {
         let best = best_secs(iters, || {
             model.run_trace_warm(&trace, warmup);
         });
-        println!(
-            "sim_speed/{}: {:.3} ms/iter, {:.0} elem/s, {:.0} cycles/s",
-            kind.label(),
-            best * 1e3,
-            records as f64 / best,
-            cycles as f64 / best
-        );
+        report(kind.label(), records, cycles, best);
     }
+}
+
+/// The paper's 16-CPU TPC-C point: the suite in which each core sleeps to
+/// its own next event while the others run. Nothing else here would
+/// notice that rule being lost — one-core runs sleep either way.
+fn smp_speed(smoke: bool) {
+    const CPUS: usize = 16;
+    let (records, warmup, iters) = if smoke {
+        (4_000usize, 8_000usize, 3)
+    } else {
+        (10_000usize, 60_000usize, 5)
+    };
+    let traces = smp_traces(&tpcc_program(), CPUS, records + warmup, 7);
+    let model = PerformanceModel::new(SystemConfig::smp(CPUS));
+    let cycles = model.run_traces_warm(&traces, warmup).cycles;
+    let best = best_secs(iters, || {
+        model.run_traces_warm(&traces, warmup);
+    });
+    report("TPC-C(16P)", CPUS * records, cycles, best);
 }
 
 fn generation_speed(smoke: bool) {
@@ -78,5 +101,6 @@ fn generation_speed(smoke: bool) {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     sim_speed(smoke);
+    smp_speed(smoke);
     generation_speed(smoke);
 }

@@ -75,10 +75,10 @@ pub struct RunOptions {
     pub fault: Option<FaultPlan>,
     /// Cycle ceiling and cancellation flag (see [`CycleBudget`]).
     pub budget: Option<CycleBudget>,
-    /// Force every cycle to be stepped, disabling quiescent-cycle
-    /// skipping. Results are byte-identical either way (the equivalence
-    /// test suite asserts exactly that); the switch exists for those tests
-    /// and for debugging. Checked and faulted runs never skip regardless.
+    /// Step every core on every cycle: no core is ever put to sleep.
+    /// Results are byte-identical either way (the equivalence test suite
+    /// asserts exactly that); the switch exists for those tests and for
+    /// debugging. Checked and faulted runs never sleep regardless.
     pub no_skip: bool,
 }
 
@@ -109,9 +109,14 @@ impl RunOptions {
     }
 }
 
-/// The shared lock-stepped simulation loop: steps every unfinished core
-/// each cycle, applies any pending fault, and (in checked mode) audits the
-/// invariants. Returns the final cycle count.
+/// The one simulation loop: cores share a cycle counter and the memory
+/// system and step in index order within a cycle, but each sleeps to its
+/// own next event (see [`Core::sleep_after`]) — a core whose pipeline is
+/// provably frozen until cycle `w` is not stepped again before `w`, and
+/// the counter advances to the earliest wake time among unfinished cores.
+/// "Every core is asleep" and a uniprocessor run are instances of that
+/// rule, not separate paths. Applies any pending fault and (in checked
+/// mode) audits the invariants every cycle. Returns the final cycle count.
 pub(crate) fn drive<S: TraceStream>(
     cores: &mut [Core],
     mem: &mut MemorySystem,
@@ -123,38 +128,44 @@ pub(crate) fn drive<S: TraceStream>(
     let mut fault = opts.fault;
     // Hoisted out of `opts` so an inactive budget costs one branch.
     let budget = opts.budget.filter(CycleBudget::is_active);
-    // Quiescent-cycle skipping: sound only when nothing outside the cores
-    // can act on an arbitrary cycle — so never under an auditor (it must
-    // see every cycle) or a fault plan (it fires at scheduled cycles).
-    let may_skip = !opts.no_skip
-        && auditor.is_none()
-        && fault.is_none()
-        && cores.iter().all(Core::skip_enabled);
+    // Sleeping is sound only when nothing outside a core needs it stepped
+    // on an arbitrary cycle — so never under an auditor (it must see
+    // every cycle of every core) or a fault plan (it fires at scheduled
+    // cycles).
+    let may_sleep = !opts.no_skip && auditor.is_none() && fault.is_none();
     let observe_interval = observer.as_ref().map_or(0, |o| o.interval());
-    let mut done: Vec<bool> = vec![false; cores.len()];
+    /// Wake time of a core that has drained its stream.
+    const FINISHED: u64 = u64::MAX;
+    // The next cycle each core steps on.
+    let mut wake: Vec<u64> = vec![0; cores.len()];
+    // Cores whose step this cycle was inert: candidates for a sleep.
+    let mut inert: Vec<usize> = Vec::with_capacity(cores.len());
     let mut now = 0u64;
-    while done.iter().any(|d| !d) {
+    loop {
         if let Some(b) = &budget {
             b.check(now)?;
         }
         if let Some(f) = fault.as_mut() {
             f.apply(now, cores, mem);
         }
+        inert.clear();
         let mut stepped = false;
-        let mut idle = true;
         for i in 0..cores.len() {
-            if done[i] {
-                continue;
+            if wake[i] > now {
+                continue; // asleep or finished
             }
             if cores[i].is_done(&streams[i]) {
-                done[i] = true;
+                wake[i] = FINISHED;
                 continue;
             }
-            let (_, active) = cores[i]
-                .try_step_counted(mem, &mut streams[i], now)
+            let active = cores[i]
+                .try_step_active(mem, &mut streams[i], now)
                 .map_err(|e| SimError::from_core(*e, mem))?;
             stepped = true;
-            idle &= !active;
+            wake[i] = now + 1;
+            if !active {
+                inert.push(i);
+            }
         }
         if let Some(a) = auditor.as_mut() {
             a.check(now, cores, mem)?;
@@ -164,57 +175,38 @@ pub(crate) fn drive<S: TraceStream>(
                 o.tick(now, cores, mem);
             }
         }
-        if may_skip && stepped && idle {
-            // Every active core must prove itself frozen; the jump lands
-            // on the earliest wakeup among them, further capped so that
-            // observer boundaries and budget polls still run on their
-            // exact cycles.
-            let mut wake = u64::MAX;
-            let mut frozen = true;
-            for i in 0..cores.len() {
-                if done[i] {
-                    continue;
+        if may_sleep && !inert.is_empty() {
+            // Only after the observer has read this cycle's statistics:
+            // a sleep records its cycles ahead of time. The cap keeps
+            // every core stepping on observer boundaries, the cycle
+            // ceiling and cancel polls, so those run on their exact cycles
+            // with every core's statistics current.
+            let mut cap = u64::MAX;
+            if observe_interval > 0 {
+                cap = (now + 2).div_ceil(observe_interval) * observe_interval - 1;
+            }
+            if let Some(b) = &budget {
+                if let Some(max) = b.max_cycles {
+                    cap = cap.min(max);
                 }
-                match cores[i].next_wakeup(&streams[i], now) {
-                    Some(w) => wake = wake.min(w),
-                    None => {
-                        frozen = false;
-                        break;
-                    }
+                if b.cancel.is_some() {
+                    cap = cap.min((now / CycleBudget::CANCEL_POLL + 1) * CycleBudget::CANCEL_POLL);
                 }
             }
-            if frozen {
-                if observe_interval > 0 {
-                    let boundary = (now + 2).div_ceil(observe_interval) * observe_interval - 1;
-                    wake = wake.min(boundary);
-                }
-                if let Some(b) = &budget {
-                    if let Some(max) = b.max_cycles {
-                        wake = wake.min(max);
-                    }
-                    if b.cancel.is_some() {
-                        let next_poll =
-                            (now / CycleBudget::CANCEL_POLL + 1) * CycleBudget::CANCEL_POLL;
-                        wake = wake.min(next_poll);
-                    }
-                }
-                if wake > now + 1 {
-                    let n = wake - 1 - now;
-                    for i in 0..cores.len() {
-                        if !done[i] {
-                            cores[i].skip_cycles(now, n);
-                        }
-                    }
-                    now += n;
-                }
+            for &i in &inert {
+                wake[i] = cores[i].sleep_after(&streams[i], now, cap);
             }
         }
-        now += 1;
+        let next = wake.iter().copied().min().unwrap_or(FINISHED);
+        if next == FINISHED {
+            break;
+        }
+        now = next;
     }
     if let Some(a) = auditor.as_mut() {
-        a.finalize(now, cores, mem)?;
+        a.finalize(now + 1, cores, mem)?;
     }
-    Ok(now.saturating_sub(1))
+    Ok(now)
 }
 
 pub(crate) fn collect_result(cycles: u64, cores: &[Core], mem: &MemorySystem) -> RunResult {
@@ -615,6 +607,8 @@ impl PerformanceModel {
 mod tests {
     use super::*;
     use s64v_workloads::{smp_traces, suite::tpcc_program, Suite, SuiteKind};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn uniprocessor_run_commits_everything() {
@@ -677,6 +671,81 @@ mod tests {
             .expect("no invariant fires on an unfaulted SMP run");
         assert_eq!(plain.cycles, checked.cycles);
         assert_eq!(plain.committed, checked.committed);
+    }
+
+    /// A stream that raises the cancel flag as its `after`-th record is
+    /// fetched: the wall-clock watchdog, made deterministic.
+    struct CancelAfter<'a> {
+        inner: SliceStream<'a>,
+        after: usize,
+        flag: Arc<AtomicBool>,
+    }
+
+    impl TraceStream for CancelAfter<'_> {
+        fn next_record(&mut self) -> Option<s64v_trace::TraceRecord> {
+            if self.after == 0 {
+                self.flag.store(true, Ordering::Relaxed);
+            }
+            self.after = self.after.saturating_sub(1);
+            self.inner.next_record()
+        }
+
+        fn remaining_hint(&self) -> Option<u64> {
+            self.inner.remaining_hint()
+        }
+    }
+
+    #[test]
+    fn a_cancel_is_seen_at_the_next_poll_even_with_every_core_asleep() {
+        // Cold-start TPC-C: long stretches in which all four cores sleep
+        // on memory. Wherever in the run the flag goes up, the sleeping
+        // loop must stop at the very poll the stepping loop stops at —
+        // the first multiple of CANCEL_POLL after it.
+        let config = SystemConfig::smp(4);
+        let traces = smp_traces(&tpcc_program(), 4, 4_000, 9);
+        let stop_cycle = |after: usize, no_skip: bool| {
+            let flag = Arc::new(AtomicBool::new(false));
+            let mut mem = MemorySystem::new(config.mem.clone(), config.cpus);
+            let mut cores: Vec<Core> = (0..config.cpus)
+                .map(|i| Core::new(config.core.clone(), i))
+                .collect();
+            let mut streams: Vec<CancelAfter<'_>> = traces
+                .iter()
+                .enumerate()
+                .map(|(i, t)| CancelAfter {
+                    inner: t.stream(),
+                    // Only CPU 0's stream ever raises the flag.
+                    after: if i == 0 { after } else { usize::MAX },
+                    flag: flag.clone(),
+                })
+                .collect();
+            let opts = RunOptions {
+                no_skip,
+                ..RunOptions::budgeted(CycleBudget {
+                    max_cycles: None,
+                    cancel: Some(flag),
+                })
+            };
+            let err = drive(&mut cores, &mut mem, &mut streams, opts, None)
+                .expect_err("the flag goes up before the trace ends");
+            assert!(err.is_watchdog(), "{err}");
+            err.cycle
+        };
+        let mut polls = std::collections::BTreeSet::new();
+        for after in [0, 300, 900, 1_700, 2_600, 3_500] {
+            let asleep = stop_cycle(after, false);
+            assert_eq!(
+                asleep,
+                stop_cycle(after, true),
+                "flag after {after} records"
+            );
+            assert!(asleep > 0 && asleep.is_multiple_of(CycleBudget::CANCEL_POLL));
+            polls.insert(asleep);
+        }
+        assert!(
+            polls.len() >= 4,
+            "the flag went up in different poll periods"
+        );
     }
 
     #[test]

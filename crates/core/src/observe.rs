@@ -111,14 +111,16 @@ impl Observer {
     }
 
     /// The configured sampling interval in cycles (0 disables interval
-    /// metrics). The run loop caps quiescent-cycle jumps at the next
-    /// window boundary so every boundary cycle is stepped and sampled.
+    /// metrics). The run loop caps every core's sleep at the next window
+    /// boundary, so on a boundary cycle every unfinished core is stepped
+    /// and its counters are current when the window is sampled.
     pub fn interval(&self) -> u64 {
         self.cfg.interval
     }
 
-    /// Called once per simulated cycle, after every core stepped. Emits an
-    /// interval sample whenever a window boundary passes.
+    /// Called on every cycle some core stepped on, after the cores stepped
+    /// and before any is put to sleep (a sleep records its cycles ahead of
+    /// time). Emits an interval sample whenever a window boundary passes.
     pub fn tick(&mut self, now: u64, cores: &[Core], mem: &MemorySystem) {
         if self.cfg.interval > 0 && (now + 1).is_multiple_of(self.cfg.interval) {
             self.sample(now + 1, cores, mem);

@@ -1,16 +1,18 @@
 //! Cross-config equivalence suite for quiescent-cycle skipping.
 //!
-//! Skipping is a pure execution-speed device: a run with skipping enabled
-//! must be byte-identical to the same run with every cycle stepped. These
-//! tests pin that contract across the figure workloads, small and default
-//! trace sizes, uniprocessor and SMP systems, and several trace seeds, by
-//! comparing the full `Debug` rendering of the results (every counter,
-//! histogram bucket and stall-blame cell — anything the reports or
-//! fingerprints could derive from).
+//! Skipping is a pure execution-speed device: a run in which every core
+//! sleeps to its own next event must be byte-identical to the same run
+//! with every cycle of every core stepped. These tests pin that contract
+//! across the figure workloads, small and default trace sizes,
+//! uniprocessor and 2- to 16-CPU systems whose cores drain on different
+//! cycles, and several trace seeds, by comparing the full `Debug`
+//! rendering of the results (every counter, histogram bucket and
+//! stall-blame cell — anything the reports or fingerprints could derive
+//! from).
 
-use s64v_core::{ObserveConfig, PerformanceModel, RunOptions, SystemConfig};
+use s64v_core::{CycleBudget, ObserveConfig, PerformanceModel, RunOptions, SystemConfig};
 use s64v_observe::CpiStack;
-use s64v_trace::SamplePlan;
+use s64v_trace::{SamplePlan, VecTrace};
 use s64v_workloads::{smp_traces, suite::tpcc_program, Suite, SuiteKind};
 
 const SEEDS: [u64; 3] = [1, 5, 11];
@@ -99,6 +101,127 @@ fn tpcc_matches_on_up_and_smp() {
         );
         assert_cpi_identical(&format!("tpcc/smp2/seed{seed}"), &skipped, &stepped);
     }
+}
+
+/// `cpus` TPC-C traces of unequal lengths — CPU `i` keeps
+/// `len - i * len / (2 * cpus)` records — so the cores drain on different
+/// cycles, each while others are asleep.
+fn unequal_smp_traces(cpus: usize, len: usize, seed: u64) -> Vec<VecTrace> {
+    smp_traces(&tpcc_program(), cpus, len, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, t)| VecTrace::from_records(t.records()[..len - i * len / (2 * cpus)].to_vec()))
+        .collect()
+}
+
+#[test]
+fn smp_cores_sleeping_apart_match_lock_step() {
+    for cpus in [4, 16] {
+        let model = PerformanceModel::new(SystemConfig::smp(cpus));
+        for &seed in &SEEDS {
+            // The same total work at either width.
+            let len = 24_000 / cpus;
+            let traces = unequal_smp_traces(cpus, len, seed);
+            // Cold start, then the first third functionally warmed.
+            for warmup in [0, len / 3] {
+                let label = format!("tpcc/smp{cpus}/seed{seed}/warm{warmup}");
+                let run = |opts| {
+                    model
+                        .try_run_traces_warm(&traces, warmup, opts)
+                        .expect("clean run")
+                };
+                let slept = run(RunOptions::default());
+                let stepped = run(no_skip());
+                let checked = run(RunOptions::checked());
+                assert_eq!(
+                    format!("{slept:?}"),
+                    format!("{stepped:?}"),
+                    "{label}: sleeping changed the result"
+                );
+                assert_eq!(
+                    format!("{slept:?}"),
+                    format!("{checked:?}"),
+                    "{label}: the auditor changed the result"
+                );
+                assert_cpi_identical(&label, &slept, &stepped);
+                let ends: Vec<u64> = slept.core_stats.iter().map(|c| c.cycles.get()).collect();
+                assert!(
+                    ends.windows(2).any(|w| w[0] != w[1]),
+                    "{label}: the cores were meant to finish apart, all ended at {ends:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn observed_smp_windows_tile_and_partition_while_cores_sleep() {
+    let model = PerformanceModel::new(SystemConfig::smp(4));
+    let traces = unequal_smp_traces(4, 4_000, 7);
+    let ocfg = ObserveConfig::metrics_only(500);
+    let (r, obs) = model
+        .try_run_traces_observed(&traces, RunOptions::default(), ocfg)
+        .expect("clean run");
+    let (r_step, o_step) = model
+        .try_run_traces_observed(&traces, no_skip(), ocfg)
+        .expect("clean run");
+    assert_eq!(format!("{r:?}"), format!("{r_step:?}"));
+    assert_eq!(
+        format!("{:?}", obs.intervals),
+        format!("{:?}", o_step.intervals),
+        "every window must read each core's counters as lock-step would"
+    );
+    let ivs = &obs.intervals;
+    assert!(ivs.len() >= 4, "run long enough for several windows");
+    assert_eq!(ivs[0].start, 0);
+    assert_eq!(ivs.last().unwrap().end, r.cycles);
+    for w in ivs.windows(2) {
+        assert_eq!(w[0].end, w[1].start, "windows are contiguous");
+    }
+    assert_eq!(ivs.iter().map(|s| s.committed).sum::<u64>(), r.committed);
+    // Each CPU's stall mix accounts for exactly the part of the window it
+    // was still running in: all of it until the CPU drains, none after.
+    for s in ivs {
+        for (cpu, iv) in s.cpus.iter().enumerate() {
+            let ran_until = r.core_stats[cpu].cycles.get();
+            assert_eq!(
+                iv.stalls.iter().sum::<u64>(),
+                ran_until.min(s.end).saturating_sub(s.start),
+                "cpu {cpu}, window {}..{}",
+                s.start,
+                s.end
+            );
+        }
+    }
+}
+
+#[test]
+fn cycle_ceiling_trips_on_the_same_cycle_asleep_or_stepped() {
+    let model = PerformanceModel::new(SystemConfig::smp(4));
+    let traces = unequal_smp_traces(4, 2_000, 5);
+    let full = model.run_traces(&traces);
+    let trip = |max: u64, no_skip: bool| {
+        let opts = RunOptions {
+            no_skip,
+            ..RunOptions::budgeted(CycleBudget {
+                max_cycles: Some(max),
+                cancel: None,
+            })
+        };
+        model.try_run_traces(&traces, opts)
+    };
+    // The ceiling is exact wherever it falls — including on the cycle the
+    // last core is found drained.
+    for max in [1, 777, full.cycles / 2, full.cycles - 1, full.cycles] {
+        for no_skip in [false, true] {
+            let err = trip(max, no_skip).expect_err("the ceiling is below the run's length");
+            assert!(err.is_watchdog(), "max {max}: {err}");
+            assert_eq!(err.cycle, max, "no_skip {no_skip}");
+        }
+    }
+    // A ceiling the run stays under changes nothing.
+    let under = trip(full.cycles + 1, false).expect("under budget");
+    assert_eq!(format!("{under:?}"), format!("{full:?}"));
 }
 
 #[test]

@@ -347,34 +347,22 @@ impl Core {
         stream: &mut S,
         now: u64,
     ) -> Result<(), Box<CoreError>> {
-        self.step_inner(mem, stream, now).map(|_| ())
+        self.try_step_active(mem, stream, now).map(|_| ())
     }
 
-    /// [`Core::try_step`] returning this cycle's commit count and whether
-    /// any pipeline state changed. External run loops probe
-    /// [`Core::next_wakeup`] only on fully inert cycles: a busy pipeline
-    /// is never quiescent, and even a zero-commit cycle that dispatched,
-    /// issued, fetched or completed something almost never is — gating on
-    /// inertness spares the full-window probe walk. The gate can only
-    /// forgo a skip opportunity (the probe is a pure read), never change
-    /// simulated results.
-    pub fn try_step_counted<S: TraceStream>(
+    /// [`Core::try_step`] returning whether any pipeline state changed.
+    /// Run loops offer the core a sleep ([`Core::sleep_after`]) only after
+    /// a fully inert cycle: a busy pipeline is never quiescent, and even a
+    /// zero-commit cycle that dispatched, issued, fetched or completed
+    /// something almost never is — gating on inertness spares the
+    /// full-window probe walk. The gate can only forgo a sleep (the probe
+    /// is a pure read), never change simulated results.
+    pub fn try_step_active<S: TraceStream>(
         &mut self,
         mem: &mut MemorySystem,
         stream: &mut S,
         now: u64,
-    ) -> Result<(u32, bool), Box<CoreError>> {
-        self.step_inner(mem, stream, now)
-    }
-
-    /// [`Core::try_step`] returning this cycle's commit count and activity
-    /// flag, so run loops can probe for a quiescent jump on inert cycles.
-    fn step_inner<S: TraceStream>(
-        &mut self,
-        mem: &mut MemorySystem,
-        stream: &mut S,
-        now: u64,
-    ) -> Result<(u32, bool), Box<CoreError>> {
+    ) -> Result<bool, Box<CoreError>> {
         let wb_active = self.writeback(now);
         let committed = self.commit(now);
         let blame = self.stall_blame(committed);
@@ -416,7 +404,7 @@ impl Core {
                 snapshot: self.snapshot(now),
             }));
         }
-        Ok((committed, active))
+        Ok(active)
     }
 
     /// Disables (or re-enables) quiescent-cycle skipping for this core.
@@ -483,19 +471,41 @@ impl Core {
         self.next_fetch_at = self.next_fetch_at.max(start_cycle);
         self.last_commit_cycle = self.last_commit_cycle.max(start_cycle);
         while !self.is_done(stream) {
-            let (_, active) = self.step_inner(mem, stream, now)?;
-            if self.skip && !active {
-                if let Some(wake) = self.next_wakeup(stream, now) {
-                    if wake > now + 1 {
-                        let n = wake - 1 - now;
-                        self.skip_cycles(now, n);
-                        now += n;
-                    }
-                }
-            }
-            now += 1;
+            let active = self.try_step_active(mem, stream, now)?;
+            now = if active {
+                now + 1
+            } else {
+                self.sleep_after(stream, now, u64::MAX)
+            };
         }
         Ok(now)
+    }
+
+    /// The one sleeping rule, for every run loop: after an inert step at
+    /// `now`, returns the next cycle this core must be stepped on. When
+    /// [`Core::next_wakeup`] proves the pipeline frozen until a later
+    /// cycle, the idle bookkeeping of the cycles in between is replayed at
+    /// once ([`Core::skip_cycles`]) and the core need not be touched again
+    /// before the returned cycle; otherwise that cycle is `now + 1`. `cap`
+    /// bounds the sleep for loops that must see the core step on a
+    /// particular cycle (an observer boundary, a budget poll). The core's
+    /// state is private and only its own step mutates it, so what other
+    /// cores or the memory system do meanwhile cannot end the sleep early.
+    /// Call it only after everything that reads this cycle's statistics
+    /// has run: the replay records the slept cycles ahead of time.
+    pub fn sleep_after<S: TraceStream>(&mut self, stream: &S, now: u64, cap: u64) -> u64 {
+        if !self.skip {
+            return now + 1;
+        }
+        let Some(wake) = self.next_wakeup(stream, now) else {
+            return now + 1;
+        };
+        // A wakeup at or before `now` is present activity, not a sleep.
+        let wake = wake.min(cap).max(now + 1);
+        if wake > now + 1 {
+            self.skip_cycles(now, wake - 1 - now);
+        }
+        wake
     }
 
     /// The earliest future cycle at which this core can do anything beyond

@@ -187,9 +187,27 @@ impl SlotMask {
         self.words[slot / 64] &= !(1u64 << (slot % 64));
     }
 
+    /// Calls `f` with every set slot in ring order starting at `start`:
+    /// `start` up to the ring's end, then the wrapped part below `start`.
+    /// Costs one step per set bit plus one per word, not one per slot.
     #[inline]
-    fn get(&self, slot: usize) -> bool {
-        self.words[slot / 64] & (1u64 << (slot % 64)) != 0
+    fn for_each_from(&self, start: usize, mut f: impl FnMut(usize)) {
+        let mut walk = |word: usize, mut bits: u64| {
+            while bits != 0 {
+                f(word * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        };
+        let first = start / 64;
+        let below = (1u64 << (start % 64)) - 1;
+        walk(first, self.words[first] & !below);
+        for word in first + 1..self.words.len() {
+            walk(word, self.words[word]);
+        }
+        for word in 0..first {
+            walk(word, self.words[word]);
+        }
+        walk(first, self.words[first] & below);
     }
 }
 
@@ -218,7 +236,10 @@ pub struct Rob {
     capacity: usize,
     /// `slots.len() - 1` (the ring length is a power of two).
     slot_mask: u64,
-    /// Live entries whose `completed` flag is still false.
+    /// Live entries whose `completed` flag is still false. Like
+    /// `pending_loads`, never set for a slot outside `head_seq..tail_seq`
+    /// (retiring clears both), so a walk of the set bits in ring order
+    /// from the head's slot visits live entries only, in program order.
     incomplete: SlotMask,
     /// Dispatched loads whose cache access has not issued yet.
     pending_loads: SlotMask,
@@ -422,11 +443,18 @@ impl Rob {
     /// still false to `out`, in program order. `out` is cleared first.
     pub fn collect_incomplete(&self, out: &mut Vec<u64>) {
         out.clear();
-        for seq in self.head_seq..self.tail_seq {
-            if self.incomplete.get(self.slot_of(seq)) {
-                out.push(seq);
-            }
-        }
+        self.for_each_live(&self.incomplete, |seq, _| out.push(seq));
+    }
+
+    /// Calls `f(seq, slot)` for every set bit of `mask` in program order.
+    #[inline]
+    fn for_each_live(&self, mask: &SlotMask, mut f: impl FnMut(u64, usize)) {
+        let head_slot = self.slot_of(self.head_seq);
+        mask.for_each_from(head_slot, |slot| {
+            let age = slot.wrapping_sub(head_slot) as u64 & self.slot_mask;
+            debug_assert!(age < self.tail_seq - self.head_seq, "stale mask bit");
+            f(self.head_seq + age, slot);
+        });
     }
 
     /// Like [`Rob::collect_incomplete`], but only entries whose wake time
@@ -439,16 +467,13 @@ impl Rob {
             return;
         }
         let mut floor = u64::MAX;
-        for seq in self.head_seq..self.tail_seq {
-            let slot = self.slot_of(seq);
-            if self.incomplete.get(slot) {
-                let w = self.wake[slot];
-                if w <= now {
-                    out.push(seq);
-                }
-                floor = floor.min(w);
+        self.for_each_live(&self.incomplete, |seq, slot| {
+            let w = self.wake[slot];
+            if w <= now {
+                out.push(seq);
             }
-        }
+            floor = floor.min(w);
+        });
         self.wake_floor = floor;
     }
 
@@ -465,22 +490,10 @@ impl Rob {
 
     /// Appends dispatched, not-yet-issued load sequence numbers to `out`,
     /// in program order. `out` is cleared first. No pending loads at all
-    /// — the common cycle — costs one mask check.
+    /// — the common cycle — costs a test per mask word.
     pub fn collect_pending_loads(&self, out: &mut Vec<u64>) {
         out.clear();
-        if !self.has_pending_loads() {
-            return;
-        }
-        for seq in self.head_seq..self.tail_seq {
-            if self.pending_loads.get(self.slot_of(seq)) {
-                out.push(seq);
-            }
-        }
-    }
-
-    /// Whether any dispatched load is still waiting to issue.
-    pub fn has_pending_loads(&self) -> bool {
-        self.pending_loads.words.iter().any(|&w| w != 0)
+        self.for_each_live(&self.pending_loads, |seq, _| out.push(seq));
     }
 }
 
@@ -609,7 +622,108 @@ mod tests {
         rob.collect_pending_loads(&mut out);
         assert_eq!(out, vec![1]);
         rob.cancel_entry(1);
-        assert!(!rob.has_pending_loads());
+        rob.collect_pending_loads(&mut out);
+        assert!(out.is_empty());
+    }
+
+    /// An incomplete entry with a completion wake time.
+    fn push_armed(rob: &mut Rob, seq: u64, wake: u64) {
+        rob.push(entry(seq));
+        rob.set_wake(seq, wake);
+    }
+
+    /// What the set-bit walks must equal: every live sequence number
+    /// tested in program order.
+    fn naive_due(rob: &Rob, now: u64) -> (Vec<u64>, u64) {
+        let mut due = Vec::new();
+        let mut floor = u64::MAX;
+        for seq in rob.seqs() {
+            if !rob.get(seq).unwrap().completed {
+                let w = rob.wake[rob.slot_of(seq)];
+                if w <= now {
+                    due.push(seq);
+                }
+                floor = floor.min(w);
+            }
+        }
+        (due, floor)
+    }
+
+    /// Drives a window of `capacity` through `steps` pushes and pops so
+    /// the live range wraps the ring several times, checking every scan
+    /// against the naive walk at each step.
+    fn scans_match_naive_walk(capacity: u32, steps: u64) {
+        let mut rob = Rob::new(capacity);
+        let (mut due, mut pending, mut incomplete) = (Vec::new(), Vec::new(), Vec::new());
+        let mut expect_pending: Vec<u64> = Vec::new();
+        for step in 0..steps {
+            // Fill to capacity, then retire a varying number from the head.
+            while !rob.is_full() {
+                let seq = rob.next_seq();
+                push_armed(&mut rob, seq, seq % 7 + step);
+                if seq.is_multiple_of(3) {
+                    rob.mark_load_pending(seq);
+                    expect_pending.push(seq);
+                }
+                if seq.is_multiple_of(5) {
+                    rob.mark_completed(seq);
+                    expect_pending.retain(|&s| s != seq);
+                }
+            }
+            let now = step + 3;
+            let (naive, floor) = naive_due(&rob, now);
+            rob.collect_due(now, &mut due);
+            assert_eq!(due, naive, "capacity {capacity} step {step}");
+            assert_eq!(rob.wake_floor, floor, "capacity {capacity} step {step}");
+            rob.collect_pending_loads(&mut pending);
+            assert_eq!(pending, expect_pending, "capacity {capacity} step {step}");
+            rob.collect_incomplete(&mut incomplete);
+            let naive_incomplete: Vec<u64> = rob
+                .seqs()
+                .filter(|&s| !rob.get(s).unwrap().completed)
+                .collect();
+            assert_eq!(incomplete, naive_incomplete);
+            for _ in 0..(step % capacity as u64) + 1 {
+                let seq = rob.pop_head().seq;
+                expect_pending.retain(|&s| s != seq);
+            }
+        }
+        assert!(
+            rob.head_seq() > 4 * capacity as u64,
+            "the run wrapped the ring"
+        );
+    }
+
+    #[test]
+    fn set_bit_walk_keeps_program_order_across_wraparound() {
+        // Ring == capacity (64, one mask word) and ring > capacity (48
+        // in a 64-slot ring, 5 in an 8-slot one).
+        for capacity in [5, 48, 64] {
+            scans_match_naive_walk(capacity, 40);
+        }
+    }
+
+    #[test]
+    fn set_bit_walk_spans_several_mask_words() {
+        // Windows above 64 entries: 100 in a 128-slot ring (two words,
+        // the live range straddling the word boundary and the wrap) and
+        // 256 (four words).
+        for capacity in [100, 128, 256] {
+            scans_match_naive_walk(capacity, 60);
+        }
+    }
+
+    #[test]
+    fn due_scan_rejects_in_one_compare_until_the_floor_arrives() {
+        let mut rob = Rob::new(8);
+        push_armed(&mut rob, 0, 50);
+        push_armed(&mut rob, 1, 20);
+        let mut due = Vec::new();
+        rob.collect_due(10, &mut due);
+        assert!(due.is_empty());
+        assert_eq!(rob.wake_floor, 20, "a real scan tightens the floor");
+        rob.collect_due(20, &mut due);
+        assert_eq!(due, vec![1]);
     }
 
     #[test]

@@ -43,7 +43,8 @@ pub enum ReadOutcome {
 /// What a write (store miss or upgrade) had to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteOutcome {
-    /// Copies invalidated in other CPUs.
+    /// Copies invalidated in other CPUs; which CPUs held them is
+    /// [`Directory::invalidated`] until the next write.
     pub invalidations: u32,
     /// Whether a remote Modified copy had to be moved out first.
     pub move_out_from: Option<usize>,
@@ -60,6 +61,8 @@ pub struct WriteOutcome {
 pub struct Directory {
     cores: usize,
     lines: HashMap<u64, Vec<Mesi>>,
+    /// The CPUs whose copies the latest [`Directory::write`] invalidated.
+    invalidated: Vec<usize>,
 }
 
 impl Directory {
@@ -73,6 +76,7 @@ impl Directory {
         Directory {
             cores,
             lines: HashMap::new(),
+            invalidated: Vec::new(),
         }
     }
 
@@ -94,6 +98,13 @@ impl Directory {
         self.lines
             .entry(line_addr)
             .or_insert_with(|| vec![Mesi::Invalid; cores])
+    }
+
+    /// The CPUs whose valid copies the latest [`Directory::write`]
+    /// invalidated, in index order: exactly the other CPUs that held the
+    /// line before it, so the hierarchy touches only their caches.
+    pub fn invalidated(&self) -> &[usize] {
+        &self.invalidated
     }
 
     /// Handles a read miss by `core` for `line_addr`; transitions states
@@ -138,30 +149,26 @@ impl Directory {
     /// leaves the writer in Modified.
     pub fn write(&mut self, core: usize, line_addr: u64) -> WriteOutcome {
         assert!(core < self.cores, "core {core} out of range");
+        // Taken out while the line's states borrow the directory.
+        let mut invalidated = std::mem::take(&mut self.invalidated);
+        invalidated.clear();
         let states = self.entry(line_addr);
         let was_upgrade = states[core].is_valid();
-        let mut invalidations = 0;
         let mut move_out_from = None;
         for (i, s) in states.iter_mut().enumerate() {
-            if i == core {
+            if i == core || !s.is_valid() {
                 continue;
             }
-            match *s {
-                Mesi::Modified => {
-                    move_out_from = Some(i);
-                    *s = Mesi::Invalid;
-                    invalidations += 1;
-                }
-                Mesi::Exclusive | Mesi::Shared => {
-                    *s = Mesi::Invalid;
-                    invalidations += 1;
-                }
-                Mesi::Invalid => {}
+            if *s == Mesi::Modified {
+                move_out_from = Some(i);
             }
+            *s = Mesi::Invalid;
+            invalidated.push(i);
         }
         states[core] = Mesi::Modified;
+        self.invalidated = invalidated;
         WriteOutcome {
-            invalidations,
+            invalidations: self.invalidated.len() as u32,
             move_out_from,
             was_upgrade,
         }
@@ -266,6 +273,39 @@ mod tests {
         assert_eq!(d.state(0, 0x80), Mesi::Invalid);
         assert_eq!(d.state(2, 0x80), Mesi::Modified);
         assert!(d.check_invariants(0x80));
+    }
+
+    #[test]
+    fn write_reports_exactly_the_pre_write_holders() {
+        let mut d = Directory::new(6);
+        // Shared by 1, 3 and 4; CPU 2 held it once and evicted it.
+        for c in [1, 2, 3, 4] {
+            d.read(c, 0x200);
+        }
+        d.evict(2, 0x200);
+        let before: Vec<usize> = (0..6).filter(|&c| d.state(c, 0x200).is_valid()).collect();
+        assert_eq!(before, vec![1, 3, 4]);
+        // An upgrade by a sharer lists the other sharers, never itself.
+        let w = d.write(3, 0x200);
+        assert_eq!(d.invalidated(), [1, 4]);
+        assert_eq!(w.invalidations, 2);
+        // A write to a Modified line lists the one owner.
+        let w = d.write(0, 0x200);
+        assert_eq!(d.invalidated(), [3]);
+        assert_eq!(w.move_out_from, Some(3));
+        // A write nobody else holds lists nobody — also on a fresh line.
+        d.write(0, 0x200);
+        assert!(d.invalidated().is_empty());
+        d.write(5, 0x240);
+        assert!(d.invalidated().is_empty());
+        for c in 0..6 {
+            let expect = if c == 0 {
+                Mesi::Modified
+            } else {
+                Mesi::Invalid
+            };
+            assert_eq!(d.state(c, 0x200), expect);
+        }
     }
 
     #[test]

@@ -206,6 +206,12 @@ pub struct MemorySystem {
     dram: Dram,
     dir: Directory,
     smp: bool,
+    /// CPUs that may hold a line the directory does not record them as
+    /// holding: every CPU under a perfect L2 (its L1 fills never reach
+    /// the directory), otherwise one that re-filled a line by merging
+    /// with its own in-flight fill after the line was evicted or
+    /// invalidated. An invalidation sweeps these as well as the holders.
+    untracked: Vec<usize>,
     /// Per-CPU "drop the next fill" fault flags (fault injection only).
     drop_fill: Vec<bool>,
     /// Optional structured-event sink (pure observer, see `s64v-observe`).
@@ -249,6 +255,11 @@ impl MemorySystem {
             dram: Dram::new(cfg.dram_latency, 16),
             dir: Directory::new(cores),
             smp: cores > 1,
+            untracked: if cfg.perfect_l2 {
+                (0..cores).collect()
+            } else {
+                Vec::new()
+            },
             drop_fill: vec![false; cores],
             probe: None,
             warm_epoch: 0,
@@ -271,6 +282,7 @@ impl MemorySystem {
             dram: self.dram.clone(),
             dir: self.dir.clone(),
             smp: self.smp,
+            untracked: self.untracked.clone(),
             drop_fill: self.drop_fill.clone(),
             probe: None,
             warm_epoch: self.warm_epoch,
@@ -426,6 +438,7 @@ impl MemorySystem {
         if let Some(p) = self.cores[core].l1i_mshr.pending_completion(line) {
             // In-flight fill for a line evicted before its data landed.
             self.cores[core].l1i.fill(pc, false);
+            self.note_merged_fill(core, line);
             return FetchAccess {
                 ready_at: p.max(miss_seen_at),
                 l1_hit: false,
@@ -547,6 +560,7 @@ impl MemorySystem {
             if is_store && self.smp {
                 ready = self.ensure_ownership(core, line, ready);
             }
+            self.note_merged_fill(core, line);
             return DataAccess {
                 ready_at: ready,
                 l1_hit: false,
@@ -711,6 +725,7 @@ impl MemorySystem {
                     bus_wait: false,
                 };
             }
+            self.note_merged_fill(core, line_addr);
             return L2Fill {
                 ready_at: ready,
                 hit: false,
@@ -889,17 +904,37 @@ impl MemorySystem {
         }
     }
 
-    /// Invalidate every other CPU's structural copies of `line_addr`
-    /// (their directory states were already cleared).
+    /// Invalidates the structural copies of `line_addr` in the CPUs whose
+    /// directory states the [`Directory::write`] by `core` just cleared —
+    /// a CPU fills its caches only through the directory, so no other can
+    /// hold the line — and in the few the directory cannot vouch for.
     fn invalidate_remote_copies(&mut self, core: usize, line_addr: u64) {
         self.warm_epoch += 1; // remote structures change under the memos
-        for i in 0..self.cores.len() {
-            if i == core {
-                continue;
+        for &i in self.dir.invalidated().iter().chain(&self.untracked) {
+            if i != core {
+                self.cores[i].l2.invalidate(line_addr);
+                self.cores[i].l1d.invalidate(line_addr);
+                self.cores[i].l1i.invalidate(line_addr);
             }
-            self.cores[i].l2.invalidate(line_addr);
-            self.cores[i].l1d.invalidate(line_addr);
-            self.cores[i].l1i.invalidate(line_addr);
+        }
+        debug_assert!(
+            self.cores.iter().enumerate().all(|(i, c)| i == core
+                || !(c.l2.contains(line_addr)
+                    || c.l1d.contains(line_addr)
+                    || c.l1i.contains(line_addr))),
+            "a CPU the directory did not list still holds line {line_addr:#x}"
+        );
+    }
+
+    /// `core` just re-filled `line_addr` by merging with its own in-flight
+    /// fill; unless the directory still records it as a holder, its
+    /// copies are from now on found only by sweeping it.
+    fn note_merged_fill(&mut self, core: usize, line_addr: u64) {
+        if self.smp
+            && !self.dir.state(core, line_addr).is_valid()
+            && !self.untracked.contains(&core)
+        {
+            self.untracked.push(core);
         }
     }
 

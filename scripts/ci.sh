@@ -20,6 +20,10 @@ echo "== shared-input equivalence (cursor = fresh warm pass; sharing never chang
 cargo test --release -p s64v-core --test warm_cursor -q
 cargo test --release -p s64v-harness --test shared_inputs -q
 
+echo "== per-core sleeping equivalence (asleep = stepped = checked, 1 to 16 CPUs; caps land on their cycles)"
+cargo test --release -p s64v-core --test skip_equivalence -q
+cargo test --release -p s64v-core --lib -q -- a_cancel_is_seen
+
 echo "== checked-mode smoke campaign (zero invariant violations expected)"
 CHECKED_SCRATCH=target/ci-checked
 rm -rf "$CHECKED_SCRATCH"
