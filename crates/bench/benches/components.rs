@@ -1,5 +1,7 @@
 //! Micro-benches for the hot component models: cache lookups, BHT
-//! prediction, MESI directory transitions and the trace codec.
+//! prediction, MESI directory transitions, the trace codec, and building
+//! and copying a whole memory system (what every campaign point pays
+//! before it times anything).
 //!
 //! Plain `harness = false` timing loops (the workspace builds offline,
 //! so there is no Criterion); run with `cargo bench -p s64v-bench`.
@@ -8,6 +10,7 @@ use s64v_cpu::{Bht, BhtConfig};
 use s64v_mem::cache::Cache;
 use s64v_mem::coherence::{Directory, Mesi};
 use s64v_mem::config::CacheGeometry;
+use s64v_mem::{MemConfig, MemorySystem};
 use s64v_trace::binary;
 use s64v_workloads::{Suite, SuiteKind};
 use std::hint::black_box;
@@ -86,7 +89,44 @@ fn trace_codec() {
     });
 }
 
+/// Times `machines` invocations of `f` and reports the cost per machine
+/// (the `elem/s` rate is what `scripts/ci.sh` holds against
+/// `specs/bench_floor.json`).
+fn bench_machines(name: &str, machines: u32, mut f: impl FnMut() -> MemorySystem) {
+    black_box(f());
+    let t0 = Instant::now();
+    for _ in 0..machines {
+        black_box(f());
+    }
+    let dt = t0.elapsed().as_secs_f64();
+    println!(
+        "mem/{name}: {:.1} us/machine, {:.0} elem/s",
+        dt / machines as f64 * 1e6,
+        machines as f64 / dt
+    );
+}
+
+/// A cold production memory system, and a copy of one warmed over a
+/// TPC-C warm-up. Both are a handful of allocations and block copies
+/// while the cache directories are flat arrays; a return to one heap
+/// block per set (10 240 of them) shows here as a several-fold drop.
+fn mem_machines() {
+    bench_machines("new", 2_000, || {
+        MemorySystem::new(MemConfig::sparc64_v(), 1)
+    });
+    let trace = Suite::preset(SuiteKind::Tpcc).programs()[0].generate(100_000, 3);
+    let mut warmed = MemorySystem::new(MemConfig::sparc64_v(), 1);
+    for rec in trace.records() {
+        warmed.warm_fetch(0, rec.pc);
+        if let Some(m) = rec.instr.mem {
+            warmed.warm_data(0, m.addr, rec.instr.op == s64v_isa::OpClass::Store);
+        }
+    }
+    bench_machines("fork", 2_000, || warmed.fork());
+}
+
 fn main() {
+    mem_machines();
     cache_ops();
     bht_ops();
     directory_ops();

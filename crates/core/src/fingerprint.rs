@@ -138,9 +138,51 @@ pub fn config_fingerprint(config: &SystemConfig) -> Fingerprint {
     h.finish()
 }
 
+/// The digest of everything functional warming reads: the memory
+/// configuration, the branch history table's geometry, whether branch
+/// prediction is perfect (the table is then never trained) and the CPU
+/// count. Two configurations with equal digests reach field-for-field the
+/// same warm state over the same records, whatever else — window, RS,
+/// queues, widths, latencies — differs between them. The set is complete
+/// by construction: a [`WarmCursor`](crate::WarmCursor) is built from
+/// exactly these four values and holds no other part of the configuration.
+pub fn warm_fingerprint(config: &SystemConfig) -> Fingerprint {
+    let mut h = StableHasher::new();
+    h.write_debug(&config.mem);
+    h.write_debug(&config.core.bht);
+    h.write_debug(&config.core.perfect_branch_prediction);
+    h.write_u64(config.cpus as u64);
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_warm_digest_follows_what_warming_reads_and_nothing_else() {
+        let base = SystemConfig::sparc64_v();
+        let a = warm_fingerprint(&base);
+
+        let mut core_only = base.clone();
+        core_only.core.window_size = 32;
+        core_only.core.rse_entries = 4;
+        core_only.core = core_only.core.with_issue_width(2);
+        core_only.core.speculative_dispatch = false;
+        assert_eq!(a, warm_fingerprint(&core_only));
+        assert_ne!(config_fingerprint(&base), config_fingerprint(&core_only));
+
+        let mut bht = base.clone();
+        bht.core.bht = s64v_cpu::BhtConfig::small_4k_2w_1t();
+        assert_ne!(a, warm_fingerprint(&bht));
+        let mut perfect = base.clone();
+        perfect.core.perfect_branch_prediction = true;
+        assert_ne!(a, warm_fingerprint(&perfect));
+        let mut mem = base.clone();
+        mem.mem.l2.latency += 1;
+        assert_ne!(a, warm_fingerprint(&mem));
+        assert_ne!(a, warm_fingerprint(&SystemConfig::smp(2)));
+    }
 
     #[test]
     fn digests_are_stable_across_calls() {

@@ -9,8 +9,9 @@
 //!   [`RunResult`] (cycles, IPC, every miss/mispredict/coherence ratio),
 //! * [`model`] — [`PerformanceModel`], the façade that runs uniprocessor
 //!   traces and lock-stepped SMP trace sets,
-//! * [`warm`] — [`WarmCursor`], the single functional-warming pass that
-//!   sampled windows fork their warmed machines from,
+//! * [`warm`] — [`WarmCursor`], the functional-warming pass (a branch
+//!   history table and a memory system, no core) that every uniprocessor
+//!   run with the same [`warm_fingerprint`] copies its warmed state from,
 //! * [`breakdown`] — the Figure 7 benchmark characterization by cumulative
 //!   idealization (perfect L2 → +perfect L1/TLB → +perfect branch),
 //! * [`versions`] — the Figure 19 model-version ladder v1…v8 (from
@@ -56,7 +57,9 @@ pub use experiment::{
     SuiteResult,
 };
 pub use faultinject::{ChaosPlan, FaultClass, FaultPlan, HarnessFaultClass};
-pub use fingerprint::{config_fingerprint, Fingerprint, StableHasher, MODEL_FINGERPRINT_VERSION};
+pub use fingerprint::{
+    config_fingerprint, warm_fingerprint, Fingerprint, StableHasher, MODEL_FINGERPRINT_VERSION,
+};
 pub use integrity::{Auditor, Component, SimError};
 pub use knobs::{apply_knob, apply_knobs, knob_names, knob_value, Knob, KNOBS};
 pub use model::{CycleBudget, PerformanceModel, RunOptions};

@@ -209,7 +209,7 @@ pub(crate) fn drive<S: TraceStream>(
     Ok(now)
 }
 
-pub(crate) fn collect_result(cycles: u64, cores: &[Core], mem: &MemorySystem) -> RunResult {
+fn collect_result(cycles: u64, cores: &[Core], mem: &MemorySystem) -> RunResult {
     RunResult {
         cycles,
         committed: cores.iter().map(|c| c.stats().committed.get()).sum(),
@@ -218,6 +218,29 @@ pub(crate) fn collect_result(cycles: u64, cores: &[Core], mem: &MemorySystem) ->
         bus_transactions: mem.bus().transactions(),
         bus_busy_cycles: mem.bus().busy_cycles(),
     }
+}
+
+/// Times `streams` on a machine — cold, or functionally warmed — from
+/// cycle zero, observed per `ocfg` when given (the observation is empty
+/// otherwise). Probes attach here, after any warm-up, so only timed
+/// execution is narrated.
+pub(crate) fn timed<S: TraceStream>(
+    mut cores: Vec<Core>,
+    mut mem: MemorySystem,
+    mut streams: Vec<S>,
+    opts: RunOptions,
+    ocfg: Option<ObserveConfig>,
+) -> Result<(RunResult, RunObservation), SimError> {
+    let mut observer = ocfg.map(|ocfg| Observer::new(ocfg, &mut cores, &mut mem));
+    let cycles = drive(&mut cores, &mut mem, &mut streams, opts, observer.as_mut())?;
+    if let Some(o) = observer.as_mut() {
+        o.finish(cycles, &cores, &mem);
+    }
+    let result = collect_result(cycles, &cores, &mem);
+    let observation = observer
+        .map(|o| o.collect(&mut cores, &mut mem))
+        .unwrap_or_default();
+    Ok((result, observation))
 }
 
 /// The trace-driven performance model: a [`SystemConfig`] ready to run
@@ -299,20 +322,8 @@ impl PerformanceModel {
         traces: &[VecTrace],
         opts: RunOptions,
     ) -> Result<RunResult, SimError> {
-        assert_eq!(
-            traces.len(),
-            self.config.cpus,
-            "need one trace per CPU ({} != {})",
-            traces.len(),
-            self.config.cpus
-        );
-        let mut mem = MemorySystem::new(self.config.mem.clone(), self.config.cpus);
-        let mut cores: Vec<Core> = (0..self.config.cpus)
-            .map(|i| Core::new(self.config.core.clone(), i))
-            .collect();
-        let mut streams: Vec<SliceStream<'_>> = traces.iter().map(|t| t.stream()).collect();
-        let cycles = drive(&mut cores, &mut mem, &mut streams, opts, None)?;
-        Ok(collect_result(cycles, &cores, &mem))
+        self.run_warm(traces, 0, opts, None)
+            .map(|(result, _)| result)
     }
 
     /// Observed variant of [`PerformanceModel::try_run_traces`]: records
@@ -330,6 +341,20 @@ impl PerformanceModel {
         opts: RunOptions,
         ocfg: ObserveConfig,
     ) -> Result<(RunResult, RunObservation), SimError> {
+        self.run_warm(traces, 0, opts, Some(ocfg))
+    }
+
+    /// The one multi-CPU run path: a cold machine, each CPU functionally
+    /// warmed on its first `warmup` records — interleaved across CPUs in
+    /// chunks so shared lines end in a realistic mixed state — then the
+    /// rest of every trace timed, observed per `ocfg` when given.
+    fn run_warm(
+        &self,
+        traces: &[VecTrace],
+        warmup: usize,
+        opts: RunOptions,
+        ocfg: Option<ObserveConfig>,
+    ) -> Result<(RunResult, RunObservation), SimError> {
         assert_eq!(
             traces.len(),
             self.config.cpus,
@@ -337,23 +362,30 @@ impl PerformanceModel {
             traces.len(),
             self.config.cpus
         );
+        assert!(
+            warmup == 0 || traces.iter().all(|t| t.len() > warmup),
+            "warmup must leave records to time"
+        );
         let mut mem = MemorySystem::new(self.config.mem.clone(), self.config.cpus);
         let mut cores: Vec<Core> = (0..self.config.cpus)
             .map(|i| Core::new(self.config.core.clone(), i))
             .collect();
-        let mut observer = Observer::new(ocfg, &mut cores, &mut mem);
-        let mut streams: Vec<SliceStream<'_>> = traces.iter().map(|t| t.stream()).collect();
-        let cycles = drive(
-            &mut cores,
-            &mut mem,
-            &mut streams,
-            opts,
-            Some(&mut observer),
-        )?;
-        observer.finish(cycles, &cores, &mem);
-        let result = collect_result(cycles, &cores, &mem);
-        let observation = observer.collect(&mut cores, &mut mem);
-        Ok((result, observation))
+        const CHUNK: usize = 1024;
+        let mut pos = 0;
+        while pos < warmup {
+            let end = (pos + CHUNK).min(warmup);
+            for (core, trace) in cores.iter_mut().zip(traces) {
+                for rec in &trace.records()[pos..end] {
+                    core.warm(&mut mem, rec);
+                }
+            }
+            pos = end;
+        }
+        let streams = traces
+            .iter()
+            .map(|t| SliceStream::new(&t.records()[warmup..]))
+            .collect();
+        timed(cores, mem, streams, opts, ocfg)
     }
 
     /// Uniprocessor convenience over
@@ -432,35 +464,8 @@ impl PerformanceModel {
         warmup: usize,
         opts: RunOptions,
     ) -> Result<RunResult, SimError> {
-        assert_eq!(traces.len(), self.config.cpus, "need one trace per CPU");
-        assert!(
-            traces.iter().all(|t| t.len() > warmup),
-            "warmup must leave records to time"
-        );
-        let mut mem = MemorySystem::new(self.config.mem.clone(), self.config.cpus);
-        let mut cores: Vec<Core> = (0..self.config.cpus)
-            .map(|i| Core::new(self.config.core.clone(), i))
-            .collect();
-
-        // Interleave the warm-up in chunks so SMP shared state mixes.
-        let chunk = 1024;
-        let mut pos = 0;
-        while pos < warmup {
-            let end = (pos + chunk).min(warmup);
-            for (i, core) in cores.iter_mut().enumerate() {
-                for rec in &traces[i].records()[pos..end] {
-                    core.warm(&mut mem, rec);
-                }
-            }
-            pos = end;
-        }
-
-        let mut streams: Vec<SliceStream<'_>> = traces
-            .iter()
-            .map(|t| SliceStream::new(&t.records()[warmup..]))
-            .collect();
-        let cycles = drive(&mut cores, &mut mem, &mut streams, opts, None)?;
-        Ok(collect_result(cycles, &cores, &mem))
+        self.run_warm(traces, warmup, opts, None)
+            .map(|(result, _)| result)
     }
 
     /// Observed variant of [`PerformanceModel::try_run_traces_warm`]:
@@ -478,44 +483,7 @@ impl PerformanceModel {
         opts: RunOptions,
         ocfg: ObserveConfig,
     ) -> Result<(RunResult, RunObservation), SimError> {
-        assert_eq!(traces.len(), self.config.cpus, "need one trace per CPU");
-        assert!(
-            traces.iter().all(|t| t.len() > warmup),
-            "warmup must leave records to time"
-        );
-        let mut mem = MemorySystem::new(self.config.mem.clone(), self.config.cpus);
-        let mut cores: Vec<Core> = (0..self.config.cpus)
-            .map(|i| Core::new(self.config.core.clone(), i))
-            .collect();
-
-        let chunk = 1024;
-        let mut pos = 0;
-        while pos < warmup {
-            let end = (pos + chunk).min(warmup);
-            for (i, core) in cores.iter_mut().enumerate() {
-                for rec in &traces[i].records()[pos..end] {
-                    core.warm(&mut mem, rec);
-                }
-            }
-            pos = end;
-        }
-
-        let mut observer = Observer::new(ocfg, &mut cores, &mut mem);
-        let mut streams: Vec<SliceStream<'_>> = traces
-            .iter()
-            .map(|t| SliceStream::new(&t.records()[warmup..]))
-            .collect();
-        let cycles = drive(
-            &mut cores,
-            &mut mem,
-            &mut streams,
-            opts,
-            Some(&mut observer),
-        )?;
-        observer.finish(cycles, &cores, &mem);
-        let result = collect_result(cycles, &cores, &mem);
-        let observation = observer.collect(&mut cores, &mut mem);
-        Ok((result, observation))
+        self.run_warm(traces, warmup, opts, Some(ocfg))
     }
 
     /// Simulates one detailed window of a long trace in isolation
@@ -545,7 +513,9 @@ impl PerformanceModel {
         assert!(start + len <= records.len(), "window exceeds the trace");
         let mut cursor = WarmCursor::new(&self.config, start.saturating_sub(warm));
         cursor.advance_to(records, start);
-        cursor.try_run_window(records, len, opts)
+        cursor
+            .try_run_window(&self.config.core, records, len, opts, None)
+            .map(|(result, _)| result)
     }
 
     /// Runs every detailed window of `plan` over `trace` and returns the
@@ -575,7 +545,10 @@ impl PerformanceModel {
                     .filter(|c| c.origin() == origin && c.pos() <= start)
                     .unwrap_or_else(|| WarmCursor::new(&self.config, origin));
                 c.advance_to(records, start);
-                let result = c.fork().try_run_window(records, len as usize, opts.clone());
+                let result = c
+                    .fork()
+                    .try_run_window(&self.config.core, records, len as usize, opts.clone(), None)
+                    .map(|(result, _)| result);
                 cursor = Some(c);
                 result
             })

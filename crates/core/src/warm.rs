@@ -1,47 +1,59 @@
-//! The warm cursor: one functional-warming pass serving many windows.
+//! The warm cursor: one functional-warming pass serving many machines.
 //!
-//! A sampled run times short detailed windows of a long trace, each on
-//! caches, TLBs and a branch predictor that have seen the `warm` records
-//! before it (DESIGN.md §7.8). Windows warmed from a common origin share
-//! a prefix of that history, so replaying it once and *copying* the
-//! warmed state at each window start does the work of re-warming every
-//! window from the origin — Σ window starts becomes the last start.
+//! A detailed run times `[start, start + len)` of a trace on caches, TLBs
+//! and a branch predictor that have seen the records before it
+//! (DESIGN.md §7.8) — a warmed program point is the window
+//! `[warmup, warmup + records)`, a sampled window any other. Runs warmed
+//! from a common origin share a prefix of that history, and runs that
+//! differ only in what warming never reads share all of it, so replaying
+//! it once and *copying* the warmed state does the work of re-warming
+//! every run from the origin.
 //!
 //! [`WarmCursor`] is that pass: the functional state of a cold machine
-//! after [`Core::warm`] over trace records `[origin, pos)`. It only ever
-//! warms; timing happens on a [`WarmCursor::fork`], which shares nothing
-//! with the cursor it came from. A fork at `pos` is therefore
-//! field-for-field the machine a fresh "cold at `origin`, warm to `pos`"
-//! pass builds, whatever order windows are served in — order decides
-//! only how many records get replayed.
+//! after [`warm_record`] over trace records `[origin, pos)`. It holds
+//! exactly what warming reads and writes — a branch history table, a
+//! memory system, whether prediction is perfect — and no core, so the
+//! state cannot depend on any configuration field outside
+//! [`warm_fingerprint`](crate::warm_fingerprint). It only ever warms;
+//! timing happens on a [`WarmCursor::fork`], which shares nothing with
+//! the cursor it came from, under whichever core configuration the run
+//! asks for. A fork at `pos` is therefore field-for-field the state a
+//! fresh "cold at `origin`, warm to `pos`" pass builds, whatever order
+//! runs are served in — order decides only how many records get replayed.
 
 use crate::integrity::SimError;
-use crate::model::{collect_result, drive, RunOptions};
+use crate::model::{timed, RunOptions};
+use crate::observe::ObserveConfig;
 use crate::system::{RunResult, SystemConfig};
-use s64v_cpu::Core;
+use s64v_cpu::{warm_record, Bht, Core, CoreConfig};
 use s64v_mem::MemorySystem;
+use s64v_observe::RunObservation;
 use s64v_trace::{SliceStream, TraceRecord};
 
-/// A uniprocessor machine functionally warmed over `[origin, pos)` of
-/// one trace (see the module docs).
+/// A uniprocessor's functional state warmed over `[origin, pos)` of one
+/// trace (see the module docs).
 #[derive(Debug)]
 pub struct WarmCursor {
-    core: Core,
+    bht: Bht,
+    /// Perfect branch prediction: the table is never trained.
+    perfect_branches: bool,
     mem: MemorySystem,
     origin: usize,
     pos: usize,
 }
 
 impl WarmCursor {
-    /// A cold machine positioned at `origin`.
+    /// A cold state positioned at `origin`, built from the fields of
+    /// `config` that [`warm_fingerprint`](crate::warm_fingerprint) hashes.
     ///
     /// # Panics
     ///
-    /// Panics for an SMP configuration: sampled windows are uniprocessor.
+    /// Panics for an SMP configuration: a cursor warms one CPU.
     pub fn new(config: &SystemConfig, origin: usize) -> Self {
-        assert_eq!(config.cpus, 1, "sampled windows are uniprocessor");
+        assert_eq!(config.cpus, 1, "a warm cursor is uniprocessor");
         WarmCursor {
-            core: Core::new(config.core.clone(), 0),
+            bht: Bht::new(config.core.bht),
+            perfect_branches: config.core.perfect_branch_prediction,
             mem: MemorySystem::new(config.mem.clone(), 1),
             origin,
             pos: origin,
@@ -53,7 +65,7 @@ impl WarmCursor {
         self.origin
     }
 
-    /// Next record to warm: the start of a window forked now.
+    /// Next record to warm: the start of a window timed now.
     pub fn pos(&self) -> usize {
         self.pos
     }
@@ -67,46 +79,54 @@ impl WarmCursor {
     /// caller starts another at the origin) or beyond the trace.
     pub fn advance_to(&mut self, records: &[TraceRecord], pos: usize) -> u64 {
         assert!(pos >= self.pos, "a warm cursor only moves forward");
-        let mut stream = SliceStream::new(&records[self.pos..pos]);
-        let replayed = self
-            .core
-            .fast_forward(&mut self.mem, &mut stream, (pos - self.pos) as u64);
+        for rec in &records[self.pos..pos] {
+            let bht = (!self.perfect_branches).then_some(&mut self.bht);
+            warm_record(bht, &mut self.mem, 0, rec);
+        }
+        let replayed = (pos - self.pos) as u64;
         self.pos = pos;
         replayed
     }
 
-    /// A deep copy: every memory-system structure plus a fresh core
-    /// carrying the branch history. The copy and the cursor evolve
-    /// independently from here on.
+    /// A deep copy: every memory-system structure and the branch history.
+    /// The copy and the cursor evolve independently from here on.
     pub fn fork(&self) -> WarmCursor {
         WarmCursor {
-            core: self.core.fork_warm(),
+            bht: self.bht.clone(),
+            perfect_branches: self.perfect_branches,
             mem: self.mem.fork(),
             origin: self.origin,
             pos: self.pos,
         }
     }
 
-    /// Times `records[pos..pos + len]` in detail on this warmed machine,
-    /// consuming it (a cursor that has run timed cycles is no longer a
-    /// functional state; fork first to keep warming).
+    /// Times `records[pos..pos + len]` in detail on a `core` built over
+    /// this warmed state, consuming it (a state that has run timed cycles
+    /// is no longer functional; fork first to keep warming). Observed per
+    /// `ocfg` when given — probes attach to the timed machine, so the
+    /// warm-up is not narrated — and the observation is empty otherwise.
     ///
     /// # Panics
     ///
-    /// Panics on an empty or out-of-range window, never on a simulation
-    /// fault.
+    /// Panics on an empty or out-of-range window, or a `core` whose
+    /// predictor is not the one this cursor warmed — never on a
+    /// simulation fault.
     pub fn try_run_window(
         self,
+        core: &CoreConfig,
         records: &[TraceRecord],
         len: usize,
         opts: RunOptions,
-    ) -> Result<RunResult, SimError> {
+        ocfg: Option<ObserveConfig>,
+    ) -> Result<(RunResult, RunObservation), SimError> {
         assert!(len > 0, "empty window");
         assert!(self.pos + len <= records.len(), "window exceeds the trace");
-        let mut streams = [SliceStream::new(&records[self.pos..self.pos + len])];
-        let mut cores = [self.core];
-        let mut mem = self.mem;
-        let cycles = drive(&mut cores, &mut mem, &mut streams, opts, None)?;
-        Ok(collect_result(cycles, &cores, &mem))
+        assert_eq!(
+            core.perfect_branch_prediction, self.perfect_branches,
+            "the cursor warmed another predictor"
+        );
+        let streams = vec![SliceStream::new(&records[self.pos..self.pos + len])];
+        let cores = vec![Core::warmed(core.clone(), 0, self.bht)];
+        timed(cores, self.mem, streams, opts, ocfg)
     }
 }

@@ -10,7 +10,9 @@
 //! window alone, under default options, with every cycle stepped, and
 //! under the checked-mode auditor.
 
-use s64v_core::{PerformanceModel, RunOptions, RunResult, SystemConfig, WarmCursor};
+use s64v_core::{
+    warm_fingerprint, PerformanceModel, RunOptions, RunResult, SystemConfig, WarmCursor,
+};
 use s64v_cpu::Core;
 use s64v_mem::MemorySystem;
 use s64v_trace::{SamplePlan, SliceStream, TraceRecord, VecTrace};
@@ -89,9 +91,9 @@ fn serve(
         assert_eq!((cursor.origin(), cursor.pos()), (0, start));
         let r = cursor
             .fork()
-            .try_run_window(records, LEN, opts.clone())
+            .try_run_window(&cfg.core, records, LEN, opts.clone(), None)
             .expect("clean run");
-        out[w] = render(&r);
+        out[w] = render(&r.0);
     }
     (out, replayed)
 }
@@ -174,6 +176,62 @@ fn plans_and_lone_windows_equal_fresh_passes_full_and_bounded() {
             }
         }
     });
+}
+
+/// The cursor holds no core: one pass under the base configuration
+/// serves every configuration that differs from it only in what warming
+/// never reads, and each copy equals a machine of *that* configuration
+/// warmed afresh.
+#[test]
+fn one_pass_serves_every_core_configuration_with_its_warm_key() {
+    let base = SystemConfig::sparc64_v();
+    let variants = [
+        base.clone()
+            .with_core(base.core.clone().with_issue_width(2)),
+        base.clone().with_core(base.core.clone().with_unified_rs()),
+        base.clone()
+            .with_core(base.core.clone().without_speculative_dispatch()),
+    ];
+    each_trace(|label, trace| {
+        let records = trace.records();
+        let mut cursor = WarmCursor::new(&base, 0);
+        for &start in &STARTS {
+            cursor.advance_to(records, start);
+            for (v, cfg) in variants.iter().enumerate() {
+                assert_eq!(warm_fingerprint(cfg), warm_fingerprint(&base));
+                for (name, opts) in option_sets() {
+                    let r = cursor
+                        .fork()
+                        .try_run_window(&cfg.core, records, LEN, opts, None)
+                        .expect("clean run");
+                    assert_eq!(
+                        render(&r.0),
+                        fresh(cfg, records, 0, start),
+                        "{label}/{name}: variant {v} at {start}"
+                    );
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn a_cursor_refuses_a_core_it_did_not_warm_for() {
+    let trace = Suite::preset(SuiteKind::SpecInt95).programs()[0].generate(2_000, 1);
+    let base = SystemConfig::sparc64_v();
+    let mut cursor = WarmCursor::new(&base, 0);
+    cursor.advance_to(trace.records(), 1_000);
+    let small_bht = base.core.clone().with_small_bht();
+    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        cursor.try_run_window(
+            &small_bht,
+            trace.records(),
+            500,
+            RunOptions::default(),
+            None,
+        )
+    }));
+    assert!(refused.is_err(), "another table's history must be refused");
 }
 
 #[test]

@@ -52,6 +52,24 @@ struct DrainingStore {
     free_at: u64,
 }
 
+/// Functional warming of one record (the paper's steady-state tracing,
+/// §2.2): CPU `cpu`'s instruction and operand paths of `mem` see the
+/// record's addresses and `bht` — `None` under perfect branch prediction,
+/// which never consults a table — sees a conditional branch's outcome.
+/// No timing is simulated. The arguments are everything warming reads or
+/// writes, so a warm state can be built, kept and copied with no core.
+pub fn warm_record(bht: Option<&mut Bht>, mem: &mut MemorySystem, cpu: usize, rec: &TraceRecord) {
+    mem.warm_fetch(cpu, rec.pc);
+    if rec.instr.op == OpClass::BranchCond {
+        if let (Some(bht), Some(b)) = (bht, rec.instr.branch) {
+            bht.update(rec.pc, b.taken);
+        }
+    }
+    if let Some(m) = rec.instr.mem {
+        mem.warm_data(cpu, m.addr, rec.instr.op == OpClass::Store);
+    }
+}
+
 /// One SPARC64 V core.
 ///
 /// # Examples
@@ -109,6 +127,8 @@ pub struct Core {
     scratch_store_data: Vec<(u64, u64)>,
     scratch_ready_loads: Vec<u64>,
     scratch_banks: Vec<u32>,
+    scratch_failed_loads: Vec<u64>,
+    scratch_poison: Vec<u64>,
 }
 
 /// Cycles with zero commits after which the model declares itself wedged
@@ -119,13 +139,28 @@ impl Core {
     /// Creates a core with the given configuration and CPU id (its index
     /// in the shared [`MemorySystem`]).
     pub fn new(cfg: CoreConfig, core_id: usize) -> Self {
+        let bht = Bht::new(cfg.bht);
+        Core::warmed(cfg, core_id, bht)
+    }
+
+    /// A core whose branch history table has already seen a warm-up:
+    /// `bht` is the table [`warm_record`] trained, the only core state
+    /// functional warming touches, so this core equals a [`Core::new`]
+    /// that replayed the same records through [`Core::warm`]. Pipeline
+    /// state, statistics, timelines and probes start empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bht` was not built from `cfg.bht`.
+    pub fn warmed(cfg: CoreConfig, core_id: usize, bht: Bht) -> Self {
+        assert_eq!(*bht.config(), cfg.bht, "the table is not this core's");
         Core {
             rob: Rob::new(cfg.window_size),
             rs: ReservationStations::new(&cfg),
             rename_pool: RenamePool::new(cfg.int_rename_regs, cfg.fp_rename_regs),
             rename_map: RenameMap::new(),
             lsq: LoadStoreQueues::new(cfg.load_queue, cfg.store_queue),
-            bht: Bht::new(cfg.bht),
+            bht,
             stats: CoreStats::new(cfg.window_size, cfg.load_queue, cfg.store_queue),
             fetch_queue: VecDeque::new(),
             pending_rec: None,
@@ -147,6 +182,8 @@ impl Core {
             scratch_store_data: Vec::new(),
             scratch_ready_loads: Vec::new(),
             scratch_banks: Vec::new(),
+            scratch_failed_loads: Vec::new(),
+            scratch_poison: Vec::new(),
             core_id,
             cfg,
         }
@@ -274,18 +311,10 @@ impl Core {
     }
 
     /// Replays one warm-up record into the memory system and branch
-    /// predictor without simulating any timing (see the paper's
-    /// steady-state tracing, §2.2).
+    /// predictor without simulating any timing (see [`warm_record`]).
     pub fn warm(&mut self, mem: &mut MemorySystem, rec: &TraceRecord) {
-        mem.warm_fetch(self.core_id, rec.pc);
-        if rec.instr.op == OpClass::BranchCond && !self.cfg.perfect_branch_prediction {
-            if let Some(b) = rec.instr.branch {
-                self.bht.update(rec.pc, b.taken);
-            }
-        }
-        if let Some(m) = rec.instr.mem {
-            mem.warm_data(self.core_id, m.addr, rec.instr.op == OpClass::Store);
-        }
+        let bht = (!self.cfg.perfect_branch_prediction).then_some(&mut self.bht);
+        warm_record(bht, mem, self.core_id, rec);
     }
 
     /// Functional fast-forward: replays a stream through [`Core::warm`]
@@ -311,17 +340,6 @@ impl Core {
             replayed += 1;
         }
         replayed
-    }
-
-    /// A fresh core carrying a copy of this core's branch history table —
-    /// the only core state [`Core::warm`] touches — so the copy of a
-    /// functionally warmed core equals one warmed afresh over the same
-    /// records. Pipeline state, statistics, timelines and probes start
-    /// empty, exactly as [`Core::new`] leaves them.
-    pub fn fork_warm(&self) -> Core {
-        let mut core = Core::new(self.cfg.clone(), self.core_id);
-        core.bht = self.bht.clone();
-        core
     }
 
     /// Advances one cycle.
@@ -824,7 +842,8 @@ impl Core {
 
     fn confirm_speculative_loads(&mut self, now: u64) -> bool {
         let mut acted = false;
-        let mut failed: Vec<u64> = Vec::new();
+        let mut failed = std::mem::take(&mut self.scratch_failed_loads);
+        failed.clear();
         let mut i = 0;
         while i < self.spec_loads.len() {
             let sl = self.spec_loads[i];
@@ -849,16 +868,19 @@ impl Core {
             }
             self.spec_loads.swap_remove(i);
         }
-        for seq in failed {
+        for &seq in &failed {
             self.cancel_dependents(seq, now);
         }
+        self.scratch_failed_loads = failed;
         acted
     }
 
     /// §3.1: "all instructions that have read-after-write dependency must
     /// be cancelled at every stage of the execution pipelines."
     fn cancel_dependents(&mut self, poisoned_seq: u64, now: u64) {
-        let mut poison: Vec<u64> = vec![poisoned_seq];
+        let mut poison = std::mem::take(&mut self.scratch_poison);
+        poison.clear();
+        poison.push(poisoned_seq);
         for seq in self.rob.seqs() {
             if seq <= poisoned_seq {
                 continue;
@@ -890,6 +912,7 @@ impl Core {
             self.note_replay(seq, now);
             poison.push(seq);
         }
+        self.scratch_poison = poison;
     }
 
     fn complete_instructions(&mut self, now: u64) -> bool {
@@ -1060,14 +1083,16 @@ impl Core {
                 break;
             }
             committed += 1;
-            let entry = self.rob.pop_head();
-            self.note_commit(entry.seq, now);
-            if let Some(dest) = entry.rec.instr.real_dest() {
+            let dest = head.rec.instr.real_dest();
+            let is_store = head.rec.instr.op == OpClass::Store;
+            let seq = self.rob.pop_head();
+            self.note_commit(seq, now);
+            if let Some(dest) = dest {
                 self.rename_pool.release(dest.class());
-                self.rename_map.retire(dest, entry.seq);
+                self.rename_map.retire(dest, seq);
             }
-            if entry.rec.instr.op == OpClass::Store {
-                self.lsq.mark_store_committed(entry.seq);
+            if is_store {
+                self.lsq.mark_store_committed(seq);
             }
             self.stats.committed.incr();
             self.last_commit_cycle = now;
@@ -1422,7 +1447,7 @@ impl Core {
     fn decode(&mut self, now: u64) -> bool {
         let mut acted = false;
         for _ in 0..self.cfg.issue_width {
-            let Some(front) = self.fetch_queue.front().copied() else {
+            let Some(front) = self.fetch_queue.front() else {
                 break;
             };
             if front.ready_at > now {

@@ -26,7 +26,7 @@ pub mod rs;
 pub mod stats;
 pub mod timeline;
 
-pub use crate::core::Core;
+pub use crate::core::{warm_record, Core};
 pub use bpred::{Bht, BhtConfig};
 pub use config::{CoreConfig, RsScheme};
 pub use error::{CoreError, CoreFault, HeadInstr, PipelineSnapshot, RsOccupancy};

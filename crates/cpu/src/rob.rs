@@ -419,19 +419,19 @@ impl Rob {
         self.tail_seq
     }
 
-    /// Retires the oldest entry, returning it.
+    /// Retires the oldest entry in place, returning its sequence number
+    /// (read what is needed of it through [`Rob::head`] first).
     ///
     /// # Panics
     ///
     /// Panics if the window is empty.
-    pub fn pop_head(&mut self) -> InstrState {
+    pub fn pop_head(&mut self) -> u64 {
         assert!(!self.is_empty(), "window empty");
         let slot = self.slot_of(self.head_seq);
-        let state = self.slots[slot];
         self.incomplete.clear(slot);
         self.pending_loads.clear(slot);
         self.head_seq += 1;
-        state
+        self.head_seq - 1
     }
 
     /// Iterates over in-flight sequence numbers in program order.
@@ -514,7 +514,7 @@ mod tests {
         }
         assert!(rob.is_full());
         for s in 0..4 {
-            assert_eq!(rob.pop_head().seq, s);
+            assert_eq!(rob.pop_head(), s);
         }
         assert!(rob.is_empty());
     }
@@ -684,7 +684,7 @@ mod tests {
                 .collect();
             assert_eq!(incomplete, naive_incomplete);
             for _ in 0..(step % capacity as u64) + 1 {
-                let seq = rob.pop_head().seq;
+                let seq = rob.pop_head();
                 expect_pending.retain(|&s| s != seq);
             }
         }

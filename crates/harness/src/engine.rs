@@ -255,17 +255,32 @@ fn execute_in(
     ocfg: Option<ObserveConfig>,
 ) -> Result<(PointMetrics, RunObservation), SimError> {
     let traces = registry.traces(point);
-    let unobserved = |r: RunResult| (metrics_from(&r), RunObservation::default());
-    match point.work {
-        WorkUnit::Program { .. } | WorkUnit::SmpTpcc => {
+    let run = match point.work {
+        WorkUnit::Program { .. } | WorkUnit::SampledWindow { .. } => {
+            // A uniprocessor point is a window of its trace — a program
+            // point `[warmup, warmup + records)`, a sampled window any
+            // other (its `records` is the *full trace length*) — timed on
+            // a copy of the state every point with its warm key shares;
+            // only the window itself is simulated in detail.
+            let (start, len) = point.window().expect("a uniprocessor point");
+            let records = traces[0].records();
+            assert!(records.len() > start, "warmup must leave records to time");
+            let observed = ocfg.filter(|_| matches!(point.work, WorkUnit::Program { .. }));
+            registry.warmed(point, &traces[0]).try_run_window(
+                &point.config.core,
+                records,
+                len,
+                opts,
+                observed,
+            )
+        }
+        WorkUnit::SmpTpcc => {
             let model = PerformanceModel::new(point.config.clone());
             match ocfg {
-                Some(ocfg) => model
-                    .try_run_traces_warm_observed(&traces, point.warmup, opts, ocfg)
-                    .map(|(r, obs)| (metrics_from(&r), obs)),
+                Some(ocfg) => model.try_run_traces_warm_observed(&traces, point.warmup, opts, ocfg),
                 None => model
                     .try_run_traces_warm(&traces, point.warmup, opts)
-                    .map(unobserved),
+                    .map(|r| (r, RunObservation::default())),
             }
         }
         WorkUnit::Verify { .. } => {
@@ -278,19 +293,10 @@ fn execute_in(
                 same_work: check.passed(),
                 ..PointMetrics::default()
             };
-            Ok((metrics, RunObservation::default()))
+            return Ok((metrics, RunObservation::default()));
         }
-        WorkUnit::SampledWindow { start, len, .. } => {
-            // `point.records` is the *full trace length* here; only the
-            // `point.warmup` records before `start` are functionally
-            // replayed — by a cursor the plan's other windows share —
-            // and only the window itself is timed.
-            registry
-                .warmed(point, &traces[0], start)
-                .try_run_window(traces[0].records(), len, opts)
-                .map(unobserved)
-        }
-    }
+    };
+    run.map(|(result, observation)| (metrics_from(&result), observation))
 }
 
 /// Runs one point to completion, returning a simulation fault (a wedged
@@ -806,6 +812,9 @@ pub fn run_campaign(
         records_generated: shared.records_generated,
         records_warm_requested: shared.records_warm_requested,
         records_warmed: shared.records_warmed,
+        machines_requested: shared.machines_requested,
+        warm_passes: shared.warm_passes,
+        machines_copied: shared.machines_copied,
         completed,
         failed: outcomes.len() - completed,
         cache_hits: cache_hits.into_inner(),

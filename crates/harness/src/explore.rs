@@ -378,4 +378,75 @@ mod tests {
 
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// The benchmark's `explore_sweep` query at full size: every round is
+    /// one trace under candidates that differ only in reservation-station
+    /// and window sizes, so each round replays its warm-up exactly once,
+    /// on one worker or two. Prints the counts EXPERIMENTS.md quotes:
+    /// `cargo test --release -p s64v-harness --lib -- --ignored
+    /// --nocapture sweep_warms_once_per_round`.
+    #[test]
+    #[ignore = "full benchmark size; run in release"]
+    fn the_benchmarks_sweep_warms_once_per_round() {
+        let spec = ExploreSpec::parse(
+            r#"{
+                "name": "benchmark-rs-window-sweep",
+                "workload": {"suite": "TPC-C", "index": 0},
+                "seed": 42,
+                "screen": {"records": 2500, "warmup": 25000},
+                "full":   {"records": 10000, "warmup": 100000},
+                "knobs": [
+                    {"name": "rse_entries", "values": [4, 6, 8, 10, 12]},
+                    {"name": "rsf_entries", "values": [4, 6, 8, 10]},
+                    {"name": "window_size", "values": [32, 48, 64, 80, 96]}
+                ],
+                "objective": {"maximize": "ipc"},
+                "constraints": [
+                    {"knob": "rse_entries", "max": 32},
+                    {"metric": "area_mm2", "max": 300.0}
+                ],
+                "eta": 3,
+                "min_survivors": 4
+            }"#,
+        )
+        .expect("the benchmark's spec parses");
+        for threads in [1, 2] {
+            let (mut requested, mut warmed, mut passes, mut copied) = (0, 0, 0, 0);
+            let mut rounds = Vec::new();
+            run_search(
+                &spec,
+                |plan| {
+                    let campaign = CampaignSpec::new("sweep", round_points(&spec, plan))
+                        .with_threads(threads)
+                        .with_heartbeat(None);
+                    let outcome = run_campaign(&campaign, None).expect("run");
+                    let r = &outcome.report;
+                    assert_eq!(r.failed, 0);
+                    assert_eq!(r.warm_passes, 1, "round {}: one pass", plan.round);
+                    assert_eq!(r.records_warmed, plan.warmup as u64);
+                    assert_eq!(
+                        r.records_warm_requested,
+                        (plan.entries.len() * plan.warmup) as u64
+                    );
+                    requested += r.records_warm_requested;
+                    warmed += r.records_warmed;
+                    passes += r.warm_passes;
+                    copied += r.machines_copied;
+                    rounds.push((plan.entries.len(), plan.warmup));
+                    outcome
+                        .outcomes
+                        .iter()
+                        .map(|o| o.metrics().map(measurement_from))
+                        .collect()
+                },
+                |_| {},
+            );
+            eprintln!(
+                "{threads} thread(s): rounds {rounds:?}, {warmed} of {requested} requested \
+                 warm-up records replayed in {passes} passes, {copied} machines copied"
+            );
+            assert_eq!(rounds, [(100, 25_000), (68, 25_000), (46, 100_000)]);
+            assert_eq!((warmed, requested), (150_000, 8_800_000));
+        }
+    }
 }

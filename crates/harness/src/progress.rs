@@ -86,8 +86,8 @@ pub struct CampaignReport {
     pub quarantined: Vec<(String, String)>,
     /// Trace records the simulated points' statistics rest on (cache
     /// hits excluded): each point's warm-up plus timed records, whether
-    /// or not a shared cursor spared it the replay. The five counters
-    /// below say what the campaign's shared-input
+    /// or not a shared warm state spared it the replay. The eight
+    /// counters below say what the campaign's shared-input
     /// [registry](crate::registry) actually did.
     pub simulated_records: u64,
     /// Trace sets points asked the registry for (one per executed
@@ -98,11 +98,20 @@ pub struct CampaignReport {
     pub traces_generated: u64,
     /// Records generated, summed over every CPU's trace.
     pub records_generated: u64,
-    /// Functional warm-up records sampled windows asked for,
-    /// Σ `(start − origin)`.
+    /// Functional warm-up records uniprocessor points — program points
+    /// and sampled windows alike — asked for, Σ `(stop − origin)` over
+    /// executed attempts.
     pub records_warm_requested: u64,
-    /// Records warm cursors actually replayed to serve them.
+    /// Records actually replayed to serve them.
     pub records_warmed: u64,
+    /// Warmed machines those attempts asked for (one each).
+    pub machines_requested: u64,
+    /// Warming passes started on a cold machine; the other requests
+    /// continued from, or copied, a state the registry already held.
+    pub warm_passes: u64,
+    /// Warmed states copied (for a point to time on, or for a later stop
+    /// to continue warming from).
+    pub machines_copied: u64,
     /// Wall time for the whole campaign.
     pub elapsed: Duration,
     /// Summed per-point simulation wall time across all workers (the
@@ -143,11 +152,15 @@ impl CampaignReport {
                 self.records_generated as f64 / 1e6,
             ));
         }
-        if self.records_warm_requested > 0 {
+        if self.machines_requested > 0 {
             s.push_str(&format!(
-                ", {:.2}M of {:.2}M requested window warm-up records replayed",
+                ", {:.2}M of {:.2}M requested warm-up records replayed \
+                 ({} of {} warming passes saved, {} machines copied)",
                 self.records_warmed as f64 / 1e6,
                 self.records_warm_requested as f64 / 1e6,
+                self.machines_requested - self.warm_passes,
+                self.machines_requested,
+                self.machines_copied,
             ));
         }
         if self.retries > 0 || self.timed_out > 0 || !self.quarantined.is_empty() {
@@ -196,11 +209,17 @@ mod tests {
             records_generated: 13_120_000,
             records_warm_requested: 47_360_000,
             records_warmed: 11_520_000,
+            machines_requested: 64,
+            warm_passes: 8,
+            machines_copied: 56,
             ..Default::default()
         };
         let s = r.summary();
         assert!(s.contains("8 of 64 requested traces generated (13.12M records)"));
-        assert!(s.contains("11.52M of 47.36M requested window warm-up records replayed"));
+        assert!(s.contains(
+            "11.52M of 47.36M requested warm-up records replayed \
+             (56 of 64 warming passes saved, 56 machines copied)"
+        ));
         let all_hits = CampaignReport {
             completed: 3,
             cache_hits: 3,

@@ -156,6 +156,19 @@ impl SimPoint {
         h.finish()
     }
 
+    /// The trace records `(start, len)` a uniprocessor point times in
+    /// detail, after functionally warming `[start − warmup, start)`: a
+    /// program point is the window `[warmup, warmup + records)` of its
+    /// trace, a sampled window any other. `None` for the SMP and
+    /// verification points, which run on machines of their own.
+    pub fn window(&self) -> Option<(usize, usize)> {
+        match self.work {
+            WorkUnit::Program { .. } => Some((self.warmup, self.records)),
+            WorkUnit::SampledWindow { start, len, .. } => Some((start, len)),
+            WorkUnit::SmpTpcc | WorkUnit::Verify { .. } => None,
+        }
+    }
+
     /// A short human-readable label for progress lines and the journal.
     pub fn label(&self) -> String {
         match &self.work {

@@ -93,11 +93,13 @@ fn distinct_keys(points: &[SimPoint]) -> u64 {
 }
 
 /// Σ over plans — one per `(reuse key, configuration, origin)` — of
-/// `last start − origin`: what one ascending pass per plan replays.
+/// `last start − origin`: what one ascending pass per plan replays. A
+/// full-detail point is the window its warm-up ends at, on its plan's
+/// chain.
 fn one_pass_per_plan(points: &[SimPoint]) -> u64 {
     let mut plans: HashMap<(ReuseKey, String, usize), usize> = HashMap::new();
     for p in points {
-        if let WorkUnit::SampledWindow { start, .. } = p.work {
+        if let Some((start, _)) = p.window() {
             let origin = start.saturating_sub(p.warmup);
             let last = plans
                 .entry((ReuseKey::of(p), format!("{:?}", p.config), origin))
@@ -143,10 +145,7 @@ fn a_mixed_campaign_is_identical_at_any_thread_count_and_to_lone_points() {
         .collect();
     let warm_requested: u64 = points
         .iter()
-        .filter_map(|p| match p.work {
-            WorkUnit::SampledWindow { start, .. } => Some(start.min(p.warmup) as u64),
-            _ => None,
-        })
+        .filter_map(|p| p.window().map(|(start, _)| start.min(p.warmup) as u64))
         .sum();
     for threads in [1, 2, 5] {
         let out = run(&points, threads);
@@ -259,8 +258,8 @@ fn the_registry_holds_nothing_once_every_point_is_released() {
     let mut traces: Vec<Weak<Vec<VecTrace>>> = Vec::new();
     for p in &points {
         let t = registry.traces(p);
-        if let WorkUnit::SampledWindow { start, .. } = p.work {
-            let machine = registry.warmed(p, &t[0], start);
+        if let Some((start, _)) = p.window() {
+            let machine = registry.warmed(p, &t[0]);
             assert_eq!(machine.pos(), start);
         }
         traces.push(Arc::downgrade(&t));

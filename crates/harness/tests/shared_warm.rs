@@ -1,0 +1,334 @@
+//! Warm state as a shared campaign input: points whose configurations
+//! differ only in what functional warming never reads time on copies of
+//! one warmed state. Sharing changes how many records get replayed and
+//! how many machines get built, never a result; a configuration that
+//! warming *does* read gets a pass of its own; the counters are exact at
+//! any thread count; and faults on a sharing point cost its neighbours
+//! nothing.
+
+use s64v_core::{
+    apply_knob, warm_fingerprint, ChaosPlan, HarnessFaultClass, PerformanceModel, RunOptions,
+    SystemConfig,
+};
+use s64v_harness::engine::PointOutcome;
+use s64v_harness::validate::{full_point, sampled_points, SampleOpts};
+use s64v_harness::{
+    run_campaign, try_execute_point, CampaignOutcome, CampaignSpec, HarnessOpts, SimPoint,
+    SupervisePolicy, WorkUnit,
+};
+use s64v_workloads::{Suite, SuiteKind};
+use std::collections::HashSet;
+use std::time::Duration;
+
+const SEEDS: [u64; 3] = [3, 17, 40];
+const RECORDS: usize = 2_500;
+const WARMUP: usize = 4_000;
+
+fn with_knob(base: &SystemConfig, name: &str, value: u64) -> SystemConfig {
+    let mut config = base.clone();
+    apply_knob(&mut config, name, value).expect("a registered knob");
+    config
+}
+
+/// The base machine, three that differ from it only in core knobs
+/// (window, RS, issue width), one with another branch history table and
+/// one with another memory-configuration field.
+fn six_configs() -> Vec<SystemConfig> {
+    let base = SystemConfig::sparc64_v();
+    let small_bht = base.clone().with_core(base.core.clone().with_small_bht());
+    vec![
+        base.clone(),
+        with_knob(&base, "window_size", 32),
+        with_knob(&base, "rse_entries", 4),
+        with_knob(&base, "issue_width", 2),
+        small_bht,
+        with_knob(&base, "l2_latency", 20),
+    ]
+}
+
+fn program_points(suite: SuiteKind, seed: u64, configs: &[SystemConfig]) -> Vec<SimPoint> {
+    configs
+        .iter()
+        .map(|config| SimPoint {
+            config: config.clone(),
+            work: WorkUnit::Program { suite, index: 0 },
+            records: RECORDS,
+            warmup: WARMUP,
+            seed,
+        })
+        .collect()
+}
+
+fn fast() -> SupervisePolicy {
+    SupervisePolicy {
+        backoff: Duration::ZERO,
+        ..SupervisePolicy::default()
+    }
+}
+
+fn spec(points: &[SimPoint], threads: usize) -> CampaignSpec {
+    CampaignSpec::new("shared-warm", points.to_vec())
+        .with_threads(threads)
+        .with_heartbeat(None)
+        .with_supervise(fast())
+}
+
+fn run(spec: &CampaignSpec) -> CampaignOutcome {
+    run_campaign(spec, None).expect("run")
+}
+
+fn rendered(out: &CampaignOutcome) -> Vec<String> {
+    out.outcomes.iter().map(|o| format!("{o:?}")).collect()
+}
+
+#[test]
+fn six_configurations_of_one_trace_equal_lone_points_and_warm_once_per_warm_key() {
+    let configs = six_configs();
+    let keys: HashSet<_> = configs.iter().map(warm_fingerprint).collect();
+    assert_eq!(
+        keys.len(),
+        3,
+        "the core knobs share the base's warm key; the BHT and the L2 get their own"
+    );
+    assert_eq!(
+        warm_fingerprint(&configs[0]),
+        warm_fingerprint(&configs[3]),
+        "issue width is not read by warming"
+    );
+    let no_skip = RunOptions {
+        no_skip: true,
+        ..RunOptions::default()
+    };
+    for suite in SuiteKind::ALL {
+        for seed in SEEDS {
+            let points = program_points(suite, seed, &configs);
+            let lone: Vec<String> = points
+                .iter()
+                .map(|p| {
+                    let m = try_execute_point(p, RunOptions::default()).expect("clean point");
+                    for opts in [no_skip.clone(), RunOptions::checked()] {
+                        assert_eq!(try_execute_point(p, opts).expect("clean point"), m);
+                    }
+                    format!("{:?}", PointOutcome::Metrics(Box::new(m)))
+                })
+                .collect();
+            for threads in [1, 2, 5] {
+                let ctx = format!("{suite:?}/seed{seed}/{threads} threads");
+                let out = run(&spec(&points, threads));
+                assert_eq!(rendered(&out), lone, "{ctx}");
+                let checked = run(&spec(&points, threads).with_checked());
+                assert_eq!(rendered(&checked), lone, "{ctx}: checked");
+                let r = &out.report;
+                assert_eq!(r.machines_requested, 6, "{ctx}");
+                assert_eq!(r.records_warm_requested, 6 * WARMUP as u64, "{ctx}");
+                assert_eq!(r.warm_passes, 3, "{ctx}: one pass per warm key");
+                assert_eq!(
+                    r.records_warmed,
+                    3 * WARMUP as u64,
+                    "{ctx}: no pass is duplicated"
+                );
+                // Of the four sharers the last to be released takes the
+                // state; one that asks while another is still timing
+                // copies. The two loners always take theirs.
+                assert!((3..=4).contains(&r.machines_copied), "{ctx}: {r:?}");
+                if threads == 1 {
+                    assert_eq!(r.machines_copied, 3, "{ctx}");
+                }
+                assert_eq!(r.traces_generated, 1, "{ctx}");
+            }
+        }
+    }
+}
+
+/// The cursor path against the path it replaced: a machine built cold
+/// for the point alone, warmed record by record through `Core::warm`.
+#[test]
+fn a_point_served_from_a_shared_state_equals_the_per_point_warm_loop() {
+    for suite in SuiteKind::ALL {
+        let trace = Suite::preset(suite).programs()[0].generate(WARMUP + RECORDS, SEEDS[0]);
+        let points = program_points(suite, SEEDS[0], &six_configs());
+        let out = run(&spec(&points, 2));
+        for (p, o) in points.iter().zip(&out.outcomes) {
+            let m = o.metrics().expect("clean point");
+            let r = PerformanceModel::new(p.config.clone())
+                .try_run_trace_warm(&trace, WARMUP, RunOptions::default())
+                .expect("clean run");
+            assert_eq!(
+                (m.cycles, m.committed, m.bus_transactions, m.bus_busy_cycles),
+                (r.cycles, r.committed, r.bus_transactions, r.bus_busy_cycles),
+                "{suite:?}"
+            );
+            assert_eq!(m.cpi, r.core_stats[0].cpi.cells, "{suite:?}");
+            let ratio = r.l1d_miss_ratio();
+            assert_eq!(m.l1d, (ratio.numerator(), ratio.denominator()), "{suite:?}");
+            assert_eq!(m.prefetches, r.prefetches_issued(), "{suite:?}");
+        }
+    }
+}
+
+/// The benchmark's `explore_sweep` shape: a round is one trace under a
+/// grid of reservation-station and window sizes.
+#[test]
+fn a_sweep_round_replays_its_warm_up_once_at_one_thread_and_at_two() {
+    let base = SystemConfig::sparc64_v();
+    let mut configs = Vec::new();
+    for rse in [4, 6, 8, 10, 12] {
+        for rsf in [4, 6, 8, 10] {
+            for window in [32, 48, 64, 80, 96] {
+                let c = with_knob(&base, "rse_entries", rse);
+                let c = with_knob(&c, "rsf_entries", rsf);
+                configs.push(with_knob(&c, "window_size", window));
+            }
+        }
+    }
+    let points = program_points(SuiteKind::Tpcc, 42, &configs);
+    for threads in [1, 2] {
+        let r = run(&spec(&points, threads)).report;
+        assert_eq!(r.completed, 100, "{threads} threads");
+        assert_eq!(r.records_warm_requested, 100 * WARMUP as u64);
+        assert_eq!(r.records_warmed, WARMUP as u64, "{threads} threads");
+        assert_eq!(r.warm_passes, 1, "{threads} threads");
+        // Every point copies but the last to be released, which takes the
+        // state — unless the other worker is still timing when it asks.
+        assert!((99..=100).contains(&r.machines_copied), "{r:?}");
+        if threads == 1 {
+            assert_eq!(r.machines_copied, 99);
+        }
+        let s = r.summary();
+        assert!(
+            s.contains("(99 of 100 warming passes saved"),
+            "{threads} threads: {s}"
+        );
+    }
+}
+
+#[test]
+fn a_full_detail_point_and_its_plans_windows_share_one_chain() {
+    let o = HarnessOpts {
+        records: 3_000,
+        warmup: 2_000,
+        ..HarnessOpts::smoke()
+    };
+    let sample = SampleOpts {
+        windows: 5,
+        window: 600,
+        warmup: 5_000,
+    };
+    for suite in [SuiteKind::SpecInt95, SuiteKind::Tpcc] {
+        let windows = sampled_points(suite, 0, &o, &sample);
+        let last_start = windows
+            .iter()
+            .filter_map(|p| p.window())
+            .map(|(start, _)| start)
+            .max()
+            .unwrap();
+        let mut points = windows;
+        points.push(full_point(suite, 0, &o));
+        let lone: Vec<String> = points
+            .iter()
+            .map(|p| {
+                let m = try_execute_point(p, RunOptions::default()).expect("clean point");
+                format!("{:?}", PointOutcome::Metrics(Box::new(m)))
+            })
+            .collect();
+        for threads in [1, 2, 5] {
+            let out = run(&spec(&points, threads));
+            assert_eq!(rendered(&out), lone, "{suite:?}/{threads} threads");
+            if threads == 1 {
+                // The reference point's stop lies on the windows' way: one
+                // ascending pass from record 0 to the last window serves
+                // all six.
+                assert_eq!(out.report.warm_passes, 1, "{suite:?}");
+                assert_eq!(out.report.records_warmed, last_start as u64, "{suite:?}");
+            }
+        }
+    }
+}
+
+/// A seed under which the chaos schedule hangs the first attempt of one
+/// of `sharers` and panics another's (a hang pre-empts a panic).
+fn chaos_striking(points: &[SimPoint], sharers: std::ops::Range<usize>) -> (ChaosPlan, usize) {
+    let fps: Vec<String> = points.iter().map(|p| p.fingerprint().to_hex()).collect();
+    for seed in 0..400 {
+        let plan = ChaosPlan::new(seed, 250);
+        let hung = |fp: &String| plan.should_fire(HarnessFaultClass::PointHang, fp);
+        let panicked =
+            |fp: &String| !hung(fp) && plan.should_fire(HarnessFaultClass::WorkerPanic, fp);
+        let shared = &fps[sharers.clone()];
+        if shared.iter().any(hung) && shared.iter().any(panicked) {
+            let struck = fps.iter().filter(|fp| hung(fp) || panicked(fp)).count();
+            return (plan, struck);
+        }
+    }
+    panic!("no seed under 400 strikes the sharing points both ways");
+}
+
+#[test]
+fn hangs_panics_and_mid_run_cancels_on_a_sharing_point_leave_the_rest_whole() {
+    let points = program_points(SuiteKind::SpecInt95, SEEDS[1], &six_configs());
+    let clean = run(&spec(&points, 2));
+    assert!(clean.failures().is_empty());
+
+    let (plan, struck) = chaos_striking(&points, 0..4);
+    for threads in [1, 2, 5] {
+        let chaos = run(&spec(&points, threads).with_chaos(plan));
+        assert_eq!(chaos.outcomes, clean.outcomes, "{threads} threads");
+        assert_eq!(chaos.report.retries, struck, "every fault, one retry each");
+        assert!(chaos.report.quarantined.is_empty());
+        // A struck first attempt never reached the registry; its retry
+        // found the shared state where the other points left it.
+        assert_eq!(chaos.report.machines_requested, 6, "{threads} threads");
+        assert_eq!(chaos.report.warm_passes, 3, "{threads} threads");
+        assert_eq!(chaos.report.records_warmed, 3 * WARMUP as u64);
+    }
+
+    // A cycle budget only the slowest machine — a sharer, so the list is
+    // cut down to the sharers and one loner faster than it — overruns: it
+    // is cancelled mid-run, on its copy, on every attempt.
+    let cycles = |i: usize| clean.outcomes[i].metrics().expect("clean point").cycles;
+    let slow = (0..4).max_by_key(|&i| cycles(i)).unwrap();
+    let keep: Vec<usize> = (0..points.len())
+        .filter(|&i| i < 4 || cycles(i) < cycles(slow))
+        .collect();
+    assert!(keep.len() > 4, "a loner runs beside the sharers");
+    let points: Vec<SimPoint> = keep.iter().map(|&i| points[i].clone()).collect();
+    let clean = CampaignOutcome {
+        outcomes: keep.iter().map(|&i| clean.outcomes[i].clone()).collect(),
+        ..clean
+    };
+    let cycles = |i: usize| clean.outcomes[i].metrics().expect("clean point").cycles;
+    let budget = (0..points.len())
+        .filter(|&i| i != slow)
+        .map(cycles)
+        .max()
+        .unwrap()
+        + 1;
+    assert!(cycles(slow) > budget, "one sharer is strictly the slowest");
+    let loners = points.len() as u64 - 4;
+    for threads in [1, 2, 5] {
+        let out = run(&CampaignSpec {
+            supervise: fast().with_cycle_budget(budget),
+            ..spec(&points, threads)
+        });
+        for i in (0..points.len()).filter(|&i| i != slow) {
+            assert_eq!(out.outcomes[i], clean.outcomes[i], "{threads} threads");
+        }
+        assert!(
+            matches!(
+                &out.outcomes[slow],
+                PointOutcome::TimedOut { attempts: 3, .. }
+            ),
+            "{threads} threads: got {:?}",
+            out.outcomes[slow]
+        );
+        let r = &out.report;
+        assert_eq!(r.retries, 2, "{threads} threads");
+        assert_eq!(r.machines_requested, 3 + loners + 3, "{threads} threads");
+        // The cancelled point's copies died with its attempts. Only when
+        // it was the last sharer left did an attempt take the state
+        // itself, and its retries then warm again: never another pass
+        // while a sharer that has not run yet still needs the state.
+        assert!((1 + loners..=3 + loners).contains(&r.warm_passes), "{r:?}");
+        assert_eq!(r.records_warmed, r.warm_passes * WARMUP as u64);
+    }
+}

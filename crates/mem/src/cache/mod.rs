@@ -8,9 +8,11 @@
 pub mod banked;
 pub mod core;
 pub mod mshr;
-pub mod set;
+/// The per-set model [`Cache`] used to be built from, kept as the
+/// reference its flat arrays are tested against.
+#[cfg(test)]
+mod set;
 
 pub use self::core::{Cache, Eviction};
 pub use banked::bank_of;
 pub use mshr::MshrFile;
-pub use set::CacheSet;

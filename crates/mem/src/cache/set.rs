@@ -1,4 +1,9 @@
-//! One cache set with true-LRU replacement.
+//! One cache set with true-LRU replacement: the reference model.
+//!
+//! [`Cache`](super::Cache) was a `Vec` of these until its directory
+//! became two flat arrays; the differential test in `cache::core` drives
+//! both with the same operations and requires the same hits, victims and
+//! dirty bits. Compiled for tests only.
 
 /// A resident line: its tag and dirty bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,11 +137,6 @@ impl CacheSet {
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
         self.ways.iter().flatten().count()
-    }
-
-    /// Number of ways.
-    pub fn ways(&self) -> usize {
-        self.ways.len()
     }
 
     /// Iterates over resident entries.

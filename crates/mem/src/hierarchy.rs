@@ -1605,6 +1605,35 @@ mod warm_tests {
     }
 
     #[test]
+    fn a_fork_renders_as_its_original_and_shares_no_storage_with_it() {
+        // Enough lines to evict from every level and train the prefetcher.
+        let churn = |m: &mut MemorySystem, salt: u64| {
+            for i in 0..40_000u64 {
+                let addr = (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt) & 0xff_ffc0;
+                m.warm_data(0, addr, i % 3 == 0);
+                m.warm_fetch(0, 0x900_0000 + (i % 5_000) * 64);
+                m.warm_data(0, 0x100_0000 + i * 64, false);
+            }
+        };
+        let mut original = MemorySystem::new(MemConfig::sparc64_v(), 1);
+        churn(&mut original, 0);
+        let mut fork = original.fork();
+        let rendered = format!("{original:?}");
+        assert_eq!(format!("{fork:?}"), rendered);
+        // Neither side can reach the other's arrays: whatever one does,
+        // the other still renders as it did at the fork.
+        churn(&mut fork, 0x5a5a);
+        for i in 0..2_000u64 {
+            fork.store(0, 0x4000 + i * 64, 10 + i);
+        }
+        assert_eq!(format!("{original:?}"), rendered);
+        let forked = format!("{fork:?}");
+        assert_ne!(forked, rendered);
+        churn(&mut original, 0xa5a5);
+        assert_eq!(format!("{fork:?}"), forked);
+    }
+
+    #[test]
     fn warming_trains_the_prefetcher() {
         let mut m = MemorySystem::new(MemConfig::sparc64_v(), 1);
         // Build a stream far beyond the L1 so timed accesses keep missing

@@ -234,8 +234,10 @@ impl ObsEvent {
 /// Implementations MUST be pure observers: a probe receives events but
 /// has no channel back into the model, so simulation results are
 /// byte-identical with any probe attached or none (the engine's cache
-/// fingerprints therefore ignore observation options entirely).
-pub trait Probe: std::fmt::Debug + Send {
+/// fingerprints therefore ignore observation options entirely). `Sync`
+/// because a functionally warmed machine — probe slot and all — is shared
+/// by reference between the campaign workers that copy it.
+pub trait Probe: std::fmt::Debug + Send + Sync {
     /// Receives one event. Called on the model's hot path — implementors
     /// should do no more than buffer.
     fn event(&mut self, ev: ObsEvent);

@@ -19,6 +19,10 @@ cargo test --release -p s64v-core --test fault_matrix -q
 echo "== shared-input equivalence (cursor = fresh warm pass; sharing never changes a result)"
 cargo test --release -p s64v-core --test warm_cursor -q
 cargo test --release -p s64v-harness --test shared_inputs -q
+cargo test --release -p s64v-harness --test shared_warm -q
+# The benchmark's explore_sweep query at full size: one warming pass per
+# round, on one worker and on two (150 000 of 8 800 000 requested records).
+cargo test --release -p s64v-harness --lib -q -- --ignored sweep_warms_once_per_round
 
 echo "== per-core sleeping equivalence (asleep = stepped = checked, 1 to 16 CPUs; caps land on their cycles)"
 cargo test --release -p s64v-core --test skip_equivalence -q
@@ -123,20 +127,25 @@ if S64V_RECORDS=45000 S64V_WARMUP=2000000 S64V_SEED=42 \
 fi
 rm -rf "$SAMPLING_SCRATCH"
 
-echo "== bench smoke (simulator throughput vs committed floor)"
-# Reduced-size sim_speed run compared against specs/bench_floor.json:
-# a suite more than 30% below its floor fails the gate, so kernel
-# regressions surface in CI instead of at the next BENCH_<n> snapshot.
-# Floors are set from a clean run's --smoke rates; re-calibrate them
-# (and justify the change) whenever the kernel is deliberately reworked.
+echo "== bench smoke (simulator throughput and machine set-up vs committed floor)"
+# Reduced-size sim_speed run, plus the component bench's mem/new and
+# mem/fork rates (memory systems built or copied per second), compared
+# against specs/bench_floor.json: an entry more than 30% below its
+# floor fails the gate, so kernel regressions — and a return to
+# per-set cache allocation — surface in CI instead of at the next
+# BENCH_<n> snapshot. Floors are set from a clean run's rates;
+# re-calibrate them (and justify the change) whenever the kernel is
+# deliberately reworked.
 BENCH_SCRATCH=target/ci-bench
 rm -rf "$BENCH_SCRATCH"
 mkdir -p "$BENCH_SCRATCH"
 cargo bench -p s64v-bench --bench sim_speed -- --smoke \
     | tee "$BENCH_SCRATCH/smoke.txt"
+cargo bench -p s64v-bench --bench components \
+    | tee -a "$BENCH_SCRATCH/smoke.txt"
 awk '
 FILENAME ~ /bench_floor/ {
-    if (match($0, /"sim_speed\/[^"]*"/)) {
+    if (match($0, /"[a-z_]+\/[^"]*"/)) {
         key = substr($0, RSTART + 1, RLENGTH - 2)
         rest = substr($0, RSTART + RLENGTH)
         gsub(/[^0-9]/, "", rest)
