@@ -1,71 +1,15 @@
-//! Shared plumbing for the figure-harness binaries.
+//! Timing benches and the pipeline-timeline dump.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see `DESIGN.md`'s experiment index). The binaries
-//! that simulate delegate to the campaign engine in [`s64v_harness`]
-//! through [`figure_main`], which gives each of them parallel execution,
-//! result caching and crash isolation for free; run sizes come from the
-//! same `S64V_*` environment variables as before (see
-//! [`HarnessOpts`]), and engine knobs (`S64V_THREADS`,
-//! `S64V_CACHE_DIR`, `S64V_NO_CACHE`) from
-//! [`s64v_harness::EngineOpts`].
-//!
-//! [`run_up_suites`] and [`run_smp`] remain as the *sequential
-//! reference path*: a plain, engine-free way to run the same workloads,
-//! kept so integration tests can check the campaign engine against an
-//! independent implementation.
+//! The evaluation's tables and figures are not here: each is an entry of
+//! the [`s64v_harness::figures`] registry, run with `campaign --figures
+//! <name>` (`campaign --list` names them all). This crate keeps what the
+//! campaign engine does not cover: `benches/sim_speed.rs` (simulator
+//! throughput, the analogue of the paper's §2.1 instructions-per-second
+//! figure) and `benches/components.rs` (cache, BHT, directory and codec
+//! rates), both gated against `specs/bench_floor.json` in CI, and the
+//! `pipeline_dump` binary (per-instruction stage timestamps, §2.2).
 
-use s64v_core::experiment::{run_suite_warm, run_tpcc_smp_warm, SuiteResult};
-use s64v_core::SystemConfig;
-
-pub use s64v_harness::figures::UP_SUITES;
-pub use s64v_harness::{banner, emit, EngineOpts, HarnessOpts};
-
-/// Runs every uniprocessor suite on `config`, sequentially and without
-/// the campaign engine (reference path; see the crate docs).
-pub fn run_up_suites(config: &SystemConfig, opts: &HarnessOpts) -> Vec<SuiteResult> {
-    UP_SUITES
-        .iter()
-        .map(|&kind| run_suite_warm(config, kind, opts.records, opts.warmup, opts.seed))
-        .collect()
-}
-
-/// Runs the TPC-C SMP model on `config` (overriding its CPU count),
-/// without the campaign engine (reference path; see the crate docs).
-pub fn run_smp(config: &SystemConfig, opts: &HarnessOpts) -> SuiteResult {
-    let cfg = SystemConfig {
-        cpus: opts.smp_cpus,
-        ..config.clone()
-    };
-    run_tpcc_smp_warm(&cfg, opts.smp_records, opts.smp_warmup, opts.seed)
-}
-
-/// Runs one registered figure through the campaign engine and exits with
-/// its status: 0 when every point simulated and the figure rendered,
-/// 1 when any point or the render failed, 2 on engine I/O errors.
-///
-/// This is the whole body of each per-figure binary; everything they
-/// used to duplicate (suite loops, ratio tables, CSV emission) lives in
-/// [`s64v_harness::figures`] now.
-pub fn figure_main(name: &str) -> ! {
-    let opts = HarnessOpts::from_env();
-    let engine = EngineOpts::from_env();
-    match s64v_harness::run_figures(&[name], &opts, &engine, None) {
-        Ok(summary) => {
-            for (label, error) in &summary.point_failures {
-                eprintln!("failed point: {label}: {error}");
-            }
-            for (fig, reason) in &summary.render_failures {
-                eprintln!("figure {fig} did not render: {reason}");
-            }
-            std::process::exit(if summary.all_ok() { 0 } else { 1 });
-        }
-        Err(e) => {
-            eprintln!("campaign error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
+pub use s64v_harness::{banner, HarnessOpts};
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,6 @@
-//! The Figure 19 methodology study: version estimates and accuracy
-//! against the "physical machine".
+//! The "physical machine" of the Figure 19 methodology study (version
+//! estimates and accuracy; rendered by the campaign engine's
+//! `fig19_accuracy` figure from per-version cycle counts).
 //!
 //! The upper graph tracks each model version's SPEC CPU2000 performance
 //! estimate relative to the final version (v8); the lower graph tracks the
@@ -17,26 +18,8 @@
 //! grows, v5 blips upward, and the error shrinks monotonically toward the
 //! residual floor.
 
-use crate::model::PerformanceModel;
-use crate::system::SystemConfig;
-use crate::versions::ModelVersion;
-use s64v_trace::VecTrace;
-
-/// One version's aggregate estimate, relative to v8.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VersionEstimate {
-    /// The model version.
-    pub version: ModelVersion,
-    /// Geometric-mean performance (1/cycles) ratio to v8 (>1 = optimistic).
-    pub perf_ratio_to_v8: f64,
-    /// Mean absolute error versus the reconstructed machine, in percent.
-    pub error_vs_machine_percent: f64,
-}
-
 /// Deterministic per-program residual in `[-max, +max]` modeling what the
-/// final software model still misses versus silicon. Public so external
-/// executors (the campaign engine) can reconstruct the same "machine"
-/// from cached per-version cycle counts.
+/// final software model still misses versus silicon.
 pub fn machine_residual(name: &str, max: f64) -> f64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.bytes() {
@@ -50,74 +33,9 @@ pub fn machine_residual(name: &str, max: f64) -> f64 {
 /// Maximum magnitude of the machine residual (fraction of cycles).
 pub const MACHINE_RESIDUAL_MAX: f64 = 0.065;
 
-/// Runs the full version ladder over a set of named traces.
-///
-/// Returns one [`VersionEstimate`] per version, in development order.
-pub fn version_study(
-    final_config: &SystemConfig,
-    workloads: &[(String, VecTrace)],
-) -> Vec<VersionEstimate> {
-    version_study_warm(final_config, workloads, 0)
-}
-
-/// [`version_study`] with a functional warm-up prefix of `warmup` records
-/// per workload (0 = cold).
-pub fn version_study_warm(
-    final_config: &SystemConfig,
-    workloads: &[(String, VecTrace)],
-    warmup: usize,
-) -> Vec<VersionEstimate> {
-    assert!(!workloads.is_empty(), "version study needs workloads");
-
-    // Cycle counts per (version, workload).
-    let mut cycles: Vec<Vec<f64>> = Vec::new();
-    for version in ModelVersion::ALL {
-        let cfg = version.configure(final_config);
-        let model = PerformanceModel::new(cfg);
-        let row: Vec<f64> = crate::experiment::parallel_map(workloads, |(_, trace)| {
-            if warmup == 0 {
-                model.run_trace(trace).cycles as f64
-            } else {
-                model.run_trace_warm(trace, warmup).cycles as f64
-            }
-        });
-        cycles.push(row);
-    }
-    let v8_row = cycles.last().expect("ladder is non-empty").clone();
-
-    // The "physical machine": v8 plus the per-program residual.
-    let machine: Vec<f64> = workloads
-        .iter()
-        .zip(&v8_row)
-        .map(|((name, _), &c)| c * (1.0 + machine_residual(name, MACHINE_RESIDUAL_MAX)))
-        .collect();
-
-    ModelVersion::ALL
-        .iter()
-        .zip(&cycles)
-        .map(|(&version, row)| {
-            // Performance ∝ 1/cycles; geometric mean of per-program ratios.
-            let log_sum: f64 = row.iter().zip(&v8_row).map(|(&c, &c8)| (c8 / c).ln()).sum();
-            let perf_ratio = (log_sum / row.len() as f64).exp();
-            let err: f64 = row
-                .iter()
-                .zip(&machine)
-                .map(|(&c, &m)| ((c - m) / m).abs())
-                .sum::<f64>()
-                / row.len() as f64;
-            VersionEstimate {
-                version,
-                perf_ratio_to_v8: perf_ratio,
-                error_vs_machine_percent: err * 100.0,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s64v_workloads::{Suite, SuiteKind};
 
     #[test]
     fn residual_is_deterministic_and_bounded() {
@@ -130,33 +48,5 @@ mod tests {
             machine_residual("gzip", 0.065),
             machine_residual("mcf", 0.065)
         );
-    }
-
-    #[test]
-    fn version_ladder_converges() {
-        // Two small CPU2000-like workloads keep the test quick.
-        let int = Suite::preset(SuiteKind::SpecInt2000);
-        let fp = Suite::preset(SuiteKind::SpecFp2000);
-        let workloads = vec![
-            ("gzip".to_string(), int.programs()[0].generate(8_000, 11)),
-            ("swim".to_string(), fp.programs()[1].generate(8_000, 11)),
-        ];
-        let study = version_study(&SystemConfig::sparc64_v(), &workloads);
-        assert_eq!(study.len(), 8);
-        let v1 = &study[0];
-        let v8 = study.last().expect("eight versions");
-        assert!(
-            v1.perf_ratio_to_v8 > 1.0,
-            "v1 must be optimistic, got {}",
-            v1.perf_ratio_to_v8
-        );
-        assert!((v8.perf_ratio_to_v8 - 1.0).abs() < 1e-12);
-        assert!(
-            v8.error_vs_machine_percent < v1.error_vs_machine_percent,
-            "error must shrink: v1 {} vs v8 {}",
-            v1.error_vs_machine_percent,
-            v8.error_vs_machine_percent
-        );
-        assert!(v8.error_vs_machine_percent < 7.0);
     }
 }

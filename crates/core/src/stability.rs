@@ -2,14 +2,9 @@
 //!
 //! The paper's conclusions rest on sampled traces (§2.2); a reproduction
 //! built on *synthetic* traces must additionally show that its conclusions
-//! do not hinge on one lucky seed. [`seed_study`] re-runs a configuration
-//! over several generator seeds and reports the spread; the `stability`
-//! harness binary applies it to the headline comparisons.
-
-use crate::experiment::parallel_map;
-use crate::model::PerformanceModel;
-use crate::system::SystemConfig;
-use s64v_workloads::Program;
+//! do not hinge on one lucky seed. [`SeedStudy`] summarizes the spread of
+//! a metric observed over several generator seeds; the campaign engine's
+//! `stability` figure applies it to the headline comparisons.
 
 /// Mean/min/max/σ of a metric across seeds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,57 +55,9 @@ impl SeedStudy {
     }
 }
 
-/// Runs `program` on `config` across `seeds` and summarizes IPC.
-pub fn seed_study(
-    config: &SystemConfig,
-    program: &Program,
-    records: usize,
-    warmup: usize,
-    seeds: &[u64],
-) -> SeedStudy {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let model = PerformanceModel::new(config.clone());
-    let ipcs = parallel_map(seeds, |&seed| {
-        let trace = program.generate(records + warmup, seed);
-        if warmup == 0 {
-            model.run_trace(&trace).ipc()
-        } else {
-            model.run_trace_warm(&trace, warmup).ipc()
-        }
-    });
-    SeedStudy::from_values(&ipcs)
-}
-
-/// Runs a *comparison* (alt vs base IPC ratio) across seeds — the right
-/// unit of stability for the paper's figures, which are all ratios.
-pub fn seed_study_ratio(
-    base: &SystemConfig,
-    alt: &SystemConfig,
-    program: &Program,
-    records: usize,
-    warmup: usize,
-    seeds: &[u64],
-) -> SeedStudy {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let base_model = PerformanceModel::new(base.clone());
-    let alt_model = PerformanceModel::new(alt.clone());
-    let ratios = parallel_map(seeds, |&seed| {
-        let trace = program.generate(records + warmup, seed);
-        let b = base_model.run_trace_warm(&trace, warmup).ipc();
-        let a = alt_model.run_trace_warm(&trace, warmup).ipc();
-        if b == 0.0 {
-            0.0
-        } else {
-            a / b
-        }
-    });
-    SeedStudy::from_values(&ratios)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s64v_workloads::{Suite, SuiteKind};
 
     #[test]
     fn summary_statistics_are_correct() {
@@ -128,39 +75,5 @@ mod tests {
         let s = SeedStudy::from_values(&[4.2]);
         assert_eq!(s.stddev, 0.0);
         assert_eq!(s.min, s.max);
-    }
-
-    #[test]
-    fn ipc_is_stable_across_seeds() {
-        let suite = Suite::preset(SuiteKind::SpecInt95);
-        let program = &suite.programs()[0];
-        let s = seed_study(
-            &SystemConfig::sparc64_v(),
-            program,
-            10_000,
-            30_000,
-            &[1, 2, 3, 4],
-        );
-        assert_eq!(s.seeds, 4);
-        assert!(s.mean > 0.0);
-        assert!(
-            s.cv() < 0.15,
-            "per-seed IPC spread should be modest (cv = {:.3})",
-            s.cv()
-        );
-    }
-
-    #[test]
-    fn prefetch_conclusion_holds_across_seeds() {
-        let suite = Suite::preset(SuiteKind::SpecFp95);
-        let program = &suite.programs()[1];
-        let base = SystemConfig::sparc64_v();
-        let without = base.clone().with_mem(base.mem.clone().without_prefetch());
-        let s = seed_study_ratio(&without, &base, program, 10_000, 40_000, &[5, 6, 7]);
-        assert!(
-            s.min > 1.0,
-            "prefetch must win on every seed (min ratio {:.3})",
-            s.min
-        );
     }
 }

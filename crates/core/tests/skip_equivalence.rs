@@ -349,11 +349,6 @@ fn skipping_actually_engages_on_miss_bound_workloads() {
     let trace = tpcc_program().generate(30_000, 7);
     let r = model.run_trace(&trace);
     assert_eq!(r.committed, 30_000);
-    assert!(
-        std::env::var_os("S64V_NO_SKIP").is_some() || {
-            let core = s64v_cpu::Core::new(s64v_cpu::CoreConfig::sparc64_v(), 0);
-            core.skip_enabled()
-        },
-        "skip must be on by default"
-    );
+    let core = s64v_cpu::Core::new(s64v_cpu::CoreConfig::sparc64_v(), 0);
+    assert!(core.skip_enabled(), "skip must be on by default");
 }

@@ -173,7 +173,7 @@ impl Core {
             spec_loads: Vec::new(),
             draining: Vec::new(),
             last_commit_cycle: 0,
-            skip: std::env::var_os("S64V_NO_SKIP").is_none(),
+            skip: true,
             timeline: None,
             probe: None,
             scratch_incomplete: Vec::new(),
@@ -426,9 +426,8 @@ impl Core {
     }
 
     /// Disables (or re-enables) quiescent-cycle skipping for this core.
-    /// Skipping is on by default unless the `S64V_NO_SKIP` environment
-    /// variable is set; either way results are byte-identical — the switch
-    /// exists for equivalence testing and debugging.
+    /// Skipping is on by default; either way results are byte-identical —
+    /// the switch exists for equivalence testing and debugging.
     pub fn set_skip(&mut self, enabled: bool) {
         self.skip = enabled;
     }

@@ -1,5 +1,5 @@
-//! The experiment registry: every simulating table/figure of the
-//! evaluation, declared as campaign points plus a render step.
+//! The experiment registry: every table/figure of the evaluation,
+//! declared as campaign points plus a render step.
 //!
 //! Each [`FigureDef`] contributes (a) the [`SimPoint`]s it needs and (b)
 //! a render function that assembles its tables from resolved point
@@ -84,10 +84,8 @@ impl PointStore {
     }
 }
 
-/// A suite's aggregated outcome, mirroring
-/// [`s64v_core::experiment::SuiteResult`]'s math exactly (geometric-mean
-/// IPC, exactly-merged event ratios) so figures rendered from cached
-/// points equal figures computed from live [`s64v_core`] suite runs.
+/// A suite's aggregated outcome: geometric-mean IPC (the paper reports
+/// suite-level IPC ratios) and exactly-merged event ratios.
 #[derive(Debug, Clone)]
 pub struct SuiteAgg {
     /// Figure label (e.g. `"SPECint95"` or `"TPC-C(16P)"`).
@@ -146,9 +144,8 @@ impl SuiteAgg {
 // Point builders
 // ---------------------------------------------------------------------
 
-/// One [`WorkUnit::Program`] point per program of `kind`, with the
-/// per-program derived seed [`run_suite_warm`](s64v_core::run_suite_warm)
-/// uses, so engine campaigns reproduce core suite runs point-for-point.
+/// One [`WorkUnit::Program`] point per program of `kind`, each seeded by
+/// its [`program_seed`] so every program gets an independent stream.
 pub fn suite_points(config: &SystemConfig, kind: SuiteKind, o: &HarnessOpts) -> Vec<SimPoint> {
     Suite::preset(kind)
         .programs()
@@ -226,7 +223,7 @@ fn gather_smp(
 }
 
 // ---------------------------------------------------------------------
-// Table builders (format-compatible with `s64v_core::report`)
+// Table builders
 // ---------------------------------------------------------------------
 
 fn ipc_ratio_table(base_name: &str, alt_name: &str, rows: &[(SuiteAgg, SuiteAgg)]) -> Table {
@@ -319,7 +316,7 @@ fn unified_rs() -> SystemConfig {
 
 /// Figure 7's cumulative-idealization ladder: base, +perfect L2,
 /// +perfect L1/TLB, +perfect branch prediction (each on top of the
-/// previous, exactly as [`s64v_core::characterize_warm`] builds them).
+/// previous).
 fn fig07_ladder() -> [SystemConfig; 4] {
     let b = base();
     let l2 = b.clone().with_mem(b.mem.clone().with_perfect_l2());
@@ -467,8 +464,9 @@ fn fig07_render(o: &HarnessOpts, store: &PointStore) -> Result<(), String> {
     let ladder = fig07_ladder();
     let mut t = Table::with_headers(&["workload", "sx", "ibs/tlb", "branch", "core"]);
     for kind in UP_SUITES {
-        // Per-program cumulative-idealization fractions (the exact
-        // `characterize_warm` math), then the suite mean.
+        // Per-program cumulative-idealization fractions (what each
+        // idealization step removes, as a share of base cycles; `core` is
+        // the residue), then the suite mean.
         let cycles_per_config: Vec<Vec<f64>> = ladder
             .iter()
             .map(|cfg| {
@@ -735,8 +733,7 @@ fn fig19_render(o: &HarnessOpts, store: &PointStore) -> Result<(), String> {
             .iter()
             .map(|p| p.name().to_string())
             .collect();
-        // Cycle counts per (version, workload), as `version_study_warm`
-        // collects them.
+        // Cycle counts per (version, workload).
         let cycles: Vec<Vec<f64>> = ModelVersion::ALL
             .iter()
             .map(|v| {
@@ -748,6 +745,7 @@ fn fig19_render(o: &HarnessOpts, store: &PointStore) -> Result<(), String> {
             .collect::<Result<_, _>>()
             .map_err(|e| e.to_string())?;
         let v8_row = cycles.last().expect("ladder is non-empty");
+        // The "physical machine": v8 plus the per-program residual.
         let machine: Vec<f64> = names
             .iter()
             .zip(v8_row)
@@ -757,6 +755,7 @@ fn fig19_render(o: &HarnessOpts, store: &PointStore) -> Result<(), String> {
         let mut t = Table::with_headers(&["version", "perf ratio to v8", "error vs machine %"]);
         let mut ratios = Vec::new();
         for (version, row) in ModelVersion::ALL.iter().zip(&cycles) {
+            // Performance ∝ 1/cycles; geometric mean of per-program ratios.
             let log_sum: f64 = row.iter().zip(v8_row).map(|(&c, &c8)| (c8 / c).ln()).sum();
             let perf_ratio = (log_sum / row.len() as f64).exp();
             let err: f64 = row
@@ -1216,8 +1215,131 @@ fn sampling_accuracy_render(o: &HarnessOpts, store: &PointStore) -> Result<(), S
     }
 }
 
-/// Every simulating experiment, in the evaluation's reporting order.
+/// Figures that only print (Table 1, the workload presets) need no points.
+fn no_points(_: &HarnessOpts) -> Vec<SimPoint> {
+    Vec::new()
+}
+
+/// T-1: Table 1, the SPARC64 V microarchitecture parameters, as
+/// configured in the model.
+fn table1_render(_: &HarnessOpts, _: &PointStore) -> Result<(), String> {
+    let cfg = base();
+    let core = &cfg.core;
+    let mem = &cfg.mem;
+
+    banner(
+        "Table 1 — Microarchitecture",
+        "Table 1",
+        "the model's base configuration reproduces the published parameters",
+    );
+
+    let mut t = Table::with_headers(&["parameter", "value"]);
+    let kib = |b: u64| format!("{} KB", b / 1024);
+    t.row(vec![
+        "Instruction set architecture".into(),
+        "SPARC-V9 (op-class model)".into(),
+    ]);
+    t.row(vec![
+        "Execution control method".into(),
+        "Out-of-order superscalar".into(),
+    ]);
+    t.row(vec![
+        "Issue number".into(),
+        format!("{}-way", core.issue_width),
+    ]);
+    t.row(vec![
+        "Instruction window".into(),
+        format!("{} instructions", core.window_size),
+    ]);
+    t.row(vec![
+        "Instruction fetch width".into(),
+        format!(
+            "{} bytes ({} instructions)",
+            core.fetch_block_bytes, core.fetch_width
+        ),
+    ]);
+    t.row(vec![
+        "Branch history table".into(),
+        format!(
+            "{}-way, {}K-entry, {}-cycle",
+            core.bht.ways,
+            core.bht.entries / 1024,
+            core.bht.access_cycles
+        ),
+    ]);
+    t.row(vec![
+        "Execution units".into(),
+        "Fixed-point: 2, Floating-point: 2 (multiply-add), Address generator: 2".into(),
+    ]);
+    t.row(vec![
+        "Reservation stations".into(),
+        format!(
+            "RSE: {}({}/{}) fixed-point, RSF: {}({}/{}) floating-point, RSA: {}, RSBR: {}",
+            2 * core.rse_entries,
+            core.rse_entries,
+            core.rse_entries,
+            2 * core.rsf_entries,
+            core.rsf_entries,
+            core.rsf_entries,
+            core.rsa_entries,
+            core.rsbr_entries
+        ),
+    ]);
+    t.row(vec![
+        "Renaming registers".into(),
+        format!(
+            "Fixed-point: {}, Floating-point: {}",
+            core.int_rename_regs, core.fp_rename_regs
+        ),
+    ]);
+    t.row(vec![
+        "Load/Store queue".into(),
+        format!("{}/{} entries", core.load_queue, core.store_queue),
+    ]);
+    t.row(vec![
+        "Level 1 cache (I/D)".into(),
+        format!("{}-way, {}", mem.l1i.ways, kib(mem.l1i.capacity_bytes)),
+    ]);
+    t.row(vec![
+        "L1 operand banks".into(),
+        format!("{} × {} bytes", mem.l1d_banks, mem.l1d_bank_bytes),
+    ]);
+    t.row(vec![
+        "Level 2 cache".into(),
+        format!(
+            "On-chip {}-way {} MB",
+            mem.l2.ways,
+            mem.l2.capacity_bytes >> 20
+        ),
+    ]);
+    t.row(vec![
+        "Hardware prefetch".into(),
+        format!("enabled, degree {}", mem.prefetch_degree),
+    ]);
+    emit("table1", &t);
+    Ok(())
+}
+
+/// Every workload preset's calibrated parameters (§4.1 analogue): the
+/// exact knobs this reproduction's synthetic traces are built from.
+fn workloads_report_render(_: &HarnessOpts, _: &PointStore) -> Result<(), String> {
+    banner(
+        "Workload presets",
+        "§4.1 (workload and trace generation)",
+        "parameters behind the synthetic SPEC CPU95/2000 and TPC-C traces",
+    );
+    print!("{}", s64v_workloads::describe::full_report());
+    Ok(())
+}
+
+/// Every experiment, in the evaluation's reporting order (`table1` and
+/// `workloads_report` simulate nothing and bracket the rest).
 pub const FIGURES: &[FigureDef] = &[
+    FigureDef {
+        name: "table1",
+        points: no_points,
+        render: table1_render,
+    },
     FigureDef {
         name: "fig07_breakdown",
         points: fig07_points,
@@ -1322,6 +1444,11 @@ pub const FIGURES: &[FigureDef] = &[
         name: "sampling_accuracy",
         points: sampling_accuracy_points,
         render: sampling_accuracy_render,
+    },
+    FigureDef {
+        name: "workloads_report",
+        points: no_points,
+        render: workloads_report_render,
     },
 ];
 
@@ -1547,12 +1674,23 @@ mod tests {
 
     #[test]
     fn registry_is_consistent() {
-        assert_eq!(FIGURES.len(), 21);
+        assert_eq!(FIGURES.len(), 23);
         assert!(figure("fig08_issue_width").is_some());
         assert!(figure("nope").is_none());
         let names = figure_names();
         let unique: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(unique.len(), names.len(), "figure names must be unique");
+    }
+
+    #[test]
+    fn print_only_figures_bracket_the_registry_and_need_no_points() {
+        let names = figure_names();
+        assert_eq!(names.first(), Some(&"table1"));
+        assert_eq!(names.last(), Some(&"workloads_report"));
+        let o = HarnessOpts::smoke();
+        for name in ["table1", "workloads_report"] {
+            assert!((figure(name).unwrap().points)(&o).is_empty(), "{name}");
+        }
     }
 
     #[test]

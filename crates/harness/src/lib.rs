@@ -2,8 +2,8 @@
 //!
 //! The evaluation's figures share almost all of their simulations (most
 //! compare a variant configuration against the same baseline suite
-//! runs), yet the historical per-figure binaries each re-ran everything
-//! sequentially. This crate replaces those loops with one engine:
+//! runs), so this crate runs them all through one engine — the only
+//! executor of the evaluation:
 //!
 //! * **Declarative campaigns** — a [`CampaignSpec`] lists independent
 //!   [`SimPoint`]s (configuration × workload × seed × lengths); figures

@@ -3,19 +3,15 @@
 //!
 //! Every successfully simulated point leaves a PMU-style top-down CPI
 //! artifact (`<fingerprint>.cpi.json`) next to its cache entry; this
-//! module renders those artifacts, loads them back from any of three
-//! source shapes — a single artifact, a whole cache directory, or a
-//! `BENCH_<n>.json` throughput snapshot — and diffs two sources,
-//! attributing every cycles-per-instruction delta to the blame taxonomy
-//! (see [`s64v_observe::cpi`]): "TPC-C regressed 8%: +6%
+//! module renders those artifacts, loads them back from either source
+//! shape — a single artifact or a whole cache directory — and diffs two
+//! sources, attributing every cycles-per-instruction delta to the blame
+//! taxonomy (see [`s64v_observe::cpi`]): "TPC-C regressed 8%: +6%
 //! backend-memory/dram, +2% bad-speculation/replay".
 //!
 //! Attribution is exact, not heuristic: each core's stack conserves its
 //! cycle count, so per-leaf CPI deltas sum to the total CPI delta to
-//! within floating-point rounding. A `BENCH` snapshot carries only
-//! throughput rates, no stacks, so its regressions are *unattributed* —
-//! the `--fail-threshold` gate exists precisely to refuse large
-//! regressions nobody can account for.
+//! within floating-point rounding.
 
 use crate::journal::{journal_path, Journal};
 use crate::spec::PointMetrics;
@@ -177,9 +173,6 @@ pub struct PerfSource {
     /// (re-runs, per-program points of one suite sweep) are merged by
     /// summing — consistent on both sides of a diff of like campaigns.
     pub workloads: BTreeMap<String, WorkloadPerf>,
-    /// Stack-less throughput rates (`BENCH_<n>.json` sources): metric
-    /// name → rate. Higher is better.
-    pub rates: BTreeMap<String, f64>,
     /// Labels of points excluded from aggregation: failed, quarantined
     /// or timed-out per the source's journal (cache-dir sources only).
     pub excluded: Vec<String>,
@@ -188,8 +181,7 @@ pub struct PerfSource {
 impl PerfSource {
     /// Loads a source, dispatching on shape: a directory is a result
     /// cache (every `*.cpi.json` inside plus its journal's failures), a
-    /// `*.cpi.json` file is a single point, any other `.json` file is a
-    /// `BENCH_<n>.json` throughput snapshot.
+    /// `*.cpi.json` file is a single point.
     pub fn load(path: &Path) -> Result<PerfSource, String> {
         let name = path.display().to_string();
         if path.is_dir() {
@@ -206,11 +198,9 @@ impl PerfSource {
                 .absorb_artifact(&doc)
                 .map_err(|e| format!("{name}: {e}"))?;
             Ok(source)
-        } else if name.ends_with(".json") {
-            Self::load_bench(&text, name)
         } else {
             Err(format!(
-                "{name}: not a cache directory, .cpi.json artifact or BENCH .json snapshot"
+                "{name}: not a cache directory or .cpi.json artifact"
             ))
         }
     }
@@ -265,36 +255,6 @@ impl PerfSource {
         let stack = CpiStack::from_value(doc.get("leaves").expect("validated"))?;
         w.stack.merge(&stack);
         Ok(())
-    }
-
-    fn load_bench(text: &str, name: String) -> Result<PerfSource, String> {
-        let doc = Value::parse(text).map_err(|e| format!("{name}: invalid JSON: {e}"))?;
-        let mut source = PerfSource {
-            name: name.clone(),
-            ..PerfSource::default()
-        };
-        // Both sections key by suite name ("sim_speed/SPECint95" appears
-        // in each), so namespace the cycles-per-second entries apart.
-        for (section, prefix) in [("rates", ""), ("simulated_cycles_per_second", "cps:")] {
-            if let Some(Value::Obj(fields)) = doc.get(section) {
-                for (key, val) in fields {
-                    if let Some(rate) = val.as_f64() {
-                        source.rates.insert(format!("{prefix}{key}"), rate);
-                    }
-                }
-            }
-        }
-        if let Some(rate) = doc
-            .get("end_to_end")
-            .and_then(|e| e.get("records_per_second"))
-            .and_then(Value::as_f64)
-        {
-            source.rates.insert("end_to_end".to_string(), rate);
-        }
-        if source.rates.is_empty() {
-            return Err(format!("{name}: no rates — not a BENCH snapshot?"));
-        }
-        Ok(source)
     }
 
     /// Flamegraph-compatible folded stacks for every workload
@@ -373,29 +333,12 @@ impl WorkloadDelta {
     }
 }
 
-/// One stack-less throughput delta (BENCH sources). Rates count *up*:
-/// a negative delta is a regression, and with no stack behind it the
-/// regression is unattributed.
-#[derive(Debug, Clone)]
-pub struct RateDelta {
-    /// Metric name.
-    pub name: String,
-    /// Base-side rate.
-    pub base: f64,
-    /// New-side rate.
-    pub new: f64,
-    /// Relative change in percent (positive = faster).
-    pub delta_pct: f64,
-}
-
 /// Everything `campaign perf` computed from two sources.
 #[derive(Debug, Clone, Default)]
 pub struct PerfDiff {
     /// Attributed per-workload CPI deltas (labels present in both).
     pub workloads: Vec<WorkloadDelta>,
-    /// Unattributed throughput deltas (rate keys present in both).
-    pub rates: Vec<RateDelta>,
-    /// Workload labels / rate keys present on only one side.
+    /// Workload labels present on only one side.
     pub unmatched: Vec<String>,
     /// Points excluded from aggregation on the base side.
     pub base_excluded: Vec<String>,
@@ -440,31 +383,7 @@ impl PerfDiff {
                 diff.unmatched.push(format!("{label} (new only)"));
             }
         }
-        for (key, b) in &base.rates {
-            match new.rates.get(key) {
-                Some(n) if *b > 0.0 => diff.rates.push(RateDelta {
-                    name: key.clone(),
-                    base: *b,
-                    new: *n,
-                    delta_pct: (n - b) / b * 100.0,
-                }),
-                _ => diff.unmatched.push(format!("{key} (base only)")),
-            }
-        }
-        for key in new.rates.keys() {
-            if !base.rates.contains_key(key) {
-                diff.unmatched.push(format!("{key} (new only)"));
-            }
-        }
         diff
-    }
-
-    /// The worst *unattributed* regression in percent (0 when none):
-    /// the largest rate slowdown with no CPI stack to account for it.
-    /// Attributed (stack-backed) CPI regressions never count — by
-    /// conservation their deltas are fully explained leaf by leaf.
-    pub fn worst_unattributed_regression(&self) -> f64 {
-        self.rates.iter().map(|r| -r.delta_pct).fold(0.0, f64::max)
     }
 
     /// The full human-readable report.
@@ -478,15 +397,6 @@ impl PerfDiff {
                     w.name, w.base_cpi, w.new_cpi, w.delta_pct
                 ));
                 out.push_str(&format!("    {}\n", w.attribution(0.5)));
-            }
-        }
-        if !self.rates.is_empty() {
-            out.push_str("throughput deltas (unattributed — no CPI stacks in BENCH sources):\n");
-            for r in &self.rates {
-                out.push_str(&format!(
-                    "  {:<40} {:>12.0} -> {:>12.0}  {:+.1}%\n",
-                    r.name, r.base, r.new, r.delta_pct
-                ));
             }
         }
         for label in &self.unmatched {
@@ -623,28 +533,6 @@ mod tests {
             "{}",
             w.summary()
         );
-        // Attributed regressions never trip the unattributed gate.
-        assert_eq!(diff.worst_unattributed_regression(), 0.0);
-    }
-
-    #[test]
-    fn bench_sources_diff_rates_unattributed() {
-        let bench = |int: f64, e2e: f64| {
-            format!(
-                "{{\"snapshot\": 1, \"rates\": {{\"sim_speed/SPECint95\": {int}}}, \
-                 \"simulated_cycles_per_second\": {{\"sim_speed/SPECint95\": 99.0}}, \
-                 \"end_to_end\": {{\"figure\": \"x\", \"records_per_second\": {e2e}}}}}"
-            )
-        };
-        let base = PerfSource::load_bench(&bench(1000.0, 500.0), "a.json".into()).expect("base");
-        let new = PerfSource::load_bench(&bench(600.0, 510.0), "b.json".into()).expect("new");
-        let diff = PerfDiff::compute(&base, &new);
-        assert_eq!(diff.rates.len(), 3);
-        assert!(diff.workloads.is_empty());
-        // sim_speed dropped 40% and nothing can attribute it.
-        let worst = diff.worst_unattributed_regression();
-        assert!((worst - 40.0).abs() < 1e-9, "got {worst}");
-        assert!(diff.render().contains("unattributed"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! ```
 
 use sparc64v::mem::config::CacheGeometry;
-use sparc64v::model::{Sweep, SystemConfig};
+use sparc64v::model::{PerformanceModel, SystemConfig};
 use sparc64v::stats::Table;
 use sparc64v::workloads::{Suite, SuiteKind};
 
@@ -20,26 +20,19 @@ fn main() {
     let sizes_mb = [1u64, 2, 4];
     let ways = [1u32, 2, 4];
 
-    // All nine L2 design points, run in parallel by the sweep API.
-    let mut sweep = Sweep::new();
+    println!(
+        "sweeping {} L2 design points over TPC-C...",
+        sizes_mb.len() * ways.len()
+    );
+
+    let mut t = Table::with_headers(&["L2 size", "1-way IPC", "2-way IPC", "4-way IPC"]);
     for &mb in &sizes_mb {
+        let mut row = vec![format!("{mb} MB")];
         for &w in &ways {
             let mut config = SystemConfig::sparc64_v();
             config.mem.l2 = CacheGeometry::new(mb << 20, w, config.mem.l2.latency);
-            sweep = sweep.point(&format!("{mb}MB-{w}w"), config);
-        }
-    }
-    println!(
-        "sweeping {} L2 design points over TPC-C...",
-        sweep.points().len()
-    );
-    let rows = sweep.run_trace(&trace, warmup);
-
-    let mut t = Table::with_headers(&["L2 size", "1-way IPC", "2-way IPC", "4-way IPC"]);
-    for (i, &mb) in sizes_mb.iter().enumerate() {
-        let mut row = vec![format!("{mb} MB")];
-        for j in 0..ways.len() {
-            row.push(format!("{:.3}", rows[i * ways.len() + j].1.ipc()));
+            let r = PerformanceModel::new(config).run_trace_warm(&trace, warmup);
+            row.push(format!("{:.3}", r.ipc()));
         }
         t.row(row);
     }

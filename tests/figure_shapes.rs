@@ -1,5 +1,5 @@
 //! Qualitative assertions that the paper's figure *shapes* hold at smoke
-//! scale (the full reproduction lives in the `s64v-bench` binaries).
+//! scale (the full reproduction is `campaign --figures all`).
 
 use sparc64v::model::{PerformanceModel, SystemConfig};
 use sparc64v::workloads::{Suite, SuiteKind};
