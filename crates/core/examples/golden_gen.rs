@@ -1,7 +1,7 @@
 //! Regenerates the golden regression constants in `tests/golden.rs`
 //! (run after any intentional timing change and paste the output).
 
-use s64v_core::{PerformanceModel, SystemConfig};
+use s64v_core::{PerformanceModel, Run, SystemConfig};
 use s64v_workloads::{Suite, SuiteKind};
 
 fn main() {
@@ -14,7 +14,7 @@ fn main() {
         let suite = Suite::preset(kind);
         let p = &suite.programs()[idx];
         let t = p.generate(40_000, 2026);
-        let r = model.run_trace_warm(&t, 30_000);
+        let r = model.run(Run::of(&t).warm(30_000));
         println!(
             "({:?}, {}, {}, {}, {}, {}, {}),",
             kind,

@@ -6,9 +6,8 @@
 //!
 //! * [`SimError`] — a structured error carrying the first faulting cycle,
 //!   the CPU involved, the violated [`Component`], and full pipeline /
-//!   memory-system snapshots, instead of a bare panic string. The fallible
-//!   model entry points ([`crate::PerformanceModel::try_run_traces`] and
-//!   friends) surface it; the campaign engine turns it into a JSON
+//!   memory-system snapshots, instead of a bare panic string.
+//!   [`crate::PerformanceModel::execute`] surfaces it; the campaign engine turns it into a JSON
 //!   diagnostic dump next to the results cache.
 //! * [`Auditor`] — the *checked mode* invariant sweep. Enabled via
 //!   [`crate::RunOptions::checked`], it verifies after every simulated

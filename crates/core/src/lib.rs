@@ -7,8 +7,10 @@
 //!
 //! * [`system`] — [`SystemConfig`] (core + memory + CPU count) and
 //!   [`RunResult`] (cycles, IPC, every miss/mispredict/coherence ratio),
-//! * [`model`] — [`PerformanceModel`], the façade that runs uniprocessor
-//!   traces and lock-stepped SMP trace sets,
+//! * [`model`] — [`PerformanceModel`] and [`Run`]: a run is *described*
+//!   (one trace per CPU, functional warm-up, optional timed window, run
+//!   options, optional observation) and [`PerformanceModel::execute`] is
+//!   the one way to carry it out, uniprocessor or lock-stepped SMP,
 //! * [`warm`] — [`WarmCursor`], the functional-warming pass (a branch
 //!   history table and a memory system, no core) that every uniprocessor
 //!   run with the same [`warm_fingerprint`] copies its warmed state from,
@@ -53,7 +55,7 @@ pub use fingerprint::{
 };
 pub use integrity::{Auditor, Component, SimError};
 pub use knobs::{apply_knob, apply_knobs, knob_names, knob_value, Knob, KNOBS};
-pub use model::{CycleBudget, PerformanceModel, RunOptions};
+pub use model::{CycleBudget, PerformanceModel, Run, RunOptions};
 pub use observe::{ObserveConfig, Observer};
 pub use reference::{compare, ModelCheck, ReferenceMachine};
 pub use s64v_observe::RunObservation;

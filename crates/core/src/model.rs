@@ -243,18 +243,90 @@ pub(crate) fn timed<S: TraceStream>(
     Ok((result, observation))
 }
 
+/// One run of the model, described: which records of which traces are
+/// functionally warmed, which are timed, under what supervision, observed
+/// or not. [`PerformanceModel::execute`] is the one way to carry it out.
+///
+/// Without a window, every CPU is warmed on its first `warmup` records —
+/// interleaved across CPUs in chunks, so shared lines end in a realistic
+/// mixed state (the paper traces workloads at steady state, §2.2) — and
+/// the rest of every trace is timed. With a window `(start, len)`, exactly
+/// records `[start, start + len)` are timed and `warmup` is the reach-back:
+/// the machine starts cold at `start.saturating_sub(warmup)`, anything
+/// earlier is never seen (SMARTS-style functional warming). A window's
+/// result therefore depends only on `(traces, start, len, warmup)`, never
+/// on which other windows ran or in what order, which is what lets the
+/// harness fingerprint, cache and parallelize windows as ordinary points.
+#[derive(Debug, Clone)]
+pub struct Run<'a> {
+    /// One trace per CPU.
+    pub traces: &'a [VecTrace],
+    /// Records functionally warmed before the first timed one.
+    pub warmup: usize,
+    /// Time only `[start, start + len)` of every trace.
+    pub window: Option<(usize, usize)>,
+    /// Checked mode, fault injection, budgets (see [`RunOptions`]).
+    pub opts: RunOptions,
+    /// Record events, interval metrics and timelines of the timed part
+    /// (probes attach after the warm-up). Observation is read-only: the
+    /// [`RunResult`] is byte-identical to an unobserved run's.
+    pub observe: Option<ObserveConfig>,
+}
+
+impl<'a> Run<'a> {
+    /// Every record of one trace per CPU, cold, timed from cycle zero.
+    pub fn new(traces: &'a [VecTrace]) -> Self {
+        Run {
+            traces,
+            warmup: 0,
+            window: None,
+            opts: RunOptions::default(),
+            observe: None,
+        }
+    }
+
+    /// [`Run::new`] for a uniprocessor.
+    pub fn of(trace: &'a VecTrace) -> Self {
+        Run::new(std::slice::from_ref(trace))
+    }
+
+    /// Sets the functional warm-up length.
+    pub fn warm(mut self, warmup: usize) -> Self {
+        self.warmup = warmup;
+        self
+    }
+
+    /// Times only records `[start, start + len)`.
+    pub fn window(mut self, start: usize, len: usize) -> Self {
+        self.window = Some((start, len));
+        self
+    }
+
+    /// Sets the run options.
+    pub fn options(mut self, opts: RunOptions) -> Self {
+        self.opts = opts;
+        self
+    }
+
+    /// Observes the timed part per `ocfg`.
+    pub fn observed(mut self, ocfg: ObserveConfig) -> Self {
+        self.observe = Some(ocfg);
+        self
+    }
+}
+
 /// The trace-driven performance model: a [`SystemConfig`] ready to run
 /// traces.
 ///
 /// # Examples
 ///
 /// ```
-/// use s64v_core::{PerformanceModel, SystemConfig};
+/// use s64v_core::{PerformanceModel, Run, SystemConfig};
 /// use s64v_workloads::{Suite, SuiteKind};
 ///
 /// let suite = Suite::preset(SuiteKind::SpecInt95);
 /// let trace = suite.programs()[0].generate(20_000, 1);
-/// let result = PerformanceModel::new(SystemConfig::sparc64_v()).run_trace(&trace);
+/// let result = PerformanceModel::new(SystemConfig::sparc64_v()).run(Run::of(&trace));
 /// assert_eq!(result.committed, 20_000);
 /// assert!(result.ipc() > 0.1);
 /// ```
@@ -274,87 +346,20 @@ impl PerformanceModel {
         &self.config
     }
 
-    /// Runs a single trace on a uniprocessor instance of the system.
+    /// Carries out `run` on a cold instance of the system: CPUs lock-step
+    /// cycle by cycle over the shared memory system until every one has
+    /// drained (CPUs that finish early sit idle; their commit counts still
+    /// contribute). A wedged pipeline, a tripped budget or (in checked
+    /// mode) an invariant violation is returned as a structured
+    /// [`SimError`]. The observation is empty unless `run.observe` is set.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has more than one CPU (use
-    /// [`PerformanceModel::run_traces`]).
-    pub fn run_trace(&self, trace: &VecTrace) -> RunResult {
-        assert_eq!(self.config.cpus, 1, "run_trace is for uniprocessor configs");
-        self.run_traces(std::slice::from_ref(trace))
-    }
-
-    /// Fallible variant of [`PerformanceModel::run_trace`]: a wedged
-    /// pipeline or (in checked mode) an invariant violation is returned as
-    /// a structured [`SimError`] instead of panicking.
-    ///
-    /// # Panics
-    ///
-    /// Panics on contract misuse (non-uniprocessor config), never on a
-    /// simulation fault.
-    pub fn try_run_trace(&self, trace: &VecTrace, opts: RunOptions) -> Result<RunResult, SimError> {
-        assert_eq!(self.config.cpus, 1, "run_trace is for uniprocessor configs");
-        self.try_run_traces(std::slice::from_ref(trace), opts)
-    }
-
-    /// Runs one trace per CPU, lock-stepped cycle by cycle over the shared
-    /// memory system. The run ends when every CPU has drained; CPUs that
-    /// finish early sit idle (their commit counts still contribute).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless exactly `cpus` traces are supplied.
-    pub fn run_traces(&self, traces: &[VecTrace]) -> RunResult {
-        self.try_run_traces(traces, RunOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`PerformanceModel::run_traces`]; see
-    /// [`RunOptions`] for checked mode and fault injection.
-    ///
-    /// # Panics
-    ///
-    /// Panics on contract misuse (trace count mismatch), never on a
-    /// simulation fault.
-    pub fn try_run_traces(
-        &self,
-        traces: &[VecTrace],
-        opts: RunOptions,
-    ) -> Result<RunResult, SimError> {
-        self.run_warm(traces, 0, opts, None)
-            .map(|(result, _)| result)
-    }
-
-    /// Observed variant of [`PerformanceModel::try_run_traces`]: records
-    /// structured events, interval metrics and instruction timelines per
-    /// `ocfg` and returns them alongside the result. The [`RunResult`] is
-    /// byte-identical to an unobserved run — observation is read-only.
-    ///
-    /// # Panics
-    ///
-    /// Panics on contract misuse (trace count mismatch), never on a
-    /// simulation fault.
-    pub fn try_run_traces_observed(
-        &self,
-        traces: &[VecTrace],
-        opts: RunOptions,
-        ocfg: ObserveConfig,
-    ) -> Result<(RunResult, RunObservation), SimError> {
-        self.run_warm(traces, 0, opts, Some(ocfg))
-    }
-
-    /// The one multi-CPU run path: a cold machine, each CPU functionally
-    /// warmed on its first `warmup` records — interleaved across CPUs in
-    /// chunks so shared lines end in a realistic mixed state — then the
-    /// rest of every trace timed, observed per `ocfg` when given.
-    fn run_warm(
-        &self,
-        traces: &[VecTrace],
-        warmup: usize,
-        opts: RunOptions,
-        ocfg: Option<ObserveConfig>,
-    ) -> Result<(RunResult, RunObservation), SimError> {
+    /// Panics on contract misuse — a trace count other than the CPU count,
+    /// a warm-up that leaves nothing to time, an empty or out-of-range
+    /// window — never on a simulation fault.
+    pub fn execute(&self, run: Run<'_>) -> Result<(RunResult, RunObservation), SimError> {
+        let traces = run.traces;
         assert_eq!(
             traces.len(),
             self.config.cpus,
@@ -362,171 +367,92 @@ impl PerformanceModel {
             traces.len(),
             self.config.cpus
         );
-        assert!(
-            warmup == 0 || traces.iter().all(|t| t.len() > warmup),
-            "warmup must leave records to time"
-        );
+        let (origin, start, end) = match run.window {
+            Some((start, len)) => {
+                assert!(len > 0, "empty window");
+                assert!(
+                    traces.iter().all(|t| start + len <= t.len()),
+                    "window exceeds the trace"
+                );
+                (start.saturating_sub(run.warmup), start, Some(start + len))
+            }
+            None => {
+                assert!(
+                    run.warmup == 0 || traces.iter().all(|t| t.len() > run.warmup),
+                    "warmup must leave records to time"
+                );
+                (0, run.warmup, None)
+            }
+        };
         let mut mem = MemorySystem::new(self.config.mem.clone(), self.config.cpus);
         let mut cores: Vec<Core> = (0..self.config.cpus)
             .map(|i| Core::new(self.config.core.clone(), i))
             .collect();
         const CHUNK: usize = 1024;
-        let mut pos = 0;
-        while pos < warmup {
-            let end = (pos + CHUNK).min(warmup);
+        let mut pos = origin;
+        while pos < start {
+            let next = (pos + CHUNK).min(start);
             for (core, trace) in cores.iter_mut().zip(traces) {
-                for rec in &trace.records()[pos..end] {
+                for rec in &trace.records()[pos..next] {
                     core.warm(&mut mem, rec);
                 }
             }
-            pos = end;
+            pos = next;
         }
         let streams = traces
             .iter()
-            .map(|t| SliceStream::new(&t.records()[warmup..]))
+            .map(|t| SliceStream::new(&t.records()[start..end.unwrap_or(t.len())]))
             .collect();
-        timed(cores, mem, streams, opts, ocfg)
+        timed(cores, mem, streams, run.opts, run.observe)
     }
 
-    /// Uniprocessor convenience over
-    /// [`PerformanceModel::try_run_traces_observed`].
+    /// [`PerformanceModel::execute`] for callers that want only the result
+    /// and treat a simulation fault as a bug.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has more than one CPU or the run wedges.
-    pub fn run_trace_observed(
-        &self,
-        trace: &VecTrace,
-        ocfg: ObserveConfig,
-    ) -> (RunResult, RunObservation) {
-        assert_eq!(self.config.cpus, 1, "run_trace_observed is for UP configs");
-        self.try_run_traces_observed(std::slice::from_ref(trace), RunOptions::default(), ocfg)
-            .unwrap_or_else(|e| panic!("{e}"))
+    /// Panics where `execute` panics or returns an error.
+    pub fn run(&self, run: Run<'_>) -> RunResult {
+        match self.execute(run) {
+            Ok((result, _)) => result,
+            Err(e) => panic!("{e}"),
+        }
     }
 
-    /// Runs a single trace on a uniprocessor system, using the first
-    /// `warmup` records for functional cache/predictor warming and timing
-    /// only the remainder (the paper traces workloads at steady state,
-    /// §2.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `warmup >= trace.len()` or the config is not UP.
-    pub fn run_trace_warm(&self, trace: &VecTrace, warmup: usize) -> RunResult {
-        assert_eq!(
-            self.config.cpus, 1,
-            "run_trace_warm is for uniprocessor configs"
-        );
-        self.run_traces_warm(std::slice::from_ref(trace), warmup)
-    }
-
-    /// Fallible variant of [`PerformanceModel::run_trace_warm`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on contract misuse (non-UP config, warm-up longer than the
-    /// trace), never on a simulation fault.
+    /// `execute(Run::of(trace).warm(warmup).options(opts))`, under the
+    /// name `benchmark/src/api.rs` calls.
     pub fn try_run_trace_warm(
         &self,
         trace: &VecTrace,
         warmup: usize,
         opts: RunOptions,
     ) -> Result<RunResult, SimError> {
-        assert_eq!(
-            self.config.cpus, 1,
-            "run_trace_warm is for uniprocessor configs"
-        );
-        self.try_run_traces_warm(std::slice::from_ref(trace), warmup, opts)
+        let run = Run::of(trace).warm(warmup).options(opts);
+        self.execute(run).map(|(result, _)| result)
     }
 
-    /// SMP variant of [`PerformanceModel::run_trace_warm`]: warms each CPU
-    /// on its first `warmup` records (interleaved across CPUs so shared
-    /// lines end in a realistic mixed state), then times the rest.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless every trace is longer than `warmup`.
-    pub fn run_traces_warm(&self, traces: &[VecTrace], warmup: usize) -> RunResult {
-        self.try_run_traces_warm(traces, warmup, RunOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`PerformanceModel::run_traces_warm`]; see
-    /// [`RunOptions`] for checked mode and fault injection.
-    ///
-    /// # Panics
-    ///
-    /// Panics on contract misuse (trace count mismatch, warm-up longer
-    /// than a trace), never on a simulation fault.
+    /// `execute(Run::new(traces).warm(warmup).options(opts))`, under the
+    /// name `benchmark/src/api.rs` calls.
     pub fn try_run_traces_warm(
         &self,
         traces: &[VecTrace],
         warmup: usize,
         opts: RunOptions,
     ) -> Result<RunResult, SimError> {
-        self.run_warm(traces, warmup, opts, None)
-            .map(|(result, _)| result)
-    }
-
-    /// Observed variant of [`PerformanceModel::try_run_traces_warm`]:
-    /// probes attach *after* the warm-up, so only timed execution is
-    /// narrated.
-    ///
-    /// # Panics
-    ///
-    /// Panics on contract misuse (trace count mismatch, warm-up longer
-    /// than a trace), never on a simulation fault.
-    pub fn try_run_traces_warm_observed(
-        &self,
-        traces: &[VecTrace],
-        warmup: usize,
-        opts: RunOptions,
-        ocfg: ObserveConfig,
-    ) -> Result<(RunResult, RunObservation), SimError> {
-        self.run_warm(traces, warmup, opts, Some(ocfg))
-    }
-
-    /// Simulates one detailed window of a long trace in isolation
-    /// (SMARTS-style functional warming): a [`WarmCursor`] starts cold at
-    /// `origin = start.saturating_sub(warm)` — anything earlier is
-    /// skipped cold — functionally warms through `[origin, start)`, then
-    /// times exactly `[start, start + len)`. A window's result depends
-    /// only on `(trace, start, len, warm)`, never on which other windows
-    /// ran or in what order, which is what lets the harness fingerprint,
-    /// cache and parallelize windows as ordinary campaign points while
-    /// serving them from shared cursors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on contract misuse (non-UP config, empty or out-of-range
-    /// window), never on a simulation fault.
-    pub fn try_run_trace_window(
-        &self,
-        trace: &VecTrace,
-        start: usize,
-        len: usize,
-        warm: usize,
-        opts: RunOptions,
-    ) -> Result<RunResult, SimError> {
-        let records = trace.records();
-        assert!(len > 0, "empty window");
-        assert!(start + len <= records.len(), "window exceeds the trace");
-        let mut cursor = WarmCursor::new(&self.config, start.saturating_sub(warm));
-        cursor.advance_to(records, start);
-        cursor
-            .try_run_window(&self.config.core, records, len, opts, None)
-            .map(|(result, _)| result)
+        let run = Run::new(traces).warm(warmup).options(opts);
+        self.execute(run).map(|(result, _)| result)
     }
 
     /// Runs every detailed window of `plan` over `trace` and returns the
     /// per-window results in window order: one ascending pass of one
     /// [`WarmCursor`], forked at each window start. Each result equals
-    /// the window's own [`PerformanceModel::try_run_trace_window`].
-    /// Windows whose warm-up does not reach back to a common origin
-    /// (bounded warming, `warmup < start`) each start their own cursor —
-    /// same code, nothing to share. This is the sequential reference
-    /// form of sampled simulation; the harness distributes the same
-    /// windows across its worker pool instead.
+    /// the window's own [`PerformanceModel::execute`] (`.warm(plan.warmup)
+    /// .window(start, len)`), which warms a machine of its own from the
+    /// window's origin. Windows whose warm-up does not reach back to a
+    /// common origin (bounded warming, `warmup < start`) each start their
+    /// own cursor — same code, nothing to share. This is the sequential
+    /// reference form of sampled simulation; the harness distributes the
+    /// same windows across its worker pool instead.
     pub fn try_run_trace_plan(
         &self,
         trace: &VecTrace,
@@ -554,26 +480,6 @@ impl PerformanceModel {
             })
             .collect()
     }
-
-    /// Runs an arbitrary stream on a uniprocessor instance (for generated
-    /// streams that are never materialized).
-    pub fn run_stream<S: TraceStream>(&self, mut stream: S) -> RunResult {
-        assert_eq!(
-            self.config.cpus, 1,
-            "run_stream is for uniprocessor configs"
-        );
-        let mut mem = MemorySystem::new(self.config.mem.clone(), 1);
-        let mut core = Core::new(self.config.core.clone(), 0);
-        let cycles = core.run(&mut mem, &mut stream);
-        RunResult {
-            cycles,
-            committed: core.stats().committed.get(),
-            core_stats: vec![core.stats().clone()],
-            mem_stats: vec![mem.stats(0).clone()],
-            bus_transactions: mem.bus().transactions(),
-            bus_busy_cycles: mem.bus().busy_cycles(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -587,7 +493,7 @@ mod tests {
     fn uniprocessor_run_commits_everything() {
         let suite = Suite::preset(SuiteKind::SpecInt95);
         let t = suite.programs()[0].generate(10_000, 5);
-        let r = PerformanceModel::new(SystemConfig::sparc64_v()).run_trace(&t);
+        let r = PerformanceModel::new(SystemConfig::sparc64_v()).run(Run::of(&t));
         assert_eq!(r.committed, 10_000);
         assert!(r.cycles > 0);
         assert!(r.ipc() > 0.0);
@@ -596,7 +502,7 @@ mod tests {
     #[test]
     fn smp_run_commits_all_streams() {
         let traces = smp_traces(&tpcc_program(), 2, 30_000, 3);
-        let r = PerformanceModel::new(SystemConfig::smp(2)).run_traces(&traces);
+        let r = PerformanceModel::new(SystemConfig::smp(2)).run(Run::new(&traces));
         assert_eq!(r.committed, 60_000);
         assert_eq!(r.core_stats.len(), 2);
         let invalidations: u64 = r
@@ -615,8 +521,8 @@ mod tests {
         let suite = Suite::preset(SuiteKind::SpecFp95);
         let t = suite.programs()[0].generate(5_000, 5);
         let model = PerformanceModel::new(SystemConfig::sparc64_v());
-        let a = model.run_trace(&t);
-        let b = model.run_trace(&t);
+        let a = model.run(Run::of(&t));
+        let b = model.run(Run::of(&t));
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.committed, b.committed);
     }
@@ -626,9 +532,9 @@ mod tests {
         let suite = Suite::preset(SuiteKind::SpecInt95);
         let t = suite.programs()[0].generate(8_000, 5);
         let model = PerformanceModel::new(SystemConfig::sparc64_v());
-        let plain = model.run_trace(&t);
-        let checked = model
-            .try_run_trace(&t, RunOptions::checked())
+        let plain = model.run(Run::of(&t));
+        let (checked, _) = model
+            .execute(Run::of(&t).options(RunOptions::checked()))
             .expect("no invariant fires on an unfaulted run");
         assert_eq!(plain.cycles, checked.cycles);
         assert_eq!(plain.committed, checked.committed);
@@ -638,9 +544,9 @@ mod tests {
     fn checked_smp_run_is_clean_too() {
         let traces = smp_traces(&tpcc_program(), 2, 10_000, 3);
         let model = PerformanceModel::new(SystemConfig::smp(2));
-        let plain = model.run_traces(&traces);
-        let checked = model
-            .try_run_traces(&traces, RunOptions::checked())
+        let plain = model.run(Run::new(&traces));
+        let (checked, _) = model
+            .execute(Run::new(&traces).options(RunOptions::checked()))
             .expect("no invariant fires on an unfaulted SMP run");
         assert_eq!(plain.cycles, checked.cycles);
         assert_eq!(plain.committed, checked.committed);
@@ -725,7 +631,7 @@ mod tests {
     #[should_panic(expected = "one trace per CPU")]
     fn trace_count_is_validated() {
         let traces = smp_traces(&tpcc_program(), 2, 100, 3);
-        let _ = PerformanceModel::new(SystemConfig::smp(4)).run_traces(&traces);
+        let _ = PerformanceModel::new(SystemConfig::smp(4)).run(Run::new(&traces));
     }
 }
 
@@ -739,17 +645,13 @@ mod sampled_tests {
         let suite = Suite::preset(SuiteKind::SpecInt95);
         let t = suite.programs()[0].generate(60_000, 5);
         let model = PerformanceModel::new(SystemConfig::sparc64_v());
-        let r = model
-            .try_run_trace_window(&t, 20_000, 5_000, 4_000, RunOptions::default())
-            .unwrap();
+        let r = model.run(Run::of(&t).warm(4_000).window(20_000, 5_000));
         assert_eq!(r.committed, 5_000);
         assert!(r.cycles > 0);
         // A window is independent of everything after it: truncating the
         // trace right at the window's end must not change the result.
         let truncated = s64v_trace::VecTrace::from_records(t.records()[..25_000].to_vec());
-        let r2 = model
-            .try_run_trace_window(&truncated, 20_000, 5_000, 4_000, RunOptions::default())
-            .unwrap();
+        let r2 = model.run(Run::of(&truncated).warm(4_000).window(20_000, 5_000));
         assert_eq!(r.cycles, r2.cycles);
         assert_eq!(r.committed, r2.committed);
     }
@@ -766,15 +668,11 @@ mod sampled_tests {
         let windows = plan.windows(t.len() as u64);
         assert_eq!(per_window.len(), windows.len());
         for (r, &(start, len)) in per_window.iter().zip(&windows) {
-            let lone = model
-                .try_run_trace_window(
-                    &t,
-                    start as usize,
-                    len as usize,
-                    plan.warmup as usize,
-                    RunOptions::default(),
-                )
-                .unwrap();
+            let lone = model.run(
+                Run::of(&t)
+                    .warm(plan.warmup as usize)
+                    .window(start as usize, len as usize),
+            );
             assert_eq!(r.cycles, lone.cycles, "window at {start} differs");
             assert_eq!(r.committed, len);
         }
@@ -785,24 +683,13 @@ mod sampled_tests {
         let suite = Suite::preset(SuiteKind::Tpcc);
         let t = suite.programs()[0].generate(40_000, 9);
         let model = PerformanceModel::new(SystemConfig::sparc64_v());
-        let base = model
-            .try_run_trace_window(&t, 10_000, 6_000, 5_000, RunOptions::default())
-            .unwrap();
-        let no_skip = model
-            .try_run_trace_window(
-                &t,
-                10_000,
-                6_000,
-                5_000,
-                RunOptions {
-                    no_skip: true,
-                    ..RunOptions::default()
-                },
-            )
-            .unwrap();
-        let checked = model
-            .try_run_trace_window(&t, 10_000, 6_000, 5_000, RunOptions::checked())
-            .unwrap();
+        let window = |opts| model.run(Run::of(&t).warm(5_000).window(10_000, 6_000).options(opts));
+        let base = window(RunOptions::default());
+        let no_skip = window(RunOptions {
+            no_skip: true,
+            ..RunOptions::default()
+        });
+        let checked = window(RunOptions::checked());
         assert_eq!(base.cycles, no_skip.cycles);
         assert_eq!(base.cycles, checked.cycles);
         assert_eq!(base.committed, checked.committed);

@@ -12,7 +12,7 @@
 //! for exactly this, and the engine's cache fingerprints ignore
 //! observation settings entirely).
 
-use s64v_cpu::{Core, TimelineMode};
+use s64v_cpu::Core;
 use s64v_mem::MemorySystem;
 use s64v_observe::{CpuInterval, EventLog, IntervalSample, ObsEvent, RunObservation};
 
@@ -25,8 +25,8 @@ pub struct ObserveConfig {
     pub event_cap: usize,
     /// Interval-sample period in cycles; `0` disables sampling.
     pub interval: u64,
-    /// Per-core instruction-timeline recording mode, if any.
-    pub timeline: Option<TimelineMode>,
+    /// Record each core's first this-many instruction timelines, if any.
+    pub timeline: Option<usize>,
 }
 
 impl Default for ObserveConfig {
@@ -35,7 +35,7 @@ impl Default for ObserveConfig {
             events: true,
             event_cap: 1 << 20,
             interval: 10_000,
-            timeline: Some(TimelineMode::FirstN(4096)),
+            timeline: Some(4096),
         }
     }
 }
@@ -93,8 +93,8 @@ impl Observer {
             if cfg.events {
                 core.attach_probe(Box::new(EventLog::with_capacity(cfg.event_cap)));
             }
-            if let Some(mode) = cfg.timeline {
-                core.enable_timeline_mode(mode);
+            if let Some(capacity) = cfg.timeline {
+                core.enable_timeline(capacity);
             }
         }
         if cfg.events {
@@ -208,7 +208,7 @@ impl Observer {
             .iter()
             .map(|c| {
                 c.timeline()
-                    .map(|t| t.entries_in_order())
+                    .map(|t| t.entries().to_vec())
                     .unwrap_or_default()
             })
             .collect();
@@ -224,15 +224,17 @@ impl Observer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PerformanceModel, SystemConfig};
+    use crate::{PerformanceModel, Run, SystemConfig};
     use s64v_workloads::{Suite, SuiteKind};
 
     #[test]
     fn observed_run_matches_plain_run_exactly() {
         let t = Suite::preset(SuiteKind::SpecInt95).programs()[0].generate(12_000, 5);
         let model = PerformanceModel::new(SystemConfig::sparc64_v());
-        let plain = model.run_trace(&t);
-        let (observed, obs) = model.run_trace_observed(&t, ObserveConfig::default());
+        let plain = model.run(Run::of(&t));
+        let (observed, obs) = model
+            .execute(Run::of(&t).observed(ObserveConfig::default()))
+            .unwrap();
         assert_eq!(plain.cycles, observed.cycles, "observation is read-only");
         assert_eq!(plain.committed, observed.committed);
         assert_eq!(
@@ -256,9 +258,8 @@ mod tests {
     fn interval_windows_tile_the_run() {
         let t = Suite::preset(SuiteKind::SpecInt95).programs()[1].generate(20_000, 3);
         let model = PerformanceModel::new(SystemConfig::sparc64_v());
-        let mut ocfg = ObserveConfig::metrics_only(2_000);
-        ocfg.timeline = None;
-        let (r, obs) = model.run_trace_observed(&t, ocfg);
+        let ocfg = ObserveConfig::metrics_only(2_000);
+        let (r, obs) = model.execute(Run::of(&t).observed(ocfg)).unwrap();
         assert!(obs.events.is_empty(), "metrics-only records no events");
         let ivs = &obs.intervals;
         assert!(ivs.len() >= 2, "run long enough for several windows");

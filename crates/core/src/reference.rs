@@ -177,11 +177,7 @@ impl ModelCheck {
 /// Runs both models on the same trace and compares them.
 pub fn compare(config: &SystemConfig, trace: &s64v_trace::VecTrace, warmup: usize) -> ModelCheck {
     let model = crate::model::PerformanceModel::new(config.clone());
-    let detailed = if warmup == 0 {
-        model.run_trace(trace)
-    } else {
-        model.run_trace_warm(trace, warmup)
-    };
+    let detailed = model.run(crate::model::Run::of(trace).warm(warmup));
     let reference = ReferenceMachine::new(config.clone()).run(trace.stream(), warmup);
     ModelCheck {
         model_cycles: detailed.cycles,
@@ -194,6 +190,7 @@ pub fn compare(config: &SystemConfig, trace: &s64v_trace::VecTrace, warmup: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Run;
     use s64v_workloads::{Suite, SuiteKind};
 
     #[test]
@@ -227,8 +224,8 @@ mod tests {
 
         let ref_on = ReferenceMachine::new(on.clone()).run(trace.stream(), 30_000);
         let ref_off = ReferenceMachine::new(off.clone()).run(trace.stream(), 30_000);
-        let model_on = crate::model::PerformanceModel::new(on).run_trace_warm(&trace, 30_000);
-        let model_off = crate::model::PerformanceModel::new(off).run_trace_warm(&trace, 30_000);
+        let model_on = crate::model::PerformanceModel::new(on).run(Run::of(&trace).warm(30_000));
+        let model_off = crate::model::PerformanceModel::new(off).run(Run::of(&trace).warm(30_000));
 
         assert!(ref_on.cycles < ref_off.cycles, "reference prefers on-chip");
         assert!(model_on.cycles < model_off.cycles, "model prefers on-chip");

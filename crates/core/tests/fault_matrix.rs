@@ -3,8 +3,8 @@
 //! unfaulted checked run must be violation-free.
 
 use s64v_core::{
-    config_fingerprint, Component, FaultClass, FaultPlan, PerformanceModel, RunOptions, SimError,
-    SystemConfig,
+    config_fingerprint, Component, FaultClass, FaultPlan, PerformanceModel, Run, RunOptions,
+    RunResult, SimError, SystemConfig,
 };
 use s64v_trace::VecTrace;
 use s64v_workloads::{smp_traces, suite::tpcc_program};
@@ -16,19 +16,28 @@ fn setup() -> (PerformanceModel, Vec<VecTrace>) {
     (PerformanceModel::new(SystemConfig::smp(2)), traces)
 }
 
-fn run_with(class: FaultClass, cycle: u64) -> Result<s64v_core::RunResult, SimError> {
+fn execute(
+    model: &PerformanceModel,
+    traces: &[VecTrace],
+    opts: RunOptions,
+) -> Result<RunResult, SimError> {
+    model
+        .execute(Run::new(traces).options(opts))
+        .map(|(result, _)| result)
+}
+
+fn run_with(class: FaultClass, cycle: u64) -> Result<RunResult, SimError> {
     let (model, traces) = setup();
     let plan = FaultPlan::at(class, 0, cycle);
-    model.try_run_traces(&traces, RunOptions::checked_with_fault(plan))
+    execute(&model, &traces, RunOptions::checked_with_fault(plan))
 }
 
 #[test]
 fn unfaulted_checked_run_is_violation_free() {
     let (model, traces) = setup();
-    let checked = model
-        .try_run_traces(&traces, RunOptions::checked())
+    let checked = execute(&model, &traces, RunOptions::checked())
         .expect("no invariant fires without injected faults");
-    let plain = model.run_traces(&traces);
+    let plain = model.run(Run::new(&traces));
     assert_eq!(
         plain.cycles, checked.cycles,
         "checked mode must not perturb timing"
@@ -88,8 +97,7 @@ fn seeded_plans_reproduce_the_same_failure() {
     let fp = config_fingerprint(model.config());
     let run = |seed| {
         let plan = FaultPlan::seeded(FaultClass::RewindCommit, 0, seed, fp, 1_000, 4_000);
-        model
-            .try_run_traces(&traces, RunOptions::checked_with_fault(plan))
+        execute(&model, &traces, RunOptions::checked_with_fault(plan))
             .expect_err("rewind is always detected")
     };
     let a = run(7);

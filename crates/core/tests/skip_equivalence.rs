@@ -10,7 +10,9 @@
 //! stall-blame cell — anything the reports or fingerprints could derive
 //! from).
 
-use s64v_core::{CycleBudget, ObserveConfig, PerformanceModel, RunOptions, SystemConfig};
+use s64v_core::{
+    CycleBudget, ObserveConfig, PerformanceModel, Run, RunOptions, RunResult, SystemConfig,
+};
 use s64v_observe::CpiStack;
 use s64v_trace::{SamplePlan, VecTrace};
 use s64v_workloads::{smp_traces, suite::tpcc_program, Suite, SuiteKind};
@@ -24,11 +26,14 @@ fn no_skip() -> RunOptions {
     }
 }
 
+/// A clean run's result.
+fn result(model: &PerformanceModel, run: Run<'_>) -> RunResult {
+    model.execute(run).expect("clean run").0
+}
+
 fn assert_identical(label: &str, model: &PerformanceModel, trace: &s64v_trace::VecTrace) {
-    let skipped = model
-        .try_run_trace(trace, RunOptions::default())
-        .expect("clean run");
-    let stepped = model.try_run_trace(trace, no_skip()).expect("clean run");
+    let skipped = result(model, Run::of(trace));
+    let stepped = result(model, Run::of(trace).options(no_skip()));
     assert_eq!(
         format!("{skipped:?}"),
         format!("{stepped:?}"),
@@ -41,11 +46,7 @@ fn assert_identical(label: &str, model: &PerformanceModel, trace: &s64v_trace::V
 /// leaf (not merely produce equal aggregate results), and each stack must
 /// conserve its core's cycle count — the checked-mode invariant, asserted
 /// here on every equivalence suite.
-fn assert_cpi_identical(
-    label: &str,
-    skipped: &s64v_core::RunResult,
-    stepped: &s64v_core::RunResult,
-) {
+fn assert_cpi_identical(label: &str, skipped: &RunResult, stepped: &RunResult) {
     for (cpu, (a, b)) in skipped
         .core_stats
         .iter()
@@ -90,10 +91,8 @@ fn tpcc_matches_on_up_and_smp() {
     let smp = PerformanceModel::new(SystemConfig::smp(2));
     for &seed in &SEEDS {
         let traces = smp_traces(&tpcc_program(), 2, 6_000, seed);
-        let skipped = smp
-            .try_run_traces(&traces, RunOptions::default())
-            .expect("clean run");
-        let stepped = smp.try_run_traces(&traces, no_skip()).expect("clean run");
+        let skipped = result(&smp, Run::new(&traces));
+        let stepped = result(&smp, Run::new(&traces).options(no_skip()));
         assert_eq!(
             format!("{skipped:?}"),
             format!("{stepped:?}"),
@@ -125,11 +124,7 @@ fn smp_cores_sleeping_apart_match_lock_step() {
             // Cold start, then the first third functionally warmed.
             for warmup in [0, len / 3] {
                 let label = format!("tpcc/smp{cpus}/seed{seed}/warm{warmup}");
-                let run = |opts| {
-                    model
-                        .try_run_traces_warm(&traces, warmup, opts)
-                        .expect("clean run")
-                };
+                let run = |opts| result(&model, Run::new(&traces).warm(warmup).options(opts));
                 let slept = run(RunOptions::default());
                 let stepped = run(no_skip());
                 let checked = run(RunOptions::checked());
@@ -160,10 +155,10 @@ fn observed_smp_windows_tile_and_partition_while_cores_sleep() {
     let traces = unequal_smp_traces(4, 4_000, 7);
     let ocfg = ObserveConfig::metrics_only(500);
     let (r, obs) = model
-        .try_run_traces_observed(&traces, RunOptions::default(), ocfg)
+        .execute(Run::new(&traces).observed(ocfg))
         .expect("clean run");
     let (r_step, o_step) = model
-        .try_run_traces_observed(&traces, no_skip(), ocfg)
+        .execute(Run::new(&traces).options(no_skip()).observed(ocfg))
         .expect("clean run");
     assert_eq!(format!("{r:?}"), format!("{r_step:?}"));
     assert_eq!(
@@ -199,7 +194,7 @@ fn observed_smp_windows_tile_and_partition_while_cores_sleep() {
 fn cycle_ceiling_trips_on_the_same_cycle_asleep_or_stepped() {
     let model = PerformanceModel::new(SystemConfig::smp(4));
     let traces = unequal_smp_traces(4, 2_000, 5);
-    let full = model.run_traces(&traces);
+    let full = model.run(Run::new(&traces));
     let trip = |max: u64, no_skip: bool| {
         let opts = RunOptions {
             no_skip,
@@ -208,7 +203,9 @@ fn cycle_ceiling_trips_on_the_same_cycle_asleep_or_stepped() {
                 cancel: None,
             })
         };
-        model.try_run_traces(&traces, opts)
+        model
+            .execute(Run::new(&traces).options(opts))
+            .map(|(result, _)| result)
     };
     // The ceiling is exact wherever it falls — including on the cycle the
     // last core is found drained.
@@ -230,12 +227,8 @@ fn warm_runs_match() {
     let suite = Suite::preset(SuiteKind::SpecInt95);
     for &seed in &SEEDS {
         let trace = suite.programs()[1].generate(20_000, seed);
-        let skipped = model
-            .try_run_trace_warm(&trace, 10_000, RunOptions::default())
-            .expect("clean run");
-        let stepped = model
-            .try_run_trace_warm(&trace, 10_000, no_skip())
-            .expect("clean run");
+        let skipped = result(&model, Run::of(&trace).warm(10_000));
+        let stepped = result(&model, Run::of(&trace).warm(10_000).options(no_skip()));
         assert_eq!(
             format!("{skipped:?}"),
             format!("{stepped:?}"),
@@ -251,10 +244,10 @@ fn observed_runs_match_including_interval_samples() {
     let trace = tpcc_program().generate(8_000, 7);
     let ocfg = ObserveConfig::metrics_only(1_000);
     let (r_skip, o_skip) = model
-        .try_run_traces_observed(std::slice::from_ref(&trace), RunOptions::default(), ocfg)
+        .execute(Run::of(&trace).observed(ocfg))
         .expect("clean run");
     let (r_step, o_step) = model
-        .try_run_traces_observed(std::slice::from_ref(&trace), no_skip(), ocfg)
+        .execute(Run::of(&trace).options(no_skip()).observed(ocfg))
         .expect("clean run");
     assert_eq!(format!("{r_skip:?}"), format!("{r_step:?}"));
     assert_cpi_identical("observed", &r_skip, &r_step);
@@ -272,12 +265,8 @@ fn checked_runs_agree_with_skipped_plain_runs() {
     // states the skipping path proved it could jump over.
     let model = PerformanceModel::new(SystemConfig::sparc64_v());
     let trace = tpcc_program().generate(8_000, 3);
-    let plain = model
-        .try_run_trace(&trace, RunOptions::default())
-        .expect("clean run");
-    let checked = model
-        .try_run_trace(&trace, RunOptions::checked())
-        .expect("no invariant fires");
+    let plain = result(&model, Run::of(&trace));
+    let checked = result(&model, Run::of(&trace).options(RunOptions::checked()));
     assert_eq!(format!("{plain:?}"), format!("{checked:?}"));
 }
 
@@ -347,7 +336,7 @@ fn skipping_actually_engages_on_miss_bound_workloads() {
     // only asserts the *results* and that skip is on by default.
     let model = PerformanceModel::new(SystemConfig::sparc64_v());
     let trace = tpcc_program().generate(30_000, 7);
-    let r = model.run_trace(&trace);
+    let r = model.run(Run::of(&trace));
     assert_eq!(r.committed, 30_000);
     let core = s64v_cpu::Core::new(s64v_cpu::CoreConfig::sparc64_v(), 0);
     assert!(core.skip_enabled(), "skip must be on by default");

@@ -11,7 +11,7 @@
 //! under the checked-mode auditor.
 
 use s64v_core::{
-    warm_fingerprint, PerformanceModel, RunOptions, RunResult, SystemConfig, WarmCursor,
+    warm_fingerprint, PerformanceModel, Run, RunOptions, RunResult, SystemConfig, WarmCursor,
 };
 use s64v_cpu::Core;
 use s64v_mem::MemorySystem;
@@ -164,9 +164,8 @@ fn plans_and_lone_windows_equal_fresh_passes_full_and_bounded() {
                         want[i],
                         "{label}/{name}/warm{warmup}: plan window at {start}"
                     );
-                    let lone = model
-                        .try_run_trace_window(trace, start, LEN, warmup, opts.clone())
-                        .expect("clean run");
+                    let run = Run::of(trace).warm(warmup).window(start, LEN);
+                    let (lone, _) = model.execute(run.options(opts.clone())).expect("clean run");
                     assert_eq!(
                         render(&lone),
                         want[i],

@@ -1,0 +1,460 @@
+//! The cycle-stepped out-of-order core.
+//!
+//! [`Core::step`] advances one cycle through the pipeline phases in
+//! reverse order — writeback, commit, memory issue, dispatch, decode,
+//! fetch — so that every same-cycle hand-off observes the previous cycle's
+//! state. The model is trace driven: architecturally correct paths,
+//! addresses and branch outcomes come from the trace; the pipeline decides
+//! only *when* things happen.
+//!
+//! One file per phase, each an `impl Core` block holding the phase's step
+//! function, the state only that phase writes, the timing rules it sets,
+//! and its term of the quiescence probe:
+//!
+//! | file | phase | owns | wake term |
+//! |---|---|---|---|
+//! | `fetch.rs` | fetch | `FrontEnd` (fetch queue, next fetch slot, mispredict stall) | next fetch slot |
+//! | `decode.rs` | decode / allocate | `DecodeGate` (the one reading of decode backpressure) | fetch-queue head becoming decodable |
+//! | `dispatch.rs` | dispatch | execution-unit busy times; operand-ready and execution-done times | operands + unit of a waiting entry |
+//! | `memory.rs` | memory issue | `MemPipe` (speculative loads, draining stores) | a load's issue slot and data return |
+//! | `writeback.rs` | writeback | its scratch lists; "producers settled", store-data time | confirms, drains, completions |
+//! | `commit.rs` | commit + accounting | head-of-window blame, per-cycle counters, the wedge horizon | completed head, wedge check |
+//! | `quiesce.rs` | — | the skip switch | composes the terms; sleeps |
+
+use crate::bpred::Bht;
+use crate::config::CoreConfig;
+use crate::error::{CoreError, HeadInstr, PipelineSnapshot, RsOccupancy};
+use crate::lsq::LoadStoreQueues;
+use crate::rename::{RenameMap, RenamePool};
+use crate::rob::Rob;
+use crate::rs::ReservationStations;
+use crate::stats::CoreStats;
+use crate::timeline::PipelineTrace;
+use s64v_isa::{OpClass, RsKind};
+use s64v_mem::MemorySystem;
+use s64v_observe::{ObsEvent, Probe};
+use s64v_trace::{TraceRecord, TraceStream};
+
+mod commit;
+mod decode;
+mod dispatch;
+mod fetch;
+mod memory;
+mod quiesce;
+mod writeback;
+
+#[cfg(test)]
+mod tests;
+
+/// Functional warming of one record (the paper's steady-state tracing,
+/// §2.2): CPU `cpu`'s instruction and operand paths of `mem` see the
+/// record's addresses and `bht` — `None` under perfect branch prediction,
+/// which never consults a table — sees a conditional branch's outcome.
+/// No timing is simulated. The arguments are everything warming reads or
+/// writes, so a warm state can be built, kept and copied with no core.
+pub fn warm_record(bht: Option<&mut Bht>, mem: &mut MemorySystem, cpu: usize, rec: &TraceRecord) {
+    mem.warm_fetch(cpu, rec.pc);
+    if rec.instr.op == OpClass::BranchCond {
+        if let (Some(bht), Some(b)) = (bht, rec.instr.branch) {
+            bht.update(rec.pc, b.taken);
+        }
+    }
+    if let Some(m) = rec.instr.mem {
+        mem.warm_data(cpu, m.addr, rec.instr.op == OpClass::Store);
+    }
+}
+
+/// One SPARC64 V core.
+///
+/// # Examples
+///
+/// ```
+/// use s64v_cpu::{Core, CoreConfig};
+/// use s64v_isa::Instr;
+/// use s64v_mem::{MemConfig, MemorySystem};
+/// use s64v_trace::{TraceRecord, VecTrace};
+///
+/// let trace: VecTrace = (0..100)
+///     .map(|i| TraceRecord::new(0x1000 + i * 4, Instr::nop()))
+///     .collect();
+/// let mut mem = MemorySystem::new(MemConfig::sparc64_v(), 1);
+/// let mut core = Core::new(CoreConfig::sparc64_v(), 0);
+/// let mut stream = trace.stream();
+/// let mut now = 0;
+/// while !core.is_done(&stream) {
+///     core.step(&mut mem, &mut stream, now);
+///     now += 1;
+/// }
+/// assert_eq!(core.stats().committed.get(), 100);
+/// ```
+#[derive(Debug)]
+pub struct Core {
+    cfg: CoreConfig,
+    core_id: usize,
+    rob: Rob,
+    rs: ReservationStations,
+    rename_pool: RenamePool,
+    rename_map: RenameMap,
+    lsq: LoadStoreQueues,
+    bht: Bht,
+    stats: CoreStats,
+    front: fetch::FrontEnd,
+    int_unit_busy: [u64; 2],
+    fp_unit_busy: [u64; 2],
+    mem_pipe: memory::MemPipe,
+    wb_scratch: writeback::Scratch,
+    last_commit_cycle: u64,
+    /// Quiescent-cycle skipping enabled (see `quiesce.rs`).
+    skip: bool,
+    timeline: Option<PipelineTrace>,
+    probe: Option<Box<dyn Probe>>,
+}
+
+impl Core {
+    /// Creates a core with the given configuration and CPU id (its index
+    /// in the shared [`MemorySystem`]).
+    pub fn new(cfg: CoreConfig, core_id: usize) -> Self {
+        let bht = Bht::new(cfg.bht);
+        Core::warmed(cfg, core_id, bht)
+    }
+
+    /// A core whose branch history table has already seen a warm-up:
+    /// `bht` is the table [`warm_record`] trained, the only core state
+    /// functional warming touches, so this core equals a [`Core::new`]
+    /// that replayed the same records through [`Core::warm`]. Pipeline
+    /// state, statistics, timelines and probes start empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bht` was not built from `cfg.bht`.
+    pub fn warmed(cfg: CoreConfig, core_id: usize, bht: Bht) -> Self {
+        assert_eq!(*bht.config(), cfg.bht, "the table is not this core's");
+        Core {
+            rob: Rob::new(cfg.window_size),
+            rs: ReservationStations::new(&cfg),
+            rename_pool: RenamePool::new(cfg.int_rename_regs, cfg.fp_rename_regs),
+            rename_map: RenameMap::new(),
+            lsq: LoadStoreQueues::new(cfg.load_queue, cfg.store_queue),
+            bht,
+            stats: CoreStats::new(cfg.window_size, cfg.load_queue, cfg.store_queue),
+            front: fetch::FrontEnd::default(),
+            int_unit_busy: [0; 2],
+            fp_unit_busy: [0; 2],
+            mem_pipe: memory::MemPipe::default(),
+            wb_scratch: writeback::Scratch::default(),
+            last_commit_cycle: 0,
+            skip: true,
+            timeline: None,
+            probe: None,
+            core_id,
+            cfg,
+        }
+    }
+
+    /// Enables per-instruction timeline recording for the first
+    /// `capacity` instructions (see [`crate::timeline::PipelineTrace`]).
+    pub fn enable_timeline(&mut self, capacity: usize) {
+        self.timeline = Some(PipelineTrace::new(capacity));
+    }
+
+    /// The recorded timelines, if recording was enabled.
+    pub fn timeline(&self) -> Option<&PipelineTrace> {
+        self.timeline.as_ref()
+    }
+
+    /// Attaches a structured-event [`Probe`]. Probes are pure observers:
+    /// every stage event is emitted after the pipeline has decided, so
+    /// simulated results are identical with or without one attached.
+    pub fn attach_probe(&mut self, probe: Box<dyn Probe>) {
+        self.probe = Some(probe);
+    }
+
+    /// Detaches and returns the probe, if one was attached.
+    pub fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
+        self.probe.take()
+    }
+
+    // ----- observation hooks ----------------------------------------------
+    //
+    // Both sinks (the timeline recorder and the structured-event probe)
+    // only record; neither feeds anything back into the pipeline.
+
+    fn note_decode(&mut self, seq: u64, pc: u64, op: OpClass, now: u64) {
+        if let Some(t) = self.timeline.as_mut() {
+            t.on_decode(seq, pc, op, now);
+        }
+        if let Some(p) = self.probe.as_mut() {
+            p.event(ObsEvent::Decode {
+                core: self.core_id as u32,
+                cycle: now,
+                seq,
+                pc,
+                op,
+            });
+        }
+    }
+
+    fn note_dispatch(&mut self, seq: u64, now: u64) {
+        if let Some(t) = self.timeline.as_mut() {
+            t.on_dispatch(seq, now);
+        }
+        if let Some(p) = self.probe.as_mut() {
+            p.event(ObsEvent::Dispatch {
+                core: self.core_id as u32,
+                cycle: now,
+                seq,
+            });
+        }
+    }
+
+    fn note_replay(&mut self, seq: u64, now: u64) {
+        if let Some(t) = self.timeline.as_mut() {
+            t.on_replay(seq);
+        }
+        if let Some(p) = self.probe.as_mut() {
+            p.event(ObsEvent::Replay {
+                core: self.core_id as u32,
+                cycle: now,
+                seq,
+            });
+        }
+    }
+
+    fn note_complete(&mut self, seq: u64, now: u64) {
+        if let Some(t) = self.timeline.as_mut() {
+            t.on_complete(seq, now);
+        }
+        if let Some(p) = self.probe.as_mut() {
+            p.event(ObsEvent::Complete {
+                core: self.core_id as u32,
+                cycle: now,
+                seq,
+            });
+        }
+    }
+
+    fn note_commit(&mut self, seq: u64, now: u64) {
+        if let Some(t) = self.timeline.as_mut() {
+            t.on_commit(seq, now);
+        }
+        if let Some(p) = self.probe.as_mut() {
+            p.event(ObsEvent::Commit {
+                core: self.core_id as u32,
+                cycle: now,
+                seq,
+            });
+        }
+    }
+
+    /// The core's configuration.
+    pub fn config(&self) -> &CoreConfig {
+        &self.cfg
+    }
+
+    /// Collected statistics.
+    pub fn stats(&self) -> &CoreStats {
+        &self.stats
+    }
+
+    /// Whether everything in flight has drained and the stream is dry.
+    pub fn is_done<S: TraceStream>(&self, stream: &S) -> bool {
+        !self.front.has_input(stream)
+            && self.front.queue.is_empty()
+            && self.rob.is_empty()
+            && self.lsq.is_empty()
+    }
+
+    /// Replays one warm-up record into the memory system and branch
+    /// predictor without simulating any timing (see [`warm_record`]).
+    pub fn warm(&mut self, mem: &mut MemorySystem, rec: &TraceRecord) {
+        let bht = (!self.cfg.perfect_branch_prediction).then_some(&mut self.bht);
+        warm_record(bht, mem, self.core_id, rec);
+    }
+
+    /// Functional fast-forward: replays a stream through [`Core::warm`]
+    /// until it is exhausted or `limit` records have been consumed,
+    /// returning how many were replayed. Caches, TLBs and the branch
+    /// predictor observe every record; no pipeline timing state
+    /// (ROB/RS/LSQ) is touched and no cycles elapse, so a detailed
+    /// window started afterwards sees warmed micro-architectural state
+    /// at cycle zero. This is the SMARTS-style warming mode sampled
+    /// simulation interleaves between detailed windows.
+    pub fn fast_forward<S: TraceStream>(
+        &mut self,
+        mem: &mut MemorySystem,
+        stream: &mut S,
+        limit: u64,
+    ) -> u64 {
+        let mut replayed = 0;
+        while replayed < limit {
+            let Some(rec) = stream.next_record() else {
+                break;
+            };
+            self.warm(mem, &rec);
+            replayed += 1;
+        }
+        replayed
+    }
+
+    /// Advances one cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pipeline makes no progress for an implausible number
+    /// of cycles (a model bug). [`Core::try_step`] reports the same
+    /// condition as a structured [`CoreError`] instead.
+    pub fn step<S: TraceStream>(&mut self, mem: &mut MemorySystem, stream: &mut S, now: u64) {
+        if let Err(e) = self.try_step(mem, stream, now) {
+            panic!("{e}");
+        }
+    }
+
+    /// Advances one cycle, reporting a wedged pipeline (no commit progress
+    /// past the deadlock horizon with instructions in flight — a model
+    /// bug, never a workload property) as a [`CoreError`] carrying a
+    /// cycle-stamped [`PipelineSnapshot`].
+    pub fn try_step<S: TraceStream>(
+        &mut self,
+        mem: &mut MemorySystem,
+        stream: &mut S,
+        now: u64,
+    ) -> Result<(), Box<CoreError>> {
+        self.try_step_active(mem, stream, now).map(|_| ())
+    }
+
+    /// [`Core::try_step`] returning whether any pipeline state changed.
+    /// Run loops offer the core a sleep ([`Core::sleep_after`]) only after
+    /// a fully inert cycle: a busy pipeline is never quiescent, and even a
+    /// zero-commit cycle that dispatched, issued, fetched or completed
+    /// something almost never is — gating on inertness spares the
+    /// full-window probe walk. The gate can only forgo a sleep (the probe
+    /// is a pure read), never change simulated results.
+    pub fn try_step_active<S: TraceStream>(
+        &mut self,
+        mem: &mut MemorySystem,
+        stream: &mut S,
+        now: u64,
+    ) -> Result<bool, Box<CoreError>> {
+        let wb_active = self.writeback(now);
+        let committed = self.commit(now);
+        self.account_blame(committed, now, 1);
+        let mem_active = self.memory_issue(mem, now);
+        let dispatched = self.dispatch(now);
+        // Parked replays reclaim freed slots before decode allocates new
+        // entries, so cancelled instructions keep age priority.
+        let parked = self.rs.has_parked();
+        self.rs.drain_replays();
+        let decoded = self.decode(now);
+        let fetched = self.fetch(mem, stream, now);
+        self.account_cycles(now, 1);
+        self.check_wedge(now)?;
+        Ok(wb_active || committed > 0 || mem_active || dispatched || parked || decoded || fetched)
+    }
+
+    /// Runs a whole trace to completion on a fresh cycle counter, returning
+    /// the final cycle count.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Core::try_run`] would return an error.
+    pub fn run<S: TraceStream>(&mut self, mem: &mut MemorySystem, stream: &mut S) -> u64 {
+        match self.try_run(mem, stream) {
+            Ok(now) => now,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Fallible form of [`Core::run`].
+    pub fn try_run<S: TraceStream>(
+        &mut self,
+        mem: &mut MemorySystem,
+        stream: &mut S,
+    ) -> Result<u64, Box<CoreError>> {
+        self.try_run_from(mem, stream, 0)
+    }
+
+    /// Runs a stream to completion starting at `start_cycle` (sampled
+    /// simulation times several windows against one shared memory system,
+    /// whose resource reservations must stay monotonic). Returns the cycle
+    /// after the last step; a wedged pipeline surfaces as a [`CoreError`].
+    pub fn try_run_from<S: TraceStream>(
+        &mut self,
+        mem: &mut MemorySystem,
+        stream: &mut S,
+        start_cycle: u64,
+    ) -> Result<u64, Box<CoreError>> {
+        let mut now = start_cycle;
+        self.front.next_fetch_at = self.front.next_fetch_at.max(start_cycle);
+        self.last_commit_cycle = self.last_commit_cycle.max(start_cycle);
+        while !self.is_done(stream) {
+            let active = self.try_step_active(mem, stream, now)?;
+            now = if active {
+                now + 1
+            } else {
+                self.sleep_after(stream, now, u64::MAX)
+            };
+        }
+        Ok(now)
+    }
+
+    /// A cycle-stamped snapshot of the pipeline state: ROB head/tail and
+    /// occupancy, per-station RS occupancy, LSQ occupancy, fetch-queue
+    /// depth and commit progress. Plain `Copy` data, cheap enough to take
+    /// every audited cycle.
+    pub fn snapshot(&self, now: u64) -> PipelineSnapshot {
+        let head = self.rob.head().map(|e| HeadInstr {
+            seq: e.seq,
+            op: e.rec.instr.op,
+            dispatched: e.dispatched,
+            completed: e.completed,
+        });
+        let rs_occupancy = |kind| RsOccupancy {
+            kind,
+            occupancy: self.rs.occupancy(kind),
+            capacity: self.rs.capacity(kind),
+        };
+        PipelineSnapshot {
+            cycle: now,
+            core_id: self.core_id,
+            rob_len: self.rob.len(),
+            rob_capacity: self.rob.capacity(),
+            next_seq: self.rob.next_seq(),
+            committed: self.stats.committed.get(),
+            head,
+            rs: [
+                rs_occupancy(RsKind::Rse),
+                rs_occupancy(RsKind::Rsf),
+                rs_occupancy(RsKind::Rsa),
+                rs_occupancy(RsKind::Rsbr),
+            ],
+            loads_in_flight: self.lsq.loads_in_flight(),
+            load_queue: self.cfg.load_queue as usize,
+            stores_in_flight: self.lsq.stores_in_flight(),
+            store_queue: self.cfg.store_queue as usize,
+            fetch_queue_len: self.front.queue.len(),
+            last_commit_cycle: self.last_commit_cycle,
+        }
+    }
+
+    /// Fault-injection hook: marks `n` reservation-station slots of `kind`
+    /// as stuck-held (see `ReservationStations::fault_stall_slots`).
+    #[doc(hidden)]
+    pub fn fault_stall_rs_slots(&mut self, kind: RsKind, n: usize) {
+        self.rs.fault_stall_slots(kind, n);
+    }
+
+    /// Fault-injection hook: rewinds the committed-instruction counter to
+    /// zero, violating commit monotonicity for the auditor to catch.
+    #[doc(hidden)]
+    pub fn fault_rewind_committed(&mut self) {
+        self.stats.committed.reset();
+    }
+
+    /// Fault-injection hook: counts a cycle that is never attributed to
+    /// any CPI-taxonomy leaf, breaking the top-down conservation invariant
+    /// for the auditor to catch.
+    #[doc(hidden)]
+    pub fn fault_leak_cpi_cycle(&mut self) {
+        self.stats.cycles.incr();
+    }
+}

@@ -31,4 +31,4 @@ pub use bpred::{Bht, BhtConfig};
 pub use config::{CoreConfig, RsScheme};
 pub use error::{CoreError, CoreFault, HeadInstr, PipelineSnapshot, RsOccupancy};
 pub use stats::CoreStats;
-pub use timeline::{InstrTimeline, PipelineTrace, TimelineMode};
+pub use timeline::{InstrTimeline, PipelineTrace};

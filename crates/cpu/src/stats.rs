@@ -59,13 +59,8 @@ pub struct StallCycles {
 }
 
 impl StallCycles {
-    /// Records one cycle's blame.
-    pub fn record(&mut self, cause: StallCause) {
-        self.record_n(cause, 1);
-    }
-
-    /// Records `n` cycles of identical blame (used when a quiescent
-    /// stretch is skipped in one jump).
+    /// Records `n` cycles of identical blame (one for a stepped cycle,
+    /// many when a quiescent stretch is slept through in one jump).
     pub fn record_n(&mut self, cause: StallCause, n: u64) {
         match cause {
             StallCause::Busy => self.busy.add(n),
@@ -179,13 +174,8 @@ impl CoreStats {
         }
     }
 
-    /// Records a decode stall.
-    pub fn record_stall(&mut self, cause: DecodeStall) {
-        self.record_stall_n(cause, 1);
-    }
-
-    /// Records `n` identical decode stalls (used when a quiescent stretch
-    /// is skipped in one jump).
+    /// Records `n` identical decode stalls (one for a stepped cycle, many
+    /// when a quiescent stretch is slept through in one jump).
     pub fn record_stall_n(&mut self, cause: DecodeStall, n: u64) {
         match cause {
             DecodeStall::Window => self.stall_window.add(n),
@@ -232,9 +222,8 @@ mod tests {
     #[test]
     fn stall_causes_are_separated() {
         let mut s = CoreStats::new(64, 16, 10);
-        s.record_stall(DecodeStall::Window);
-        s.record_stall(DecodeStall::StoreQueue);
-        s.record_stall(DecodeStall::StoreQueue);
+        s.record_stall_n(DecodeStall::Window, 1);
+        s.record_stall_n(DecodeStall::StoreQueue, 2);
         assert_eq!(s.stall_window.get(), 1);
         assert_eq!(s.stall_sq.get(), 2);
         assert_eq!(s.stall_rename.get(), 0);

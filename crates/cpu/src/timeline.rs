@@ -11,88 +11,31 @@
 //! diffed event by event, and so the exporters in `s64v-observe` can
 //! draw pipeline diagrams.
 //!
-//! Three [`TimelineMode`]s bound memory differently: record the first N
-//! instructions (the verification default), the *last* N in a ring
-//! buffer (steady-state behaviour near the end of a long run), or a
-//! strided sample (a window of W instructions out of every S, spreading
-//! a bounded density over the whole run).
+//! Memory is bounded by recording only the first N decoded instructions.
 
 use s64v_isa::OpClass;
 pub use s64v_observe::InstrTimeline;
 
-/// Which dynamic instructions a [`PipelineTrace`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimelineMode {
-    /// The first `n` decoded instructions (program order prefix).
-    FirstN(usize),
-    /// The most recent `n` decoded instructions (ring buffer; earlier
-    /// entries are overwritten as the run proceeds).
-    Ring(usize),
-    /// `window` consecutive instructions out of every `stride`
-    /// (`seq % stride < window`), over the whole run.
-    Strided {
-        /// Sampling period in instructions.
-        stride: u64,
-        /// Instructions recorded at the start of each period.
-        window: usize,
-    },
-}
-
-/// A bounded recorder of instruction timelines.
+/// A bounded recorder of instruction timelines: the first `capacity`
+/// decoded instructions, in program order.
 #[derive(Debug, Clone)]
 pub struct PipelineTrace {
     entries: Vec<InstrTimeline>,
-    mode: TimelineMode,
+    capacity: usize,
 }
 
 impl PipelineTrace {
     /// Creates a recorder for the first `capacity` instructions.
     pub fn new(capacity: usize) -> Self {
-        Self::with_mode(TimelineMode::FirstN(capacity))
-    }
-
-    /// Creates a recorder with an explicit [`TimelineMode`].
-    pub fn with_mode(mode: TimelineMode) -> Self {
-        let reserve = match mode {
-            TimelineMode::FirstN(n) | TimelineMode::Ring(n) => n,
-            TimelineMode::Strided { window, .. } => window,
-        };
         PipelineTrace {
-            entries: Vec::with_capacity(reserve.min(1 << 20)),
-            mode,
-        }
-    }
-
-    /// The recording mode.
-    pub fn mode(&self) -> TimelineMode {
-        self.mode
-    }
-
-    /// Whether `seq` falls inside the recorded set.
-    pub fn records(&self, seq: u64) -> bool {
-        match self.mode {
-            TimelineMode::FirstN(n) => (seq as usize) < n,
-            TimelineMode::Ring(n) => n > 0,
-            TimelineMode::Strided { stride, window } => stride > 0 && seq % stride < window as u64,
-        }
-    }
-
-    /// Storage slot for `seq`, assuming [`Self::records`] holds. Decode
-    /// arrives in program order, so every mode's slot sequence fills the
-    /// backing vector densely (the ring wraps around).
-    fn slot(&self, seq: u64) -> usize {
-        match self.mode {
-            TimelineMode::FirstN(_) => seq as usize,
-            TimelineMode::Ring(n) => (seq as usize) % n,
-            TimelineMode::Strided { stride, window } => {
-                (seq / stride) as usize * window + (seq % stride) as usize
-            }
+            entries: Vec::with_capacity(capacity.min(1 << 20)),
+            capacity,
         }
     }
 
     /// Starts an entry at decode.
     pub fn on_decode(&mut self, seq: u64, pc: u64, op: OpClass, now: u64) {
-        if !self.records(seq) {
+        if seq as usize >= self.capacity {
             return;
         }
         let entry = InstrTimeline {
@@ -105,23 +48,16 @@ impl PipelineTrace {
             committed_at: None,
             replays: 0,
         };
-        let slot = self.slot(seq);
-        if slot < self.entries.len() {
-            self.entries[slot] = entry; // ring eviction
-        } else {
-            debug_assert_eq!(slot, self.entries.len(), "decode order is program order");
-            self.entries.push(entry);
-        }
+        debug_assert_eq!(
+            seq as usize,
+            self.entries.len(),
+            "decode order is program order"
+        );
+        self.entries.push(entry);
     }
 
     fn entry_mut(&mut self, seq: u64) -> Option<&mut InstrTimeline> {
-        if !self.records(seq) {
-            return None;
-        }
-        let slot = self.slot(seq);
-        // The seq check rejects stale ring slots already overwritten by
-        // a younger instruction.
-        self.entries.get_mut(slot).filter(|e| e.seq == seq)
+        self.entries.get_mut(seq as usize)
     }
 
     /// Records a dispatch (overwrites earlier dispatches — the final one
@@ -156,24 +92,14 @@ impl PipelineTrace {
         }
     }
 
-    /// The recorded timelines in storage order: program order for
-    /// `FirstN`/`Strided`, slot order (rotated) for `Ring`.
+    /// The recorded timelines in program (sequence) order.
     pub fn entries(&self) -> &[InstrTimeline] {
         &self.entries
     }
 
-    /// The recorded timelines in program (sequence) order, whatever the
-    /// mode.
-    pub fn entries_in_order(&self) -> Vec<InstrTimeline> {
-        let mut v = self.entries.clone();
-        v.sort_by_key(|e| e.seq);
-        v
-    }
-
     /// Diffs two recordings instruction by instruction; returns the
     /// sequence numbers whose committed cycles differ by more than
-    /// `tolerance` cycles (the §2.2-style detailed match check). Both
-    /// recordings should use the same mode so entries line up.
+    /// `tolerance` cycles (the §2.2-style detailed match check).
     pub fn diff_commits(&self, other: &PipelineTrace, tolerance: u64) -> Vec<u64> {
         self.entries
             .iter()
@@ -252,68 +178,5 @@ mod tests {
         assert!(a.diff_commits(&b, 5).contains(&0));
         assert!(a.diff_commits(&b, 50).is_empty());
         assert!(a.diff_commits(&sample(6), 0).is_empty());
-    }
-
-    /// Drives one synthetic instruction through all stages.
-    fn drive(t: &mut PipelineTrace, seq: u64) {
-        let base = seq * 3;
-        t.on_decode(seq, 0x1000 + seq * 4, OpClass::IntAlu, base);
-        t.on_dispatch(seq, base + 1);
-        if seq.is_multiple_of(3) {
-            t.on_replay(seq);
-            t.on_dispatch(seq, base + 4);
-        }
-        t.on_complete(seq, base + 6);
-        t.on_commit(seq, base + 8);
-    }
-
-    #[test]
-    fn ring_mode_keeps_the_last_n_consistent() {
-        let mut t = PipelineTrace::with_mode(TimelineMode::Ring(4));
-        for seq in 0..25u64 {
-            drive(&mut t, seq);
-        }
-        assert_eq!(t.entries().len(), 4);
-        let ordered = t.entries_in_order();
-        let seqs: Vec<u64> = ordered.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![21, 22, 23, 24], "ring retains the tail");
-        for e in &ordered {
-            assert!(e.is_consistent(), "seq {} inconsistent: {e:?}", e.seq);
-            assert!(e.committed_at.is_some());
-        }
-    }
-
-    #[test]
-    fn ring_mode_ignores_stage_updates_for_evicted_entries() {
-        let mut t = PipelineTrace::with_mode(TimelineMode::Ring(2));
-        t.on_decode(0, 0, OpClass::Load, 0);
-        t.on_decode(1, 4, OpClass::Load, 1);
-        t.on_decode(2, 8, OpClass::Load, 2); // evicts seq 0
-        t.on_commit(0, 99); // late update for the evicted entry
-        let ordered = t.entries_in_order();
-        assert_eq!(ordered.iter().map(|e| e.seq).collect::<Vec<_>>(), [1, 2]);
-        assert!(ordered.iter().all(|e| e.committed_at.is_none()));
-    }
-
-    #[test]
-    fn strided_mode_samples_windows_and_stays_consistent() {
-        let mode = TimelineMode::Strided {
-            stride: 10,
-            window: 3,
-        };
-        let mut t = PipelineTrace::with_mode(mode);
-        for seq in 0..35u64 {
-            drive(&mut t, seq);
-        }
-        // Windows at 0..3, 10..13, 20..23, 30..33.
-        let seqs: Vec<u64> = t.entries().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 10, 11, 12, 20, 21, 22, 30, 31, 32]);
-        for e in t.entries() {
-            assert!(e.is_consistent());
-            assert_eq!(e.committed_at, Some(e.seq * 3 + 8));
-            if e.seq % 3 == 0 {
-                assert_eq!(e.replays, 1);
-            }
-        }
     }
 }

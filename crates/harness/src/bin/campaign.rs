@@ -21,12 +21,11 @@
 //! campaign perf BASE NEW [--folded PATH]
 //! ```
 //!
-//! Run sizes come from the usual `S64V_*` environment variables;
-//! `--threads`/`--cache-dir`/`--no-cache`/`--checked`/`--trace`/
-//! `--metrics` override `S64V_THREADS`, `S64V_CACHE_DIR`,
-//! `S64V_NO_CACHE`, `S64V_CHECKED`, `S64V_TRACE` and `S64V_METRICS`;
-//! `--deadline`/`--cycle-budget`/`--retries` override
-//! `S64V_POINT_DEADLINE`, `S64V_CYCLE_BUDGET` and `S64V_POINT_RETRIES`.
+//! Run sizes come from the environment (`S64V_RECORDS`, `S64V_WARMUP`,
+//! `S64V_SMP_CPUS`, `S64V_SMP_RECORDS`, `S64V_SMP_WARMUP`, `S64V_SEED`;
+//! a malformed value is a usage error in every mode) and rendered tables
+//! go to `S64V_RESULTS_DIR`; everything else is a flag. The result cache
+//! defaults to `results-cache/` in the working directory.
 //! `--checked` runs every point under the invariant auditor (identical
 //! results, simulation-integrity errors instead of silent corruption);
 //! failed points leave a JSON diagnostic dump next to their cache entry.
@@ -111,6 +110,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
+/// Engine options before any flag: everything off but the result cache.
+fn default_engine() -> EngineOpts {
+    EngineOpts {
+        cache_dir: Some("results-cache".into()),
+        ..EngineOpts::default()
+    }
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage: campaign [--figures all|name,name,...] [--threads N]\n\
@@ -130,7 +137,9 @@ fn usage() -> ! {
          \x20      campaign soak [--seed N] [--rate PER_MILLE] [--dir DIR]\n\
          \x20               [--threads N] [--quiet]\n\
          \x20      campaign perf BASE NEW [--folded PATH]\n\
-         \x20               (BASE/NEW: cache dir or .cpi.json artifact)"
+         \x20               (BASE/NEW: cache dir or .cpi.json artifact)\n\
+         run sizes: S64V_RECORDS S64V_WARMUP S64V_SMP_CPUS S64V_SMP_RECORDS\n\
+         \x20          S64V_SMP_WARMUP S64V_SEED; tables go to S64V_RESULTS_DIR"
     );
     std::process::exit(2);
 }
@@ -335,7 +344,7 @@ struct ExploreCli {
 }
 
 fn parse_explore_cli(args: impl Iterator<Item = String>) -> ExploreCli {
-    let mut engine = EngineOpts::from_env();
+    let mut engine = default_engine();
     let mut fresh = false;
     let mut spec_path = None;
     let mut out = None;
@@ -839,10 +848,9 @@ fn perf_main(args: impl Iterator<Item = String>) -> ! {
 /// nonzero unless every workload passes the gate: sampled IPC within
 /// tolerance of full detail, confidence interval covering the
 /// full-detail value, and per-window CPI stacks conserving their cycles.
-fn validate_main(args: impl Iterator<Item = String>) -> ! {
-    let opts = HarnessOpts::from_env();
-    let mut engine = EngineOpts::from_env();
-    let mut sample = SampleOpts::from_env(&opts);
+fn validate_main(args: impl Iterator<Item = String>, opts: HarnessOpts) -> ! {
+    let mut engine = default_engine();
+    let mut sample = SampleOpts::for_sizes(&opts);
     let mut tolerance = DEFAULT_TOLERANCE;
     let mut quiet = false;
     let mut out: Option<PathBuf> = None;
@@ -1013,6 +1021,10 @@ fn validate_main(args: impl Iterator<Item = String>) -> ! {
 }
 
 fn main() {
+    let opts = HarnessOpts::from_env().unwrap_or_else(|e| {
+        eprintln!("campaign: {e}");
+        std::process::exit(2);
+    });
     let mut raw = std::env::args().skip(1).peekable();
     match raw.peek().map(String::as_str) {
         Some("explore") => {
@@ -1021,7 +1033,7 @@ fn main() {
         }
         Some("validate") => {
             raw.next();
-            validate_main(raw);
+            validate_main(raw, opts);
         }
         Some("serve") => {
             raw.next();
@@ -1039,7 +1051,7 @@ fn main() {
     }
 
     let mut figures_arg = "all".to_string();
-    let mut engine = EngineOpts::from_env();
+    let mut engine = default_engine();
     let mut quiet = false;
     let mut check_paths: Vec<String> = Vec::new();
 
@@ -1097,7 +1109,6 @@ fn main() {
             .collect()
     };
 
-    let opts = HarnessOpts::from_env();
     let (tx, printer) = spawn_printer(quiet);
     let outcome = run_figures(&names, &opts, &engine, Some(tx));
     printer.join().expect("progress printer panicked");

@@ -36,7 +36,7 @@ use crate::registry::{Registry, ReuseKey};
 use crate::spec::{CampaignSpec, PointMetrics, SimPoint, WorkUnit};
 use crate::supervise::{CacheLock, ChaosInjector, Watchdog};
 use s64v_core::{
-    compare, CycleBudget, HarnessFaultClass, ObserveConfig, PerformanceModel, RunObservation,
+    compare, CycleBudget, HarnessFaultClass, ObserveConfig, PerformanceModel, Run, RunObservation,
     RunOptions, RunResult, SimError,
 };
 use s64v_observe::{perfetto_json, render_pipeline, to_jsonl};
@@ -274,15 +274,13 @@ fn execute_in(
                 observed,
             )
         }
-        WorkUnit::SmpTpcc => {
-            let model = PerformanceModel::new(point.config.clone());
-            match ocfg {
-                Some(ocfg) => model.try_run_traces_warm_observed(&traces, point.warmup, opts, ocfg),
-                None => model
-                    .try_run_traces_warm(&traces, point.warmup, opts)
-                    .map(|r| (r, RunObservation::default())),
-            }
-        }
+        WorkUnit::SmpTpcc => PerformanceModel::new(point.config.clone()).execute(Run {
+            traces: &traces,
+            warmup: point.warmup,
+            window: None,
+            opts,
+            observe: ocfg,
+        }),
         WorkUnit::Verify { .. } => {
             // `compare` drives both machines itself; checked mode and
             // fault injection do not apply to the reference cross-check.

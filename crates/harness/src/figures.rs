@@ -13,9 +13,7 @@
 use crate::engine::{run_campaign, PointOutcome};
 use crate::journal::FailedPoint;
 use crate::progress::{CampaignReport, ProgressEvent};
-use crate::spec::{
-    env_usize, CampaignSpec, HarnessOpts, ObservePlan, PointMetrics, SimPoint, WorkUnit,
-};
+use crate::spec::{CampaignSpec, HarnessOpts, ObservePlan, PointMetrics, SimPoint, WorkUnit};
 use crate::supervise::SupervisePolicy;
 use crate::{banner, emit};
 use s64v_core::accuracy::{machine_residual, MACHINE_RESIDUAL_MAX};
@@ -1192,7 +1190,7 @@ fn stability_render(o: &HarnessOpts, store: &PointStore) -> Result<(), String> {
 }
 
 fn sampling_accuracy_points(o: &HarnessOpts) -> Vec<SimPoint> {
-    let s = crate::validate::SampleOpts::from_env(o);
+    let s = crate::validate::SampleOpts::for_sizes(o);
     crate::validate::all_points(o, &s)
 }
 
@@ -1202,7 +1200,7 @@ fn sampling_accuracy_render(o: &HarnessOpts, store: &PointStore) -> Result<(), S
         "methodology, Fig 19 discipline",
         "sampled IPC within 2% of full detail; 95% CI covers; per-window CPI conserves",
     );
-    let s = crate::validate::SampleOpts::from_env(o);
+    let s = crate::validate::SampleOpts::for_sizes(o);
     let report = crate::validate::assess_default(o, &s, store)?;
     emit("sampling_accuracy", &report.table());
     if report.passed() {
@@ -1466,24 +1464,9 @@ pub fn figure_names() -> Vec<&'static str> {
 // Campaign orchestration
 // ---------------------------------------------------------------------
 
-/// Engine execution options, read from the environment:
-///
-/// | variable | meaning | default |
-/// |---|---|---|
-/// | `S64V_THREADS` | worker threads | available parallelism |
-/// | `S64V_CACHE_DIR` | result-cache directory | `results-cache` |
-/// | `S64V_NO_CACHE` | disable the cache when set to `1` | unset |
-/// | `S64V_CHECKED` | run the invariant auditor when set to `1` | unset |
-/// | `S64V_TRACE` | comma-separated label substrings to trace | unset |
-/// | `S64V_METRICS` | record interval metrics when set to `1` | unset |
-/// | `S64V_POINT_DEADLINE` | per-point wall-clock deadline (seconds) | none |
-/// | `S64V_CYCLE_BUDGET` | per-point simulated-cycle ceiling | none |
-/// | `S64V_POINT_RETRIES` | transient-failure retries per point | 2 |
-/// | `S64V_BACKOFF_MS` | base retry backoff (milliseconds) | 20 |
-///
-/// Rendered tables additionally honour `S64V_RESULTS_DIR` (see
-/// [`crate::emit`]) so reduced-size smoke runs can write CSVs to a
-/// scratch directory instead of `results/`.
+/// Engine execution options; the `campaign` binary sets each from its
+/// flag of the same name. The default runs uncached, unchecked and
+/// unobserved on every available core.
 #[derive(Debug, Clone, Default)]
 pub struct EngineOpts {
     /// Worker threads (`None` = available parallelism).
@@ -1500,42 +1483,6 @@ pub struct EngineOpts {
     pub supervise: SupervisePolicy,
     /// Seeded chaos schedule (`campaign soak` only; `None` = no chaos).
     pub chaos: Option<ChaosPlan>,
-}
-
-impl EngineOpts {
-    /// Reads engine options from the environment (see the type docs).
-    pub fn from_env() -> Self {
-        let threads = match env_usize("S64V_THREADS", 0) {
-            0 => None,
-            n => Some(n),
-        };
-        let cache_dir = if std::env::var("S64V_NO_CACHE").is_ok_and(|v| v == "1") {
-            None
-        } else {
-            Some(PathBuf::from(
-                std::env::var("S64V_CACHE_DIR").unwrap_or_else(|_| "results-cache".to_string()),
-            ))
-        };
-        let checked = std::env::var("S64V_CHECKED").is_ok_and(|v| v == "1");
-        let trace = std::env::var("S64V_TRACE")
-            .map(|v| {
-                v.split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect()
-            })
-            .unwrap_or_default();
-        let metrics = std::env::var("S64V_METRICS").is_ok_and(|v| v == "1");
-        EngineOpts {
-            threads,
-            cache_dir,
-            checked,
-            trace,
-            metrics,
-            supervise: SupervisePolicy::from_env(),
-            chaos: None,
-        }
-    }
 }
 
 /// What [`run_figures`] is left with after rendering.

@@ -24,7 +24,7 @@
 //!   structured [simulation error](s64v_core::SimError) or a panic) is
 //!   reported and skipped instead of aborting the campaign, with a JSON
 //!   diagnostic dump written next to its cache entry.
-//! * **Checked mode** — [`CampaignSpec::checked`] (or `S64V_CHECKED=1`)
+//! * **Checked mode** — [`CampaignSpec::checked`] (`campaign --checked`)
 //!   runs every point under the [invariant
 //!   auditor](s64v_core::integrity), which never perturbs results but
 //!   turns silent model-state corruption into first-faulting-cycle

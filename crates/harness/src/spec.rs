@@ -13,7 +13,10 @@ use s64v_workloads::SuiteKind;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Run sizes for a harness invocation, read from the environment:
+/// Run sizes for a harness invocation. The `campaign` binary reads them
+/// from the environment ([`HarnessOpts::from_env`]); these six variables
+/// and `S64V_RESULTS_DIR` (see [`crate::emit`]) are the only ones it
+/// reads — engine options are flags.
 ///
 /// | variable | meaning | default |
 /// |---|---|---|
@@ -39,24 +42,35 @@ pub struct HarnessOpts {
     pub seed: u64,
 }
 
-pub(crate) fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
+/// `name`'s value when set, `default` when not; a value that is not a
+/// number is an error naming the variable, never a silent default.
+fn env_number<T: std::str::FromStr>(name: &str, default: T) -> Result<T, String> {
+    let Some(value) = std::env::var_os(name) else {
+        return Ok(default);
+    };
+    value
+        .to_str()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+        .ok_or_else(|| format!("{name}={value:?} is not a non-negative integer"))
 }
 
 impl HarnessOpts {
-    /// Reads options from the environment (see the type docs).
-    pub fn from_env() -> Self {
-        HarnessOpts {
-            records: env_usize("S64V_RECORDS", 150_000),
-            warmup: env_usize("S64V_WARMUP", 2_000_000),
-            smp_cpus: env_usize("S64V_SMP_CPUS", 16),
-            smp_records: env_usize("S64V_SMP_RECORDS", 60_000),
-            smp_warmup: env_usize("S64V_SMP_WARMUP", 600_000),
-            seed: env_usize("S64V_SEED", 42) as u64,
+    /// The default sizes overridden by whichever variables are set (see
+    /// the type docs). `Err` names a variable whose value is malformed.
+    pub fn from_env() -> Result<Self, String> {
+        let d = HarnessOpts::default();
+        let smp_cpus = env_number("S64V_SMP_CPUS", d.smp_cpus)?;
+        if smp_cpus == 0 {
+            return Err("S64V_SMP_CPUS=0: the SMP model needs a CPU".to_string());
         }
+        Ok(HarnessOpts {
+            records: env_number("S64V_RECORDS", d.records)?,
+            warmup: env_number("S64V_WARMUP", d.warmup)?,
+            smp_cpus,
+            smp_records: env_number("S64V_SMP_RECORDS", d.smp_records)?,
+            smp_warmup: env_number("S64V_SMP_WARMUP", d.smp_warmup)?,
+            seed: env_number("S64V_SEED", d.seed)?,
+        })
     }
 
     /// Small sizes for smoke tests.
@@ -72,9 +86,17 @@ impl HarnessOpts {
     }
 }
 
+/// The evaluation's sizes (EXPERIMENTS.md).
 impl Default for HarnessOpts {
     fn default() -> Self {
-        Self::from_env()
+        HarnessOpts {
+            records: 150_000,
+            warmup: 2_000_000,
+            smp_cpus: 16,
+            smp_records: 60_000,
+            smp_warmup: 600_000,
+            seed: 42,
+        }
     }
 }
 

@@ -8,9 +8,8 @@
 //! threads through its layers:
 //!
 //! * [`SupervisePolicy`] — per-point wall-clock deadline, simulated-cycle
-//!   budget, bounded retries and deterministic backoff, configurable via
-//!   the spec, the CLI, or `S64V_POINT_DEADLINE` / `S64V_CYCLE_BUDGET` /
-//!   `S64V_POINT_RETRIES` / `S64V_BACKOFF_MS`.
+//!   budget, bounded retries and deterministic backoff, set on the spec
+//!   (`campaign --deadline` / `--cycle-budget` / `--retries`).
 //! * [`Watchdog`] — a monitor thread that cancels overdue in-flight
 //!   points cooperatively (the model polls a flag; see
 //!   [`s64v_core::CycleBudget`]) so the worker returns with a structured
@@ -26,7 +25,6 @@
 //!   [`s64v_core::ChaosPlan`]: consults the seeded schedule at each
 //!   opportunity and keeps a log of fired faults for the soak gate.
 
-use crate::spec::env_usize;
 use s64v_core::fingerprint::{Fingerprint, StableHasher};
 use s64v_core::{ChaosPlan, HarnessFaultClass};
 use std::collections::HashMap;
@@ -74,33 +72,6 @@ impl Default for SupervisePolicy {
 }
 
 impl SupervisePolicy {
-    /// Reads the policy from the environment on top of the defaults:
-    /// `S64V_POINT_DEADLINE` (seconds, fractional ok), `S64V_CYCLE_BUDGET`
-    /// (simulated cycles), `S64V_POINT_RETRIES`, `S64V_BACKOFF_MS`.
-    pub fn from_env() -> Self {
-        let mut p = SupervisePolicy::default();
-        if let Some(secs) = std::env::var("S64V_POINT_DEADLINE")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|s| *s > 0.0)
-        {
-            p.deadline = Some(Duration::from_secs_f64(secs));
-        }
-        if let Some(cycles) = std::env::var("S64V_CYCLE_BUDGET")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|c| *c > 0)
-        {
-            p.cycle_budget = Some(cycles);
-        }
-        p.retries = env_usize("S64V_POINT_RETRIES", p.retries as usize) as u32;
-        p.backoff = Duration::from_millis(env_usize(
-            "S64V_BACKOFF_MS",
-            p.backoff.as_millis() as usize,
-        ) as u64);
-        p
-    }
-
     /// Sets the wall-clock deadline.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);

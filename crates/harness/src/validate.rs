@@ -32,7 +32,7 @@
 //! both exit nonzero when the gate fails.
 
 use crate::figures::{PointStore, UP_SUITES};
-use crate::spec::{env_usize, HarnessOpts, PointMetrics, SimPoint, WorkUnit};
+use crate::spec::{HarnessOpts, PointMetrics, SimPoint, WorkUnit};
 use s64v_core::{program_seed, CpiStack, SystemConfig};
 use s64v_observe::json::Value;
 use s64v_stats::{SampleStats, Table, Z95};
@@ -43,20 +43,14 @@ use s64v_workloads::{Suite, SuiteKind};
 /// model-vs-machine headline from Fig 19).
 pub const DEFAULT_TOLERANCE: f64 = 0.02;
 
-/// Shape of the sampling plan used for validation, read from the
-/// environment:
+/// Shape of the sampling plan used for validation (`campaign validate`
+/// sets the fields with `--windows`, `--window` and `--sample-warmup`).
 ///
-/// | variable | meaning | default |
-/// |---|---|---|
-/// | `S64V_SAMPLE_WINDOWS` | target detailed windows per workload | 10 |
-/// | `S64V_SAMPLE_WINDOW` | records per detailed window | `max(records/windows, 2000)` |
-/// | `S64V_SAMPLE_WARMUP` | functional warm-up records per window | `warmup + records` |
-///
-/// The defaults are the *validation geometry*: windows tile the timed
-/// region (window = period, so every timed record is simulated by some
-/// window and the estimator has zero sampling variance — residual error
-/// is window-boundary ramp only) and the warm-up reaches back past the
-/// start of the trace, so each window's caches, TLBs and branch
+/// [`SampleOpts::for_sizes`] is the *validation geometry*: windows tile
+/// the timed region (window = period, so every timed record is simulated
+/// by some window and the estimator has zero sampling variance — residual
+/// error is window-boundary ramp only) and the warm-up reaches back past
+/// the start of the trace, so each window's caches, TLBs and branch
 /// predictors carry exactly the history the full-detail run had
 /// (SMARTS-style full functional warming; this model's workloads do not
 /// saturate cache state short of their full history, so bounded warm-up
@@ -75,20 +69,18 @@ pub struct SampleOpts {
 }
 
 impl SampleOpts {
-    /// Reads the plan shape from the environment, deriving defaults
-    /// from the harness run sizes (see the type docs).
-    pub fn from_env(o: &HarnessOpts) -> Self {
-        let windows = env_usize("S64V_SAMPLE_WINDOWS", 10).max(2);
-        let window = env_usize("S64V_SAMPLE_WINDOW", (o.records / windows).max(2_000)).max(1);
-        // Default warm-up reaches past record 0 from every window start:
-        // full functional warming, the unbiased (and checkpoint-free)
-        // SMARTS regime. See the type docs for why bounded warm-up is
-        // not the default.
-        let warmup = env_usize("S64V_SAMPLE_WARMUP", o.warmup + o.records);
+    /// The default plan shape for the harness run sizes `o`: ten windows
+    /// of `max(records / 10, 2000)` records, each warmed from record 0.
+    pub fn for_sizes(o: &HarnessOpts) -> Self {
+        let windows = 10;
         SampleOpts {
             windows,
-            window,
-            warmup,
+            window: (o.records / windows).max(2_000),
+            // Reaches past record 0 from every window start: full
+            // functional warming, the unbiased (and checkpoint-free)
+            // SMARTS regime. See the type docs for why bounded warm-up
+            // is not the default.
+            warmup: o.warmup + o.records,
         }
     }
 
@@ -102,7 +94,7 @@ impl SampleOpts {
 /// Every uniprocessor figure workload, as `(suite, program index)` in
 /// reporting order. (The lock-stepped SMP TPC-C model is excluded:
 /// sampled windows are a uniprocessor mode, matching
-/// [`s64v_core::PerformanceModel::try_run_trace_window`].)
+/// [`SimPoint::window`].)
 pub fn validate_workloads() -> Vec<(SuiteKind, usize)> {
     UP_SUITES
         .iter()

@@ -7,7 +7,7 @@
 //! nothing.
 
 use s64v_core::{
-    apply_knob, warm_fingerprint, ChaosPlan, HarnessFaultClass, PerformanceModel, RunOptions,
+    apply_knob, warm_fingerprint, ChaosPlan, HarnessFaultClass, PerformanceModel, Run, RunOptions,
     SystemConfig,
 };
 use s64v_harness::engine::PointOutcome;
@@ -150,9 +150,7 @@ fn a_point_served_from_a_shared_state_equals_the_per_point_warm_loop() {
         let out = run(&spec(&points, 2));
         for (p, o) in points.iter().zip(&out.outcomes) {
             let m = o.metrics().expect("clean point");
-            let r = PerformanceModel::new(p.config.clone())
-                .try_run_trace_warm(&trace, WARMUP, RunOptions::default())
-                .expect("clean run");
+            let r = PerformanceModel::new(p.config.clone()).run(Run::of(&trace).warm(WARMUP));
             assert_eq!(
                 (m.cycles, m.committed, m.bus_transactions, m.bus_busy_cycles),
                 (r.cycles, r.committed, r.bus_transactions, r.bus_busy_cycles),

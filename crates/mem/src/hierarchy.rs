@@ -968,13 +968,12 @@ impl MemorySystem {
                     self.cores[owner].stats.coherence.move_outs_out.incr();
                     self.cores[core].stats.coherence.move_outs_in.incr();
                     self.move_out_transfer(core, owner, ready)
-                } else if w.invalidations > 0 {
-                    let cmd = self.req_backplane(ready, BusOp::Command, snoop);
-                    cmd.done_at + snoop
                 } else {
-                    // Invalid here means the directory lost the line to an
-                    // earlier remote write racing this store; refetch cost
-                    // is approximated by an address-only transaction.
+                    // An address-only transaction: the invalidation
+                    // broadcast — or, with nothing left to invalidate
+                    // (the directory lost the line to an earlier remote
+                    // write racing this store), the approximated cost of
+                    // the refetch.
                     let cmd = self.req_backplane(ready, BusOp::Command, snoop);
                     cmd.done_at + snoop
                 }

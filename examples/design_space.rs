@@ -6,7 +6,7 @@
 //! ```
 
 use sparc64v::mem::config::CacheGeometry;
-use sparc64v::model::{PerformanceModel, SystemConfig};
+use sparc64v::model::{PerformanceModel, Run, SystemConfig};
 use sparc64v::stats::Table;
 use sparc64v::workloads::{Suite, SuiteKind};
 
@@ -31,7 +31,7 @@ fn main() {
         for &w in &ways {
             let mut config = SystemConfig::sparc64_v();
             config.mem.l2 = CacheGeometry::new(mb << 20, w, config.mem.l2.latency);
-            let r = PerformanceModel::new(config).run_trace_warm(&trace, warmup);
+            let r = PerformanceModel::new(config).run(Run::of(&trace).warm(warmup));
             row.push(format!("{:.3}", r.ipc()));
         }
         t.row(row);

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use sparc64v::model::{PerformanceModel, SystemConfig};
+use sparc64v::model::{PerformanceModel, Run, SystemConfig};
 use sparc64v::workloads::{Suite, SuiteKind};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
         warmup,
         timed
     );
-    let result = PerformanceModel::new(config).run_trace_warm(&trace, warmup);
+    let result = PerformanceModel::new(config).run(Run::of(&trace).warm(warmup));
 
     println!("cycles              : {}", result.cycles);
     println!("IPC                 : {:.3}", result.ipc());

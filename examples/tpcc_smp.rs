@@ -6,7 +6,7 @@
 //! cargo run --release --example tpcc_smp [cpus]
 //! ```
 
-use sparc64v::model::{PerformanceModel, SystemConfig};
+use sparc64v::model::{PerformanceModel, Run, SystemConfig};
 use sparc64v::workloads::{smp_traces, suite::tpcc_program};
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     let traces = smp_traces(&tpcc_program(), cpus, warmup + timed, 7);
 
     let config = SystemConfig::smp(cpus);
-    let result = PerformanceModel::new(config).run_traces_warm(&traces, warmup);
+    let result = PerformanceModel::new(config).run(Run::new(&traces).warm(warmup));
 
     println!(
         "system throughput: {:.3} IPC over {} cycles",

@@ -11,7 +11,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use sparc64v::model::{PerformanceModel, SystemConfig};
+//! use sparc64v::model::{PerformanceModel, Run, SystemConfig};
 //! use sparc64v::workloads::{Suite, SuiteKind};
 //!
 //! // Build the base SPARC64 V configuration and run a small SPECint95-like
@@ -20,7 +20,7 @@
 //! let suite = Suite::preset(SuiteKind::SpecInt95);
 //! let program = &suite.programs()[0];
 //! let trace = program.generate(20_000, 42);
-//! let result = PerformanceModel::new(config).run_trace(&trace);
+//! let result = PerformanceModel::new(config).run(Run::of(&trace));
 //! assert!(result.ipc() > 0.0);
 //! ```
 

@@ -1,6 +1,6 @@
 //! End-to-end integration tests: the full model over generated workloads.
 
-use sparc64v::model::{PerformanceModel, SystemConfig};
+use sparc64v::model::{PerformanceModel, Run, SystemConfig};
 use sparc64v::workloads::{Suite, SuiteKind};
 
 const WARMUP: usize = 60_000;
@@ -9,7 +9,7 @@ const TIMED: usize = 12_000;
 fn run(kind: SuiteKind, program: usize, config: &SystemConfig) -> sparc64v::model::RunResult {
     let suite = Suite::preset(kind);
     let trace = suite.programs()[program].generate(WARMUP + TIMED, 5);
-    PerformanceModel::new(config.clone()).run_trace_warm(&trace, WARMUP)
+    PerformanceModel::new(config.clone()).run(Run::of(&trace).warm(WARMUP))
 }
 
 #[test]
@@ -77,9 +77,9 @@ fn warm_runs_are_faster_than_cold() {
     let model = PerformanceModel::new(config);
     let cold = {
         let short = sparc64v::trace::VecTrace::from_records(trace.records()[WARMUP..].to_vec());
-        model.run_trace(&short)
+        model.run(Run::of(&short))
     };
-    let warm = model.run_trace_warm(&trace, WARMUP);
+    let warm = model.run(Run::of(&trace).warm(WARMUP));
     assert!(
         warm.cycles < cold.cycles,
         "warm {} vs cold {}",

@@ -1,7 +1,7 @@
 //! Qualitative assertions that the paper's figure *shapes* hold at smoke
 //! scale (the full reproduction is `campaign --figures all`).
 
-use sparc64v::model::{PerformanceModel, SystemConfig};
+use sparc64v::model::{PerformanceModel, Run, SystemConfig};
 use sparc64v::workloads::{Suite, SuiteKind};
 
 const WARMUP: usize = 120_000;
@@ -10,7 +10,7 @@ const TIMED: usize = 20_000;
 fn run(kind: SuiteKind, config: &SystemConfig, seed: u64) -> sparc64v::model::RunResult {
     let suite = Suite::preset(kind);
     let trace = suite.programs()[0].generate(WARMUP + TIMED, seed);
-    PerformanceModel::new(config.clone()).run_trace_warm(&trace, WARMUP)
+    PerformanceModel::new(config.clone()).run(Run::of(&trace).warm(WARMUP))
 }
 
 #[test]
@@ -23,7 +23,7 @@ fn fig09_small_bht_hurts_tpcc_not_spec() {
     let run_long = |config: &SystemConfig| {
         let suite = Suite::preset(SuiteKind::Tpcc);
         let trace = suite.programs()[0].generate(500_000 + 50_000, 9);
-        PerformanceModel::new(config.clone()).run_trace_warm(&trace, 500_000)
+        PerformanceModel::new(config.clone()).run(Run::of(&trace).warm(500_000))
     };
     let tpcc_large = run_long(&large);
     let tpcc_small = run_long(&small);

@@ -6,7 +6,7 @@
 //! with `cargo run --release -p s64v-core --example golden_gen` and update
 //! them here together with a note in the commit explaining the shift.
 
-use sparc64v::model::{PerformanceModel, SystemConfig};
+use sparc64v::model::{PerformanceModel, Run, SystemConfig};
 use sparc64v::workloads::{Suite, SuiteKind};
 
 /// (suite, program index, cycles, committed, l1d misses, l2 demand misses,
@@ -24,7 +24,7 @@ fn model_behaviour_is_pinned() {
         let suite = Suite::preset(kind);
         let program = &suite.programs()[idx];
         let trace = program.generate(40_000, 2026);
-        let r = model.run_trace_warm(&trace, 30_000);
+        let r = model.run(Run::of(&trace).warm(30_000));
         assert_eq!(r.cycles, cycles, "{kind}: cycle count drifted");
         assert_eq!(r.committed, committed, "{kind}: commit count drifted");
         assert_eq!(

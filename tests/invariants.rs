@@ -1,7 +1,7 @@
 //! Cross-statistic consistency invariants: relations that must hold
 //! between independently collected counters for any workload.
 
-use sparc64v::model::{PerformanceModel, SystemConfig};
+use sparc64v::model::{PerformanceModel, Run, SystemConfig};
 use sparc64v::trace::TraceSummary;
 use sparc64v::workloads::{Suite, SuiteKind};
 
@@ -17,7 +17,7 @@ fn counters_are_mutually_consistent() {
         let trace = program.generate(WARMUP + TIMED, 17);
         let timed = sparc64v::trace::VecTrace::from_records(trace.records()[WARMUP..].to_vec());
         let summary = TraceSummary::collect(timed.stream());
-        let r = model.run_trace_warm(&trace, WARMUP);
+        let r = model.run(Run::of(&trace).warm(WARMUP));
         let core = &r.core_stats[0];
         let mem = &r.mem_stats[0];
 
@@ -101,8 +101,8 @@ fn perfect_everything_is_an_upper_bound_for_every_suite() {
     for kind in SuiteKind::ALL {
         let suite = Suite::preset(kind);
         let trace = suite.programs()[0].generate(WARMUP + TIMED, 17);
-        let real = PerformanceModel::new(base.clone()).run_trace_warm(&trace, WARMUP);
-        let best = PerformanceModel::new(ideal.clone()).run_trace_warm(&trace, WARMUP);
+        let real = PerformanceModel::new(base.clone()).run(Run::of(&trace).warm(WARMUP));
+        let best = PerformanceModel::new(ideal.clone()).run(Run::of(&trace).warm(WARMUP));
         assert!(
             best.cycles <= real.cycles,
             "{kind}: idealized machine must be an upper bound"

@@ -244,7 +244,7 @@ mod sampling_props {
 }
 
 mod simulator_props {
-    use sparc64v::model::{PerformanceModel, SystemConfig};
+    use sparc64v::model::{PerformanceModel, Run, SystemConfig};
     use sparc64v::workloads::{Suite, SuiteKind};
 
     #[test]
@@ -253,8 +253,8 @@ mod simulator_props {
             let suite = Suite::preset(SuiteKind::SpecInt95);
             let trace = suite.programs()[0].generate(6_000, seed);
             let model = PerformanceModel::new(SystemConfig::sparc64_v());
-            let a = model.run_trace(&trace);
-            let b = model.run_trace(&trace);
+            let a = model.run(Run::of(&trace));
+            let b = model.run(Run::of(&trace));
             assert_eq!(a.cycles, b.cycles, "seed {seed}");
             assert_eq!(a.committed, 6_000, "seed {seed}");
         }
@@ -266,7 +266,7 @@ mod simulator_props {
             let suite = Suite::preset(SuiteKind::SpecFp95);
             let trace = suite.programs()[0].generate(len, seed);
             let model = PerformanceModel::new(SystemConfig::sparc64_v());
-            let r = model.run_trace(&trace);
+            let r = model.run(Run::of(&trace));
             assert_eq!(r.committed, len as u64, "len {len}, seed {seed}");
         }
     }

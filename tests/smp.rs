@@ -1,6 +1,6 @@
 //! SMP integration: coherence behaviour of the multiprocessor model.
 
-use sparc64v::model::{PerformanceModel, SystemConfig};
+use sparc64v::model::{PerformanceModel, Run, SystemConfig};
 use sparc64v::workloads::{smp_traces, suite::tpcc_program};
 
 const WARMUP: usize = 60_000;
@@ -8,7 +8,7 @@ const TIMED: usize = 10_000;
 
 fn run_smp(cpus: usize, seed: u64) -> sparc64v::model::RunResult {
     let traces = smp_traces(&tpcc_program(), cpus, WARMUP + TIMED, seed);
-    PerformanceModel::new(SystemConfig::smp(cpus)).run_traces_warm(&traces, WARMUP)
+    PerformanceModel::new(SystemConfig::smp(cpus)).run(Run::new(&traces).warm(WARMUP))
 }
 
 #[test]
@@ -51,7 +51,7 @@ fn more_cpus_mean_more_bus_pressure() {
 fn per_cpu_throughput_degrades_under_sharing() {
     let up = {
         let traces = smp_traces(&tpcc_program(), 1, WARMUP + TIMED, 3);
-        PerformanceModel::new(SystemConfig::sparc64_v()).run_traces_warm(&traces, WARMUP)
+        PerformanceModel::new(SystemConfig::sparc64_v()).run(Run::new(&traces).warm(WARMUP))
     };
     let smp = run_smp(8, 3);
     let per_cpu = smp.ipc() / 8.0;

@@ -1,7 +1,7 @@
 //! Integration: traces written to disk stream straight back into the
 //! performance model.
 
-use sparc64v::model::{PerformanceModel, SystemConfig};
+use sparc64v::model::{PerformanceModel, Run, SystemConfig};
 use sparc64v::trace::io::{TraceReader, TraceWriter};
 use sparc64v::trace::{TraceStream, VecTrace};
 use sparc64v::workloads::{Suite, SuiteKind};
@@ -31,18 +31,19 @@ fn on_disk_traces_drive_the_model_identically() {
 
     // Same cycles either way.
     let model = PerformanceModel::new(SystemConfig::sparc64_v());
-    let a = model.run_trace(&trace);
-    let b = model.run_trace(&back);
+    let a = model.run(Run::of(&trace));
+    let b = model.run(Run::of(&back));
     assert_eq!(a.cycles, b.cycles);
 }
 
 #[test]
-fn model_can_consume_a_reader_stream_directly() {
+fn model_runs_a_materialised_reader_stream() {
     let suite = Suite::preset(SuiteKind::SpecFp95);
     let trace = suite.programs()[0].generate(10_000, 13);
     let bytes = sparc64v::trace::binary::encode(&trace);
-    let reader = TraceReader::new(&bytes[..]).expect("header");
+    let mut reader = TraceReader::new(&bytes[..]).expect("header");
+    let streamed: VecTrace = std::iter::from_fn(|| reader.next_record()).collect();
     let model = PerformanceModel::new(SystemConfig::sparc64_v());
-    let r = model.run_stream(reader);
+    let r = model.run(Run::of(&streamed));
     assert_eq!(r.committed, 10_000);
 }
