@@ -14,6 +14,7 @@
 //! | [`FaultClass::StallRsSlot`]     | RS occupancy within capacity     |
 //! | [`FaultClass::OvercommitMshr`]  | MSHR occupancy within capacity   |
 //! | [`FaultClass::RewindCommit`]    | commit monotonicity              |
+//! | [`FaultClass::LoseEvent`]       | schedule audit                   |
 //!
 //! Injection is fully reproducible: [`FaultPlan::seeded`] derives the
 //! injection cycle from the seed, the fault class, the target CPU and the
@@ -49,17 +50,21 @@ pub enum FaultClass {
     OvercommitMshr,
     /// Rewind the target CPU's committed-instruction counter to zero.
     RewindCommit,
+    /// Drop one scheduled completion event on the target CPU: the entry it
+    /// belongs to is never told its execution finished.
+    LoseEvent,
 }
 
 impl FaultClass {
     /// Every fault class, for exhaustive matrix tests.
-    pub const ALL: [FaultClass; 6] = [
+    pub const ALL: [FaultClass; 7] = [
         FaultClass::DropFill,
         FaultClass::CorruptTag,
         FaultClass::LoseBusGrant,
         FaultClass::StallRsSlot,
         FaultClass::OvercommitMshr,
         FaultClass::RewindCommit,
+        FaultClass::LoseEvent,
     ];
 
     /// Stable kebab-case name.
@@ -71,6 +76,7 @@ impl FaultClass {
             FaultClass::StallRsSlot => "stall-rs-slot",
             FaultClass::OvercommitMshr => "overcommit-mshr",
             FaultClass::RewindCommit => "rewind-commit",
+            FaultClass::LoseEvent => "lose-event",
         }
     }
 }
@@ -183,6 +189,12 @@ impl FaultPlan {
                 // something has committed so the corruption is observable.
                 if cores[core].stats().committed.get() > 0 {
                     cores[core].fault_rewind_committed();
+                    self.armed = false;
+                }
+            }
+            FaultClass::LoseEvent => {
+                // Needs something executing; retry until there is.
+                if cores[core].fault_lose_event() {
                     self.armed = false;
                 }
             }

@@ -14,13 +14,15 @@
 //!   cycle that the model's conservation laws hold: instruction
 //!   conservation (decoded = committed + in flight), occupancy within
 //!   capacity for the window, reservation stations, LSQ and MSHR files,
-//!   bus busy-cycle credit conservation, commit monotonicity, and (on a
-//!   periodic sweep plus at end of run) MESI legality and cache
-//!   inclusion/eviction consistency. The first violated invariant aborts
+//!   the schedule (every event, ready mark and producer→consumer link the
+//!   kernel acts on is what its naive definition says, see
+//!   `Core::audit_schedule`), bus busy-cycle credit conservation, commit
+//!   monotonicity, and (on a periodic sweep plus at end of run) MESI
+//!   legality and cache inclusion/eviction consistency. The first violated invariant aborts
 //!   the run with a [`SimError`] naming the faulting cycle.
 //!
-//! The per-cycle checks read only `Copy` snapshots and integer counters,
-//! keeping checked-mode overhead within ~2× of an unchecked run; the
+//! The per-cycle checks read `Copy` snapshots and integer counters, plus
+//! one walk of each core's window for the schedule audit; the
 //! directory-wide coherence sweep runs every [`SWEEP_INTERVAL`] cycles.
 //!
 //! The deterministic fault-injection framework in [`crate::faultinject`]
@@ -59,6 +61,10 @@ pub enum Component {
     Inclusion,
     /// The committed-instruction counter moved backwards.
     Commit,
+    /// The kernel's schedule disagrees with its definition: an event lost
+    /// or armed for the wrong cycle, a stale ready mark, a broken
+    /// producer→consumer link.
+    Schedule,
     /// The run exceeded a supervision budget (simulated-cycle ceiling or
     /// a wall-clock deadline enforced by an external watchdog). Not a
     /// model invariant: the harness treats watchdog errors as transient
@@ -80,6 +86,7 @@ impl Component {
             Component::Coherence => "coherence",
             Component::Inclusion => "inclusion",
             Component::Commit => "commit",
+            Component::Schedule => "schedule",
             Component::Watchdog => "watchdog",
         }
     }
@@ -332,6 +339,9 @@ impl Auditor {
                 ));
             }
 
+            core.audit_schedule(now)
+                .map_err(|m| self.err(now, Some(i), Component::Schedule, m, Some(s), mem))?;
+
             // Top-down CPI conservation: every simulated cycle must be
             // attributed to exactly one blame-taxonomy leaf, so the leaf
             // counters partition the cycle counter exactly.
@@ -438,6 +448,35 @@ mod tests {
         let err = a.check(3, &cores, &mem).unwrap_err();
         assert_eq!(err.component, Component::ReservationStation);
         assert!(err.message.contains("RSA"), "{err}");
+    }
+
+    #[test]
+    fn a_lost_event_breaks_the_schedule_invariant() {
+        use s64v_isa::{Instr, OpClass, Reg};
+        use s64v_trace::{TraceRecord, VecTrace};
+        let (mut cores, mut mem) = parts();
+        let mut a = Auditor::new(1);
+        let trace: VecTrace = (0..40)
+            .map(|i| {
+                let op = Instr::alu(OpClass::IntMul, Reg::int(1), &[Reg::int(1)]);
+                TraceRecord::new(0x1000 + i * 4, op)
+            })
+            .collect();
+        let mut stream = trace.stream();
+        let mut now = 0;
+        // Step until something is executing, audited clean all the way.
+        while !cores[0].fault_lose_event() {
+            cores[0].try_step(&mut mem, &mut stream, now).unwrap();
+            a.check(now, &cores, &mem)
+                .expect("a clean run audits clean");
+            now += 1;
+        }
+        cores[0].try_step(&mut mem, &mut stream, now).unwrap();
+        let err = a.check(now, &cores, &mem).unwrap_err();
+        assert_eq!(err.component, Component::Schedule);
+        assert_eq!(err.core, Some(0));
+        assert!(err.message.contains("is lost"), "{err}");
+        assert!(err.message.contains("slot "), "{err}");
     }
 
     #[test]

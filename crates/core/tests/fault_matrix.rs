@@ -92,6 +92,17 @@ fn rewound_commit_counter_is_caught_by_monotonicity() {
 }
 
 #[test]
+fn a_lost_event_is_caught_by_the_schedule_audit_the_cycle_it_is_lost() {
+    // Not by the wedge watchdog a million cycles later: the audit finds
+    // the entry whose completion is stamped but no longer on the wheel.
+    let err = run_with(FaultClass::LoseEvent, 700).expect_err("must break the schedule");
+    assert_eq!(err.component, Component::Schedule);
+    assert_eq!(err.core, Some(0));
+    assert_eq!(err.cycle, 700, "caught the cycle it was injected");
+    assert!(err.message.contains("is lost"), "{err}");
+}
+
+#[test]
 fn seeded_plans_reproduce_the_same_failure() {
     let (model, traces) = setup();
     let fp = config_fingerprint(model.config());

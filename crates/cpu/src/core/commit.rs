@@ -9,9 +9,12 @@
 //! stretch, which is exactly what the quiescence probe proves.
 
 use super::decode::DecodeGate;
+use super::dispatch::forwarding_penalty;
 use super::quiesce::Wake;
+use super::writeback::Wave;
 use super::Core;
 use crate::error::{CoreError, CoreFault};
+use crate::rob::{COMPLETED, DISPATCHED, MEM_ISSUED, NEVER, OFF_CHIP};
 use crate::stats::{DecodeStall, StallCause};
 use s64v_isa::OpClass;
 use s64v_observe::{CpiLeaf, MemBlame};
@@ -23,22 +26,36 @@ const DEADLOCK_HORIZON: u64 = 1_000_000;
 impl Core {
     pub(super) fn commit(&mut self, now: u64) -> u32 {
         let mut committed = 0;
+        // A value in the register file constrains no one, so retirement
+        // is a change to the result's time if the advertised time still
+        // binds a consumer — never with forwarding and speculative
+        // dispatch on, where it has passed by the time the entry retires.
+        let penalty = forwarding_penalty(&self.cfg);
         for _ in 0..self.cfg.commit_width {
-            let Some(head) = self.rob.head() else { break };
-            if !head.completed {
+            let Some((slot, head)) = self.rob.head() else {
+                break;
+            };
+            if !head.is(COMPLETED) {
                 break;
             }
             committed += 1;
-            let dest = head.rec.instr.real_dest();
-            let is_store = head.rec.instr.op == OpClass::Store;
+            let is_store = head.op == OpClass::Store;
+            let binds = head.result_at != NEVER && head.result_at + penalty > now + 1;
+            let dest = self.rob.rec(slot).instr.real_dest();
+            if binds {
+                self.rob.start_wave(slot);
+            }
             let seq = self.rob.pop_head();
+            if binds {
+                self.run_wave(Wave::AfterPass, now);
+            }
             self.note_commit(seq, now);
             if let Some(dest) = dest {
                 self.rename_pool.release(dest.class());
                 self.rename_map.retire(dest, seq);
             }
             if is_store {
-                self.lsq.mark_store_committed(seq);
+                self.lsq.mark_store_committed();
             }
             self.stats.committed.incr();
             self.last_commit_cycle = now;
@@ -64,7 +81,7 @@ impl Core {
         if committed > 0 {
             return (StallCause::Busy, CpiLeaf::Retire);
         }
-        let Some(head) = self.rob.head() else {
+        let Some((_, head)) = self.rob.head() else {
             if self.front.stalled {
                 let leaf = if self.cfg.wrong_path_fetch {
                     CpiLeaf::FrontendWrongPath
@@ -80,21 +97,22 @@ impl Core {
             };
             return (StallCause::FrontendFetch, leaf);
         };
-        if head.rec.instr.op.is_mem() && head.mem_issued && !head.completed {
-            let cause = match head.mem_l2_hit {
-                Some(false) => StallCause::L2Miss,
-                _ => StallCause::L1Miss,
+        if head.op.is_mem() && head.is(MEM_ISSUED) && !head.is(COMPLETED) {
+            let cause = if head.is(OFF_CHIP) {
+                StallCause::L2Miss
+            } else {
+                StallCause::L1Miss
             };
             // Store-forwarded loads never recorded a blame: they are
             // supplied at L1-hit speed from the store queue.
             let leaf = head.mem_blame.map_or(CpiLeaf::MemL1d, MemBlame::leaf);
             return (cause, leaf);
         }
-        if head.dispatched {
+        if head.is(DISPATCHED) {
             // Executing, or generating an address.
             return (StallCause::Execute, CpiLeaf::CoreExecLatency);
         }
-        let leaf = if head.completed {
+        let leaf = if head.is(COMPLETED) {
             // A decode-completed nop retires on the next commit phase.
             CpiLeaf::CoreExecLatency
         } else if head.replays > 0 {
@@ -169,8 +187,8 @@ impl Core {
     /// own events). And the wedge check is an event of its own, so a
     /// wedged model faults on the same cycle asleep or stepping.
     pub(super) fn commit_wake(&self, wake: &mut Wake) -> Option<()> {
-        if let Some(head) = self.rob.head() {
-            if head.completed {
+        if let Some((_, head)) = self.rob.head() {
+            if head.is(COMPLETED) {
                 return None;
             }
             wake.arm(self.last_commit_cycle + DEADLOCK_HORIZON + 1);

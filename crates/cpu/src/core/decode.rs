@@ -5,9 +5,9 @@
 use super::fetch::FetchedInstr;
 use super::quiesce::Wake;
 use super::Core;
-use crate::rob::InstrState;
+use crate::rob::{Entry, COMPLETED, MISPREDICTED};
 use crate::stats::DecodeStall;
-use s64v_isa::OpClass;
+use s64v_isa::{OpClass, Reg};
 use s64v_trace::TraceRecord;
 
 /// What stands between the fetch queue's head and the window at one cycle:
@@ -65,9 +65,9 @@ impl Core {
         for _ in 0..self.cfg.issue_width {
             match self.decode_gate(now) {
                 DecodeGate::Open => {
-                    let fetched = self.front.queue.pop_front().expect("the gate saw a head");
                     acted = true;
-                    self.allocate(fetched, now);
+                    self.allocate(now);
+                    self.front.queue.pop_front();
                 }
                 DecodeGate::Stalled(stall) => {
                     self.stats.record_stall_n(stall, 1);
@@ -87,71 +87,83 @@ impl Core {
         }
     }
 
-    fn allocate(&mut self, fetched: FetchedInstr, now: u64) {
+    /// The window slot of `reg`'s latest in-flight producer, if it has
+    /// one (the rename map forgets a producer when it retires).
+    fn producer_slot(&self, reg: Reg) -> Option<usize> {
+        self.rename_map
+            .producer(reg)
+            .map(|seq| self.rob.slot_of(seq))
+    }
+
+    /// Moves the fetch queue's head into the window (the caller pops it).
+    fn allocate(&mut self, now: u64) {
+        let fetched = self.front.queue.front().expect("the gate saw a head");
         let seq = self.rob.next_seq();
-        let rec = fetched.rec;
-        self.note_decode(seq, rec.pc, rec.instr.op, now);
-        let mut entry = InstrState::new(seq, rec);
-        entry.predicted_taken = fetched.predicted_taken;
-        entry.mispredicted = fetched.mispredicted;
+        let instr = fetched.rec.instr;
+        let (pc, mispredicted) = (fetched.rec.pc, fetched.mispredicted);
+        self.note_decode(seq, pc, instr.op, now);
+        let mut entry = Entry::new(instr.op);
+        entry.set(MISPREDICTED, mispredicted);
 
         // Record true dependences through the rename map. For stores the
         // data register (srcs[1]) is needed at retirement, not at address
         // generation.
-        match rec.instr.op {
+        match instr.op {
             OpClass::Store => {
-                if let Some(base) = rec.instr.srcs[0].filter(|r| !r.is_zero()) {
-                    if let Some(p) = self.rename_map.producer(base) {
+                if let Some(base) = instr.srcs[0].filter(|r| !r.is_zero()) {
+                    if let Some(p) = self.producer_slot(base) {
                         entry.producers.push(p);
                     }
                 }
-                if let Some(data) = rec.instr.srcs[1].filter(|r| !r.is_zero()) {
-                    if let Some(p) = self.rename_map.producer(data) {
+                if let Some(data) = instr.srcs[1].filter(|r| !r.is_zero()) {
+                    if let Some(p) = self.producer_slot(data) {
                         entry.data_producers.push(p);
                     }
                 }
             }
             _ => {
-                for src in rec.instr.sources() {
-                    if let Some(p) = self.rename_map.producer(src) {
+                for src in instr.sources() {
+                    if let Some(p) = self.producer_slot(src) {
                         entry.producers.push(p);
                     }
                 }
             }
         }
 
-        if let Some(dest) = rec.instr.real_dest() {
+        if let Some(dest) = instr.real_dest() {
             let ok = self.rename_pool.allocate(dest.class());
             debug_assert!(ok, "the gate checked rename space");
             self.rename_map.define(dest, seq);
         }
 
-        match rec.instr.op.rs_kind() {
+        match instr.op.rs_kind() {
             Some(kind) => {
-                let buffer = self.rs.try_insert(kind, seq);
+                let buffer = self.rs.try_insert(kind, self.rob.slot_of(seq));
                 debug_assert!(buffer.is_some(), "the gate checked RS space");
                 entry.rs_buffer = buffer.unwrap_or(0);
             }
             None => {
                 // Nops retire without executing.
-                entry.completed = true;
+                entry.set(COMPLETED, true);
                 self.note_complete(seq, now);
             }
         }
 
-        match rec.instr.op {
-            OpClass::Load => self.lsq.alloc_load(seq),
+        match instr.op {
+            OpClass::Load => self.lsq.alloc_load(),
             OpClass::Store => {
-                let width = rec.instr.mem.expect("store has memory info").width.bytes();
-                self.lsq.alloc_store(seq, width);
+                let width = instr.mem.expect("store has memory info").width.bytes();
+                entry.sq_index = self.lsq.alloc_store(seq, width) as u16;
             }
             _ => {}
         }
 
-        if fetched.mispredicted {
+        if mispredicted {
             self.front.stalling_branch = Some(seq);
         }
-        self.rob.push(entry);
+        let fetched = self.front.queue.front().expect("the gate saw a head");
+        let slot = self.rob.push(entry, &fetched.rec);
+        self.refresh_ready(slot, now);
     }
 
     /// Decode's wake term: the fetch queue's head becoming decodable.

@@ -8,33 +8,42 @@
 //! only *when* things happen.
 //!
 //! One file per phase, each an `impl Core` block holding the phase's step
-//! function, the state only that phase writes, the timing rules it sets,
-//! and its term of the quiescence probe:
+//! function, the state only that phase writes and the timing rules it
+//! sets. Nothing in a cycle scans the window: what happens at a known
+//! cycle is an event on the core's wheel ([`crate::wheel`]), delivered by
+//! writeback on that cycle, and a change to a producer's result reaches
+//! exactly its consumers through the window's links ([`crate::rob`]). So
+//! the quiescence probe's term for everything timed is the wheel's next
+//! event, and a phase file adds only what has no timestamp:
 //!
-//! | file | phase | owns | wake term |
-//! |---|---|---|---|
-//! | `fetch.rs` | fetch | `FrontEnd` (fetch queue, next fetch slot, mispredict stall) | next fetch slot |
-//! | `decode.rs` | decode / allocate | `DecodeGate` (the one reading of decode backpressure) | fetch-queue head becoming decodable |
-//! | `dispatch.rs` | dispatch | execution-unit busy times; operand-ready and execution-done times | operands + unit of a waiting entry |
-//! | `memory.rs` | memory issue | `MemPipe` (speculative loads, draining stores) | a load's issue slot and data return |
-//! | `writeback.rs` | writeback | its scratch lists; "producers settled", store-data time | confirms, drains, completions |
-//! | `commit.rs` | commit + accounting | head-of-window blame, per-cycle counters, the wedge horizon | completed head, wedge check |
-//! | `quiesce.rs` | — | the skip switch | composes the terms; sleeps |
+//! | file | phase | owns | arms on the wheel | wake term |
+//! |---|---|---|---|---|
+//! | `fetch.rs` | fetch | `FrontEnd` (fetch queue, next fetch slot, mispredict stall) | — | next fetch slot |
+//! | `decode.rs` | decode / allocate | `DecodeGate` (the one reading of decode backpressure) | a new entry's `Ready` | fetch-queue head becoming decodable; an open gate refuses |
+//! | `dispatch.rs` | dispatch | execution-unit busy times; operand-ready and execution-done times | `Complete` (execution, address generation), a load's `Issue` slot, consumers' `Ready` | a ready entry waiting for a unit; parked replays refuse |
+//! | `memory.rs` | memory issue | `MemPipe` (speculative loads awaiting confirm) | a load's `Complete` (data return) and `Confirm`, the drain's `Release`, consumers' `Ready` | an undrained committed store or a load that lost arbitration refuses |
+//! | `writeback.rs` | writeback | event delivery; the wave down the links (cancel, settle, re-arm); "producers settled", store-data time | a settled result's or a store's `Complete`, consumers' `Ready` | — (all on the wheel) |
+//! | `commit.rs` | commit + accounting | head-of-window blame, per-cycle counters, the wedge horizon | — | completed head refuses; the wedge check |
+//! | `quiesce.rs` | — | the skip switch | — | composes the terms with the wheel's next event; sleeps |
+//! | `audit.rs` | — (checked mode) | — | — | recomputes the schedule from the definitions |
 
 use crate::bpred::Bht;
 use crate::config::CoreConfig;
 use crate::error::{CoreError, HeadInstr, PipelineSnapshot, RsOccupancy};
 use crate::lsq::LoadStoreQueues;
+use crate::profile::{self, Phase, Work};
 use crate::rename::{RenameMap, RenamePool};
-use crate::rob::Rob;
+use crate::rob::{Rob, COMPLETED, DISPATCHED};
 use crate::rs::ReservationStations;
 use crate::stats::CoreStats;
 use crate::timeline::PipelineTrace;
+use crate::wheel::Wheel;
 use s64v_isa::{OpClass, RsKind};
 use s64v_mem::MemorySystem;
 use s64v_observe::{ObsEvent, Probe};
 use s64v_trace::{TraceRecord, TraceStream};
 
+mod audit;
 mod commit;
 mod decode;
 mod dispatch;
@@ -92,6 +101,8 @@ pub struct Core {
     cfg: CoreConfig,
     core_id: usize,
     rob: Rob,
+    /// The timed events of everything in the window and the memory pipe.
+    wheel: Wheel,
     rs: ReservationStations,
     rename_pool: RenamePool,
     rename_map: RenameMap,
@@ -102,7 +113,6 @@ pub struct Core {
     int_unit_busy: [u64; 2],
     fp_unit_busy: [u64; 2],
     mem_pipe: memory::MemPipe,
-    wb_scratch: writeback::Scratch,
     last_commit_cycle: u64,
     /// Quiescent-cycle skipping enabled (see `quiesce.rs`).
     skip: bool,
@@ -129,19 +139,26 @@ impl Core {
     /// Panics if `bht` was not built from `cfg.bht`.
     pub fn warmed(cfg: CoreConfig, core_id: usize, bht: Bht) -> Self {
         assert_eq!(*bht.config(), cfg.bht, "the table is not this core's");
+        let longest = s64v_isa::opclass::ALL_OP_CLASSES
+            .iter()
+            .map(|&op| cfg.latencies.get(op))
+            .max()
+            .expect("there are op classes");
         Core {
             rob: Rob::new(cfg.window_size),
+            // A lap covers the longest execution (dispatch + latency + the
+            // issue slot after it); memory returns may lap.
+            wheel: Wheel::new(longest + 3, (cfg.window_size as usize).next_power_of_two()),
             rs: ReservationStations::new(&cfg),
             rename_pool: RenamePool::new(cfg.int_rename_regs, cfg.fp_rename_regs),
             rename_map: RenameMap::new(),
             lsq: LoadStoreQueues::new(cfg.load_queue, cfg.store_queue),
             bht,
             stats: CoreStats::new(cfg.window_size, cfg.load_queue, cfg.store_queue),
-            front: fetch::FrontEnd::default(),
+            front: fetch::FrontEnd::new(cfg.fetch_queue),
             int_unit_busy: [0; 2],
             fp_unit_busy: [0; 2],
             mem_pipe: memory::MemPipe::default(),
-            wb_scratch: writeback::Scratch::default(),
             last_commit_cycle: 0,
             skip: true,
             timeline: None,
@@ -336,19 +353,31 @@ impl Core {
         now: u64,
     ) -> Result<bool, Box<CoreError>> {
         let wb_active = self.writeback(now);
+        profile::enter(Phase::Commit);
         let committed = self.commit(now);
+        profile::enter(Phase::Account);
         self.account_blame(committed, now, 1);
+        profile::enter(Phase::MemoryIssue);
         let mem_active = self.memory_issue(mem, now);
+        profile::enter(Phase::Select);
         let dispatched = self.dispatch(now);
         // Parked replays reclaim freed slots before decode allocates new
         // entries, so cancelled instructions keep age priority.
         let parked = self.rs.has_parked();
-        self.rs.drain_replays();
+        self.rs.drain_replays(self.rob.head_slot());
+        profile::enter(Phase::Decode);
         let decoded = self.decode(now);
+        profile::enter(Phase::Fetch);
         let fetched = self.fetch(mem, stream, now);
+        profile::enter(Phase::Account);
         self.account_cycles(now, 1);
         self.check_wedge(now)?;
-        Ok(wb_active || committed > 0 || mem_active || dispatched || parked || decoded || fetched)
+        profile::enter(Phase::RunLoop);
+        let active =
+            wb_active || committed > 0 || mem_active || dispatched || parked || decoded || fetched;
+        profile::count(Work::SteppedCycles, 1);
+        profile::count(Work::ActiveCycles, active as u64);
+        Ok(active)
     }
 
     /// Runs a whole trace to completion on a fresh cycle counter, returning
@@ -402,11 +431,11 @@ impl Core {
     /// depth and commit progress. Plain `Copy` data, cheap enough to take
     /// every audited cycle.
     pub fn snapshot(&self, now: u64) -> PipelineSnapshot {
-        let head = self.rob.head().map(|e| HeadInstr {
-            seq: e.seq,
-            op: e.rec.instr.op,
-            dispatched: e.dispatched,
-            completed: e.completed,
+        let head = self.rob.head().map(|(_, e)| HeadInstr {
+            seq: self.rob.head_seq(),
+            op: e.op,
+            dispatched: e.is(DISPATCHED),
+            completed: e.is(COMPLETED),
         });
         let rs_occupancy = |kind| RsOccupancy {
             kind,

@@ -2,20 +2,22 @@
 //! sleeping through the cycles in between.
 //!
 //! The pipeline is *frozen* when every pending state change hangs off a
-//! timed event: an issued load's data return, an address generation or
-//! execution completing, a speculative load confirming, a draining store
-//! freeing its queue slot, the front end's next fetch slot, or the fetch
-//! queue's head becoming decodable. Each phase file contributes the term
-//! for the state it owns (`*_wake`), written with the same timing rule the
-//! phase itself acts on. A term either *arms* the cycle of an event,
-//! leaves a change *chained* — it can only happen after one of the armed
-//! events fires (its producer completes, a branch resolves, a commit frees
-//! a resource), so it needs no entry of its own, because the run loop
-//! re-probes after every stepped cycle — or *refuses* (`None`) when the
-//! phase can act on the very next cycle with no timestamp to show for it.
+//! timed event. Everything the window and the memory pipe wait for — an
+//! execution or address generation completing, a load's issue slot and
+//! data return, a waiting entry's operands becoming ready, a speculative
+//! load confirming, the draining store freeing its queue entry — is an
+//! event on the core's wheel, so the probe's term for all of it is the
+//! wheel's next event. The phase files contribute what is not on the wheel
+//! (`*_wake`): the front end's next fetch slot and the fetch queue's head
+//! becoming decodable *arm* their cycles; a change that can only follow an
+//! armed event (a consumer whose producer has no result time yet, a full
+//! fetch queue, a structurally stalled decode) is *chained* and needs no
+//! entry of its own, because the run loop re-probes after every stepped
+//! cycle; and a phase that can act on the very next cycle with no
+//! timestamp to show for it *refuses* (`None`).
 
 use super::Core;
-use s64v_isa::OpClass;
+use crate::profile::{self, Phase, Work};
 use s64v_trace::TraceStream;
 
 /// The earliest armed event of one quiescence probe.
@@ -59,13 +61,18 @@ impl Core {
         if !self.skip {
             return now + 1;
         }
+        profile::enter(Phase::Sleep);
+        profile::count(Work::Probes, 1);
         let Some(wake) = self.next_wakeup(stream, now) else {
+            profile::enter(Phase::RunLoop);
             return now + 1;
         };
         // A wakeup at or before `now` is present activity, not a sleep.
         let wake = wake.min(cap).max(now + 1);
         let slept = wake - 1 - now;
         if slept > 0 {
+            profile::count(Work::Sleeps, 1);
+            profile::count(Work::SleptCycles, slept);
             // Every input of the accounting is frozen with the pipeline:
             // each state transition it reads (head completion, dispatch or
             // replay, fetch-queue motion, structural releases) is an armed
@@ -77,6 +84,7 @@ impl Core {
             self.replay_decode_stall(now, slept);
             self.account_cycles(wake - 1, slept);
         }
+        profile::enter(Phase::RunLoop);
         wake
     }
 
@@ -86,23 +94,12 @@ impl Core {
     /// docs).
     fn next_wakeup<S: TraceStream>(&self, stream: &S, now: u64) -> Option<u64> {
         let mut wake = Wake(u64::MAX);
-        self.dispatch_wake()?;
-        self.writeback_wake(&mut wake);
+        self.dispatch_wake(now, &mut wake)?;
         self.memory_wake()?;
         self.commit_wake(&mut wake)?;
-        for seq in self.rob.seqs() {
-            let entry = self.rob.get(seq).expect("in range");
-            if entry.completed {
-                continue;
-            }
-            if !entry.dispatched {
-                self.waiting_wake(entry, now, &mut wake);
-            } else if entry.rec.instr.op == OpClass::Load {
-                self.load_wake(entry, &mut wake)?;
-            } else {
-                self.completion_wake(entry, now, &mut wake);
-            }
-        }
+        // Everything timed — completions, issue slots, operands becoming
+        // ready, confirms, the drain release — is on the wheel.
+        wake.arm(self.wheel.next_event(now));
         self.fetch_wake(stream, &mut wake)?;
         self.decode_wake(now, &mut wake)?;
         (wake.0 != u64::MAX).then_some(wake.0)

@@ -4,7 +4,7 @@
 use super::run_trace;
 use crate::config::CoreConfig;
 use crate::core::fetch::FetchedInstr;
-use crate::rob::InstrState;
+use crate::rob::{Entry, COMPLETED, DISPATCHED, MEM_ISSUED, OFF_CHIP};
 use crate::stats::{StallCause, StallCycles};
 use crate::Core;
 use s64v_isa::{Instr, MemWidth, OpClass, Reg, RegClass, RsKind};
@@ -275,10 +275,10 @@ fn topdown_agrees_with_skipping_disabled() {
 const NOW: u64 = 10;
 
 /// Makes `instr` the (only) window entry, shaped by `shape`.
-fn with_head(core: &mut Core, instr: Instr, shape: impl FnOnce(&mut InstrState)) {
-    let mut entry = InstrState::new(core.rob.next_seq(), TraceRecord::new(0x1000, instr));
+fn with_head(core: &mut Core, instr: Instr, shape: impl FnOnce(&mut Entry)) {
+    let mut entry = Entry::new(instr.op);
     shape(&mut entry);
-    core.rob.push(entry);
+    core.rob.push(entry, &TraceRecord::new(0x1000, instr));
 }
 
 /// Queues `instr` behind fetch, arriving at `ready_at`.
@@ -286,7 +286,6 @@ fn with_front(core: &mut Core, instr: Instr, ready_at: u64, l1_hit: bool, tlb_mi
     core.front.queue.push_back(FetchedInstr {
         rec: TraceRecord::new(0x2000, instr),
         ready_at,
-        predicted_taken: false,
         mispredicted: false,
         fetch_l1_hit: l1_hit,
         fetch_tlb_miss: tlb_miss,
@@ -321,7 +320,7 @@ fn the_one_walk_pairs_cause_and_leaf_per_head_state() {
 
     // A commit outranks whatever is left in the window.
     let mut c = Core::new(base(), 0);
-    with_head(&mut c, load(), |e| e.mem_issued = true);
+    with_head(&mut c, load(), |e| e.set(MEM_ISSUED, true));
     case("committed", c, 1, (Busy, Retire));
 
     // Empty window: stalled behind a mispredict, or starved by fetch.
@@ -376,9 +375,8 @@ fn the_one_walk_pairs_cause_and_leaf_per_head_state() {
         for (l2_hit, cause) in [(true, L1Miss), (false, L2Miss)] {
             let mut c = Core::new(base(), 0);
             with_head(&mut c, load(), |e| {
-                e.dispatched = true;
-                e.mem_issued = true;
-                e.mem_l2_hit = Some(l2_hit);
+                e.set(DISPATCHED | MEM_ISSUED, true);
+                e.set(OFF_CHIP, !l2_hit);
                 e.mem_blame = Some(blame);
             });
             case(
@@ -390,18 +388,15 @@ fn the_one_walk_pairs_cause_and_leaf_per_head_state() {
         }
     }
     let mut c = Core::new(base(), 0);
-    with_head(&mut c, load(), |e| {
-        e.dispatched = true;
-        e.mem_issued = true;
-    });
+    with_head(&mut c, load(), |e| e.set(DISPATCHED | MEM_ISSUED, true));
     case("store-forwarded load", c, 0, (L1Miss, MemL1d));
 
     // A head in the core.
     let mut c = Core::new(base(), 0);
-    with_head(&mut c, alu(), |e| e.dispatched = true);
+    with_head(&mut c, alu(), |e| e.set(DISPATCHED, true));
     case("dispatched", c, 0, (Execute, CoreExecLatency));
     let mut c = Core::new(base(), 0);
-    with_head(&mut c, load(), |e| e.dispatched = true);
+    with_head(&mut c, load(), |e| e.set(DISPATCHED, true));
     case(
         "load generating its address",
         c,
@@ -409,7 +404,7 @@ fn the_one_walk_pairs_cause_and_leaf_per_head_state() {
         (Execute, CoreExecLatency),
     );
     let mut c = Core::new(base(), 0);
-    with_head(&mut c, Instr::nop(), |e| e.completed = true);
+    with_head(&mut c, Instr::nop(), |e| e.set(COMPLETED, true));
     case("decode-completed nop", c, 0, (Dispatch, CoreExecLatency));
     let mut c = Core::new(base(), 0);
     with_head(&mut c, alu(), |e| e.replays = 1);
@@ -447,14 +442,19 @@ fn the_one_walk_pairs_cause_and_leaf_per_head_state() {
 
     let mut c = Core::new(base(), 0);
     with_head(&mut c, alu(), |_| {});
-    while c.rs.try_insert(RsKind::Rse, 99).is_some() {}
+    let mut slots = 1..;
+    while c
+        .rs
+        .try_insert(RsKind::Rse, slots.next().unwrap())
+        .is_some()
+    {}
     with_front(&mut c, alu(), NOW, true, false);
     case("reservation station full", c, 0, (Dispatch, CoreRsFull));
 
     let mut c = Core::new(base(), 0);
     with_head(&mut c, alu(), |_| {});
     while c.lsq.has_load_space() {
-        c.lsq.alloc_load(99);
+        c.lsq.alloc_load();
     }
     with_front(&mut c, load(), NOW, true, false);
     case("load queue full", c, 0, (Dispatch, MemMshr));

@@ -1,64 +1,104 @@
-//! Writeback: speculative loads confirm or cancel their dependents,
-//! executions and data returns complete, drained stores free their queue
-//! entries.
+//! Writeback: the cycle's events come off the wheel; speculative loads
+//! confirm or cancel their dependents, executions and data returns
+//! complete, drained stores free their queue entries.
 
 use super::dispatch::exec_done_at;
-use super::quiesce::Wake;
 use super::Core;
-use crate::rob::{InstrState, Rob};
+use crate::profile::{self, Phase, Work};
+use crate::rob::{
+    Rob, WorkList, COMPLETED, DISPATCHED, MISPREDICTED, NEVER, SPECULATIVE, WAITING_DATA,
+};
+use crate::wheel::Lane;
 use s64v_isa::OpClass;
 
-/// Per-cycle scratch lists: cleared every cycle, so after the first few
-/// cycles a step performs no heap allocation.
-#[derive(Debug, Default)]
-pub(super) struct Scratch {
-    incomplete: Vec<u64>,
-    /// (seq, pc, taken, mispredicted)
-    branches: Vec<(u64, u64, bool, bool)>,
-    load_seqs: Vec<u64>,
-    store_data: Vec<(u64, u64)>,
-    failed_loads: Vec<u64>,
-    poison: Vec<u64>,
+/// Whether none of the in-window producers of the entry in `slot` still
+/// advertises a hit-predicted (cancellable) result: a result derived from
+/// a speculative one is itself speculative until then.
+pub(super) fn producers_settled(rob: &Rob, slot: usize) -> bool {
+    let mut producers = rob.entry(slot).producers.iter();
+    producers.all(|p| rob.producer(slot, p).is_none_or(|pe| !pe.is(SPECULATIVE)))
 }
 
-/// Whether none of `entry`'s in-window producers still advertises a
-/// hit-predicted (cancellable) result: a result derived from a speculative
-/// one is itself speculative until then.
-pub(super) fn producers_settled(rob: &Rob, entry: &InstrState) -> bool {
-    entry
-        .producers
-        .iter()
-        .all(|&p| rob.get(p).is_none_or(|pe| !pe.result_speculative))
-}
-
-/// The cycle by which a store's address and every operand, data included,
-/// are architecturally available; `None` while an in-window producer has
-/// no settled result time.
-fn store_data_at(rob: &Rob, entry: &InstrState) -> Option<u64> {
-    let mut latest = entry.addr_ready_at.unwrap_or(0);
-    for &p in entry.producers.iter().chain(entry.data_producers.iter()) {
-        if let Some(pe) = rob.get(p) {
-            let at = pe.result_at.filter(|_| !pe.result_speculative)?;
-            latest = latest.max(at);
+/// The cycle by which the address and every operand, data included, of
+/// the store in `slot` are architecturally available; [`NEVER`] while an
+/// in-window producer has no settled result time.
+pub(super) fn store_data_at(rob: &Rob, slot: usize) -> u64 {
+    let entry = rob.entry(slot);
+    let mut latest = if entry.addr_ready_at == NEVER {
+        0
+    } else {
+        entry.addr_ready_at
+    };
+    for p in entry.producers.iter().chain(entry.data_producers.iter()) {
+        if let Some(pe) = rob.producer(slot, p) {
+            if pe.result_at == NEVER || pe.is(SPECULATIVE) {
+                return NEVER;
+            }
+            latest = latest.max(pe.result_at);
         }
     }
-    Some(latest)
+    latest
+}
+
+/// What a wave of [`Core::result_changed`] does to the dispatched,
+/// incomplete consumers it reaches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Wave {
+    /// Returns them to their reservation stations (a failed hit
+    /// prediction).
+    Cancel,
+    /// Re-arms and settles them; what is due already goes on this cycle's
+    /// completion list (the confirm pass, which runs before it).
+    BeforePass,
+    /// Re-arms and settles them; what is due already is due next cycle
+    /// (every phase after the completion pass).
+    AfterPass,
 }
 
 impl Core {
     /// Returns whether any pipeline state changed (beyond bookkeeping),
     /// so the run loop can restrict quiescence probes to inert cycles.
     pub(super) fn writeback(&mut self, now: u64) -> bool {
-        let confirmed = self.confirm_speculative_loads(now);
+        profile::enter(Phase::Deliver);
+        let (confirm, release) = self.deliver_events(now);
+        profile::enter(Phase::Confirm);
+        let confirmed = confirm && self.confirm_speculative_loads(now);
+        profile::enter(Phase::Complete);
         let completed = self.complete_instructions(now);
-        let released = self.release_drained_stores(now);
-        confirmed || completed || released
+        profile::enter(Phase::Release);
+        if release {
+            // The draining store — the queue's oldest — is in the cache.
+            self.lsq.release_store();
+        }
+        confirmed || completed || release
     }
 
+    /// Takes this cycle's events off the wheel, filing each slot on the
+    /// list its lane feeds; returns whether a speculative-load confirm and
+    /// a store-drain release are due.
+    fn deliver_events(&mut self, now: u64) -> (bool, bool) {
+        let (mut confirm, mut release) = (false, false);
+        let rob = &mut self.rob;
+        self.wheel.deliver(now, |lane, slot| {
+            profile::count(Work::EventsDelivered, 1);
+            match lane {
+                Lane::Complete => rob.file(WorkList::Due, slot),
+                Lane::Issue => rob.file(WorkList::IssueReady, slot),
+                Lane::Ready => rob.set_ready(slot, true),
+                Lane::Confirm => confirm = true,
+                Lane::Release => release = true,
+            }
+        });
+        (confirm, release)
+    }
+
+    /// The confirm pass, run on the cycles a confirm is due. The list is
+    /// walked in its own order — arrival order perturbed by the
+    /// `swap_remove`s of earlier passes — because that order decides which
+    /// of two failing loads' dependents re-enter a full station first.
     fn confirm_speculative_loads(&mut self, now: u64) -> bool {
-        let mut acted = false;
-        let mut failed = std::mem::take(&mut self.wb_scratch.failed_loads);
-        failed.clear();
+        let mut confirmed = std::mem::take(&mut self.mem_pipe.confirmed);
+        confirmed.clear();
         let mut i = 0;
         while i < self.mem_pipe.spec_loads.len() {
             let sl = self.mem_pipe.spec_loads[i];
@@ -66,235 +106,200 @@ impl Core {
                 i += 1;
                 continue;
             }
-            acted = true;
-            let entry = self
-                .rob
-                .get_mut(sl.seq)
-                .expect("speculative load left the window");
-            if sl.actual_ready <= sl.confirm_at {
-                // Hit as predicted: the advertised time stands.
-                entry.result_speculative = false;
-            } else {
-                // Miss: advertise the real time and cancel the dependents
-                // dispatched on the wrong prediction.
-                entry.result_at = Some(sl.actual_ready);
-                entry.result_speculative = false;
-                failed.push(sl.seq);
+            let entry = self.rob.entry_mut(sl.slot);
+            debug_assert!(entry.is(SPECULATIVE) && !entry.is(COMPLETED));
+            // What the load really delivers, as its consumers see it.
+            let actual = entry.mem_ready_at + 1;
+            let hit = actual <= sl.confirm_at;
+            if !hit {
+                // Miss: advertise the real time (and, below, cancel the
+                // dependents dispatched on the wrong prediction). On a
+                // hit the advertised time stands.
+                entry.result_at = actual;
             }
+            entry.flags &= !SPECULATIVE;
+            confirmed.push((sl.slot, hit));
             self.mem_pipe.spec_loads.swap_remove(i);
         }
-        for &seq in &failed {
-            self.cancel_dependents(seq, now);
+        // Every load of the batch is settled before any consequence is
+        // drawn, cancels before settles: a consumer of two of them sees
+        // both final.
+        for &(slot, hit) in &confirmed {
+            if !hit {
+                self.result_changed(slot, Wave::Cancel, now);
+            }
         }
-        self.wb_scratch.failed_loads = failed;
+        for &(slot, hit) in &confirmed {
+            if hit {
+                self.result_changed(slot, Wave::BeforePass, now);
+            }
+        }
+        let acted = !confirmed.is_empty();
+        self.mem_pipe.confirmed = confirmed;
         acted
     }
 
-    /// §3.1: "all instructions that have read-after-write dependency must
-    /// be cancelled at every stage of the execution pipelines."
-    fn cancel_dependents(&mut self, poisoned_seq: u64, now: u64) {
-        let mut poison = std::mem::take(&mut self.wb_scratch.poison);
-        poison.clear();
-        poison.push(poisoned_seq);
-        for seq in self.rob.seqs() {
-            if seq <= poisoned_seq {
+    /// Draws the consequences of a change to the advertised result of the
+    /// entry in `origin` — its time set, moved or withdrawn, its
+    /// speculation settled — in exactly its consumers, oldest first,
+    /// following the producer→consumer links:
+    ///
+    /// * a consumer still waiting in its reservation station gets its
+    ///   cached operand-ready time refreshed;
+    /// * in a [`Wave::Cancel`] (a failed hit prediction, §3.1: "all
+    ///   instructions that have read-after-write dependency must be
+    ///   cancelled at every stage of the execution pipelines"), a
+    ///   dispatched, incomplete consumer returns to its station, and its
+    ///   own consumers join the wave;
+    /// * otherwise a store waiting for data has its completion re-armed,
+    ///   and a derived-speculative result whose producers are now all
+    ///   settled settles — completing no earlier than next cycle — and
+    ///   its consumers join the wave.
+    pub(super) fn result_changed(&mut self, origin: usize, wave: Wave, now: u64) {
+        self.rob.start_wave(origin);
+        self.run_wave(wave, now);
+    }
+
+    /// Walks the wave [`Rob::start_wave`] started (see `result_changed`;
+    /// commit starts one for the entry it is about to retire).
+    pub(super) fn run_wave(&mut self, wave: Wave, now: u64) {
+        let mut from = 0;
+        while let Some(slot) = self.rob.take_next(WorkList::Wave, from) {
+            from = self.rob.age(slot) + 1;
+            profile::count(Work::WaveVisits, 1);
+            let entry = self.rob.entry(slot);
+            if entry.is(COMPLETED) {
                 continue;
             }
-            let Some(entry) = self.rob.get(seq) else {
-                continue;
-            };
-            if !entry.dispatched || entry.completed {
+            if !entry.is(DISPATCHED) {
+                self.refresh_ready(slot, now);
                 continue;
             }
-            let depends = entry
-                .producers
-                .iter()
-                .chain(entry.data_producers.iter())
-                .any(|p| poison.contains(p));
-            if !depends {
-                continue;
+            let op = entry.op;
+            if wave == Wave::Cancel {
+                let kind = op.rs_kind().expect("dispatched ops have an RS");
+                let buffer = entry.rs_buffer;
+                self.rob.cancel_entry(slot);
+                // Whatever it had armed — a completion, an issue slot —
+                // is stale.
+                self.wheel.disarm(Lane::Complete, slot);
+                self.wheel.disarm(Lane::Issue, slot);
+                self.refresh_ready(slot, now);
+                self.rs.reinsert(kind, buffer, slot);
+                self.stats.replays.incr();
+                self.note_replay(self.rob.seq_in(slot), now);
+                self.rob.widen_wave(slot);
+            } else if entry.is(WAITING_DATA) {
+                self.rearm_store(slot, now, wave == Wave::BeforePass);
+            } else if entry.is(SPECULATIVE)
+                && !op.is_mem()
+                && !op.is_branch()
+                && producers_settled(&self.rob, slot)
+            {
+                let done = exec_done_at(&self.cfg, entry.dispatched_at, op);
+                self.rob.entry_mut(slot).flags &= !SPECULATIVE;
+                self.wheel.arm(Lane::Complete, slot, done.max(now + 1));
+                self.rob.widen_wave(slot);
             }
-            let kind = entry
-                .rec
-                .instr
-                .op
-                .rs_kind()
-                .expect("dispatched ops have an RS");
-            let buffer = entry.rs_buffer;
-            self.rob.cancel_entry(seq);
-            self.rs.reinsert(kind, buffer, seq);
-            self.stats.replays.incr();
-            self.note_replay(seq, now);
-            poison.push(seq);
         }
-        self.wb_scratch.poison = poison;
+    }
+
+    /// Arms the completion of a store whose address is generated: at the
+    /// cycle its data is in, if every producer's time is settled;
+    /// otherwise it waits for the producer whose result changes next.
+    /// Before this cycle's completion pass a store already due goes on
+    /// the pass's list; after it, it is due next cycle.
+    fn rearm_store(&mut self, slot: usize, now: u64, before_pass: bool) {
+        let data_at = store_data_at(&self.rob, slot);
+        if data_at == NEVER {
+            return;
+        }
+        if before_pass && data_at <= now {
+            self.rob.file(WorkList::Due, slot);
+        } else {
+            let at = data_at.max(now + 1);
+            if self.wheel.stamp(Lane::Complete, slot) != at {
+                self.wheel.arm(Lane::Complete, slot, at);
+            }
+        }
     }
 
     fn complete_instructions(&mut self, now: u64) -> bool {
         let mut acted = false;
-        let mut resolved_branches = std::mem::take(&mut self.wb_scratch.branches);
-        let mut completed_loads = std::mem::take(&mut self.wb_scratch.load_seqs);
-        let mut store_data = std::mem::take(&mut self.wb_scratch.store_data);
-        let mut pending = std::mem::take(&mut self.wb_scratch.incomplete);
-        resolved_branches.clear();
-        completed_loads.clear();
-        store_data.clear();
-        self.rob.collect_due(now, &mut pending);
-
-        // Each arm reads the handful of fields it needs through the shared
-        // borrow and only then mutates; copying whole `InstrState`s out of
-        // the window (~2 cache lines apiece) dominated this scan's cost.
-        for &seq in &pending {
-            let entry = self.rob.get(seq).expect("incomplete entries are live");
-            let op = entry.rec.instr.op;
-            match op {
-                OpClass::Nop => {
-                    acted = true;
-                    self.rob.mark_completed(seq);
-                    self.note_complete(seq, now);
-                }
+        // Program order: `Bht::update` and the mispredict stall's release
+        // must happen in the order the branches appear.
+        let mut from = 0;
+        while let Some(slot) = self.rob.take_next(WorkList::Due, from) {
+            from = self.rob.age(slot) + 1;
+            profile::count(Work::CompletionsExamined, 1);
+            let entry = self.rob.entry(slot);
+            let op = entry.op;
+            let finished = match op {
+                OpClass::Nop => unreachable!("nops complete at decode"),
                 OpClass::Load => {
-                    if entry.mem_issued {
-                        let ready = entry.mem_ready_at.expect("issued load has a data time");
-                        if ready <= now {
-                            acted = true;
-                            self.rob.get_mut(seq).expect("present").result_speculative = false;
-                            self.rob.mark_completed(seq);
-                            self.note_complete(seq, now);
-                            completed_loads.push(seq);
-                        }
-                    }
+                    debug_assert!(entry.mem_ready_at <= now && !entry.is(SPECULATIVE));
+                    self.lsq.release_load();
+                    true
                 }
                 OpClass::Store => {
-                    if entry.addr_ready_at.is_some_and(|a| a <= now) {
-                        match store_data_at(&self.rob, entry) {
-                            Some(data_at) if data_at <= now => {
-                                acted = true;
-                                store_data.push((seq, data_at));
-                                self.rob.mark_completed(seq);
-                                self.note_complete(seq, now);
-                            }
-                            // Data readiness can change any cycle as
-                            // producers settle: re-examine every cycle.
-                            _ => self.rob.set_wake(seq, 0),
-                        }
+                    debug_assert!(entry.addr_ready_at <= now);
+                    let data_at = store_data_at(&self.rob, slot);
+                    if data_at <= now {
+                        self.lsq
+                            .set_store_data_ready(entry.sq_index as usize, data_at);
+                        true
+                    } else {
+                        // The data is not in: wait for its cycle, or for
+                        // the producer whose result changes next.
+                        self.rob.entry_mut(slot).flags |= WAITING_DATA;
+                        self.rearm_store(slot, now, false);
+                        false
                     }
                 }
                 OpClass::BranchCond | OpClass::BranchUncond => {
-                    if entry.dispatched && exec_done_at(&self.cfg, entry.dispatched_at, op) <= now {
-                        acted = true;
-                        let taken = entry.rec.instr.branch.map(|b| b.taken).unwrap_or(false);
-                        resolved_branches.push((seq, entry.rec.pc, taken, entry.mispredicted));
-                        self.rob.get_mut(seq).expect("present").resolved = true;
-                        self.rob.mark_completed(seq);
-                        self.note_complete(seq, now);
-                    }
+                    debug_assert!(exec_done_at(&self.cfg, entry.dispatched_at, op) <= now);
+                    self.resolve_branch(slot, now);
+                    true
                 }
                 _ => {
-                    if !entry.dispatched {
-                        continue;
-                    }
-                    let done = exec_done_at(&self.cfg, entry.dispatched_at, op);
-                    if !entry.result_speculative {
-                        if done <= now {
-                            acted = true;
-                            self.rob.mark_completed(seq);
-                            self.note_complete(seq, now);
-                        }
-                    } else if producers_settled(&self.rob, entry) {
-                        // A derived-speculative result settles when its
-                        // producers have; until then it is checked again
-                        // next cycle.
-                        acted = true;
-                        self.rob.get_mut(seq).expect("present").result_speculative = false;
-                        self.rob.set_wake(seq, done);
-                    }
+                    debug_assert!(!entry.is(SPECULATIVE), "armed only once settled");
+                    debug_assert!(exec_done_at(&self.cfg, entry.dispatched_at, op) <= now);
+                    true
                 }
-            }
-        }
-
-        for &seq in &completed_loads {
-            self.lsq.release_load(seq);
-        }
-        for &(seq, data_at) in &store_data {
-            self.lsq.set_store_data_ready(seq, data_at);
-        }
-        for &(seq, pc, taken, mispredicted) in &resolved_branches {
-            if self.rob.get(seq).map(|e| e.rec.instr.op) == Some(OpClass::BranchCond) {
-                self.stats.cond_branches.incr();
-                if !self.cfg.perfect_branch_prediction {
-                    self.bht.update(pc, taken);
-                }
-                if mispredicted {
-                    self.stats.mispredicts.incr();
-                }
-            }
-            if mispredicted && self.front.stalling_branch == Some(seq) {
-                self.front.stalled = false;
-                self.front.stalling_branch = None;
-                self.front.next_fetch_at = self
-                    .front
-                    .next_fetch_at
-                    .max(now + self.cfg.redirect_penalty as u64);
-            }
-        }
-
-        self.wb_scratch.branches = resolved_branches;
-        self.wb_scratch.load_seqs = completed_loads;
-        self.wb_scratch.store_data = store_data;
-        self.wb_scratch.incomplete = pending;
-        acted
-    }
-
-    fn release_drained_stores(&mut self, now: u64) -> bool {
-        let mut acted = false;
-        let mut i = 0;
-        while i < self.mem_pipe.draining.len() {
-            if self.mem_pipe.draining[i].free_at <= now {
+            };
+            if finished {
                 acted = true;
-                let seq = self.mem_pipe.draining[i].seq;
-                self.lsq.release_store(seq);
-                self.mem_pipe.draining.swap_remove(i);
-            } else {
-                i += 1;
+                profile::count(Work::Completions, 1);
+                self.rob.mark_completed(slot);
+                self.note_complete(self.rob.seq_in(slot), now);
             }
         }
         acted
     }
 
-    /// Writeback's wake term for the accesses memory issue left open:
-    /// speculative loads confirm (and may cancel dependents), and draining
-    /// stores free their queue entries, at fixed cycles.
-    pub(super) fn writeback_wake(&self, wake: &mut Wake) {
-        for sl in &self.mem_pipe.spec_loads {
-            wake.arm(sl.confirm_at);
+    /// A resolved branch trains the predictor and, if it is the one fetch
+    /// stalled behind, restarts fetch after the redirect penalty.
+    fn resolve_branch(&mut self, slot: usize, now: u64) {
+        let entry = self.rob.entry(slot);
+        let mispredicted = entry.is(MISPREDICTED);
+        if entry.op == OpClass::BranchCond {
+            self.stats.cond_branches.incr();
+            if !self.cfg.perfect_branch_prediction {
+                let rec = self.rob.rec(slot);
+                let taken = rec.instr.branch.map(|b| b.taken).unwrap_or(false);
+                self.bht.update(rec.pc, taken);
+            }
+            if mispredicted {
+                self.stats.mispredicts.incr();
+            }
         }
-        for d in &self.mem_pipe.draining {
-            wake.arm(d.free_at);
-        }
-    }
-
-    /// Writeback's wake term for one dispatched entry that is not a load:
-    /// the cycle it completes. A time hanging off an unsettled producer is
-    /// chained to that producer's own event.
-    pub(super) fn completion_wake(&self, entry: &InstrState, now: u64, wake: &mut Wake) {
-        let op = entry.rec.instr.op;
-        match op {
-            OpClass::Store => {
-                if let Some(data_at) = store_data_at(&self.rob, entry) {
-                    wake.arm(data_at);
-                }
-            }
-            _ if op.is_branch() || !entry.result_speculative => {
-                wake.arm(exec_done_at(&self.cfg, entry.dispatched_at, op));
-            }
-            // A derived-speculative result settles the cycle after its
-            // producers settle.
-            _ => {
-                if producers_settled(&self.rob, entry) {
-                    wake.arm(now + 1);
-                }
-            }
+        if mispredicted && self.front.stalling_branch == Some(self.rob.seq_in(slot)) {
+            self.front.stalled = false;
+            self.front.stalling_branch = None;
+            self.front.next_fetch_at = self
+                .front
+                .next_fetch_at
+                .max(now + self.cfg.redirect_penalty as u64);
         }
     }
 }

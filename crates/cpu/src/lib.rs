@@ -20,11 +20,14 @@ pub mod config;
 pub mod core;
 pub mod error;
 pub mod lsq;
+pub mod profile;
 pub mod rename;
 pub mod rob;
 pub mod rs;
+pub mod slotmask;
 pub mod stats;
 pub mod timeline;
+pub mod wheel;
 
 pub use crate::core::{warm_record, Core};
 pub use bpred::{Bht, BhtConfig};

@@ -5,45 +5,75 @@
 //! retired in order at commit. Slots are addressed by global sequence
 //! number masked into a power-of-two ring (`seq & slot_mask`), which is
 //! unambiguous because at most `capacity <= ring` consecutive sequence
-//! numbers are ever live.
+//! numbers are ever live; ring order from the head's slot is program
+//! order.
 //!
-//! The storage is flat: one dense slot vector of plain-`Copy`
-//! [`InstrState`] (producer dependences live in inline arrays, not heap
-//! vectors) plus per-slot bitmasks tracking which live entries still need
-//! completion work and which dispatched loads are waiting to issue. The
-//! per-cycle writeback and memory-issue scans walk set bits instead of
-//! every slot, and a step allocates nothing.
+//! The storage is flat and split by temperature. What the out-of-order
+//! engine reads and writes every cycle is one compact [`Entry`] per slot —
+//! a flags byte, the operation class, times as plain `u64`s with
+//! [`NEVER`] for "unknown", producers as slot indices — beside the
+//! producer→consumer link masks. The [`TraceRecord`] the entry was decoded
+//! from is kept once, cold, in an array of its own: decode writes it, and
+//! dispatch, issue, resolution and commit each read the field they need
+//! from it.
+//!
+//! Nothing scans the window for work: an entry's timed events arrive off
+//! the core's event wheel ([`crate::wheel`]) and are filed into per-slot
+//! bitmasks — entries due for completion, loads whose issue slot has
+//! come, waiting entries whose operands are ready — that writeback,
+//! memory issue and select walk in program order, one step per listed
+//! entry, allocating nothing.
 
+use crate::slotmask::SlotMask;
+#[cfg(doc)]
+use crate::wheel::Wheel;
+use s64v_isa::OpClass;
+use s64v_observe::MemBlame;
 use s64v_trace::TraceRecord;
 
-/// An inline list of producer sequence numbers. An instruction has at most
-/// [`s64v_isa::MAX_SRCS`] register sources, so the list never heap-allocates.
+pub use crate::wheel::NEVER;
+
+/// The entry has been dispatched from its reservation station.
+pub const DISPATCHED: u8 = 1 << 0;
+/// Execution (and for loads, data return) has finished.
+pub const COMPLETED: u8 = 1 << 1;
+/// The memory request has been issued to the L1 operand cache.
+pub const MEM_ISSUED: u8 = 1 << 2;
+/// The advertised `result_at` is a cache-hit prediction that may yet be
+/// cancelled (speculative dispatch, §3.1), or derives from one.
+pub const SPECULATIVE: u8 = 1 << 3;
+/// The branch prediction was wrong; fetch is stalled until resolution.
+pub const MISPREDICTED: u8 = 1 << 4;
+/// A store whose address is generated and whose data is not in yet: its
+/// completion is re-armed when a producer's result changes.
+pub const WAITING_DATA: u8 = 1 << 5;
+/// The issued memory access went to the bus/memory (it missed the on-chip
+/// caches); used for stall blame.
+pub const OFF_CHIP: u8 = 1 << 6;
+
+/// The window slots of an entry's in-flight producers, inline: an
+/// instruction has at most [`s64v_isa::MAX_SRCS`] register sources.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProducerList {
-    items: [u64; s64v_isa::MAX_SRCS],
+    slots: [u16; s64v_isa::MAX_SRCS],
     len: u8,
 }
 
 impl ProducerList {
-    /// Appends a producer.
+    /// Appends a producer's slot.
     ///
     /// # Panics
     ///
     /// Panics if the list is already full (more producers than an
     /// instruction has register sources).
-    pub fn push(&mut self, seq: u64) {
-        self.items[self.len as usize] = seq;
+    pub fn push(&mut self, slot: usize) {
+        self.slots[self.len as usize] = slot as u16;
         self.len += 1;
     }
 
-    /// The producers as a slice.
-    pub fn as_slice(&self) -> &[u64] {
-        &self.items[..self.len as usize]
-    }
-
-    /// Iterates over the producers.
-    pub fn iter(&self) -> std::slice::Iter<'_, u64> {
-        self.as_slice().iter()
+    /// Iterates over the producers' slots.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots[..self.len as usize].iter().map(|&s| s as usize)
     }
 
     /// Number of producers recorded.
@@ -57,208 +87,164 @@ impl ProducerList {
     }
 }
 
-impl<'a> IntoIterator for &'a ProducerList {
-    type Item = &'a u64;
-    type IntoIter = std::slice::Iter<'a, u64>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-/// Everything the pipeline knows about one in-flight instruction.
-#[derive(Debug, Clone, Copy)]
-pub struct InstrState {
-    /// Global program-order sequence number.
-    pub seq: u64,
-    /// The trace record.
-    pub rec: TraceRecord,
-    /// Sequence numbers of in-flight producers whose results the
-    /// instruction needs before (or at) dispatch.
-    pub producers: ProducerList,
-    /// For stores: producers of the *data* operand, needed before the
-    /// store can retire but not for address generation.
-    pub data_producers: ProducerList,
+/// The hot state of one in-flight instruction: everything the pipeline
+/// reads or writes about it between decode and commit, except its trace
+/// record ([`Rob::rec`]). 64 bytes, one cache line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Entry {
+    /// [`DISPATCHED`], [`COMPLETED`], … (see the constants).
+    pub flags: u8,
+    /// The operation class (a copy of `rec.instr.op`).
+    pub op: OpClass,
     /// Which RSE/RSF buffer the entry was steered to (split scheme).
     pub rs_buffer: u8,
-    /// Whether the instruction has been dispatched from its RS.
-    pub dispatched: bool,
-    /// Cycle it was dispatched.
-    pub dispatched_at: u64,
-    /// Advertised result availability: the first cycle a consumer's
-    /// execute stage can use the value (forwarding included).
-    pub result_at: Option<u64>,
-    /// The advertised `result_at` is a cache-hit prediction that may yet
-    /// be cancelled (speculative dispatch, §3.1).
-    pub result_speculative: bool,
-    /// Execution (and for loads, data return) has finished.
-    pub completed: bool,
-    /// Cycle at which AGU finished computing the effective address.
-    pub addr_ready_at: Option<u64>,
-    /// The memory request has been issued to the L1 operand cache.
-    pub mem_issued: bool,
-    /// Actual cycle the load's data is available (set at issue; for
-    /// speculatively dispatched consumers the advertised `result_at` may
-    /// be earlier until the hit prediction is confirmed).
-    pub mem_ready_at: Option<u64>,
-    /// Whether the issued memory access was served by the on-chip caches
-    /// (`Some(false)` = it went to the bus/memory); used for stall blame.
-    pub mem_l2_hit: Option<bool>,
     /// Which memory level/resource the issued access's latency is blamed
     /// on, recorded at issue for top-down CPI attribution. `None` until
     /// the access issues (store-forwarded loads never issue and count as
     /// L1D-speed data supply).
-    pub mem_blame: Option<s64v_observe::MemBlame>,
+    pub mem_blame: Option<MemBlame>,
+    /// For stores: the store-queue index (see `LoadStoreQueues`).
+    pub sq_index: u16,
+    /// In-flight producers whose results the instruction needs before (or
+    /// at) dispatch. A listed slot counts only while it still holds an
+    /// older entry ([`Rob::producer`]): a producer that retired left its
+    /// value in the register file.
+    pub producers: ProducerList,
+    /// For stores: producers of the *data* operand, needed before the
+    /// store can retire but not for address generation.
+    pub data_producers: ProducerList,
     /// Times this instruction was cancelled and replayed.
     pub replays: u32,
-    /// Predicted direction (conditional branches).
-    pub predicted_taken: bool,
-    /// The prediction was wrong; fetch is stalled until resolution.
-    pub mispredicted: bool,
-    /// The branch has resolved.
-    pub resolved: bool,
+    /// Cycle it was dispatched.
+    pub dispatched_at: u64,
+    /// Advertised result availability: the first cycle a consumer's
+    /// execute stage can use the value (forwarding included).
+    pub result_at: u64,
+    /// Cycle at which AGU finished computing the effective address.
+    pub addr_ready_at: u64,
+    /// Actual cycle the load's data is available (set at issue; for
+    /// speculatively dispatched consumers the advertised `result_at` may
+    /// be earlier until the hit prediction is confirmed).
+    pub mem_ready_at: u64,
 }
 
-impl InstrState {
-    /// Creates a fresh entry for a decoded record.
-    pub fn new(seq: u64, rec: TraceRecord) -> Self {
-        InstrState {
-            seq,
-            rec,
+impl Entry {
+    /// A fresh entry for a decoded instruction of class `op`.
+    pub fn new(op: OpClass) -> Self {
+        Entry {
+            flags: 0,
+            op,
+            rs_buffer: 0,
+            mem_blame: None,
+            sq_index: 0,
             producers: ProducerList::default(),
             data_producers: ProducerList::default(),
-            rs_buffer: 0,
-            dispatched: false,
-            dispatched_at: 0,
-            result_at: None,
-            result_speculative: false,
-            completed: false,
-            addr_ready_at: None,
-            mem_issued: false,
-            mem_ready_at: None,
-            mem_l2_hit: None,
-            mem_blame: None,
             replays: 0,
-            predicted_taken: false,
-            mispredicted: false,
-            resolved: false,
+            dispatched_at: 0,
+            result_at: NEVER,
+            addr_ready_at: NEVER,
+            mem_ready_at: NEVER,
+        }
+    }
+
+    /// Whether every flag of `flags` is set.
+    #[inline]
+    pub fn is(&self, flags: u8) -> bool {
+        self.flags & flags == flags
+    }
+
+    /// Sets or clears `flags`.
+    #[inline]
+    pub fn set(&mut self, flags: u8, on: bool) {
+        if on {
+            self.flags |= flags;
+        } else {
+            self.flags &= !flags;
         }
     }
 
     /// Returns the instruction to its reservation station after a
     /// speculation cancel (§3.1's cancel-and-replay).
     pub fn cancel(&mut self) {
-        debug_assert!(self.dispatched && !self.completed);
+        debug_assert!(self.is(DISPATCHED) && !self.is(COMPLETED));
         debug_assert!(
-            !self.mem_issued,
+            !self.is(MEM_ISSUED),
             "a load cannot be cancelled after its cache access issued"
         );
-        self.dispatched = false;
-        self.result_at = None;
-        self.result_speculative = false;
-        self.addr_ready_at = None;
-        self.mem_ready_at = None;
-        self.mem_l2_hit = None;
+        self.flags &= !(DISPATCHED | SPECULATIVE | WAITING_DATA | OFF_CHIP);
+        self.result_at = NEVER;
+        self.addr_ready_at = NEVER;
+        self.mem_ready_at = NEVER;
         self.mem_blame = None;
         self.replays += 1;
     }
 }
 
-/// A per-slot bitmask over the window's ring, used for the compact
-/// writeback and memory-issue scans.
-#[derive(Debug, Clone)]
-struct SlotMask {
-    words: Vec<u64>,
+/// Which of the window's work lists a walk reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkList {
+    /// Entries due for the completion pass.
+    Due,
+    /// Loads ready to take a cache port.
+    IssueReady,
+    /// The front of the wave started by [`Rob::start_wave`].
+    Wave,
 }
 
-impl SlotMask {
-    fn new(capacity: usize) -> Self {
-        SlotMask {
-            words: vec![0; capacity.div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, slot: usize) {
-        self.words[slot / 64] |= 1u64 << (slot % 64);
-    }
-
-    #[inline]
-    fn clear(&mut self, slot: usize) {
-        self.words[slot / 64] &= !(1u64 << (slot % 64));
-    }
-
-    /// Calls `f` with every set slot in ring order starting at `start`:
-    /// `start` up to the ring's end, then the wrapped part below `start`.
-    /// Costs one step per set bit plus one per word, not one per slot.
-    #[inline]
-    fn for_each_from(&self, start: usize, mut f: impl FnMut(usize)) {
-        let mut walk = |word: usize, mut bits: u64| {
-            while bits != 0 {
-                f(word * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        };
-        let first = start / 64;
-        let below = (1u64 << (start % 64)) - 1;
-        walk(first, self.words[first] & !below);
-        for word in first + 1..self.words.len() {
-            walk(word, self.words[word]);
-        }
-        for word in 0..first {
-            walk(word, self.words[word]);
-        }
-        walk(first, self.words[first] & below);
-    }
-}
-
-/// The reorder buffer: a ring of [`InstrState`] addressed by sequence
-/// number.
+/// The reorder buffer: a ring of [`Entry`] addressed by sequence number.
 ///
 /// # Examples
 ///
 /// ```
-/// use s64v_cpu::rob::{InstrState, Rob};
-/// use s64v_isa::Instr;
+/// use s64v_cpu::rob::{Entry, Rob};
+/// use s64v_isa::{Instr, OpClass};
 /// use s64v_trace::TraceRecord;
 ///
 /// let mut rob = Rob::new(4);
-/// rob.push(InstrState::new(0, TraceRecord::new(0, Instr::nop())));
+/// let slot = rob.push(Entry::new(OpClass::Nop), &TraceRecord::new(0x40, Instr::nop()));
 /// assert_eq!(rob.len(), 1);
-/// assert!(rob.get(0).is_some());
+/// assert_eq!(rob.seq_in(slot), 0);
+/// assert_eq!(rob.rec(slot).pc, 0x40);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Rob {
-    slots: Vec<InstrState>,
+    entries: Vec<Entry>,
+    /// The trace record each slot's entry was decoded from.
+    recs: Vec<TraceRecord>,
     head_seq: u64,
     tail_seq: u64,
-    /// Logical window size; the ring itself (`slots.len()`) is padded to
+    /// Logical window size; the ring itself (`entries.len()`) is padded to
     /// the next power of two so slot addressing is a mask, not a divide.
     capacity: usize,
-    /// `slots.len() - 1` (the ring length is a power of two).
+    /// `entries.len() - 1` (the ring length is a power of two).
     slot_mask: u64,
-    /// Live entries whose `completed` flag is still false. Like
-    /// `pending_loads`, never set for a slot outside `head_seq..tail_seq`
-    /// (retiring clears both), so a walk of the set bits in ring order
-    /// from the head's slot visits live entries only, in program order.
-    incomplete: SlotMask,
-    /// Dispatched loads whose cache access has not issued yet.
-    pending_loads: SlotMask,
-    /// Per-slot completion wake time: the earliest cycle the writeback
-    /// scan needs to examine the entry again (`u64::MAX` = not until some
-    /// pipeline event re-arms it). An entry awaiting dispatch has no
-    /// completion work at all; a dispatched one has a known finish time
-    /// (execute latency, load data return, store address generation), so
-    /// the scan skips entries whose time has not come. Entries whose
-    /// readiness genuinely changes cycle to cycle (speculative results
-    /// settling, committed stores waiting on data) are kept at 0.
-    wake: Vec<u64>,
-    /// Lower bound on the minimum wake time over incomplete live entries
-    /// (`u64::MAX` when provably none). When it lies in the future the
-    /// whole writeback scan is a single compare — the common case while
-    /// the window stalls on a long memory operation. It is re-tightened
-    /// to the exact minimum on every real scan; completions and cancels
-    /// may leave it stale-low, which only costs an extra scan.
-    wake_floor: u64,
+    /// Entries the completion pass must examine this cycle: their event
+    /// arrived. Like every mask here, never set for a slot outside
+    /// `head_seq..tail_seq`, so a walk of the set bits in ring order from
+    /// the head's slot visits live entries only, in program order.
+    due: SlotMask,
+    /// Entries whose register operands allow dispatch: the cached answer
+    /// to "has the operand-ready time come?" for an entry waiting in a
+    /// reservation station (meaningless for any other). Whoever sets,
+    /// moves or withdraws a result time refreshes it in that producer's
+    /// consumers — setting the bit, or arming the [`Wheel`] event that
+    /// will — and select intersects it with a station's contents.
+    ready: SlotMask,
+    /// Dispatched loads whose issue slot has come and that have not taken
+    /// a cache port yet (port or bank contention retries them).
+    issue_ready: SlotMask,
+    /// Producer→consumer links: `words` mask words per slot, one bit per
+    /// slot whose entry lists this slot's entry among its producers (data
+    /// producers included). Written at the consumer's allocation and reset
+    /// at the slot's own; consumers are younger than their producer and
+    /// retire after it, so while an entry is live every bit of its mask
+    /// names a live consumer.
+    dependents: Vec<u64>,
+    /// Mask words per slot.
+    words: usize,
+    /// The wave front of a change propagating down the links (see
+    /// [`Rob::start_wave`]).
+    wave: SlotMask,
 }
 
 impl Rob {
@@ -269,23 +255,26 @@ impl Rob {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: u32) -> Self {
         assert!(capacity > 0, "window needs at least one entry");
-        let filler = InstrState::new(0, TraceRecord::new(0, s64v_isa::Instr::nop()));
         // The ring is padded to a power of two so slot addressing is a
-        // mask, not a 64-bit division — `slot_of` runs dozens of times
-        // per simulated cycle across the writeback/issue/wakeup scans.
-        // Ring slots beyond `capacity` are simply never live (occupancy
-        // is bounded by `is_full`, which checks the logical capacity).
+        // mask, not a 64-bit division. Ring slots beyond `capacity` are
+        // simply never live (occupancy is bounded by `is_full`, which
+        // checks the logical capacity).
         let ring = (capacity as usize).next_power_of_two();
+        assert!(ring <= 1 << 15, "slot indices are 16 bits");
+        let words = ring.div_ceil(64);
         Rob {
-            slots: vec![filler; ring],
+            entries: vec![Entry::new(OpClass::Nop); ring],
+            recs: vec![TraceRecord::new(0, s64v_isa::Instr::nop()); ring],
             head_seq: 0,
             tail_seq: 0,
             capacity: capacity as usize,
             slot_mask: ring as u64 - 1,
-            incomplete: SlotMask::new(ring),
-            pending_loads: SlotMask::new(ring),
-            wake: vec![u64::MAX; ring],
-            wake_floor: u64::MAX,
+            due: SlotMask::new(ring),
+            ready: SlotMask::new(ring),
+            issue_ready: SlotMask::new(ring),
+            dependents: vec![0; ring * words],
+            words,
+            wave: SlotMask::new(ring),
         }
     }
 
@@ -309,104 +298,31 @@ impl Rob {
         self.len() == self.capacity
     }
 
+    /// The ring slot holding sequence number `seq`.
     #[inline]
-    fn slot_of(&self, seq: u64) -> usize {
+    pub fn slot_of(&self, seq: u64) -> usize {
         (seq & self.slot_mask) as usize
     }
 
-    /// Allocates the next entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is full or `state.seq` is out of order.
-    pub fn push(&mut self, state: InstrState) {
-        assert!(!self.is_full(), "window full");
-        assert_eq!(state.seq, self.tail_seq, "out-of-order allocation");
-        let slot = self.slot_of(state.seq);
-        if state.completed {
-            self.incomplete.clear(slot);
-        } else {
-            self.incomplete.set(slot);
-        }
-        self.pending_loads.clear(slot);
-        // Nops complete at the first writeback scan; every other class is
-        // inert until a dispatch/issue event arms a wake time.
-        self.wake[slot] = if state.rec.instr.op == s64v_isa::OpClass::Nop {
-            self.wake_floor = 0;
-            0
-        } else {
-            u64::MAX
-        };
-        self.slots[slot] = state;
-        self.tail_seq += 1;
-    }
-
-    /// The in-flight entry with sequence number `seq`, if present.
+    /// The slot of the oldest in-flight entry (where ring order starts).
     #[inline]
-    pub fn get(&self, seq: u64) -> Option<&InstrState> {
-        if seq < self.head_seq || seq >= self.tail_seq {
-            return None;
-        }
-        Some(&self.slots[self.slot_of(seq)])
+    pub fn head_slot(&self) -> usize {
+        self.slot_of(self.head_seq)
     }
 
-    /// Mutable access to the entry with sequence number `seq`.
-    ///
-    /// Callers that flip `completed` or issue/cancel a load must use
-    /// [`Rob::mark_completed`], [`Rob::mark_load_pending`],
-    /// [`Rob::mark_load_issued`] or [`Rob::cancel_entry`] so the scan
-    /// masks stay coherent.
+    /// How many entries `slot` is behind the head's, in ring order. Less
+    /// than [`Rob::len`] exactly when the slot is live.
     #[inline]
-    pub fn get_mut(&mut self, seq: u64) -> Option<&mut InstrState> {
-        if seq < self.head_seq || seq >= self.tail_seq {
-            return None;
-        }
-        let slot = self.slot_of(seq);
-        Some(&mut self.slots[slot])
+    pub fn age(&self, slot: usize) -> usize {
+        slot.wrapping_sub(self.head_slot()) & self.slot_mask as usize
     }
 
-    /// Marks an entry completed, clearing it from the writeback scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is not in flight.
-    pub fn mark_completed(&mut self, seq: u64) {
-        debug_assert!(seq >= self.head_seq && seq < self.tail_seq);
-        let slot = self.slot_of(seq);
-        self.slots[slot].completed = true;
-        self.incomplete.clear(slot);
-        self.pending_loads.clear(slot);
-    }
-
-    /// Marks a dispatched load as awaiting its cache access.
-    pub fn mark_load_pending(&mut self, seq: u64) {
-        let slot = self.slot_of(seq);
-        self.pending_loads.set(slot);
-    }
-
-    /// Marks a pending load as issued to the cache.
-    pub fn mark_load_issued(&mut self, seq: u64) {
-        let slot = self.slot_of(seq);
-        self.pending_loads.clear(slot);
-    }
-
-    /// Cancels a dispatched entry back to its reservation station (§3.1),
-    /// keeping the scan masks coherent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is not in flight.
-    pub fn cancel_entry(&mut self, seq: u64) {
-        debug_assert!(seq >= self.head_seq && seq < self.tail_seq);
-        let slot = self.slot_of(seq);
-        self.slots[slot].cancel();
-        self.pending_loads.clear(slot);
-        self.wake[slot] = u64::MAX; // inert again until re-dispatch
-    }
-
-    /// The oldest in-flight entry.
-    pub fn head(&self) -> Option<&InstrState> {
-        self.get(self.head_seq)
+    /// The in-flight sequence number held by `slot`.
+    #[inline]
+    pub fn seq_in(&self, slot: usize) -> u64 {
+        let age = self.age(slot);
+        debug_assert!(age < self.len(), "slot {slot} is not live");
+        self.head_seq + age as u64
     }
 
     /// Sequence number of the oldest in-flight entry.
@@ -419,6 +335,94 @@ impl Rob {
         self.tail_seq
     }
 
+    /// Iterates over in-flight sequence numbers in program order.
+    pub fn seqs(&self) -> std::ops::Range<u64> {
+        self.head_seq..self.tail_seq
+    }
+
+    /// Allocates the next entry for the instruction `rec`, links it to the
+    /// producers it lists, and returns its slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is full.
+    pub fn push(&mut self, entry: Entry, rec: &TraceRecord) -> usize {
+        assert!(!self.is_full(), "window full");
+        let slot = self.slot_of(self.tail_seq);
+        debug_assert!(!self.due.get(slot) && !self.issue_ready.get(slot));
+        self.ready.clear(slot);
+        self.dependents[slot * self.words..][..self.words].fill(0);
+        for p in entry.producers.iter().chain(entry.data_producers.iter()) {
+            debug_assert!(self.age(p) < self.len(), "dead producer");
+            self.dependents[p * self.words + slot / 64] |= 1 << (slot % 64);
+        }
+        self.entries[slot] = entry;
+        self.recs[slot] = *rec;
+        self.tail_seq += 1;
+        slot
+    }
+
+    /// The entry in `slot`.
+    #[inline]
+    pub fn entry(&self, slot: usize) -> &Entry {
+        &self.entries[slot]
+    }
+
+    /// Mutable access to the entry in `slot`.
+    ///
+    /// Callers that complete or cancel an entry must use
+    /// [`Rob::mark_completed`] or [`Rob::cancel_entry`] so the work lists
+    /// stay coherent.
+    #[inline]
+    pub fn entry_mut(&mut self, slot: usize) -> &mut Entry {
+        &mut self.entries[slot]
+    }
+
+    /// The trace record the entry in `slot` was decoded from.
+    #[inline]
+    pub fn rec(&self, slot: usize) -> &TraceRecord {
+        &self.recs[slot]
+    }
+
+    /// The producer a consumer in `consumer_slot` listed as `slot`, if it
+    /// is still in the window: the slot must still hold an *older* entry.
+    /// (Once the producer retires the slot is dead, or reallocated to an
+    /// instruction younger than every consumer that listed it.)
+    #[inline]
+    pub fn producer(&self, consumer_slot: usize, slot: usize) -> Option<&Entry> {
+        (self.age(slot) < self.age(consumer_slot)).then(|| &self.entries[slot])
+    }
+
+    /// The oldest in-flight entry and its slot.
+    #[inline]
+    pub fn head(&self) -> Option<(usize, &Entry)> {
+        let slot = self.head_slot();
+        (!self.is_empty()).then(|| (slot, &self.entries[slot]))
+    }
+
+    /// Marks the entry in `slot` completed and takes it off every work
+    /// list.
+    pub fn mark_completed(&mut self, slot: usize) {
+        debug_assert!(self.age(slot) < self.len());
+        self.entries[slot].flags |= COMPLETED;
+        self.retract(slot);
+    }
+
+    /// Takes `slot` off every work list.
+    fn retract(&mut self, slot: usize) {
+        self.due.clear(slot);
+        self.issue_ready.clear(slot);
+    }
+
+    /// Cancels the dispatched entry in `slot` back to its reservation
+    /// station (§3.1): it leaves every work list (the caller disarms its
+    /// pending event).
+    pub fn cancel_entry(&mut self, slot: usize) {
+        debug_assert!(self.age(slot) < self.len());
+        self.entries[slot].cancel();
+        self.retract(slot);
+    }
+
     /// Retires the oldest entry in place, returning its sequence number
     /// (read what is needed of it through [`Rob::head`] first).
     ///
@@ -427,73 +431,107 @@ impl Rob {
     /// Panics if the window is empty.
     pub fn pop_head(&mut self) -> u64 {
         assert!(!self.is_empty(), "window empty");
-        let slot = self.slot_of(self.head_seq);
-        self.incomplete.clear(slot);
-        self.pending_loads.clear(slot);
+        let slot = self.head_slot();
+        self.retract(slot);
         self.head_seq += 1;
         self.head_seq - 1
     }
 
-    /// Iterates over in-flight sequence numbers in program order.
-    pub fn seqs(&self) -> std::ops::Range<u64> {
-        self.head_seq..self.tail_seq
-    }
-
-    /// Appends the in-flight sequence numbers whose `completed` flag is
-    /// still false to `out`, in program order. `out` is cleared first.
-    pub fn collect_incomplete(&self, out: &mut Vec<u64>) {
-        out.clear();
-        self.for_each_live(&self.incomplete, |seq, _| out.push(seq));
-    }
-
-    /// Calls `f(seq, slot)` for every set bit of `mask` in program order.
-    #[inline]
-    fn for_each_live(&self, mask: &SlotMask, mut f: impl FnMut(u64, usize)) {
-        let head_slot = self.slot_of(self.head_seq);
-        mask.for_each_from(head_slot, |slot| {
-            let age = slot.wrapping_sub(head_slot) as u64 & self.slot_mask;
-            debug_assert!(age < self.tail_seq - self.head_seq, "stale mask bit");
-            f(self.head_seq + age, slot);
-        });
-    }
-
-    /// Like [`Rob::collect_incomplete`], but only entries whose wake time
-    /// has arrived — the ones the writeback scan could act on at `now`.
-    /// Rejects in O(1) while every armed wake time lies in the future;
-    /// a real scan re-tightens that bound to the exact minimum.
-    pub fn collect_due(&mut self, now: u64, out: &mut Vec<u64>) {
-        out.clear();
-        if self.wake_floor > now {
-            return;
+    fn list(&self, list: WorkList) -> &SlotMask {
+        match list {
+            WorkList::Due => &self.due,
+            WorkList::IssueReady => &self.issue_ready,
+            WorkList::Wave => &self.wave,
         }
-        let mut floor = u64::MAX;
-        self.for_each_live(&self.incomplete, |seq, slot| {
-            let w = self.wake[slot];
-            if w <= now {
-                out.push(seq);
-            }
-            floor = floor.min(w);
-        });
-        self.wake_floor = floor;
     }
 
-    /// Sets the cycle the writeback scan must next examine `seq`
-    /// (see [`Rob::collect_due`]). Must never exceed the entry's true
-    /// earliest action cycle, or completion events are lost.
     #[inline]
-    pub fn set_wake(&mut self, seq: u64, at: u64) {
-        debug_assert!(seq >= self.head_seq && seq < self.tail_seq);
-        let slot = self.slot_of(seq);
-        self.wake[slot] = at;
-        self.wake_floor = self.wake_floor.min(at);
+    fn list_mut(&mut self, list: WorkList) -> &mut SlotMask {
+        match list {
+            WorkList::Due => &mut self.due,
+            WorkList::IssueReady => &mut self.issue_ready,
+            WorkList::Wave => &mut self.wave,
+        }
     }
 
-    /// Appends dispatched, not-yet-issued load sequence numbers to `out`,
-    /// in program order. `out` is cleared first. No pending loads at all
-    /// — the common cycle — costs a test per mask word.
-    pub fn collect_pending_loads(&self, out: &mut Vec<u64>) {
-        out.clear();
-        self.for_each_live(&self.pending_loads, |seq, _| out.push(seq));
+    /// Whether `list` holds `slot`.
+    pub fn is_listed(&self, list: WorkList, slot: usize) -> bool {
+        self.list(list).get(slot)
+    }
+
+    /// Whether `list` is empty.
+    pub fn is_list_empty(&self, list: WorkList) -> bool {
+        self.list(list).is_empty()
+    }
+
+    /// Takes the oldest entry on `list` that is at least `from` entries
+    /// behind the head off the list and returns its slot, or `None` when
+    /// no such entry is listed. Walking a list is calling this with `from`
+    /// one past the previous answer's [`Rob::age`]: entries filed
+    /// meanwhile further back are still found, in program order.
+    #[inline]
+    pub fn take_next(&mut self, list: WorkList, from: usize) -> Option<usize> {
+        let head_slot = self.head_slot();
+        let ring = self.entries.len();
+        self.list_mut(list).take_from(head_slot, from, ring)
+    }
+
+    /// Files `slot` on `list`: its event arrived; a load lost port
+    /// arbitration; a store's data came in before this cycle's completion
+    /// pass.
+    #[inline]
+    pub fn file(&mut self, list: WorkList, slot: usize) {
+        self.list_mut(list).set(slot);
+    }
+
+    /// Records whether the operands of the entry in `slot` allow dispatch
+    /// (see the `ready` field).
+    #[inline]
+    pub fn set_ready(&mut self, slot: usize, ready: bool) {
+        if ready {
+            self.ready.set(slot);
+        } else {
+            self.ready.clear(slot);
+        }
+    }
+
+    /// Whether the entry in `slot` is marked ready.
+    pub fn is_ready(&self, slot: usize) -> bool {
+        self.ready.get(slot)
+    }
+
+    /// The ready entries, for select to intersect with a station.
+    #[inline]
+    pub fn ready(&self) -> &SlotMask {
+        &self.ready
+    }
+
+    /// Whether `consumer` is linked as a dependent of `producer` (slots).
+    pub fn is_dependent(&self, producer: usize, consumer: usize) -> bool {
+        self.dependents[producer * self.words + consumer / 64] & (1 << (consumer % 64)) != 0
+    }
+
+    /// How many consumers are linked from the entry in `slot`.
+    pub fn dependents_count(&self, slot: usize) -> u32 {
+        let links = &self.dependents[slot * self.words..][..self.words];
+        links.iter().map(|w| w.count_ones()).sum()
+    }
+
+    /// Starts a wave at `slot`: the [`WorkList::Wave`] list becomes
+    /// exactly its entry's consumers. A change that propagates (a cancel,
+    /// a settle) walks the list oldest first with [`Rob::take_next`] and
+    /// calls [`Rob::widen_wave`] for each entry it changes; consumers are
+    /// younger than their producer, so every entry is reached after all
+    /// of its producers the wave touches.
+    pub fn start_wave(&mut self, slot: usize) {
+        self.wave
+            .copy_from(&self.dependents[slot * self.words..][..self.words]);
+    }
+
+    /// Adds the consumers of the entry in `slot` to the wave.
+    pub fn widen_wave(&mut self, slot: usize) {
+        self.wave
+            .union_with(&self.dependents[slot * self.words..][..self.words]);
     }
 }
 
@@ -502,15 +540,19 @@ mod tests {
     use super::*;
     use s64v_isa::Instr;
 
-    fn entry(seq: u64) -> InstrState {
-        InstrState::new(seq, TraceRecord::new(seq * 4, Instr::nop()))
+    fn push(rob: &mut Rob) -> usize {
+        let seq = rob.next_seq();
+        rob.push(
+            Entry::new(OpClass::Nop),
+            &TraceRecord::new(seq * 4, Instr::nop()),
+        )
     }
 
     #[test]
     fn fifo_order_is_preserved() {
         let mut rob = Rob::new(4);
-        for s in 0..4 {
-            rob.push(entry(s));
+        for _ in 0..4 {
+            push(&mut rob);
         }
         assert!(rob.is_full());
         for s in 0..4 {
@@ -522,170 +564,188 @@ mod tests {
     #[test]
     fn slots_are_reused_across_wraparound() {
         let mut rob = Rob::new(2);
-        rob.push(entry(0));
-        rob.push(entry(1));
+        push(&mut rob);
+        push(&mut rob);
         rob.pop_head();
-        rob.push(entry(2));
+        let slot = push(&mut rob);
         assert_eq!(rob.len(), 2);
-        assert_eq!(rob.head().unwrap().seq, 1);
-        assert!(rob.get(0).is_none(), "retired seq is gone");
-        assert!(rob.get(2).is_some());
+        assert_eq!(rob.seq_in(rob.head_slot()), 1);
+        assert_eq!(rob.seqs(), 1..3, "seq 0 retired, seq 2 allocated");
+        assert_eq!(slot, 0, "seq 2 took seq 0's slot");
+        assert_eq!(rob.rec(slot).pc, 8);
     }
 
     #[test]
     #[should_panic(expected = "window full")]
     fn push_beyond_capacity_panics() {
         let mut rob = Rob::new(1);
-        rob.push(entry(0));
-        rob.push(entry(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "out-of-order")]
-    fn out_of_order_allocation_panics() {
-        let mut rob = Rob::new(4);
-        rob.push(entry(1));
+        push(&mut rob);
+        push(&mut rob);
     }
 
     #[test]
     fn get_mut_updates_state() {
         let mut rob = Rob::new(4);
-        rob.push(entry(0));
-        rob.get_mut(0).unwrap().dispatched = true;
-        assert!(rob.get(0).unwrap().dispatched);
+        let slot = push(&mut rob);
+        rob.entry_mut(slot).set(DISPATCHED, true);
+        assert!(rob.entry(rob.slot_of(0)).is(DISPATCHED));
+        rob.entry_mut(slot).set(DISPATCHED, false);
+        assert_eq!(rob.entry(slot).flags, 0);
     }
 
     #[test]
     fn cancel_resets_dispatch_state() {
-        let mut e = entry(3);
-        e.dispatched = true;
-        e.result_at = Some(10);
-        e.result_speculative = true;
+        let mut e = Entry::new(OpClass::IntAlu);
+        e.set(DISPATCHED | SPECULATIVE, true);
+        e.result_at = 10;
         e.cancel();
-        assert!(!e.dispatched);
-        assert_eq!(e.result_at, None);
+        assert!(!e.is(DISPATCHED) && !e.is(SPECULATIVE));
+        assert_eq!(e.result_at, NEVER);
         assert_eq!(e.replays, 1);
     }
 
     #[test]
     fn seqs_iterates_program_order() {
         let mut rob = Rob::new(4);
-        for s in 0..3 {
-            rob.push(entry(s));
+        for _ in 0..3 {
+            push(&mut rob);
         }
         rob.pop_head();
         let seqs: Vec<_> = rob.seqs().collect();
         assert_eq!(seqs, vec![1, 2]);
     }
 
+    /// Walks `list` to the end, as writeback and memory issue do.
+    fn walk(rob: &mut Rob, list: WorkList) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut from = 0;
+        while let Some(slot) = rob.take_next(list, from) {
+            from = rob.age(slot) + 1;
+            out.push(rob.seq_in(slot));
+        }
+        out
+    }
+
+    /// Files `seq` on `list`, as the arrival of its event does.
+    fn file(rob: &mut Rob, seq: u64, list: WorkList) {
+        let slot = rob.slot_of(seq);
+        rob.file(list, slot);
+    }
+
     #[test]
     fn incomplete_scan_tracks_completion() {
         let mut rob = Rob::new(4);
-        for s in 0..3 {
-            rob.push(entry(s));
+        for _ in 0..3 {
+            push(&mut rob);
         }
-        let mut out = Vec::new();
-        rob.collect_incomplete(&mut out);
-        assert_eq!(out, vec![0, 1, 2]);
+        let file_all = |rob: &mut Rob| {
+            for s in rob.seqs() {
+                if !rob.entry(rob.slot_of(s)).is(COMPLETED) {
+                    file(rob, s, WorkList::Due);
+                }
+            }
+        };
+        file_all(&mut rob);
+        assert_eq!(walk(&mut rob, WorkList::Due), vec![0, 1, 2]);
+        file_all(&mut rob);
         rob.mark_completed(1);
-        rob.collect_incomplete(&mut out);
-        assert_eq!(out, vec![0, 2]);
+        assert_eq!(walk(&mut rob, WorkList::Due), vec![0, 2]);
+        file_all(&mut rob);
         rob.pop_head();
-        rob.collect_incomplete(&mut out);
-        assert_eq!(out, vec![2]);
+        assert_eq!(walk(&mut rob, WorkList::Due), vec![2]);
     }
 
     #[test]
     fn nop_entries_never_enter_the_incomplete_scan() {
         let mut rob = Rob::new(4);
-        let mut e = entry(0);
-        e.completed = true;
-        rob.push(e);
-        let mut out = Vec::new();
-        rob.collect_incomplete(&mut out);
-        assert!(out.is_empty());
+        let mut e = Entry::new(OpClass::Nop);
+        e.set(COMPLETED, true);
+        let slot = rob.push(e, &TraceRecord::new(0, Instr::nop()));
+        assert!(walk(&mut rob, WorkList::Due).is_empty());
+        assert!(!rob.is_ready(slot), "nothing is listed at allocation");
     }
 
     #[test]
     fn pending_load_mask_follows_issue_and_cancel() {
         let mut rob = Rob::new(4);
-        rob.push(entry(0));
-        rob.push(entry(1));
-        rob.get_mut(0).unwrap().dispatched = true;
-        rob.get_mut(1).unwrap().dispatched = true;
-        rob.mark_load_pending(0);
-        rob.mark_load_pending(1);
-        let mut out = Vec::new();
-        rob.collect_pending_loads(&mut out);
-        assert_eq!(out, vec![0, 1]);
-        rob.mark_load_issued(0);
-        rob.collect_pending_loads(&mut out);
-        assert_eq!(out, vec![1]);
-        rob.cancel_entry(1);
-        rob.collect_pending_loads(&mut out);
-        assert!(out.is_empty());
-    }
-
-    /// An incomplete entry with a completion wake time.
-    fn push_armed(rob: &mut Rob, seq: u64, wake: u64) {
-        rob.push(entry(seq));
-        rob.set_wake(seq, wake);
-    }
-
-    /// What the set-bit walks must equal: every live sequence number
-    /// tested in program order.
-    fn naive_due(rob: &Rob, now: u64) -> (Vec<u64>, u64) {
-        let mut due = Vec::new();
-        let mut floor = u64::MAX;
-        for seq in rob.seqs() {
-            if !rob.get(seq).unwrap().completed {
-                let w = rob.wake[rob.slot_of(seq)];
-                if w <= now {
-                    due.push(seq);
-                }
-                floor = floor.min(w);
-            }
+        for slot in [push(&mut rob), push(&mut rob)] {
+            rob.entry_mut(slot).set(DISPATCHED, true);
         }
-        (due, floor)
+        file(&mut rob, 0, WorkList::IssueReady);
+        file(&mut rob, 1, WorkList::IssueReady);
+        assert!(!rob.is_list_empty(WorkList::IssueReady));
+        // The older load issues, the younger loses arbitration.
+        assert_eq!(rob.take_next(WorkList::IssueReady, 0), Some(0));
+        assert_eq!(rob.take_next(WorkList::IssueReady, 1), Some(1));
+        rob.file(WorkList::IssueReady, 1);
+        assert_eq!(walk(&mut rob, WorkList::IssueReady), vec![1]);
+        rob.file(WorkList::IssueReady, 1);
+        rob.cancel_entry(1);
+        assert!(rob.is_list_empty(WorkList::IssueReady));
+    }
+
+    #[test]
+    fn the_ready_mark_is_reset_when_the_slot_is_reallocated() {
+        let mut rob = Rob::new(2);
+        let slot = push(&mut rob);
+        rob.set_ready(slot, true);
+        assert!(rob.is_ready(slot));
+        push(&mut rob);
+        rob.pop_head();
+        assert_eq!(push(&mut rob), slot);
+        assert!(!rob.is_ready(slot));
     }
 
     /// Drives a window of `capacity` through `steps` pushes and pops so
-    /// the live range wraps the ring several times, checking every scan
-    /// against the naive walk at each step.
+    /// the live range wraps the ring several times, checking every walk
+    /// against the naive one — every live sequence number tested in
+    /// program order — at each step.
     fn scans_match_naive_walk(capacity: u32, steps: u64) {
         let mut rob = Rob::new(capacity);
-        let (mut due, mut pending, mut incomplete) = (Vec::new(), Vec::new(), Vec::new());
-        let mut expect_pending: Vec<u64> = Vec::new();
+        let mut due: Vec<u64> = Vec::new();
+        let mut ready: Vec<u64> = Vec::new();
         for step in 0..steps {
             // Fill to capacity, then retire a varying number from the head.
             while !rob.is_full() {
                 let seq = rob.next_seq();
-                push_armed(&mut rob, seq, seq % 7 + step);
+                push(&mut rob);
                 if seq.is_multiple_of(3) {
-                    rob.mark_load_pending(seq);
-                    expect_pending.push(seq);
+                    file(&mut rob, seq, WorkList::IssueReady);
+                    ready.push(seq);
+                } else if seq.is_multiple_of(2) {
+                    file(&mut rob, seq, WorkList::Due);
+                    due.push(seq);
                 }
-                if seq.is_multiple_of(5) {
-                    rob.mark_completed(seq);
-                    expect_pending.retain(|&s| s != seq);
+                if seq.is_multiple_of(7) {
+                    rob.mark_completed(rob.slot_of(seq));
+                    for list in [&mut due, &mut ready] {
+                        list.retain(|&s| s != seq);
+                    }
                 }
             }
-            let now = step + 3;
-            let (naive, floor) = naive_due(&rob, now);
-            rob.collect_due(now, &mut due);
-            assert_eq!(due, naive, "capacity {capacity} step {step}");
-            assert_eq!(rob.wake_floor, floor, "capacity {capacity} step {step}");
-            rob.collect_pending_loads(&mut pending);
-            assert_eq!(pending, expect_pending, "capacity {capacity} step {step}");
-            rob.collect_incomplete(&mut incomplete);
-            let naive_incomplete: Vec<u64> = rob
-                .seqs()
-                .filter(|&s| !rob.get(s).unwrap().completed)
-                .collect();
-            assert_eq!(incomplete, naive_incomplete);
+            assert_eq!(
+                walk(&mut rob, WorkList::Due),
+                due,
+                "capacity {capacity} step {step}"
+            );
+            due.clear();
+            // Every other listed load loses arbitration and stays listed.
+            let mut from = 0;
+            let mut kept = Vec::new();
+            let mut seen = Vec::new();
+            while let Some(slot) = rob.take_next(WorkList::IssueReady, from) {
+                from = rob.age(slot) + 1;
+                seen.push(rob.seq_in(slot));
+                if seen.len() % 2 == 0 {
+                    rob.file(WorkList::IssueReady, slot);
+                    kept.push(rob.seq_in(slot));
+                }
+            }
+            assert_eq!(seen, ready, "capacity {capacity} step {step}");
+            ready = kept;
             for _ in 0..(step % capacity as u64) + 1 {
                 let seq = rob.pop_head();
-                expect_pending.retain(|&s| s != seq);
+                ready.retain(|&s| s != seq);
             }
         }
         assert!(
@@ -714,27 +774,66 @@ mod tests {
     }
 
     #[test]
-    fn due_scan_rejects_in_one_compare_until_the_floor_arrives() {
-        let mut rob = Rob::new(8);
-        push_armed(&mut rob, 0, 50);
-        push_armed(&mut rob, 1, 20);
-        let mut due = Vec::new();
-        rob.collect_due(10, &mut due);
-        assert!(due.is_empty());
-        assert_eq!(rob.wake_floor, 20, "a real scan tightens the floor");
-        rob.collect_due(20, &mut due);
-        assert_eq!(due, vec![1]);
-    }
-
-    #[test]
     fn producer_list_holds_max_srcs() {
         let mut p = ProducerList::default();
         assert!(p.is_empty());
         p.push(7);
         p.push(8);
         p.push(9);
-        assert_eq!(p.as_slice(), &[7, 8, 9]);
-        assert_eq!(p.iter().copied().sum::<u64>(), 24);
+        assert_eq!(p.iter().collect::<Vec<_>>(), vec![7, 8, 9]);
         assert_eq!(p.len(), 3);
+    }
+
+    #[test]
+    fn a_listed_producer_counts_only_while_it_is_older_and_live() {
+        let mut rob = Rob::new(4);
+        let producer = push(&mut rob);
+        let mut consumer = Entry::new(OpClass::IntAlu);
+        consumer.producers.push(producer);
+        let consumer = rob.push(consumer, &TraceRecord::new(4, Instr::nop()));
+        assert!(rob.is_dependent(producer, consumer));
+        assert!(rob.producer(consumer, producer).is_some());
+        // Retired: the slot is dead.
+        rob.pop_head();
+        assert!(rob.producer(consumer, producer).is_none());
+        // Reallocated to a younger instruction: still not a producer, and
+        // the slot's links start empty.
+        push(&mut rob);
+        push(&mut rob);
+        let reused = push(&mut rob);
+        assert_eq!(reused, producer);
+        assert!(rob.producer(consumer, producer).is_none());
+        assert!(!rob.is_dependent(reused, consumer));
+    }
+
+    #[test]
+    fn a_wave_walks_the_links_oldest_first() {
+        let mut rob = Rob::new(8);
+        let root = push(&mut rob);
+        let mut chain = vec![root];
+        // 1 and 2 consume the root, 3 consumes 2, 4 consumes nothing.
+        for producers in [vec![0], vec![0], vec![2], vec![]] {
+            let mut e = Entry::new(OpClass::IntAlu);
+            for p in producers {
+                e.producers.push(chain[p]);
+            }
+            chain.push(rob.push(e, &TraceRecord::new(0, Instr::nop())));
+        }
+        rob.start_wave(root);
+        let mut seen = Vec::new();
+        let mut from = 0;
+        while let Some(slot) = rob.take_next(WorkList::Wave, from) {
+            from = rob.age(slot) + 1;
+            seen.push(rob.seq_in(slot));
+            rob.widen_wave(slot);
+        }
+        assert_eq!(seen, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn the_hot_entry_is_one_cache_line() {
+        // A third of the 200-byte `InstrState` it replaced, which also
+        // held the 56-byte record now kept beside it.
+        assert_eq!(std::mem::size_of::<Entry>(), 64);
     }
 }

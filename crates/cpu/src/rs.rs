@@ -5,34 +5,66 @@
 //! RSE/RSF buffer is hard-wired to one execution unit and dispatches at
 //! most one operation per cycle; the studied "1RS" alternative pools the
 //! entries and dispatches up to two per cycle to either unit.
+//!
+//! A buffer is a bitmask over the instruction window's slots: the entry in
+//! window slot `s` waits in the buffer whose bit `s` is set. Ring order
+//! from the window head's slot *is* age order, so insertion, removal and
+//! the return of a cancelled instruction are bit operations, and "oldest
+//! ready first" is a scan from the head's slot. Every method that orders
+//! by age takes that slot.
 
 use crate::config::{CoreConfig, RsScheme};
+use crate::profile::{self, Work};
+use crate::slotmask::SlotMask;
 use s64v_isa::RsKind;
 
-/// Entries waiting in one buffer, ordered by age (sequence number).
-type Buffer = Vec<u64>;
-
-/// The dispatches one [`ReservationStations::select_dispatch`] call picked:
-/// `(seq, unit, buffer)` triples in a fixed inline array (at most two
-/// dispatches per station kind per cycle), so the per-cycle dispatch loop
-/// never heap-allocates. Derefs to a slice for iteration and indexing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Dispatches {
-    items: [(u64, u8, u8); 2],
-    len: u8,
+/// One dispatch picked by [`ReservationStations::select_dispatch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pick {
+    /// Window slot of the entry.
+    pub slot: u16,
+    /// Execution unit it goes to.
+    pub unit: u8,
+    /// Buffer it left.
+    pub buffer: u8,
 }
 
-impl Dispatches {
-    fn push(&mut self, seq: u64, unit: u8, buffer: u8) {
-        self.items[self.len as usize] = (seq, unit, buffer);
+/// One buffer: the entries waiting in it, the cancelled entries parked
+/// until it has room again, and its size.
+#[derive(Debug, Clone)]
+struct Buffer {
+    waiting: SlotMask,
+    len: usize,
+    capacity: usize,
+    /// Cancelled instructions whose home buffer refilled before they
+    /// could return. They re-enter as slots free, oldest first, so
+    /// physical capacity is never exceeded.
+    parked: SlotMask,
+}
+
+impl Buffer {
+    fn new(ring: usize, capacity: usize) -> Self {
+        Buffer {
+            waiting: SlotMask::new(ring),
+            len: 0,
+            capacity,
+            parked: SlotMask::new(ring),
+        }
+    }
+
+    fn has_space(&self) -> bool {
+        self.len < self.capacity
+    }
+
+    fn insert(&mut self, slot: usize) {
+        debug_assert!(!self.waiting.get(slot), "slot {slot} is already waiting");
+        self.waiting.set(slot);
         self.len += 1;
     }
-}
 
-impl std::ops::Deref for Dispatches {
-    type Target = [(u64, u8, u8)];
-    fn deref(&self) -> &Self::Target {
-        &self.items[..self.len as usize]
+    fn remove(&mut self, slot: usize) {
+        self.waiting.clear(slot);
+        self.len -= 1;
     }
 }
 
@@ -40,20 +72,13 @@ impl std::ops::Deref for Dispatches {
 #[derive(Debug, Clone)]
 pub struct ReservationStations {
     scheme: RsScheme,
-    rse: [Buffer; 2],
-    rsf: [Buffer; 2],
-    rsa: Buffer,
-    rsbr: Buffer,
-    rse_per_buffer: usize,
-    rsf_per_buffer: usize,
-    rsa_entries: usize,
-    rsbr_entries: usize,
-    steer_rse: u8,
-    steer_rsf: u8,
-    /// Cancelled instructions whose home buffer refilled before they could
-    /// return (per kind, `(buffer, seq)` in age order). They re-enter the
-    /// station as slots free, so physical capacity is never exceeded.
-    replay_parked: [Vec<(u8, u64)>; 4],
+    /// Per kind (in [`RsKind::ALL`] order) its buffers: two for RSE/RSF
+    /// in the split scheme, otherwise only the first is used (and holds
+    /// the kind's whole capacity).
+    buffers: [[Buffer; 2]; 4],
+    steer: [u8; 4],
+    /// Parked entries over all buffers.
+    parked: usize,
     /// Fault-injection: slots reported as stuck-held per kind (in
     /// [`RsKind::ALL`] order). Always zero outside seeded fault runs.
     stuck: [usize; 4],
@@ -71,279 +96,181 @@ fn kind_index(kind: RsKind) -> usize {
 impl ReservationStations {
     /// Creates empty stations per the core configuration.
     pub fn new(cfg: &CoreConfig) -> Self {
+        let ring = (cfg.window_size as usize).next_power_of_two();
+        let split = cfg.rs_scheme == RsScheme::Split;
+        // (first buffer, second buffer) capacities.
+        let pair = |per_buffer: u32| {
+            let n = per_buffer as usize;
+            if split {
+                (n, n)
+            } else {
+                (2 * n, 0)
+            }
+        };
+        let buffers = [
+            pair(cfg.rse_entries),
+            pair(cfg.rsf_entries),
+            (cfg.rsa_entries as usize, 0),
+            (cfg.rsbr_entries as usize, 0),
+        ]
+        .map(|(first, second)| [Buffer::new(ring, first), Buffer::new(ring, second)]);
         ReservationStations {
             scheme: cfg.rs_scheme,
-            rse: [Vec::new(), Vec::new()],
-            rsf: [Vec::new(), Vec::new()],
-            rsa: Vec::new(),
-            rsbr: Vec::new(),
-            rse_per_buffer: cfg.rse_entries as usize,
-            rsf_per_buffer: cfg.rsf_entries as usize,
-            rsa_entries: cfg.rsa_entries as usize,
-            rsbr_entries: cfg.rsbr_entries as usize,
-            steer_rse: 0,
-            steer_rsf: 0,
-            replay_parked: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
+            buffers,
+            steer: [0; 4],
+            parked: 0,
             stuck: [0; 4],
         }
     }
 
-    /// Whether an entry of `kind` can be inserted.
-    pub fn has_space(&self, kind: RsKind) -> bool {
-        match kind {
-            RsKind::Rse => match self.scheme {
-                RsScheme::Split => self.rse.iter().any(|b| b.len() < self.rse_per_buffer),
-                RsScheme::Unified => self.rse[0].len() < 2 * self.rse_per_buffer,
-            },
-            RsKind::Rsf => match self.scheme {
-                RsScheme::Split => self.rsf.iter().any(|b| b.len() < self.rsf_per_buffer),
-                RsScheme::Unified => self.rsf[0].len() < 2 * self.rsf_per_buffer,
-            },
-            RsKind::Rsa => self.rsa.len() < self.rsa_entries,
-            RsKind::Rsbr => self.rsbr.len() < self.rsbr_entries,
-        }
+    /// Whether `kind` steers between two buffers.
+    fn is_split(&self, kind: RsKind) -> bool {
+        self.scheme == RsScheme::Split && matches!(kind, RsKind::Rse | RsKind::Rsf)
     }
 
-    /// Inserts `seq` into a station of `kind`, returning the buffer index
-    /// it was steered to (always 0 except RSE/RSF in the split scheme), or
-    /// `None` if every eligible buffer is full.
+    /// Whether an entry of `kind` can be inserted.
+    pub fn has_space(&self, kind: RsKind) -> bool {
+        self.buffers[kind_index(kind)].iter().any(Buffer::has_space)
+    }
+
+    /// Inserts the entry in window slot `slot` into a station of `kind`,
+    /// returning the buffer index it was steered to (always 0 except
+    /// RSE/RSF in the split scheme), or `None` if every eligible buffer is
+    /// full.
     ///
     /// Decode gates every allocation on [`Self::has_space`], so a `None`
     /// is unreachable by construction on the simulation path; the
     /// occupancy-within-capacity condition itself is audited as an
     /// integrity invariant in checked mode.
-    pub fn try_insert(&mut self, kind: RsKind, seq: u64) -> Option<u8> {
-        match kind {
-            RsKind::Rse => {
-                let buf = Self::steer(
-                    &self.rse,
-                    self.scheme,
-                    self.rse_per_buffer,
-                    &mut self.steer_rse,
-                )?;
-                self.rse[buf as usize].push(seq);
-                Some(buf)
-            }
-            RsKind::Rsf => {
-                let buf = Self::steer(
-                    &self.rsf,
-                    self.scheme,
-                    self.rsf_per_buffer,
-                    &mut self.steer_rsf,
-                )?;
-                self.rsf[buf as usize].push(seq);
-                Some(buf)
-            }
-            RsKind::Rsa => {
-                if self.rsa.len() >= self.rsa_entries {
-                    return None;
-                }
-                self.rsa.push(seq);
-                Some(0)
-            }
-            RsKind::Rsbr => {
-                if self.rsbr.len() >= self.rsbr_entries {
-                    return None;
-                }
-                self.rsbr.push(seq);
-                Some(0)
-            }
-        }
-    }
-
-    fn steer(
-        buffers: &[Buffer; 2],
-        scheme: RsScheme,
-        per_buffer: usize,
-        rr: &mut u8,
-    ) -> Option<u8> {
-        match scheme {
-            RsScheme::Unified => (buffers[0].len() < 2 * per_buffer).then_some(0),
-            RsScheme::Split => {
-                // Round-robin steering, skipping a full buffer.
-                let first = *rr % 2;
-                let second = (first + 1) % 2;
-                *rr = rr.wrapping_add(1);
-                if buffers[first as usize].len() < per_buffer {
-                    Some(first)
-                } else if buffers[second as usize].len() < per_buffer {
-                    Some(second)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Re-inserts a cancelled instruction into the buffer it came from,
-    /// keeping age order. Decode may have refilled the slot freed at
-    /// dispatch; in that case the instruction is parked in a replay skid
-    /// buffer and re-enters via [`Self::drain_replays`] once a slot frees,
-    /// so the station never physically exceeds its capacity.
-    pub fn reinsert(&mut self, kind: RsKind, buffer: u8, seq: u64) {
-        if self.buffer_has_space(kind, buffer) {
-            let buf = self.buffer_mut(kind, buffer);
-            let pos = buf.partition_point(|&s| s < seq);
-            buf.insert(pos, seq);
+    pub fn try_insert(&mut self, kind: RsKind, slot: usize) -> Option<u8> {
+        let k = kind_index(kind);
+        let buffer = if self.is_split(kind) {
+            // Round-robin steering, skipping a full buffer.
+            let first = (self.steer[k] % 2) as usize;
+            self.steer[k] = self.steer[k].wrapping_add(1);
+            [first, 1 - first]
+                .into_iter()
+                .find(|&b| self.buffers[k][b].has_space())?
         } else {
-            let parked = &mut self.replay_parked[kind_index(kind)];
-            let pos = parked.partition_point(|&(_, s)| s < seq);
-            parked.insert(pos, (buffer, seq));
+            self.buffers[k][0].has_space().then_some(0)?
+        };
+        self.buffers[k][buffer].insert(slot);
+        Some(buffer as u8)
+    }
+
+    /// Returns a cancelled instruction to the buffer it came from; its
+    /// window slot puts it back in age order. Decode may have refilled the
+    /// place freed at dispatch; in that case the instruction is parked and
+    /// re-enters via [`Self::drain_replays`] once a place frees, so the
+    /// station never physically exceeds its capacity.
+    pub fn reinsert(&mut self, kind: RsKind, buffer: u8, slot: usize) {
+        let home = &mut self.buffers[kind_index(kind)][buffer as usize];
+        if home.has_space() {
+            home.insert(slot);
+        } else {
+            home.parked.set(slot);
+            self.parked += 1;
         }
     }
 
     /// Moves parked replays back into their home buffers, oldest first, as
-    /// far as freed slots allow. Call once per cycle after dispatch and
+    /// far as freed places allow. Call once per cycle after dispatch and
     /// before decode allocates new entries.
-    pub fn drain_replays(&mut self) {
-        for k in 0..4 {
-            if self.replay_parked[k].is_empty() {
-                continue;
+    pub fn drain_replays(&mut self, head_slot: usize) {
+        if self.parked == 0 {
+            return;
+        }
+        for home in self.buffers.iter_mut().flatten() {
+            while home.has_space() {
+                let Some(slot) = home.parked.iter_from(head_slot).next() else {
+                    break;
+                };
+                home.parked.clear(slot);
+                home.insert(slot);
+                self.parked -= 1;
             }
-            let kind = RsKind::ALL[k];
-            let mut parked = std::mem::take(&mut self.replay_parked[k]);
-            parked.retain(|&(buffer, seq)| {
-                if self.buffer_has_space(kind, buffer) {
-                    let buf = self.buffer_mut(kind, buffer);
-                    let pos = buf.partition_point(|&s| s < seq);
-                    buf.insert(pos, seq);
-                    false
-                } else {
-                    true
-                }
-            });
-            self.replay_parked[k] = parked;
         }
     }
 
-    fn buffer_has_space(&self, kind: RsKind, buffer: u8) -> bool {
-        match kind {
-            RsKind::Rse => match self.scheme {
-                RsScheme::Split => self.rse[buffer as usize].len() < self.rse_per_buffer,
-                RsScheme::Unified => self.rse[0].len() < 2 * self.rse_per_buffer,
-            },
-            RsKind::Rsf => match self.scheme {
-                RsScheme::Split => self.rsf[buffer as usize].len() < self.rsf_per_buffer,
-                RsScheme::Unified => self.rsf[0].len() < 2 * self.rsf_per_buffer,
-            },
-            RsKind::Rsa => self.rsa.len() < self.rsa_entries,
-            RsKind::Rsbr => self.rsbr.len() < self.rsbr_entries,
-        }
-    }
-
-    fn buffer_mut(&mut self, kind: RsKind, buffer: u8) -> &mut Buffer {
-        match kind {
-            RsKind::Rse => &mut self.rse[buffer as usize],
-            RsKind::Rsf => &mut self.rsf[buffer as usize],
-            RsKind::Rsa => &mut self.rsa,
-            RsKind::Rsbr => &mut self.rsbr,
-        }
-    }
-
-    /// Selects and removes this cycle's dispatches for `kind`.
+    /// Selects and removes this cycle's dispatches for `kind`, oldest
+    /// ready first (`head_slot` is the window head's slot).
     ///
-    /// `ready(seq)` reports whether an entry's operands allow dispatch;
-    /// `unit_free(unit)` whether the target execution unit can accept one
-    /// (units are 0/1 for RSE/RSF/RSA, 0 for RSBR). Returns
-    /// `(seq, unit, buffer)` triples.
+    /// `ready` holds the window slots whose operands allow dispatch; bit
+    /// `u` of `free_units` says execution unit `u` can accept an operation
+    /// (units are 0/1 for RSE/RSF/RSA, 0 for RSBR). At most two entries
+    /// dispatch per kind per cycle.
     pub fn select_dispatch(
         &mut self,
         kind: RsKind,
-        mut ready: impl FnMut(u64) -> bool,
-        mut unit_free: impl FnMut(u8) -> bool,
-    ) -> Dispatches {
-        let mut out = Dispatches::default();
-        match kind {
-            RsKind::Rse | RsKind::Rsf => {
-                let split = self.scheme == RsScheme::Split;
-                let buffers = if kind == RsKind::Rse {
-                    &mut self.rse
-                } else {
-                    &mut self.rsf
-                };
-                if split {
-                    // One dispatch per buffer, each wired to its own unit.
-                    for (b, buf) in buffers.iter_mut().enumerate() {
-                        if !unit_free(b as u8) {
-                            continue;
-                        }
-                        if let Some(pos) = buf.iter().position(|&s| ready(s)) {
-                            let seq = buf.remove(pos);
-                            out.push(seq, b as u8, b as u8);
-                        }
-                    }
-                } else {
-                    // Pooled: up to two dispatches to any free unit.
-                    let pool = &mut buffers[0];
-                    Self::drain_ready(pool, &mut ready, &mut unit_free, &mut out);
+        head_slot: usize,
+        ready: &SlotMask,
+        free_units: u8,
+    ) -> [Option<Pick>; 2] {
+        let mut picks = [None; 2];
+        let split = self.is_split(kind);
+        let buffers = &mut self.buffers[kind_index(kind)];
+        // The oldest ready entry of `buffer` leaves it for `unit`.
+        let pick = |buffer: &mut Buffer, b: usize, unit: u8| {
+            let slot = buffer.waiting.first_common_from(ready, head_slot)?;
+            profile::count(Work::Selected, 1);
+            buffer.remove(slot);
+            Some(Pick {
+                slot: slot as u16,
+                unit,
+                buffer: b as u8,
+            })
+        };
+        if split {
+            // One dispatch per buffer, each wired to its own unit.
+            for (b, buffer) in buffers.iter_mut().enumerate() {
+                if free_units & (1 << b) != 0 {
+                    picks[b] = pick(buffer, b, b as u8);
                 }
             }
-            RsKind::Rsa => {
-                let rsa = &mut self.rsa;
-                Self::drain_ready(rsa, &mut ready, &mut unit_free, &mut out);
-            }
-            RsKind::Rsbr => {
-                if unit_free(0) {
-                    if let Some(pos) = self.rsbr.iter().position(|&s| ready(s)) {
-                        let seq = self.rsbr.remove(pos);
-                        out.push(seq, 0, 0);
-                    }
+        } else {
+            // Pooled: oldest-ready entries dispatch to free units 0 then
+            // 1 (the branch station has the one unit).
+            let units = if kind == RsKind::Rsbr { 1 } else { 2 };
+            let free = (0..units).filter(|&u| free_units & (1 << u) != 0);
+            for (picked, unit) in picks.iter_mut().zip(free) {
+                *picked = pick(&mut buffers[0], 0, unit);
+                if picked.is_none() {
+                    break;
                 }
             }
         }
-        out
+        picks
     }
 
-    /// Pooled pick: oldest-ready entries dispatch to free units 0 then 1,
-    /// at most two per cycle.
-    fn drain_ready(
-        pool: &mut Buffer,
-        ready: &mut impl FnMut(u64) -> bool,
-        unit_free: &mut impl FnMut(u8) -> bool,
-        out: &mut Dispatches,
-    ) {
-        let mut units = [0u8; 2];
-        let mut n_units = 0usize;
-        for u in 0..2u8 {
-            if unit_free(u) {
-                units[n_units] = u;
-                n_units += 1;
-            }
-        }
-        let mut next_unit = 0usize;
-        let mut pos = 0;
-        while next_unit < n_units && pos < pool.len() {
-            if ready(pool[pos]) {
-                let seq = pool.remove(pos);
-                out.push(seq, units[next_unit], 0);
-                next_unit += 1;
-            } else {
-                pos += 1;
-            }
-        }
+    /// Whether any entry waiting in a station of `kind` (parked replays
+    /// aside) is among `ready`.
+    pub fn any_ready(&self, kind: RsKind, ready: &SlotMask) -> bool {
+        self.buffers[kind_index(kind)]
+            .iter()
+            .any(|b| b.waiting.intersects(ready))
+    }
+
+    /// Whether the entry in window slot `slot` waits in (or is parked
+    /// for) buffer `buffer` of `kind` — checked mode's audit.
+    pub fn holds(&self, kind: RsKind, buffer: u8, slot: usize) -> bool {
+        let home = &self.buffers[kind_index(kind)][buffer as usize];
+        home.waiting.get(slot) || home.parked.get(slot)
     }
 
     /// Total entries waiting in stations of `kind` (stuck-slot faults
     /// count as held entries).
     pub fn occupancy(&self, kind: RsKind) -> usize {
-        let real = match kind {
-            RsKind::Rse => self.rse.iter().map(Vec::len).sum(),
-            RsKind::Rsf => self.rsf.iter().map(Vec::len).sum(),
-            RsKind::Rsa => self.rsa.len(),
-            RsKind::Rsbr => self.rsbr.len(),
-        };
-        real + self.stuck[kind_index(kind)]
+        let k = kind_index(kind);
+        self.buffers[k].iter().map(|b| b.len).sum::<usize>() + self.stuck[k]
     }
 
     /// Configured capacity of stations of `kind` (both buffers combined
     /// for RSE/RSF).
     pub fn capacity(&self, kind: RsKind) -> usize {
-        match kind {
-            RsKind::Rse => 2 * self.rse_per_buffer,
-            RsKind::Rsf => 2 * self.rsf_per_buffer,
-            RsKind::Rsa => self.rsa_entries,
-            RsKind::Rsbr => self.rsbr_entries,
-        }
+        self.buffers[kind_index(kind)]
+            .iter()
+            .map(|b| b.capacity)
+            .sum()
     }
 
     /// Fault-injection hook: marks `n` slots of `kind` as stuck-held, as
@@ -355,17 +282,16 @@ impl ReservationStations {
         self.stuck[kind_index(kind)] += n;
     }
 
-    /// Whether any cancelled instruction is parked in a replay skid buffer
-    /// awaiting a free slot (parked work re-enters as slots free, so it
-    /// counts as per-cycle activity for the quiescence test).
+    /// Whether any cancelled instruction is parked awaiting a free place
+    /// (parked work re-enters as places free, so it counts as per-cycle
+    /// activity for the quiescence test).
     pub fn has_parked(&self) -> bool {
-        self.replay_parked.iter().any(|p| !p.is_empty())
+        self.parked > 0
     }
 
-    /// Whether every station is empty (including the replay skid buffers).
+    /// Whether every station is empty (parked replays included).
     pub fn is_empty(&self) -> bool {
-        RsKind::ALL.iter().all(|&k| self.occupancy(k) == 0)
-            && self.replay_parked.iter().all(Vec::is_empty)
+        RsKind::ALL.iter().all(|&k| self.occupancy(k) == 0) && self.parked == 0
     }
 }
 
@@ -382,17 +308,38 @@ mod tests {
         ReservationStations::new(&CoreConfig::sparc64_v().with_unified_rs())
     }
 
+    /// The window slots picked, in pick order (the window head at slot 0,
+    /// so slot order is age order).
+    fn slots(picks: [Option<Pick>; 2]) -> Vec<usize> {
+        picks.iter().flatten().map(|p| p.slot as usize).collect()
+    }
+
+    /// Selects with the slots `ready` accepts marked ready.
+    fn select(
+        rs: &mut ReservationStations,
+        kind: RsKind,
+        head_slot: usize,
+        ready: impl Fn(usize) -> bool,
+        unit_free: impl Fn(u8) -> bool,
+    ) -> [Option<Pick>; 2] {
+        let mut marks = SlotMask::new(64);
+        for slot in (0..64).filter(|&s| ready(s)) {
+            marks.set(slot);
+        }
+        let free_units = (0..2).filter(|&u| unit_free(u)).fold(0, |m, u| m | 1 << u);
+        rs.select_dispatch(kind, head_slot, &marks, free_units)
+    }
+
     #[test]
     fn split_rse_dispatches_one_per_buffer() {
         let mut rs = split();
-        // Steered round-robin: seqs 0,2 -> buffer 0; 1,3 -> buffer 1.
+        // Steered round-robin: slots 0,2 -> buffer 0; 1,3 -> buffer 1.
         for s in 0..4 {
             rs.try_insert(RsKind::Rse, s);
         }
-        let picked = rs.select_dispatch(RsKind::Rse, |_| true, |_| true);
-        assert_eq!(picked.len(), 2);
+        let picked = select(&mut rs, RsKind::Rse, 0, |_| true, |_| true);
         // One from each buffer, to its own unit.
-        let units: Vec<u8> = picked.iter().map(|&(_, u, _)| u).collect();
+        let units: Vec<u8> = picked.iter().flatten().map(|p| p.unit).collect();
         assert_eq!(units, vec![0, 1]);
         assert_eq!(rs.occupancy(RsKind::Rse), 2);
     }
@@ -404,9 +351,9 @@ mod tests {
         let b1 = rs.try_insert(RsKind::Rse, 1);
         assert_ne!(b0, b1, "round-robin steering");
         // Only the entry in buffer 0 is ready.
-        let picked = rs.select_dispatch(RsKind::Rse, |s| s == 0, |_| true);
+        let picked = select(&mut rs, RsKind::Rse, 0, |s| s == 0, |_| true);
         assert_eq!(
-            picked.len(),
+            slots(picked).len(),
             1,
             "buffer 1's entry is not ready; its unit idles"
         );
@@ -419,10 +366,9 @@ mod tests {
             rs.try_insert(RsKind::Rse, s);
         }
         // Entries 2 and 3 ready: the pooled scheme can still dispatch both.
-        let picked = rs.select_dispatch(RsKind::Rse, |s| s >= 2, |_| true);
-        assert_eq!(picked.len(), 2);
-        let seqs: Vec<u64> = picked.iter().map(|&(s, _, _)| s).collect();
-        assert_eq!(seqs, vec![2, 3]);
+        let picked = select(&mut rs, RsKind::Rse, 0, |s| s >= 2, |_| true);
+        assert_eq!(slots(picked), vec![2, 3]);
+        assert_eq!(rs.occupancy(RsKind::Rse), 2);
     }
 
     #[test]
@@ -431,9 +377,23 @@ mod tests {
         for s in 0..3 {
             rs.try_insert(RsKind::Rsa, s);
         }
-        let picked = rs.select_dispatch(RsKind::Rsa, |s| s != 0, |_| true);
-        let seqs: Vec<u64> = picked.iter().map(|&(s, _, _)| s).collect();
-        assert_eq!(seqs, vec![1, 2], "skip not-ready oldest, take next two");
+        let picked = select(&mut rs, RsKind::Rsa, 0, |s| s != 0, |_| true);
+        assert_eq!(
+            slots(picked),
+            vec![1, 2],
+            "skip not-ready oldest, take next two"
+        );
+    }
+
+    #[test]
+    fn age_order_follows_the_window_head_around_the_ring() {
+        let mut rs = split();
+        // The window has wrapped: slots 62, 63 are older than 0, 1.
+        for s in [62, 63, 0, 1] {
+            rs.try_insert(RsKind::Rsa, s);
+        }
+        let picked = select(&mut rs, RsKind::Rsa, 62, |s| s != 62, |_| true);
+        assert_eq!(slots(picked), vec![63, 0]);
     }
 
     #[test]
@@ -442,17 +402,19 @@ mod tests {
         for s in 0..3 {
             rs.try_insert(RsKind::Rsbr, s);
         }
-        let picked = rs.select_dispatch(RsKind::Rsbr, |_| true, |_| true);
-        assert_eq!(picked.len(), 1);
-        assert_eq!(picked[0].0, 0);
+        let picked = select(&mut rs, RsKind::Rsbr, 0, |_| true, |_| true);
+        assert_eq!(slots(picked), vec![0]);
     }
 
     #[test]
     fn busy_unit_blocks_its_buffer() {
         let mut rs = split();
         rs.try_insert(RsKind::Rse, 0); // buffer 0
-        let picked = rs.select_dispatch(RsKind::Rse, |_| true, |u| u != 0);
-        assert!(picked.is_empty(), "unit 0 busy, buffer 0 cannot dispatch");
+        let picked = select(&mut rs, RsKind::Rse, 0, |_| true, |u| u != 0);
+        assert!(
+            slots(picked).is_empty(),
+            "unit 0 busy, buffer 0 cannot dispatch"
+        );
     }
 
     #[test]
@@ -463,7 +425,8 @@ mod tests {
             rs.try_insert(RsKind::Rse, s);
         }
         assert!(!rs.has_space(RsKind::Rse));
-        for s in 0..10 {
+        assert_eq!(rs.try_insert(RsKind::Rse, 16), None);
+        for s in 20..30 {
             rs.try_insert(RsKind::Rsa, s);
         }
         assert!(!rs.has_space(RsKind::Rsa));
@@ -475,10 +438,9 @@ mod tests {
         rs.try_insert(RsKind::Rsa, 0);
         rs.try_insert(RsKind::Rsa, 2);
         rs.reinsert(RsKind::Rsa, 0, 1);
-        let picked = rs.select_dispatch(RsKind::Rsa, |_| true, |_| true);
-        let seqs: Vec<u64> = picked.iter().map(|&(s, _, _)| s).collect();
+        let picked = select(&mut rs, RsKind::Rsa, 0, |_| true, |_| true);
         assert_eq!(
-            seqs,
+            slots(picked),
             vec![0, 1],
             "reinserted entry sits between its neighbours"
         );
@@ -490,26 +452,32 @@ mod tests {
         for s in 0..16 {
             rs.try_insert(RsKind::Rse, s);
         }
-        // Dispatch seq 0 from buffer 0, then let decode refill the slot.
-        let picked = rs.select_dispatch(RsKind::Rse, |s| s == 0, |_| true);
-        assert_eq!(picked.len(), 1);
+        // Dispatch slot 0 from buffer 0, then let decode refill the place.
+        let picked = select(&mut rs, RsKind::Rse, 0, |s| s == 0, |_| true);
+        assert_eq!(slots(picked), vec![0]);
         assert_eq!(rs.try_insert(RsKind::Rse, 16), Some(0));
         assert!(!rs.has_space(RsKind::Rse));
 
         // The cancelled instruction finds its home buffer full: it must
         // park rather than push the station past its physical capacity.
         rs.reinsert(RsKind::Rse, 0, 0);
-        rs.drain_replays();
+        assert!(rs.has_parked());
+        rs.drain_replays(0);
         assert_eq!(rs.occupancy(RsKind::Rse), 16);
-        assert!(!rs.is_empty());
+        assert!(rs.has_parked() && !rs.is_empty());
 
-        // Once a slot frees, the parked entry re-enters with age priority.
-        let picked = rs.select_dispatch(RsKind::Rse, |s| s == 2, |_| true);
-        assert_eq!(picked.len(), 1);
-        rs.drain_replays();
+        // Once a place frees, the parked entry re-enters with age priority.
+        let picked = select(&mut rs, RsKind::Rse, 0, |s| s == 2, |_| true);
+        assert_eq!(slots(picked), vec![2]);
+        rs.drain_replays(0);
+        assert!(!rs.has_parked());
         assert_eq!(rs.occupancy(RsKind::Rse), 16);
-        let picked = rs.select_dispatch(RsKind::Rse, |_| true, |u| u == 0);
-        assert_eq!(picked[0].0, 0, "the replayed entry is oldest in buffer 0");
+        let picked = select(&mut rs, RsKind::Rse, 0, |_| true, |u| u == 0);
+        assert_eq!(
+            slots(picked),
+            vec![0],
+            "the replayed entry is oldest in buffer 0"
+        );
     }
 
     #[test]

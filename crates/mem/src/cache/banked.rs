@@ -9,6 +9,47 @@
 //! interleave it touches; the conflict check itself lives in the core
 //! model's load/store unit, which picks the two requests per cycle.
 
+/// The address → bank mapping of one banked cache, worked out once: when
+/// the bank count and width are powers of two (every shipped
+/// configuration) selecting a bank is a shift and a mask, otherwise the
+/// two divisions the definition asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BankSelector {
+    banks: u64,
+    bank_bytes: u64,
+    /// `(shift, mask)` when both are powers of two.
+    fast: Option<(u32, u64)>,
+}
+
+impl BankSelector {
+    /// The mapping for `banks` banks of `bank_bytes` bytes each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `banks` is zero or `bank_bytes` is zero.
+    pub fn new(banks: u32, bank_bytes: u64) -> Self {
+        assert!(banks > 0, "bank count must be positive");
+        assert!(bank_bytes > 0, "bank width must be positive");
+        let banks = banks as u64;
+        let fast = (banks.is_power_of_two() && bank_bytes.is_power_of_two())
+            .then(|| (bank_bytes.trailing_zeros(), banks - 1));
+        BankSelector {
+            banks,
+            bank_bytes,
+            fast,
+        }
+    }
+
+    /// The bank index serving an access at `addr`.
+    #[inline]
+    pub fn bank(&self, addr: u64) -> u32 {
+        match self.fast {
+            Some((shift, mask)) => ((addr >> shift) & mask) as u32,
+            None => ((addr / self.bank_bytes) % self.banks) as u32,
+        }
+    }
+}
+
 /// Returns the bank index serving an access at `addr`.
 ///
 /// # Panics
@@ -26,9 +67,7 @@
 /// assert_eq!(bank_of(0x20, 8, 4), 0); // wraps after 8 × 4 bytes
 /// ```
 pub fn bank_of(addr: u64, banks: u32, bank_bytes: u64) -> u32 {
-    assert!(banks > 0, "bank count must be positive");
-    assert!(bank_bytes > 0, "bank width must be positive");
-    ((addr / bank_bytes) % banks as u64) as u32
+    BankSelector::new(banks, bank_bytes).bank(addr)
 }
 
 /// Whether two simultaneous accesses conflict on a bank.
@@ -58,6 +97,21 @@ mod tests {
     fn conflict_predicate() {
         assert!(conflicts(0x00, 0x20, 8, 4)); // same bank, different lines
         assert!(!conflicts(0x00, 0x04, 8, 4));
+    }
+
+    #[test]
+    fn shift_and_mask_agree_with_the_divisions() {
+        for (banks, bank_bytes) in [(8, 4), (1, 1), (16, 8), (6, 4), (8, 12), (3, 5)] {
+            let select = BankSelector::new(banks, bank_bytes);
+            for addr in (0..4096u64).chain([u64::MAX - 7, u64::MAX]) {
+                let by_definition = ((addr / bank_bytes) % banks as u64) as u32;
+                assert_eq!(
+                    select.bank(addr),
+                    by_definition,
+                    "{banks}x{bank_bytes} {addr:#x}"
+                );
+            }
+        }
     }
 
     #[test]

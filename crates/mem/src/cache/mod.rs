@@ -14,5 +14,5 @@ pub mod mshr;
 mod set;
 
 pub use self::core::{Cache, Eviction};
-pub use banked::bank_of;
+pub use banked::{bank_of, BankSelector};
 pub use mshr::MshrFile;

@@ -6,16 +6,21 @@
 //! cache miss stays in load/store queues until its requested line become
 //! ready in the L1 cache").
 
-use std::collections::HashMap;
-
 /// A file of miss-status holding registers keyed by line address.
+///
+/// The at most `capacity` entries live in one inline array of
+/// `(line, completion cycle)` pairs: a lookup — made on every access,
+/// hits included — is a scan of a handful of words, not a hash.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: u32,
-    pending: HashMap<u64, u64>, // line_addr -> completion cycle
+    /// In-flight lines and their completion cycles, in no particular
+    /// order. Entries stay until a `retire_completed` at or after their
+    /// cycle, so a completed one can still be found by a merge.
+    pending: Vec<(u64, u64)>,
     /// Earliest completion cycle across `pending` (`u64::MAX` when empty).
-    /// Lets [`MshrFile::retire_completed`] skip the map walk entirely on
-    /// the common call where no fill has landed yet.
+    /// Lets [`MshrFile::retire_completed`] skip the walk entirely on the
+    /// common call where no fill has landed yet.
     earliest: u64,
 }
 
@@ -29,7 +34,7 @@ impl MshrFile {
         assert!(capacity > 0, "MSHR file needs at least one entry");
         MshrFile {
             capacity,
-            pending: HashMap::new(),
+            pending: Vec::with_capacity(capacity as usize),
             earliest: u64::MAX,
         }
     }
@@ -42,15 +47,24 @@ impl MshrFile {
             return 0;
         }
         let before = self.pending.len();
-        self.pending.retain(|_, &mut done| done > now);
-        self.earliest = self.pending.values().copied().min().unwrap_or(u64::MAX);
+        self.pending.retain(|&(_, done)| done > now);
+        self.earliest = self
+            .pending
+            .iter()
+            .map(|&(_, done)| done)
+            .min()
+            .unwrap_or(u64::MAX);
         before - self.pending.len()
     }
 
     /// If the line is already in flight, returns its completion cycle
     /// (the merging path).
+    #[inline]
     pub fn pending_completion(&self, line_addr: u64) -> Option<u64> {
-        self.pending.get(&line_addr).copied()
+        self.pending
+            .iter()
+            .find(|&&(line, _)| line == line_addr)
+            .map(|&(_, done)| done)
     }
 
     /// Whether a new miss can be accepted at `now`.
@@ -78,14 +92,14 @@ impl MshrFile {
     /// or if the file is over capacity.
     pub fn allocate(&mut self, line_addr: u64, complete_at: u64) {
         assert!(
-            !self.pending.contains_key(&line_addr),
+            self.pending_completion(line_addr).is_none(),
             "line {line_addr:#x} already has an MSHR; merge instead"
         );
         assert!(
             (self.pending.len() as u32) < self.capacity,
             "MSHR file over capacity"
         );
-        self.pending.insert(line_addr, complete_at);
+        self.pending.push((line_addr, complete_at));
         self.earliest = self.earliest.min(complete_at);
     }
 
@@ -107,7 +121,7 @@ impl MshrFile {
     pub fn fault_overcommit(&mut self, extra: usize) {
         let base = u64::MAX - self.pending.len() as u64 - extra as u64;
         for i in 0..extra as u64 {
-            self.pending.insert(base + i, u64::MAX);
+            self.pending.push((base + i, u64::MAX));
         }
     }
 }

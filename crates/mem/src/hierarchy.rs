@@ -17,7 +17,7 @@
 
 use crate::addr::line_of;
 use crate::bus::{BusGrant, BusOp, SystemBus};
-use crate::cache::{Cache, MshrFile};
+use crate::cache::{BankSelector, Cache, MshrFile};
 use crate::coherence::{Directory, Mesi, ReadOutcome};
 use crate::config::{BusTopology, MemConfig};
 use crate::dram::Dram;
@@ -206,6 +206,8 @@ pub struct MemorySystem {
     dram: Dram,
     dir: Directory,
     smp: bool,
+    /// The L1 operand cache's address → bank mapping (from `cfg`).
+    l1d_banks: BankSelector,
     /// CPUs that may hold a line the directory does not record them as
     /// holding: every CPU under a perfect L2 (its L1 fills never reach
     /// the directory), otherwise one that re-filled a line by merging
@@ -255,6 +257,7 @@ impl MemorySystem {
             dram: Dram::new(cfg.dram_latency, 16),
             dir: Directory::new(cores),
             smp: cores > 1,
+            l1d_banks: BankSelector::new(cfg.l1d_banks, cfg.l1d_bank_bytes),
             untracked: if cfg.perfect_l2 {
                 (0..cores).collect()
             } else {
@@ -282,6 +285,7 @@ impl MemorySystem {
             dram: self.dram.clone(),
             dir: self.dir.clone(),
             smp: self.smp,
+            l1d_banks: self.l1d_banks,
             untracked: self.untracked.clone(),
             drop_fill: self.drop_fill.clone(),
             probe: None,
@@ -312,6 +316,13 @@ impl MemorySystem {
     /// The configuration this system was built with.
     pub fn config(&self) -> &MemConfig {
         &self.cfg
+    }
+
+    /// The L1 operand-cache bank an access at `addr` goes to (§3.2: two
+    /// requests per cycle unless they conflict on a bank).
+    #[inline]
+    pub fn l1d_bank(&self, addr: u64) -> u32 {
+        self.l1d_banks.bank(addr)
     }
 
     /// Number of CPUs.

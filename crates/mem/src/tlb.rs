@@ -59,12 +59,6 @@ pub struct Tlb {
     capacity: u32,
     entries: PageMap, // page -> last-used stamp
     stamp: u64,
-    /// The most recently stamped page. Repeat accesses to it can skip
-    /// the map entirely: the entry already holds the maximum stamp, and
-    /// re-stamping the maximum element never changes the relative stamp
-    /// order that LRU eviction consults, so hit/miss results and victim
-    /// choices are identical with or without the shortcut.
-    mru: Option<u64>,
 }
 
 impl Tlb {
@@ -79,7 +73,6 @@ impl Tlb {
             capacity,
             entries: PageMap::default(),
             stamp: 0,
-            mru: None,
         }
     }
 
@@ -88,13 +81,9 @@ impl Tlb {
     /// walk's latency is charged by the caller).
     pub fn access(&mut self, addr: u64) -> bool {
         let page = page_of(addr);
-        if self.mru == Some(page) {
-            return true;
-        }
         self.stamp += 1;
         if let Some(e) = self.entries.get_mut(&page) {
             *e = self.stamp;
-            self.mru = Some(page);
             return true;
         }
         if self.entries.len() as u32 >= self.capacity {
@@ -107,7 +96,6 @@ impl Tlb {
             self.entries.remove(&victim);
         }
         self.entries.insert(page, self.stamp);
-        self.mru = Some(page);
         false
     }
 
@@ -119,7 +107,6 @@ impl Tlb {
     /// Drops every translation (context switch / trap handling studies).
     pub fn flush(&mut self) {
         self.entries.clear();
-        self.mru = None;
     }
 }
 

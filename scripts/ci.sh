@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # The full gate: formatting, lints, the workspace's tests (what bare
-# `cargo test -q`, the tier-1 command, runs), the release-mode
-# equivalence suites, the smoke campaigns against their goldens, the
-# repo benchmark's smoke pass and the chaos soak.
+# `cargo test -q`, the tier-1 command, runs), the kernel microtrace
+# golden and the release-mode equivalence suites, the smoke campaigns
+# against their goldens, the repo benchmark's smoke pass and the chaos
+# soak.
 # Usage: scripts/ci.sh  (from the repository root)
 set -eu
 
@@ -12,10 +13,19 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "== cargo test (what tier-1's bare 'cargo test -q' runs, plus the vendored stand-ins)"
 cargo test --workspace -q
 
-echo "== fault-injection matrix (every fault class must be caught)"
+echo "== kernel microtraces (directed traces, pinned statistics, asleep = stepped = checked)"
+cargo test --release -p s64v-cpu --test kernel_golden -q
+
+echo "== phase ledger builds (the off-by-default instrumentation must not rot)"
+cargo build --release -p s64v-cpu --features phase-profile --example kernel_profile
+
+echo "== fault-injection matrix (every fault class must be caught, a lost event the cycle it is lost)"
 cargo test --release -p s64v-core --test fault_matrix -q
 
 echo "== shared-input equivalence (cursor = fresh warm pass; sharing never changes a result)"
