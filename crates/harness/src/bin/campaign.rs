@@ -1,46 +1,26 @@
 //! End-to-end campaign driver: every figure through the engine, plus
-//! the design-space exploration modes.
-//!
-//! ```text
-//! campaign [--figures all|name,name,...] [--threads N]
-//!          [--cache-dir DIR] [--no-cache] [--checked]
-//!          [--trace PATTERN]... [--metrics]
-//!          [--deadline SECS] [--cycle-budget N] [--retries N]
-//!          [--check-artifact PATH]... [--quiet] [--list]
-//! campaign explore --spec FILE [--out FILE] [--answer-only] [--fresh]
-//!          [--threads N] [--cache-dir DIR] [--no-cache]
-//!          [--deadline SECS] [--cycle-budget N] [--retries N] [--quiet]
-//! campaign serve [--out DIR] [--answer-only] [--fresh]
-//!          [--threads N] [--cache-dir DIR] [--no-cache]
-//!          [--deadline SECS] [--cycle-budget N] [--retries N] [--quiet]
-//! campaign validate [--tolerance PCT] [--windows N] [--window N]
-//!          [--sample-warmup N] [--under-warm] [--out FILE]
-//!          [--threads N] [--cache-dir DIR] [--no-cache] [--checked] [--quiet]
-//! campaign soak [--seed N] [--rate PER_MILLE] [--dir DIR]
-//!          [--threads N] [--quiet]
-//! campaign perf BASE NEW [--folded PATH]
-//! ```
+//! the design-space exploration modes. `campaign --help` prints the
+//! command line — generated, like the parser, from the one flag table in
+//! [`s64v_harness::cli`]; what follows says what the modes do, not how
+//! their flags are spelled.
 //!
 //! Run sizes come from the environment (`S64V_RECORDS`, `S64V_WARMUP`,
 //! `S64V_SMP_CPUS`, `S64V_SMP_RECORDS`, `S64V_SMP_WARMUP`, `S64V_SEED`;
 //! a malformed value is a usage error in every mode) and rendered tables
-//! go to `S64V_RESULTS_DIR`; everything else is a flag. The result cache
-//! defaults to `results-cache/` in the working directory.
-//! `--checked` runs every point under the invariant auditor (identical
-//! results, simulation-integrity errors instead of silent corruption);
-//! failed points leave a JSON diagnostic dump next to their cache entry.
+//! go to `S64V_RESULTS_DIR`; everything else is a flag. Failed points
+//! leave a JSON diagnostic dump next to their cache entry; traced points
+//! leave `<fingerprint>.trace.json` (open at <https://ui.perfetto.dev>)
+//! and `<fingerprint>.pipeline.txt` there.
 //!
 //! `validate` is the sampled-simulation accuracy gate (the Fig 19
 //! discipline applied to our own sampling engine): it runs every
 //! uniprocessor figure workload twice — once in full detail, once as a
 //! plan of independently cached detailed windows with functional
 //! warm-up — and exits nonzero unless each workload's sampled IPC lands
-//! within the tolerance (default 2%) of the full-detail IPC *and* the
-//! reported 95% confidence interval covers it *and* the aggregated
-//! per-window CPI stacks conserve their cycles. `--under-warm` disables
-//! per-window warm-up, the negative control CI uses to prove the gate
-//! detects warming bias. `--out FILE` writes the deterministic JSON
-//! report the CI smoke stage diffs against its golden.
+//! within the tolerance of the full-detail IPC *and* the reported 95%
+//! confidence interval covers it *and* the aggregated per-window CPI
+//! stacks conserve their cycles. Its `--out` report is deterministic:
+//! the CI smoke stage diffs it against a golden.
 //!
 //! `soak` is the supervision layer's chaos gate: it runs a small fixed
 //! campaign once undisturbed and twice under a seeded chaos schedule
@@ -50,20 +30,6 @@
 //! clean run's, every injected fault is journaled, and every hang/panic
 //! was recovered by retry rather than quarantine.
 //!
-//! `serve` drains gracefully: stdin EOF or SIGINT finishes the in-flight
-//! query (journals and caches are flushed per write), prints a final
-//! `served/rejected/failed/quarantined` summary line, and exits 0 on a
-//! clean drain.
-//!
-//! `--trace PATTERN` (repeatable) simulates every point whose label
-//! contains the pattern with full event tracing and writes
-//! `<fingerprint>.trace.json` (open at <https://ui.perfetto.dev>) and
-//! `<fingerprint>.pipeline.txt` next to the point's cache entry;
-//! `--metrics` writes `<fingerprint>.metrics.jsonl` interval time series
-//! for every point. `--check-artifact PATH` validates previously written
-//! artifacts (by extension, including `.explore.json` reports) and exits
-//! without running anything.
-//!
 //! `explore` answers one declarative design-space query (see
 //! `s64v-explore` for the spec grammar): the grid is pruned statically,
 //! screened at short trace length, successively halved up to full
@@ -71,7 +37,11 @@
 //! report on stdout (and in the report cache). `serve` is the long-lived
 //! variant: it reads queries from stdin — one per line, either a path to
 //! a spec file or an inline JSON object — streams search events to
-//! stderr, and emits one compact report JSON per query on stdout.
+//! stderr, and emits one compact report JSON per query on stdout. It
+//! drains gracefully: stdin EOF or SIGINT finishes the in-flight query
+//! (journals and caches are flushed per write), prints a final
+//! `served/rejected/failed/quarantined` summary line, and exits 0 on a
+//! clean drain.
 //!
 //! `perf` is the regression observatory: it diffs two performance
 //! sources — each a campaign cache directory (aggregating its
@@ -79,8 +49,7 @@
 //! failures surfaced as excluded points) or a single `.cpi.json`
 //! artifact — and attributes every CPI delta to the blame taxonomy
 //! ("TPC-C regressed 8%: +6% backend-memory/dram, +2%
-//! bad-speculation/replay"). `--folded PATH` additionally writes the
-//! new side's stacks in folded (flamegraph-compatible) form.
+//! bad-speculation/replay").
 //!
 //! Exits nonzero if any point failed to simulate, any figure failed to
 //! render (including a model verification mismatch), any journaled
@@ -89,110 +58,83 @@
 
 use s64v_core::{ChaosPlan, SystemConfig};
 use s64v_explore::{ExploreEvent, ExploreReport, ExploreSpec};
+use s64v_harness::cli::{self, Args};
 use s64v_harness::engine::{run_campaign, CampaignOutcome, PointOutcome};
 use s64v_harness::explore::{run_explore, ExploreOpts};
-use s64v_harness::figures::PointStore;
-use s64v_harness::figures::{figure_names, run_figures, EngineOpts};
+use s64v_harness::figures::{figure_names, run_figures, Page, PointStore};
 use s64v_harness::journal::{journal_path, Journal};
 use s64v_harness::perf::{sampled_cpi_artifact, validate_cpi_artifact, PerfDiff, PerfSource};
 use s64v_harness::progress::ProgressEvent;
 use s64v_harness::spec::{CampaignSpec, HarnessOpts, SimPoint, WorkUnit};
 use s64v_harness::supervise::{atomic_write, unseal_lenient, SupervisePolicy};
 use s64v_harness::validate::{
-    assess, full_point, sampled_points, validate_workloads, SampleOpts, DEFAULT_TOLERANCE,
+    assess_onto, full_point, sampled_points, validate_workloads, SampleOpts, DEFAULT_TOLERANCE,
 };
 use s64v_observe::json::Value;
-use s64v_stats::Z95;
 use s64v_workloads::SuiteKind;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Engine options before any flag: everything off but the result cache.
-fn default_engine() -> EngineOpts {
-    EngineOpts {
-        cache_dir: Some("results-cache".into()),
-        ..EngineOpts::default()
-    }
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: campaign [--figures all|name,name,...] [--threads N]\n\
-         \x20               [--cache-dir DIR] [--no-cache] [--checked]\n\
-         \x20               [--trace PATTERN]... [--metrics]\n\
-         \x20               [--deadline SECS] [--cycle-budget N] [--retries N]\n\
-         \x20               [--check-artifact PATH]... [--quiet] [--list]\n\
-         \x20      campaign explore --spec FILE [--out FILE] [--answer-only]\n\
-         \x20               [--fresh] [--threads N] [--cache-dir DIR] [--no-cache]\n\
-         \x20               [--deadline SECS] [--cycle-budget N] [--retries N] [--quiet]\n\
-         \x20      campaign serve [--out DIR] [--answer-only] [--fresh]\n\
-         \x20               [--threads N] [--cache-dir DIR] [--no-cache]\n\
-         \x20               [--deadline SECS] [--cycle-budget N] [--retries N] [--quiet]\n\
-         \x20      campaign validate [--tolerance PCT] [--windows N] [--window N]\n\
-         \x20               [--sample-warmup N] [--under-warm] [--out FILE]\n\
-         \x20               [--threads N] [--cache-dir DIR] [--no-cache] [--checked] [--quiet]\n\
-         \x20      campaign soak [--seed N] [--rate PER_MILLE] [--dir DIR]\n\
-         \x20               [--threads N] [--quiet]\n\
-         \x20      campaign perf BASE NEW [--folded PATH]\n\
-         \x20               (BASE/NEW: cache dir or .cpi.json artifact)\n\
-         run sizes: S64V_RECORDS S64V_WARMUP S64V_SMP_CPUS S64V_SMP_RECORDS\n\
-         \x20          S64V_SMP_WARMUP S64V_SEED; tables go to S64V_RESULTS_DIR"
-    );
+/// Prints the usage and why the command line does not fit it; exits 2.
+fn usage_error(reason: &str) -> ! {
+    eprint!("{}", cli::usage());
+    eprintln!("campaign: {reason}");
     std::process::exit(2);
 }
 
-/// Parses one engine flag — `arg`, plus its value from `args` — into
-/// `engine` / `quiet`. These eight are spelled and validated here only;
-/// the figures mode takes them all, and each other subcommand's `match`
-/// names the ones its usage line lists. Anything else, and a missing or
-/// out-of-range value, is a usage error.
-fn engine_flag(
-    arg: &str,
-    args: &mut impl Iterator<Item = String>,
-    engine: &mut EngineOpts,
-    quiet: &mut bool,
-) {
-    match arg {
-        "--threads" => {
-            let n: usize = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage());
-            engine.threads = Some(n.max(1));
-        }
-        "--cache-dir" => {
-            engine.cache_dir = Some(args.next().unwrap_or_else(|| usage()).into());
-        }
-        "--no-cache" => engine.cache_dir = None,
-        "--checked" => engine.checked = true,
-        "--deadline" => {
-            let secs: f64 = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|s| *s > 0.0)
-                .unwrap_or_else(|| usage());
-            engine.supervise.deadline = Some(Duration::from_secs_f64(secs));
-        }
-        "--cycle-budget" => {
-            let cycles: u64 = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|c| *c > 0)
-                .unwrap_or_else(|| usage());
-            engine.supervise.cycle_budget = Some(cycles);
-        }
-        "--retries" => {
-            engine.supervise.retries = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage());
-        }
-        "--quiet" => *quiet = true,
-        _ => usage(),
+/// The number given for `name`, within `range`; any other value is a
+/// usage error.
+fn number<T: std::str::FromStr + PartialOrd>(
+    args: &Args,
+    name: &str,
+    range: impl std::ops::RangeBounds<T>,
+) -> Option<T> {
+    let number = args.number(name, range);
+    number.unwrap_or_else(|reason| usage_error(&reason))
+}
+
+/// `--threads`: the worker count.
+fn threads(args: &Args) -> Option<usize> {
+    number(args, "--threads", ..).map(|n: usize| n.max(1))
+}
+
+/// `--cache-dir` / `--no-cache`, whichever came last; `default` when
+/// neither was given.
+fn cache_dir(args: &Args, default: Option<&str>) -> Option<PathBuf> {
+    match args.last_of(&["--cache-dir", "--no-cache"]) {
+        Some("--cache-dir") => args.text("--cache-dir").map(PathBuf::from),
+        Some(_) => None,
+        None => default.map(PathBuf::from),
     }
+}
+
+/// `--deadline`, `--cycle-budget`, `--retries` over the default policy.
+fn supervise(args: &Args) -> SupervisePolicy {
+    let policy = SupervisePolicy::default();
+    let deadline = number(args, "--deadline", f64::MIN_POSITIVE..f64::MAX);
+    SupervisePolicy {
+        deadline: deadline.map(Duration::from_secs_f64),
+        cycle_budget: number(args, "--cycle-budget", 1..),
+        retries: number(args, "--retries", ..).unwrap_or(policy.retries),
+        ..policy
+    }
+}
+
+/// The execution template the engine flags describe — every campaign a
+/// mode runs is this with a name and points. Flags a mode does not take
+/// are simply absent.
+fn template(args: &Args, default_cache: Option<&str>) -> CampaignSpec {
+    let mut t = CampaignSpec::new("", Vec::new());
+    t.threads = threads(args);
+    t.cache_dir = cache_dir(args, default_cache);
+    t.checked = args.has("--checked");
+    t.observe.trace_matches = args.all("--trace").map(String::from).collect();
+    t.observe.metrics = args.has("--metrics");
+    t.supervise = supervise(args);
+    t
 }
 
 /// Validates one artifact by extension; returns a reason on failure.
@@ -237,8 +179,9 @@ fn check_artifact(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Spawns the shared per-point progress printer.
-fn spawn_printer(quiet: bool) -> (mpsc::Sender<ProgressEvent>, std::thread::JoinHandle<()>) {
+/// Runs `work` with the per-point progress printer listening (silent
+/// when `quiet`), and the printer drained before returning.
+fn with_printer<T>(quiet: bool, work: impl FnOnce(mpsc::Sender<ProgressEvent>) -> T) -> T {
     let (tx, rx) = mpsc::channel::<ProgressEvent>();
     let printer = std::thread::spawn(move || {
         let mut done = 0usize;
@@ -297,7 +240,18 @@ fn spawn_printer(quiet: bool) -> (mpsc::Sender<ProgressEvent>, std::thread::Join
             }
         }
     });
-    (tx, printer)
+    let result = work(tx);
+    printer.join().expect("progress printer panicked");
+    result
+}
+
+/// Runs one campaign with the progress printer; a cache or journal I/O
+/// error ends `who`'s process with exit code 2.
+fn run_points(who: &str, quiet: bool, spec: &CampaignSpec) -> CampaignOutcome {
+    with_printer(quiet, |tx| run_campaign(spec, Some(tx))).unwrap_or_else(|e| {
+        eprintln!("{who} error: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Narrates one search-level event on stderr.
@@ -334,68 +288,34 @@ fn print_explore_event(event: &ExploreEvent) {
     }
 }
 
-/// Shared flags of the `explore`/`serve` modes.
-struct ExploreCli {
-    opts: ExploreOpts,
-    spec_path: Option<String>,
-    out: Option<PathBuf>,
-    answer_only: bool,
-    quiet: bool,
-}
-
-fn parse_explore_cli(args: impl Iterator<Item = String>) -> ExploreCli {
-    let mut engine = default_engine();
-    let mut fresh = false;
-    let mut spec_path = None;
-    let mut out = None;
-    let mut answer_only = false;
-    let mut quiet = false;
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--spec" => spec_path = Some(args.next().unwrap_or_else(|| usage())),
-            "--out" => out = Some(args.next().unwrap_or_else(|| usage()).into()),
-            "--answer-only" => answer_only = true,
-            "--fresh" => fresh = true,
-            // Exploration has no checked mode; the other engine flags apply.
-            "--threads" | "--cache-dir" | "--no-cache" | "--deadline" | "--cycle-budget"
-            | "--retries" | "--quiet" => engine_flag(&arg, &mut args, &mut engine, &mut quiet),
-            _ => usage(),
-        }
-    }
-    ExploreCli {
-        opts: ExploreOpts {
-            threads: engine.threads,
-            cache_dir: engine.cache_dir,
-            fresh,
-            heartbeat: Some(Duration::from_secs(10)),
-            supervise: engine.supervise,
-            chaos: None,
-        },
-        spec_path,
-        out,
-        answer_only,
-        quiet,
+/// How the `explore`/`serve` flags say to execute a query.
+fn explore_opts(args: &Args) -> ExploreOpts {
+    ExploreOpts {
+        threads: threads(args),
+        cache_dir: cache_dir(args, Some("results-cache")),
+        fresh: args.has("--fresh"),
+        heartbeat: Some(Duration::from_secs(10)),
+        supervise: supervise(args),
     }
 }
 
 /// Runs one query end to end; returns the report (and prints it).
 fn answer_query(
     spec: &ExploreSpec,
-    cli: &ExploreCli,
+    args: &Args,
+    opts: &ExploreOpts,
     compact: bool,
 ) -> Result<ExploreReport, String> {
-    let (tx, printer) = spawn_printer(cli.quiet);
-    let quiet = cli.quiet;
-    let outcome = run_explore(spec, &cli.opts, Some(tx), |e| {
-        if !quiet {
-            print_explore_event(e);
-        }
-    });
-    printer.join().expect("progress printer panicked");
-    let report = outcome?;
+    let quiet = args.has("--quiet");
+    let report = with_printer(quiet, |tx| {
+        run_explore(spec, opts, Some(tx), |e| {
+            if !quiet {
+                print_explore_event(e);
+            }
+        })
+    })?;
 
-    let doc = if cli.answer_only {
+    let doc = if args.has("--answer-only") {
         report.answer_value()
     } else {
         report.to_value()
@@ -407,14 +327,10 @@ fn answer_query(
     }
     std::io::stdout().flush().ok();
 
-    if let Some(out) = &cli.out {
+    if let Some(out) = args.text("--out").map(Path::new) {
         let text = format!("{:#}\n", report.to_value());
-        let write = |path: &std::path::Path| -> std::io::Result<()> {
-            if let Some(parent) = path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent)?;
-                }
-            }
+        let write = |path: &Path| {
+            path.parent().map_or(Ok(()), std::fs::create_dir_all)?;
             std::fs::write(path, &text)
         };
         // In serve mode --out names a directory; reports land under the
@@ -422,7 +338,7 @@ fn answer_query(
         let path = if out.is_dir() || compact {
             out.join(format!("{}.explore.json", spec.name))
         } else {
-            out.clone()
+            out.to_path_buf()
         };
         if let Err(e) = write(&path) {
             eprintln!("warning: could not write {}: {e}", path.display());
@@ -438,11 +354,10 @@ fn answer_query(
     Ok(report)
 }
 
-fn explore_main(args: impl Iterator<Item = String>) -> ! {
-    let cli = parse_explore_cli(args);
-    let Some(spec_path) = &cli.spec_path else {
-        eprintln!("explore needs --spec FILE");
-        usage();
+fn explore_main(args: &Args) -> ! {
+    let opts = explore_opts(args);
+    let Some(spec_path) = args.text("--spec") else {
+        usage_error("explore needs --spec FILE");
     };
     let text = std::fs::read_to_string(spec_path).unwrap_or_else(|e| {
         eprintln!("cannot read {spec_path}: {e}");
@@ -452,22 +367,15 @@ fn explore_main(args: impl Iterator<Item = String>) -> ! {
         eprintln!("invalid spec {spec_path}: {e}");
         std::process::exit(2);
     });
-    match answer_query(&spec, &cli, false) {
-        Ok(report) => {
-            if report.execution.failed > 0 {
-                eprintln!(
-                    "explore FAILED: {} point(s) failed to simulate",
-                    report.execution.failed
-                );
-                std::process::exit(1);
-            }
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("explore error: {e}");
-            std::process::exit(2);
-        }
+    let report = answer_query(&spec, args, &opts, false).unwrap_or_else(|e| {
+        eprintln!("explore error: {e}");
+        std::process::exit(2);
+    });
+    let failed = report.execution.failed;
+    if failed > 0 {
+        eprintln!("explore FAILED: {failed} point(s) failed to simulate");
     }
+    std::process::exit(i32::from(failed > 0));
 }
 
 /// Set by the SIGINT handler; the serve loop polls it between queries.
@@ -495,12 +403,8 @@ fn install_sigint_handler() {
 #[cfg(not(unix))]
 fn install_sigint_handler() {}
 
-fn serve_main(args: impl Iterator<Item = String>) -> ! {
-    let cli = parse_explore_cli(args);
-    if cli.spec_path.is_some() {
-        eprintln!("serve reads queries from stdin; --spec belongs to explore");
-        usage();
-    }
+fn serve_main(args: &Args) -> ! {
+    let opts = explore_opts(args);
     install_sigint_handler();
     eprintln!(
         "serve: reading queries from stdin (one per line: a spec-file path, or inline JSON); \
@@ -560,7 +464,7 @@ fn serve_main(args: impl Iterator<Item = String>) -> ! {
             }
         };
         eprintln!("serve: query \"{}\" accepted", spec.name);
-        match answer_query(&spec, &cli, true) {
+        match answer_query(&spec, args, &opts, true) {
             Ok(report) => {
                 answered += 1;
                 failed_points += report.execution.failed;
@@ -622,33 +526,11 @@ fn canonical_results(points: &[SimPoint], outcome: &CampaignOutcome) -> Result<S
     Ok(text)
 }
 
-fn soak_main(args: impl Iterator<Item = String>) -> ! {
-    let mut seed = 7u64;
-    let mut rate = 400u16;
-    let mut engine = EngineOpts::default();
-    let mut dir: Option<PathBuf> = None;
-    let mut quiet = false;
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--rate" => {
-                rate = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--dir" => dir = Some(args.next().unwrap_or_else(|| usage()).into()),
-            // The gate fixes its own directories and supervision policy.
-            "--threads" | "--quiet" => engine_flag(&arg, &mut args, &mut engine, &mut quiet),
-            _ => usage(),
-        }
-    }
+fn soak_main(args: &Args) -> ! {
+    let seed: u64 = number(args, "--seed", ..).unwrap_or(7);
+    let rate: u16 = number(args, "--rate", ..).unwrap_or(400);
+    let dir = args.text("--dir").map(PathBuf::from);
+    let quiet = args.has("--quiet");
 
     let keep_artifacts = dir.is_some();
     let base = dir
@@ -665,27 +547,20 @@ fn soak_main(args: impl Iterator<Item = String>) -> ! {
     }
 
     let points = soak_points();
-    let spec_for = |cache: &Path, chaos: Option<ChaosPlan>| {
-        let mut spec = CampaignSpec::new("soak", points.clone())
-            .with_cache_dir(cache)
-            .with_heartbeat(None)
-            .with_supervise(SupervisePolicy::default().with_retries(2));
-        if let Some(plan) = chaos {
-            spec = spec.with_chaos(plan);
-        }
-        if let Some(n) = engine.threads {
-            spec = spec.with_threads(n);
-        }
-        spec
-    };
-    let run = |spec: &CampaignSpec| -> CampaignOutcome {
-        let (tx, printer) = spawn_printer(quiet);
-        let outcome = run_campaign(spec, Some(tx));
-        printer.join().expect("progress printer panicked");
-        outcome.unwrap_or_else(|e| {
-            eprintln!("soak: campaign error: {e}");
-            std::process::exit(2);
-        })
+    // The gate fixes its own directories and supervision policy; only
+    // the worker count comes from the command line.
+    let template = template(args, None);
+    let run = |cache: &Path, chaos: Option<ChaosPlan>| {
+        let spec = CampaignSpec {
+            name: "soak".to_string(),
+            points: points.clone(),
+            cache_dir: Some(cache.to_path_buf()),
+            heartbeat: None,
+            supervise: SupervisePolicy::default(),
+            chaos,
+            ..template.clone()
+        };
+        run_points("soak: campaign", quiet, &spec)
     };
 
     eprintln!(
@@ -693,16 +568,16 @@ fn soak_main(args: impl Iterator<Item = String>) -> ! {
         points.len(),
         base.display()
     );
-    let clean = run(&spec_for(&clean_dir, None));
+    let clean = run(&clean_dir, None);
     let plan = ChaosPlan::new(seed, rate);
     // Pass 1 simulates everything under chaos; pass 2 reuses pass 1's
     // cache, so it exercises the read-side recovery paths too (torn
     // entries must degrade to a miss and re-simulate, torn journal tails
     // must be skipped) while the schedule re-fires identically.
-    let pass1 = run(&spec_for(&chaos_dir, Some(plan)));
-    let pass2 = run(&spec_for(&chaos_dir, Some(plan)));
+    let pass1 = run(&chaos_dir, Some(plan));
+    let pass2 = run(&chaos_dir, Some(plan));
 
-    let mut bad = 0usize;
+    let mut failed: Vec<String> = Vec::new();
     let clean_text = canonical_results(&points, &clean).unwrap_or_else(|e| {
         eprintln!("soak FAILED: clean run: {e}");
         std::process::exit(1);
@@ -712,21 +587,14 @@ fn soak_main(args: impl Iterator<Item = String>) -> ! {
             Ok(text) if text == clean_text => {
                 eprintln!("soak: {name}: results byte-identical to the clean run");
             }
-            Ok(_) => {
-                eprintln!("soak FAILED: {name}: results diverge from the clean run");
-                bad += 1;
-            }
-            Err(e) => {
-                eprintln!("soak FAILED: {name}: {e}");
-                bad += 1;
-            }
+            Ok(_) => failed.push(format!("{name}: results diverge from the clean run")),
+            Err(e) => failed.push(format!("{name}: {e}")),
         }
         for (label, error) in &outcome.report.quarantined {
-            eprintln!(
-                "soak FAILED: {name} quarantined {label} ({error}) — chaos fires only on a \
-                 point's first attempt, so one retry must always recover"
-            );
-            bad += 1;
+            failed.push(format!(
+                "{name} quarantined {label} ({error}) — chaos fires only on a point's first \
+                 attempt, so one retry must always recover"
+            ));
         }
     }
 
@@ -749,36 +617,34 @@ fn soak_main(args: impl Iterator<Item = String>) -> ! {
         state.corrupt_lines
     );
     if state.chaos.is_empty() {
-        eprintln!("soak FAILED: the chaos schedule fired nothing — raise --rate or vary --seed");
-        bad += 1;
+        failed.push("the chaos schedule fired nothing — raise --rate or vary --seed".into());
     }
     let retries = pass1.report.retries + pass2.report.retries;
     if retries != hangs + panics {
-        eprintln!(
-            "soak FAILED: {} injected hang(s)/panic(s) but {retries} retries — every one must \
-             be recovered by exactly one retry",
+        failed.push(format!(
+            "{} injected hang(s)/panic(s) but {retries} retries — every one must be recovered \
+             by exactly one retry",
             hangs + panics
-        );
-        bad += 1;
+        ));
     }
     if truncated > 0 && state.corrupt_lines == 0 {
-        eprintln!("soak FAILED: journal appends were truncated but no corrupt line was skipped");
-        bad += 1;
+        failed.push("journal appends were truncated but no corrupt line was skipped".into());
     }
     // TornWrite decisions are per fingerprint, so each torn entry fires
     // once per simulating pass: pass 2 misses exactly the torn half.
-    let expected_hits = points.len() - torn / 2;
-    if pass2.report.cache_hits != expected_hits {
-        eprintln!(
-            "soak FAILED: pass 2 had {} cache hit(s), expected {expected_hits} ({} torn entries \
-             must miss, the rest must hit)",
-            pass2.report.cache_hits,
+    let (hits, expected_hits) = (pass2.report.cache_hits, points.len() - torn / 2);
+    if hits != expected_hits {
+        failed.push(format!(
+            "pass 2 had {hits} cache hit(s), expected {expected_hits} ({} torn entries must \
+             miss, the rest must hit)",
             torn / 2
-        );
-        bad += 1;
+        ));
     }
 
-    if bad == 0 {
+    for failure in &failed {
+        eprintln!("soak FAILED: {failure}");
+    }
+    if failed.is_empty() {
         eprintln!(
             "soak PASSED: 3 runs, {} injected fault(s), all recovered, results byte-identical",
             state.chaos.len()
@@ -788,6 +654,7 @@ fn soak_main(args: impl Iterator<Item = String>) -> ! {
         }
         std::process::exit(0);
     }
+    let bad = failed.len();
     eprintln!(
         "soak FAILED: {bad} check(s) failed (artifacts kept in {})",
         base.display()
@@ -795,20 +662,10 @@ fn soak_main(args: impl Iterator<Item = String>) -> ! {
     std::process::exit(1);
 }
 
-fn perf_main(args: impl Iterator<Item = String>) -> ! {
-    let mut positional: Vec<String> = Vec::new();
-    let mut folded_out: Option<PathBuf> = None;
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--folded" => folded_out = Some(args.next().unwrap_or_else(|| usage()).into()),
-            _ if !arg.starts_with('-') => positional.push(arg),
-            _ => usage(),
-        }
-    }
-    let [base_path, new_path] = positional.as_slice() else {
-        eprintln!("perf needs exactly two sources: BASE and NEW");
-        usage();
+fn perf_main(args: &Args) -> ! {
+    let folded_out = args.text("--folded").map(PathBuf::from);
+    let [base_path, new_path] = args.positional.as_slice() else {
+        unreachable!("the parser counted perf's two sources");
     };
     let load = |p: &str| {
         PerfSource::load(Path::new(p)).unwrap_or_else(|e| {
@@ -848,55 +705,23 @@ fn perf_main(args: impl Iterator<Item = String>) -> ! {
 /// nonzero unless every workload passes the gate: sampled IPC within
 /// tolerance of full detail, confidence interval covering the
 /// full-detail value, and per-window CPI stacks conserving their cycles.
-fn validate_main(args: impl Iterator<Item = String>, opts: HarnessOpts) -> ! {
-    let mut engine = default_engine();
+fn validate_main(args: &Args, opts: HarnessOpts) -> ! {
+    let template = template(args, Some("results-cache"));
+    let quiet = args.has("--quiet");
+    let out = args.text("--out").map(PathBuf::from);
+    let tolerance = number(args, "--tolerance", f64::MIN_POSITIVE..f64::MAX)
+        .map_or(DEFAULT_TOLERANCE, |pct: f64| pct / 100.0);
     let mut sample = SampleOpts::for_sizes(&opts);
-    let mut tolerance = DEFAULT_TOLERANCE;
-    let mut quiet = false;
-    let mut out: Option<PathBuf> = None;
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--tolerance" => {
-                let pct: f64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|p: &f64| *p > 0.0)
-                    .unwrap_or_else(|| usage());
-                tolerance = pct / 100.0;
-            }
-            "--windows" => {
-                sample.windows = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n: &usize| *n >= 2)
-                    .unwrap_or_else(|| usage());
-            }
-            "--window" => {
-                sample.window = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n: &usize| *n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--sample-warmup" => {
-                sample.warmup = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            // The negative control: no per-window warm-up at all. The
-            // gate is expected to FAIL under this flag — cold caches
-            // bias every window slow — which is how CI proves the gate
-            // can actually catch insufficient warming.
-            "--under-warm" => sample.warmup = 0,
-            "--out" => out = Some(args.next().unwrap_or_else(|| usage()).into()),
-            "--threads" | "--cache-dir" | "--no-cache" | "--checked" | "--quiet" => {
-                engine_flag(&arg, &mut args, &mut engine, &mut quiet)
-            }
-            _ => usage(),
-        }
-    }
+    sample.windows = number(args, "--windows", 2..).unwrap_or(sample.windows);
+    sample.window = number(args, "--window", 1..).unwrap_or(sample.window);
+    // `--under-warm` is the negative control: no per-window warm-up at
+    // all. The gate is expected to FAIL under it — cold caches bias every
+    // window slow — which is how CI proves the gate can actually catch
+    // insufficient warming.
+    sample.warmup = match args.last_of(&["--sample-warmup", "--under-warm"]) {
+        Some("--under-warm") => 0,
+        _ => number(args, "--sample-warmup", ..).unwrap_or(sample.warmup),
+    };
 
     let workloads = validate_workloads();
     let full_points: Vec<SimPoint> = workloads
@@ -908,54 +733,33 @@ fn validate_main(args: impl Iterator<Item = String>, opts: HarnessOpts) -> ! {
         .flat_map(|&(kind, index)| sampled_points(kind, index, &opts, &sample))
         .collect();
 
-    let run = |name: &str, points: Vec<SimPoint>| {
-        let mut spec = CampaignSpec::new(name, points);
-        spec.threads = engine.threads;
-        spec.cache_dir = engine.cache_dir.clone();
-        spec.checked = engine.checked;
-        spec.supervise = engine.supervise.clone();
-        let (tx, printer) = spawn_printer(quiet);
-        let started = std::time::Instant::now();
-        let outcome = run_campaign(&spec, Some(tx));
-        printer.join().expect("progress printer panicked");
-        match outcome {
-            Ok(o) => (o, started.elapsed()),
-            Err(e) => {
-                eprintln!("validate error: {e}");
-                std::process::exit(2);
-            }
-        }
+    let run = |name: &str, points: &[SimPoint]| {
+        let spec = CampaignSpec {
+            name: name.to_string(),
+            points: points.to_vec(),
+            ..template.clone()
+        };
+        let started = Instant::now();
+        (run_points("validate", quiet, &spec), started.elapsed())
     };
+    let (full, full_wall) = run("validate-full", &full_points);
+    let (sampled, sampled_wall) = run("validate-sampled", &window_points);
 
-    let (full_outcome, full_wall) = run("validate-full", full_points.clone());
-    let (sampled_outcome, sampled_wall) = run("validate-sampled", window_points.clone());
-
+    let runs = [(&full, &full_points), (&sampled, &window_points)];
     let mut failed_points = 0usize;
-    for (outcome, points) in [
-        (&full_outcome, &full_points),
-        (&sampled_outcome, &window_points),
-    ] {
+    for (outcome, points) in runs {
         for (i, error, _) in outcome.failures() {
             eprintln!("failed point: {}: {error}", points[i].label());
             failed_points += 1;
         }
     }
+    let store = PointStore::from_run(
+        runs.iter()
+            .flat_map(|(outcome, points)| points.iter().zip(&outcome.outcomes)),
+    );
 
-    let mut all_points = full_points;
-    let mut outcomes = full_outcome.outcomes;
-    all_points.extend(window_points);
-    outcomes.extend(sampled_outcome.outcomes);
-    let store = PointStore::from_run(&all_points, &outcomes);
-
-    let report = match assess(&opts, &sample, tolerance, Z95, &store) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("validate error: {e}");
-            std::process::exit(if failed_points > 0 { 1 } else { 2 });
-        }
-    };
-
-    s64v_harness::banner(
+    let mut page = Page::default();
+    page.banner(
         "Sampled-simulation accuracy validation",
         "Fig 19 discipline",
         &format!(
@@ -963,12 +767,19 @@ fn validate_main(args: impl Iterator<Item = String>, opts: HarnessOpts) -> ! {
             tolerance * 100.0
         ),
     );
-    s64v_harness::emit("sampling_accuracy", &report.table());
+    let report = match assess_onto(&mut page, &opts, &sample, tolerance, &store) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("validate error: {e}");
+            std::process::exit(if failed_points > 0 { 1 } else { 2 });
+        }
+    };
+    page.publish();
 
     // Per-workload aggregate artifacts: the standard `.cpi.json` schema
     // built from the merged window stacks, keyed by the full-detail
     // point's fingerprint (`<fp>.sampled.cpi.json` next to its entry).
-    if let Some(dir) = &engine.cache_dir {
+    if let Some(dir) = &template.cache_dir {
         for (&(kind, index), w) in workloads.iter().zip(&report.workloads) {
             let fp = full_point(kind, index, &opts).fingerprint();
             let label = format!("{} sampled", w.label);
@@ -1020,61 +831,18 @@ fn validate_main(args: impl Iterator<Item = String>, opts: HarnessOpts) -> ! {
     });
 }
 
-fn main() {
-    let opts = HarnessOpts::from_env().unwrap_or_else(|e| {
-        eprintln!("campaign: {e}");
-        std::process::exit(2);
-    });
-    let mut raw = std::env::args().skip(1).peekable();
-    match raw.peek().map(String::as_str) {
-        Some("explore") => {
-            raw.next();
-            explore_main(raw);
+fn figures_main(args: &Args, opts: HarnessOpts) {
+    let template = template(args, Some("results-cache"));
+    if args.has("--list") {
+        for name in figure_names() {
+            println!("{name}");
         }
-        Some("validate") => {
-            raw.next();
-            validate_main(raw, opts);
-        }
-        Some("serve") => {
-            raw.next();
-            serve_main(raw);
-        }
-        Some("soak") => {
-            raw.next();
-            soak_main(raw);
-        }
-        Some("perf") => {
-            raw.next();
-            perf_main(raw);
-        }
-        _ => {}
+        return;
     }
 
-    let mut figures_arg = "all".to_string();
-    let mut engine = default_engine();
-    let mut quiet = false;
-    let mut check_paths: Vec<String> = Vec::new();
-
-    let mut args = raw;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--figures" => figures_arg = args.next().unwrap_or_else(|| usage()),
-            "--trace" => engine.trace.push(args.next().unwrap_or_else(|| usage())),
-            "--metrics" => engine.metrics = true,
-            "--check-artifact" => check_paths.push(args.next().unwrap_or_else(|| usage())),
-            "--list" => {
-                for name in figure_names() {
-                    println!("{name}");
-                }
-                return;
-            }
-            _ => engine_flag(&arg, &mut args, &mut engine, &mut quiet),
-        }
-    }
-
-    if !check_paths.is_empty() {
+    if args.has("--check-artifact") {
         let mut bad = 0;
-        for path in &check_paths {
+        for path in args.all("--check-artifact") {
             match check_artifact(path) {
                 Ok(()) => eprintln!("artifact ok: {path}"),
                 Err(reason) => {
@@ -1086,40 +854,23 @@ fn main() {
         std::process::exit(if bad > 0 { 1 } else { 0 });
     }
 
-    if !engine.trace.is_empty() && engine.cache_dir.is_none() {
+    if !template.observe.trace_matches.is_empty() && template.cache_dir.is_none() {
         eprintln!("--trace needs a cache directory for its artifacts (drop --no-cache)");
         std::process::exit(2);
     }
 
-    let names: Vec<&'static str> = if figures_arg == "all" {
-        figure_names()
-    } else {
-        let all = figure_names();
-        figures_arg
-            .split(',')
-            .map(|want| {
-                all.iter()
-                    .copied()
-                    .find(|n| *n == want.trim())
-                    .unwrap_or_else(|| {
-                        eprintln!("unknown figure: {want} (try --list)");
-                        std::process::exit(2);
-                    })
-            })
-            .collect()
+    // An unknown name fails the run before anything simulates.
+    let names: Vec<&str> = match args.text("--figures") {
+        None | Some("all") => figure_names(),
+        Some(list) => list.split(',').map(str::trim).collect(),
     };
-
-    let (tx, printer) = spawn_printer(quiet);
-    let outcome = run_figures(&names, &opts, &engine, Some(tx));
-    printer.join().expect("progress printer panicked");
-
-    let summary = match outcome {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("campaign error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let summary = with_printer(args.has("--quiet"), |tx| {
+        run_figures(&names, &opts, &template, Some(tx))
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("campaign error: {e}");
+        std::process::exit(2);
+    });
 
     eprintln!("campaign: {}", summary.report.summary());
     if !summary.report.slowest.is_empty() {
@@ -1146,5 +897,34 @@ fn main() {
     if let Some(line) = summary.failure_line() {
         eprintln!("{line}");
         std::process::exit(1);
+    }
+}
+
+fn main() {
+    let opts = HarnessOpts::from_env().unwrap_or_else(|e| {
+        eprintln!("campaign: {e}");
+        std::process::exit(2);
+    });
+    let mut raw = std::env::args().skip(1).peekable();
+    let worded = cli::MODES[1..].iter().map(|(mode, _)| *mode);
+    let mode = raw
+        .peek()
+        .and_then(|word| worded.clone().find(|m| m == word));
+    if mode.is_some() {
+        raw.next();
+    }
+    let mode = mode.unwrap_or("figures");
+    let args = cli::parse(mode, raw).unwrap_or_else(|reason| usage_error(&reason));
+    if args.has("--help") {
+        print!("{}", cli::usage());
+        return;
+    }
+    match mode {
+        "explore" => explore_main(&args),
+        "serve" => serve_main(&args),
+        "validate" => validate_main(&args, opts),
+        "soak" => soak_main(&args),
+        "perf" => perf_main(&args),
+        _ => figures_main(&args, opts),
     }
 }

@@ -117,14 +117,15 @@ impl ResultCache {
         atomic_write(&path, sealed.as_bytes())
     }
 
-    /// The observation-artifact file a fingerprint maps to for a given
-    /// extension (`trace.json`, `pipeline.txt`, `metrics.jsonl`), next to
-    /// the point's cache entry.
+    /// The artifact file a fingerprint maps to for a given extension
+    /// (`cpi.json`, `trace.json`, `pipeline.txt`, `metrics.jsonl`, or a
+    /// failed point's `fail.json` diagnostic dump), next to where the
+    /// point's result is cached.
     pub fn artifact_path(&self, fp: Fingerprint, ext: &str) -> PathBuf {
         self.dir.join(format!("{fp}.{ext}"))
     }
 
-    /// Writes an observation artifact crash-safely (like [`store`], but
+    /// Writes an artifact crash-safely (like [`store`], but
     /// unsealed — these files feed external tools that expect plain
     /// JSON/text) and returns its path.
     ///
@@ -137,20 +138,6 @@ impl ResultCache {
     ) -> std::io::Result<PathBuf> {
         let path = self.artifact_path(fp, ext);
         atomic_write(&path, data.as_bytes())?;
-        Ok(path)
-    }
-
-    /// The diagnostic-dump file a failed point's fingerprint maps to,
-    /// next to where its result would have been cached.
-    pub fn failure_path_of(&self, fp: Fingerprint) -> PathBuf {
-        self.dir.join(format!("{fp}.fail.json"))
-    }
-
-    /// Writes a failed point's JSON diagnostic dump crash-safely and
-    /// returns its path.
-    pub fn store_failure(&self, fp: Fingerprint, json: &str) -> std::io::Result<PathBuf> {
-        let path = self.failure_path_of(fp);
-        atomic_write(&path, json.as_bytes())?;
         Ok(path)
     }
 }
@@ -216,20 +203,8 @@ fn parse(text: &str) -> Option<PointMetrics> {
             "bus_busy_cycles" => m.bus_busy_cycles = value.parse().ok()?,
             "bus_transactions" => m.bus_transactions = value.parse().ok()?,
             "mean_load_latency" => m.mean_load_latency = value.parse().ok()?,
-            "stalls" => {
-                let parts: Vec<u64> = value
-                    .split_whitespace()
-                    .map(|p| p.parse().ok())
-                    .collect::<Option<_>>()?;
-                m.stalls = parts.try_into().ok()?;
-            }
-            "cpi" => {
-                let parts: Vec<u64> = value
-                    .split_whitespace()
-                    .map(|p| p.parse().ok())
-                    .collect::<Option<_>>()?;
-                m.cpi = parts.try_into().ok()?;
-            }
+            "stalls" => m.stalls = parse_cells(value)?,
+            "cpi" => m.cpi = parse_cells(value)?,
             "reference_cycles" => m.reference_cycles = value.parse().ok()?,
             "same_work" => m.same_work = value.parse().ok()?,
             _ => return None,
@@ -238,6 +213,11 @@ fn parse(text: &str) -> Option<PointMetrics> {
     }
     // Every field must be present exactly once.
     (seen == 16).then_some(m)
+}
+
+fn parse_cells<const N: usize>(value: &str) -> Option<[u64; N]> {
+    let cells: Option<Vec<u64>> = value.split_whitespace().map(|p| p.parse().ok()).collect();
+    cells?.try_into().ok()
 }
 
 fn parse_pair(value: &str) -> Option<(u64, u64)> {
@@ -303,11 +283,7 @@ mod tests {
     fn store_and_load_via_directory() {
         let dir = std::env::temp_dir().join(format!("s64v-cache-test-{}", std::process::id()));
         let cache = ResultCache::open(&dir).expect("create");
-        let fp = {
-            let mut h = s64v_core::StableHasher::new();
-            h.write_str("cache-test");
-            h.finish()
-        };
+        let fp = crate::test_fp("cache-test");
         assert_eq!(cache.load(fp), None);
         cache.store(fp, &sample()).expect("store");
         assert_eq!(cache.load(fp), Some(sample()));
@@ -318,11 +294,7 @@ mod tests {
     fn in_place_corruption_is_a_miss_and_a_restore_repairs_it() {
         let dir = std::env::temp_dir().join(format!("s64v-cache-corrupt-{}", std::process::id()));
         let cache = ResultCache::open(&dir).expect("create");
-        let fp = {
-            let mut h = s64v_core::StableHasher::new();
-            h.write_str("corruption-test");
-            h.finish()
-        };
+        let fp = crate::test_fp("corruption-test");
         cache.store(fp, &sample()).expect("store");
 
         // Damage the entry in place (flip a header byte), as a crashed or
@@ -342,11 +314,7 @@ mod tests {
     fn entries_are_sealed_and_legacy_unsealed_entries_still_load() {
         let dir = std::env::temp_dir().join(format!("s64v-cache-seal-{}", std::process::id()));
         let cache = ResultCache::open(&dir).expect("create");
-        let fp = {
-            let mut h = s64v_core::StableHasher::new();
-            h.write_str("seal-test");
-            h.finish()
-        };
+        let fp = crate::test_fp("seal-test");
         cache.store(fp, &sample()).expect("store");
         let on_disk = std::fs::read_to_string(cache.path_of(fp)).expect("read");
         assert!(
@@ -374,11 +342,7 @@ mod tests {
         let torn = ResultCache::open(&dir)
             .expect("create")
             .with_chaos(Arc::clone(&chaos));
-        let fp = {
-            let mut h = s64v_core::StableHasher::new();
-            h.write_str("chaos-test");
-            h.finish()
-        };
+        let fp = crate::test_fp("chaos-test");
         torn.store(fp, &sample()).expect("chaos store");
         assert_eq!(
             chaos.fired().len(),

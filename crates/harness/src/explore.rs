@@ -16,11 +16,10 @@
 //! `fresh: true` bypasses the *report* cache while still using the
 //! *point* cache (that is what the determinism tests exercise).
 
-use crate::engine::run_campaign;
+use crate::engine::{default_threads, run_campaign};
 use crate::progress::ProgressEvent;
 use crate::spec::{CampaignSpec, PointMetrics, SimPoint, WorkUnit};
 use crate::supervise::{atomic_write, seal, unseal_lenient, CacheLock, SupervisePolicy};
-use s64v_core::ChaosPlan;
 use s64v_explore::{
     run_search, ExecutionStats, ExploreEvent, ExploreReport, ExploreSpec, Measurement, RoundPlan,
 };
@@ -43,8 +42,6 @@ pub struct ExploreOpts {
     pub heartbeat: Option<Duration>,
     /// Per-point supervision for every round campaign.
     pub supervise: SupervisePolicy,
-    /// Seeded chaos schedule for soak runs (`None` = no chaos).
-    pub chaos: Option<ChaosPlan>,
 }
 
 /// The cached-report file for a spec inside a cache directory.
@@ -60,17 +57,8 @@ pub fn report_path(cache_dir: &Path, spec: &ExploreSpec) -> PathBuf {
 pub fn load_cached_report(cache_dir: &Path, spec: &ExploreSpec) -> Option<ExploreReport> {
     let path = report_path(cache_dir, spec);
     let text = std::fs::read_to_string(&path).ok()?;
-    let payload = match unseal_lenient(&text) {
-        Ok(p) => p,
-        Err(reason) => {
-            eprintln!(
-                "warning: corrupted exploration report {} ({reason}); re-running the query",
-                path.display()
-            );
-            return None;
-        }
-    };
-    match ExploreReport::parse(payload) {
+    let report = unseal_lenient(&text).and_then(ExploreReport::parse);
+    match report {
         Ok(report) if report.spec == *spec => Some(report),
         Ok(_) => {
             // Fingerprint collision or a hand-edited file: either way the
@@ -155,6 +143,13 @@ pub fn run_explore(
     }
 
     let start = Instant::now();
+    let template = CampaignSpec {
+        threads: opts.threads,
+        cache_dir: opts.cache_dir.clone(),
+        heartbeat: opts.heartbeat,
+        supervise: opts.supervise.clone(),
+        ..CampaignSpec::new("", Vec::new())
+    };
     let execution = RefCell::new(ExecutionStats::default());
     let io_error: RefCell<Option<String>> = RefCell::new(None);
 
@@ -169,14 +164,7 @@ pub fn run_explore(
             let cspec = CampaignSpec {
                 name: format!("{}:round{}", spec.name, plan.round),
                 points: round_points(spec, plan),
-                threads: opts.threads,
-                cache_dir: opts.cache_dir.clone(),
-                checked: false,
-                fault: None,
-                observe: Default::default(),
-                heartbeat: opts.heartbeat,
-                supervise: opts.supervise.clone(),
-                chaos: opts.chaos,
+                ..template.clone()
             };
             match run_campaign(&cspec, progress.clone()) {
                 Err(e) => {
@@ -206,11 +194,7 @@ pub fn run_explore(
 
     let mut execution = execution.into_inner();
     execution.sim_wall_seconds = start.elapsed().as_secs_f64();
-    execution.threads = opts.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    });
+    execution.threads = opts.threads.unwrap_or_else(default_threads);
     let report = ExploreReport {
         spec: spec.clone(),
         result,
@@ -422,16 +406,16 @@ mod tests {
                     let outcome = run_campaign(&campaign, None).expect("run");
                     let r = &outcome.report;
                     assert_eq!(r.failed, 0);
-                    assert_eq!(r.warm_passes, 1, "round {}: one pass", plan.round);
-                    assert_eq!(r.records_warmed, plan.warmup as u64);
+                    assert_eq!(r.registry.warm_passes, 1, "round {}: one pass", plan.round);
+                    assert_eq!(r.registry.records_warmed, plan.warmup as u64);
                     assert_eq!(
-                        r.records_warm_requested,
+                        r.registry.records_warm_requested,
                         (plan.entries.len() * plan.warmup) as u64
                     );
-                    requested += r.records_warm_requested;
-                    warmed += r.records_warmed;
-                    passes += r.warm_passes;
-                    copied += r.machines_copied;
+                    requested += r.registry.records_warm_requested;
+                    warmed += r.registry.records_warmed;
+                    passes += r.registry.warm_passes;
+                    copied += r.registry.machines_copied;
                     rounds.push((plan.entries.len(), plan.warmup));
                     outcome
                         .outcomes

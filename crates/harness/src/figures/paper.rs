@@ -1,0 +1,510 @@
+//! The paper's own tables and figures: Table 1 and Figures 7–19.
+
+use super::{
+    col, ipc, ipc_pct, pct, up_rows, Column, Field, FigureDef, Grid, Page, PointStore, Row, Seeds,
+    SuiteAgg,
+};
+use crate::spec::{HarnessOpts, SimPoint};
+use s64v_core::accuracy::{machine_residual, MACHINE_RESIDUAL_MAX};
+use s64v_core::versions::ModelVersion;
+use s64v_core::SystemConfig;
+use s64v_stats::ratio::relative_change_percent;
+use s64v_stats::Table;
+use s64v_workloads::{Suite, SuiteKind};
+
+// ---------------------------------------------------------------------
+// Shared configurations
+// ---------------------------------------------------------------------
+
+pub(super) fn base() -> SystemConfig {
+    SystemConfig::sparc64_v()
+}
+
+fn two_way() -> SystemConfig {
+    let b = base();
+    b.clone().with_core(b.core.clone().with_issue_width(2))
+}
+
+pub(super) fn small_bht() -> SystemConfig {
+    let b = base();
+    b.clone().with_core(b.core.clone().with_small_bht())
+}
+
+fn small_l1() -> SystemConfig {
+    let b = base();
+    b.clone().with_mem(b.mem.clone().with_small_l1())
+}
+
+fn off_chip_l2_2way() -> SystemConfig {
+    let b = base();
+    b.clone().with_mem(b.mem.clone().with_off_chip_l2_2way())
+}
+
+pub(super) fn off_chip_l2_direct() -> SystemConfig {
+    let b = base();
+    b.clone().with_mem(b.mem.clone().with_off_chip_l2_direct())
+}
+
+pub(super) fn no_prefetch() -> SystemConfig {
+    let b = base();
+    b.clone().with_mem(b.mem.clone().without_prefetch())
+}
+
+fn unified_rs() -> SystemConfig {
+    let b = base();
+    b.clone().with_core(b.core.clone().with_unified_rs())
+}
+
+/// Display names paired with configurations.
+pub(super) fn named<const N: usize>(
+    configs: [(&str, SystemConfig); N],
+) -> Vec<(String, SystemConfig)> {
+    configs.map(|(n, c)| (n.to_string(), c)).into()
+}
+
+/// Figure 7's cumulative-idealization ladder: base, +perfect L2,
+/// +perfect L1/TLB, +perfect branch prediction (each on top of the
+/// previous).
+fn fig07_ladder() -> Vec<(String, SystemConfig)> {
+    let b = base();
+    let l2 = b.clone().with_mem(b.mem.clone().with_perfect_l2());
+    let l1 = l2
+        .clone()
+        .with_mem(l2.mem.clone().with_perfect_l1().with_perfect_tlb());
+    let br = l1
+        .clone()
+        .with_core(l1.core.clone().with_perfect_branch_prediction());
+    named([("base", b), ("+L2", l2), ("+L1/TLB", l1), ("+branch", br)])
+}
+
+/// The three L2 designs of Figures 14/15.
+fn l2_designs() -> Vec<(String, SystemConfig)> {
+    named([
+        ("on.2m-4w", base()),
+        ("off.8m-2w", off_chip_l2_2way()),
+        ("off.8m-1w", off_chip_l2_direct()),
+    ])
+}
+
+// ---------------------------------------------------------------------
+// Grid shapes several figures share
+// ---------------------------------------------------------------------
+
+/// Suite IPC under a base and an alternative design, the alternative as
+/// a percentage of the base and as a signed change (Figs 8, 9, 11, 16,
+/// 18).
+fn ipc_ab(
+    name: &'static str,
+    banner: [&'static str; 3],
+    (base_name, base): (&str, SystemConfig),
+    (alt_name, alt): (&str, SystemConfig),
+) -> FigureDef {
+    let columns = vec![
+        ipc(0, format!("{base_name} IPC")),
+        ipc(1, format!("{alt_name} IPC")),
+        ipc_pct(1, 0, format!("{alt_name}/{base_name} %")),
+        col("delta %", |a| {
+            format!("{:+.1}", relative_change_percent(a[1].ipc(), a[0].ipc()))
+        }),
+    ];
+    let configs = named([(base_name, base), (alt_name, alt)]);
+    Grid::new(name, banner, configs, columns).into()
+}
+
+/// A miss ratio under the base design and a smaller structure, with the
+/// small one's growth remarked under the table (Figs 10, 12, 13). A
+/// workload that never misses on the large structure gets `+0%` when
+/// `zero_too`, no remark otherwise.
+fn miss_ab(
+    name: &'static str,
+    banner: [&'static str; 3],
+    configs: Vec<(String, SystemConfig)>,
+    (metric, field): (&str, Field),
+    (remark, zero_too): (&'static str, bool),
+) -> FigureDef {
+    let columns = (0..configs.len())
+        .map(|i| pct(i, format!("{} {metric}", configs[i].0), field, 4))
+        .collect();
+    let note = move |a: &[&SuiteAgg]| {
+        let (large, small) = (a[0].ratio(field).value(), a[1].ratio(field).value());
+        let growth = if large > 0.0 {
+            (small / large - 1.0) * 100.0
+        } else if zero_too {
+            0.0
+        } else {
+            return None;
+        };
+        Some(format!("{}: {remark} {growth:+.0}% vs large", a[0].label))
+    };
+    Grid {
+        note: Some(Box::new(note)),
+        ..Grid::new(name, banner, configs, columns)
+    }
+    .into()
+}
+
+/// Figure 7's share `k` (sx, ibs/tlb, branch, core) for one suite: what
+/// each idealization step of the ladder removes, as a share of base
+/// cycles (`core` is the residue), per program, then the suite mean.
+fn fig07_share(ladder: &[&SuiteAgg], k: usize) -> f64 {
+    let n = ladder[0].programs.len();
+    let shares = (0..n).map(|i| {
+        let cycles = |step: usize| ladder[step].programs[i].cycles as f64;
+        let b = cycles(0);
+        let sx = ((b - cycles(1)) / b).max(0.0);
+        let ibs_tlb = ((cycles(1) - cycles(2)) / b).max(0.0);
+        let branch = ((cycles(2) - cycles(3)) / b).max(0.0);
+        [sx, ibs_tlb, branch, (1.0 - sx - ibs_tlb - branch).max(0.0)][k]
+    });
+    shares.sum::<f64>() / n as f64
+}
+
+/// Table 1 and Figures 7–19, in the paper's order.
+pub(super) fn figures() -> Vec<FigureDef> {
+    let bht_sizes = || named([("16k-4w.2t", base()), ("4k-2w.1t", small_bht())]);
+    let l1_sizes = || named([("128k-2w.4c", base()), ("32k-1w.3c", small_l1())]);
+    let l2 = l2_designs();
+    let l2_ipc: Vec<Column> = (0..3)
+        .map(|i| ipc(i, format!("{} IPC", l2[i].0)))
+        .chain((1..3).map(|i| ipc_pct(i, 0, format!("{} %", l2[i].0))))
+        .collect();
+    let l2_miss = (0..3)
+        .map(|i| pct(i, format!("{} %", l2[i].0), |p| p.l2_demand, 3))
+        .collect();
+    let mut up_and_smp = up_rows();
+    up_and_smp.push(Row::Smp);
+    let fig07_columns = ["sx", "ibs/tlb", "branch", "core"]
+        .into_iter()
+        .enumerate()
+        .map(|(k, h)| col(h, move |a| format!("{:.2}", fig07_share(a, k))))
+        .collect();
+    vec![
+        FigureDef::new("table1", |_| Vec::new(), table1_render),
+        Grid {
+            seeds: Seeds::Raw,
+            ..Grid::new(
+                "fig07_breakdown",
+                [
+                    "Figure 7 — Benchmark characteristics",
+                    "§4.2, Fig 7",
+                    "SPECint95 branch ≈ 30% vs SPECfp95 ≈ 3%; SPECfp95 core ≈ 74%; TPC-C sx ≈ 35%",
+                ],
+                fig07_ladder(),
+                fig07_columns,
+            )
+        }
+        .into(),
+        ipc_ab(
+            "fig08_issue_width",
+            [
+                "Figure 8 — Issue width: 4-way vs 2-way",
+                "§4.3.1, Fig 8",
+                "2-way is a bottleneck everywhere; SPECint95/2000 lose the most (high cache-hit ratios)",
+            ],
+            ("4-way", base()),
+            ("2-way", two_way()),
+        ),
+        ipc_ab(
+            "fig09_bht",
+            [
+                "Figure 9 — BHT: latency vs size",
+                "§4.3.2, Fig 9",
+                "SPEC ≈ parity (slight 4k benefit possible); TPC-C loses ≈ 5.6% IPC on the small table",
+            ],
+            ("16k-4w.2t", base()),
+            ("4k-2w.1t", small_bht()),
+        ),
+        miss_ab(
+            "fig10_bpred_miss",
+            [
+                "Figure 10 — Branch prediction failures",
+                "§4.3.2, Fig 10",
+                "SPEC rates ≈ equal on both tables; TPC-C's 4k-2w.1t rate ≈ 60% higher than 16k-4w.2t",
+            ],
+            bht_sizes(),
+            ("mispredict %", |p| p.mispredict),
+            ("small-table failure rate", true),
+        ),
+        ipc_ab(
+            "fig11_l1",
+            [
+                "Figure 11 — L1 cache: latency vs volume",
+                "§4.3.3, Fig 11",
+                "TPC-C loses ≈ 2.0% IPC on the small fast L1; SPEC nearly neutral",
+            ],
+            ("128k-2w.4c", base()),
+            ("32k-1w.3c", small_l1()),
+        ),
+        miss_ab(
+            "fig12_l1i_miss",
+            [
+                "Figure 12 — L1 instruction cache miss",
+                "§4.3.3, Fig 12",
+                "TPC-C: 32k-1w instruction miss rate ≈ 99% greater than 128k-2w",
+            ],
+            l1_sizes(),
+            ("L1I miss %", |p| p.l1i),
+            ("small-cache I-miss", false),
+        ),
+        miss_ab(
+            "fig13_l1d_miss",
+            [
+                "Figure 13 — L1 operand cache miss",
+                "§4.3.3, Fig 13",
+                "TPC-C: 32k-1w operand miss rate ≈ 64% greater than 128k-2w",
+            ],
+            l1_sizes(),
+            ("L1D miss %", |p| p.l1d),
+            ("small-cache D-miss", false),
+        ),
+        Grid {
+            rows: up_and_smp.clone(),
+            ..Grid::new(
+                "fig14_l2",
+                [
+                    "Figure 14 — L2 cache: latency vs volume",
+                    "§4.3.4, Fig 14",
+                    "off.8m-1w ≈ −14% (TPC-C UP) / −12.4% (16P); off.8m-2w slightly above on.2m-4w",
+                ],
+                l2_designs(),
+                l2_ipc,
+            )
+        }
+        .into(),
+        Grid {
+            rows: up_and_smp,
+            ..Grid::new(
+                "fig15_l2_miss",
+                [
+                    "Figure 15 — L2 cache miss",
+                    "§4.3.4, Fig 15",
+                    "the 8 MB off-chip designs miss less (esp. TPC-C); direct mapping gives some back",
+                ],
+                l2_designs(),
+                l2_miss,
+            )
+        }
+        .into(),
+        ipc_ab(
+            "fig16_prefetch",
+            [
+                "Figure 16 — Hardware prefetching impact",
+                "§4.3.5, Fig 16",
+                "SPECfp gains > 13% IPC (chain access pattern); int/TPC-C gain modestly",
+            ],
+            ("without", no_prefetch()),
+            ("with", base()),
+        ),
+        Grid::new(
+            "fig17_prefetch_miss",
+            [
+                "Figure 17 — Hardware prefetching: L2 cache miss",
+                "§4.3.5, Fig 17",
+                "with-Demand < without (prefetch removes demand misses); with > with-Demand shows useless prefetches",
+            ],
+            named([("with", base()), ("without", no_prefetch())]),
+            vec![
+                pct(0, "with %", |p| p.l2_all, 3),
+                pct(0, "with-Demand %", |p| p.l2_demand, 3),
+                pct(1, "without %", |p| p.l2_demand, 3),
+            ],
+        )
+        .into(),
+        ipc_ab(
+            "fig18_rs",
+            [
+                "Figure 18 — Reservation station: 1RS vs 2RS",
+                "§4.4.1, Fig 18",
+                "2RS slightly below 1RS (≈ 1–2%); the simpler structure was adopted anyway",
+            ],
+            ("1RS", unified_rs()),
+            ("2RS", base()),
+        ),
+        FigureDef::new("fig19_accuracy", fig19_points, fig19_render),
+    ]
+}
+
+// ---------------------------------------------------------------------
+// Figures of their own shape
+// ---------------------------------------------------------------------
+
+/// The CPU2000 suites Figure 19 validates on.
+const FIG19_SUITES: [SuiteKind; 2] = [SuiteKind::SpecInt2000, SuiteKind::SpecFp2000];
+
+/// One model version's raw-seed points for one suite. Not a grid: its
+/// lines are model versions, it prints one table per suite, and its
+/// "machine" column is derived from the last version's cycles.
+fn fig19_version_points(v: ModelVersion, kind: SuiteKind, o: &HarnessOpts) -> Vec<SimPoint> {
+    Row::Suite(kind).points(&v.configure(&base()), Seeds::Raw, o)
+}
+
+fn fig19_points(o: &HarnessOpts) -> Vec<SimPoint> {
+    ModelVersion::ALL
+        .iter()
+        .flat_map(|&v| {
+            FIG19_SUITES
+                .iter()
+                .flat_map(move |&kind| fig19_version_points(v, kind, o))
+        })
+        .collect()
+}
+
+fn fig19_render(o: &HarnessOpts, store: &PointStore, page: &mut Page) -> Result<(), String> {
+    page.banner(
+        "Figure 19 — Performance model accuracy",
+        "§5, Fig 19",
+        "estimates decrease v1→v8 except an upward blip at v5; final error < 5% (4.2% int / 3.9% fp)",
+    );
+    for kind in FIG19_SUITES {
+        let names: Vec<String> = Suite::preset(kind)
+            .programs()
+            .iter()
+            .map(|p| p.name().to_string())
+            .collect();
+        // Cycle counts per (version, workload).
+        let cycles: Vec<Vec<f64>> = ModelVersion::ALL
+            .iter()
+            .map(|&v| {
+                fig19_version_points(v, kind, o)
+                    .iter()
+                    .map(|p| Ok(store.get(p)?.cycles as f64))
+                    .collect::<Result<_, String>>()
+            })
+            .collect::<Result<_, _>>()?;
+        let v8_row = cycles.last().expect("ladder is non-empty");
+        // The "physical machine": v8 plus the per-program residual.
+        let machine: Vec<f64> = names
+            .iter()
+            .zip(v8_row)
+            .map(|(name, &c)| c * (1.0 + machine_residual(name, MACHINE_RESIDUAL_MAX)))
+            .collect();
+
+        let mut t = Table::with_headers(&["version", "perf ratio to v8", "error vs machine %"]);
+        let mut ratios = Vec::new();
+        for (version, row) in ModelVersion::ALL.iter().zip(&cycles) {
+            // Performance ∝ 1/cycles; geometric mean of per-program ratios.
+            let log_sum: f64 = row.iter().zip(v8_row).map(|(&c, &c8)| (c8 / c).ln()).sum();
+            let perf_ratio = (log_sum / row.len() as f64).exp();
+            let err: f64 = row
+                .iter()
+                .zip(&machine)
+                .map(|(&c, &m)| ((c - m) / m).abs())
+                .sum::<f64>()
+                / row.len() as f64;
+            t.row(vec![
+                version.to_string(),
+                format!("{perf_ratio:.3}"),
+                format!("{:.2}", err * 100.0),
+            ]);
+            ratios.push(perf_ratio);
+        }
+        page.line(format!("--- {} ---", kind.label()));
+        page.table(&format!("fig19_accuracy_{}", kind.label()), &t);
+        let v5_up = ratios[4] > ratios[3];
+        page.line(format!(
+            "v5 blip (estimate rises when specials get detailed modeling): {}",
+            if v5_up {
+                "reproduced"
+            } else {
+                "NOT reproduced"
+            }
+        ));
+    }
+    Ok(())
+}
+
+/// T-1: Table 1, the SPARC64 V microarchitecture parameters, as
+/// configured in the model.
+fn table1_render(_: &HarnessOpts, _: &PointStore, page: &mut Page) -> Result<(), String> {
+    let cfg = base();
+    let (core, mem) = (&cfg.core, &cfg.mem);
+    page.banner(
+        "Table 1 — Microarchitecture",
+        "Table 1",
+        "the model's base configuration reproduces the published parameters",
+    );
+    let mut t = Table::with_headers(&["parameter", "value"]);
+    let mut row = |parameter: &str, value: String| {
+        t.row(vec![parameter.to_string(), value]);
+    };
+    row(
+        "Instruction set architecture",
+        "SPARC-V9 (op-class model)".into(),
+    );
+    row(
+        "Execution control method",
+        "Out-of-order superscalar".into(),
+    );
+    row("Issue number", format!("{}-way", core.issue_width));
+    row(
+        "Instruction window",
+        format!("{} instructions", core.window_size),
+    );
+    row(
+        "Instruction fetch width",
+        format!(
+            "{} bytes ({} instructions)",
+            core.fetch_block_bytes, core.fetch_width
+        ),
+    );
+    row(
+        "Branch history table",
+        format!(
+            "{}-way, {}K-entry, {}-cycle",
+            core.bht.ways,
+            core.bht.entries / 1024,
+            core.bht.access_cycles
+        ),
+    );
+    row(
+        "Execution units",
+        "Fixed-point: 2, Floating-point: 2 (multiply-add), Address generator: 2".into(),
+    );
+    row(
+        "Reservation stations",
+        format!(
+            "RSE: {}({}/{}) fixed-point, RSF: {}({}/{}) floating-point, RSA: {}, RSBR: {}",
+            2 * core.rse_entries,
+            core.rse_entries,
+            core.rse_entries,
+            2 * core.rsf_entries,
+            core.rsf_entries,
+            core.rsf_entries,
+            core.rsa_entries,
+            core.rsbr_entries
+        ),
+    );
+    row(
+        "Renaming registers",
+        format!(
+            "Fixed-point: {}, Floating-point: {}",
+            core.int_rename_regs, core.fp_rename_regs
+        ),
+    );
+    row(
+        "Load/Store queue",
+        format!("{}/{} entries", core.load_queue, core.store_queue),
+    );
+    row(
+        "Level 1 cache (I/D)",
+        format!("{}-way, {} KB", mem.l1i.ways, mem.l1i.capacity_bytes / 1024),
+    );
+    row(
+        "L1 operand banks",
+        format!("{} × {} bytes", mem.l1d_banks, mem.l1d_bank_bytes),
+    );
+    row(
+        "Level 2 cache",
+        format!(
+            "On-chip {}-way {} MB",
+            mem.l2.ways,
+            mem.l2.capacity_bytes >> 20
+        ),
+    );
+    row(
+        "Hardware prefetch",
+        format!("enabled, degree {}", mem.prefetch_degree),
+    );
+    page.table("table1", &t);
+    Ok(())
+}

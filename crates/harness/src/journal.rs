@@ -64,7 +64,6 @@ pub struct JournalState {
 #[derive(Debug)]
 pub struct Journal {
     file: Mutex<std::fs::File>,
-    path: PathBuf,
     chaos: Option<Arc<ChaosInjector>>,
     /// The last append was chaos-torn (no trailing newline); the next
     /// append seals the fragment off first, exactly as [`Journal::open`]
@@ -99,7 +98,6 @@ impl Journal {
         }
         Ok(Journal {
             file: Mutex::new(file),
-            path: path.to_path_buf(),
             chaos: None,
             torn: std::sync::atomic::AtomicBool::new(false),
         })
@@ -114,11 +112,6 @@ impl Journal {
     pub fn with_chaos(mut self, chaos: Arc<ChaosInjector>) -> Self {
         self.chaos = Some(chaos);
         self
-    }
-
-    /// Where this journal lives.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Reads the accumulated state (missing file = empty state). A line
@@ -182,26 +175,20 @@ impl Journal {
 
     /// Records a completed point.
     pub fn record_ok(&self, fp: Fingerprint, label: &str) {
-        self.append(&format!("ok {fp} {}", sanitize(label)));
+        self.append(&format!("ok {fp} {}", sanitize(label)), true);
     }
 
     /// Records a failed point with its error message.
     pub fn record_fail(&self, fp: Fingerprint, label: &str, error: &str) {
-        self.append(&format!(
-            "fail {fp} {} :: {}",
-            sanitize(label),
-            sanitize(error)
-        ));
+        let (label, error) = (sanitize(label), sanitize(error));
+        self.append(&format!("fail {fp} {label} :: {error}"), true);
     }
 
     /// Records a recovered transient failure (the attempt will be re-run;
     /// a later `ok` or `fail` line carries the point's final outcome).
     pub fn record_retry(&self, fp: Fingerprint, label: &str, error: &str) {
-        self.append(&format!(
-            "retry {fp} {} :: {}",
-            sanitize(label),
-            sanitize(error)
-        ));
+        let (label, error) = (sanitize(label), sanitize(error));
+        self.append(&format!("retry {fp} {label} :: {error}"), true);
     }
 
     /// Records one injected chaos fault, making it visible for the soak
@@ -209,10 +196,11 @@ impl Journal {
     /// chaos hook: the fault *trail* must land intact even when the
     /// journal itself is under truncation chaos.
     pub fn record_chaos(&self, class: HarnessFaultClass, key: &str) {
-        self.append_clean(&format!("chaos {class} {}", sanitize(key)));
+        self.append(&format!("chaos {class} {}", sanitize(key)), false);
     }
 
-    fn append(&self, body: &str) {
+    /// Appends one line; `exposed` to the chaos hook or not.
+    fn append(&self, body: &str, exposed: bool) {
         let line = format!("{body} |c={}\n", line_crc(body));
         // A poisoned lock means some worker panicked mid-append; the file
         // handle itself is still fine (at worst one line is torn, and the
@@ -220,7 +208,7 @@ impl Journal {
         // than letting one dead worker silence the rest of the campaign.
         let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
         self.seal_torn_fragment(&mut file);
-        if let Some(chaos) = &self.chaos {
+        if let Some(chaos) = self.chaos.as_ref().filter(|_| exposed) {
             if chaos.fire(HarnessFaultClass::TruncatedJournal, body) {
                 // A torn append: half the line, no newline — what a crash
                 // mid-write leaves. The fragment fails its checksum on
@@ -234,14 +222,6 @@ impl Journal {
         }
         // Journal writes are best-effort: losing a line degrades the
         // resume report, never the results (the cache holds those).
-        let _ = file.write_all(line.as_bytes());
-        let _ = file.flush();
-    }
-
-    fn append_clean(&self, body: &str) {
-        let line = format!("{body} |c={}\n", line_crc(body));
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        self.seal_torn_fragment(&mut file);
         let _ = file.write_all(line.as_bytes());
         let _ = file.flush();
     }
@@ -261,13 +241,7 @@ fn sanitize(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s64v_core::StableHasher;
-
-    fn fp(tag: &str) -> Fingerprint {
-        let mut h = StableHasher::new();
-        h.write_str(tag);
-        h.finish()
-    }
+    use crate::test_fp as fp;
 
     #[test]
     fn round_trips_ok_and_fail_lines() {

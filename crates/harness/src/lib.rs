@@ -47,6 +47,7 @@
 //! --figures all`.
 
 pub mod cache;
+pub mod cli;
 pub mod engine;
 pub mod explore;
 pub mod figures;
@@ -58,40 +59,14 @@ pub mod spec;
 pub mod supervise;
 pub mod validate;
 
-pub use engine::{execute_point, run_campaign, try_execute_point, CampaignOutcome, PointOutcome};
-pub use explore::{load_cached_report, report_path, run_explore, store_report, ExploreOpts};
-pub use figures::{figure, figure_names, run_figures, EngineOpts, FigureDef, RunSummary};
-pub use perf::{
-    cpi_artifact, sampled_cpi_artifact, validate_cpi_artifact, PerfDiff, PerfSource, WorkloadDelta,
-};
-pub use progress::{CampaignReport, ProgressEvent};
-pub use spec::{CampaignSpec, HarnessOpts, PointMetrics, SimPoint, WorkUnit};
-pub use supervise::{
-    atomic_write, seal, unseal, unseal_lenient, CacheLock, ChaosInjector, SupervisePolicy, Watchdog,
-};
-pub use validate::{SampleOpts, ValidationReport, WorkloadReport, DEFAULT_TOLERANCE};
+pub use engine::{run_campaign, try_execute_point, CampaignOutcome, PointOutcome};
+pub use spec::{CampaignSpec, HarnessOpts, SimPoint, WorkUnit};
+pub use supervise::SupervisePolicy;
 
-/// Prints a table and also writes it as CSV under `results/`, or under
-/// `S64V_RESULTS_DIR` when set — smoke campaigns (CI) point it at a
-/// scratch directory so reduced-size runs never clobber the committed
-/// full-size tables. Best effort: the directory is created if missing
-/// and failures only warn.
-pub fn emit(name: &str, table: &s64v_stats::Table) {
-    print!("{table}");
-    let dir = std::env::var("S64V_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    let dir = std::path::Path::new(&dir);
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{name}.csv"));
-        if let Err(e) = std::fs::write(&path, table.to_csv()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
-    }
-}
-
-/// Prints the standard harness header for one experiment.
-pub fn banner(experiment: &str, paper_ref: &str, expectation: &str) {
-    println!("================================================================");
-    println!("{experiment}  [{paper_ref}]");
-    println!("paper expectation: {expectation}");
-    println!("================================================================");
+/// A fingerprint for `tag`: a stand-in point identity for the unit tests.
+#[cfg(test)]
+pub(crate) fn test_fp(tag: &str) -> s64v_core::Fingerprint {
+    let mut h = s64v_core::StableHasher::new();
+    h.write_str(tag);
+    h.finish()
 }

@@ -32,19 +32,36 @@ use std::path::Path;
 /// schema's conservation anchor: the 16 leaves sum to it exactly.
 pub fn cpi_artifact(label: &str, fp: Fingerprint, m: &PointMetrics) -> String {
     let stack = CpiStack::from_cells(m.cpi);
+    let totals = [m.cycles, m.cpi_core_cycles(), m.committed];
+    format!("{:#}\n", artifact_doc(label, fp, totals, &stack))
+}
+
+/// The `.cpi.json` schema; `totals` is cycles, core cycles, committed.
+fn artifact_doc(label: &str, fp: Fingerprint, totals: [u64; 3], stack: &CpiStack) -> Value {
     let mut groups = Value::obj();
     for g in CpiGroup::ALL {
         groups = groups.field(g.label(), stack.group_total(g));
     }
-    let doc = Value::obj()
+    Value::obj()
         .field("label", label)
         .field("fingerprint", fp.to_hex())
-        .field("cycles", m.cycles)
-        .field("core_cycles", m.cpi_core_cycles())
-        .field("committed", m.committed)
+        .field("cycles", totals[0])
+        .field("core_cycles", totals[1])
+        .field("committed", totals[2])
         .field("leaves", stack.to_value())
-        .field("groups", groups);
-    format!("{doc:#}\n")
+        .field("groups", groups)
+}
+
+/// The windows' CPI stacks merged, with the core cycles they conserve.
+/// Windows are uniprocessor runs, so each stack must conserve the
+/// window's *simulated* cycles — checking against `cpi_core_cycles()`
+/// (the cell sum itself) would be a tautology. `Err` when one does not.
+pub fn merged_stack(windows: &[PointMetrics]) -> Result<(CpiStack, u64), String> {
+    let stacks: Vec<(CpiStack, u64)> = windows
+        .iter()
+        .map(|m| (CpiStack::from_cells(m.cpi), m.cycles))
+        .collect();
+    CpiStack::aggregate(stacks.iter().map(|(s, c)| (s, *c)))
 }
 
 /// Renders the sampled-simulation aggregate artifact for one workload:
@@ -61,29 +78,11 @@ pub fn sampled_cpi_artifact(
     ipc: &SampleStats,
     z: f64,
 ) -> Result<String, String> {
-    // Windows are uniprocessor runs, so each stack must conserve the
-    // window's *simulated* cycles — checking against `cpi_core_cycles()`
-    // (the cell sum itself) would be a tautology.
-    let stacks: Vec<(CpiStack, u64)> = windows
-        .iter()
-        .map(|m| (CpiStack::from_cells(m.cpi), m.cycles))
-        .collect();
-    let (stack, core_cycles) = CpiStack::aggregate(stacks.iter().map(|(s, c)| (s, *c)))?;
+    let (stack, core_cycles) = merged_stack(windows)?;
     let cycles: u64 = windows.iter().map(|m| m.cycles).sum();
     let committed: u64 = windows.iter().map(|m| m.committed).sum();
-    let mut groups = Value::obj();
-    for g in CpiGroup::ALL {
-        groups = groups.field(g.label(), stack.group_total(g));
-    }
     let (lo, hi) = ipc.ci(z);
-    let doc = Value::obj()
-        .field("label", label)
-        .field("fingerprint", fp.to_hex())
-        .field("cycles", cycles)
-        .field("core_cycles", core_cycles)
-        .field("committed", committed)
-        .field("leaves", stack.to_value())
-        .field("groups", groups)
+    let doc = artifact_doc(label, fp, [cycles, core_cycles, committed], &stack)
         .field("windows", windows.len())
         .field("ipc_mean", ipc.mean)
         .field("ipc_stderr", ipc.stderr)
@@ -184,45 +183,27 @@ impl PerfSource {
     /// `*.cpi.json` file is a single point.
     pub fn load(path: &Path) -> Result<PerfSource, String> {
         let name = path.display().to_string();
+        let is_artifact = |p: &Path| p.to_string_lossy().ends_with(".cpi.json");
+        let mut paths = vec![path.to_path_buf()];
         if path.is_dir() {
-            return Self::load_cache_dir(path, name);
-        }
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{name}: {e}"))?;
-        if name.ends_with(".cpi.json") {
-            let doc = Value::parse(&text).map_err(|e| format!("{name}: invalid JSON: {e}"))?;
-            let mut source = PerfSource {
-                name: name.clone(),
-                ..PerfSource::default()
-            };
-            source
-                .absorb_artifact(&doc)
-                .map_err(|e| format!("{name}: {e}"))?;
-            Ok(source)
-        } else {
-            Err(format!(
+            let entries = std::fs::read_dir(path).map_err(|e| format!("{name}: {e}"))?;
+            paths = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
+            paths.retain(|p| is_artifact(p));
+            paths.sort();
+        } else if !is_artifact(path) {
+            return Err(format!(
                 "{name}: not a cache directory or .cpi.json artifact"
-            ))
+            ));
         }
-    }
-
-    fn load_cache_dir(dir: &Path, name: String) -> Result<PerfSource, String> {
         let mut source = PerfSource {
             name: name.clone(),
             ..PerfSource::default()
         };
-        let mut paths: Vec<_> = std::fs::read_dir(dir)
-            .map_err(|e| format!("{name}: {e}"))?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.to_string_lossy().ends_with(".cpi.json"))
-            .collect();
-        paths.sort();
         for p in &paths {
-            let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-            let doc =
-                Value::parse(&text).map_err(|e| format!("{}: invalid JSON: {e}", p.display()))?;
-            source
-                .absorb_artifact(&doc)
-                .map_err(|e| format!("{}: {e}", p.display()))?;
+            let at = |e: String| format!("{}: {e}", p.display());
+            let text = std::fs::read_to_string(p).map_err(|e| at(e.to_string()))?;
+            let doc = Value::parse(&text).map_err(|e| at(format!("invalid JSON: {e}")))?;
+            source.absorb_artifact(&doc).map_err(at)?;
         }
         if source.workloads.is_empty() {
             return Err(format!(
@@ -231,12 +212,9 @@ impl PerfSource {
         }
         // Journaled failures are the exclusion record: every failed,
         // quarantined or timed-out point lands there (and drops out
-        // again once a later run succeeds).
-        source.excluded = Journal::load(&journal_path(dir))
-            .failed
-            .into_iter()
-            .map(|f| f.label)
-            .collect();
+        // again once a later run succeeds). A lone artifact has none.
+        let journal = Journal::load(&journal_path(path));
+        source.excluded = journal.failed.into_iter().map(|f| f.label).collect();
         Ok(source)
     }
 
@@ -420,6 +398,7 @@ impl PerfDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_fp as fp;
 
     fn metrics(cycles: u64, committed: u64, cpi: [u64; 16]) -> PointMetrics {
         PointMetrics {
@@ -428,12 +407,6 @@ mod tests {
             cpi,
             ..PointMetrics::default()
         }
-    }
-
-    fn fp(tag: &str) -> Fingerprint {
-        let mut h = s64v_core::StableHasher::new();
-        h.write_str(tag);
-        h.finish()
     }
 
     fn stack(retire: u64, dram: u64) -> [u64; 16] {

@@ -6,6 +6,7 @@
 //! aggregate [`CampaignReport`] is computed by the engine itself, so a
 //! caller that ignores the channel loses nothing but the live feed.
 
+use crate::registry::RegistryCounters;
 use std::time::Duration;
 
 /// One point's lifecycle, as seen from outside the engine.
@@ -86,32 +87,11 @@ pub struct CampaignReport {
     pub quarantined: Vec<(String, String)>,
     /// Trace records the simulated points' statistics rest on (cache
     /// hits excluded): each point's warm-up plus timed records, whether
-    /// or not a shared warm state spared it the replay. The eight
-    /// counters below say what the campaign's shared-input
-    /// [registry](crate::registry) actually did.
+    /// or not a shared warm state spared it the replay.
     pub simulated_records: u64,
-    /// Trace sets points asked the registry for (one per executed
-    /// attempt).
-    pub traces_requested: u64,
-    /// Trace sets generated — one per distinct reuse key that any
-    /// simulated point needed.
-    pub traces_generated: u64,
-    /// Records generated, summed over every CPU's trace.
-    pub records_generated: u64,
-    /// Functional warm-up records uniprocessor points — program points
-    /// and sampled windows alike — asked for, Σ `(stop − origin)` over
-    /// executed attempts.
-    pub records_warm_requested: u64,
-    /// Records actually replayed to serve them.
-    pub records_warmed: u64,
-    /// Warmed machines those attempts asked for (one each).
-    pub machines_requested: u64,
-    /// Warming passes started on a cold machine; the other requests
-    /// continued from, or copied, a state the registry already held.
-    pub warm_passes: u64,
-    /// Warmed states copied (for a point to time on, or for a later stop
-    /// to continue warming from).
-    pub machines_copied: u64,
+    /// What the campaign's shared-input [registry](crate::registry)
+    /// was asked for and actually did.
+    pub registry: RegistryCounters,
     /// Wall time for the whole campaign.
     pub elapsed: Duration,
     /// Summed per-point simulation wall time across all workers (the
@@ -144,23 +124,24 @@ impl CampaignReport {
             self.elapsed.as_secs_f64(),
             self.records_per_second() / 1e3,
         );
-        if self.traces_requested > 0 {
+        let shared = &self.registry;
+        if shared.traces_requested > 0 {
             s.push_str(&format!(
                 "; {} of {} requested traces generated ({:.2}M records)",
-                self.traces_generated,
-                self.traces_requested,
-                self.records_generated as f64 / 1e6,
+                shared.traces_generated,
+                shared.traces_requested,
+                shared.records_generated as f64 / 1e6,
             ));
         }
-        if self.machines_requested > 0 {
+        if shared.machines_requested > 0 {
             s.push_str(&format!(
                 ", {:.2}M of {:.2}M requested warm-up records replayed \
                  ({} of {} warming passes saved, {} machines copied)",
-                self.records_warmed as f64 / 1e6,
-                self.records_warm_requested as f64 / 1e6,
-                self.machines_requested - self.warm_passes,
-                self.machines_requested,
-                self.machines_copied,
+                shared.records_warmed as f64 / 1e6,
+                shared.records_warm_requested as f64 / 1e6,
+                shared.machines_requested - shared.warm_passes,
+                shared.machines_requested,
+                shared.machines_copied,
             ));
         }
         if self.retries > 0 || self.timed_out > 0 || !self.quarantined.is_empty() {
@@ -204,14 +185,16 @@ mod tests {
     fn summary_reports_what_the_registry_shared() {
         let r = CampaignReport {
             completed: 64,
-            traces_requested: 64,
-            traces_generated: 8,
-            records_generated: 13_120_000,
-            records_warm_requested: 47_360_000,
-            records_warmed: 11_520_000,
-            machines_requested: 64,
-            warm_passes: 8,
-            machines_copied: 56,
+            registry: RegistryCounters {
+                traces_requested: 64,
+                traces_generated: 8,
+                records_generated: 13_120_000,
+                records_warm_requested: 47_360_000,
+                records_warmed: 11_520_000,
+                machines_requested: 64,
+                warm_passes: 8,
+                machines_copied: 56,
+            },
             ..Default::default()
         };
         let s = r.summary();

@@ -205,10 +205,10 @@ pub struct Registry {
     counters: Mutex<RegistryCounters>,
 }
 
-/// A poisoned lock here means a worker panicked while holding it; every
-/// critical section below leaves the maps consistent at each step, so
-/// the survivors carry on.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// A poisoned lock means a worker panicked while holding it; every
+/// critical section here and in the engine leaves its data consistent at
+/// each step, so the survivors carry on.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 

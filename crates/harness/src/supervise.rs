@@ -72,24 +72,6 @@ impl Default for SupervisePolicy {
 }
 
 impl SupervisePolicy {
-    /// Sets the wall-clock deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the simulated-cycle ceiling.
-    pub fn with_cycle_budget(mut self, cycles: u64) -> Self {
-        self.cycle_budget = Some(cycles);
-        self
-    }
-
-    /// Sets the retry budget.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
     /// The deterministic backoff before retry attempt `attempt` (1-based)
     /// of the point with fingerprint `fp`: linear in the attempt number
     /// plus a seeded jitter, so the backoff *schedule* of a campaign is a
@@ -132,10 +114,8 @@ struct Flight {
 /// down mid-write.
 #[derive(Debug)]
 pub struct Watchdog {
-    deadline: Duration,
     flights: Arc<Mutex<HashMap<u64, Flight>>>,
     next_token: AtomicUsize,
-    fired: Arc<AtomicUsize>,
     stop: Arc<AtomicBool>,
     monitor: Option<std::thread::JoinHandle<()>>,
 }
@@ -161,40 +141,29 @@ impl Watchdog {
     /// Spawns the monitor thread for a per-attempt `deadline`.
     pub fn spawn(deadline: Duration) -> Self {
         let flights: Arc<Mutex<HashMap<u64, Flight>>> = Arc::new(Mutex::new(HashMap::new()));
-        let fired = Arc::new(AtomicUsize::new(0));
         let stop = Arc::new(AtomicBool::new(false));
         let tick = (deadline / 4).clamp(Duration::from_millis(5), Duration::from_millis(250));
         let monitor = {
             let flights = Arc::clone(&flights);
-            let fired = Arc::clone(&fired);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     std::thread::sleep(tick);
                     let flights = flights.lock().unwrap_or_else(|e| e.into_inner());
                     for flight in flights.values() {
-                        if flight.started.elapsed() > deadline
-                            && !flight.cancel.swap(true, Ordering::Relaxed)
-                        {
-                            fired.fetch_add(1, Ordering::Relaxed);
+                        if flight.started.elapsed() > deadline {
+                            flight.cancel.store(true, Ordering::Relaxed);
                         }
                     }
                 }
             })
         };
         Watchdog {
-            deadline,
             flights,
             next_token: AtomicUsize::new(0),
-            fired,
             stop,
             monitor: Some(monitor),
         }
-    }
-
-    /// The per-attempt deadline this watchdog enforces.
-    pub fn deadline(&self) -> Duration {
-        self.deadline
     }
 
     /// Registers an in-flight attempt whose `cancel` flag the monitor may
@@ -214,11 +183,6 @@ impl Watchdog {
             watchdog: self,
             token,
         }
-    }
-
-    /// How many attempts the monitor has cancelled so far.
-    pub fn fired(&self) -> usize {
-        self.fired.load(Ordering::Relaxed)
     }
 }
 
@@ -511,11 +475,6 @@ impl ChaosInjector {
         })
     }
 
-    /// Whether any plan is armed at all.
-    pub fn is_active(&self) -> bool {
-        self.plan.is_some()
-    }
-
     /// Consults the schedule for one opportunity; `true` means the caller
     /// must inject the fault (and the decision has been logged).
     pub fn fire(&self, class: HarnessFaultClass, key: &str) -> bool {
@@ -544,12 +503,7 @@ impl ChaosInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fp(tag: &str) -> Fingerprint {
-        let mut h = StableHasher::new();
-        h.write_str(tag);
-        h.finish()
-    }
+    use crate::test_fp as fp;
 
     #[test]
     fn seal_round_trips_and_detects_damage() {
@@ -607,7 +561,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(slow.load(Ordering::Relaxed), "overdue flight cancelled");
-        assert_eq!(watchdog.fired(), 1);
         drop(guard);
 
         // A fast flight that deregisters in time is never cancelled.
@@ -616,7 +569,6 @@ mod tests {
         drop(guard);
         std::thread::sleep(Duration::from_millis(60));
         assert!(!fast.load(Ordering::Relaxed), "finished flight untouched");
-        assert_eq!(watchdog.fired(), 1);
     }
 
     #[test]

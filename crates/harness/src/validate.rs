@@ -31,9 +31,10 @@
 //! `sampling_accuracy` figure renders it inside ordinary figure runs;
 //! both exit nonzero when the gate fails.
 
-use crate::figures::{PointStore, UP_SUITES};
+use crate::figures::{Page, PointStore, UP_SUITES};
+use crate::perf::merged_stack;
 use crate::spec::{HarnessOpts, PointMetrics, SimPoint, WorkUnit};
-use s64v_core::{program_seed, CpiStack, SystemConfig};
+use s64v_core::{program_seed, SystemConfig};
 use s64v_observe::json::Value;
 use s64v_stats::{SampleStats, Table, Z95};
 use s64v_trace::SamplePlan;
@@ -107,7 +108,7 @@ fn workload_seed(kind: SuiteKind, index: usize, o: &HarnessOpts) -> u64 {
 }
 
 /// The workload's full-detail reference point — identical to the point
-/// [`crate::figures::suite_points`] builds for the base configuration,
+/// a figure's suite row builds for the base configuration,
 /// so validation campaigns share cache entries with ordinary figures.
 pub fn full_point(kind: SuiteKind, index: usize, o: &HarnessOpts) -> SimPoint {
     SimPoint {
@@ -172,8 +173,6 @@ pub struct WorkloadReport {
     /// Sampled IPC estimate: the delta-method reciprocal of the mean
     /// per-window CPI (the ratio estimator for equal-size windows).
     pub ipc: SampleStats,
-    /// Per-window CPI statistics.
-    pub cpi: SampleStats,
     /// Whether the aggregated per-window CPI stacks conserve the
     /// aggregated core cycles (`Err` text when they do not).
     pub conservation: Result<(), String>,
@@ -221,6 +220,7 @@ impl ValidationReport {
             "workload", "n", "full IPC", "sampled", "err%", "stderr", "95% CI", "covers", "CPI",
             "verdict",
         ]);
+        let mark = |ok: bool, yes: &str, no: &str| if ok { yes } else { no }.to_string();
         for w in &self.workloads {
             let (lo, hi) = w.ipc.ci(self.z);
             t.row(vec![
@@ -231,19 +231,9 @@ impl ValidationReport {
                 format!("{:.2}", w.error() * 100.0),
                 format!("{:.4}", w.ipc.stderr),
                 format!("[{lo:.4}, {hi:.4}]"),
-                if w.covered(self.z) { "yes" } else { "NO" }.to_string(),
-                if w.conservation.is_ok() {
-                    "ok"
-                } else {
-                    "BROKEN"
-                }
-                .to_string(),
-                if w.passes(self.tolerance, self.z) {
-                    "pass"
-                } else {
-                    "FAIL"
-                }
-                .to_string(),
+                mark(w.covered(self.z), "yes", "NO"),
+                mark(w.conservation.is_ok(), "ok", "BROKEN"),
+                mark(w.passes(self.tolerance, self.z), "pass", "FAIL"),
             ]);
         }
         t
@@ -319,10 +309,7 @@ pub fn assess(
 ) -> Result<ValidationReport, String> {
     let mut workloads = Vec::new();
     for (kind, index) in validate_workloads() {
-        let full = store
-            .get(&full_point(kind, index, o))
-            .map_err(|e| e.to_string())?
-            .clone();
+        let full = store.get(&full_point(kind, index, o))?.clone();
         let points = sampled_points(kind, index, o, s);
         if points.is_empty() {
             return Err(format!(
@@ -334,20 +321,12 @@ pub fn assess(
         let windows: Vec<PointMetrics> = points
             .iter()
             .map(|p| store.get(p).cloned())
-            .collect::<Result<_, _>>()
-            .map_err(|e| e.to_string())?;
+            .collect::<Result<_, _>>()?;
         let cpi_values: Vec<f64> = windows
             .iter()
             .map(|m| m.cycles as f64 / m.committed.max(1) as f64)
             .collect();
-        // Uniprocessor windows: each stack must conserve the window's
-        // *simulated* cycles (`cpi_core_cycles()` is the cell sum, which
-        // would make the check a tautology).
-        let stacks: Vec<(CpiStack, u64)> = windows
-            .iter()
-            .map(|m| (CpiStack::from_cells(m.cpi), m.cycles))
-            .collect();
-        let conservation = CpiStack::aggregate(stacks.iter().map(|(s, c)| (s, *c))).map(|_| ());
+        let conservation = merged_stack(&windows).map(|_| ());
         let cpi = SampleStats::from_values(&cpi_values).expect("at least one window");
         // Equal-size windows make mean per-window CPI the ratio
         // estimator (total cycles / total committed); IPC is its
@@ -361,7 +340,6 @@ pub fn assess(
             full,
             windows,
             ipc,
-            cpi,
             conservation,
         });
     }
@@ -372,18 +350,25 @@ pub fn assess(
     })
 }
 
-/// Convenience: assess with the default gate (2% tolerance, 95% CI).
-pub fn assess_default(
+/// [`assess`] at the 95% interval, with the A/B table put on `page` as
+/// `sampling_accuracy`: what the figure of that name and `campaign
+/// validate` both render.
+pub fn assess_onto(
+    page: &mut Page,
     o: &HarnessOpts,
     s: &SampleOpts,
+    tolerance: f64,
     store: &PointStore,
 ) -> Result<ValidationReport, String> {
-    assess(o, s, DEFAULT_TOLERANCE, Z95, store)
+    let report = assess(o, s, tolerance, Z95, store)?;
+    page.table("sampling_accuracy", &report.table());
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::{Row, Seeds};
 
     fn smoke() -> (HarnessOpts, SampleOpts) {
         let o = HarnessOpts::smoke();
@@ -422,7 +407,7 @@ mod tests {
         // validation reuses their cache entries.
         let o = HarnessOpts::smoke();
         let figure_pts =
-            crate::figures::suite_points(&SystemConfig::sparc64_v(), SuiteKind::Tpcc, &o);
+            Row::Suite(SuiteKind::Tpcc).points(&SystemConfig::sparc64_v(), Seeds::PerProgram, &o);
         let ours = full_point(SuiteKind::Tpcc, 0, &o);
         assert_eq!(figure_pts[0].fingerprint(), ours.fingerprint());
     }
@@ -441,16 +426,11 @@ mod tests {
         };
         let report = |windows: Vec<PointMetrics>, conservation: Result<(), String>| {
             let ipc: Vec<f64> = windows.iter().map(PointMetrics::ipc).collect();
-            let cpi: Vec<f64> = windows
-                .iter()
-                .map(|m| m.cycles as f64 / m.committed as f64)
-                .collect();
             WorkloadReport {
                 label: "w".into(),
                 full: full.clone(),
                 windows,
                 ipc: SampleStats::from_values(&ipc).unwrap(),
-                cpi: SampleStats::from_values(&cpi).unwrap(),
                 conservation,
             }
         };
@@ -483,8 +463,6 @@ mod tests {
 
     #[test]
     fn report_json_is_deterministic_and_complete() {
-        let (o, s) = smoke();
-        let _ = (o, s);
         let w = WorkloadReport {
             label: "TPC-C[0]".into(),
             full: PointMetrics {
@@ -494,7 +472,6 @@ mod tests {
             },
             windows: vec![],
             ipc: SampleStats::from_values(&[0.8, 0.82]).unwrap(),
-            cpi: SampleStats::from_values(&[1.25, 1.22]).unwrap(),
             conservation: Ok(()),
         };
         let r = ValidationReport {

@@ -1,10 +1,12 @@
 //! The `campaign` binary at its command line: the two print-only
-//! figures run end to end as empty campaigns, and every subcommand
-//! takes each engine flag its usage line lists — through the one shared
-//! flag parser — while anything else stays a usage error (exit 2). The
-//! environment carries run sizes only: a malformed one is a usage error,
-//! and the variables that once mirrored engine flags are not read.
+//! figures run end to end as empty campaigns, and every mode takes
+//! exactly the flags the one flag table (`s64v_harness::cli::TABLE`)
+//! gives it — anything else stays a usage error (exit 2) — and prints
+//! that table on `--help`. The environment carries run sizes only: a
+//! malformed one is a usage error, and the variables that once mirrored
+//! engine flags are not read.
 
+use s64v_harness::cli::{flags, Flag, MODES};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
@@ -100,10 +102,15 @@ fn a_malformed_size_is_a_usage_error_naming_the_variable() {
             }
         }
     }
-    // A machine with no CPU is not a size either.
-    let (code, _, stderr) = campaign_with(&dir, &["--list"], &[("S64V_SMP_CPUS", "0")]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("S64V_SMP_CPUS"), "{stderr}");
+    // A machine with no CPU is not a size either, nor an SMP run with no
+    // record to time.
+    for name in ["S64V_SMP_CPUS", "S64V_SMP_RECORDS"] {
+        let (code, stdout, stderr) =
+            campaign_with(&dir, &["--figures", "ablation_bus"], &[(name, "0")]);
+        assert_eq!(code, Some(2), "{name}=0:\n{stderr}");
+        assert!(stderr.contains(name), "{name}=0:\n{stderr}");
+        assert!(stdout.is_empty(), "{name}=0: nothing ran");
+    }
     // Unset keeps the defaults; well-formed values are taken.
     let (code, _, stderr) = campaign_with(&dir, &["--list"], &[("S64V_SEED", "7")]);
     assert_eq!(code, Some(0), "{stderr}");
@@ -144,77 +151,124 @@ fn print_only_figures_run_as_empty_campaigns() {
 #[test]
 fn every_subcommand_shares_the_engine_flags_and_rejects_the_rest() {
     let dir = scratch("flags");
-    let cache = dir.join("cache");
-    let cache = cache.to_str().expect("utf-8 path");
-    let soak = dir.join("soak");
-    let soak = soak.to_str().expect("utf-8 path");
+    let path = |leaf: &str| dir.join(leaf).to_str().expect("utf-8 path").to_string();
+    // A well-formed value for each flag that takes one; paths land in the
+    // scratch directory (`--check-artifact` gets one that is not there),
+    // and soak gets the schedule its gate is known to pass under.
+    let value = |f: &Flag| {
+        f.value.map(|kind| match (f.name, kind) {
+            ("--figures", _) => "table1".to_string(),
+            ("--spec", _) => "/nonexistent.json".to_string(),
+            ("--seed", _) => "7".to_string(),
+            ("--rate", _) => "400".to_string(),
+            (_, "N") => "2".to_string(),
+            (_, "SECS" | "PCT") => "30".to_string(),
+            (name, _) => path(name.trim_start_matches('-')),
+        })
+    };
+    // What selects each mode, arguments that end it soon after parsing,
+    // and how it must end with every flag it takes given at once:
+    // `--list` prints names, an unreadable spec stops explore, serve
+    // drains an empty stdin, validate runs one tiny A/B to its epilogue
+    // (the gate may fail there), soak passes, perf finds no sources.
+    type Invocation = (
+        Vec<&'static str>,
+        Vec<&'static str>,
+        &'static [i32],
+        &'static str,
+    );
+    let invocation = |mode: &str| -> Invocation {
+        match mode {
+            "figures" => (vec![], vec!["--list"], &[0], ""),
+            "explore" => (vec!["explore"], vec![], &[2], "cannot read"),
+            "serve" => (vec!["serve"], vec![], &[0], "serve: 0 answered"),
+            "validate" => (
+                vec!["validate"],
+                vec!["--no-cache", "--windows", "2", "--window", "100"],
+                &[0, 1],
+                "validate: full-detail",
+            ),
+            "soak" => (vec!["soak"], vec![], &[0], "soak PASSED"),
+            "perf" => (
+                vec!["perf", "/nonexistent/a", "/nonexistent/b"],
+                vec![],
+                &[2],
+                "perf: /nonexistent/a",
+            ),
+            other => unreachable!("no mode {other}"),
+        }
+    };
+    let (_, help, _) = campaign(&dir, &["--help"]);
 
-    // `before` + flag + `after` must get past parsing (no usage text).
-    let parsed = |before: &[&str], flag: &[&str], after: &[&str]| {
-        let args = [before, flag, after].concat();
+    for (mode, _) in MODES {
+        let (select, finish, codes, needle) = invocation(mode);
+        // Every flag the table gives the mode, all at once: past parsing,
+        // and on to the mode's own end.
+        let mut taken: Vec<String> = Vec::new();
+        for f in flags().filter(|f| f.takes(mode) && f.name != "--help") {
+            taken.push(f.name.to_string());
+            taken.extend(value(&f));
+        }
+        let args: Vec<&str> = select
+            .iter()
+            .copied()
+            .chain(taken.iter().map(String::as_str))
+            .chain(finish.iter().copied())
+            .collect();
         let (code, _, stderr) = campaign(&dir, &args);
         assert!(!stderr.contains("usage: campaign"), "{args:?}:\n{stderr}");
-        (code, stderr)
-    };
+        assert!(
+            code.is_some_and(|c| codes.contains(&c)) && stderr.contains(needle),
+            "{args:?}: exit {code:?}, expected {codes:?} and {needle:?}:\n{stderr}"
+        );
+
+        // `campaign <mode> --help`: the one usage text, on stdout.
+        let word = select.first().copied();
+        let args: Vec<&str> = word.into_iter().chain(["--help"]).collect();
+        let (code, stdout, stderr) = campaign(&dir, &args);
+        assert_eq!((code, stdout.as_str()), (Some(0), help.as_str()), "{mode}");
+        assert!(stderr.is_empty(), "{mode}:\n{stderr}");
+
+        // Every flag it does not give the mode: a usage error.
+        let takes = |name: &str| flags().any(|g| g.name == name && g.takes(mode));
+        for f in flags().filter(|f| !takes(f.name)) {
+            let mut args = select.clone();
+            args.push(f.name);
+            let v = value(&f);
+            args.extend(v.as_deref());
+            let (code, stdout, stderr) = campaign(&dir, &args);
+            assert_eq!(code, Some(2), "{args:?}");
+            assert!(stderr.starts_with("usage: campaign"), "{args:?}:\n{stderr}");
+            assert!(stdout.is_empty(), "{args:?}");
+        }
+    }
+
+    // The help is the table: every flag with its value and help line.
+    assert!(help.starts_with("usage: campaign [FLAG]..."), "{help}");
+    for f in flags() {
+        assert!(
+            help.contains(&format!("  {}", f.name)) && help.contains(f.help),
+            "{}",
+            f.name
+        );
+    }
+
+    // Values are typed and ranged by the mode before it does anything.
     let rejected = |args: &[&str]| {
         let (code, _, stderr) = campaign(&dir, args);
         assert_eq!(code, Some(2), "{args:?}");
         assert!(stderr.starts_with("usage: campaign"), "{args:?}:\n{stderr}");
     };
-
-    let basic: [&[&str]; 4] = [
-        &["--threads", "2"],
-        &["--cache-dir", cache],
-        &["--no-cache"],
-        &["--quiet"],
-    ];
-    let supervision: [&[&str]; 3] = [
-        &["--deadline", "30"],
-        &["--cycle-budget", "100000000"],
-        &["--retries", "1"],
-    ];
-    for flag in basic.iter().chain(&supervision) {
-        // Figures mode: `--list` stops before anything runs.
-        assert_eq!(parsed(&[], flag, &["--list"]).0, Some(0), "{flag:?}");
-        // A spec that cannot be read ends explore right after parsing;
-        // serve drains an empty stdin.
-        let (_, stderr) = parsed(&["explore", "--spec", "/nonexistent.json"], flag, &[]);
-        assert!(stderr.contains("cannot read"), "{flag:?}:\n{stderr}");
-        assert_eq!(parsed(&["serve"], flag, &[]).0, Some(0), "{flag:?}");
-    }
-    assert_eq!(parsed(&[], &["--checked"], &["--list"]).0, Some(0));
-    // validate takes the basic four plus --checked: one tiny run.
-    parsed(
-        &["validate", "--checked", "--windows", "2", "--window", "100"],
-        &basic.concat(),
-        &[],
-    );
-    let (code, stderr) = parsed(
-        &["soak", "--dir", soak],
-        &["--threads", "2", "--quiet"],
-        &[],
-    );
-    assert_eq!(code, Some(0), "{stderr}");
-
-    let modes: [&[&str]; 6] = [
-        &[],
-        &["explore"],
-        &["serve"],
-        &["validate"],
-        &["soak"],
-        &["perf"],
-    ];
-    for mode in modes {
-        rejected(&[mode, &["--bogus"]].concat());
-    }
+    rejected(&["--bogus"]);
     rejected(&["--threads", "many"]);
+    rejected(&["--threads"]);
     rejected(&["--deadline", "0"]);
-    // Engine flags a subcommand's usage line does not list.
-    rejected(&["explore", "--checked"]);
-    rejected(&["serve", "--checked"]);
-    rejected(&["validate", "--retries", "1"]);
-    rejected(&["soak", "--cache-dir", cache]);
-    rejected(&["perf", "--threads", "2", cache, cache]);
+    rejected(&["--cycle-budget", "0"]);
+    rejected(&["validate", "--windows", "1"]);
+    rejected(&["soak", "--rate", "65536"]);
+    rejected(&["perf", "only-one"]);
+    rejected(&["perf", "a", "b", "c"]);
+    rejected(&["stray"]);
 
     std::fs::remove_dir_all(&dir).ok();
 }

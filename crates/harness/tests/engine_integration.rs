@@ -131,7 +131,7 @@ fn panicking_point_fails_alone() {
         outcome.outcomes[1].metrics().is_none(),
         "failed slot stays empty"
     );
-    let healthy = outcome.results().iter().filter(|r| r.is_some()).count();
+    let healthy = outcome.report.completed;
     assert_eq!(healthy, points.len() - 1, "other points are unaffected");
 
     // The journal remembers the failure; fixing the point and re-running

@@ -41,7 +41,6 @@ fn opts(threads: usize, cache_dir: Option<PathBuf>, fresh: bool) -> ExploreOpts 
         fresh,
         heartbeat: None,
         supervise: SupervisePolicy::default(),
-        chaos: None,
     }
 }
 

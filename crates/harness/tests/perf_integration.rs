@@ -37,9 +37,8 @@ fn points(config: &SystemConfig) -> Vec<SimPoint> {
 
 fn run_into(dir: &PathBuf, config: &SystemConfig) {
     std::fs::remove_dir_all(dir).ok();
-    let spec = CampaignSpec::new("perf-it", points(config))
-        .with_threads(2)
-        .with_cache_dir(dir);
+    let mut spec = CampaignSpec::new("perf-it", points(config)).with_threads(2);
+    spec.cache_dir = Some(dir.clone());
     let outcome = run_campaign(&spec, None).expect("campaign runs");
     assert!(outcome.failures().is_empty(), "clean campaign");
 }

@@ -120,15 +120,17 @@ fn fast() -> SupervisePolicy {
     }
 }
 
-fn run(points: &[SimPoint], threads: usize) -> CampaignOutcome {
-    run_campaign(
-        &CampaignSpec::new("shared-inputs", points.to_vec())
+fn spec(points: &[SimPoint], threads: usize) -> CampaignSpec {
+    CampaignSpec {
+        supervise: fast(),
+        ..CampaignSpec::new("shared-inputs", points.to_vec())
             .with_threads(threads)
             .with_heartbeat(None)
-            .with_supervise(fast()),
-        None,
-    )
-    .expect("run")
+    }
+}
+
+fn run(points: &[SimPoint], threads: usize) -> CampaignOutcome {
+    run_campaign(&spec(points, threads), None).expect("run")
 }
 
 #[test]
@@ -154,27 +156,31 @@ fn a_mixed_campaign_is_identical_at_any_thread_count_and_to_lone_points() {
             "{threads} threads: outcomes must be index-aligned and equal lone execution"
         );
         let r = &out.report;
-        assert_eq!(r.traces_requested, points.len() as u64, "{threads} threads");
         assert_eq!(
-            r.traces_generated,
+            r.registry.traces_requested,
+            points.len() as u64,
+            "{threads} threads"
+        );
+        assert_eq!(
+            r.registry.traces_generated,
             distinct_keys(&points),
             "{threads} threads: one generation per distinct key"
         );
         assert_eq!(
-            r.records_generated,
+            r.registry.records_generated,
             3 * 5_000 + 2 * 2_000,
             "{threads} threads"
         );
         assert_eq!(
-            r.records_warm_requested, warm_requested,
+            r.registry.records_warm_requested, warm_requested,
             "{threads} threads"
         );
-        assert!(r.records_warmed <= r.records_warm_requested);
+        assert!(r.registry.records_warmed <= r.registry.records_warm_requested);
         if threads == 1 {
             assert!(
-                r.records_warmed <= one_pass_per_plan(&points),
+                r.registry.records_warmed <= one_pass_per_plan(&points),
                 "one worker serves each plan in one ascending pass: {} > {}",
-                r.records_warmed,
+                r.registry.records_warmed,
                 one_pass_per_plan(&points)
             );
         }
@@ -227,11 +233,11 @@ fn assert_one_generation_and_one_pass_per_program(points: &[SimPoint]) {
         assert!(out.failures().is_empty());
         let r = &out.report;
         eprintln!("{threads} thread(s): {}", r.summary());
-        assert_eq!(r.traces_requested, 64, "{threads} threads");
-        assert_eq!(r.traces_generated, 8, "{threads} threads");
-        assert!(r.records_warmed <= r.records_warm_requested);
+        assert_eq!(r.registry.traces_requested, 64, "{threads} threads");
+        assert_eq!(r.registry.traces_generated, 8, "{threads} threads");
+        assert!(r.registry.records_warmed <= r.registry.records_warm_requested);
         if threads == 1 {
-            assert_eq!(r.records_warmed, 8 * last_start);
+            assert_eq!(r.registry.records_warmed, 8 * last_start);
         }
     }
 }
@@ -309,22 +315,19 @@ fn injected_hangs_and_panics_on_windows_recover_with_the_registry_intact() {
     let clean = run(&points, 2);
     let (plan, struck) = chaos_striking_windows(&points);
     for threads in [1, 2] {
-        let chaos = run_campaign(
-            &CampaignSpec::new("shared-inputs", points.clone())
-                .with_threads(threads)
-                .with_heartbeat(None)
-                .with_supervise(fast())
-                .with_chaos(plan),
-            None,
-        )
-        .expect("run");
+        let mut spec = spec(&points, threads);
+        spec.chaos = Some(plan);
+        let chaos = run_campaign(&spec, None).expect("run");
         assert_eq!(chaos.outcomes, clean.outcomes, "{threads} threads");
         assert_eq!(chaos.report.retries, struck, "every fault, one retry each");
         assert!(chaos.report.quarantined.is_empty());
         // A struck first attempt never reached the registry; its retry
         // found the trace and cursors where the other windows left them.
-        assert_eq!(chaos.report.traces_requested, points.len() as u64);
-        assert_eq!(chaos.report.traces_generated, distinct_keys(&points));
+        assert_eq!(chaos.report.registry.traces_requested, points.len() as u64);
+        assert_eq!(
+            chaos.report.registry.traces_generated,
+            distinct_keys(&points)
+        );
     }
 }
 
@@ -356,14 +359,10 @@ fn points_that_die_mid_run_or_panic_every_time_leave_their_neighbours_whole() {
     // A cycle budget between the two: every window finishes, the full
     // point is cancelled *mid-run* on every attempt.
     for threads in [1, 2, 5] {
-        let out = run_campaign(
-            &CampaignSpec::new("shared-inputs", points.clone())
-                .with_threads(threads)
-                .with_heartbeat(None)
-                .with_supervise(fast().with_cycle_budget(longest_window + 1)),
-            None,
-        )
-        .expect("run");
+        let mut spec = spec(&points, threads);
+        spec.supervise = fast();
+        spec.supervise.cycle_budget = Some(longest_window + 1);
+        let out = run_campaign(&spec, None).expect("run");
         assert!(
             matches!(&out.outcomes[0], PointOutcome::Failed { error, attempts: 3, quarantined: true, .. }
                 if error.contains("warmup must leave records to time")),
@@ -381,7 +380,7 @@ fn points_that_die_mid_run_or_panic_every_time_leave_their_neighbours_whole() {
         // Six attempts plus five windows asked; one trace was generated
         // and kept across every retry, then dropped (`live() == 0` is
         // asserted inside `run_campaign`).
-        assert_eq!(out.report.traces_requested, 6 + 5);
-        assert_eq!(out.report.traces_generated, 1);
+        assert_eq!(out.report.registry.traces_requested, 6 + 5);
+        assert_eq!(out.report.registry.traces_generated, 1);
     }
 }

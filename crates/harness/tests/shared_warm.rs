@@ -67,10 +67,12 @@ fn fast() -> SupervisePolicy {
 }
 
 fn spec(points: &[SimPoint], threads: usize) -> CampaignSpec {
-    CampaignSpec::new("shared-warm", points.to_vec())
-        .with_threads(threads)
-        .with_heartbeat(None)
-        .with_supervise(fast())
+    CampaignSpec {
+        supervise: fast(),
+        ..CampaignSpec::new("shared-warm", points.to_vec())
+            .with_threads(threads)
+            .with_heartbeat(None)
+    }
 }
 
 fn run(spec: &CampaignSpec) -> CampaignOutcome {
@@ -116,25 +118,35 @@ fn six_configurations_of_one_trace_equal_lone_points_and_warm_once_per_warm_key(
                 let ctx = format!("{suite:?}/seed{seed}/{threads} threads");
                 let out = run(&spec(&points, threads));
                 assert_eq!(rendered(&out), lone, "{ctx}");
-                let checked = run(&spec(&points, threads).with_checked());
+                let checked = run(&CampaignSpec {
+                    checked: true,
+                    ..spec(&points, threads)
+                });
                 assert_eq!(rendered(&checked), lone, "{ctx}: checked");
                 let r = &out.report;
-                assert_eq!(r.machines_requested, 6, "{ctx}");
-                assert_eq!(r.records_warm_requested, 6 * WARMUP as u64, "{ctx}");
-                assert_eq!(r.warm_passes, 3, "{ctx}: one pass per warm key");
+                assert_eq!(r.registry.machines_requested, 6, "{ctx}");
                 assert_eq!(
-                    r.records_warmed,
+                    r.registry.records_warm_requested,
+                    6 * WARMUP as u64,
+                    "{ctx}"
+                );
+                assert_eq!(r.registry.warm_passes, 3, "{ctx}: one pass per warm key");
+                assert_eq!(
+                    r.registry.records_warmed,
                     3 * WARMUP as u64,
                     "{ctx}: no pass is duplicated"
                 );
                 // Of the four sharers the last to be released takes the
                 // state; one that asks while another is still timing
                 // copies. The two loners always take theirs.
-                assert!((3..=4).contains(&r.machines_copied), "{ctx}: {r:?}");
+                assert!(
+                    (3..=4).contains(&r.registry.machines_copied),
+                    "{ctx}: {r:?}"
+                );
                 if threads == 1 {
-                    assert_eq!(r.machines_copied, 3, "{ctx}");
+                    assert_eq!(r.registry.machines_copied, 3, "{ctx}");
                 }
-                assert_eq!(r.traces_generated, 1, "{ctx}");
+                assert_eq!(r.registry.traces_generated, 1, "{ctx}");
             }
         }
     }
@@ -183,14 +195,17 @@ fn a_sweep_round_replays_its_warm_up_once_at_one_thread_and_at_two() {
     for threads in [1, 2] {
         let r = run(&spec(&points, threads)).report;
         assert_eq!(r.completed, 100, "{threads} threads");
-        assert_eq!(r.records_warm_requested, 100 * WARMUP as u64);
-        assert_eq!(r.records_warmed, WARMUP as u64, "{threads} threads");
-        assert_eq!(r.warm_passes, 1, "{threads} threads");
+        assert_eq!(r.registry.records_warm_requested, 100 * WARMUP as u64);
+        assert_eq!(
+            r.registry.records_warmed, WARMUP as u64,
+            "{threads} threads"
+        );
+        assert_eq!(r.registry.warm_passes, 1, "{threads} threads");
         // Every point copies but the last to be released, which takes the
         // state — unless the other worker is still timing when it asks.
-        assert!((99..=100).contains(&r.machines_copied), "{r:?}");
+        assert!((99..=100).contains(&r.registry.machines_copied), "{r:?}");
         if threads == 1 {
-            assert_eq!(r.machines_copied, 99);
+            assert_eq!(r.registry.machines_copied, 99);
         }
         let s = r.summary();
         assert!(
@@ -236,8 +251,11 @@ fn a_full_detail_point_and_its_plans_windows_share_one_chain() {
                 // The reference point's stop lies on the windows' way: one
                 // ascending pass from record 0 to the last window serves
                 // all six.
-                assert_eq!(out.report.warm_passes, 1, "{suite:?}");
-                assert_eq!(out.report.records_warmed, last_start as u64, "{suite:?}");
+                assert_eq!(out.report.registry.warm_passes, 1, "{suite:?}");
+                assert_eq!(
+                    out.report.registry.records_warmed, last_start as u64,
+                    "{suite:?}"
+                );
             }
         }
     }
@@ -269,15 +287,21 @@ fn hangs_panics_and_mid_run_cancels_on_a_sharing_point_leave_the_rest_whole() {
 
     let (plan, struck) = chaos_striking(&points, 0..4);
     for threads in [1, 2, 5] {
-        let chaos = run(&spec(&points, threads).with_chaos(plan));
+        let chaos = run(&CampaignSpec {
+            chaos: Some(plan),
+            ..spec(&points, threads)
+        });
         assert_eq!(chaos.outcomes, clean.outcomes, "{threads} threads");
         assert_eq!(chaos.report.retries, struck, "every fault, one retry each");
         assert!(chaos.report.quarantined.is_empty());
         // A struck first attempt never reached the registry; its retry
         // found the shared state where the other points left it.
-        assert_eq!(chaos.report.machines_requested, 6, "{threads} threads");
-        assert_eq!(chaos.report.warm_passes, 3, "{threads} threads");
-        assert_eq!(chaos.report.records_warmed, 3 * WARMUP as u64);
+        assert_eq!(
+            chaos.report.registry.machines_requested, 6,
+            "{threads} threads"
+        );
+        assert_eq!(chaos.report.registry.warm_passes, 3, "{threads} threads");
+        assert_eq!(chaos.report.registry.records_warmed, 3 * WARMUP as u64);
     }
 
     // A cycle budget only the slowest machine — a sharer, so the list is
@@ -305,7 +329,10 @@ fn hangs_panics_and_mid_run_cancels_on_a_sharing_point_leave_the_rest_whole() {
     let loners = points.len() as u64 - 4;
     for threads in [1, 2, 5] {
         let out = run(&CampaignSpec {
-            supervise: fast().with_cycle_budget(budget),
+            supervise: SupervisePolicy {
+                cycle_budget: Some(budget),
+                ..fast()
+            },
             ..spec(&points, threads)
         });
         for i in (0..points.len()).filter(|&i| i != slow) {
@@ -321,12 +348,22 @@ fn hangs_panics_and_mid_run_cancels_on_a_sharing_point_leave_the_rest_whole() {
         );
         let r = &out.report;
         assert_eq!(r.retries, 2, "{threads} threads");
-        assert_eq!(r.machines_requested, 3 + loners + 3, "{threads} threads");
+        assert_eq!(
+            r.registry.machines_requested,
+            3 + loners + 3,
+            "{threads} threads"
+        );
         // The cancelled point's copies died with its attempts. Only when
         // it was the last sharer left did an attempt take the state
         // itself, and its retries then warm again: never another pass
         // while a sharer that has not run yet still needs the state.
-        assert!((1 + loners..=3 + loners).contains(&r.warm_passes), "{r:?}");
-        assert_eq!(r.records_warmed, r.warm_passes * WARMUP as u64);
+        assert!(
+            (1 + loners..=3 + loners).contains(&r.registry.warm_passes),
+            "{r:?}"
+        );
+        assert_eq!(
+            r.registry.records_warmed,
+            r.registry.warm_passes * WARMUP as u64
+        );
     }
 }

@@ -66,7 +66,7 @@ fn resolve(points: &[SimPoint]) -> PointStore {
             PointOutcome::Metrics(Box::new(m))
         })
         .collect();
-    PointStore::from_run(points, &outcomes)
+    PointStore::from_run(points.iter().zip(&outcomes))
 }
 
 #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # The full gate: formatting, lints, the workspace's tests (what bare
-# `cargo test -q`, the tier-1 command, runs), the kernel microtrace
-# golden and the release-mode equivalence suites, the smoke campaigns
+# `cargo test -q`, the tier-1 command, runs), the kernel microtrace and
+# figures goldens and the release-mode equivalence suites, the smoke campaigns
 # against their goldens, the repo benchmark's smoke pass and the chaos
 # soak.
 # Usage: scripts/ci.sh  (from the repository root)
@@ -21,6 +21,11 @@ cargo test --workspace -q
 
 echo "== kernel microtraces (directed traces, pinned statistics, asleep = stepped = checked)"
 cargo test --release -p s64v-cpu --test kernel_golden -q
+
+echo "== figures golden (the whole evaluation at smoke size: stdout and 23 CSVs, byte for byte)"
+cargo test --release -p s64v-harness --test figures_golden -q
+# The usage text is generated from the flag table; it must print and exit 0.
+cargo run --release -p s64v-harness --bin campaign -- --help > /dev/null
 
 echo "== phase ledger builds (the off-by-default instrumentation must not rot)"
 cargo build --release -p s64v-cpu --features phase-profile --example kernel_profile
