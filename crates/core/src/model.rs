@@ -470,10 +470,11 @@ impl PerformanceModel {
                     .take()
                     .filter(|c| c.origin() == origin && c.pos() <= start)
                     .unwrap_or_else(|| WarmCursor::new(&self.config, origin));
-                c.advance_to(records, start);
+                c.advance(&records[c.pos()..start]);
+                let window = &records[start..start + len as usize];
                 let result = c
                     .fork()
-                    .try_run_window(&self.config.core, records, len as usize, opts.clone(), None)
+                    .try_run_window(&self.config.core, window, opts.clone(), None)
                     .map(|(result, _)| result);
                 cursor = Some(c);
                 result

@@ -70,22 +70,16 @@ impl WarmCursor {
         self.pos
     }
 
-    /// Continues the pass through `records[self.pos()..pos]` and returns
-    /// how many records that replayed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` is behind the cursor (a cursor cannot rewind; the
-    /// caller starts another at the origin) or beyond the trace.
-    pub fn advance_to(&mut self, records: &[TraceRecord], pos: usize) -> u64 {
-        assert!(pos >= self.pos, "a warm cursor only moves forward");
-        for rec in &records[self.pos..pos] {
+    /// Continues the pass through `chunk`, the trace's next records
+    /// (`[self.pos(), self.pos() + chunk.len())`): a cursor takes its
+    /// trace a piece at a time and never looks back, so whoever feeds it
+    /// need not keep what it has warmed.
+    pub fn advance(&mut self, chunk: &[TraceRecord]) {
+        for rec in chunk {
             let bht = (!self.perfect_branches).then_some(&mut self.bht);
             warm_record(bht, &mut self.mem, 0, rec);
         }
-        let replayed = (pos - self.pos) as u64;
-        self.pos = pos;
-        replayed
+        self.pos += chunk.len();
     }
 
     /// A deep copy: every memory-system structure and the branch history.
@@ -100,32 +94,30 @@ impl WarmCursor {
         }
     }
 
-    /// Times `records[pos..pos + len]` in detail on a `core` built over
-    /// this warmed state, consuming it (a state that has run timed cycles
-    /// is no longer functional; fork first to keep warming). Observed per
+    /// Times `window` — the trace's records from `pos` on, as many as the
+    /// run is to cover — in detail on a `core` built over this warmed
+    /// state, consuming it (a state that has run timed cycles is no
+    /// longer functional; fork first to keep warming). Observed per
     /// `ocfg` when given — probes attach to the timed machine, so the
     /// warm-up is not narrated — and the observation is empty otherwise.
     ///
     /// # Panics
     ///
-    /// Panics on an empty or out-of-range window, or a `core` whose
-    /// predictor is not the one this cursor warmed — never on a
-    /// simulation fault.
+    /// Panics on an empty window, or a `core` whose predictor is not the
+    /// one this cursor warmed — never on a simulation fault.
     pub fn try_run_window(
         self,
         core: &CoreConfig,
-        records: &[TraceRecord],
-        len: usize,
+        window: &[TraceRecord],
         opts: RunOptions,
         ocfg: Option<ObserveConfig>,
     ) -> Result<(RunResult, RunObservation), SimError> {
-        assert!(len > 0, "empty window");
-        assert!(self.pos + len <= records.len(), "window exceeds the trace");
+        assert!(!window.is_empty(), "empty window");
         assert_eq!(
             core.perfect_branch_prediction, self.perfect_branches,
             "the cursor warmed another predictor"
         );
-        let streams = vec![SliceStream::new(&records[self.pos..self.pos + len])];
+        let streams = vec![SliceStream::new(window)];
         let cores = vec![Core::warmed(core.clone(), 0, self.bht)];
         timed(cores, self.mem, streams, opts, ocfg)
     }

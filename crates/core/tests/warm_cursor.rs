@@ -87,11 +87,12 @@ fn serve(
         if start < cursor.pos() {
             cursor = WarmCursor::new(cfg, 0);
         }
-        replayed += cursor.advance_to(records, start);
+        replayed += (start - cursor.pos()) as u64;
+        cursor.advance(&records[cursor.pos()..start]);
         assert_eq!((cursor.origin(), cursor.pos()), (0, start));
         let r = cursor
             .fork()
-            .try_run_window(&cfg.core, records, LEN, opts.clone(), None)
+            .try_run_window(&cfg.core, &records[start..start + LEN], opts.clone(), None)
             .expect("clean run");
         out[w] = render(&r.0);
     }
@@ -195,13 +196,13 @@ fn one_pass_serves_every_core_configuration_with_its_warm_key() {
         let records = trace.records();
         let mut cursor = WarmCursor::new(&base, 0);
         for &start in &STARTS {
-            cursor.advance_to(records, start);
+            cursor.advance(&records[cursor.pos()..start]);
             for (v, cfg) in variants.iter().enumerate() {
                 assert_eq!(warm_fingerprint(cfg), warm_fingerprint(&base));
                 for (name, opts) in option_sets() {
                     let r = cursor
                         .fork()
-                        .try_run_window(&cfg.core, records, LEN, opts, None)
+                        .try_run_window(&cfg.core, &records[start..start + LEN], opts, None)
                         .expect("clean run");
                     assert_eq!(
                         render(&r.0),
@@ -219,13 +220,12 @@ fn a_cursor_refuses_a_core_it_did_not_warm_for() {
     let trace = Suite::preset(SuiteKind::SpecInt95).programs()[0].generate(2_000, 1);
     let base = SystemConfig::sparc64_v();
     let mut cursor = WarmCursor::new(&base, 0);
-    cursor.advance_to(trace.records(), 1_000);
+    cursor.advance(&trace.records()[..1_000]);
     let small_bht = base.core.clone().with_small_bht();
     let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         cursor.try_run_window(
             &small_bht,
-            trace.records(),
-            500,
+            &trace.records()[1_000..1_500],
             RunOptions::default(),
             None,
         )
@@ -233,15 +233,37 @@ fn a_cursor_refuses_a_core_it_did_not_warm_for() {
     assert!(refused.is_err(), "another table's history must be refused");
 }
 
+/// A cursor fed its trace a chunk at a time — however the trace is cut —
+/// is the cursor fed the whole slice at once, and both are the per-record
+/// `Core::warm` loop: compared at every stop by what a machine forked
+/// there goes on to measure.
 #[test]
-fn a_cursor_cannot_rewind() {
-    let trace = Suite::preset(SuiteKind::SpecInt95).programs()[0].generate(2_000, 1);
-    let mut cursor = WarmCursor::new(&SystemConfig::sparc64_v(), 0);
-    cursor.advance_to(trace.records(), 1_000);
-    let rewound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        cursor.advance_to(trace.records(), 500)
-    }));
-    assert!(rewound.is_err(), "moving backwards must be refused");
+fn chunked_advance_equals_one_whole_slice_pass() {
+    let cfg = SystemConfig::sparc64_v();
+    each_trace(|label, trace| {
+        let records = trace.records();
+        let timed = |cursor: &WarmCursor| {
+            let window = &records[cursor.pos()..cursor.pos() + LEN];
+            let run = cursor
+                .fork()
+                .try_run_window(&cfg.core, window, RunOptions::default(), None);
+            render(&run.expect("clean run").0)
+        };
+        let mut whole = WarmCursor::new(&cfg, 0);
+        let mut chunked = [1, 7, 4_096].map(|step| (step, WarmCursor::new(&cfg, 0)));
+        for &start in &STARTS {
+            whole.advance(&records[whole.pos()..start]);
+            let want = fresh(&cfg, records, 0, start);
+            assert_eq!(timed(&whole), want, "{label}: whole slice to {start}");
+            for (step, cursor) in &mut chunked {
+                for chunk in records[cursor.pos()..start].chunks(*step) {
+                    cursor.advance(chunk);
+                }
+                assert_eq!(cursor.pos(), start);
+                assert_eq!(timed(cursor), want, "{label}: steps of {step} to {start}");
+            }
+        }
+    });
 }
 
 /// `CoreMem::prefetched_lines` is a `RandomState` `HashSet`: two machines

@@ -123,32 +123,39 @@ impl CampaignOutcome {
     }
 }
 
-/// Runs one point over `registry`'s shared inputs, observed per `ocfg`
-/// when given. `Verify` points drive two machines through `compare` and
-/// sampled windows measure steady-state statistics, not instruction
-/// narratives: both run unobserved and return an empty observation.
+/// Runs point `at` of `registry`'s list over its shared inputs, observed
+/// per `ocfg` when given. `Verify` points drive two machines through
+/// `compare` and sampled windows measure steady-state statistics, not
+/// instruction narratives: both run unobserved and return an empty
+/// observation.
 fn execute_in(
     registry: &Registry,
+    at: usize,
     point: &SimPoint,
     opts: RunOptions,
     ocfg: Option<ObserveConfig>,
 ) -> Result<(PointMetrics, RunObservation), SimError> {
-    let traces = registry.traces(point);
+    if let Some((start, len)) = point.window() {
+        // A sampled window's `records` is the *full trace length*.
+        let trace_len = match point.work {
+            WorkUnit::SampledWindow { .. } => point.records,
+            _ => start + len,
+        };
+        assert!(start < trace_len, "warmup must leave records to time");
+        assert!(start + len <= trace_len, "window exceeds the trace");
+    }
+    let traces = registry.traces(at);
     let run = match point.work {
         WorkUnit::Program { .. } | WorkUnit::SampledWindow { .. } => {
-            // A uniprocessor point is a window of its trace — a program
-            // point `[warmup, warmup + records)`, a sampled window any
-            // other (its `records` is the *full trace length*) — timed on
-            // a copy of the state every point with its warm key shares;
-            // only the window itself is simulated in detail.
-            let (start, len) = point.window().expect("a uniprocessor point");
-            let records = traces[0].records();
-            assert!(records.len() > start, "warmup must leave records to time");
+            // A uniprocessor point is a window of its program's trace — a
+            // program point `[warmup, warmup + records)`, a sampled window
+            // any other — timed on a copy of the state every point with
+            // its warm key shares; the window's records are all of the
+            // trace it ever holds.
             let observed = ocfg.filter(|_| matches!(point.work, WorkUnit::Program { .. }));
-            registry.warmed(point, &traces[0]).try_run_window(
+            registry.warmed(at).try_run_window(
                 &point.config.core,
-                records,
-                len,
+                traces[0].records(),
                 opts,
                 observed,
             )
@@ -184,7 +191,7 @@ fn execute_in(
 /// takes, with nothing to share.
 pub fn try_execute_point(point: &SimPoint, opts: RunOptions) -> Result<PointMetrics, SimError> {
     let registry = Registry::new(std::slice::from_ref(point));
-    execute_in(&registry, point, opts, None).map(|(metrics, _)| metrics)
+    execute_in(&registry, 0, point, opts, None).map(|(metrics, _)| metrics)
 }
 
 /// Renders a traced point's pipeline diagram, one section per CPU.
@@ -292,7 +299,7 @@ struct Visit<'a> {
 /// A running campaign: everything its workers share.
 struct Campaign<'a> {
     spec: &'a CampaignSpec,
-    registry: Registry,
+    registry: Registry<'a>,
     schedule: Schedule,
     cache: Option<ResultCache>,
     journal: Option<Journal>,
@@ -362,8 +369,8 @@ impl Campaign<'_> {
         };
         *lock(&self.slots[index]) = Some(outcome);
         // The outcome is final (retries are over): the point stops
-        // holding its trace and cursors alive.
-        self.registry.release(point);
+        // holding its window and warm state alive.
+        self.registry.release(index);
         self.done.fetch_add(1, Ordering::Relaxed);
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
@@ -481,7 +488,7 @@ impl Campaign<'_> {
             if attempt == 0 && self.chaos.fire(HarnessFaultClass::WorkerPanic, &fp_hex) {
                 panic!("chaos: injected worker panic");
             }
-            execute_in(&self.registry, v.point, opts, observe)
+            execute_in(&self.registry, v.index, v.point, opts, observe)
         }))
     }
 

@@ -14,12 +14,15 @@ use std::sync::Mutex;
 /// cheapest. Workers are dealt *contiguous* segments of that list
 /// balanced by [`point_records`]; a group is split between two workers
 /// only when it alone outweighs a worker's fair share. A worker pops its
-/// own segment from the front, so it generates a trace, uses it up and
-/// moves on. An idle worker steals from the *back* of a victim's
+/// own segment from the front, so it runs a program's pass, uses it up
+/// and moves on. An idle worker steals from the *back* of a victim's
 /// segment: a whole trailing group while the victim has more than one
 /// group queued, and only when no victim has — nothing else is left —
-/// the back half of a victim's last group, splitting a chain that is
-/// being served.
+/// the back half of a victim's last group, provided what is left of it
+/// times from one stop (a sweep round). A chain of windows is left to
+/// the worker serving it: a thief that joins a pass ahead of its victim
+/// makes the pass publish, and hold, every state and window between the
+/// two (`sampled_long`: 13 → up to 21 MB peak for 2 % of wall).
 ///
 /// Scheduling decides when a point runs and how much of its input it
 /// finds ready, never what it computes: outcomes are index-aligned with
@@ -28,6 +31,8 @@ pub(super) struct Schedule {
     queues: Vec<Mutex<VecDeque<usize>>>,
     /// Reuse group of each point, by point index.
     group: Vec<usize>,
+    /// Where each point starts timing its trace, by point index.
+    stop: Vec<Option<usize>>,
 }
 
 impl Schedule {
@@ -75,6 +80,10 @@ impl Schedule {
         Schedule {
             queues: queues.into_iter().map(Mutex::new).collect(),
             group,
+            stop: points
+                .iter()
+                .map(|p| p.window().map(|(start, _)| start))
+                .collect(),
         }
     }
 
@@ -106,7 +115,7 @@ impl Schedule {
                         .count();
                     let take = if trailing < q.len() {
                         trailing
-                    } else if split {
+                    } else if split && q.iter().all(|&i| self.stop[i] == self.stop[back]) {
                         (trailing / 2).max(1)
                     } else {
                         continue;

@@ -351,12 +351,23 @@ fn schedule_keeps_reuse_groups_whole_and_splits_one_only_when_nothing_else_is_le
     assert_eq!(take(0, 8), own);
     // Out of work, it steals worker 1's trailing program whole ...
     assert_eq!(take(0, 4), chain(3, 1));
-    // ... and only then splits the one program worker 1 has left:
-    // the back half, still ascending; worker 1 keeps the front half.
-    assert_eq!(take(0, 2), chain(2, 3));
-    assert_eq!(take(1, 2), vec![(2, 1_000), (2, 2_000)]);
+    // ... and leaves the one program worker 1 has left alone: a chain of
+    // windows is one pass, and a thief ahead of its victim on it would
+    // only make the pass hold everything in between.
     assert_eq!(s.pop(0), None);
+    assert_eq!(take(1, 4), chain(2, 1));
     assert_eq!(s.pop(1), None);
+
+    // A sweep round — one trace, one window, many configurations — is
+    // what gets split when nothing else is left: the back half.
+    let s = Schedule::new(&vec![program_point(3_000, 1); 10], 2);
+    let pops = |worker: usize, n: usize| -> Vec<usize> {
+        (0..n).map(|_| s.pop(worker).expect("work left")).collect()
+    };
+    assert_eq!(pops(0, 5), [0, 1, 2, 3, 4]);
+    assert_eq!(pops(0, 2), [8, 9]);
+    assert_eq!(pops(1, 3), [5, 6, 7]);
+    assert_eq!((s.pop(0), s.pop(1)), (None, None));
 }
 
 #[test]

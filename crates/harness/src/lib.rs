@@ -11,10 +11,11 @@
 //! * **Parallel and deterministic** — points run on a work-stealing
 //!   worker pool; every point is seeded independently, so results are
 //!   byte-identical regardless of thread count or scheduling.
-//! * **Shared inputs** — a per-campaign [`registry`] generates each
-//!   distinct trace once and serves a sampled plan's windows from one
-//!   functional-warming pass; the pool deals work so points that share
-//!   inputs run back to back on one worker.
+//! * **Shared inputs** — a per-campaign [`registry`] runs each distinct
+//!   program as one forward pass — generated once, warmed chunk by chunk
+//!   for every configuration and window that wants it, only the timed
+//!   windows kept; the pool deals work so points that share inputs run
+//!   back to back on one worker.
 //! * **Content-addressed caching** — each point's identity is a stable
 //!   [fingerprint](s64v_core::fingerprint) of everything that affects
 //!   its result (plus the model version); finished points persist under

@@ -127,10 +127,11 @@ impl CampaignReport {
         let shared = &self.registry;
         if shared.traces_requested > 0 {
             s.push_str(&format!(
-                "; {} of {} requested traces generated ({:.2}M records)",
+                "; {} of {} requested traces generated ({:.2}M records, {:.2}M kept)",
                 shared.traces_generated,
                 shared.traces_requested,
                 shared.records_generated as f64 / 1e6,
+                shared.records_materialized as f64 / 1e6,
             ));
         }
         if shared.machines_requested > 0 {
@@ -188,20 +189,21 @@ mod tests {
             registry: RegistryCounters {
                 traces_requested: 64,
                 traces_generated: 8,
-                records_generated: 13_120_000,
+                records_generated: 11_760_000,
+                records_materialized: 512_000,
                 records_warm_requested: 47_360_000,
                 records_warmed: 11_520_000,
                 machines_requested: 64,
                 warm_passes: 8,
-                machines_copied: 56,
+                machines_copied: 120,
             },
             ..Default::default()
         };
         let s = r.summary();
-        assert!(s.contains("8 of 64 requested traces generated (13.12M records)"));
+        assert!(s.contains("8 of 64 requested traces generated (11.76M records, 0.51M kept)"));
         assert!(s.contains(
             "11.52M of 47.36M requested warm-up records replayed \
-             (56 of 64 warming passes saved, 56 machines copied)"
+             (56 of 64 warming passes saved, 120 machines copied)"
         ));
         let all_hits = CampaignReport {
             completed: 3,

@@ -6,67 +6,87 @@
 //! times many windows of one trace that share most of their warm-up. The
 //! registry is built once per
 //! [`run_campaign`](crate::engine::run_campaign) from the point list and
-//! is the only place a campaign generates traces or warms machines:
+//! is the only place a campaign generates traces or warms machines.
 //!
-//! * per **reuse key** ([`ReuseKey`]) one generated trace set, built by
-//!   whichever point asks first (concurrent first requests block on one
-//!   generation) and handed out as an `Arc`;
-//! * per **warm key** — `(`[`warm_fingerprint`]`, warm origin)` of that
-//!   reuse key's uniprocessor points — a *chain* of stops: the trace
-//!   positions those points start timing from (a program point stops at
-//!   its `warmup`, a sampled window at its `start`; see
-//!   [`SimPoint::window`]). Each stop holds one warmed state, built once
-//!   by whichever of its users asks first — concurrent first requests
-//!   block on that one pass, exactly as on a generation — by continuing
-//!   from the furthest state the chain already holds short of the stop,
-//!   or from a cold machine at the origin when it holds none. Every user
-//!   of the stop copies the state from where it sits; it never leaves the
-//!   registry while anyone may still ask for it, so a late arrival cannot
-//!   find it missing and start a duplicate pass. The last unreleased user
-//!   takes the state instead of copying it, unless a later stop is still
-//!   wanted — then the state stays as what that stop continues from and
-//!   is taken by its pass. A hundred configurations of one sweep round
-//!   therefore replay the warm-up once and copy it a hundred times less
-//!   one; a plan's windows served in ascending order replay `last start −
-//!   origin` records in total instead of Σ `(start − origin)`; served in
-//!   any other order they replay more — and everyone computes the same
-//!   thing, because a copy depends only on `(warm key, stop)`.
+//! **A program is one forward pass.** Per uniprocessor **reuse key**
+//! ([`ReuseKey::Program`]) the registry holds no trace. It holds a
+//! [`ProgramStream`] and a *plan*, known in full when [`Registry::new`]
+//! has seen the points, of what that stream's records are wanted for:
+//!
+//! * the **windows** points time — a program point `[warmup, warmup +
+//!   records)`, a sampled window `[start, start + len)`, a verification
+//!   point the whole `[0, n)` (see [`SimPoint::window`]) — one per
+//!   distinct range, whoever shares it;
+//! * per **warm key** — `(`[`warm_fingerprint`]`, warm origin)` of the
+//!   key's points — a *chain* of **stops**: the positions those points
+//!   start timing from, each wanting the functional state of a cold
+//!   machine warmed over `[origin, stop)`.
+//!
+//! Whoever asks for something the pass has not reached advances it: one
+//! chunk of 4 096 records at a time is generated into a buffer that
+//! stays in the host's cache, replayed through the live cursor of *every*
+//! chain, copied into the windows it overlaps, and forgotten. A chunk
+//! ends early at a plan position (a chain's origin, a stop, a window's
+//! end), so everything is **published** exactly where it falls: a chain
+//! starts cold at its origin; at a stop its cursor is copied into the
+//! stop (the chain's last wanted stop gets the cursor itself); a window
+//! complete at its end becomes a shared trace. Askers of something
+//! already published copy or share it from where it sits. Several workers
+//! may ask at once — the pass is behind one lock, held a chunk at a time,
+//! so they take turns advancing and each stops when its own item is out.
+//!
+//! Nothing is therefore replayed or generated twice, whatever order
+//! points are served in and however many workers serve them: records
+//! generated, records warmed and passes started are functions of the
+//! point list alone (a result-cache hit releases its point unasked and
+//! can only shorten the pass). A hundred configurations of one sweep
+//! round replay the warm-up once and copy it a hundred times; a plan's
+//! windows cost one replay up to the last start.
 //!
 //! The warm key hashes the memory configuration, the branch history
 //! table's geometry, the perfect-prediction flag and the CPU count: all a
-//! [`WarmCursor`] is built from, hence all its state can depend on.
+//! [`WarmCursor`] is built from, hence all its state can depend on. It is
+//! computed once per point, when the plan is.
 //!
-//! **Lifetime.** Every point is a *consumer* of its key. The engine
-//! releases a point when its outcome is final (metrics, cache hit,
-//! deterministic failure or quarantine — never between retries), and the
-//! entry — trace and warm states — is dropped with its last consumer; a
-//! stop's state goes earlier, with the stop's last user (or, kept for a
-//! later stop, with that stop's pass). With the engine's reuse-affine
-//! schedule a worker sits in one key at a time, so live traces are
-//! bounded by the worker count; a key served in ascending order holds
-//! the one state being copied from plus the copy each worker is timing
-//! on — `workers + 1` machines — and the registry is empty when the
-//! campaign returns.
+//! **What is held when.** Every point is a *consumer* of its key and a
+//! *user* of its window and stop. The engine releases a point when its
+//! outcome is final (metrics, cache hit, deterministic failure or
+//! quarantine — never between retries, so a retry finds its inputs where
+//! the first attempt did). A published state or window is dropped with
+//! its last user, and one nobody is left to want is never built; the
+//! whole entry — generator, cursors — goes with the key's last consumer.
+//! A key in service thus holds one chunk, the cursors of chains with a
+//! stop still ahead, and the states and windows published but not yet
+//! released: memory follows the plan, not the trace's length. The
+//! registry is empty when the campaign returns.
 //!
-//! **Buffers.** A dropped entry's trace *allocations* are kept and the
-//! next generation builds into them, so a campaign allocates about one
-//! trace set per worker, once, instead of one per key. A buffer set is
-//! only created when none is spare — when every existing one is live —
-//! so spare plus live sets stay bounded by the worker count too. This is
-//! what keeps a campaign's peak memory the same from run to run: freeing
-//! and re-allocating multi-megabyte blocks leaves holes in the
-//! allocator's heaps whose reuse depends on which small allocation lands
-//! in them first, i.e. on thread timing.
+//! **A runner that dies.** A worker that unwinds while holding a pass
+//! leaves it half-advanced — some cursors past the chunk, some not. The
+//! next to lock it discards the pass whole: the generator, every cursor
+//! and everything published (whoever already copied or shares an item
+//! keeps it). The pass starts over from the seed and republishes what
+//! still has users.
+//!
+//! **SMP keys** ([`ReuseKey::Smp`]) run sixteen lock-stepped streams that
+//! the model warms itself: their trace set is generated whole, once, by
+//! whichever point asks first (concurrent first requests block on that
+//! one generation), shared as an `Arc` and dropped with the key.
 //!
 //! Generation and warming are deterministic, so sharing never changes a
 //! result; the counters say how much it saved.
 
 use crate::spec::{SimPoint, WorkUnit};
 use s64v_core::{warm_fingerprint, Fingerprint, WarmCursor};
-use s64v_trace::VecTrace;
-use s64v_workloads::{smp_traces_into, suite::tpcc_program, Suite, SuiteKind};
-use std::collections::{BTreeMap, HashMap};
+use s64v_trace::{TraceRecord, VecTrace};
+use s64v_workloads::program::ProgramStream;
+use s64v_workloads::{smp_traces, suite::tpcc_program, Suite, SuiteKind};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+
+/// Records a pass generates, warms and forgets at a time: small enough
+/// (224 KB) to be read back from the host's cache by every cursor, large
+/// enough that taking the pass's lock is noise.
+const CHUNK: usize = 4096;
 
 /// What makes two points' generated inputs identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,7 +98,7 @@ pub enum ReuseKey {
         suite: SuiteKind,
         /// Index within the suite's program list.
         index: usize,
-        /// Trace length in records.
+        /// Nominal trace length in records.
         records: usize,
         /// Exact generation seed.
         seed: u64,
@@ -120,27 +140,6 @@ impl ReuseKey {
             },
         }
     }
-
-    /// The key's trace set, built into the allocations of `spare` (a
-    /// trace set some finished key no longer needs, or empty).
-    fn generate(self, spare: Vec<VecTrace>) -> Vec<VecTrace> {
-        match self {
-            ReuseKey::Program {
-                suite,
-                index,
-                records,
-                seed,
-            } => {
-                let buffer = spare.into_iter().next().unwrap_or_default();
-                vec![Suite::preset(suite).programs()[index].generate_into(buffer, records, seed)]
-            }
-            ReuseKey::Smp {
-                cpus,
-                records,
-                seed,
-            } => smp_traces_into(&tpcc_program(), cpus, records, seed, spare),
-        }
-    }
 }
 
 /// Exact counts of what a campaign asked of the registry and what the
@@ -149,10 +148,13 @@ impl ReuseKey {
 pub struct RegistryCounters {
     /// Trace sets points asked for (one per executed attempt).
     pub traces_requested: u64,
-    /// Trace sets generated.
+    /// Generators started: one per program pass, one per SMP trace set.
     pub traces_generated: u64,
     /// Records generated, summed over every CPU's trace.
     pub records_generated: u64,
+    /// Records kept as a trace someone times: every distinct window of a
+    /// program key, the whole trace set of an SMP key.
+    pub records_materialized: u64,
     /// Functional warm-up records uniprocessor points (program points
     /// and sampled windows) asked for: Σ `(stop − origin)` over executed
     /// attempts.
@@ -161,10 +163,10 @@ pub struct RegistryCounters {
     pub records_warmed: u64,
     /// Warmed machines those attempts asked for (one each).
     pub machines_requested: u64,
-    /// Warming passes started on a cold machine at an origin.
+    /// Cold machines started at a chain's origin.
     pub warm_passes: u64,
-    /// Warmed states copied, for a point to time on or for a later stop
-    /// to continue from.
+    /// Warmed states copied: into a stop the cursor moves on from, and
+    /// out of a stop for a point to time on.
     pub machines_copied: u64,
 }
 
@@ -173,21 +175,161 @@ pub struct RegistryCounters {
 struct Stop {
     /// Points timing from here that are not yet released.
     users: usize,
-    /// The state warmed over `[origin, stop)`: built once by whichever
-    /// user asks first, copied by the others from where it sits.
-    state: Arc<OnceLock<WarmCursor>>,
+    /// The state warmed over `[origin, stop)`, once the pass has come by.
+    state: Option<Arc<WarmCursor>>,
 }
 
-/// The stops of one warm key, ascending.
-type Chain = BTreeMap<usize, Stop>;
+/// One warm key's stops and the cursor warming towards them.
+#[derive(Debug)]
+struct Chain {
+    fingerprint: Fingerprint,
+    origin: usize,
+    /// A point whose configuration builds this chain's cold machine.
+    config: usize,
+    stops: BTreeMap<usize, Stop>,
+    /// Live from the origin to the last stop anyone still wants.
+    cursor: Option<WarmCursor>,
+}
 
-/// `(warm fingerprint, warm origin)`.
-type WarmKey = (Fingerprint, usize);
+impl Chain {
+    fn wanted_from(&self, pos: usize) -> bool {
+        self.stops.range(pos..).any(|(_, stop)| stop.users > 0)
+    }
 
+    /// The pass stands at `pos`, a chunk boundary: start the chain if
+    /// this is its origin, publish the stop if this is one, and let the
+    /// cursor go when no wanted stop is left ahead.
+    fn settle(&mut self, pos: usize, points: &[SimPoint], counters: &mut RegistryCounters) {
+        if pos == self.origin && self.wanted_from(pos) {
+            self.cursor = Some(WarmCursor::new(&points[self.config].config, pos));
+            counters.warm_passes += 1;
+        }
+        let Some(cursor) = self.cursor.take() else {
+            return;
+        };
+        let wanted_later = self.wanted_from(pos + 1);
+        match self.stops.get_mut(&pos) {
+            Some(stop) if stop.users > 0 && wanted_later => {
+                counters.machines_copied += 1;
+                stop.state = Some(Arc::new(cursor.fork()));
+                self.cursor = Some(cursor);
+            }
+            Some(stop) if stop.users > 0 => stop.state = Some(Arc::new(cursor)),
+            _ if wanted_later => self.cursor = Some(cursor),
+            _ => {}
+        }
+    }
+}
+
+/// One distinct range of records some points time.
 #[derive(Debug, Default)]
-struct Entry {
-    traces: OnceLock<Arc<Vec<VecTrace>>>,
-    chains: Mutex<HashMap<WarmKey, Chain>>,
+struct Window {
+    /// Points timing it that are not yet released.
+    users: usize,
+    /// The part of the range the pass has been through so far.
+    filling: Vec<TraceRecord>,
+    /// The whole range as a one-CPU trace set, once the pass is past it.
+    records: Option<Arc<Vec<VecTrace>>>,
+}
+
+/// One program's forward pass: the plan and how far it has come (see the
+/// module docs).
+#[derive(Debug)]
+struct Pass {
+    suite: SuiteKind,
+    index: usize,
+    seed: u64,
+    chains: Vec<Chain>,
+    /// By `(start, len)`.
+    windows: BTreeMap<(usize, usize), Window>,
+    /// Every chain origin, stop and window end: where chunks end early.
+    cuts: BTreeSet<usize>,
+    /// The generator and its chunk buffer; `None` until someone asks.
+    run: Option<Box<(ProgramStream, Vec<TraceRecord>)>>,
+}
+
+impl Pass {
+    /// Generates the next chunk and takes it everywhere it is wanted.
+    fn step(&mut self, points: &[SimPoint], counters: &Mutex<RegistryCounters>) {
+        if self.run.is_none() {
+            let suite = Suite::preset(self.suite);
+            let stream = suite.programs()[self.index].stream(self.seed);
+            self.run = Some(Box::new((stream, Vec::new())));
+            let mut counters = lock(counters);
+            counters.traces_generated += 1;
+            for chain in &mut self.chains {
+                chain.settle(0, points, &mut counters);
+            }
+        }
+        let (stream, chunk) = &mut **self.run.as_mut().expect("started above");
+        let pos = stream.pos();
+        let cut = self.cuts.range(pos + 1..).next();
+        let upto = (pos + CHUNK).min(*cut.expect("nothing is wanted past the plan's last cut"));
+        chunk.clear();
+        stream.fill(chunk, upto);
+        let mut warmed = 0;
+        for cursor in self.chains.iter_mut().filter_map(|c| c.cursor.as_mut()) {
+            cursor.advance(chunk);
+            warmed += chunk.len();
+        }
+        let mut materialized = 0;
+        for (&(start, len), window) in self.windows.range_mut(..(upto, 0)) {
+            let (from, to) = (start.max(pos), (start + len).min(upto));
+            if window.users == 0 || window.records.is_some() || from >= to {
+                continue;
+            }
+            window.filling.reserve_exact(len - window.filling.len());
+            window
+                .filling
+                .extend_from_slice(&chunk[from - pos..to - pos]);
+            materialized += to - from;
+            if to == start + len {
+                let trace = VecTrace::from_records(std::mem::take(&mut window.filling));
+                window.records = Some(Arc::new(vec![trace]));
+            }
+        }
+        let mut counters = lock(counters);
+        counters.records_generated += chunk.len() as u64;
+        counters.records_warmed += warmed as u64;
+        counters.records_materialized += materialized as u64;
+        for chain in &mut self.chains {
+            chain.settle(upto, points, &mut counters);
+        }
+    }
+
+    /// Forgets everything but the plan (see "A runner that dies").
+    fn discard(&mut self) {
+        self.run = None;
+        for chain in &mut self.chains {
+            chain.cursor = None;
+            for stop in chain.stops.values_mut() {
+                stop.state = None;
+            }
+        }
+        for window in self.windows.values_mut() {
+            *window = Window {
+                users: window.users,
+                ..Window::default()
+            };
+        }
+    }
+}
+
+/// The pass behind `pass`, discarded first if a runner died holding it.
+fn runner(pass: &Mutex<Pass>) -> MutexGuard<'_, Pass> {
+    pass.lock().unwrap_or_else(|dead| {
+        let mut half_advanced = dead.into_inner();
+        half_advanced.discard();
+        pass.clear_poison();
+        half_advanced
+    })
+}
+
+/// What one reuse key's points share.
+#[derive(Debug)]
+enum Entry {
+    Program(Mutex<Pass>),
+    Smp(OnceLock<Arc<Vec<VecTrace>>>),
 }
 
 #[derive(Debug)]
@@ -196,54 +338,109 @@ struct Slot {
     entry: Arc<Entry>,
 }
 
+/// What one point asks of its key's entry: worked out once, in
+/// [`Registry::new`].
+#[derive(Debug, Clone, Copy)]
+struct Ask {
+    key: ReuseKey,
+    /// The records the point times, `(start, len)` (program keys).
+    window: Option<(usize, usize)>,
+    /// The chain (by index in its pass) and stop the point times from.
+    stop: Option<(usize, usize)>,
+}
+
 /// The shared inputs of one campaign (see the module docs).
 #[derive(Debug)]
-pub struct Registry {
+pub struct Registry<'a> {
+    points: &'a [SimPoint],
+    /// By point index.
+    asks: Vec<Ask>,
     slots: Mutex<HashMap<ReuseKey, Slot>>,
-    /// Trace sets of dropped entries, waiting to be generated into.
-    spare: Mutex<Vec<Vec<VecTrace>>>,
     counters: Mutex<RegistryCounters>,
 }
 
 /// A poisoned lock means a worker panicked while holding it; every
-/// critical section here and in the engine leaves its data consistent at
-/// each step, so the survivors carry on.
+/// critical section that takes a lock this way leaves its data
+/// consistent at each step, so the survivors carry on.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The warm key of a uniprocessor point timing from `stop`.
-fn warm_key(point: &SimPoint, stop: usize) -> WarmKey {
-    (
-        warm_fingerprint(&point.config),
-        stop.saturating_sub(point.warmup),
-    )
-}
-
-impl Registry {
-    /// Registers every point as a consumer of its reuse key (and every
-    /// uniprocessor point as a user of its stop). Nothing is generated
-    /// or warmed until a point asks.
-    pub fn new(points: &[SimPoint]) -> Registry {
-        let mut slots: HashMap<ReuseKey, Slot> = HashMap::new();
-        for point in points {
-            let slot = slots.entry(ReuseKey::of(point)).or_insert_with(|| Slot {
-                consumers: 0,
-                entry: Arc::default(),
+impl<'a> Registry<'a> {
+    /// Registers every point as a consumer of its reuse key and plans
+    /// each program key's pass. Nothing is generated or warmed until a
+    /// point asks.
+    pub fn new(points: &'a [SimPoint]) -> Registry<'a> {
+        let mut entries: HashMap<ReuseKey, (usize, Entry)> = HashMap::new();
+        let mut asks = Vec::with_capacity(points.len());
+        for (at, point) in points.iter().enumerate() {
+            let key = ReuseKey::of(point);
+            let (consumers, entry) = entries.entry(key).or_insert_with(|| {
+                let entry = match key {
+                    ReuseKey::Program {
+                        suite, index, seed, ..
+                    } => Entry::Program(Mutex::new(Pass {
+                        suite,
+                        index,
+                        seed,
+                        chains: Vec::new(),
+                        windows: BTreeMap::new(),
+                        cuts: BTreeSet::new(),
+                        run: None,
+                    })),
+                    ReuseKey::Smp { .. } => Entry::Smp(OnceLock::new()),
+                };
+                (0, entry)
             });
-            slot.consumers += 1;
-            if let Some((stop, _)) = point.window() {
-                lock(&slot.entry.chains)
-                    .entry(warm_key(point, stop))
-                    .or_default()
-                    .entry(stop)
-                    .or_default()
-                    .users += 1;
+            *consumers += 1;
+            let mut ask = Ask {
+                key,
+                window: None,
+                stop: None,
+            };
+            if let Entry::Program(pass) = entry {
+                let pass = pass.get_mut().unwrap_or_else(|e| e.into_inner());
+                // A verification point times its whole trace on machines
+                // of its own; the others a window on a shared warm state.
+                let (start, len) = point.window().unwrap_or((0, point.records + point.warmup));
+                pass.windows.entry((start, len)).or_default().users += 1;
+                pass.cuts.insert(start + len);
+                ask.window = Some((start, len));
+                if point.window().is_some() {
+                    let fingerprint = warm_fingerprint(&point.config);
+                    let origin = start.saturating_sub(point.warmup);
+                    let known = pass
+                        .chains
+                        .iter()
+                        .position(|c| (c.fingerprint, c.origin) == (fingerprint, origin));
+                    let chain = known.unwrap_or_else(|| {
+                        pass.chains.push(Chain {
+                            fingerprint,
+                            origin,
+                            config: at,
+                            stops: BTreeMap::new(),
+                            cursor: None,
+                        });
+                        pass.chains.len() - 1
+                    });
+                    pass.chains[chain].stops.entry(start).or_default().users += 1;
+                    pass.cuts.extend([origin, start]);
+                    ask.stop = Some((chain, start));
+                }
             }
+            asks.push(ask);
         }
+        let slots = entries
+            .into_iter()
+            .map(|(key, (consumers, entry))| {
+                let entry = Arc::new(entry);
+                (key, Slot { consumers, entry })
+            })
+            .collect();
         Registry {
+            points,
+            asks,
             slots: Mutex::new(slots),
-            spare: Mutex::default(),
             counters: Mutex::default(),
         }
     }
@@ -255,150 +452,103 @@ impl Registry {
             .expect("point was registered and not yet released")
     }
 
-    /// The point's generated trace set (one trace per CPU), generating it
-    /// if no earlier consumer of the key has.
-    pub fn traces(&self, point: &SimPoint) -> Arc<Vec<VecTrace>> {
+    /// Advances `pass` until `published` finds what it is after.
+    fn ask<T>(&self, pass: &Mutex<Pass>, published: impl Fn(&Pass) -> Option<T>) -> T {
+        loop {
+            // Locked a chunk at a time: others ask and release in between.
+            let mut pass = runner(pass);
+            if let Some(found) = published(&pass) {
+                return found;
+            }
+            pass.step(self.points, &self.counters);
+        }
+    }
+
+    /// The trace set point `at` times, one trace per CPU: a uniprocessor
+    /// point's window of its program — record 0 of the trace is the first
+    /// record timed (for a verification point, of the program) — or an
+    /// SMP point's whole traces, warm-up included. Generated by whoever
+    /// asks first; everyone after shares it.
+    pub fn traces(&self, at: usize) -> Arc<Vec<VecTrace>> {
         lock(&self.counters).traces_requested += 1;
-        let key = ReuseKey::of(point);
-        let entry = self.entry(key);
-        let traces = entry.traces.get_or_init(|| {
-            let spare = lock(&self.spare).pop().unwrap_or_default();
-            let traces = key.generate(spare);
-            let records: usize = traces.iter().map(VecTrace::len).sum();
-            let mut counters = lock(&self.counters);
-            counters.traces_generated += 1;
-            counters.records_generated += records as u64;
-            Arc::new(traces)
-        });
-        Arc::clone(traces)
-    }
-
-    /// The functional state after warming `[stop − warmup, stop)` of the
-    /// uniprocessor `point`'s `trace`, ready to time the point's window
-    /// from `stop` (see the module docs for who replays what). A point
-    /// nobody shares warm-up with (bounded warming, a one-point registry)
-    /// costs exactly one pass and no copy.
-    pub fn warmed(&self, point: &SimPoint, trace: &VecTrace) -> WarmCursor {
-        let (stop, _) = point.window().expect("only uniprocessor points warm");
-        let key = warm_key(point, stop);
-        let entry = self.entry(ReuseKey::of(point));
-        let state = lock(&entry.chains)
-            .get(&key)
-            .and_then(|chain| chain.get(&stop))
-            .map(|s| Arc::clone(&s.state))
-            .expect("point was registered and not yet released");
-        state.get_or_init(|| {
-            let mut cursor = self.base(&entry, key, stop).unwrap_or_else(|| {
-                lock(&self.counters).warm_passes += 1;
-                WarmCursor::new(&point.config, key.1)
-            });
-            let replayed = cursor.advance_to(trace.records(), stop);
-            lock(&self.counters).records_warmed += replayed;
-            cursor
-        });
-        {
-            let mut counters = lock(&self.counters);
-            counters.machines_requested += 1;
-            counters.records_warm_requested += (stop - key.1) as u64;
-        }
-        // The last user, with no later stop to leave the state for, takes
-        // it: the chain lets go of its reference and ours is the only one.
-        let last = {
-            let mut chains = lock(&entry.chains);
-            let chain = chains.get_mut(&key).expect("an unreleased user's chain");
-            let wanted_later = chain.range(stop + 1..).any(|(_, s)| s.users > 0);
-            let here = chain.get_mut(&stop).expect("an unreleased user's stop");
-            let last = here.users == 1 && !wanted_later;
-            if last {
-                here.state = Arc::default();
+        let ask = self.asks[at];
+        match &*self.entry(ask.key) {
+            Entry::Program(pass) => {
+                let range = ask.window.expect("a program key's point");
+                self.ask(pass, |pass| pass.windows[&range].records.clone())
             }
-            last
-        };
-        self.take_or_copy(state, last)
-    }
-
-    /// The furthest state `key`'s chain holds short of `stop`, to continue
-    /// warming from: taken out of the chain when none of its own users is
-    /// left, copied otherwise.
-    fn base(&self, entry: &Entry, key: WarmKey, stop: usize) -> Option<WarmCursor> {
-        let mut chains = lock(&entry.chains);
-        let chain = chains.get_mut(&key)?;
-        let (&at, found) = chain
-            .range(..stop)
-            .rev()
-            .find(|(_, s)| s.state.get().is_some())?;
-        let spent = found.users == 0;
-        let state = Arc::clone(&found.state);
-        if spent {
-            chain.remove(&at);
+            Entry::Smp(traces) => Arc::clone(traces.get_or_init(|| {
+                let ReuseKey::Smp {
+                    cpus,
+                    records,
+                    seed,
+                } = ask.key
+                else {
+                    unreachable!("an SMP entry's key");
+                };
+                let traces = smp_traces(&tpcc_program(), cpus, records, seed);
+                let generated: usize = traces.iter().map(VecTrace::len).sum();
+                let mut counters = lock(&self.counters);
+                counters.traces_generated += 1;
+                counters.records_generated += generated as u64;
+                counters.records_materialized += generated as u64;
+                Arc::new(traces)
+            })),
         }
-        drop(chains);
-        Some(self.take_or_copy(state, spent))
     }
 
-    /// The warmed state in `state` itself when `take` is set and no one
-    /// else holds it, a copy of it otherwise.
-    fn take_or_copy(&self, state: Arc<OnceLock<WarmCursor>>, take: bool) -> WarmCursor {
-        let shared = if take {
-            match Arc::try_unwrap(state) {
-                Ok(cell) => return cell.into_inner().expect("a warmed state"),
-                Err(shared) => shared,
-            }
-        } else {
-            state
+    /// The functional state after warming `[stop − warmup, stop)` of
+    /// uniprocessor point `at`'s program, ready to time the point's
+    /// window from `stop`: a copy of the state its stop holds (see the
+    /// module docs for who replays what).
+    pub fn warmed(&self, at: usize) -> WarmCursor {
+        let ask = self.asks[at];
+        let (chain, stop) = ask.stop.expect("only uniprocessor points warm");
+        let Entry::Program(pass) = &*self.entry(ask.key) else {
+            unreachable!("a uniprocessor point's key");
         };
-        lock(&self.counters).machines_copied += 1;
-        shared.get().expect("a warmed state").fork()
+        let (state, origin) = self.ask(pass, |pass| {
+            let chain = &pass.chains[chain];
+            let state = chain.stops[&stop].state.clone()?;
+            Some((state, chain.origin))
+        });
+        let mut counters = lock(&self.counters);
+        counters.machines_requested += 1;
+        counters.records_warm_requested += (stop - origin) as u64;
+        counters.machines_copied += 1;
+        drop(counters);
+        state.fork()
     }
 
-    /// Declares `point` finished for good. Drops its stop's warm state
-    /// with the stop's last user (unless a later stop will continue from
-    /// it) and the key's whole entry with its last consumer; the entry's
-    /// trace buffers go to the next generation.
-    pub fn release(&self, point: &SimPoint) {
-        let key = ReuseKey::of(point);
+    /// Declares point `at` finished for good. Drops its window and its
+    /// stop's warm state with their last user and the key's whole entry
+    /// with its last consumer.
+    pub fn release(&self, at: usize) {
+        let ask = self.asks[at];
+        if let Entry::Program(pass) = &*self.entry(ask.key) {
+            let mut pass = runner(pass);
+            if let Some(window) = ask.window.and_then(|range| pass.windows.get_mut(&range)) {
+                window.users -= 1;
+                if window.users == 0 {
+                    *window = Window::default();
+                }
+            }
+            if let Some((chain, stop)) = ask.stop {
+                let stop = pass.chains[chain].stops.get_mut(&stop);
+                let stop = stop.expect("a planned stop");
+                stop.users -= 1;
+                if stop.users == 0 {
+                    stop.state = None;
+                }
+            }
+        }
         let mut slots = lock(&self.slots);
-        let Some(slot) = slots.get_mut(&key) else {
-            return;
-        };
-        if let Some((stop, _)) = point.window() {
-            let mut chains = lock(&slot.entry.chains);
-            let key = warm_key(point, stop);
-            if let Some(chain) = chains.get_mut(&key) {
-                let users = chain.get_mut(&stop).map_or(0, |s| {
-                    s.users -= 1;
-                    s.users
-                });
-                if users == 0 {
-                    // Worth keeping only as what a later stop that is
-                    // still wanted continues from — and then every
-                    // earlier spent state is superseded.
-                    let keep = chain[&stop].state.get().is_some()
-                        && chain.range(stop + 1..).any(|(_, s)| s.users > 0);
-                    chain
-                        .retain(|&at, s| s.users > 0 || if keep { at >= stop } else { at != stop });
-                }
-                if chain.values().all(|s| s.users == 0) {
-                    chains.remove(&key);
-                }
-            }
-        }
+        let slot = slots.get_mut(&ask.key).expect("an unreleased point's key");
         slot.consumers -= 1;
-        if slot.consumers > 0 {
-            return;
-        }
-        let entry = slots.remove(&key).map(|slot| slot.entry);
+        let spent = (slot.consumers == 0).then(|| slots.remove(&ask.key));
+        // The generator and cursors are freed outside the lock.
         drop(slots);
-        // Every consumer is done, so nobody else holds the entry or its
-        // traces — unless one died holding them, and then they are just
-        // freed. An entry served from the result cache never generated.
-        let traces = entry
-            .and_then(Arc::into_inner)
-            .and_then(|entry| entry.traces.into_inner())
-            .and_then(Arc::into_inner);
-        if let Some(traces) = traces {
-            lock(&self.spare).push(traces);
-        }
+        drop(spent);
     }
 
     /// Keys that still have unreleased consumers.
@@ -417,6 +567,9 @@ mod tests {
     use super::*;
     use s64v_core::SystemConfig;
 
+    const TRACE: usize = 6_000;
+    const LEN: usize = 500;
+
     fn window(start: usize, warmup: usize) -> SimPoint {
         SimPoint {
             config: SystemConfig::sparc64_v(),
@@ -424,12 +577,16 @@ mod tests {
                 suite: SuiteKind::SpecInt95,
                 index: 0,
                 start,
-                len: 500,
+                len: LEN,
             },
-            records: 6_000,
+            records: TRACE,
             warmup,
             seed: 7,
         }
+    }
+
+    fn reference() -> VecTrace {
+        Suite::preset(SuiteKind::SpecInt95).programs()[0].generate(TRACE, 7)
     }
 
     #[test]
@@ -462,80 +619,73 @@ mod tests {
 
     #[test]
     fn ascending_windows_warm_once_and_release_empties_the_registry() {
-        let points: Vec<SimPoint> = [1_000, 2_500, 4_000]
-            .iter()
-            .map(|&s| window(s, 6_000))
-            .collect();
+        let starts = [1_000, 2_500, 4_000];
+        let points: Vec<SimPoint> = starts.iter().map(|&s| window(s, TRACE)).collect();
         let reg = Registry::new(&points);
         assert_eq!(reg.live(), 1);
-        let weak = {
-            let traces = reg.traces(&points[0]);
-            for p in &points {
-                let (start, _) = p.window().expect("a window");
-                let same = reg.traces(p);
-                assert!(Arc::ptr_eq(&traces, &same));
-                let machine = reg.warmed(p, &same[0]);
-                assert_eq!((machine.origin(), machine.pos()), (0, start));
-            }
-            Arc::downgrade(&traces)
-        };
+        let whole = reference();
+        for (at, &start) in starts.iter().enumerate() {
+            let traces = reg.traces(at);
+            assert_eq!(traces[0].records(), &whole.records()[start..start + LEN]);
+            assert!(Arc::ptr_eq(&traces, &reg.traces(at)), "published once");
+            let machine = reg.warmed(at);
+            assert_eq!((machine.origin(), machine.pos()), (0, start));
+        }
         let c = reg.counters();
-        assert_eq!((c.traces_requested, c.traces_generated), (4, 1));
-        assert_eq!(c.records_generated, 6_000);
+        assert_eq!((c.traces_requested, c.traces_generated), (6, 1));
+        assert_eq!(c.records_generated, 4_000 + LEN as u64, "to the last end");
+        assert_eq!(c.records_materialized, 3 * LEN as u64);
         assert_eq!(c.records_warm_requested, 1_000 + 2_500 + 4_000);
         assert_eq!(c.records_warmed, 4_000, "one pass to the last start");
-        for p in &points {
-            assert!(weak.upgrade().is_some(), "held until the last consumer");
-            reg.release(p);
+        assert_eq!(c.warm_passes, 1);
+        for at in 0..points.len() {
+            assert_eq!(reg.live(), 1, "held until the last consumer");
+            reg.release(at);
         }
         assert_eq!(reg.live(), 0);
-        assert!(weak.upgrade().is_none(), "dropped with the last consumer");
     }
 
     #[test]
-    fn a_finished_keys_buffer_serves_the_next_generation() {
-        let first = window(1_000, 6_000);
-        let second = SimPoint {
-            seed: 8,
-            ..first.clone()
-        };
-        let reg = Registry::new(&[first.clone(), second.clone()]);
-        let buffer = reg.traces(&first)[0].records().as_ptr();
-        reg.release(&first);
-        let traces = reg.traces(&second);
-        assert_eq!(traces[0].records().as_ptr(), buffer, "no new allocation");
-        let fresh = Suite::preset(SuiteKind::SpecInt95).programs()[0].generate(6_000, 8);
-        assert_eq!(traces[0], fresh, "and the trace a fresh buffer would hold");
-        assert_eq!(reg.counters().traces_generated, 2);
-    }
-
-    #[test]
-    fn out_of_order_and_repeated_requests_start_over_from_the_origin() {
-        let points: Vec<SimPoint> = [3_000, 1_000].iter().map(|&s| window(s, 6_000)).collect();
+    fn out_of_order_and_repeated_requests_replay_nothing_twice() {
+        let points: Vec<SimPoint> = [3_000, 1_000].iter().map(|&s| window(s, TRACE)).collect();
         let reg = Registry::new(&points);
-        let traces = reg.traces(&points[0]);
-        reg.warmed(&points[0], &traces[0]);
-        reg.warmed(&points[1], &traces[0]); // behind every warmed state
-        reg.warmed(&points[1], &traces[0]); // a retry: zero advance
-        assert_eq!(reg.counters().records_warmed, 3_000 + 1_000);
+        assert_eq!(reg.warmed(0).pos(), 3_000);
+        // Behind the pass: published on its way to the first asker.
+        assert_eq!(reg.warmed(1).pos(), 1_000);
+        assert_eq!(reg.warmed(1).pos(), 1_000, "a retry");
+        assert_eq!(
+            reg.traces(1)[0].records(),
+            &reference().records()[1_000..1_500]
+        );
+        let c = reg.counters();
+        assert_eq!((c.warm_passes, c.records_warmed), (1, 3_000));
+        assert_eq!(
+            c.records_generated, 3_000,
+            "the first window is not yet asked for"
+        );
+        reg.traces(0);
+        assert_eq!(reg.counters().records_generated, 3_000 + LEN as u64);
+        assert_eq!(reg.counters().records_warmed, 3_000, "past the last stop");
     }
 
     #[test]
     fn bounded_warm_windows_never_share_and_never_fork() {
         let points: Vec<SimPoint> = [1_000, 2_500].iter().map(|&s| window(s, 400)).collect();
         let reg = Registry::new(&points);
-        let traces = reg.traces(&points[0]);
-        let a = reg.warmed(&points[0], &traces[0]);
-        let b = reg.warmed(&points[1], &traces[0]);
+        let a = reg.warmed(0);
+        let b = reg.warmed(1);
         assert_eq!((a.origin(), b.origin()), (600, 2_100));
         let c = reg.counters();
         assert_eq!(c.records_warmed, 800);
         assert_eq!(c.records_warm_requested, 800);
-        assert_eq!((c.warm_passes, c.machines_copied), (2, 0));
+        // Each chain's one stop gets the cursor itself; the only copies
+        // are the two askers' own.
+        assert_eq!((c.warm_passes, c.machines_copied), (2, 2));
+        assert_eq!(c.traces_generated, 1, "two chains, one pass");
     }
 
     /// `n` program points on one trace whose configurations differ only
-    /// in the instruction window: one warm key, one stop.
+    /// in the instruction window: one warm key, one stop, one window.
     fn sweep(n: u32) -> Vec<SimPoint> {
         (0..n)
             .map(|i| {
@@ -555,46 +705,44 @@ mod tests {
             .collect()
     }
 
-    /// Warmed states the registry holds for `point`'s reuse key.
-    fn held(reg: &Registry, point: &SimPoint) -> usize {
-        let entry = reg.entry(ReuseKey::of(point));
-        let chains = lock(&entry.chains);
-        chains
-            .values()
-            .flat_map(|chain| chain.values())
-            .filter(|stop| stop.state.get().is_some())
-            .count()
+    /// Warmed states and windows the registry holds for point `at`'s key.
+    fn held(reg: &Registry, at: usize) -> (usize, usize) {
+        let Entry::Program(pass) = &*reg.entry(reg.asks[at].key) else {
+            panic!("a program key");
+        };
+        let pass = runner(pass);
+        let stops = pass.chains.iter().flat_map(|chain| chain.stops.values());
+        (
+            stops.filter(|stop| stop.state.is_some()).count()
+                + pass.chains.iter().filter(|c| c.cursor.is_some()).count(),
+            pass.windows
+                .values()
+                .filter(|w| w.records.is_some() || !w.filling.is_empty())
+                .count(),
+        )
     }
 
     #[test]
-    fn a_stops_users_copy_one_state_in_place_and_the_last_takes_it() {
+    fn a_stops_users_copy_one_state_in_place_and_it_goes_with_the_last() {
         let points = sweep(4);
         let reg = Registry::new(&points);
-        let traces = reg.traces(&points[0]);
-        for (i, p) in points.iter().enumerate() {
-            let machine = reg.warmed(p, &traces[0]);
+        for at in 0..points.len() {
+            let machine = reg.warmed(at);
             assert_eq!((machine.origin(), machine.pos()), (0, 1_500));
+            assert_eq!(reg.traces(at)[0].len(), 500);
             // A retry before release finds the state where it was.
-            reg.warmed(p, &traces[0]);
-            let last = i + 1 == points.len();
-            assert_eq!(
-                held(&reg, p),
-                usize::from(!last),
-                "one state, never a second"
-            );
-            if !last {
-                reg.release(p);
+            reg.warmed(at);
+            assert_eq!(held(&reg, at), (1, 1), "one state and one window");
+            if at + 1 < points.len() {
+                reg.release(at);
             }
         }
         let c = reg.counters();
-        assert_eq!(
-            c.machines_copied, 6,
-            "everyone copies but the last, who takes"
-        );
+        assert_eq!(c.machines_copied, 8, "every asker copies, the pass never");
         assert_eq!(c.records_warm_requested, 8 * 1_500);
-        // The last user took the state; its retry has to warm again.
-        assert_eq!((c.warm_passes, c.records_warmed), (2, 2 * 1_500));
-        reg.release(&points[3]);
+        assert_eq!((c.warm_passes, c.records_warmed), (1, 1_500));
+        assert_eq!((c.records_generated, c.records_materialized), (2_000, 500));
+        reg.release(3);
         assert_eq!(reg.live(), 0);
     }
 
@@ -602,51 +750,173 @@ mod tests {
     fn concurrent_first_requests_wait_for_one_pass() {
         let points = sweep(4);
         let reg = Registry::new(&points);
-        let traces = reg.traces(&points[0]);
         let barrier = std::sync::Barrier::new(points.len());
         std::thread::scope(|scope| {
-            for p in &points {
-                let (reg, trace, barrier) = (&reg, &traces[0], &barrier);
+            for at in 0..points.len() {
+                let (reg, barrier) = (&reg, &barrier);
                 scope.spawn(move || {
                     barrier.wait();
-                    assert_eq!(reg.warmed(p, trace).pos(), 1_500);
+                    assert_eq!(reg.warmed(at).pos(), 1_500);
+                    assert_eq!(reg.traces(at)[0].len(), 500);
                 });
             }
         });
         let c = reg.counters();
         assert_eq!((c.warm_passes, c.records_warmed), (1, 1_500));
-        assert_eq!(c.machines_copied, 4, "nobody is released, so nobody takes");
-        assert_eq!(held(&reg, &points[0]), 1);
+        assert_eq!((c.traces_generated, c.records_generated), (1, 2_000));
+        assert_eq!(c.machines_copied, 4);
+        assert_eq!(held(&reg, 0), (1, 1));
     }
 
     #[test]
-    fn a_spent_state_waits_for_the_next_stop_and_is_taken_by_its_pass() {
+    fn a_chains_last_wanted_stop_gets_the_cursor_itself() {
         let points: Vec<SimPoint> = [1_000, 2_500, 4_000]
             .iter()
-            .map(|&s| window(s, 6_000))
+            .map(|&s| window(s, TRACE))
             .collect();
         let reg = Registry::new(&points);
-        let traces = reg.traces(&points[0]);
-        for p in &points[..2] {
-            reg.warmed(p, &traces[0]);
-            assert_eq!(held(&reg, p), 1);
-            reg.release(p);
-            assert_eq!(held(&reg, p), 1, "kept for the stop after it");
-        }
-        reg.warmed(&points[2], &traces[0]);
+        reg.warmed(0);
+        assert_eq!(held(&reg, 0).0, 2, "the stop's copy and the cursor");
+        reg.release(0);
+        assert_eq!(held(&reg, 1).0, 1, "a state goes with its last user");
+        reg.warmed(2);
+        assert_eq!(held(&reg, 2).0, 2, "no cursor left past the last stop");
         assert_eq!(
-            held(&reg, &points[2]),
-            0,
-            "the last stop's lone user took it"
+            reg.counters().machines_copied,
+            2 + 2,
+            "the pass's and the askers'"
         );
-        // A later stop served from the result cache never asks: its
-        // predecessor's state goes when nothing is left to want it.
+
+        // A later stop served from the result cache is released unasked:
+        // the stop before it is then the last, and the pass ends there.
         let reg = Registry::new(&points[..2]);
-        let traces = reg.traces(&points[0]);
-        reg.warmed(&points[0], &traces[0]);
-        reg.release(&points[0]);
-        assert_eq!(held(&reg, &points[1]), 1);
-        reg.release(&points[1]);
+        reg.release(1);
+        reg.warmed(0);
+        assert_eq!(held(&reg, 0).0, 1);
+        let c = reg.counters();
+        assert_eq!((c.records_warmed, c.machines_copied), (1_000, 1));
+        reg.release(0);
+        assert_eq!(reg.live(), 0);
+    }
+
+    #[test]
+    fn a_verification_point_times_the_whole_trace_beside_the_program_point() {
+        let full = SimPoint {
+            work: WorkUnit::Program {
+                suite: SuiteKind::SpecInt95,
+                index: 0,
+            },
+            records: 4_000,
+            warmup: 2_000,
+            ..window(0, 0)
+        };
+        let verify = SimPoint {
+            work: WorkUnit::Verify {
+                suite: SuiteKind::SpecInt95,
+                index: 0,
+            },
+            ..full.clone()
+        };
+        let points = [full, verify];
+        let reg = Registry::new(&points);
+        let whole = reference();
+        assert_eq!(reg.traces(1)[0], whole);
+        assert_eq!(reg.traces(0)[0].records(), &whole.records()[2_000..]);
+        assert_eq!(reg.warmed(0).pos(), 2_000);
+        let c = reg.counters();
+        assert_eq!((c.traces_generated, c.records_generated), (1, 6_000));
+        assert_eq!(c.records_materialized, 6_000 + 4_000);
+    }
+
+    #[test]
+    fn a_pass_whose_runner_died_is_discarded_and_starts_over_from_the_seed() {
+        let points: Vec<SimPoint> = [1_000, 2_500, 4_000]
+            .iter()
+            .map(|&s| window(s, TRACE))
+            .collect();
+        let reg = Registry::new(&points);
+        let first = reg.traces(0);
+        reg.release(0);
+        // A runner unwinds holding the pass, somewhere past the first
+        // window with the second half filled.
+        let entry = reg.entry(reg.asks[1].key);
+        let Entry::Program(pass) = &*entry else {
+            panic!("a program key");
+        };
+        std::thread::scope(|scope| {
+            let died = scope.spawn(|| {
+                let mut pass = runner(pass);
+                pass.step(&points, &reg.counters);
+                panic!("mid-chunk");
+            });
+            assert!(died.join().is_err());
+        });
+        assert!(pass.is_poisoned());
+        let before = reg.counters();
+        assert_eq!(held(&reg, 1), (0, 0), "nothing half-advanced survives");
+        assert!(!pass.is_poisoned());
+        // What is still wanted comes out as if nothing had happened, from
+        // a second pass; the released first window is not built again.
+        let whole = reference();
+        for (at, start) in [(1, 2_500), (2, 4_000)] {
+            assert_eq!(
+                reg.traces(at)[0].records(),
+                &whole.records()[start..start + LEN]
+            );
+            let fresh = {
+                let lone = Registry::new(&points[at..=at]);
+                (lone.warmed(0), lone.traces(0))
+            };
+            assert_eq!(reg.warmed(at).pos(), fresh.0.pos());
+        }
+        assert_eq!(
+            first[0].records(),
+            &whole.records()[1_000..1_500],
+            "kept by its holder"
+        );
+        let c = reg.counters();
+        assert_eq!(c.traces_generated, before.traces_generated + 1);
+        assert_eq!(c.warm_passes, before.warm_passes + 1);
+        assert_eq!(
+            c.records_generated,
+            before.records_generated + 4_000 + LEN as u64
+        );
+        assert_eq!(
+            c.records_materialized,
+            before.records_materialized + 2 * LEN as u64
+        );
+    }
+
+    #[test]
+    fn an_smp_keys_whole_trace_set_is_generated_once_and_shared() {
+        let smp = |window_size| {
+            let mut config = SystemConfig::smp(2);
+            config.core.window_size = window_size;
+            SimPoint {
+                config,
+                work: WorkUnit::SmpTpcc,
+                records: 700,
+                warmup: 300,
+                seed: 7,
+            }
+        };
+        let points = [smp(64), smp(32)];
+        let reg = Registry::new(&points);
+        let traces = reg.traces(0);
+        assert!(Arc::ptr_eq(&traces, &reg.traces(1)));
+        assert_eq!(*traces, smp_traces(&tpcc_program(), 2, 1_000, 7));
+        let c = reg.counters();
+        assert_eq!((c.traces_requested, c.traces_generated), (2, 1));
+        assert_eq!(
+            (c.records_generated, c.records_materialized),
+            (2_000, 2_000)
+        );
+        let weak = Arc::downgrade(&traces);
+        drop(traces);
+        reg.release(0);
+        assert!(weak.upgrade().is_some(), "held until the last consumer");
+        reg.release(1);
+        assert!(weak.upgrade().is_none(), "dropped with the last consumer");
         assert_eq!(reg.live(), 0);
     }
 }

@@ -92,6 +92,24 @@ fn distinct_keys(points: &[SimPoint]) -> u64 {
         .len() as u64
 }
 
+/// Σ over distinct `(reuse key, timed range)` of the range's length —
+/// a verification point times its whole trace — plus every SMP key's
+/// whole trace set: the records a campaign keeps as traces.
+fn distinct_timed_records(points: &[SimPoint]) -> u64 {
+    let ranges: HashSet<(ReuseKey, usize, usize)> = points
+        .iter()
+        .map(|p| {
+            let whole = p.records + p.warmup;
+            let (start, len) = match p.work {
+                WorkUnit::SmpTpcc => (0, whole * p.config.cpus),
+                _ => p.window().unwrap_or((0, whole)),
+            };
+            (ReuseKey::of(p), start, len)
+        })
+        .collect();
+    ranges.iter().map(|&(_, _, len)| len as u64).sum()
+}
+
 /// Σ over plans — one per `(reuse key, configuration, origin)` — of
 /// `last start − origin`: what one ascending pass per plan replays. A
 /// full-detail point is the window its warm-up ends at, on its plan's
@@ -175,15 +193,16 @@ fn a_mixed_campaign_is_identical_at_any_thread_count_and_to_lone_points() {
             r.registry.records_warm_requested, warm_requested,
             "{threads} threads"
         );
-        assert!(r.registry.records_warmed <= r.registry.records_warm_requested);
-        if threads == 1 {
-            assert!(
-                r.registry.records_warmed <= one_pass_per_plan(&points),
-                "one worker serves each plan in one ascending pass: {} > {}",
-                r.registry.records_warmed,
-                one_pass_per_plan(&points)
-            );
-        }
+        assert_eq!(
+            r.registry.records_materialized,
+            distinct_timed_records(&points),
+            "{threads} threads"
+        );
+        assert_eq!(
+            r.registry.records_warmed,
+            one_pass_per_plan(&points),
+            "{threads} threads: each plan is one pass, whoever is served first"
+        );
     }
 }
 
@@ -215,30 +234,41 @@ fn sampled_long_shape(lead_in: usize, region: usize, window: usize) -> Vec<SimPo
     .collect()
 }
 
-/// Eight generations for sixty-four windows at 1 and 2 threads, and at
-/// one thread exactly one warming pass per program, up to its last
-/// window's start.
+/// Eight generators for sixty-four windows and one warming pass per
+/// program, up to its last window's start, whatever the thread count:
+/// how much is generated, warmed and kept is a function of the point
+/// list.
 fn assert_one_generation_and_one_pass_per_program(points: &[SimPoint]) {
     assert_eq!(points.len(), 64);
-    let last_start = points
+    let (last_start, window) = points
         .iter()
-        .filter_map(|p| match p.work {
-            WorkUnit::SampledWindow { start, .. } => Some(start as u64),
-            _ => None,
-        })
+        .filter_map(|p| p.window())
         .max()
+        .map(|(start, len)| (start as u64, len as u64))
         .unwrap();
-    for threads in [1, 2] {
+    for threads in [1, 2, 5] {
         let out = run(points, threads);
         assert!(out.failures().is_empty());
         let r = &out.report;
         eprintln!("{threads} thread(s): {}", r.summary());
         assert_eq!(r.registry.traces_requested, 64, "{threads} threads");
         assert_eq!(r.registry.traces_generated, 8, "{threads} threads");
-        assert!(r.registry.records_warmed <= r.registry.records_warm_requested);
-        if threads == 1 {
-            assert_eq!(r.registry.records_warmed, 8 * last_start);
-        }
+        assert_eq!(r.registry.warm_passes, 8, "{threads} threads");
+        assert_eq!(
+            r.registry.records_warmed,
+            8 * last_start,
+            "{threads} threads"
+        );
+        assert_eq!(
+            r.registry.records_generated,
+            8 * (last_start + window),
+            "{threads} threads: nothing past the last window"
+        );
+        assert_eq!(
+            r.registry.records_materialized,
+            64 * window,
+            "{threads} threads"
+        );
     }
 }
 
@@ -262,17 +292,17 @@ fn the_registry_holds_nothing_once_every_point_is_released() {
     let registry = Registry::new(&points);
     assert_eq!(registry.live() as u64, distinct_keys(&points));
     let mut traces: Vec<Weak<Vec<VecTrace>>> = Vec::new();
-    for p in &points {
-        let t = registry.traces(p);
-        if let Some((start, _)) = p.window() {
-            let machine = registry.warmed(p, &t[0]);
-            assert_eq!(machine.pos(), start);
+    for (at, p) in points.iter().enumerate() {
+        let t = registry.traces(at);
+        if let Some((start, len)) = p.window() {
+            assert_eq!(t[0].len(), len);
+            assert_eq!(registry.warmed(at).pos(), start);
         }
         traces.push(Arc::downgrade(&t));
     }
     assert!(traces.iter().all(|t| t.upgrade().is_some()));
-    for p in &points {
-        registry.release(p);
+    for at in 0..points.len() {
+        registry.release(at);
     }
     assert_eq!(registry.live(), 0);
     assert!(
@@ -322,7 +352,7 @@ fn injected_hangs_and_panics_on_windows_recover_with_the_registry_intact() {
         assert_eq!(chaos.report.retries, struck, "every fault, one retry each");
         assert!(chaos.report.quarantined.is_empty());
         // A struck first attempt never reached the registry; its retry
-        // found the trace and cursors where the other windows left them.
+        // found its window and warm state where the pass published them.
         assert_eq!(chaos.report.registry.traces_requested, points.len() as u64);
         assert_eq!(
             chaos.report.registry.traces_generated,
@@ -377,10 +407,12 @@ fn points_that_die_mid_run_or_panic_every_time_leave_their_neighbours_whole() {
         assert_eq!(out.outcomes[2..], clean.outcomes[2..], "{threads} threads");
         assert_eq!(out.report.retries, 4);
         assert_eq!(out.report.quarantined.len(), 2);
-        // Six attempts plus five windows asked; one trace was generated
-        // and kept across every retry, then dropped (`live() == 0` is
-        // asserted inside `run_campaign`).
-        assert_eq!(out.report.registry.traces_requested, 6 + 5);
+        // The full point's three attempts plus five windows asked (the
+        // panicking point dies before it asks); one pass served every
+        // retry, then was dropped (`live() == 0` is asserted inside
+        // `run_campaign`).
+        assert_eq!(out.report.registry.traces_requested, 3 + 5);
         assert_eq!(out.report.registry.traces_generated, 1);
+        assert_eq!(out.report.registry.warm_passes, 1);
     }
 }

@@ -2,9 +2,9 @@
 //! differ only in what functional warming never reads time on copies of
 //! one warmed state. Sharing changes how many records get replayed and
 //! how many machines get built, never a result; a configuration that
-//! warming *does* read gets a pass of its own; the counters are exact at
-//! any thread count; and faults on a sharing point cost its neighbours
-//! nothing.
+//! warming *does* read gets a cursor of its own on the program's one
+//! pass; the counters are exact, and the same, at any thread count; and
+//! faults on a sharing point cost its neighbours nothing.
 
 use s64v_core::{
     apply_knob, warm_fingerprint, ChaosPlan, HarnessFaultClass, PerformanceModel, Run, RunOptions,
@@ -136,17 +136,19 @@ fn six_configurations_of_one_trace_equal_lone_points_and_warm_once_per_warm_key(
                     3 * WARMUP as u64,
                     "{ctx}: no pass is duplicated"
                 );
-                // Of the four sharers the last to be released takes the
-                // state; one that asks while another is still timing
-                // copies. The two loners always take theirs.
-                assert!(
-                    (3..=4).contains(&r.registry.machines_copied),
-                    "{ctx}: {r:?}"
-                );
-                if threads == 1 {
-                    assert_eq!(r.registry.machines_copied, 3, "{ctx}");
-                }
+                // Each chain's one stop gets the cursor itself; every
+                // point times on a copy of its own.
+                assert_eq!(r.registry.machines_copied, 6, "{ctx}");
                 assert_eq!(r.registry.traces_generated, 1, "{ctx}");
+                assert_eq!(
+                    r.registry.records_generated,
+                    (WARMUP + RECORDS) as u64,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    r.registry.records_materialized, RECORDS as u64,
+                    "{ctx}: six points time one window"
+                );
             }
         }
     }
@@ -201,12 +203,8 @@ fn a_sweep_round_replays_its_warm_up_once_at_one_thread_and_at_two() {
             "{threads} threads"
         );
         assert_eq!(r.registry.warm_passes, 1, "{threads} threads");
-        // Every point copies but the last to be released, which takes the
-        // state — unless the other worker is still timing when it asks.
-        assert!((99..=100).contains(&r.registry.machines_copied), "{r:?}");
-        if threads == 1 {
-            assert_eq!(r.registry.machines_copied, 99);
-        }
+        assert_eq!(r.registry.machines_copied, 100, "{threads} threads");
+        assert_eq!(r.registry.records_materialized, RECORDS as u64);
         let s = r.summary();
         assert!(
             s.contains("(99 of 100 warming passes saved"),
@@ -247,16 +245,15 @@ fn a_full_detail_point_and_its_plans_windows_share_one_chain() {
         for threads in [1, 2, 5] {
             let out = run(&spec(&points, threads));
             assert_eq!(rendered(&out), lone, "{suite:?}/{threads} threads");
-            if threads == 1 {
-                // The reference point's stop lies on the windows' way: one
-                // ascending pass from record 0 to the last window serves
-                // all six.
-                assert_eq!(out.report.registry.warm_passes, 1, "{suite:?}");
-                assert_eq!(
-                    out.report.registry.records_warmed, last_start as u64,
-                    "{suite:?}"
-                );
-            }
+            // The reference point's stop lies on the windows' way: one
+            // pass from record 0 to the last window serves all six,
+            // whoever asks first.
+            let r = &out.report.registry;
+            assert_eq!(r.warm_passes, 1, "{suite:?}/{threads} threads");
+            assert_eq!(
+                r.records_warmed, last_start as u64,
+                "{suite:?}/{threads} threads"
+            );
         }
     }
 }
@@ -353,17 +350,11 @@ fn hangs_panics_and_mid_run_cancels_on_a_sharing_point_leave_the_rest_whole() {
             3 + loners + 3,
             "{threads} threads"
         );
-        // The cancelled point's copies died with its attempts. Only when
-        // it was the last sharer left did an attempt take the state
-        // itself, and its retries then warm again: never another pass
-        // while a sharer that has not run yet still needs the state.
-        assert!(
-            (1 + loners..=3 + loners).contains(&r.registry.warm_passes),
-            "{r:?}"
-        );
-        assert_eq!(
-            r.registry.records_warmed,
-            r.registry.warm_passes * WARMUP as u64
-        );
+        // The cancelled point's copies died with its attempts; the state
+        // they were copied from stays until the point is released, so a
+        // retry never warms again.
+        assert_eq!(r.registry.warm_passes, 1 + loners, "{threads} threads");
+        assert_eq!(r.registry.records_warmed, (1 + loners) * WARMUP as u64);
+        assert_eq!(r.registry.machines_copied, r.registry.machines_requested);
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! The core model pulls records one at a time through [`TraceStream`]; this
 //! keeps memory bounded for long traces and lets workload generators feed
-//! the simulator *lazily* (a generated TPC-C trace never needs to be
-//! materialized unless it is being written to disk).
+//! the simulator *lazily*: `s64v-workloads`' `ProgramStream` hands a trace
+//! out chunk by chunk, functional warming consumes each chunk and forgets
+//! it, and a campaign materializes — as a [`VecTrace`] read through a
+//! [`SliceStream`] — only the windows it times in detail.
 
 use crate::record::TraceRecord;
 

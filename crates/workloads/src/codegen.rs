@@ -15,12 +15,18 @@
 //! equals the fall-through so control flow stays linear while the branch
 //! predictor (and taken-branch fetch bubbles) see realistic behaviour.
 
+//!
+//! Only the *layout* — every block's address, which needs every earlier
+//! block's length — is computed up front; a block's body is expanded the
+//! first time the walk visits it, so a short trace pays for the blocks it
+//! runs and not for the program's whole text.
+
 use crate::mix::InstrMix;
 use crate::regions::AddressGen;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use s64v_isa::{Instr, MemWidth, OpClass, Reg};
-use s64v_trace::{TraceBuilder, VecTrace};
+use s64v_trace::TraceRecord;
 
 /// Static code-structure parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,82 +100,92 @@ enum StaticOp {
     Special,
 }
 
-/// A precomputed static basic block.
-#[derive(Debug, Clone)]
-pub struct BlockInfo {
-    /// Address of the block's first instruction.
-    pub pc_start: u64,
-    /// Taken probability of the block's ending branch site.
-    pub taken_bias: f64,
-    ops: Vec<StaticOp>,
-}
+/// `body_at` of a block nothing has visited yet.
+const UNBUILT: u32 = u32::MAX;
 
-impl BlockInfo {
-    /// Instructions in the block, excluding the ending branch.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the block has no body instructions.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Address of the ending branch.
-    pub fn branch_pc(&self) -> u64 {
-        self.pc_start + self.ops.len() as u64 * 4
-    }
-
-    /// Address of the next sequential block.
-    pub fn fallthrough_pc(&self) -> u64 {
-        self.branch_pc() + 4
-    }
-}
-
-/// The fully expanded static code of one program.
+/// The static code of one program: laid out in full, expanded on demand
+/// (see the module docs).
 #[derive(Debug, Clone)]
 pub struct StaticCode {
-    blocks: Vec<BlockInfo>,
+    spec: CodeSpec,
+    mix: InstrMix,
+    seed: u64,
+    /// Address of each block's first instruction, and past the last
+    /// block's ending branch: `blocks + 1` entries.
+    pcs: Vec<u64>,
+    /// Where each block's body starts in `ops` ([`UNBUILT`] before its
+    /// first visit); its length is the layout's.
+    body_at: Vec<u32>,
+    /// Taken probability of each built block's ending branch site.
+    taken_bias: Vec<f64>,
+    /// The bodies of the blocks visited so far, in order of first visit.
+    ops: Vec<StaticOp>,
+    built: usize,
 }
 
 impl StaticCode {
-    /// Expands a [`CodeSpec`] deterministically from `seed`.
+    /// Lays the code of `spec` out deterministically from `seed`.
     pub fn build(spec: &CodeSpec, mix: &InstrMix, seed: u64) -> Self {
         spec.validate();
+        let blocks = spec.blocks as usize;
+        let mut pcs = Vec::with_capacity(blocks + 1);
         let mut pc = spec.base;
-        let mut blocks = Vec::with_capacity(spec.blocks as usize);
-        for id in 0..spec.blocks {
-            let mut rng = StdRng::seed_from_u64(
-                seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(id as u64 + 1)),
-            );
-            let len = rng.gen_range(spec.block_len_min..=spec.block_len_max);
-            let ops = Self::build_ops(&mut rng, mix, len);
-            let predictable = rng.gen_bool(spec.predictable_fraction);
-            let bias_mag = if predictable {
-                spec.easy_bias
-            } else {
-                spec.hard_bias
-            };
-            // Compiled code leans taken (~65% of conditional branches),
-            // which also makes the static not-taken fallback costly for
-            // displaced sites — the Figure 9/10 capacity effect.
-            let taken_bias = if rng.gen_bool(0.65) {
-                bias_mag
-            } else {
-                1.0 - bias_mag
-            };
-            let block = BlockInfo {
-                pc_start: pc,
-                taken_bias,
-                ops,
-            };
-            pc = block.fallthrough_pc();
-            blocks.push(block);
+        for id in 0..blocks {
+            pcs.push(pc);
+            let len = Self::block_len(spec, &mut Self::block_rng(seed, id));
+            pc += (len as u64 + 1) * TraceRecord::INSTR_BYTES;
         }
-        StaticCode { blocks }
+        pcs.push(pc);
+        StaticCode {
+            spec: spec.clone(),
+            mix: mix.clone(),
+            seed,
+            pcs,
+            body_at: vec![UNBUILT; blocks],
+            taken_bias: vec![0.0; blocks],
+            ops: Vec::new(),
+            built: 0,
+        }
     }
 
-    fn build_ops(rng: &mut StdRng, mix: &InstrMix, len: u32) -> Vec<StaticOp> {
+    /// Everything about block `id` derives from this generator, which
+    /// draws the block's length first.
+    fn block_rng(seed: u64, id: usize) -> StdRng {
+        StdRng::seed_from_u64(seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(id as u64 + 1)))
+    }
+
+    fn block_len(spec: &CodeSpec, rng: &mut StdRng) -> u32 {
+        rng.gen_range(spec.block_len_min..=spec.block_len_max)
+    }
+
+    /// Expands block `id` into the arena on its first visit.
+    fn visit(&mut self, id: usize) {
+        if self.body_at[id] != UNBUILT {
+            return;
+        }
+        let spec = &self.spec;
+        let mut rng = Self::block_rng(self.seed, id);
+        let len = Self::block_len(spec, &mut rng);
+        self.body_at[id] = u32::try_from(self.ops.len()).expect("static code fits 32 bits");
+        Self::build_ops(&mut rng, &self.mix, len, &mut self.ops);
+        let predictable = rng.gen_bool(spec.predictable_fraction);
+        let bias_mag = if predictable {
+            spec.easy_bias
+        } else {
+            spec.hard_bias
+        };
+        // Compiled code leans taken (~65% of conditional branches),
+        // which also makes the static not-taken fallback costly for
+        // displaced sites — the Figure 9/10 capacity effect.
+        self.taken_bias[id] = if rng.gen_bool(0.65) {
+            bias_mag
+        } else {
+            1.0 - bias_mag
+        };
+        self.built += 1;
+    }
+
+    fn build_ops(rng: &mut StdRng, mix: &InstrMix, len: u32, ops: &mut Vec<StaticOp>) {
         // Register allocation mimicking compiled code: destinations cycle
         // through a scratch window; sources prefer recent destinations
         // (true dependences) with loop-invariant registers mixed in.
@@ -177,7 +193,6 @@ impl StaticCode {
         let mut recent_fp: Vec<u8> = vec![1, 2];
         let mut next_int = 8u8;
         let mut next_fp = 4u8;
-        let mut ops = Vec::with_capacity(len as usize);
 
         let alloc_int = |recent: &mut Vec<u8>, next: &mut u8| -> u8 {
             let d = *next;
@@ -253,163 +268,99 @@ impl StaticCode {
             };
             ops.push(s);
         }
-        ops
     }
 
-    /// The static blocks.
-    pub fn blocks(&self) -> &[BlockInfo] {
-        &self.blocks
+    /// Number of static blocks.
+    pub fn blocks(&self) -> usize {
+        self.body_at.len()
+    }
+
+    /// Blocks expanded so far: at most the blocks the walk has visited.
+    pub fn blocks_built(&self) -> usize {
+        self.built
+    }
+
+    /// Address of block `id`'s first instruction; `id == blocks()` gives
+    /// the address past the last block.
+    pub fn pc_start(&self, id: usize) -> u64 {
+        self.pcs[id]
+    }
+
+    /// Instructions in block `id`, including its ending branch.
+    pub fn block_records(&self, id: usize) -> usize {
+        ((self.pcs[id + 1] - self.pcs[id]) / TraceRecord::INSTR_BYTES) as usize
     }
 
     /// Total code bytes (footprint).
     pub fn code_bytes(&self) -> u64 {
-        self.blocks
-            .last()
-            .map(|b| b.fallthrough_pc() - self.blocks[0].pc_start)
-            .unwrap_or(0)
-    }
-}
-
-/// Dynamic trace emission over a [`StaticCode`].
-#[derive(Debug)]
-pub struct CodeGen<'a> {
-    spec: &'a CodeSpec,
-    code: &'a StaticCode,
-    kernel: bool,
-}
-
-impl<'a> CodeGen<'a> {
-    /// Creates an emitter; `kernel` marks every emitted record as
-    /// privileged.
-    pub fn new(spec: &'a CodeSpec, code: &'a StaticCode, kernel: bool) -> Self {
-        CodeGen { spec, code, kernel }
+        self.pcs[self.blocks()] - self.pcs[0]
     }
 
     /// Picks the next loop: (first block index, block count, iterations).
     pub fn choose_loop(&self, rng: &mut StdRng) -> (usize, usize, u32) {
-        let spec = self.spec;
+        let spec = &self.spec;
         let hot = spec.hot_blocks > 0 && rng.gen_bool(spec.hot_weight);
         let pool = if hot { spec.hot_blocks } else { spec.blocks };
         let len = rng.gen_range(spec.loop_blocks_min..=spec.loop_blocks_max) as usize;
         let max_start = (pool as usize).saturating_sub(len).max(1);
         let start = rng.gen_range(0..max_start);
         let iters = rng.gen_range(spec.loop_iters_min..=spec.loop_iters_max);
-        (start, len.min(self.code.blocks.len() - start), iters)
+        (start, len.min(self.blocks() - start), iters)
     }
 
-    /// Emits one full loop visit into `builder`, bounded by `budget`
-    /// instructions. Returns the number of records emitted.
-    #[allow(clippy::too_many_arguments)] // mirrors the (loop, budget) call shape
-    pub fn emit_loop(
-        &self,
-        builder: &mut TraceBuilder,
+    /// Appends one execution of block `id` to `out`: its body, then its
+    /// ending conditional branch. `back_edge` is `Some((taken, loop head))`
+    /// for a loop's last block, whose branch returns to the head except
+    /// on exit; an inner site draws its direction from the site's bias
+    /// and targets its own fall-through, so the walk stays linear either
+    /// way. `kernel` marks every record privileged.
+    pub fn emit_block(
+        &mut self,
+        id: usize,
+        back_edge: Option<(bool, u64)>,
+        kernel: bool,
         rng: &mut StdRng,
         addr_gen: &mut AddressGen,
-        start: usize,
-        nblocks: usize,
-        iters: u32,
-        budget: usize,
-    ) -> usize {
-        let blocks = &self.code.blocks[start..start + nblocks];
-        let loop_start_pc = blocks[0].pc_start;
-        builder.set_pc(loop_start_pc);
-        let mut emitted = 0;
-
-        'outer: for it in 0..iters {
-            let last_iter = it + 1 == iters;
-            for (bi, block) in blocks.iter().enumerate() {
-                let last_block = bi + 1 == nblocks;
-                debug_assert_eq!(builder.pc(), block.pc_start, "layout must be contiguous");
-                for op in &block.ops {
-                    if emitted >= budget {
-                        break 'outer;
-                    }
-                    builder.push(self.materialize(op, rng, addr_gen));
-                    emitted += 1;
+        out: &mut Vec<TraceRecord>,
+    ) {
+        self.visit(id);
+        let privileged = |i: Instr| if kernel { i.kernel() } else { i };
+        let mut pc = self.pcs[id];
+        let body = self.body_at[id] as usize;
+        for op in &self.ops[body..body + self.block_records(id) - 1] {
+            let instr = match *op {
+                StaticOp::Alu {
+                    op,
+                    dest,
+                    src_a,
+                    src_b,
+                } => Instr::alu(op, dest, &[src_a, src_b]),
+                StaticOp::Load { dest, base } => {
+                    Instr::load(dest, base, addr_gen.next_addr(rng), MemWidth::B8)
                 }
-                if emitted >= budget {
-                    break 'outer;
+                StaticOp::Store { data, base } => {
+                    Instr::store(data, base, addr_gen.next_addr(rng), MemWidth::B8)
                 }
-                // The block's ending conditional branch.
-                let instr = if last_block {
-                    // Back-edge: taken to the loop head except on exit.
-                    Instr::branch_cond(!last_iter, loop_start_pc)
-                } else {
-                    // Inner site: direction from the site bias; the taken
-                    // target equals the fall-through so the walk stays
-                    // linear either way.
-                    let taken = rng.gen_bool(block.taken_bias);
-                    Instr::branch_cond(taken, block.fallthrough_pc())
-                };
-                let instr = if self.kernel { instr.kernel() } else { instr };
-                builder.push(instr);
-                emitted += 1;
-            }
+                StaticOp::Nop => Instr::nop(),
+                StaticOp::Special => Instr::special(),
+            };
+            out.push(TraceRecord::new(pc, privileged(instr)));
+            pc += TraceRecord::INSTR_BYTES;
         }
-        emitted
-    }
-
-    fn materialize(&self, op: &StaticOp, rng: &mut StdRng, addr_gen: &mut AddressGen) -> Instr {
-        let i = match *op {
-            StaticOp::Alu {
-                op,
-                dest,
-                src_a,
-                src_b,
-            } => Instr::alu(op, dest, &[src_a, src_b]),
-            StaticOp::Load { dest, base } => {
-                Instr::load(dest, base, addr_gen.next_addr(rng), MemWidth::B8)
-            }
-            StaticOp::Store { data, base } => {
-                Instr::store(data, base, addr_gen.next_addr(rng), MemWidth::B8)
-            }
-            StaticOp::Nop => Instr::nop(),
-            StaticOp::Special => Instr::special(),
+        let branch = match back_edge {
+            Some((taken, head)) => Instr::branch_cond(taken, head),
+            None => Instr::branch_cond(rng.gen_bool(self.taken_bias[id]), self.pcs[id + 1]),
         };
-        if self.kernel {
-            i.kernel()
-        } else {
-            i
-        }
+        out.push(TraceRecord::new(pc, privileged(branch)));
     }
-}
-
-/// Convenience wrapper: emits `n` records of pure user code (used in tests
-/// and by [`crate::program::Program`]).
-pub fn emit_user_trace(
-    spec: &CodeSpec,
-    mix: &InstrMix,
-    data: &crate::regions::DataSpec,
-    n: usize,
-    seed: u64,
-) -> VecTrace {
-    spec.validate();
-    let code = StaticCode::build(spec, mix, seed);
-    let gen = CodeGen::new(spec, &code, false);
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0xabcd_ef01));
-    let mut addr_gen = data.generator();
-    let mut builder = TraceBuilder::new(spec.base);
-    while builder.len() < n {
-        let (start, len, iters) = gen.choose_loop(&mut rng);
-        let budget = n - builder.len();
-        gen.emit_loop(
-            &mut builder,
-            &mut rng,
-            &mut addr_gen,
-            start,
-            len,
-            iters,
-            budget,
-        );
-    }
-    builder.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{Program, ProgramSpec};
     use crate::regions::{DataSpec, Region};
-    use s64v_trace::TraceSummary;
+    use s64v_trace::{TraceSummary, VecTrace};
 
     fn tiny_spec() -> CodeSpec {
         CodeSpec {
@@ -433,32 +384,64 @@ mod tests {
         DataSpec::new(vec![Region::uniform(0x100_0000, 64 * 1024, 1.0)])
     }
 
+    /// `n` records of pure user code over `spec`.
+    fn user_trace(spec: &CodeSpec, n: usize, seed: u64) -> VecTrace {
+        let spec = ProgramSpec::user_only("unit", InstrMix::spec_int(), spec.clone(), tiny_data());
+        Program::new(spec).generate(n, seed)
+    }
+
     #[test]
     fn static_code_is_deterministic() {
         let spec = tiny_spec();
-        let a = StaticCode::build(&spec, &InstrMix::spec_int(), 5);
-        let b = StaticCode::build(&spec, &InstrMix::spec_int(), 5);
-        assert_eq!(a.blocks().len(), b.blocks().len());
-        for (x, y) in a.blocks().iter().zip(b.blocks()) {
-            assert_eq!(x.pc_start, y.pc_start);
-            assert_eq!(x.len(), y.len());
-            assert_eq!(x.taken_bias, y.taken_bias);
+        let mut a = StaticCode::build(&spec, &InstrMix::spec_int(), 5);
+        let mut b = StaticCode::build(&spec, &InstrMix::spec_int(), 5);
+        assert_eq!(a.blocks(), b.blocks());
+        // Visited in opposite orders: a block is a function of its id.
+        for id in 0..a.blocks() {
+            a.visit(id);
+            b.visit(a.blocks() - 1 - id);
+        }
+        for id in 0..a.blocks() {
+            assert_eq!(a.pc_start(id), b.pc_start(id));
+            assert_eq!(a.block_records(id), b.block_records(id));
+            assert_eq!(a.taken_bias[id], b.taken_bias[id]);
         }
     }
 
     #[test]
     fn blocks_are_laid_out_contiguously() {
-        let code = StaticCode::build(&tiny_spec(), &InstrMix::spec_int(), 5);
-        for w in code.blocks().windows(2) {
-            assert_eq!(w[0].fallthrough_pc(), w[1].pc_start);
+        let mut code = StaticCode::build(&tiny_spec(), &InstrMix::spec_int(), 5);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut addr_gen = tiny_data().generator();
+        for id in 0..code.blocks() {
+            let mut out = Vec::new();
+            code.emit_block(id, None, false, &mut rng, &mut addr_gen, &mut out);
+            assert_eq!(out.len(), code.block_records(id));
+            assert_eq!(out[0].pc, code.pc_start(id));
+            assert!(out.windows(2).all(|w| w[0].next_pc() == w[1].pc));
+            let branch = out.last().expect("a block ends with a branch");
+            assert_eq!(branch.next_pc(), code.pc_start(id + 1), "taken or not");
         }
         assert!(code.code_bytes() > 0);
     }
 
     #[test]
+    fn a_block_is_expanded_on_its_first_visit_only() {
+        let mut code = StaticCode::build(&tiny_spec(), &InstrMix::spec_int(), 5);
+        assert_eq!(code.blocks_built(), 0, "layout expands nothing");
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut addr_gen = tiny_data().generator();
+        let mut out = Vec::new();
+        for id in [3, 7, 3, 3, 7] {
+            code.emit_block(id, None, false, &mut rng, &mut addr_gen, &mut out);
+        }
+        assert_eq!(code.blocks_built(), 2);
+    }
+
+    #[test]
     fn emitted_trace_has_requested_length_and_structure() {
         let spec = tiny_spec();
-        let t = emit_user_trace(&spec, &InstrMix::spec_int(), &tiny_data(), 5000, 9);
+        let t = user_trace(&spec, 5000, 9);
         assert_eq!(t.len(), 5000);
         let s = TraceSummary::collect(t.stream());
         assert!(
@@ -473,17 +456,17 @@ mod tests {
     #[test]
     fn traces_are_seed_deterministic() {
         let spec = tiny_spec();
-        let a = emit_user_trace(&spec, &InstrMix::spec_int(), &tiny_data(), 2000, 11);
-        let b = emit_user_trace(&spec, &InstrMix::spec_int(), &tiny_data(), 2000, 11);
+        let a = user_trace(&spec, 2000, 11);
+        let b = user_trace(&spec, 2000, 11);
         assert_eq!(a, b);
-        let c = emit_user_trace(&spec, &InstrMix::spec_int(), &tiny_data(), 2000, 12);
+        let c = user_trace(&spec, 2000, 12);
         assert_ne!(a, c, "different seeds give different traces");
     }
 
     #[test]
     fn revisited_blocks_replay_the_same_pcs() {
         let spec = tiny_spec();
-        let t = emit_user_trace(&spec, &InstrMix::spec_int(), &tiny_data(), 20_000, 3);
+        let t = user_trace(&spec, 20_000, 3);
         let s = TraceSummary::collect(t.stream());
         // 32 blocks × ≤ 9 instructions × 4 bytes ≈ ≤ 1.2 KB of code.
         assert!(
@@ -496,7 +479,7 @@ mod tests {
     #[test]
     fn back_edges_are_mostly_taken() {
         let spec = tiny_spec();
-        let t = emit_user_trace(&spec, &InstrMix::spec_int(), &tiny_data(), 10_000, 3);
+        let t = user_trace(&spec, 10_000, 3);
         let back_edges: Vec<bool> = t
             .iter()
             .filter(|r| {
@@ -517,14 +500,21 @@ mod tests {
     #[test]
     fn kernel_flag_marks_records() {
         let spec = tiny_spec();
-        let code = StaticCode::build(&spec, &InstrMix::tpcc(), 4);
-        let gen = CodeGen::new(&spec, &code, true);
+        let mut code = StaticCode::build(&spec, &InstrMix::tpcc(), 4);
         let mut rng = StdRng::seed_from_u64(4);
         let mut addr_gen = tiny_data().generator();
-        let mut b = TraceBuilder::new(spec.base);
-        gen.emit_loop(&mut b, &mut rng, &mut addr_gen, 0, 2, 3, 1000);
-        let t = b.finish();
-        assert!(!t.is_empty());
+        let mut records = Vec::new();
+        let head = code.pc_start(0);
+        code.emit_block(0, None, true, &mut rng, &mut addr_gen, &mut records);
+        code.emit_block(
+            1,
+            Some((true, head)),
+            true,
+            &mut rng,
+            &mut addr_gen,
+            &mut records,
+        );
+        let t = VecTrace::from_records(records);
         let s = TraceSummary::collect(t.stream());
         assert_eq!(s.kernel_instructions, s.instructions);
     }

@@ -1,12 +1,12 @@
 //! Programs: complete generator specifications and trace expansion.
 
-use crate::codegen::{CodeGen, CodeSpec, StaticCode};
+use crate::codegen::{CodeSpec, StaticCode};
 use crate::mix::InstrMix;
-use crate::regions::DataSpec;
+use crate::regions::{AddressGen, DataSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use s64v_isa::Instr;
-use s64v_trace::{TraceBuilder, VecTrace};
+use s64v_trace::{TraceRecord, VecTrace};
 
 /// The complete specification of one synthetic program.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,7 +90,9 @@ impl Program {
         &self.spec
     }
 
-    /// Deterministically generates a trace of exactly `n` records.
+    /// Deterministically generates a trace of exactly `n` records: the
+    /// first `n` of [`Program::stream`], so a shorter trace is a prefix
+    /// of a longer one.
     pub fn generate(&self, n: usize, seed: u64) -> VecTrace {
         self.generate_into(VecTrace::new(), n, seed)
     }
@@ -99,97 +101,194 @@ impl Program {
     /// are discarded): the same trace, without a fresh allocation when
     /// the buffer is large enough.
     pub fn generate_into(&self, buffer: VecTrace, n: usize, seed: u64) -> VecTrace {
-        let spec = &self.spec;
-        let user_code = StaticCode::build(&spec.code, &spec.mix, seed);
-        let user_gen = CodeGen::new(&spec.code, &user_code, false);
-        let mut user_addr = spec.data.generator();
-
-        let kernel_mix = spec.kernel_mix.clone().unwrap_or_else(|| spec.mix.clone());
-        let kernel_parts = spec.kernel_code.as_ref().map(|kc| {
-            let code = StaticCode::build(kc, &kernel_mix, seed ^ 0x5eed_4be5_7a11_c0de);
-            let addr = spec.kernel_data.as_ref().unwrap_or(&spec.data).generator();
-            (kc, code, addr)
-        });
-
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1));
-        let mut builder = TraceBuilder::reusing(spec.code.base, buffer);
-
-        match kernel_parts {
-            None => {
-                while builder.len() < n {
-                    let (start, len, iters) = user_gen.choose_loop(&mut rng);
-                    self.enter_loop(&mut builder, &user_code, start, n);
-                    {
-                        let budget = n - builder.len();
-                        user_gen.emit_loop(
-                            &mut builder,
-                            &mut rng,
-                            &mut user_addr,
-                            start,
-                            len,
-                            iters,
-                            budget,
-                        );
-                    }
-                }
-            }
-            Some((kc, kernel_code, mut kernel_addr)) => {
-                let kernel_gen = CodeGen::new(kc, &kernel_code, true);
-                while builder.len() < n {
-                    let kernel_episode = spec.kernel_fraction > 0.0
-                        && rng.gen_bool(spec.kernel_fraction.clamp(0.0, 1.0));
-                    if kernel_episode {
-                        let (start, len, iters) = kernel_gen.choose_loop(&mut rng);
-                        self.enter_loop(&mut builder, &kernel_code, start, n);
-                        {
-                            let budget = n - builder.len();
-                            kernel_gen.emit_loop(
-                                &mut builder,
-                                &mut rng,
-                                &mut kernel_addr,
-                                start,
-                                len,
-                                iters,
-                                budget,
-                            );
-                        }
-                    } else {
-                        let (start, len, iters) = user_gen.choose_loop(&mut rng);
-                        self.enter_loop(&mut builder, &user_code, start, n);
-                        {
-                            let budget = n - builder.len();
-                            user_gen.emit_loop(
-                                &mut builder,
-                                &mut rng,
-                                &mut user_addr,
-                                start,
-                                len,
-                                iters,
-                                budget,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
-        let trace = builder.finish();
-        debug_assert_eq!(trace.len(), n);
-        trace
+        let mut records = buffer.into_records();
+        records.clear();
+        self.stream(seed).fill(&mut records, n);
+        VecTrace::from_records(records)
     }
 
-    /// Emits the call-like unconditional branch into the next loop (the
-    /// transition that costs taken-branch fetch bubbles, like a real call).
-    fn enter_loop(&self, builder: &mut TraceBuilder, code: &StaticCode, start: usize, n: usize) {
-        if builder.len() >= n {
-            return;
+    /// The program's trace under `seed` as a resumable generator: records
+    /// come out as they are asked for, and none is kept.
+    pub fn stream(&self, seed: u64) -> ProgramStream {
+        let spec = &self.spec;
+        let kernel = spec.kernel_code.as_ref().map(|kc| Side {
+            code: StaticCode::build(
+                kc,
+                spec.kernel_mix.as_ref().unwrap_or(&spec.mix),
+                seed ^ 0x5eed_4be5_7a11_c0de,
+            ),
+            addr: spec.kernel_data.as_ref().unwrap_or(&spec.data).generator(),
+        });
+        ProgramStream {
+            user: Side {
+                code: StaticCode::build(&spec.code, &spec.mix, seed),
+                addr: spec.data.generator(),
+            },
+            kernel,
+            kernel_fraction: spec.kernel_fraction,
+            rng: StdRng::seed_from_u64(seed.wrapping_add(1)),
+            walk: None,
+            pc: None,
+            pos: 0,
+            carry: Vec::new(),
+            // A block's body, its ending branch and the branch into it.
+            longest_block: spec
+                .kernel_code
+                .iter()
+                .chain([&spec.code])
+                .map(|code| code.block_len_max as usize + 2)
+                .max()
+                .expect("user code"),
         }
-        let target = code.blocks()[start].pc_start;
-        if builder.is_empty() {
-            builder.set_pc(target);
-        } else if builder.pc() != target {
-            builder.push(Instr::branch_uncond(target));
+    }
+}
+
+/// One privilege level's code and data.
+#[derive(Debug, Clone)]
+struct Side {
+    code: StaticCode,
+    addr: AddressGen,
+}
+
+/// Where the walk stands in the loop it is visiting, between two blocks.
+#[derive(Debug, Clone, Copy)]
+struct Walk {
+    kernel: bool,
+    /// The loop: first block, block count, iterations.
+    start: usize,
+    blocks: usize,
+    iters: u32,
+    /// The next block to run: iteration and index within the loop.
+    iter: u32,
+    block: usize,
+}
+
+/// A program's trace as a resumable generator (see [`Program::stream`]):
+/// the static code, the random stream, the address generators and the
+/// walk's position. It emits whole blocks; what a block runs past the
+/// record asked for waits in a carry of at most one block.
+///
+/// # Examples
+///
+/// ```
+/// use s64v_workloads::{Suite, SuiteKind};
+///
+/// let suite = Suite::preset(SuiteKind::SpecInt95);
+/// let program = &suite.programs()[0];
+/// let mut stream = program.stream(7);
+/// let mut records = Vec::new();
+/// stream.fill(&mut records, 1_000);
+/// stream.fill(&mut records, 2_500); // appends records 1000..2500
+/// assert_eq!(records, program.generate(2_500, 7).records());
+/// ```
+#[derive(Debug, Clone)]
+pub struct ProgramStream {
+    user: Side,
+    kernel: Option<Side>,
+    kernel_fraction: f64,
+    rng: StdRng,
+    walk: Option<Walk>,
+    /// Where control stands after the last emitted record; `None` before
+    /// the first.
+    pc: Option<u64>,
+    /// Records handed out so far.
+    pos: usize,
+    carry: Vec<TraceRecord>,
+    /// Most records one [`ProgramStream::emit_block`] appends.
+    longest_block: usize,
+}
+
+impl ProgramStream {
+    /// Index of the next record [`ProgramStream::fill`] appends.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Static blocks expanded so far, over user and kernel code: at most
+    /// the blocks the trace has entered.
+    pub fn blocks_built(&self) -> usize {
+        self.user.code.blocks_built() + self.kernel.as_ref().map_or(0, |k| k.code.blocks_built())
+    }
+
+    /// Appends records `pos()..upto` of the trace to `out` (nothing when
+    /// the stream is already there).
+    pub fn fill(&mut self, out: &mut Vec<TraceRecord>, upto: usize) {
+        let want = upto.saturating_sub(self.pos);
+        // Room for the last block to run over, so a buffer sized for the
+        // trace never grows.
+        out.reserve(want + self.longest_block);
+        let end = out.len() + want;
+        let carried = self.carry.len().min(want);
+        out.extend(self.carry.drain(..carried));
+        while out.len() < end {
+            self.emit_block(out);
         }
+        // The carry is empty whenever a block was emitted.
+        self.carry.extend(out.drain(end..));
+        self.pos += want;
+    }
+
+    /// Appends the walk's next block to `out`, entering a new loop first
+    /// when the last one is done: a call-like unconditional branch to its
+    /// head (the transition that costs taken-branch fetch bubbles, like a
+    /// real call) unless control is already there.
+    fn emit_block(&mut self, out: &mut Vec<TraceRecord>) {
+        let walk = match self.walk.take() {
+            Some(walk) => walk,
+            None => {
+                let kernel = match &self.kernel {
+                    Some(_) if self.kernel_fraction > 0.0 => {
+                        self.rng.gen_bool(self.kernel_fraction.clamp(0.0, 1.0))
+                    }
+                    _ => false,
+                };
+                let code = match &self.kernel {
+                    Some(side) if kernel => &side.code,
+                    _ => &self.user.code,
+                };
+                let (start, blocks, iters) = code.choose_loop(&mut self.rng);
+                let head = code.pc_start(start);
+                if let Some(pc) = self.pc.filter(|&pc| pc != head) {
+                    out.push(TraceRecord::new(pc, Instr::branch_uncond(head)));
+                }
+                Walk {
+                    kernel,
+                    start,
+                    blocks,
+                    iters,
+                    iter: 0,
+                    block: 0,
+                }
+            }
+        };
+        let last_block = walk.block + 1 == walk.blocks;
+        let last_iter = walk.iter + 1 == walk.iters;
+        let side = match &mut self.kernel {
+            Some(kernel) if walk.kernel => kernel,
+            _ => &mut self.user,
+        };
+        let back_edge = last_block.then(|| (!last_iter, side.code.pc_start(walk.start)));
+        side.code.emit_block(
+            walk.start + walk.block,
+            back_edge,
+            walk.kernel,
+            &mut self.rng,
+            &mut side.addr,
+            out,
+        );
+        self.pc = out.last().map(TraceRecord::next_pc);
+        self.walk = match (last_block, last_iter) {
+            (true, true) => None,
+            (true, false) => Some(Walk {
+                iter: walk.iter + 1,
+                block: 0,
+                ..walk
+            }),
+            (false, _) => Some(Walk {
+                block: walk.block + 1,
+                ..walk
+            }),
+        };
     }
 }
 

@@ -107,6 +107,7 @@ impl DataSpec {
     /// Instantiates the runtime address generator.
     pub fn generator(&self) -> AddressGen {
         AddressGen {
+            total_weight: self.regions.iter().map(|r| r.weight).sum(),
             regions: self.regions.clone(),
             cursors: self
                 .regions
@@ -137,15 +138,16 @@ impl DataSpec {
 #[derive(Debug, Clone)]
 pub struct AddressGen {
     regions: Vec<Region>,
-    cursors: Vec<Vec<u64>>, // per region, per cursor: current offset
-    next_cursor: Vec<usize>,
+    /// Σ region weights, summed once in region order.
+    total_weight: f64,
+    cursors: Vec<Vec<u64>>,  // per region, per cursor: current offset
+    next_cursor: Vec<usize>, // per region: always below its cursor count
 }
 
 impl AddressGen {
     /// Produces the next data address (8-byte aligned).
     pub fn next_addr(&mut self, rng: &mut StdRng) -> u64 {
-        let total: f64 = self.regions.iter().map(|r| r.weight).sum();
-        let mut x = rng.gen_range(0.0..total);
+        let mut x = rng.gen_range(0.0..self.total_weight);
         let mut idx = self.regions.len() - 1;
         for (i, r) in self.regions.iter().enumerate() {
             if x < r.weight {
@@ -169,10 +171,14 @@ impl AddressGen {
                 if cursors.is_empty() {
                     return region.base;
                 }
-                let c = self.next_cursor[idx] % cursors.len();
-                self.next_cursor[idx] = (c + 1) % cursors.len();
+                let c = self.next_cursor[idx];
+                self.next_cursor[idx] = if c + 1 == cursors.len() { 0 } else { c + 1 };
                 let off = cursors[c];
-                cursors[c] = (off + stride) % region.bytes.max(stride);
+                // An offset stays below `wrap` and the stride is at most
+                // `wrap`, so one subtraction is the whole remainder.
+                let wrap = region.bytes.max(stride);
+                let next = off + stride;
+                cursors[c] = if next >= wrap { next - wrap } else { next };
                 region.base + (off & !7)
             }
         }

@@ -33,8 +33,14 @@ cargo build --release -p s64v-cpu --features phase-profile --example kernel_prof
 echo "== fault-injection matrix (every fault class must be caught, a lost event the cycle it is lost)"
 cargo test --release -p s64v-core --test fault_matrix -q
 
-echo "== shared-input equivalence (cursor = fresh warm pass; sharing never changes a result)"
+echo "== shared-input equivalence (stream = pinned bytes; cursor = fresh warm pass; sharing never changes a result or, across thread counts, a count)"
+# Prefix, chunking invariance and the digests pinned from the
+# materialising generator; then chunked advance = whole slice; then the
+# engine: equal outcomes, and equal records generated / warmed / kept,
+# at 1, 2 and 5 threads.
+cargo test --release -p s64v-workloads --test generator_contract -q
 cargo test --release -p s64v-core --test warm_cursor -q
+cargo test --release -p s64v-harness --lib -q -- registry::
 cargo test --release -p s64v-harness --test shared_inputs -q
 cargo test --release -p s64v-harness --test shared_warm -q
 # The benchmark's explore_sweep query at full size: one warming pass per
