@@ -19,6 +19,7 @@
 //! binaries are never mistaken for current ones.
 
 use crate::system::SystemConfig;
+use s64v_cpu::BhtConfig;
 use std::fmt;
 
 /// Version tag for the model's behaviour, mixed into every fingerprint.
@@ -138,21 +139,29 @@ pub fn config_fingerprint(config: &SystemConfig) -> Fingerprint {
     h.finish()
 }
 
-/// The digest of everything functional warming reads: the memory
-/// configuration, the branch history table's geometry, whether branch
-/// prediction is perfect (the table is then never trained) and the CPU
-/// count. Two configurations with equal digests reach field-for-field the
-/// same warm state over the same records, whatever else — window, RS,
-/// queues, widths, latencies — differs between them. The set is complete
-/// by construction: a [`WarmCursor`](crate::WarmCursor) is built from
-/// exactly these four values and holds no other part of the configuration.
-pub fn warm_fingerprint(config: &SystemConfig) -> Fingerprint {
+/// The key of the memory half of a warm state: the digest of what memory
+/// warming reads, the memory configuration and the CPU count. Two
+/// configurations with equal keys reach field-for-field the same warmed
+/// memory system over the same records, whatever else — the branch
+/// predictor, window, RS, queues, widths, core latencies — differs
+/// between them. The set is complete by construction: a
+/// [`WarmCursor`](crate::WarmCursor)'s memory system is built from
+/// exactly these two values, and
+/// [`warm_record`](s64v_cpu::warm_record) never lets a table read it.
+pub fn memory_warm_key(config: &SystemConfig) -> Fingerprint {
     let mut h = StableHasher::new();
     h.write_debug(&config.mem);
-    h.write_debug(&config.core.bht);
-    h.write_debug(&config.core.perfect_branch_prediction);
     h.write_u64(config.cpus as u64);
     h.finish()
+}
+
+/// The key of the predictor half of a warm state: the branch history
+/// table warming trains, `None` under perfect prediction (which never
+/// consults a table, so a timed core starts from a cold one). A table is
+/// built from its configuration alone and reads nothing but the records'
+/// branch outcomes.
+pub fn predictor_warm_key(config: &SystemConfig) -> Option<BhtConfig> {
+    (!config.core.perfect_branch_prediction).then_some(config.core.bht)
 }
 
 #[cfg(test)]
@@ -162,26 +171,33 @@ mod tests {
     #[test]
     fn the_warm_digest_follows_what_warming_reads_and_nothing_else() {
         let base = SystemConfig::sparc64_v();
-        let a = warm_fingerprint(&base);
+        let (memory, predictor) = (memory_warm_key(&base), predictor_warm_key(&base));
+        assert_eq!(predictor, Some(BhtConfig::large_16k_4w_2t()));
 
         let mut core_only = base.clone();
         core_only.core.window_size = 32;
         core_only.core.rse_entries = 4;
         core_only.core = core_only.core.with_issue_width(2);
         core_only.core.speculative_dispatch = false;
-        assert_eq!(a, warm_fingerprint(&core_only));
+        assert_eq!(memory, memory_warm_key(&core_only));
+        assert_eq!(predictor, predictor_warm_key(&core_only));
         assert_ne!(config_fingerprint(&base), config_fingerprint(&core_only));
 
+        // The predictor never reaches the memory key, nor memory the
+        // predictor's.
         let mut bht = base.clone();
-        bht.core.bht = s64v_cpu::BhtConfig::small_4k_2w_1t();
-        assert_ne!(a, warm_fingerprint(&bht));
+        bht.core.bht = BhtConfig::small_4k_2w_1t();
+        assert_eq!(memory, memory_warm_key(&bht));
+        assert_eq!(predictor_warm_key(&bht), Some(bht.core.bht));
         let mut perfect = base.clone();
         perfect.core.perfect_branch_prediction = true;
-        assert_ne!(a, warm_fingerprint(&perfect));
+        assert_eq!(memory, memory_warm_key(&perfect));
+        assert_eq!(predictor_warm_key(&perfect), None);
         let mut mem = base.clone();
         mem.mem.l2.latency += 1;
-        assert_ne!(a, warm_fingerprint(&mem));
-        assert_ne!(a, warm_fingerprint(&SystemConfig::smp(2)));
+        assert_ne!(memory, memory_warm_key(&mem));
+        assert_eq!(predictor, predictor_warm_key(&mem));
+        assert_ne!(memory, memory_warm_key(&SystemConfig::smp(2)));
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //!   (one trace per CPU, functional warm-up, optional timed window, run
 //!   options, optional observation) and [`PerformanceModel::execute`] is
 //!   the one way to carry it out, uniprocessor or lock-stepped SMP,
-//! * [`warm`] — [`WarmCursor`], the functional-warming pass (a branch
-//!   history table and a memory system, no core) that every uniprocessor
-//!   run with the same [`warm_fingerprint`] copies its warmed state from,
+//! * [`warm`] — [`WarmCursor`], the functional-warming pass (a memory
+//!   system and the branch history tables trained beside it, no core)
+//!   that every uniprocessor run with the same [`memory_warm_key`] copies
+//!   its warmed memory from, taking the table its [`predictor_warm_key`]
+//!   names,
 //! * [`versions`] — the Figure 19 model-version ladder v1…v8 (from
 //!   latency-only memory to full detail, with the v5 special-instruction
 //!   blip),
@@ -51,13 +53,16 @@ pub use cost::{area_mm2, CostEstimate};
 pub use experiment::program_seed;
 pub use faultinject::{ChaosPlan, FaultClass, FaultPlan, HarnessFaultClass};
 pub use fingerprint::{
-    config_fingerprint, warm_fingerprint, Fingerprint, StableHasher, MODEL_FINGERPRINT_VERSION,
+    config_fingerprint, memory_warm_key, predictor_warm_key, Fingerprint, StableHasher,
+    MODEL_FINGERPRINT_VERSION,
 };
 pub use integrity::{Auditor, Component, SimError};
 pub use knobs::{apply_knob, apply_knobs, knob_names, knob_value, Knob, KNOBS};
 pub use model::{CycleBudget, PerformanceModel, Run, RunOptions};
 pub use observe::{ObserveConfig, Observer};
 pub use reference::{compare, ModelCheck, ReferenceMachine};
+/// The type of a [`predictor_warm_key`].
+pub use s64v_cpu::BhtConfig;
 pub use s64v_observe::RunObservation;
 pub use s64v_observe::{CpiGroup, CpiLeaf, CpiStack, MemBlame, CPI_LEAVES};
 pub use stability::SeedStudy;

@@ -445,7 +445,8 @@ impl PerformanceModel {
 
     /// Runs every detailed window of `plan` over `trace` and returns the
     /// per-window results in window order: one ascending pass of one
-    /// [`WarmCursor`], forked at each window start. Each result equals
+    /// [`WarmCursor`], forked at each window start
+    /// ([`WarmCursor::fork_for`]). Each result equals
     /// the window's own [`PerformanceModel::execute`] (`.warm(plan.warmup)
     /// .window(start, len)`), which warms a machine of its own from the
     /// window's origin. Windows whose warm-up does not reach back to a
@@ -473,7 +474,7 @@ impl PerformanceModel {
                 c.advance(&records[c.pos()..start]);
                 let window = &records[start..start + len as usize];
                 let result = c
-                    .fork()
+                    .fork_for(&self.config.core)
                     .try_run_window(&self.config.core, window, opts.clone(), None)
                     .map(|(result, _)| result);
                 cursor = Some(c);

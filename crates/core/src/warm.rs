@@ -11,21 +11,29 @@
 //!
 //! [`WarmCursor`] is that pass: the functional state of a cold machine
 //! after [`warm_record`] over trace records `[origin, pos)`. It holds
-//! exactly what warming reads and writes — a branch history table, a
-//! memory system, whether prediction is perfect — and no core, so the
-//! state cannot depend on any configuration field outside
-//! [`warm_fingerprint`](crate::warm_fingerprint). It only ever warms;
-//! timing happens on a [`WarmCursor::fork`], which shares nothing with
-//! the cursor it came from, under whichever core configuration the run
-//! asks for. A fork at `pos` is therefore field-for-field the state a
-//! fresh "cold at `origin`, warm to `pos`" pass builds, whatever order
-//! runs are served in — order decides only how many records get replayed.
+//! exactly what warming reads and writes — a memory system, and beside
+//! it the branch history tables of the predictors it serves — and no
+//! core. The two halves never read each other, so they are keyed apart:
+//! the memory state can depend on no configuration field outside
+//! [`memory_warm_key`](crate::memory_warm_key), and a table on nothing but
+//! its [`predictor_warm_key`]. One memory
+//! state therefore serves every predictor of a branch-predictor study,
+//! each timed machine taking its own table.
+//!
+//! A cursor only ever warms; timing happens on a
+//! [`WarmCursor::fork_for`], which shares nothing with the cursor it came
+//! from, under whichever core configuration the run asks for. A fork at
+//! `pos` is therefore field-for-field the state a fresh "cold at
+//! `origin`, warm to `pos`" pass of that configuration alone builds,
+//! whatever order runs are served in and whatever other tables trained
+//! beside it — order decides only how many records get replayed.
 
+use crate::fingerprint::predictor_warm_key;
 use crate::integrity::SimError;
 use crate::model::{timed, RunOptions};
 use crate::observe::ObserveConfig;
 use crate::system::{RunResult, SystemConfig};
-use s64v_cpu::{warm_record, Bht, Core, CoreConfig};
+use s64v_cpu::{warm_record, Bht, BhtConfig, Core, CoreConfig};
 use s64v_mem::MemorySystem;
 use s64v_observe::RunObservation;
 use s64v_trace::{SliceStream, TraceRecord};
@@ -34,27 +42,43 @@ use s64v_trace::{SliceStream, TraceRecord};
 /// trace (see the module docs).
 #[derive(Debug)]
 pub struct WarmCursor {
-    bht: Bht,
-    /// Perfect branch prediction: the table is never trained.
-    perfect_branches: bool,
     mem: MemorySystem,
+    /// One per predictor served, trained beside the memory system.
+    tables: Vec<Bht>,
     origin: usize,
     pos: usize,
 }
 
 impl WarmCursor {
-    /// A cold state positioned at `origin`, built from the fields of
-    /// `config` that [`warm_fingerprint`](crate::warm_fingerprint) hashes.
+    /// A cold state positioned at `origin` for `config` alone: its memory
+    /// system, and its branch history table unless prediction is
+    /// perfect.
     ///
     /// # Panics
     ///
     /// Panics for an SMP configuration: a cursor warms one CPU.
     pub fn new(config: &SystemConfig, origin: usize) -> Self {
+        Self::with_tables(config, predictor_warm_key(config), origin)
+    }
+
+    /// A cold state positioned at `origin`: the memory system of `config`
+    /// (the fields [`memory_warm_key`](crate::memory_warm_key) hashes)
+    /// and, trained beside it, one cold table per configuration in
+    /// `tables` (distinct, each some served point's
+    /// [`predictor_warm_key`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics for an SMP configuration: a cursor warms one CPU.
+    pub fn with_tables(
+        config: &SystemConfig,
+        tables: impl IntoIterator<Item = BhtConfig>,
+        origin: usize,
+    ) -> Self {
         assert_eq!(config.cpus, 1, "a warm cursor is uniprocessor");
         WarmCursor {
-            bht: Bht::new(config.core.bht),
-            perfect_branches: config.core.perfect_branch_prediction,
             mem: MemorySystem::new(config.mem.clone(), 1),
+            tables: tables.into_iter().map(Bht::new).collect(),
             origin,
             pos: origin,
         }
@@ -73,25 +97,54 @@ impl WarmCursor {
     /// Continues the pass through `chunk`, the trace's next records
     /// (`[self.pos(), self.pos() + chunk.len())`): a cursor takes its
     /// trace a piece at a time and never looks back, so whoever feeds it
-    /// need not keep what it has warmed.
+    /// need not keep what it has warmed. The memory system sees every
+    /// record once, however many tables train beside it.
     pub fn advance(&mut self, chunk: &[TraceRecord]) {
         for rec in chunk {
-            let bht = (!self.perfect_branches).then_some(&mut self.bht);
-            warm_record(bht, &mut self.mem, 0, rec);
+            warm_record(&mut self.tables, &mut self.mem, 0, rec);
         }
         self.pos += chunk.len();
     }
 
-    /// A deep copy: every memory-system structure and the branch history.
-    /// The copy and the cursor evolve independently from here on.
+    /// A deep copy: every memory-system structure and every table. The
+    /// copy and the cursor evolve independently from here on.
     pub fn fork(&self) -> WarmCursor {
         WarmCursor {
-            bht: self.bht.clone(),
-            perfect_branches: self.perfect_branches,
             mem: self.mem.fork(),
+            tables: self.tables.clone(),
             origin: self.origin,
             pos: self.pos,
         }
+    }
+
+    /// The machine a core of configuration `core` times on: a deep copy
+    /// of the memory system and of the one table that core predicts with
+    /// (none under perfect prediction).
+    ///
+    /// # Panics
+    ///
+    /// Panics if this cursor trained no table for `core`'s predictor.
+    pub fn fork_for(&self, core: &CoreConfig) -> WarmCursor {
+        WarmCursor {
+            mem: self.mem.fork(),
+            tables: self
+                .table_for(core)
+                .map(|at| self.tables[at].clone())
+                .into_iter()
+                .collect(),
+            origin: self.origin,
+            pos: self.pos,
+        }
+    }
+
+    /// Where the trained table `core` predicts with is; `None` under
+    /// perfect prediction, which starts from a cold one.
+    fn table_for(&self, core: &CoreConfig) -> Option<usize> {
+        if core.perfect_branch_prediction {
+            return None;
+        }
+        let at = self.tables.iter().position(|t| *t.config() == core.bht);
+        Some(at.expect("the cursor warmed another predictor"))
     }
 
     /// Times `window` — the trace's records from `pos` on, as many as the
@@ -103,22 +156,22 @@ impl WarmCursor {
     ///
     /// # Panics
     ///
-    /// Panics on an empty window, or a `core` whose predictor is not the
-    /// one this cursor warmed — never on a simulation fault.
+    /// Panics on an empty window, or a `core` whose predictor this cursor
+    /// did not train — never on a simulation fault.
     pub fn try_run_window(
-        self,
+        mut self,
         core: &CoreConfig,
         window: &[TraceRecord],
         opts: RunOptions,
         ocfg: Option<ObserveConfig>,
     ) -> Result<(RunResult, RunObservation), SimError> {
         assert!(!window.is_empty(), "empty window");
-        assert_eq!(
-            core.perfect_branch_prediction, self.perfect_branches,
-            "the cursor warmed another predictor"
-        );
+        let bht = match self.table_for(core) {
+            Some(at) => self.tables.swap_remove(at),
+            None => Bht::new(core.bht),
+        };
         let streams = vec![SliceStream::new(window)];
-        let cores = vec![Core::warmed(core.clone(), 0, self.bht)];
+        let cores = vec![Core::warmed(core.clone(), 0, bht)];
         timed(cores, self.mem, streams, opts, ocfg)
     }
 }

@@ -11,7 +11,8 @@
 //! under the checked-mode auditor.
 
 use s64v_core::{
-    warm_fingerprint, PerformanceModel, Run, RunOptions, RunResult, SystemConfig, WarmCursor,
+    memory_warm_key, predictor_warm_key, PerformanceModel, Run, RunOptions, RunResult,
+    SystemConfig, WarmCursor,
 };
 use s64v_cpu::Core;
 use s64v_mem::MemorySystem;
@@ -178,30 +179,38 @@ fn plans_and_lone_windows_equal_fresh_passes_full_and_bounded() {
     });
 }
 
-/// The cursor holds no core: one pass under the base configuration
-/// serves every configuration that differs from it only in what warming
-/// never reads, and each copy equals a machine of *that* configuration
-/// warmed afresh.
+/// The cursor holds no core, and its memory state no table: one pass of
+/// the base memory system, training the base's table and the small one
+/// beside it, serves every configuration that shares the memory key —
+/// core knobs, the other predictor, perfect prediction — and each copy
+/// equals a machine of *that* configuration warmed afresh.
 #[test]
 fn one_pass_serves_every_core_configuration_with_its_warm_key() {
     let base = SystemConfig::sparc64_v();
+    let mut perfect = base.clone();
+    perfect.core.perfect_branch_prediction = true;
     let variants = [
         base.clone()
             .with_core(base.core.clone().with_issue_width(2)),
         base.clone().with_core(base.core.clone().with_unified_rs()),
         base.clone()
             .with_core(base.core.clone().without_speculative_dispatch()),
+        base.clone().with_core(base.core.clone().with_small_bht()),
+        perfect,
     ];
+    let tables = [base.core.bht, base.core.clone().with_small_bht().bht];
     each_trace(|label, trace| {
         let records = trace.records();
-        let mut cursor = WarmCursor::new(&base, 0);
+        let mut cursor = WarmCursor::with_tables(&base, tables, 0);
         for &start in &STARTS {
             cursor.advance(&records[cursor.pos()..start]);
             for (v, cfg) in variants.iter().enumerate() {
-                assert_eq!(warm_fingerprint(cfg), warm_fingerprint(&base));
+                assert_eq!(memory_warm_key(cfg), memory_warm_key(&base));
+                let table = predictor_warm_key(cfg);
+                assert!(table.is_none_or(|t| tables.contains(&t)));
                 for (name, opts) in option_sets() {
                     let r = cursor
-                        .fork()
+                        .fork_for(&cfg.core)
                         .try_run_window(&cfg.core, &records[start..start + LEN], opts, None)
                         .expect("clean run");
                     assert_eq!(

@@ -12,7 +12,7 @@
 //! branches fall back to backward-taken/forward-not-taken.
 
 /// Geometry and access latency of a branch history table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BhtConfig {
     /// Total entries.
     pub entries: u32,
@@ -48,14 +48,19 @@ impl BhtConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct BhtEntry {
-    tag: u64,
-    counter: u8, // 0..=3, predict taken when >= 2
-    last_used: u64,
-}
+/// Counter bits of a way's second word, below the recency stamp.
+const COUNTER: u64 = 0b11;
 
 /// A tagged, set-associative branch history table.
+///
+/// The table is one flat array of `sets × ways` entries, a set's ways
+/// side by side, each two words: the tag plus one (0 marks an empty way)
+/// and `stamp << 2 | counter` (the clock at the way's last touch above
+/// its 2-bit counter). A copy is one allocation and a `memcpy`, and a
+/// cold table is all zeros, so it costs no memory until it trains. Ways
+/// fill in order and are never emptied; stamps are distinct and an empty
+/// way's is 0, so the way a miss installs into — the least recently used
+/// — is the first empty way while the set fills.
 ///
 /// # Examples
 ///
@@ -71,7 +76,11 @@ struct BhtEntry {
 #[derive(Debug, Clone)]
 pub struct Bht {
     config: BhtConfig,
-    sets: Vec<Vec<BhtEntry>>,
+    entries: Vec<[u64; 2]>,
+    ways: usize,
+    /// `sets − 1`, and `log2(sets)`: a word address's set and tag.
+    set_mask: u64,
+    tag_shift: u32,
     clock: u64,
 }
 
@@ -96,7 +105,10 @@ impl Bht {
         );
         Bht {
             config,
-            sets: vec![Vec::new(); sets as usize],
+            entries: vec![[0; 2]; config.entries as usize],
+            ways: config.ways as usize,
+            set_mask: sets as u64 - 1,
+            tag_shift: sets.trailing_zeros(),
             clock: 0,
         }
     }
@@ -106,11 +118,11 @@ impl Bht {
         &self.config
     }
 
-    fn index(&self, pc: u64) -> (usize, u64) {
+    /// The ways of `pc`'s set, and the first word of its way if present.
+    fn set(&self, pc: u64) -> (std::ops::Range<usize>, u64) {
         let word = pc / 4;
-        let set = (word & (self.config.sets() as u64 - 1)) as usize;
-        let tag = word >> self.config.sets().trailing_zeros();
-        (set, tag)
+        let first = (word & self.set_mask) as usize * self.ways;
+        (first..first + self.ways, (word >> self.tag_shift) + 1)
     }
 
     /// Static fallback when the branch has no table entry:
@@ -125,11 +137,12 @@ impl Bht {
     /// Predicts the direction of the conditional branch at `pc`.
     pub fn predict(&mut self, pc: u64) -> bool {
         self.clock += 1;
-        let (set, tag) = self.index(pc);
-        match self.sets[set].iter_mut().find(|e| e.tag == tag) {
+        let (set, tag) = self.set(pc);
+        match self.entries[set].iter_mut().find(|e| e[0] == tag) {
             Some(e) => {
-                e.last_used = self.clock;
-                e.counter >= 2
+                let counter = e[1] & COUNTER;
+                e[1] = self.clock << 2 | counter;
+                counter >= 2
             }
             None => Self::static_prediction(),
         }
@@ -138,44 +151,35 @@ impl Bht {
     /// Updates the table with a resolved branch outcome.
     pub fn update(&mut self, pc: u64, taken: bool) {
         self.clock += 1;
-        let (set, tag) = self.index(pc);
-        let ways = self.config.ways as usize;
-        let set_vec = &mut self.sets[set];
-        if let Some(e) = set_vec.iter_mut().find(|e| e.tag == tag) {
-            e.counter = if taken {
-                (e.counter + 1).min(3)
+        let (set, tag) = self.set(pc);
+        let set = &mut self.entries[set];
+        if let Some(e) = set.iter_mut().find(|e| e[0] == tag) {
+            let counter = e[1] & COUNTER;
+            let counter = if taken {
+                (counter + 1).min(3)
             } else {
-                e.counter.saturating_sub(1)
+                counter.saturating_sub(1)
             };
-            e.last_used = self.clock;
+            e[1] = self.clock << 2 | counter;
             return;
         }
-        let entry = BhtEntry {
-            tag,
-            counter: if taken { 2 } else { 1 },
-            last_used: self.clock,
-        };
-        if set_vec.len() < ways {
-            set_vec.push(entry);
-        } else {
-            let lru = set_vec
-                .iter_mut()
-                .min_by_key(|e| e.last_used)
-                .expect("full set is non-empty");
-            *lru = entry;
-        }
+        let victim = set
+            .iter_mut()
+            .min_by_key(|e| e[1])
+            .expect("a set has at least one way");
+        *victim = [tag, self.clock << 2 | if taken { 2 } else { 1 }];
     }
 
     /// Whether the branch at `pc` currently has a table entry (no LRU
     /// update; diagnostic helper).
     pub fn has_entry(&self, pc: u64) -> bool {
-        let (set, tag) = self.index(pc);
-        self.sets[set].iter().any(|e| e.tag == tag)
+        let (set, tag) = self.set(pc);
+        self.entries[set].iter().any(|e| e[0] == tag)
     }
 
     /// Number of installed entries (test helper).
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.entries.iter().filter(|e| e[0] != 0).count()
     }
 }
 

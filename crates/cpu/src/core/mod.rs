@@ -57,15 +57,20 @@ mod tests;
 
 /// Functional warming of one record (the paper's steady-state tracing,
 /// §2.2): CPU `cpu`'s instruction and operand paths of `mem` see the
-/// record's addresses and `bht` — `None` under perfect branch prediction,
-/// which never consults a table — sees a conditional branch's outcome.
-/// No timing is simulated. The arguments are everything warming reads or
-/// writes, so a warm state can be built, kept and copied with no core.
-pub fn warm_record(bht: Option<&mut Bht>, mem: &mut MemorySystem, cpu: usize, rec: &TraceRecord) {
+/// record's addresses and every table of `bhts` — none under perfect
+/// branch prediction, which never consults a table — sees a conditional
+/// branch's outcome. No timing is simulated. The arguments are
+/// everything warming reads or writes, so a warm state can be built,
+/// kept and copied with no core; and the memory system and the tables
+/// never read each other, so one memory state can be warmed beside any
+/// number of tables.
+pub fn warm_record(bhts: &mut [Bht], mem: &mut MemorySystem, cpu: usize, rec: &TraceRecord) {
     mem.warm_fetch(cpu, rec.pc);
     if rec.instr.op == OpClass::BranchCond {
-        if let (Some(bht), Some(b)) = (bht, rec.instr.branch) {
-            bht.update(rec.pc, b.taken);
+        if let Some(b) = rec.instr.branch {
+            for bht in bhts {
+                bht.update(rec.pc, b.taken);
+            }
         }
     }
     if let Some(m) = rec.instr.mem {
@@ -284,8 +289,12 @@ impl Core {
     /// Replays one warm-up record into the memory system and branch
     /// predictor without simulating any timing (see [`warm_record`]).
     pub fn warm(&mut self, mem: &mut MemorySystem, rec: &TraceRecord) {
-        let bht = (!self.cfg.perfect_branch_prediction).then_some(&mut self.bht);
-        warm_record(bht, mem, self.core_id, rec);
+        let bhts: &mut [Bht] = if self.cfg.perfect_branch_prediction {
+            &mut []
+        } else {
+            std::slice::from_mut(&mut self.bht)
+        };
+        warm_record(bhts, mem, self.core_id, rec);
     }
 
     /// Functional fast-forward: replays a stream through [`Core::warm`]

@@ -6,23 +6,29 @@
 //! any file that fails to parse (truncated write, format change) is
 //! treated as a miss and re-simulated, never an error.
 //!
-//! Entries are written crash-safely — temp file, fsync, atomic rename —
-//! and carry a length+checksum footer (see [`crate::supervise::seal`])
-//! verified on every read, so a torn write or an in-place bit flip is
-//! detected as corruption rather than misparsed. Legacy unsealed entries
-//! from pre-supervision caches still load.
+//! Entries are written whole or not at all — temp file, atomic rename —
+//! and made durable in groups: [`ResultCache::commit`] fsyncs every file
+//! written since the last commit, then the directory once (the engine
+//! commits every few dozen finished points, every heartbeat period and
+//! at the end of a campaign). Entries carry a length+checksum footer (see
+//! [`crate::supervise::seal`]) verified on every read, so what a host
+//! crash before a commit can leave — an empty or torn entry at its final
+//! path — or an in-place bit flip is detected as corruption rather than
+//! misparsed, and the point re-simulates. Legacy unsealed entries from
+//! pre-supervision caches still load.
 //!
 //! Staleness never needs detection here: the fingerprint covers the
 //! configuration, workload, seed, lengths and model version, so a stale
 //! result is simply a file nobody looks up any more.
 
+use crate::registry::lock;
 use crate::spec::PointMetrics;
-use crate::supervise::{atomic_write, seal, unseal_lenient, ChaosInjector};
+use crate::supervise::{replace, seal, sync_group, unseal_lenient, ChaosInjector};
 use s64v_core::fingerprint::Fingerprint;
 use s64v_core::HarnessFaultClass;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Format tag written as the first line of every cache file. Bumped to
 /// v2 when the CPI stack joined [`PointMetrics`]; entries carrying any
@@ -33,11 +39,14 @@ const FORMAT: &str = "s64v-point v2";
 /// Prefix shared by every cache-format version tag (see [`FORMAT`]).
 const FORMAT_FAMILY: &str = "s64v-point v";
 
-/// Handle on a cache directory.
+/// Handle on a cache directory. Clones share the list of files awaiting
+/// a [`commit`](ResultCache::commit).
 #[derive(Debug, Clone, Default)]
 pub struct ResultCache {
     dir: PathBuf,
     chaos: Option<Arc<ChaosInjector>>,
+    /// Files renamed into place since the last commit.
+    uncommitted: Arc<Mutex<Vec<PathBuf>>>,
 }
 
 impl ResultCache {
@@ -46,7 +55,7 @@ impl ResultCache {
         std::fs::create_dir_all(dir)?;
         Ok(ResultCache {
             dir: dir.to_path_buf(),
-            chaos: None,
+            ..ResultCache::default()
         })
     }
 
@@ -100,8 +109,8 @@ impl ResultCache {
     }
 
     /// Stores a point's metrics, sealed with an integrity footer and
-    /// written crash-safely (temp file + fsync + atomic rename) so a
-    /// crash mid-write leaves no half-parsable entry at the final path.
+    /// written whole (temp file + atomic rename); durable at the next
+    /// [`commit`](ResultCache::commit).
     pub fn store(&self, fp: Fingerprint, m: &PointMetrics) -> std::io::Result<()> {
         let sealed = seal(&encode(m));
         let path = self.path_of(fp);
@@ -114,7 +123,26 @@ impl ResultCache {
                 return std::fs::write(&path, &sealed.as_bytes()[..sealed.len() * 3 / 5]);
             }
         }
-        atomic_write(&path, sealed.as_bytes())
+        self.write(path, sealed.as_bytes()).map(drop)
+    }
+
+    /// Lands `data` at `path` and lists it for the next commit.
+    fn write(&self, path: PathBuf, data: &[u8]) -> std::io::Result<PathBuf> {
+        replace(&path, data)?;
+        lock(&self.uncommitted).push(path.clone());
+        Ok(path)
+    }
+
+    /// Makes every file stored since the last commit durable — an fsync
+    /// per file, then one of the directory — and returns how many there
+    /// were. Until then a stored file is whole to every reader, but a
+    /// host crash may leave it empty or torn.
+    pub fn commit(&self) -> std::io::Result<usize> {
+        let files = std::mem::take(&mut *lock(&self.uncommitted));
+        if !files.is_empty() {
+            sync_group(&self.dir, &files)?;
+        }
+        Ok(files.len())
     }
 
     /// The artifact file a fingerprint maps to for a given extension
@@ -125,9 +153,11 @@ impl ResultCache {
         self.dir.join(format!("{fp}.{ext}"))
     }
 
-    /// Writes an artifact crash-safely (like [`store`], but
-    /// unsealed — these files feed external tools that expect plain
-    /// JSON/text) and returns its path.
+    /// Writes an artifact whole (like [`store`], but unsealed — these
+    /// files feed external tools that expect plain JSON/text) and returns
+    /// its path. With no footer to check, a reader that can re-render an
+    /// artifact compares bytes instead (see
+    /// [`holds_artifact`](ResultCache::holds_artifact)).
     ///
     /// [`store`]: ResultCache::store
     pub fn store_artifact(
@@ -136,9 +166,13 @@ impl ResultCache {
         ext: &str,
         data: &str,
     ) -> std::io::Result<PathBuf> {
-        let path = self.artifact_path(fp, ext);
-        atomic_write(&path, data.as_bytes())?;
-        Ok(path)
+        self.write(self.artifact_path(fp, ext), data.as_bytes())
+    }
+
+    /// Whether the artifact on disk is exactly `data`: a missing, torn
+    /// or damaged one is not, and is rewritten like a missing one.
+    pub fn holds_artifact(&self, fp: Fingerprint, ext: &str, data: &str) -> bool {
+        std::fs::read(self.artifact_path(fp, ext)).is_ok_and(|bytes| bytes == data.as_bytes())
     }
 }
 
@@ -287,6 +321,25 @@ mod tests {
         assert_eq!(cache.load(fp), None);
         cache.store(fp, &sample()).expect("store");
         assert_eq!(cache.load(fp), Some(sample()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stores_are_whole_at_once_and_durable_a_group_at_a_time() {
+        let dir = std::env::temp_dir().join(format!("s64v-cache-group-{}", std::process::id()));
+        let cache = ResultCache::open(&dir).expect("create");
+        let fp = crate::test_fp("group-test");
+        cache.store(fp, &sample()).expect("store");
+        cache.store_artifact(fp, "cpi.json", "{}\n").expect("store");
+        // Readable before the commit, from any handle on the directory.
+        assert_eq!(
+            ResultCache::open(&dir).expect("reopen").load(fp),
+            Some(sample())
+        );
+        assert!(cache.holds_artifact(fp, "cpi.json", "{}\n"));
+        assert!(!cache.holds_artifact(fp, "cpi.json", "{\"torn"));
+        assert_eq!(cache.clone().commit().expect("commit"), 2, "clones share");
+        assert_eq!(cache.commit().expect("commit"), 0, "nothing new");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -52,6 +52,10 @@ use std::sync::mpsc::{RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, Once};
 use std::time::Instant;
 
+/// Finished points per group commit of the cache's writes (a heartbeat
+/// period commits sooner; see `Campaign::group_commit`).
+const COMMIT_EVERY: usize = 32;
+
 /// How one point ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PointOutcome {
@@ -149,9 +153,9 @@ fn execute_in(
         WorkUnit::Program { .. } | WorkUnit::SampledWindow { .. } => {
             // A uniprocessor point is a window of its program's trace — a
             // program point `[warmup, warmup + records)`, a sampled window
-            // any other — timed on a copy of the state every point with
-            // its warm key shares; the window's records are all of the
-            // trace it ever holds.
+            // any other — timed on a copy of the memory state every point
+            // with its memory key shares and of its own predictor's table;
+            // the window's records are all of the trace it ever holds.
             let observed = ocfg.filter(|_| matches!(point.work, WorkUnit::Program { .. }));
             registry.warmed(at).try_run_window(
                 &point.config.core,
@@ -302,6 +306,9 @@ struct Campaign<'a> {
     registry: Registry<'a>,
     schedule: Schedule,
     cache: Option<ResultCache>,
+    /// Points finished since the cache's last group commit, and when it
+    /// was.
+    since_commit: Mutex<(usize, Instant)>,
     journal: Option<Journal>,
     watchdog: Option<Watchdog>,
     chaos: Arc<ChaosInjector>,
@@ -371,6 +378,7 @@ impl Campaign<'_> {
         // The outcome is final (retries are over): the point stops
         // holding its window and warm state alive.
         self.registry.release(index);
+        self.group_commit();
         self.done.fetch_add(1, Ordering::Relaxed);
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
@@ -513,15 +521,16 @@ impl Campaign<'_> {
                 let _ = c.store(*fp, metrics);
             }
             // PMU-style top-down artifact for every simulated point, and
-            // backfilled on a hit if it went missing (deleted, or
-            // predates artifact emission) so `campaign perf` always sees
-            // a full cache dir. Verify-only points commit nothing and
-            // carry no stack, so they get no artifact.
-            if metrics.cpi_core_cycles() > 0
-                && (simulated.is_some() || !c.artifact_path(*fp, "cpi.json").exists())
-            {
+            // backfilled on a hit if it is not what the point renders
+            // (deleted, predating artifact emission, or torn by a host
+            // crash before its group committed) so `campaign perf` always
+            // sees a full cache dir. Verify-only points commit nothing
+            // and carry no stack, so they get no artifact.
+            if metrics.cpi_core_cycles() > 0 {
                 let cpi = crate::perf::cpi_artifact(label, *fp, metrics);
-                let _ = c.store_artifact(*fp, "cpi.json", &cpi);
+                if simulated.is_some() || !c.holds_artifact(*fp, "cpi.json", &cpi) {
+                    let _ = c.store_artifact(*fp, "cpi.json", &cpi);
+                }
             }
             if let Some(obs) = simulated {
                 if self.spec.observe.wants_trace(label) {
@@ -543,6 +552,26 @@ impl Campaign<'_> {
             records: point_records(v.point),
             elapsed: v.started.elapsed(),
         });
+    }
+
+    /// Counts a finished point towards the cache's next group commit and
+    /// commits once [`COMMIT_EVERY`] points or a heartbeat period have
+    /// finished since the last one. A failed commit leaves the files
+    /// whole but not durable: a host crash may then cost a re-simulation,
+    /// never a wrong result.
+    fn group_commit(&self) {
+        let Some(cache) = &self.cache else {
+            return;
+        };
+        let mut since = lock(&self.since_commit);
+        since.0 += 1;
+        let period_over = self.spec.heartbeat.is_some_and(|p| since.1.elapsed() >= p);
+        if since.0 < COMMIT_EVERY && !period_over {
+            return;
+        }
+        *since = (0, Instant::now());
+        drop(since);
+        let _ = cache.commit();
     }
 
     /// Journals and announces a point's final failure.
@@ -590,6 +619,7 @@ pub fn run_campaign(
         registry: Registry::new(&spec.points),
         schedule: Schedule::new(&spec.points, workers),
         cache,
+        since_commit: Mutex::new((0, start)),
         journal,
         watchdog: spec.supervise.deadline.map(Watchdog::spawn),
         chaos,
@@ -653,6 +683,12 @@ pub fn run_campaign(
         for fault in campaign.chaos.fired() {
             j.record_chaos(fault.class, &fault.key);
         }
+    }
+    // The last group: everything stored since the last commit is durable
+    // before the campaign returns, however it ended (`serve` drains an
+    // interrupted query to here).
+    if let Some(cache) = &campaign.cache {
+        let _ = cache.commit();
     }
 
     let outcomes: Vec<PointOutcome> = campaign

@@ -28,7 +28,7 @@ use crate::supervise::{line_crc, ChaosInjector};
 use s64v_core::fingerprint::Fingerprint;
 use s64v_core::HarnessFaultClass;
 use std::collections::HashSet;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -56,7 +56,8 @@ pub struct JournalState {
     pub retries: Vec<FailedPoint>,
     /// Chaos faults injected by a soak campaign: `(class, key)` pairs.
     pub chaos: Vec<(String, String)>,
-    /// Lines whose checksum failed (torn appends) — skipped, counted.
+    /// Lines that are not UTF-8 or whose checksum failed (torn appends)
+    /// — skipped, counted.
     pub corrupt_lines: usize,
 }
 
@@ -86,15 +87,16 @@ impl Journal {
         }
         let mut file = std::fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(path)?;
-        // A crash mid-append leaves a torn final line with no newline; seal
-        // it off so this session's first append lands on a fresh line (the
-        // fragment alone fails its checksum and is skipped by the loader).
-        if let Ok(text) = std::fs::read_to_string(path) {
-            if !text.is_empty() && !text.ends_with('\n') {
-                let _ = file.write_all(b"\n");
-            }
+        // A crash mid-append leaves a torn final line with no newline —
+        // possibly ending mid-character; seal it off so this session's
+        // first append lands on a fresh line (the fragment alone fails its
+        // checksum and is skipped by the loader). Only the last byte is
+        // read, best effort like every journal write.
+        if ends_mid_line(&mut file).unwrap_or(false) {
+            let _ = file.write_all(b"\n");
         }
         Ok(Journal {
             file: Mutex::new(file),
@@ -115,15 +117,21 @@ impl Journal {
     }
 
     /// Reads the accumulated state (missing file = empty state). A line
-    /// with a missing or wrong checksum is a torn append: it is skipped
-    /// and counted in [`JournalState::corrupt_lines`], never misparsed
-    /// and never an error.
+    /// that is not UTF-8 (a torn multi-byte character, disk damage) or
+    /// has a missing or wrong checksum is a torn append: it is skipped
+    /// and counted once in [`JournalState::corrupt_lines`], never
+    /// misparsed, never an error, and never costs the other lines.
     pub fn load(path: &Path) -> JournalState {
         let mut state = JournalState::default();
-        let Ok(text) = std::fs::read_to_string(path) else {
+        let Ok(bytes) = std::fs::read(path) else {
             return state;
         };
-        for line in text.lines() {
+        for raw in bytes.split(|&b| b == b'\n') {
+            let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
+            let Ok(line) = std::str::from_utf8(raw) else {
+                state.corrupt_lines += 1;
+                continue;
+            };
             let Some((body, crc)) = line.rsplit_once(" |c=") else {
                 if !line.is_empty() {
                     state.corrupt_lines += 1;
@@ -233,6 +241,17 @@ impl Journal {
     }
 }
 
+/// Whether `file` ends without a newline (an empty file does not).
+fn ends_mid_line(file: &mut std::fs::File) -> std::io::Result<bool> {
+    if file.metadata()?.len() == 0 {
+        return Ok(false);
+    }
+    let mut last = [0u8];
+    file.seek(SeekFrom::End(-1))?;
+    file.read_exact(&mut last)?;
+    Ok(last != *b"\n")
+}
+
 /// Keeps journal entries one line each.
 fn sanitize(s: &str) -> String {
     s.replace(['\n', '\r'], " ")
@@ -332,6 +351,63 @@ mod tests {
             !state.completed.contains(&fp("torn")),
             "a torn ok line must not count as completed"
         );
+        assert_eq!(state.corrupt_lines, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `€` is three bytes in UTF-8; a torn append can end after the first.
+    fn torn_euro_line(j: &Journal, path: &Path, tag: &str) -> Vec<u8> {
+        j.record_ok(fp(tag), &format!("point {tag} €"));
+        let mut bytes = std::fs::read(path).expect("read");
+        let euro = bytes.windows(3).rposition(|w| w == "€".as_bytes());
+        bytes.truncate(euro.expect("the label's character") + 1);
+        bytes
+    }
+
+    #[test]
+    fn a_torn_multibyte_character_mid_file_costs_one_line() {
+        let dir = std::env::temp_dir().join(format!("s64v-journal-utf8-{}", std::process::id()));
+        let path = journal_path(&dir);
+        std::fs::remove_file(&path).ok();
+
+        let j = Journal::open(&path).expect("open");
+        j.record_ok(fp("before"), "point before");
+        let mut bytes = torn_euro_line(&j, &path, "torn");
+        assert!(std::str::from_utf8(&bytes).is_err(), "ends mid-character");
+        bytes.push(b'\n');
+        std::fs::write(&path, &bytes).expect("tear");
+        j.record_fail(fp("after"), "point after", "boom");
+
+        let state = Journal::load(&path);
+        assert!(state.completed.contains(&fp("before")));
+        assert!(!state.completed.contains(&fp("torn")));
+        assert_eq!(state.failed.len(), 1, "the line after the damage survives");
+        assert_eq!(state.corrupt_lines, 1, "the damaged line counts once");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_torn_multibyte_character_at_the_tail_is_sealed_off_on_open() {
+        let dir = std::env::temp_dir().join(format!("s64v-journal-tail-{}", std::process::id()));
+        let path = journal_path(&dir);
+        std::fs::remove_file(&path).ok();
+
+        let j = Journal::open(&path).expect("open");
+        j.record_ok(fp("before"), "point before");
+        let bytes = torn_euro_line(&j, &path, "torn");
+        drop(j);
+        std::fs::write(&path, &bytes).expect("tear");
+
+        // The next session seals the fragment off before its own append.
+        let j = Journal::open(&path).expect("reopen");
+        j.record_ok(fp("next"), "point next");
+        let state = Journal::load(&path);
+        assert!(state.completed.contains(&fp("before")));
+        assert!(
+            state.completed.contains(&fp("next")),
+            "the first append after a torn tail lands on a line of its own"
+        );
+        assert_eq!(state.completed.len(), 2);
         assert_eq!(state.corrupt_lines, 1);
         std::fs::remove_dir_all(&dir).ok();
     }

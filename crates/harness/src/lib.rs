@@ -34,7 +34,8 @@
 //!   watchdogs (wall-clock deadline + simulated-cycle budget), bounded
 //!   retry with deterministic backoff and a quarantine list for points
 //!   that keep failing transiently, crash-safe artifact storage (atomic
-//!   rename + fsync + length/checksum footers verified on read), a
+//!   rename, group-committed fsyncs, length/checksum footers verified on
+//!   read), a
 //!   per-cache-directory lock, and a seeded chaos injector the
 //!   `campaign soak` gate uses to prove all of the above recovers.
 //! * **Design-space exploration** — [`explore`] turns the engine into a

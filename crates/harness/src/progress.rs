@@ -136,13 +136,20 @@ impl CampaignReport {
         }
         if shared.machines_requested > 0 {
             s.push_str(&format!(
-                ", {:.2}M of {:.2}M requested warm-up records replayed \
+                ", {:.2}M of {:.2}M requested warm-up records replayed through memory \
                  ({} of {} warming passes saved, {} machines copied)",
                 shared.records_warmed as f64 / 1e6,
                 shared.records_warm_requested as f64 / 1e6,
                 shared.machines_requested - shared.warm_passes,
                 shared.machines_requested,
                 shared.machines_copied,
+            ));
+        }
+        if shared.tables_trained > 0 {
+            s.push_str(&format!(
+                ", {:.2}M records trained into {} branch tables",
+                shared.records_trained as f64 / 1e6,
+                shared.tables_trained,
             ));
         }
         if self.retries > 0 || self.timed_out > 0 || !self.quarantined.is_empty() {
@@ -196,14 +203,17 @@ mod tests {
                 machines_requested: 64,
                 warm_passes: 8,
                 machines_copied: 120,
+                tables_trained: 16,
+                records_trained: 23_040_000,
             },
             ..Default::default()
         };
         let s = r.summary();
         assert!(s.contains("8 of 64 requested traces generated (11.76M records, 0.51M kept)"));
         assert!(s.contains(
-            "11.52M of 47.36M requested warm-up records replayed \
-             (56 of 64 warming passes saved, 120 machines copied)"
+            "11.52M of 47.36M requested warm-up records replayed through memory \
+             (56 of 64 warming passes saved, 120 machines copied), \
+             23.04M records trained into 16 branch tables"
         ));
         let all_hits = CampaignReport {
             completed: 3,

@@ -17,35 +17,46 @@
 //!   records)`, a sampled window `[start, start + len)`, a verification
 //!   point the whole `[0, n)` (see [`SimPoint::window`]) — one per
 //!   distinct range, whoever shares it;
-//! * per **warm key** — `(`[`warm_fingerprint`]`, warm origin)` of the
+//! * per **memory key** — `(`[`memory_warm_key`]`, warm origin)` of the
 //!   key's points — a *chain* of **stops**: the positions those points
 //!   start timing from, each wanting the functional state of a cold
-//!   machine warmed over `[origin, stop)`.
+//!   machine warmed over `[origin, stop)`; and beside the chain, its
+//!   points' distinct [`predictor_warm_key`]s — one branch history table
+//!   each, none under perfect prediction.
 //!
 //! Whoever asks for something the pass has not reached advances it: one
 //! chunk of 4 096 records at a time is generated into a buffer that
 //! stays in the host's cache, replayed through the live cursor of *every*
-//! chain, copied into the windows it overlaps, and forgotten. A chunk
-//! ends early at a plan position (a chain's origin, a stop, a window's
-//! end), so everything is **published** exactly where it falls: a chain
-//! starts cold at its origin; at a stop its cursor is copied into the
+//! chain — one memory state, and the tables training beside it — copied
+//! into the windows it overlaps, and forgotten. A chunk ends early at a
+//! plan position (a chain's origin, a stop, a window's end), so
+//! everything is **published** exactly where it falls: a chain starts
+//! cold at its origin, training a table for each predictor still wanted;
+//! at a stop its cursor — memory state and tables — is copied into the
 //! stop (the chain's last wanted stop gets the cursor itself); a window
-//! complete at its end becomes a shared trace. Askers of something
-//! already published copy or share it from where it sits. Several workers
-//! may ask at once — the pass is behind one lock, held a chunk at a time,
-//! so they take turns advancing and each stops when its own item is out.
+//! complete at its end becomes a shared trace. A point's machine is a
+//! copy of its stop's memory state plus a copy of its own table: field
+//! for field what a cursor of that configuration alone would have built.
+//! Askers of something already published copy or share it from where it
+//! sits. Several workers may ask at once — the pass is behind one lock,
+//! held a chunk at a time, so they take turns advancing and each stops
+//! when its own item is out.
 //!
 //! Nothing is therefore replayed or generated twice, whatever order
 //! points are served in and however many workers serve them: records
-//! generated, records warmed and passes started are functions of the
-//! point list alone (a result-cache hit releases its point unasked and
-//! can only shorten the pass). A hundred configurations of one sweep
-//! round replay the warm-up once and copy it a hundred times; a plan's
-//! windows cost one replay up to the last start.
+//! generated, records warmed, tables trained and passes started are
+//! functions of the point list alone (a result-cache hit releases its
+//! point unasked and can only shorten the pass or spare a table). A
+//! hundred configurations of one sweep round replay the warm-up once and
+//! copy it a hundred times; a branch-predictor study warms each program's
+//! memory once beside one table per predictor; a plan's windows cost one
+//! replay up to the last start.
 //!
-//! The warm key hashes the memory configuration, the branch history
-//! table's geometry, the perfect-prediction flag and the CPU count: all a
-//! [`WarmCursor`] is built from, hence all its state can depend on. It is
+//! The two keys split warm state along the boundary `s64v_cpu`'s
+//! `warm_record` already has — the memory system and the tables never
+//! read each other. The memory key hashes the memory
+//! configuration and the CPU count, all a cursor's memory system is built
+//! from; the predictor key is the table's configuration. Both are
 //! computed once per point, when the plan is.
 //!
 //! **What is held when.** Every point is a *consumer* of its key and a
@@ -57,8 +68,9 @@
 //! whole entry — generator, cursors — goes with the key's last consumer.
 //! A key in service thus holds one chunk, the cursors of chains with a
 //! stop still ahead, and the states and windows published but not yet
-//! released: memory follows the plan, not the trace's length. The
-//! registry is empty when the campaign returns.
+//! released: memory follows the plan, not the trace's length. A table is
+//! trained only if a point wanting it is unreleased when its chain
+//! starts. The registry is empty when the campaign returns.
 //!
 //! **A runner that dies.** A worker that unwinds while holding a pass
 //! leaves it half-advanced — some cursors past the chunk, some not. The
@@ -76,7 +88,7 @@
 //! result; the counters say how much it saved.
 
 use crate::spec::{SimPoint, WorkUnit};
-use s64v_core::{warm_fingerprint, Fingerprint, WarmCursor};
+use s64v_core::{memory_warm_key, predictor_warm_key, BhtConfig, Fingerprint, WarmCursor};
 use s64v_trace::{TraceRecord, VecTrace};
 use s64v_workloads::program::ProgramStream;
 use s64v_workloads::{smp_traces, suite::tpcc_program, Suite, SuiteKind};
@@ -159,15 +171,19 @@ pub struct RegistryCounters {
     /// and sampled windows) asked for: Σ `(stop − origin)` over executed
     /// attempts.
     pub records_warm_requested: u64,
-    /// Records actually replayed to serve them.
+    /// Records actually replayed through a memory state to serve them.
     pub records_warmed: u64,
     /// Warmed machines those attempts asked for (one each).
     pub machines_requested: u64,
-    /// Cold machines started at a chain's origin.
+    /// Cold memory states started at a chain's origin.
     pub warm_passes: u64,
     /// Warmed states copied: into a stop the cursor moves on from, and
     /// out of a stop for a point to time on.
     pub machines_copied: u64,
+    /// Cold branch history tables started beside a memory state.
+    pub tables_trained: u64,
+    /// Records replayed into those tables, summed over tables.
+    pub records_trained: u64,
 }
 
 /// One stop of a chain: a trace position some points start timing from.
@@ -179,13 +195,18 @@ struct Stop {
     state: Option<Arc<WarmCursor>>,
 }
 
-/// One warm key's stops and the cursor warming towards them.
+/// One memory key's stops, its predictors and the cursor warming towards
+/// them.
 #[derive(Debug)]
 struct Chain {
-    fingerprint: Fingerprint,
+    memory: Fingerprint,
     origin: usize,
-    /// A point whose configuration builds this chain's cold machine.
+    /// A point whose configuration builds this chain's cold memory state.
     config: usize,
+    /// The chain's distinct predictors, each with its unreleased points.
+    tables: Vec<(BhtConfig, usize)>,
+    /// Tables the live cursor trains.
+    training: usize,
     stops: BTreeMap<usize, Stop>,
     /// Live from the origin to the last stop anyone still wants.
     cursor: Option<WarmCursor>,
@@ -201,8 +222,13 @@ impl Chain {
     /// cursor go when no wanted stop is left ahead.
     fn settle(&mut self, pos: usize, points: &[SimPoint], counters: &mut RegistryCounters) {
         if pos == self.origin && self.wanted_from(pos) {
-            self.cursor = Some(WarmCursor::new(&points[self.config].config, pos));
+            let wanted = self.tables.iter().filter(|(_, users)| *users > 0);
+            let tables: Vec<BhtConfig> = wanted.map(|&(table, _)| table).collect();
+            self.training = tables.len();
+            let config = &points[self.config].config;
+            self.cursor = Some(WarmCursor::with_tables(config, tables, pos));
             counters.warm_passes += 1;
+            counters.tables_trained += self.training as u64;
         }
         let Some(cursor) = self.cursor.take() else {
             return;
@@ -267,10 +293,13 @@ impl Pass {
         let upto = (pos + CHUNK).min(*cut.expect("nothing is wanted past the plan's last cut"));
         chunk.clear();
         stream.fill(chunk, upto);
-        let mut warmed = 0;
-        for cursor in self.chains.iter_mut().filter_map(|c| c.cursor.as_mut()) {
-            cursor.advance(chunk);
-            warmed += chunk.len();
+        let (mut warmed, mut trained) = (0, 0);
+        for chain in &mut self.chains {
+            if let Some(cursor) = &mut chain.cursor {
+                cursor.advance(chunk);
+                warmed += chunk.len();
+                trained += chunk.len() * chain.training;
+            }
         }
         let mut materialized = 0;
         for (&(start, len), window) in self.windows.range_mut(..(upto, 0)) {
@@ -291,6 +320,7 @@ impl Pass {
         let mut counters = lock(counters);
         counters.records_generated += chunk.len() as u64;
         counters.records_warmed += warmed as u64;
+        counters.records_trained += trained as u64;
         counters.records_materialized += materialized as u64;
         for chain in &mut self.chains {
             chain.settle(upto, points, &mut counters);
@@ -347,6 +377,8 @@ struct Ask {
     window: Option<(usize, usize)>,
     /// The chain (by index in its pass) and stop the point times from.
     stop: Option<(usize, usize)>,
+    /// The chain's table (by index) the point predicts with.
+    table: Option<usize>,
 }
 
 /// The shared inputs of one campaign (see the module docs).
@@ -397,6 +429,7 @@ impl<'a> Registry<'a> {
                 key,
                 window: None,
                 stop: None,
+                table: None,
             };
             if let Entry::Program(pass) = entry {
                 let pass = pass.get_mut().unwrap_or_else(|e| e.into_inner());
@@ -407,25 +440,37 @@ impl<'a> Registry<'a> {
                 pass.cuts.insert(start + len);
                 ask.window = Some((start, len));
                 if point.window().is_some() {
-                    let fingerprint = warm_fingerprint(&point.config);
+                    let memory = memory_warm_key(&point.config);
                     let origin = start.saturating_sub(point.warmup);
                     let known = pass
                         .chains
                         .iter()
-                        .position(|c| (c.fingerprint, c.origin) == (fingerprint, origin));
+                        .position(|c| (c.memory, c.origin) == (memory, origin));
                     let chain = known.unwrap_or_else(|| {
                         pass.chains.push(Chain {
-                            fingerprint,
+                            memory,
                             origin,
                             config: at,
+                            tables: Vec::new(),
+                            training: 0,
                             stops: BTreeMap::new(),
                             cursor: None,
                         });
                         pass.chains.len() - 1
                     });
-                    pass.chains[chain].stops.entry(start).or_default().users += 1;
                     pass.cuts.extend([origin, start]);
                     ask.stop = Some((chain, start));
+                    let chain = &mut pass.chains[chain];
+                    chain.stops.entry(start).or_default().users += 1;
+                    ask.table = predictor_warm_key(&point.config).map(|bht| {
+                        let known = chain.tables.iter().position(|&(t, _)| t == bht);
+                        let table = known.unwrap_or_else(|| {
+                            chain.tables.push((bht, 0));
+                            chain.tables.len() - 1
+                        });
+                        chain.tables[table].1 += 1;
+                        table
+                    });
                 }
             }
             asks.push(ask);
@@ -499,8 +544,9 @@ impl<'a> Registry<'a> {
 
     /// The functional state after warming `[stop − warmup, stop)` of
     /// uniprocessor point `at`'s program, ready to time the point's
-    /// window from `stop`: a copy of the state its stop holds (see the
-    /// module docs for who replays what).
+    /// window from `stop`: a copy of the memory state its stop holds and
+    /// of the point's own table (see the module docs for who replays
+    /// what).
     pub fn warmed(&self, at: usize) -> WarmCursor {
         let ask = self.asks[at];
         let (chain, stop) = ask.stop.expect("only uniprocessor points warm");
@@ -517,7 +563,7 @@ impl<'a> Registry<'a> {
         counters.records_warm_requested += (stop - origin) as u64;
         counters.machines_copied += 1;
         drop(counters);
-        state.fork()
+        state.fork_for(&self.points[at].config.core)
     }
 
     /// Declares point `at` finished for good. Drops its window and its
@@ -534,8 +580,11 @@ impl<'a> Registry<'a> {
                 }
             }
             if let Some((chain, stop)) = ask.stop {
-                let stop = pass.chains[chain].stops.get_mut(&stop);
-                let stop = stop.expect("a planned stop");
+                let chain = &mut pass.chains[chain];
+                if let Some(table) = ask.table {
+                    chain.tables[table].1 -= 1;
+                }
+                let stop = chain.stops.get_mut(&stop).expect("a planned stop");
                 stop.users -= 1;
                 if stop.users == 0 {
                     stop.state = None;
@@ -685,7 +734,8 @@ mod tests {
     }
 
     /// `n` program points on one trace whose configurations differ only
-    /// in the instruction window: one warm key, one stop, one window.
+    /// in the instruction window: one memory key, one table, one stop, one
+    /// window.
     fn sweep(n: u32) -> Vec<SimPoint> {
         (0..n)
             .map(|i| {
@@ -744,6 +794,37 @@ mod tests {
         assert_eq!((c.records_generated, c.records_materialized), (2_000, 500));
         reg.release(3);
         assert_eq!(reg.live(), 0);
+    }
+
+    #[test]
+    fn one_memory_state_trains_the_tables_still_wanted_when_its_chain_starts() {
+        let base = SystemConfig::sparc64_v();
+        let mut perfect = base.clone();
+        perfect.core.perfect_branch_prediction = true;
+        let small = base.clone().with_core(base.core.clone().with_small_bht());
+        let points: Vec<SimPoint> = [base, small, perfect]
+            .into_iter()
+            .map(|config| SimPoint {
+                config,
+                ..sweep(1).remove(0)
+            })
+            .collect();
+        let reg = Registry::new(&points);
+        for at in 0..points.len() {
+            assert_eq!(reg.warmed(at).pos(), 1_500);
+        }
+        let c = reg.counters();
+        assert_eq!((c.warm_passes, c.records_warmed), (1, 1_500));
+        assert_eq!((c.tables_trained, c.records_trained), (2, 3_000));
+
+        // The small table's one point is a cache hit: it is never trained.
+        let reg = Registry::new(&points);
+        reg.release(1);
+        reg.warmed(0);
+        reg.warmed(2);
+        let c = reg.counters();
+        assert_eq!((c.warm_passes, c.tables_trained), (1, 1));
+        assert_eq!(c.records_trained, 1_500);
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //!   [`s64v_core::CycleBudget`]) so the worker returns with a structured
 //!   timeout instead of being torn down mid-write.
 //! * Sealed storage — [`seal`]/[`unseal`] wrap an artifact's payload with
-//!   a length+checksum footer verified on read, and [`atomic_write`]
-//!   lands bytes via temp file + fsync + atomic rename. Corruption is
-//!   always a warning and a miss, never a panic.
+//!   a length+checksum footer verified on read; [`atomic_write`] lands
+//!   bytes via temp file + fsync + atomic rename, and [`replace`] via
+//!   temp file + rename alone, made durable later, many files at a time,
+//!   by [`sync_group`]. Corruption is always a warning and a miss, never
+//!   a panic.
 //! * [`CacheLock`] — a pid-stamped lock file per `results-cache/` so two
 //!   concurrent campaigns cannot interleave writes to one directory
 //!   (re-entrant within a process: exploration rounds share one lock).
@@ -294,6 +296,35 @@ pub fn atomic_write(path: &Path, data: &[u8]) -> std::io::Result<()> {
             let _ = d.sync_all();
         }
     }
+    Ok(())
+}
+
+/// Lands `data` at `path` whole or not at all — a temp file in the same
+/// directory renamed over the destination — without waiting for the
+/// disk. A crash of the process leaves either the old entry or a stray
+/// temp file; only a crash of the host before [`sync_group`] has made
+/// the file durable can leave it empty or torn at its final path, which
+/// is why whatever is written this way must detect damage on read (a
+/// sealed footer) or be rewritten when it reads back wrong.
+pub fn replace(path: &Path, data: &[u8]) -> std::io::Result<()> {
+    let tmp = tmp_path(path);
+    std::fs::write(&tmp, data)?;
+    std::fs::rename(&tmp, path)
+}
+
+/// The group commit of files [`replace`]d into `dir`: an fsync per file,
+/// then one of the directory, so the renames themselves are durable. A
+/// file gone since it was written (replaced again, removed) is skipped.
+pub fn sync_group(dir: &Path, files: &[PathBuf]) -> std::io::Result<()> {
+    for file in files {
+        match std::fs::File::open(file) {
+            Ok(f) => f.sync_all()?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
+        }
+    }
+    #[cfg(unix)]
+    std::fs::File::open(dir)?.sync_all()?;
     Ok(())
 }
 
@@ -616,6 +647,14 @@ mod tests {
         assert_eq!(std::fs::read(&path).expect("read"), b"first\n");
         atomic_write(&path, b"second\n").expect("overwrite");
         assert_eq!(std::fs::read(&path).expect("read"), b"second\n");
+        // The group-committed form lands the same bytes; its commit
+        // skips a file that is gone by then.
+        let other = dir.join("other.cpi.json");
+        replace(&path, b"third\n").expect("replace");
+        replace(&other, b"{}\n").expect("replace");
+        std::fs::remove_file(&other).expect("remove");
+        sync_group(&dir, &[path.clone(), other]).expect("commit");
+        assert_eq!(std::fs::read(&path).expect("read"), b"third\n");
         // No temp litter remains after a clean write.
         let stray = std::fs::read_dir(&dir)
             .expect("readdir")

@@ -4,7 +4,9 @@
 //! nothing outlives the campaign, including across retries, injected
 //! faults and quarantines.
 
-use s64v_core::{program_seed, ChaosPlan, HarnessFaultClass, SystemConfig};
+use s64v_core::{
+    memory_warm_key, program_seed, ChaosPlan, Fingerprint, HarnessFaultClass, SystemConfig,
+};
 use s64v_harness::engine::PointOutcome;
 use s64v_harness::registry::{Registry, ReuseKey};
 use s64v_harness::validate::{full_point, sampled_points, SampleOpts};
@@ -110,17 +112,17 @@ fn distinct_timed_records(points: &[SimPoint]) -> u64 {
     ranges.iter().map(|&(_, _, len)| len as u64).sum()
 }
 
-/// Σ over plans — one per `(reuse key, configuration, origin)` — of
-/// `last start − origin`: what one ascending pass per plan replays. A
-/// full-detail point is the window its warm-up ends at, on its plan's
-/// chain.
+/// Σ over plans — one per `(reuse key, memory key, origin)` — of
+/// `last start − origin`: what one ascending pass of one memory state per
+/// plan replays, whatever predictors its points differ in. A full-detail
+/// point is the window its warm-up ends at, on its plan's chain.
 fn one_pass_per_plan(points: &[SimPoint]) -> u64 {
-    let mut plans: HashMap<(ReuseKey, String, usize), usize> = HashMap::new();
+    let mut plans: HashMap<(ReuseKey, Fingerprint, usize), usize> = HashMap::new();
     for p in points {
         if let Some((start, _)) = p.window() {
             let origin = start.saturating_sub(p.warmup);
             let last = plans
-                .entry((ReuseKey::of(p), format!("{:?}", p.config), origin))
+                .entry((ReuseKey::of(p), memory_warm_key(&p.config), origin))
                 .or_insert(origin);
             *last = (*last).max(start);
         }
@@ -202,6 +204,11 @@ fn a_mixed_campaign_is_identical_at_any_thread_count_and_to_lone_points() {
             r.registry.records_warmed,
             one_pass_per_plan(&points),
             "{threads} threads: each plan is one pass, whoever is served first"
+        );
+        assert_eq!(
+            r.registry.records_trained,
+            2 * r.registry.records_warmed,
+            "{threads} threads: the two configurations' tables ride every pass"
         );
     }
 }

@@ -1,14 +1,15 @@
 //! Warm state as a shared campaign input: points whose configurations
-//! differ only in what functional warming never reads time on copies of
-//! one warmed state. Sharing changes how many records get replayed and
-//! how many machines get built, never a result; a configuration that
-//! warming *does* read gets a cursor of its own on the program's one
-//! pass; the counters are exact, and the same, at any thread count; and
-//! faults on a sharing point cost its neighbours nothing.
+//! share a memory key time on copies of one warmed memory state, each
+//! with a copy of its own predictor's table, trained beside it. Sharing
+//! changes how many records get replayed and how many machines get
+//! built, never a result; a memory configuration warming *does* read
+//! gets a cursor of its own on the program's one pass; the counters are
+//! exact, and the same, at any thread count; and faults on a sharing
+//! point cost its neighbours nothing.
 
 use s64v_core::{
-    apply_knob, warm_fingerprint, ChaosPlan, HarnessFaultClass, PerformanceModel, Run, RunOptions,
-    SystemConfig,
+    apply_knob, knob_value, memory_warm_key, predictor_warm_key, ChaosPlan, HarnessFaultClass,
+    PerformanceModel, Run, RunOptions, SystemConfig, KNOBS,
 };
 use s64v_harness::engine::PointOutcome;
 use s64v_harness::validate::{full_point, sampled_points, SampleOpts};
@@ -86,15 +87,23 @@ fn rendered(out: &CampaignOutcome) -> Vec<String> {
 #[test]
 fn six_configurations_of_one_trace_equal_lone_points_and_warm_once_per_warm_key() {
     let configs = six_configs();
-    let keys: HashSet<_> = configs.iter().map(warm_fingerprint).collect();
+    let memories: HashSet<_> = configs.iter().map(memory_warm_key).collect();
     assert_eq!(
-        keys.len(),
-        3,
-        "the core knobs share the base's warm key; the BHT and the L2 get their own"
+        memories.len(),
+        2,
+        "the core knobs and the BHT share the base's memory key; the L2 gets its own"
     );
+    let predictors: HashSet<_> = configs.iter().map(predictor_warm_key).collect();
+    assert_eq!(predictors.len(), 2, "the base's table and the small one");
     assert_eq!(
-        warm_fingerprint(&configs[0]),
-        warm_fingerprint(&configs[3]),
+        (
+            memory_warm_key(&configs[0]),
+            predictor_warm_key(&configs[0])
+        ),
+        (
+            memory_warm_key(&configs[3]),
+            predictor_warm_key(&configs[3])
+        ),
         "issue width is not read by warming"
     );
     let no_skip = RunOptions {
@@ -130,12 +139,15 @@ fn six_configurations_of_one_trace_equal_lone_points_and_warm_once_per_warm_key(
                     6 * WARMUP as u64,
                     "{ctx}"
                 );
-                assert_eq!(r.registry.warm_passes, 3, "{ctx}: one pass per warm key");
+                assert_eq!(r.registry.warm_passes, 2, "{ctx}: one pass per memory key");
                 assert_eq!(
                     r.registry.records_warmed,
-                    3 * WARMUP as u64,
+                    2 * WARMUP as u64,
                     "{ctx}: no pass is duplicated"
                 );
+                // The base's memory trains both tables, the L2's its one.
+                assert_eq!(r.registry.tables_trained, 3, "{ctx}");
+                assert_eq!(r.registry.records_trained, 3 * WARMUP as u64, "{ctx}");
                 // Each chain's one stop gets the cursor itself; every
                 // point times on a copy of its own.
                 assert_eq!(r.registry.machines_copied, 6, "{ctx}");
@@ -297,8 +309,9 @@ fn hangs_panics_and_mid_run_cancels_on_a_sharing_point_leave_the_rest_whole() {
             chaos.report.registry.machines_requested, 6,
             "{threads} threads"
         );
-        assert_eq!(chaos.report.registry.warm_passes, 3, "{threads} threads");
-        assert_eq!(chaos.report.registry.records_warmed, 3 * WARMUP as u64);
+        assert_eq!(chaos.report.registry.warm_passes, 2, "{threads} threads");
+        assert_eq!(chaos.report.registry.records_warmed, 2 * WARMUP as u64);
+        assert_eq!(chaos.report.registry.tables_trained, 3, "{threads} threads");
     }
 
     // A cycle budget only the slowest machine — a sharer, so the list is
@@ -324,6 +337,10 @@ fn hangs_panics_and_mid_run_cancels_on_a_sharing_point_leave_the_rest_whole() {
         + 1;
     assert!(cycles(slow) > budget, "one sharer is strictly the slowest");
     let loners = points.len() as u64 - 4;
+    // A loner with the sharers' memory key (the small BHT) warms on
+    // their pass; one with another (the L2) on a pass of its own.
+    let memories = points.iter().map(|p| memory_warm_key(&p.config));
+    let passes = memories.collect::<HashSet<_>>().len() as u64;
     for threads in [1, 2, 5] {
         let out = run(&CampaignSpec {
             supervise: SupervisePolicy {
@@ -353,8 +370,178 @@ fn hangs_panics_and_mid_run_cancels_on_a_sharing_point_leave_the_rest_whole() {
         // The cancelled point's copies died with its attempts; the state
         // they were copied from stays until the point is released, so a
         // retry never warms again.
-        assert_eq!(r.registry.warm_passes, 1 + loners, "{threads} threads");
-        assert_eq!(r.registry.records_warmed, (1 + loners) * WARMUP as u64);
+        assert_eq!(r.registry.warm_passes, passes, "{threads} threads");
+        assert_eq!(r.registry.records_warmed, passes * WARMUP as u64);
         assert_eq!(r.registry.machines_copied, r.registry.machines_requested);
+    }
+}
+
+/// `fig09_bht`'s shape, plus the two other ways a point can vary beside
+/// it: the base machine, the small branch history table, perfect
+/// prediction and one core knob, on two programs.
+fn bht_study() -> Vec<SimPoint> {
+    let base = SystemConfig::sparc64_v();
+    let mut perfect = base.clone();
+    perfect.core.perfect_branch_prediction = true;
+    let configs = [
+        base.clone(),
+        base.clone().with_core(base.core.clone().with_small_bht()),
+        perfect,
+        with_knob(&base, "window_size", 32),
+    ];
+    [SuiteKind::SpecInt95, SuiteKind::Tpcc]
+        .into_iter()
+        .flat_map(|suite| program_points(suite, SEEDS[0], &configs))
+        .collect()
+}
+
+#[test]
+fn a_predictor_study_warms_each_programs_memory_once_beside_one_table_per_predictor() {
+    let points = bht_study();
+    let lone: Vec<PointOutcome> = points
+        .iter()
+        .map(|p| {
+            PointOutcome::Metrics(Box::new(
+                try_execute_point(p, RunOptions::default()).expect("clean point"),
+            ))
+        })
+        .collect();
+    for (p, o) in points.iter().zip(&lone) {
+        let WorkUnit::Program { suite, index } = p.work else {
+            unreachable!("program points");
+        };
+        let trace = Suite::preset(suite).programs()[index].generate(WARMUP + RECORDS, p.seed);
+        let r = PerformanceModel::new(p.config.clone()).run(Run::of(&trace).warm(WARMUP));
+        let m = o.metrics().expect("clean point");
+        let ratio = r.mispredict_ratio();
+        assert_eq!(
+            (m.cycles, m.committed, m.mispredict, m.cpi),
+            (
+                r.cycles,
+                r.committed,
+                (ratio.numerator(), ratio.denominator()),
+                r.core_stats[0].cpi.cells
+            ),
+            "{}",
+            p.label()
+        );
+    }
+    let mut counts = Vec::new();
+    for threads in [1, 2, 5] {
+        let out = run(&spec(&points, threads));
+        assert_eq!(out.outcomes, lone, "{threads} threads");
+        let r = out.report.registry;
+        assert_eq!(
+            r.warm_passes, 2,
+            "{threads} threads: one memory pass per program"
+        );
+        assert_eq!(
+            r.records_warmed,
+            2 * WARMUP as u64,
+            "{threads} threads: not once per predictor"
+        );
+        assert_eq!(r.records_warm_requested, 8 * WARMUP as u64);
+        // The base's table serves the core knob too; perfect prediction
+        // trains none.
+        assert_eq!(r.tables_trained, 4, "{threads} threads");
+        assert_eq!(r.records_trained, 4 * WARMUP as u64, "{threads} threads");
+        assert_eq!(r.machines_copied, 8, "{threads} threads");
+        counts.push(r);
+
+        let (plan, struck) = chaos_striking(&points, 0..4);
+        let chaos = run(&CampaignSpec {
+            chaos: Some(plan),
+            ..spec(&points, threads)
+        });
+        assert_eq!(chaos.outcomes, lone, "{threads} threads: chaos");
+        assert_eq!(chaos.report.retries, struck);
+        assert_eq!(
+            chaos.report.registry, r,
+            "{threads} threads: chaos costs no warming"
+        );
+    }
+    assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
+
+    // A budget only the slowest point overruns cancels it mid-run on its
+    // copy, every attempt; its memory state and table stay put for the
+    // retries, and every other point is untouched.
+    let cycles = |i: usize| lone[i].metrics().expect("clean point").cycles;
+    let slow = (0..points.len()).max_by_key(|&i| cycles(i)).unwrap();
+    let budget = (0..points.len())
+        .filter(|&i| i != slow)
+        .map(cycles)
+        .max()
+        .unwrap()
+        + 1;
+    assert!(cycles(slow) > budget, "one point is strictly the slowest");
+    for threads in [1, 2, 5] {
+        let out = run(&CampaignSpec {
+            supervise: SupervisePolicy {
+                cycle_budget: Some(budget),
+                ..fast()
+            },
+            ..spec(&points, threads)
+        });
+        for i in (0..points.len()).filter(|&i| i != slow) {
+            assert_eq!(out.outcomes[i], lone[i], "{threads} threads");
+        }
+        assert!(
+            matches!(
+                &out.outcomes[slow],
+                PointOutcome::TimedOut { attempts: 3, .. }
+            ),
+            "{threads} threads: got {:?}",
+            out.outcomes[slow]
+        );
+        let r = out.report.registry;
+        assert_eq!((r.warm_passes, r.records_warmed), (2, 2 * WARMUP as u64));
+        assert_eq!(r.tables_trained, 4, "{threads} threads");
+    }
+}
+
+/// The keys are complete: a point moved off the base machine by any one
+/// knob, sharing a campaign (and wherever its keys allow, a memory state
+/// and a table) with all the others, equals the point run alone.
+#[test]
+fn every_knob_off_its_default_shares_exactly() {
+    let base = SystemConfig::sparc64_v();
+    let mut configs = vec![base.clone()];
+    for knob in KNOBS {
+        if knob.name == "cpus" {
+            // An SMP knob: a program point is uniprocessor by definition.
+            continue;
+        }
+        let now = knob_value(&base, knob.name).expect("a registered knob");
+        let moved = [now / 2, now * 2, now + 1]
+            .into_iter()
+            .filter(|&v| v != now)
+            .find_map(|v| {
+                let mut config = base.clone();
+                apply_knob(&mut config, knob.name, v).ok().map(|()| config)
+            });
+        configs.push(moved.unwrap_or_else(|| panic!("{} has no non-default value", knob.name)));
+    }
+    let points = program_points(SuiteKind::Tpcc, SEEDS[2], &configs);
+    let lone: Vec<PointOutcome> = points
+        .iter()
+        .map(|p| {
+            let m = try_execute_point(p, RunOptions::default())
+                .unwrap_or_else(|e| panic!("{:?}: {e}", p.config));
+            PointOutcome::Metrics(Box::new(m))
+        })
+        .collect();
+    let memories: HashSet<_> = configs.iter().map(memory_warm_key).collect();
+    for threads in [1, 2] {
+        let out = run(&spec(&points, threads));
+        for ((p, o), want) in points.iter().zip(&out.outcomes).zip(&lone) {
+            assert_eq!(o, want, "{threads} threads: {:?}", p.config);
+        }
+        let r = out.report.registry;
+        assert_eq!(r.warm_passes, memories.len() as u64, "{threads} threads");
+        assert_eq!(
+            r.tables_trained,
+            memories.len() as u64,
+            "one predictor everywhere"
+        );
     }
 }

@@ -35,12 +35,17 @@ cargo test --release -p s64v-core --test fault_matrix -q
 
 echo "== shared-input equivalence (stream = pinned bytes; cursor = fresh warm pass; sharing never changes a result or, across thread counts, a count)"
 # Prefix, chunking invariance and the digests pinned from the
-# materialising generator; then chunked advance = whole slice; then the
-# engine: equal outcomes, and equal records generated / warmed / kept,
-# at 1, 2 and 5 threads.
+# materialising generator; the flat branch table = the nested one it
+# replaced, op for op; then chunked advance = whole slice and one memory
+# pass beside several tables = a pass per configuration; then the
+# engine: equal outcomes, and equal records generated / warmed /
+# trained / kept, at 1, 2 and 5 threads — on six configurations, a
+# predictor study and every knob off its default; then the cache's group
+# commit and a journal that survives bytes that are not UTF-8.
 cargo test --release -p s64v-workloads --test generator_contract -q
+cargo test --release -p s64v-cpu --test bht_reference -q
 cargo test --release -p s64v-core --test warm_cursor -q
-cargo test --release -p s64v-harness --lib -q -- registry::
+cargo test --release -p s64v-harness --lib -q -- registry:: cache:: journal::
 cargo test --release -p s64v-harness --test shared_inputs -q
 cargo test --release -p s64v-harness --test shared_warm -q
 # The benchmark's explore_sweep query at full size: one warming pass per
