@@ -4,11 +4,10 @@ use crate::faultinject::FaultPlan;
 use crate::integrity::{Auditor, SimError};
 use crate::observe::{ObserveConfig, Observer};
 use crate::system::{RunResult, SystemConfig};
-use crate::warm::WarmCursor;
 use s64v_cpu::Core;
 use s64v_mem::MemorySystem;
 use s64v_observe::RunObservation;
-use s64v_trace::{SamplePlan, SliceStream, TraceStream, VecTrace};
+use s64v_trace::{SliceStream, TraceStream, VecTrace};
 
 /// Cooperative supervision of one run: a simulated-cycle ceiling and an
 /// external cancellation flag, both polled from inside the cycle loop.
@@ -442,46 +441,6 @@ impl PerformanceModel {
         let run = Run::new(traces).warm(warmup).options(opts);
         self.execute(run).map(|(result, _)| result)
     }
-
-    /// Runs every detailed window of `plan` over `trace` and returns the
-    /// per-window results in window order: one ascending pass of one
-    /// [`WarmCursor`], forked at each window start
-    /// ([`WarmCursor::fork_for`]). Each result equals
-    /// the window's own [`PerformanceModel::execute`] (`.warm(plan.warmup)
-    /// .window(start, len)`), which warms a machine of its own from the
-    /// window's origin. Windows whose warm-up does not reach back to a
-    /// common origin (bounded warming, `warmup < start`) each start their
-    /// own cursor — same code, nothing to share. This is the sequential
-    /// reference form of sampled simulation; the harness distributes the
-    /// same windows across its worker pool instead.
-    pub fn try_run_trace_plan(
-        &self,
-        trace: &VecTrace,
-        plan: &SamplePlan,
-        opts: RunOptions,
-    ) -> Result<Vec<RunResult>, SimError> {
-        let records = trace.records();
-        let mut cursor: Option<WarmCursor> = None;
-        plan.windows(trace.len() as u64)
-            .into_iter()
-            .map(|(start, len)| {
-                let start = start as usize;
-                let origin = start.saturating_sub(plan.warmup as usize);
-                let mut c = cursor
-                    .take()
-                    .filter(|c| c.origin() == origin && c.pos() <= start)
-                    .unwrap_or_else(|| WarmCursor::new(&self.config, origin));
-                c.advance(&records[c.pos()..start]);
-                let window = &records[start..start + len as usize];
-                let result = c
-                    .fork_for(&self.config.core)
-                    .try_run_window(&self.config.core, window, opts.clone(), None)
-                    .map(|(result, _)| result);
-                cursor = Some(c);
-                result
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -656,28 +615,6 @@ mod sampled_tests {
         let r2 = model.run(Run::of(&truncated).warm(4_000).window(20_000, 5_000));
         assert_eq!(r.cycles, r2.cycles);
         assert_eq!(r.committed, r2.committed);
-    }
-
-    #[test]
-    fn plan_windows_match_individual_windows() {
-        let suite = Suite::preset(SuiteKind::SpecInt95);
-        let t = suite.programs()[1].generate(50_000, 5);
-        let model = PerformanceModel::new(SystemConfig::sparc64_v());
-        let plan = SamplePlan::new(16_000, 4_000, 3_000, 42);
-        let per_window = model
-            .try_run_trace_plan(&t, &plan, RunOptions::default())
-            .unwrap();
-        let windows = plan.windows(t.len() as u64);
-        assert_eq!(per_window.len(), windows.len());
-        for (r, &(start, len)) in per_window.iter().zip(&windows) {
-            let lone = model.run(
-                Run::of(&t)
-                    .warm(plan.warmup as usize)
-                    .window(start as usize, len as usize),
-            );
-            assert_eq!(r.cycles, lone.cycles, "window at {start} differs");
-            assert_eq!(r.committed, len);
-        }
     }
 
     #[test]

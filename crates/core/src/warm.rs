@@ -16,7 +16,7 @@
 //! core. The two halves never read each other, so they are keyed apart:
 //! the memory state can depend on no configuration field outside
 //! [`memory_warm_key`](crate::memory_warm_key), and a table on nothing but
-//! its [`predictor_warm_key`]. One memory
+//! its [`predictor_warm_key`](crate::predictor_warm_key). One memory
 //! state therefore serves every predictor of a branch-predictor study,
 //! each timed machine taking its own table.
 //!
@@ -28,7 +28,6 @@
 //! whatever order runs are served in and whatever other tables trained
 //! beside it — order decides only how many records get replayed.
 
-use crate::fingerprint::predictor_warm_key;
 use crate::integrity::SimError;
 use crate::model::{timed, RunOptions};
 use crate::observe::ObserveConfig;
@@ -50,22 +49,12 @@ pub struct WarmCursor {
 }
 
 impl WarmCursor {
-    /// A cold state positioned at `origin` for `config` alone: its memory
-    /// system, and its branch history table unless prediction is
-    /// perfect.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an SMP configuration: a cursor warms one CPU.
-    pub fn new(config: &SystemConfig, origin: usize) -> Self {
-        Self::with_tables(config, predictor_warm_key(config), origin)
-    }
-
     /// A cold state positioned at `origin`: the memory system of `config`
     /// (the fields [`memory_warm_key`](crate::memory_warm_key) hashes)
     /// and, trained beside it, one cold table per configuration in
     /// `tables` (distinct, each some served point's
-    /// [`predictor_warm_key`]).
+    /// [`predictor_warm_key`](crate::predictor_warm_key); a configuration
+    /// alone passes its own key, no table under perfect prediction).
     ///
     /// # Panics
     ///

@@ -285,15 +285,20 @@ fn sampled_windows_conserve_cpi_in_aggregate_on_every_suite() {
         let suite = Suite::preset(kind);
         for &seed in &SEEDS {
             let trace = suite.programs()[0].generate(14_000, seed);
-            let skipped = model
-                .try_run_trace_plan(&trace, &plan, RunOptions::default())
-                .expect("clean run");
-            let stepped = model
-                .try_run_trace_plan(&trace, &plan, no_skip())
-                .expect("clean run");
-            let checked = model
-                .try_run_trace_plan(&trace, &plan, RunOptions::checked())
-                .expect("no invariant fires");
+            let windows = |opts: RunOptions| -> Vec<RunResult> {
+                plan.windows(trace.len() as u64)
+                    .into_iter()
+                    .map(|(start, len)| {
+                        let run = Run::of(&trace)
+                            .warm(plan.warmup as usize)
+                            .window(start as usize, len as usize);
+                        result(&model, run.options(opts.clone()))
+                    })
+                    .collect()
+            };
+            let skipped = windows(RunOptions::default());
+            let stepped = windows(no_skip());
+            let checked = windows(RunOptions::checked());
             assert_eq!(
                 format!("{skipped:?}"),
                 format!("{stepped:?}"),

@@ -72,33 +72,6 @@ impl StallCycles {
             StallCause::FrontendFetch => self.frontend_fetch.add(n),
         }
     }
-
-    /// (label, fraction-of-total) pairs; empty total gives zeros.
-    pub fn fractions(&self) -> [(&'static str, f64); 7] {
-        let total = (self.busy.get()
-            + self.l2_miss.get()
-            + self.l1_miss.get()
-            + self.execute.get()
-            + self.dispatch.get()
-            + self.frontend_branch.get()
-            + self.frontend_fetch.get()) as f64;
-        let f = |c: Counter| {
-            if total == 0.0 {
-                0.0
-            } else {
-                c.get() as f64 / total
-            }
-        };
-        [
-            ("busy", f(self.busy)),
-            ("L2-miss", f(self.l2_miss)),
-            ("L1-miss", f(self.l1_miss)),
-            ("execute", f(self.execute)),
-            ("dispatch", f(self.dispatch)),
-            ("frontend-branch", f(self.frontend_branch)),
-            ("frontend-fetch", f(self.frontend_fetch)),
-        ]
-    }
 }
 
 /// Statistics collected by one core.

@@ -17,6 +17,7 @@ use s64v_harness::{
     run_campaign, try_execute_point, CampaignOutcome, CampaignSpec, HarnessOpts, SimPoint,
     SupervisePolicy, WorkUnit,
 };
+use s64v_trace::SamplePlan;
 use s64v_workloads::{Suite, SuiteKind};
 use std::collections::HashSet;
 use std::time::Duration;
@@ -266,6 +267,79 @@ fn a_full_detail_point_and_its_plans_windows_share_one_chain() {
                 r.records_warmed, last_start as u64,
                 "{suite:?}/{threads} threads"
             );
+        }
+    }
+}
+
+/// Sampled windows served from the registry's one pass against the
+/// definition: each window executed alone on the generated trace. A plan
+/// under full warming (every window warms from record 0) and one under
+/// bounded warming (every window from its own origin), plus a window at
+/// record 0, whose start is its origin under both.
+#[test]
+fn a_plans_windows_served_from_one_pass_equal_lone_window_executions() {
+    const TRACE_LEN: usize = 7_000;
+    const LEN: usize = 500;
+    let config = SystemConfig::sparc64_v();
+    let model = PerformanceModel::new(config.clone());
+    for suite in [SuiteKind::SpecInt95, SuiteKind::Tpcc] {
+        let trace = Suite::preset(suite).programs()[0].generate(TRACE_LEN, SEEDS[1]);
+        for warmup in [TRACE_LEN, 1_200] {
+            let plan = SamplePlan::new(1_600, LEN as u64, warmup as u64, 5);
+            let starts = plan
+                .windows((TRACE_LEN - LEN) as u64)
+                .into_iter()
+                .filter(|&(_, len)| len == LEN as u64)
+                .map(|(start, _)| LEN + start as usize);
+            let points: Vec<SimPoint> = std::iter::once(0)
+                .chain(starts)
+                .map(|start| SimPoint {
+                    config: config.clone(),
+                    work: WorkUnit::SampledWindow {
+                        suite,
+                        index: 0,
+                        start,
+                        len: LEN,
+                    },
+                    records: TRACE_LEN,
+                    warmup,
+                    seed: SEEDS[1],
+                })
+                .collect();
+            assert!(points.len() >= 4, "a plan of several windows");
+            let lone: Vec<_> = points
+                .iter()
+                .map(|p| {
+                    let (start, len) = p.window().expect("a window");
+                    let run = Run::of(&trace).warm(warmup).window(start, len);
+                    model.execute(run).expect("clean run").0
+                })
+                .collect();
+            for threads in [1, 2, 5] {
+                let ctx = format!("{suite:?}/warm {warmup}/{threads} threads");
+                let out = run(&spec(&points, threads));
+                for ((p, o), r) in points.iter().zip(&out.outcomes).zip(&lone) {
+                    let m = o.metrics().expect("clean point");
+                    let (l1d, mispredict) = (r.l1d_miss_ratio(), r.mispredict_ratio());
+                    assert_eq!(
+                        (m.cycles, m.committed, m.bus_transactions, m.bus_busy_cycles),
+                        (r.cycles, r.committed, r.bus_transactions, r.bus_busy_cycles),
+                        "{ctx}: {}",
+                        p.label()
+                    );
+                    assert_eq!(m.cpi, r.core_stats[0].cpi.cells, "{ctx}: {}", p.label());
+                    assert_eq!(
+                        (m.l1d, m.mispredict, m.prefetches),
+                        (
+                            (l1d.numerator(), l1d.denominator()),
+                            (mispredict.numerator(), mispredict.denominator()),
+                            r.prefetches_issued()
+                        ),
+                        "{ctx}: {}",
+                        p.label()
+                    );
+                }
+            }
         }
     }
 }

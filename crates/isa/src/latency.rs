@@ -82,13 +82,6 @@ impl LatencyTable {
         self.special = cycles;
         self
     }
-
-    /// Overrides the FP multiply-add latency (used in pipeline-depth
-    /// sensitivity studies).
-    pub fn with_fp_mul_add(mut self, cycles: u32) -> Self {
-        self.fp_mul_add = cycles;
-        self
-    }
 }
 
 impl Default for LatencyTable {

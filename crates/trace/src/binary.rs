@@ -20,7 +20,7 @@
 use crate::record::TraceRecord;
 use crate::stream::VecTrace;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use s64v_isa::{BranchInfo, Instr, MemInfo, MemWidth, OpClass, Privilege, Reg, RegClass};
+use s64v_isa::{BranchInfo, Instr, MemInfo, MemWidth, OpClass, Privilege, Reg};
 use std::error::Error;
 use std::fmt;
 
@@ -33,6 +33,9 @@ const FLAG_HAS_BRANCH: u8 = 1 << 1;
 const FLAG_TAKEN: u8 = 1 << 2;
 const FLAG_KERNEL: u8 = 1 << 3;
 const WIDTH_SHIFT: u8 = 4; // two bits
+/// Every bit a record's `flags` byte may set; bits 6–7 are not.
+const FLAG_KNOWN: u8 =
+    FLAG_HAS_MEM | FLAG_HAS_BRANCH | FLAG_TAKEN | FLAG_KERNEL | (0b11 << WIDTH_SHIFT);
 
 /// Error decoding a binary trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,9 +171,7 @@ pub fn encode(trace: &VecTrace) -> Bytes {
     buf.freeze()
 }
 
-/// Encodes one record into `buf` (the streaming writer's unit —
-/// see [`crate::io::TraceWriter`]).
-pub fn encode_record_into(buf: &mut BytesMut, rec: &TraceRecord) {
+fn encode_record_into(buf: &mut BytesMut, rec: &TraceRecord) {
     let i = &rec.instr;
     buf.put_u64_le(rec.pc);
     buf.put_u8(op_to_u8(i.op));
@@ -179,11 +180,8 @@ pub fn encode_record_into(buf: &mut BytesMut, rec: &TraceRecord) {
     buf.put_u8(reg_to_u8(i.srcs[1]));
     buf.put_u8(reg_to_u8(i.srcs[2]));
     let mut flags = 0u8;
-    if i.mem.is_some() {
-        flags |= FLAG_HAS_MEM;
-    }
     if let Some(m) = i.mem {
-        flags |= width_to_bits(m.width) << WIDTH_SHIFT;
+        flags |= FLAG_HAS_MEM | (width_to_bits(m.width) << WIDTH_SHIFT);
     }
     if let Some(b) = i.branch {
         flags |= FLAG_HAS_BRANCH;
@@ -203,12 +201,14 @@ pub fn encode_record_into(buf: &mut BytesMut, rec: &TraceRecord) {
     }
 }
 
-/// Decodes a trace from a buffer produced by [`encode`].
+/// Decodes a trace from a buffer produced by [`encode`]. Only the exact
+/// bytes `encode` writes are accepted, so `encode(decode(b)?) == b`.
 ///
 /// # Errors
 ///
-/// Returns [`DecodeTraceError`] when the buffer is malformed, truncated, or
-/// written by an unsupported format version.
+/// Returns [`DecodeTraceError`] when the buffer is malformed, truncated,
+/// longer than its declared record count, or written by an unsupported
+/// format version.
 pub fn decode(mut buf: &[u8]) -> Result<VecTrace, DecodeTraceError> {
     if buf.remaining() < 16 {
         return Err(DecodeTraceError::Truncated);
@@ -222,18 +222,22 @@ pub fn decode(mut buf: &[u8]) -> Result<VecTrace, DecodeTraceError> {
     if version != VERSION {
         return Err(DecodeTraceError::UnsupportedVersion(version));
     }
-    let _reserved = buf.get_u16_le();
+    if buf.get_u16_le() != 0 {
+        return Err(DecodeTraceError::Corrupt("reserved header field"));
+    }
     let count = buf.get_u64_le();
     let mut trace = VecTrace::new();
     for _ in 0..count {
         trace.push(decode_record_from(&mut buf)?);
     }
+    if !buf.is_empty() {
+        return Err(DecodeTraceError::Corrupt("bytes after the last record"));
+    }
     Ok(trace)
 }
 
-/// Decodes one record from the front of `buf`, advancing it (the
-/// streaming reader's unit — see [`crate::io::TraceReader`]).
-pub fn decode_record_from(buf: &mut &[u8]) -> Result<TraceRecord, DecodeTraceError> {
+/// Decodes one record from the front of `buf`, advancing it.
+fn decode_record_from(buf: &mut &[u8]) -> Result<TraceRecord, DecodeTraceError> {
     if buf.remaining() < 14 {
         return Err(DecodeTraceError::Truncated);
     }
@@ -246,6 +250,9 @@ pub fn decode_record_from(buf: &mut &[u8]) -> Result<TraceRecord, DecodeTraceErr
         reg_from_u8(buf.get_u8())?,
     ];
     let flags = buf.get_u8();
+    if flags & !FLAG_KNOWN != 0 {
+        return Err(DecodeTraceError::Corrupt("unknown flag bits"));
+    }
     let mem = if flags & FLAG_HAS_MEM != 0 {
         if buf.remaining() < 8 {
             return Err(DecodeTraceError::Truncated);
@@ -254,6 +261,8 @@ pub fn decode_record_from(buf: &mut &[u8]) -> Result<TraceRecord, DecodeTraceErr
             addr: buf.get_u64_le(),
             width: width_from_bits(flags >> WIDTH_SHIFT),
         })
+    } else if flags >> WIDTH_SHIFT != 0 {
+        return Err(DecodeTraceError::Corrupt("width without a memory operand"));
     } else {
         None
     };
@@ -265,6 +274,8 @@ pub fn decode_record_from(buf: &mut &[u8]) -> Result<TraceRecord, DecodeTraceErr
             taken: flags & FLAG_TAKEN != 0,
             target: buf.get_u64_le(),
         })
+    } else if flags & FLAG_TAKEN != 0 {
+        return Err(DecodeTraceError::Corrupt("direction without a branch"));
     } else {
         None
     };
@@ -274,32 +285,19 @@ pub fn decode_record_from(buf: &mut &[u8]) -> Result<TraceRecord, DecodeTraceErr
     if branch.is_some() != op.is_branch() {
         return Err(DecodeTraceError::Corrupt("branch attribute mismatch"));
     }
-    // Rebuild through the public Instr shape; fields validated above.
-    let mut instr = match op {
-        OpClass::Nop => Instr::nop(),
-        OpClass::Special => Instr::special(),
-        _ => {
-            let mut i = Instr::nop();
-            i.op = op;
-            i
-        }
-    };
-    instr.op = op;
-    instr.dest = dest;
-    instr.srcs = srcs;
-    instr.mem = mem;
-    instr.branch = branch;
-    instr.privilege = if flags & FLAG_KERNEL != 0 {
+    let privilege = if flags & FLAG_KERNEL != 0 {
         Privilege::Kernel
     } else {
         Privilege::User
     };
-    if let Some(d) = dest {
-        if op.is_fp() && d.class() == RegClass::Int {
-            // Tolerated: mixed-class destinations occur for FP compare
-            // writing CC; nothing to validate beyond index range.
-        }
-    }
+    let instr = Instr {
+        op,
+        dest,
+        srcs,
+        mem,
+        branch,
+        privilege,
+    };
     Ok(TraceRecord { pc, instr })
 }
 
@@ -376,5 +374,27 @@ mod tests {
     fn empty_trace_round_trips() {
         let t = VecTrace::new();
         assert_eq!(decode(&encode(&t)).unwrap(), t);
+    }
+
+    #[test]
+    fn rejects_bytes_encode_never_writes() {
+        let mut t = VecTrace::new();
+        t.push(TraceRecord::new(0, Instr::nop()));
+        let good = encode(&t).to_vec();
+        let flags = 16 + 13; // the first record's flags byte
+        let corrupt = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = good.clone();
+            edit(&mut bytes);
+            matches!(decode(&bytes), Err(DecodeTraceError::Corrupt(_)))
+        };
+        assert!(corrupt(&|b| b.push(0)), "trailing byte");
+        assert!(corrupt(&|b| b[6] = 1), "reserved header field");
+        assert!(corrupt(&|b| b[flags] |= 1 << 6), "flag bit 6");
+        assert!(corrupt(&|b| b[flags] |= 1 << 7), "flag bit 7");
+        assert!(
+            corrupt(&|b| b[flags] |= 2 << WIDTH_SHIFT),
+            "width, no memory"
+        );
+        assert!(corrupt(&|b| b[flags] |= FLAG_TAKEN), "taken, no branch");
     }
 }

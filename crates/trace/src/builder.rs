@@ -39,18 +39,6 @@ impl TraceBuilder {
         }
     }
 
-    /// Like [`TraceBuilder::new`], building into `buffer`'s allocation:
-    /// its records are discarded and its capacity kept, so a caller that
-    /// generates traces one after another allocates once.
-    pub fn reusing(entry_pc: u64, buffer: VecTrace) -> Self {
-        let mut records = buffer.into_records();
-        records.clear();
-        TraceBuilder {
-            trace: VecTrace::from_records(records),
-            pc: entry_pc,
-        }
-    }
-
     /// The program counter the next pushed instruction will execute at.
     pub fn pc(&self) -> u64 {
         self.pc
@@ -90,23 +78,6 @@ impl TraceBuilder {
 mod tests {
     use super::*;
     use s64v_isa::{MemWidth, OpClass, Reg};
-
-    #[test]
-    fn reusing_keeps_the_allocation_and_none_of_the_records() {
-        let mut old = TraceBuilder::new(0);
-        for _ in 0..100 {
-            old.push(Instr::nop());
-        }
-        let old = old.finish();
-        let (ptr, cap) = (old.records().as_ptr(), old.records().len());
-        let mut b = TraceBuilder::reusing(0x100, old);
-        assert!(b.is_empty());
-        b.push(Instr::nop());
-        let t = b.finish();
-        assert_eq!((t.len(), t.records()[0].pc), (1, 0x100));
-        assert_eq!(t.records().as_ptr(), ptr);
-        assert!(cap >= 100);
-    }
 
     #[test]
     fn pc_advances_by_four() {

@@ -2,16 +2,18 @@
 //!
 //! The paper's performance model is a trace-driven simulator: its input is
 //! an instruction trace captured on a real machine (with Shade for SPEC, or
-//! Fujitsu's kernel tracer for TPC-C). This crate defines the trace
-//! representation used throughout this reproduction:
+//! Fujitsu's kernel tracer for TPC-C). This reproduction generates its
+//! traces in process instead; this crate defines the representation they
+//! share:
 //!
 //! * [`TraceRecord`] — one dynamic instruction (program counter + decoded
 //!   instruction),
 //! * [`TraceStream`] — the streaming interface the simulator consumes,
-//! * [`binary`] — a compact binary on-disk format with round-trip tests,
-//! * [`sample`] — trace sampling (the paper samples its TPC-C traces),
+//! * [`binary`] — a compact binary encoding with round-trip tests, over
+//!   which the generators' digests are pinned,
+//! * [`sample`] — the sampled-simulation window plan,
 //! * [`summary`] — distributional summaries used to validate generated
-//!   traces and by the reverse-tracer analogue.
+//!   traces.
 //!
 //! # Examples
 //!
@@ -28,15 +30,13 @@
 
 pub mod binary;
 pub mod builder;
-pub mod io;
 pub mod record;
 pub mod sample;
 pub mod stream;
 pub mod summary;
-pub mod text;
 
 pub use builder::TraceBuilder;
 pub use record::TraceRecord;
-pub use sample::{IntervalSample, SamplePlan, SkipWarmup};
+pub use sample::SamplePlan;
 pub use stream::{SliceStream, TraceStream, VecTrace};
 pub use summary::TraceSummary;

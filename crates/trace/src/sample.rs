@@ -2,109 +2,9 @@
 //!
 //! The paper's TPC-C traces are *sampled* from a steady-state run (§2.2,
 //! §4.1): tracing starts only after the workload reaches steady state, and
-//! long captures are reduced to representative windows. This module
-//! provides the two corresponding operations: skipping a warm-up prefix and
-//! systematic interval sampling.
-
-use crate::record::TraceRecord;
-use crate::stream::TraceStream;
-
-/// Drops the first `warmup` records, then passes everything through.
-///
-/// Mirrors "we wait until it reaches a steady state, and then start trace".
-#[derive(Debug, Clone)]
-pub struct SkipWarmup<S> {
-    inner: S,
-    remaining_skip: u64,
-}
-
-impl<S: TraceStream> SkipWarmup<S> {
-    /// Wraps `inner`, discarding its first `warmup` records.
-    pub fn new(inner: S, warmup: u64) -> Self {
-        SkipWarmup {
-            inner,
-            remaining_skip: warmup,
-        }
-    }
-}
-
-impl<S: TraceStream> TraceStream for SkipWarmup<S> {
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        while self.remaining_skip > 0 {
-            self.inner.next_record()?;
-            self.remaining_skip -= 1;
-        }
-        self.inner.next_record()
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        self.inner
-            .remaining_hint()
-            .map(|r| r.saturating_sub(self.remaining_skip))
-    }
-}
-
-/// Systematic interval sampler: from every `period` records, keep the first
-/// `window`.
-///
-/// With `window == period` this is the identity. Used to reduce long TPC-C
-/// captures while preserving phase structure.
-#[derive(Debug, Clone)]
-pub struct IntervalSample<S> {
-    inner: S,
-    window: u64,
-    period: u64,
-    pos_in_period: u64,
-}
-
-impl<S: TraceStream> IntervalSample<S> {
-    /// Creates a sampler keeping `window` of every `period` records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0` or `window > period`.
-    pub fn new(inner: S, window: u64, period: u64) -> Self {
-        assert!(window > 0, "sample window must be positive");
-        assert!(window <= period, "sample window must not exceed the period");
-        IntervalSample {
-            inner,
-            window,
-            period,
-            pos_in_period: 0,
-        }
-    }
-}
-
-impl<S: TraceStream> TraceStream for IntervalSample<S> {
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        loop {
-            let r = self.inner.next_record()?;
-            let keep = self.pos_in_period < self.window;
-            self.pos_in_period = (self.pos_in_period + 1) % self.period;
-            if keep {
-                return Some(r);
-            }
-        }
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        // Closed form over the inner hint `n` and the current phase:
-        // the partially-consumed first period keeps whatever is left of
-        // its window, then each full period keeps `window`, and the
-        // final partial period keeps at most `window`.
-        let n = self.inner.remaining_hint()?;
-        let first = (self.period - self.pos_in_period).min(n);
-        let kept_first = if self.pos_in_period < self.window {
-            first.min(self.window - self.pos_in_period)
-        } else {
-            0
-        };
-        let rest = n - first;
-        Some(
-            kept_first + (rest / self.period) * self.window + (rest % self.period).min(self.window),
-        )
-    }
-}
+//! long captures are reduced to representative windows. Here the whole
+//! trace is generated, so sampling is a plan over it: which windows to
+//! time in detail, and how much of the trace before each to warm.
 
 /// SplitMix64 — a tiny stand-alone mixer used only to derive a sampling
 /// phase from a seed; deterministic across platforms.
@@ -186,89 +86,6 @@ impl SamplePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::VecTrace;
-    use s64v_isa::Instr;
-
-    fn numbered(n: usize) -> VecTrace {
-        (0..n)
-            .map(|i| TraceRecord::new(i as u64, Instr::nop()))
-            .collect()
-    }
-
-    fn drain<S: TraceStream>(mut s: S) -> Vec<u64> {
-        let mut pcs = Vec::new();
-        while let Some(r) = s.next_record() {
-            pcs.push(r.pc);
-        }
-        pcs
-    }
-
-    #[test]
-    fn warmup_skips_prefix() {
-        let t = numbered(5);
-        let pcs = drain(SkipWarmup::new(t.stream(), 3));
-        assert_eq!(pcs, vec![3, 4]);
-    }
-
-    #[test]
-    fn warmup_longer_than_trace_yields_nothing() {
-        let t = numbered(2);
-        assert!(drain(SkipWarmup::new(t.stream(), 10)).is_empty());
-    }
-
-    #[test]
-    fn interval_sampling_keeps_windows() {
-        let t = numbered(10);
-        let pcs = drain(IntervalSample::new(t.stream(), 2, 5));
-        assert_eq!(pcs, vec![0, 1, 5, 6]);
-    }
-
-    #[test]
-    fn full_window_is_identity() {
-        let t = numbered(6);
-        let pcs = drain(IntervalSample::new(t.stream(), 3, 3));
-        assert_eq!(pcs, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "must not exceed")]
-    fn window_validated_against_period() {
-        let t = numbered(1);
-        let _ = IntervalSample::new(t.stream(), 5, 2);
-    }
-
-    #[test]
-    fn interval_hint_matches_drained_count() {
-        for &(window, period, len) in &[(2, 5, 10), (2, 5, 11), (3, 3, 7), (1, 7, 20), (4, 6, 0)] {
-            let t = numbered(len);
-            let mut s = IntervalSample::new(t.stream(), window, period);
-            loop {
-                let hint = s.remaining_hint().expect("VecTrace streams always hint");
-                // Count what actually comes out from this exact state.
-                let left = drain(s.clone()).len() as u64;
-                assert_eq!(
-                    hint, left,
-                    "hint mismatch at w={window} p={period} len={len}"
-                );
-                if s.next_record().is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn interval_hint_survives_mid_window_phase() {
-        // Advance two records into a 3-of-7 sampler: phase sits inside
-        // the kept window, so the first period contributes only 1 more.
-        let t = numbered(21);
-        let mut s = IntervalSample::new(t.stream(), 3, 7);
-        s.next_record();
-        s.next_record();
-        // Remaining: 1 (rest of first window) + 3 + 3 = 7.
-        assert_eq!(s.remaining_hint(), Some(7));
-        assert_eq!(drain(s).len(), 7);
-    }
 
     #[test]
     fn plan_windows_tile_deterministically() {

@@ -103,11 +103,6 @@ impl VecTrace {
         &self.records
     }
 
-    /// Consumes the trace, returning the records.
-    pub fn into_records(self) -> Vec<TraceRecord> {
-        self.records
-    }
-
     /// Appends a record.
     pub fn push(&mut self, record: TraceRecord) {
         self.records.push(record);
@@ -249,8 +244,7 @@ mod tests {
 
     #[test]
     fn iter_stream_adapts_iterators() {
-        let recs: Vec<_> = nops(5).into_records();
-        let mut s = IterStream::new(recs.into_iter());
+        let mut s = IterStream::new(nops(5).into_iter());
         let mut n = 0;
         while s.next_record().is_some() {
             n += 1;

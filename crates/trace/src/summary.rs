@@ -3,10 +3,9 @@
 //! [`TraceSummary`] measures the properties the workload generators are
 //! calibrated against: instruction mix, branch density and taken rate,
 //! memory-operation density, kernel fraction, and footprint estimates
-//! (distinct 64-byte code and data lines, distinct branch sites). It is
-//! also the heart of the "reverse tracer" analogue: a generated trace is
-//! validated by summarizing it and checking the summary against the preset
-//! that produced it.
+//! (distinct 64-byte code and data lines, distinct branch sites). A
+//! generated trace is validated by summarizing it and checking the summary
+//! against the preset that produced it.
 
 use crate::record::TraceRecord;
 use crate::stream::TraceStream;

@@ -39,12 +39,11 @@ pub mod describe;
 pub mod mix;
 pub mod program;
 pub mod regions;
-pub mod revtrace;
 pub mod smp;
 pub mod suite;
 
 pub use mix::InstrMix;
 pub use program::{Program, ProgramSpec};
 pub use regions::{DataSpec, Region, RegionKind};
-pub use smp::{smp_traces, smp_traces_into};
+pub use smp::smp_traces;
 pub use suite::{Suite, SuiteKind};

@@ -94,15 +94,7 @@ impl Program {
     /// first `n` of [`Program::stream`], so a shorter trace is a prefix
     /// of a longer one.
     pub fn generate(&self, n: usize, seed: u64) -> VecTrace {
-        self.generate_into(VecTrace::new(), n, seed)
-    }
-
-    /// [`Program::generate`] into `buffer`'s allocation (its old records
-    /// are discarded): the same trace, without a fresh allocation when
-    /// the buffer is large enough.
-    pub fn generate_into(&self, buffer: VecTrace, n: usize, seed: u64) -> VecTrace {
-        let mut records = buffer.into_records();
-        records.clear();
+        let mut records = Vec::new();
         self.stream(seed).fill(&mut records, n);
         VecTrace::from_records(records)
     }
@@ -329,17 +321,6 @@ mod tests {
         let b = p.generate(7777, 3);
         assert_eq!(a.len(), 7777);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn generating_into_a_used_buffer_changes_nothing_but_the_allocation() {
-        let p = Program::new(spec());
-        let fresh = p.generate(5_000, 3);
-        let used = p.generate(9_000, 11);
-        let ptr = used.records().as_ptr();
-        let reused = p.generate_into(used, 5_000, 3);
-        assert_eq!(reused, fresh);
-        assert_eq!(reused.records().as_ptr(), ptr, "no new allocation");
     }
 
     #[test]

@@ -49,20 +49,7 @@ pub fn smp_traces(
     records_per_core: usize,
     seed: u64,
 ) -> Vec<VecTrace> {
-    smp_traces_into(program, cores, records_per_core, seed, Vec::new())
-}
-
-/// [`smp_traces`] into the allocations of `buffers`, one per CPU for as
-/// many as there are (see [`Program::generate_into`]).
-pub fn smp_traces_into(
-    program: &Program,
-    cores: usize,
-    records_per_core: usize,
-    seed: u64,
-    buffers: Vec<VecTrace>,
-) -> Vec<VecTrace> {
     assert!(cores > 0, "need at least one core");
-    let mut buffers = buffers.into_iter();
     (0..cores)
         .map(|core| {
             let mut spec = program.spec().clone();
@@ -70,8 +57,7 @@ pub fn smp_traces_into(
             if let Some(kd) = &spec.kernel_data {
                 spec.kernel_data = Some(relocate(kd, core));
             }
-            Program::new(spec).generate_into(
-                buffers.next().unwrap_or_default(),
+            Program::new(spec).generate(
                 records_per_core,
                 seed.wrapping_add(1 + core as u64 * 0x9e37),
             )
@@ -121,14 +107,6 @@ mod tests {
             code_a.intersection(&code_b).count() > 0,
             "same binary: code lines overlap"
         );
-    }
-
-    #[test]
-    fn used_buffers_give_the_same_traces() {
-        let fresh = smp_traces(&tpcc_program(), 3, 4_000, 1);
-        // Fewer buffers than CPUs, of another length and content.
-        let used = smp_traces(&tpcc_program(), 2, 6_000, 5);
-        assert_eq!(smp_traces_into(&tpcc_program(), 3, 4_000, 1, used), fresh);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Trace tooling: generate a workload trace, write it in the binary
-//! format, read it back, and print its distributional summary — the
-//! "reverse tracer" style validation loop (§2.2, [11]).
+//! format, read it back, and print its distributional summary.
 //!
 //! ```sh
 //! cargo run --release --example trace_tools [records]

@@ -10,6 +10,14 @@ set -eu
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "== file size (no .rs file under crates/ over 1 000 lines)"
+long=$(find crates -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000')
+if [ -n "$long" ]; then
+    echo "file-size: split these files:" >&2
+    echo "$long" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
