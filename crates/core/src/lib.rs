@@ -24,8 +24,8 @@
 //!   [`experiment`] — per-program trace seeds: the pure pieces of the
 //!   evaluation; the experiments themselves run through the
 //!   `s64v-harness` campaign engine,
-//! * [`observe`] — run observation: structured-event probes, interval
-//!   metrics and instruction timelines (see `s64v-observe`),
+//! * [`observe`] — run observation: instruction timelines, bus transfers
+//!   and interval metrics (see `s64v-observe`),
 //! * [`integrity`] — structured [`SimError`]s and the checked-mode
 //!   invariant auditor,
 //! * [`knobs`] — the named-parameter registry design-space exploration

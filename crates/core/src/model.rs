@@ -221,8 +221,8 @@ fn collect_result(cycles: u64, cores: &[Core], mem: &MemorySystem) -> RunResult 
 
 /// Times `streams` on a machine — cold, or functionally warmed — from
 /// cycle zero, observed per `ocfg` when given (the observation is empty
-/// otherwise). Probes attach here, after any warm-up, so only timed
-/// execution is narrated.
+/// otherwise). The recorders start here, after any warm-up, so only
+/// timed execution is recorded.
 pub(crate) fn timed<S: TraceStream>(
     mut cores: Vec<Core>,
     mut mem: MemorySystem,
@@ -237,7 +237,7 @@ pub(crate) fn timed<S: TraceStream>(
     }
     let result = collect_result(cycles, &cores, &mem);
     let observation = observer
-        .map(|o| o.collect(&mut cores, &mut mem))
+        .map(|o| o.collect(&cores, &mut mem))
         .unwrap_or_default();
     Ok((result, observation))
 }
@@ -266,8 +266,9 @@ pub struct Run<'a> {
     pub window: Option<(usize, usize)>,
     /// Checked mode, fault injection, budgets (see [`RunOptions`]).
     pub opts: RunOptions,
-    /// Record events, interval metrics and timelines of the timed part
-    /// (probes attach after the warm-up). Observation is read-only: the
+    /// Record timelines, bus transfers and interval metrics of the timed
+    /// part (recording starts after the warm-up). Observation is
+    /// read-only: the
     /// [`RunResult`] is byte-identical to an unobserved run's.
     pub observe: Option<ObserveConfig>,
 }

@@ -1,53 +1,54 @@
 //! Wiring between the model and the `s64v-observe` subsystem.
 //!
-//! [`Observer`] owns the observation plumbing for one run: it attaches a
-//! bounded [`EventLog`] probe to every core and to the memory system,
-//! enables per-core instruction timelines, and samples interval metrics
-//! at a fixed cycle period. After the run, [`Observer::collect`] takes
-//! everything back and assembles a [`RunObservation`].
+//! [`Observer`] owns the observation plumbing for one run. A traced run
+//! records the two things its artifacts draw: each core's first
+//! [`TIMELINE_INSTRUCTIONS`] instruction timelines (`pipeline.txt` and the
+//! Perfetto pipeline slices) and the memory system's first
+//! [`s64v_mem::BUS_LOG_CAP`] bus transfers (the Perfetto bus slices).
+//! Any observed run may also sample interval metrics at a fixed cycle
+//! period. After the run, [`Observer::collect`] takes everything back
+//! and assembles a [`RunObservation`].
 //!
-//! Observation is strictly read-only — the probes and the sampler look at
-//! the model but never feed anything back — so an observed run produces
-//! byte-identical [`crate::RunResult`]s to a plain one (there is a test
-//! for exactly this, and the engine's cache fingerprints ignore
+//! Observation is strictly read-only — the recorders and the sampler look
+//! at the model but never feed anything back — so an observed run
+//! produces byte-identical [`crate::RunResult`]s to a plain one (there is
+//! a test for exactly this, and the engine's cache fingerprints ignore
 //! observation settings entirely).
 
 use s64v_cpu::Core;
 use s64v_mem::MemorySystem;
-use s64v_observe::{CpuInterval, EventLog, IntervalSample, ObsEvent, RunObservation};
+use s64v_observe::{CpuInterval, IntervalSample, RunObservation};
+
+/// How many instructions' timelines a traced run records per core: the
+/// first 4 096, enough for `pipeline.txt`'s first 200 and a readable
+/// stretch of Perfetto pipeline slices.
+pub const TIMELINE_INSTRUCTIONS: usize = 4096;
 
 /// What to record during a run.
 #[derive(Debug, Clone, Copy)]
 pub struct ObserveConfig {
-    /// Attach structured-event probes ([`EventLog`]) to cores and memory.
-    pub events: bool,
-    /// Per-sink event cap (excess events are counted, not stored).
-    pub event_cap: usize,
+    /// Record instruction timelines and bus transfers (see the module
+    /// docs).
+    pub trace: bool,
     /// Interval-sample period in cycles; `0` disables sampling.
     pub interval: u64,
-    /// Record each core's first this-many instruction timelines, if any.
-    pub timeline: Option<usize>,
 }
 
 impl Default for ObserveConfig {
     fn default() -> Self {
         ObserveConfig {
-            events: true,
-            event_cap: 1 << 20,
+            trace: true,
             interval: 10_000,
-            timeline: Some(4096),
         }
     }
 }
 
 impl ObserveConfig {
-    /// Interval metrics only: no event stream, no timelines.
+    /// Interval metrics only: no timelines, no bus transfers.
     pub fn metrics_only(interval: u64) -> Self {
         ObserveConfig {
-            events: false,
-            event_cap: 0,
+            trace: false,
             interval,
-            timeline: None,
         }
     }
 }
@@ -86,19 +87,14 @@ fn stall_mix(core: &Core) -> [u64; 7] {
 }
 
 impl Observer {
-    /// Attaches probes and timeline recorders per `cfg` and returns the
-    /// sampler. Call after any warm-up so warm accesses are not narrated.
+    /// Starts the recorders per `cfg` and returns the sampler. Call after
+    /// any warm-up so warm accesses are not recorded.
     pub fn new(cfg: ObserveConfig, cores: &mut [Core], mem: &mut MemorySystem) -> Self {
-        for core in cores.iter_mut() {
-            if cfg.events {
-                core.attach_probe(Box::new(EventLog::with_capacity(cfg.event_cap)));
+        if cfg.trace {
+            for core in cores.iter_mut() {
+                core.enable_timeline(TIMELINE_INSTRUCTIONS);
             }
-            if let Some(capacity) = cfg.timeline {
-                core.enable_timeline(capacity);
-            }
-        }
-        if cfg.events {
-            mem.attach_probe(Box::new(EventLog::with_capacity(cfg.event_cap)));
+            mem.log_bus();
         }
         Observer {
             cfg,
@@ -188,22 +184,9 @@ impl Observer {
         self.window_start = end;
     }
 
-    /// Takes the probes and timelines back from the model and assembles
-    /// the run's [`RunObservation`]. Event streams are merged stable-sorted
-    /// by cycle (cores in CPU order, memory last), so the result is
-    /// deterministic.
-    pub fn collect(self, cores: &mut [Core], mem: &mut MemorySystem) -> RunObservation {
-        let mut events: Vec<ObsEvent> = Vec::new();
-        for core in cores.iter_mut() {
-            if let Some(p) = core.take_probe() {
-                events.extend(p.into_events());
-            }
-        }
-        if let Some(p) = mem.take_probe() {
-            events.extend(p.into_events());
-        }
-        events.sort_by_key(ObsEvent::cycle); // stable: ties keep source order
-
+    /// Takes the bus transfers and timelines back from the model and
+    /// assembles the run's [`RunObservation`].
+    pub fn collect(self, cores: &[Core], mem: &mut MemorySystem) -> RunObservation {
         let timelines = cores
             .iter()
             .map(|c| {
@@ -214,7 +197,7 @@ impl Observer {
             .collect();
 
         RunObservation {
-            events,
+            bus: mem.take_bus_log(),
             intervals: self.intervals,
             timelines,
         }
@@ -242,16 +225,9 @@ mod tests {
             format!("{:?}", observed.core_stats),
             "every counter must match the unobserved run"
         );
-        assert!(!obs.events.is_empty(), "events were recorded");
+        assert!(!obs.bus.is_empty(), "bus transfers were recorded");
         assert!(!obs.intervals.is_empty(), "intervals were sampled");
-        assert!(!obs.timelines[0].is_empty(), "timelines were recorded");
-        // The merged stream is cycle-sorted and covers both the core and
-        // the memory system.
-        assert!(obs.events.windows(2).all(|w| w[0].cycle() <= w[1].cycle()));
-        let kinds: Vec<&str> = obs.events.iter().map(|e| e.kind()).collect();
-        for k in ["fetch", "decode", "commit", "cache"] {
-            assert!(kinds.contains(&k), "missing {k} events");
-        }
+        assert_eq!(obs.timelines[0].len(), TIMELINE_INSTRUCTIONS);
     }
 
     #[test]
@@ -260,7 +236,8 @@ mod tests {
         let model = PerformanceModel::new(SystemConfig::sparc64_v());
         let ocfg = ObserveConfig::metrics_only(2_000);
         let (r, obs) = model.execute(Run::of(&t).observed(ocfg)).unwrap();
-        assert!(obs.events.is_empty(), "metrics-only records no events");
+        assert!(obs.bus.is_empty(), "metrics-only records no transfers");
+        assert!(obs.timelines[0].is_empty(), "nor timelines");
         let ivs = &obs.intervals;
         assert!(ivs.len() >= 2, "run long enough for several windows");
         assert_eq!(ivs[0].start, 0);

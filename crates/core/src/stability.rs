@@ -44,15 +44,6 @@ impl SeedStudy {
             max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         }
     }
-
-    /// Coefficient of variation (σ/μ); 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.stddev / self.mean
-        }
-    }
 }
 
 #[cfg(test)]
@@ -67,7 +58,6 @@ mod tests {
         assert!((s.stddev - 1.0).abs() < 1e-12);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 3.0);
-        assert!((s.cv() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -95,11 +95,12 @@ impl WarmCursor {
         self.pos += chunk.len();
     }
 
-    /// A deep copy: every memory-system structure and every table. The
-    /// copy and the cursor evolve independently from here on.
+    /// A deep copy: the memory system's derived `Clone` (every structure,
+    /// so a field added there is copied too) and every table. The copy
+    /// and the cursor evolve independently from here on.
     pub fn fork(&self) -> WarmCursor {
         WarmCursor {
-            mem: self.mem.fork(),
+            mem: self.mem.clone(),
             tables: self.tables.clone(),
             origin: self.origin,
             pos: self.pos,
@@ -115,7 +116,7 @@ impl WarmCursor {
     /// Panics if this cursor trained no table for `core`'s predictor.
     pub fn fork_for(&self, core: &CoreConfig) -> WarmCursor {
         WarmCursor {
-            mem: self.mem.fork(),
+            mem: self.mem.clone(),
             tables: self
                 .table_for(core)
                 .map(|at| self.tables[at].clone())
@@ -140,8 +141,9 @@ impl WarmCursor {
     /// run is to cover — in detail on a `core` built over this warmed
     /// state, consuming it (a state that has run timed cycles is no
     /// longer functional; fork first to keep warming). Observed per
-    /// `ocfg` when given — probes attach to the timed machine, so the
-    /// warm-up is not narrated — and the observation is empty otherwise.
+    /// `ocfg` when given — the recorders start on the timed machine, so
+    /// the warm-up is not recorded — and the observation is empty
+    /// otherwise.
     ///
     /// # Panics
     ///

@@ -6,7 +6,6 @@ use super::Core;
 use crate::profile::{self, Phase};
 use s64v_isa::OpClass;
 use s64v_mem::{FetchAccess, MemorySystem};
-use s64v_observe::ObsEvent;
 use s64v_trace::{TraceRecord, TraceStream};
 
 /// An instruction sitting in the fetch queue between fetch and decode.
@@ -218,16 +217,6 @@ impl Core {
         profile::enter(Phase::Fetch);
         let ready_at = access.ready_at + 1;
         self.stats.fetch_groups.incr();
-        if let Some(p) = self.probe.as_mut() {
-            p.event(ObsEvent::Fetch {
-                core: self.core_id as u32,
-                cycle: now,
-                pc: first_pc,
-                l1_hit: access.l1_hit,
-                l2_hit: access.l2_hit,
-                ready_at,
-            });
-        }
 
         let mut fetched = 0;
         let mut expected_pc = first_pc;

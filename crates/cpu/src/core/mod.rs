@@ -1,6 +1,6 @@
 //! The cycle-stepped out-of-order core.
 //!
-//! [`Core::step`] advances one cycle through the pipeline phases in
+//! [`Core::try_step`] advances one cycle through the pipeline phases in
 //! reverse order — writeback, commit, memory issue, dispatch, decode,
 //! fetch — so that every same-cycle hand-off observes the previous cycle's
 //! state. The model is trace driven: architecturally correct paths,
@@ -40,7 +40,6 @@ use crate::timeline::PipelineTrace;
 use crate::wheel::Wheel;
 use s64v_isa::{OpClass, RsKind};
 use s64v_mem::MemorySystem;
-use s64v_observe::{ObsEvent, Probe};
 use s64v_trace::{TraceRecord, TraceStream};
 
 mod audit;
@@ -96,7 +95,7 @@ pub fn warm_record(bhts: &mut [Bht], mem: &mut MemorySystem, cpu: usize, rec: &T
 /// let mut stream = trace.stream();
 /// let mut now = 0;
 /// while !core.is_done(&stream) {
-///     core.step(&mut mem, &mut stream, now);
+///     core.try_step(&mut mem, &mut stream, now).expect("no wedge");
 ///     now += 1;
 /// }
 /// assert_eq!(core.stats().committed.get(), 100);
@@ -122,7 +121,6 @@ pub struct Core {
     /// Quiescent-cycle skipping enabled (see `quiesce.rs`).
     skip: bool,
     timeline: Option<PipelineTrace>,
-    probe: Option<Box<dyn Probe>>,
 }
 
 impl Core {
@@ -137,7 +135,7 @@ impl Core {
     /// `bht` is the table [`warm_record`] trained, the only core state
     /// functional warming touches, so this core equals a [`Core::new`]
     /// that replayed the same records through [`Core::warm`]. Pipeline
-    /// state, statistics, timelines and probes start empty.
+    /// state, statistics and timelines start empty.
     ///
     /// # Panics
     ///
@@ -167,7 +165,6 @@ impl Core {
             last_commit_cycle: 0,
             skip: true,
             timeline: None,
-            probe: None,
             core_id,
             cfg,
         }
@@ -184,35 +181,14 @@ impl Core {
         self.timeline.as_ref()
     }
 
-    /// Attaches a structured-event [`Probe`]. Probes are pure observers:
-    /// every stage event is emitted after the pipeline has decided, so
-    /// simulated results are identical with or without one attached.
-    pub fn attach_probe(&mut self, probe: Box<dyn Probe>) {
-        self.probe = Some(probe);
-    }
-
-    /// Detaches and returns the probe, if one was attached.
-    pub fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        self.probe.take()
-    }
-
     // ----- observation hooks ----------------------------------------------
     //
-    // Both sinks (the timeline recorder and the structured-event probe)
-    // only record; neither feeds anything back into the pipeline.
+    // The timeline recorder only records; nothing it holds feeds back into
+    // the pipeline.
 
     fn note_decode(&mut self, seq: u64, pc: u64, op: OpClass, now: u64) {
         if let Some(t) = self.timeline.as_mut() {
             t.on_decode(seq, pc, op, now);
-        }
-        if let Some(p) = self.probe.as_mut() {
-            p.event(ObsEvent::Decode {
-                core: self.core_id as u32,
-                cycle: now,
-                seq,
-                pc,
-                op,
-            });
         }
     }
 
@@ -220,25 +196,11 @@ impl Core {
         if let Some(t) = self.timeline.as_mut() {
             t.on_dispatch(seq, now);
         }
-        if let Some(p) = self.probe.as_mut() {
-            p.event(ObsEvent::Dispatch {
-                core: self.core_id as u32,
-                cycle: now,
-                seq,
-            });
-        }
     }
 
-    fn note_replay(&mut self, seq: u64, now: u64) {
+    fn note_replay(&mut self, seq: u64) {
         if let Some(t) = self.timeline.as_mut() {
             t.on_replay(seq);
-        }
-        if let Some(p) = self.probe.as_mut() {
-            p.event(ObsEvent::Replay {
-                core: self.core_id as u32,
-                cycle: now,
-                seq,
-            });
         }
     }
 
@@ -246,25 +208,11 @@ impl Core {
         if let Some(t) = self.timeline.as_mut() {
             t.on_complete(seq, now);
         }
-        if let Some(p) = self.probe.as_mut() {
-            p.event(ObsEvent::Complete {
-                core: self.core_id as u32,
-                cycle: now,
-                seq,
-            });
-        }
     }
 
     fn note_commit(&mut self, seq: u64, now: u64) {
         if let Some(t) = self.timeline.as_mut() {
             t.on_commit(seq, now);
-        }
-        if let Some(p) = self.probe.as_mut() {
-            p.event(ObsEvent::Commit {
-                core: self.core_id as u32,
-                cycle: now,
-                seq,
-            });
         }
     }
 
@@ -322,19 +270,6 @@ impl Core {
         replayed
     }
 
-    /// Advances one cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline makes no progress for an implausible number
-    /// of cycles (a model bug). [`Core::try_step`] reports the same
-    /// condition as a structured [`CoreError`] instead.
-    pub fn step<S: TraceStream>(&mut self, mem: &mut MemorySystem, stream: &mut S, now: u64) {
-        if let Err(e) = self.try_step(mem, stream, now) {
-            panic!("{e}");
-        }
-    }
-
     /// Advances one cycle, reporting a wedged pipeline (no commit progress
     /// past the deadlock horizon with instructions in flight — a model
     /// bug, never a workload property) as a [`CoreError`] carrying a
@@ -387,28 +322,6 @@ impl Core {
         profile::count(Work::SteppedCycles, 1);
         profile::count(Work::ActiveCycles, active as u64);
         Ok(active)
-    }
-
-    /// Runs a whole trace to completion on a fresh cycle counter, returning
-    /// the final cycle count.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`Core::try_run`] would return an error.
-    pub fn run<S: TraceStream>(&mut self, mem: &mut MemorySystem, stream: &mut S) -> u64 {
-        match self.try_run(mem, stream) {
-            Ok(now) => now,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`Core::run`].
-    pub fn try_run<S: TraceStream>(
-        &mut self,
-        mem: &mut MemorySystem,
-        stream: &mut S,
-    ) -> Result<u64, Box<CoreError>> {
-        self.try_run_from(mem, stream, 0)
     }
 
     /// Runs a stream to completion starting at `start_cycle` (sampled

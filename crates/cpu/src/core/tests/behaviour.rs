@@ -255,7 +255,8 @@ fn wrong_path_fetch_pollutes_but_commits_identically() {
         let mut mem = MemorySystem::new(MemConfig::sparc64_v(), 1);
         let mut core = Core::new(cfg, 0);
         let mut stream = t.stream();
-        core.run(&mut mem, &mut stream);
+        core.try_run_from(&mut mem, &mut stream, 0)
+            .expect("no wedge");
         (core.stats().clone(), mem.stats(0).l1i.accesses.get())
     };
     let (base, base_l1i) = run(CoreConfig::sparc64_v());

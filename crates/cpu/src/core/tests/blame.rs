@@ -265,7 +265,8 @@ fn topdown_agrees_with_skipping_disabled() {
         let mut core = Core::new(CoreConfig::sparc64_v(), 0);
         core.set_skip(skip);
         let mut stream = t.stream();
-        core.run(&mut mem, &mut stream);
+        core.try_run_from(&mut mem, &mut stream, 0)
+            .expect("no wedge");
         core.stats().cpi
     };
     assert_eq!(run(true), run(false));

@@ -16,7 +16,9 @@ fn run_trace(trace: &VecTrace, cfg: CoreConfig) -> (CoreStats, u64) {
     let mut mem = MemorySystem::new(MemConfig::sparc64_v(), 1);
     let mut core = Core::new(cfg, 0);
     let mut stream = trace.stream();
-    let cycles = core.run(&mut mem, &mut stream);
+    let cycles = core
+        .try_run_from(&mut mem, &mut stream, 0)
+        .expect("no wedge");
     (core.stats().clone(), cycles)
 }
 

@@ -1,10 +1,9 @@
-//! The observation sinks: instruction timelines and the event probe.
+//! The observation sink: per-instruction timelines.
 
 use crate::config::CoreConfig;
 use crate::Core;
 use s64v_isa::{Instr, MemWidth, OpClass, Reg};
 use s64v_mem::{MemConfig, MemorySystem};
-use s64v_observe::EventLog;
 use s64v_trace::{TraceBuilder, VecTrace};
 
 #[test]
@@ -25,7 +24,8 @@ fn timelines_are_recorded_and_consistent() {
     let mut core = Core::new(CoreConfig::sparc64_v(), 0);
     core.enable_timeline(100);
     let mut stream = t.stream();
-    core.run(&mut mem, &mut stream);
+    core.try_run_from(&mut mem, &mut stream, 0)
+        .expect("no wedge");
 
     let tl = core.timeline().expect("enabled");
     assert_eq!(tl.entries().len(), 100);
@@ -68,14 +68,14 @@ fn identical_runs_produce_identical_timelines() {
         let mut core = Core::new(CoreConfig::sparc64_v(), 0);
         core.enable_timeline(300);
         let mut stream = t.stream();
-        core.run(&mut mem, &mut stream);
+        core.try_run_from(&mut mem, &mut stream, 0)
+            .expect("no wedge");
         core.timeline().expect("enabled").clone()
     };
-    let a = run();
-    let b2 = run();
-    assert!(
-        a.diff_commits(&b2, 0).is_empty(),
-        "determinism down to per-instruction commits"
+    assert_eq!(
+        run().entries(),
+        run().entries(),
+        "determinism down to per-instruction stages"
     );
 }
 
@@ -94,7 +94,8 @@ fn replayed_loads_show_in_the_timeline() {
     let mut core = Core::new(CoreConfig::sparc64_v(), 0);
     core.enable_timeline(300);
     let mut stream = t.stream();
-    core.run(&mut mem, &mut stream);
+    core.try_run_from(&mut mem, &mut stream, 0)
+        .expect("no wedge");
     let replays: u32 = core
         .timeline()
         .unwrap()
@@ -122,50 +123,26 @@ fn mixed_trace() -> VecTrace {
 }
 
 #[test]
-fn attached_probe_does_not_perturb_the_run() {
+fn recording_timelines_does_not_perturb_the_run() {
     let t = mixed_trace();
-    let run = |with_probe: bool| {
+    let run = |record: bool| {
         let mut mem = MemorySystem::new(MemConfig::sparc64_v(), 1);
         let mut core = Core::new(CoreConfig::sparc64_v(), 0);
-        if with_probe {
-            core.attach_probe(Box::new(EventLog::with_capacity(1 << 20)));
+        if record {
+            core.enable_timeline(1 << 20);
         }
         let mut stream = t.stream();
-        let cycles = core.run(&mut mem, &mut stream);
+        let cycles = core
+            .try_run_from(&mut mem, &mut stream, 0)
+            .expect("no wedge");
         (cycles, core.stats().clone())
     };
     let (plain_cycles, plain_stats) = run(false);
-    let (probed_cycles, probed_stats) = run(true);
-    assert_eq!(plain_cycles, probed_cycles, "cycle count must not move");
+    let (recorded_cycles, recorded_stats) = run(true);
+    assert_eq!(plain_cycles, recorded_cycles, "cycle count must not move");
     assert_eq!(
         format!("{plain_stats:?}"),
-        format!("{probed_stats:?}"),
-        "every counter must be identical with a probe attached"
+        format!("{recorded_stats:?}"),
+        "every counter must be identical with timelines recorded"
     );
-}
-
-#[test]
-fn probe_narrates_the_whole_pipeline() {
-    let t = mixed_trace();
-    let mut mem = MemorySystem::new(MemConfig::sparc64_v(), 1);
-    let mut core = Core::new(CoreConfig::sparc64_v(), 0);
-    core.attach_probe(Box::new(EventLog::with_capacity(1 << 20)));
-    let mut stream = t.stream();
-    core.run(&mut mem, &mut stream);
-
-    let committed = core.stats().committed.get();
-    let events = core.take_probe().expect("attached").into_events();
-    let count = |kind: &str| events.iter().filter(|e| e.kind() == kind).count() as u64;
-    // Trace-driven decode never goes down the wrong path, so every
-    // decoded instruction commits: the two streams must agree.
-    assert_eq!(count("decode"), committed);
-    assert_eq!(count("commit"), committed);
-    assert!(count("fetch") > 0, "fetch groups must be narrated");
-    assert!(count("dispatch") > 0, "dispatches must be narrated");
-    assert!(count("complete") >= committed, "completions cover commits");
-    // Events arrive in nondecreasing phase order within the stream only
-    // per instruction; globally we just require cycle monotonicity to
-    // hold loosely (each event's cycle is within the run).
-    let last_cycle = core.stats().cycles.get();
-    assert!(events.iter().all(|e| e.cycle() <= last_cycle + 1));
 }

@@ -187,7 +187,7 @@ impl Core {
                 self.refresh_ready(slot, now);
                 self.rs.reinsert(kind, buffer, slot);
                 self.stats.replays.incr();
-                self.note_replay(self.rob.seq_in(slot), now);
+                self.note_replay(self.rob.seq_in(slot));
                 self.rob.widen_wave(slot);
             } else if entry.is(WAITING_DATA) {
                 self.rearm_store(slot, now, wave == Wave::BeforePass);

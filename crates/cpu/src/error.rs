@@ -3,9 +3,8 @@
 //! When the pipeline detects that it can no longer make progress (a model
 //! bug, never a workload property), it reports a [`CoreError`] carrying a
 //! full [`PipelineSnapshot`] of the faulting cycle instead of panicking
-//! with a bare string. The fallible entry points ([`crate::Core::try_step`],
-//! [`crate::Core::try_run`]) surface these; the infallible convenience
-//! wrappers escalate them to panics with the same rendered message.
+//! with a bare string. The run entry points ([`crate::Core::try_step`],
+//! [`crate::Core::try_run_from`]) surface these.
 
 use s64v_isa::{OpClass, RsKind};
 use std::fmt;

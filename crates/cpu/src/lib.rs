@@ -9,7 +9,7 @@
 //! access through a 16-entry load queue and 10-entry store queue, and a
 //! 16K-entry 4-way branch history table.
 //!
-//! The model is trace driven and cycle stepped: [`Core::step`] advances one
+//! The model is trace driven and cycle stepped: [`Core::try_step`] advances one
 //! cycle, pulling instructions from a [`s64v_trace::TraceStream`] and
 //! issuing memory requests into a [`s64v_mem::MemorySystem`]. Every design
 //! alternative studied in the paper's Figures 8–18 is a [`CoreConfig`]

@@ -6,10 +6,10 @@
 //! match of output from the performance model" (§2). This module provides
 //! the model-side half of that discipline: an optional recorder that
 //! captures, per dynamic instruction, the cycle it passed every pipeline
-//! stage — decode, dispatch (with replay count), completion and commit —
-//! so two model versions (or a model and an external reference) can be
-//! diffed event by event, and so the exporters in `s64v-observe` can
-//! draw pipeline diagrams.
+//! stage — decode, dispatch (with replay count), completion and commit.
+//! It is the core's one recorder: an observed run's `pipeline.txt` and
+//! the Perfetto trace's pipeline slices are drawn from it, and two runs
+//! compare stage by stage through [`PipelineTrace::entries`].
 //!
 //! Memory is bounded by recording only the first N decoded instructions.
 
@@ -96,23 +96,6 @@ impl PipelineTrace {
     pub fn entries(&self) -> &[InstrTimeline] {
         &self.entries
     }
-
-    /// Diffs two recordings instruction by instruction; returns the
-    /// sequence numbers whose committed cycles differ by more than
-    /// `tolerance` cycles (the §2.2-style detailed match check).
-    pub fn diff_commits(&self, other: &PipelineTrace, tolerance: u64) -> Vec<u64> {
-        self.entries
-            .iter()
-            .zip(other.entries.iter())
-            .filter_map(|(a, b)| {
-                debug_assert_eq!(a.seq, b.seq);
-                let (Some(x), Some(y)) = (a.committed_at, b.committed_at) else {
-                    return Some(a.seq);
-                };
-                (x.abs_diff(y) > tolerance).then_some(a.seq)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -169,14 +152,5 @@ mod tests {
         t.on_complete(0, 4);
         t.on_complete(0, 9);
         assert_eq!(t.entries()[0].completed_at, Some(4));
-    }
-
-    #[test]
-    fn diff_finds_divergent_commits() {
-        let a = sample(6);
-        let b = sample(20);
-        assert!(a.diff_commits(&b, 5).contains(&0));
-        assert!(a.diff_commits(&b, 50).is_empty());
-        assert!(a.diff_commits(&sample(6), 0).is_empty());
     }
 }

@@ -29,7 +29,7 @@ fn slow_fill_with_an_empty_window_does_not_trip_the_watchdog() {
     let mut stream = trace.stream();
 
     let cycles = core
-        .try_run(&mut mem, &mut stream)
+        .try_run_from(&mut mem, &mut stream, 0)
         .expect("an empty window waiting on a slow fill is not a wedge");
     assert!(
         cycles > 1_000_000,
@@ -56,7 +56,7 @@ fn a_genuinely_wedged_window_is_reported_with_a_snapshot() {
 
     mem.fault_drop_next_fill(0);
     let err = core
-        .try_run(&mut mem, &mut stream)
+        .try_run_from(&mut mem, &mut stream, 0)
         .expect_err("a dropped fill must wedge the pipeline");
     let CoreFault::Wedged { horizon } = err.fault;
     assert!(horizon >= 1_000_000);

@@ -15,7 +15,7 @@ fn fast_policy() -> SupervisePolicy {
     }
 }
 
-/// Full event tracing and interval metrics for every point.
+/// Tracing and interval metrics for every point.
 fn trace_everything() -> ObservePlan {
     ObservePlan {
         trace_matches: vec![String::new()],

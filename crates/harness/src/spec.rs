@@ -294,15 +294,14 @@ impl PointMetrics {
 
 /// What the engine records beyond metrics (see `s64v-observe`).
 ///
-/// Observation never enters a point's fingerprint: probes and samplers
-/// are read-only, so an observed point produces byte-identical
+/// Observation never enters a point's fingerprint: the recorders and the
+/// sampler are read-only, so an observed point produces byte-identical
 /// [`PointMetrics`] (and therefore byte-identical cache entries) to an
 /// unobserved one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObservePlan {
-    /// Label substrings selecting points for full event tracing. A
-    /// matching point records the event stream and instruction timelines
-    /// and exports `<fp>.trace.json` (Perfetto) and `<fp>.pipeline.txt`
+    /// Label substrings selecting points for tracing. A matching point
+    /// records instruction timelines and bus transfers and exports `<fp>.trace.json` (Perfetto) and `<fp>.pipeline.txt`
     /// (ASCII pipeline diagram) next to its cache entry.
     pub trace_matches: Vec<String>,
     /// Record interval metrics (at [`s64v_core::ObserveConfig`]'s default
@@ -312,7 +311,7 @@ pub struct ObservePlan {
 }
 
 impl ObservePlan {
-    /// Whether a point with this label gets full event tracing.
+    /// Whether a point with this label is traced.
     pub fn wants_trace(&self, label: &str) -> bool {
         self.trace_matches.iter().any(|m| label.contains(m))
     }

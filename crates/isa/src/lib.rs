@@ -30,5 +30,5 @@ pub mod reg;
 
 pub use instr::{BranchInfo, Instr, MemInfo, MemWidth, Privilege, MAX_SRCS};
 pub use latency::LatencyTable;
-pub use opclass::{ExecUnit, OpClass, RsKind};
+pub use opclass::{OpClass, RsKind};
 pub use reg::{Reg, RegClass, NUM_FP_REGS, NUM_INT_REGS};

@@ -88,19 +88,6 @@ impl fmt::Display for RsKind {
     }
 }
 
-/// The execution-unit family that executes a dispatched instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ExecUnit {
-    /// One of the two integer execution units (EXA/EXB).
-    IntUnit,
-    /// One of the two floating-point multiply-add units (FLA/FLB).
-    FpUnit,
-    /// One of the two effective-address generators (EAGA/EAGB).
-    Agu,
-    /// The branch-resolution unit.
-    Branch,
-}
-
 impl OpClass {
     /// Whether the instruction reads or writes memory.
     pub fn is_mem(self) -> bool {
@@ -136,16 +123,6 @@ impl OpClass {
             OpClass::Load | OpClass::Store => Some(RsKind::Rsa),
             OpClass::BranchCond | OpClass::BranchUncond => Some(RsKind::Rsbr),
             OpClass::Nop => None,
-        }
-    }
-
-    /// The execution-unit family used after dispatch, or `None` for `Nop`.
-    pub fn exec_unit(self) -> Option<ExecUnit> {
-        match self.rs_kind()? {
-            RsKind::Rse => Some(ExecUnit::IntUnit),
-            RsKind::Rsf => Some(ExecUnit::FpUnit),
-            RsKind::Rsa => Some(ExecUnit::Agu),
-            RsKind::Rsbr => Some(ExecUnit::Branch),
         }
     }
 
@@ -186,10 +163,8 @@ mod tests {
         for op in ALL_OP_CLASSES {
             if op == OpClass::Nop {
                 assert!(op.rs_kind().is_none());
-                assert!(op.exec_unit().is_none());
             } else {
                 assert!(op.rs_kind().is_some(), "{op} must map to an RS");
-                assert!(op.exec_unit().is_some(), "{op} must map to a unit");
             }
         }
     }
@@ -198,7 +173,6 @@ mod tests {
     fn memory_ops_use_the_address_generation_station() {
         assert_eq!(OpClass::Load.rs_kind(), Some(RsKind::Rsa));
         assert_eq!(OpClass::Store.rs_kind(), Some(RsKind::Rsa));
-        assert_eq!(OpClass::Load.exec_unit(), Some(ExecUnit::Agu));
     }
 
     #[test]

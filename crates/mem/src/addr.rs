@@ -27,14 +27,6 @@ pub fn page_of(addr: u64) -> u64 {
     addr / PAGE_BYTES
 }
 
-/// Whether an access of `width` bytes at `addr` crosses a line boundary.
-///
-/// The SPARC64 V load/store unit splits such accesses; the model charges
-/// them as two cache accesses.
-pub fn crosses_line(addr: u64, width: u64) -> bool {
-    width > 0 && line_of(addr) != line_of(addr + width - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,14 +44,5 @@ mod tests {
         assert_eq!(page_of(0), 0);
         assert_eq!(page_of(8 * 1024), 1);
         assert_eq!(page_of(8 * 1024 - 1), 0);
-    }
-
-    #[test]
-    fn line_crossing() {
-        assert!(!crosses_line(0, 8));
-        assert!(!crosses_line(56, 8));
-        assert!(crosses_line(60, 8));
-        assert!(!crosses_line(63, 1));
-        assert!(!crosses_line(100, 0));
     }
 }

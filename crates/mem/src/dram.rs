@@ -10,8 +10,6 @@
 pub struct Dram {
     latency: u32,
     banks: Vec<u64>, // next-free cycle per bank
-    accesses: u64,
-    total_wait: u64,
 }
 
 impl Dram {
@@ -26,8 +24,6 @@ impl Dram {
         Dram {
             latency,
             banks: vec![0; banks as usize],
-            accesses: 0,
-            total_wait: 0,
         }
     }
 
@@ -42,28 +38,7 @@ impl Dram {
         let begin = start.max(self.banks[bank]);
         let done = begin + self.latency as u64;
         self.banks[bank] = done;
-        self.accesses += 1;
-        self.total_wait += begin - start;
         done
-    }
-
-    /// Configured access latency (cycles).
-    pub fn latency(&self) -> u32 {
-        self.latency
-    }
-
-    /// Total accesses served.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Mean cycles an access waited for its bank.
-    pub fn mean_bank_wait(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.total_wait as f64 / self.accesses as f64
-        }
     }
 }
 
@@ -85,7 +60,6 @@ mod tests {
         let second = d.access(0, 4 * LINE_BYTES); // maps to bank 0 again
         assert_eq!(first, 100);
         assert_eq!(second, 200);
-        assert!(d.mean_bank_wait() > 0.0);
     }
 
     #[test]
@@ -95,6 +69,5 @@ mod tests {
         let b = d.access(0, LINE_BYTES); // bank 1
         assert_eq!(a, 100);
         assert_eq!(b, 100);
-        assert_eq!(d.mean_bank_wait(), 0.0);
     }
 }

@@ -3,7 +3,6 @@
 
 use super::{DataAccess, FetchAccess, MemorySystem};
 use crate::addr::line_of;
-use s64v_observe::{CacheLevel, ObsEvent};
 
 /// Completion time assigned to a fill dropped by fault injection: far
 /// enough out that the request never completes within any realistic run.
@@ -30,13 +29,6 @@ impl MemorySystem {
 
         if self.cfg.perfect_l1 {
             self.cores[core].stats.l1i.record(true);
-            self.emit(ObsEvent::CacheAccess {
-                core: core as u32,
-                cycle: now,
-                level: CacheLevel::L1I,
-                hit: true,
-                is_store: false,
-            });
             return FetchAccess {
                 ready_at: t + lat,
                 l1_hit: true,
@@ -48,13 +40,6 @@ impl MemorySystem {
         let line = line_of(pc);
         let hit = self.cores[core].l1i.access(pc);
         self.cores[core].stats.l1i.record(hit);
-        self.emit(ObsEvent::CacheAccess {
-            core: core as u32,
-            cycle: now,
-            level: CacheLevel::L1I,
-            hit,
-            is_store: false,
-        });
         if hit {
             let mut ready = t + lat;
             if let Some(p) = self.cores[core].l1i_mshr.pending_completion(line) {
@@ -82,24 +67,9 @@ impl MemorySystem {
             };
         }
         let stall_until = self.cores[core].l1i_mshr.next_free_at(miss_seen_at);
-        let retired = self.cores[core].l1i_mshr.retire_completed(stall_until);
-        if retired > 0 {
-            self.emit(ObsEvent::MshrRetire {
-                core: core as u32,
-                cycle: stall_until,
-                level: CacheLevel::L1I,
-                retired: retired as u32,
-            });
-        }
+        self.cores[core].l1i_mshr.retire_completed(stall_until);
         let fill = self.fill_l2(core, line, stall_until, false, false);
         self.cores[core].l1i_mshr.allocate(line, fill.ready_at);
-        self.emit(ObsEvent::MshrAlloc {
-            core: core as u32,
-            cycle: stall_until,
-            level: CacheLevel::L1I,
-            line,
-            ready_at: fill.ready_at,
-        });
         if let Some(ev) = self.cores[core].l1i.fill(pc, false) {
             // Instruction lines are never dirty; nothing to write back.
             debug_assert!(!ev.dirty);
@@ -150,7 +120,7 @@ impl MemorySystem {
         let lat = self.cfg.l1d.latency as u64;
 
         if self.cfg.perfect_l1 {
-            self.record_l1d(core, true, is_store, now);
+            self.record_l1d(core, true, is_store);
             return DataAccess {
                 ready_at: t + lat,
                 l1_hit: true,
@@ -163,7 +133,7 @@ impl MemorySystem {
 
         let line = line_of(addr);
         let hit = self.cores[core].l1d.access(addr);
-        self.record_l1d(core, hit, is_store, now);
+        self.record_l1d(core, hit, is_store);
 
         if hit {
             if is_store {
@@ -207,24 +177,9 @@ impl MemorySystem {
         }
         let stall_until = self.cores[core].l1d_mshr.next_free_at(miss_seen_at);
         let l1_mshr_wait = stall_until > miss_seen_at;
-        let retired = self.cores[core].l1d_mshr.retire_completed(stall_until);
-        if retired > 0 {
-            self.emit(ObsEvent::MshrRetire {
-                core: core as u32,
-                cycle: stall_until,
-                level: CacheLevel::L1D,
-                retired: retired as u32,
-            });
-        }
+        self.cores[core].l1d_mshr.retire_completed(stall_until);
         let fill = self.fill_l2(core, line, stall_until, is_store, false);
         self.cores[core].l1d_mshr.allocate(line, fill.ready_at);
-        self.emit(ObsEvent::MshrAlloc {
-            core: core as u32,
-            cycle: stall_until,
-            level: CacheLevel::L1D,
-            line,
-            ready_at: fill.ready_at,
-        });
         if let Some(ev) = self.cores[core].l1d.fill(addr, is_store) {
             if ev.dirty {
                 // Copy-back into the (inclusive) L2: structural only; the
@@ -253,7 +208,7 @@ impl MemorySystem {
         }
     }
 
-    fn record_l1d(&mut self, core: usize, hit: bool, is_store: bool, now: u64) {
+    fn record_l1d(&mut self, core: usize, hit: bool, is_store: bool) {
         let stats = &mut self.cores[core].stats;
         stats.l1d.record(hit);
         if is_store {
@@ -261,13 +216,6 @@ impl MemorySystem {
         } else {
             stats.l1d_loads.record(hit);
         }
-        self.emit(ObsEvent::CacheAccess {
-            core: core as u32,
-            cycle: now,
-            level: CacheLevel::L1D,
-            hit,
-            is_store,
-        });
     }
 
     // ----- functional warming --------------------------------------------

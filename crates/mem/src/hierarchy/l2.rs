@@ -5,7 +5,6 @@ use super::MemorySystem;
 use crate::addr::line_of;
 use crate::bus::BusOp;
 use crate::coherence::ReadOutcome;
-use s64v_observe::{CacheLevel, ObsEvent};
 
 #[derive(Debug, Clone, Copy)]
 pub(super) struct L2Fill {
@@ -46,13 +45,6 @@ impl MemorySystem {
             if !is_prefetch {
                 self.cores[core].stats.l2_demand.record(true);
             }
-            self.emit(ObsEvent::CacheAccess {
-                core: core as u32,
-                cycle: t,
-                level: CacheLevel::L2,
-                hit: true,
-                is_store: write_intent,
-            });
             return L2Fill {
                 ready_at: t + l2_lat,
                 hit: true,
@@ -66,13 +58,6 @@ impl MemorySystem {
         if !is_prefetch {
             self.cores[core].stats.l2_demand.record(hit);
         }
-        self.emit(ObsEvent::CacheAccess {
-            core: core as u32,
-            cycle: t,
-            level: CacheLevel::L2,
-            hit,
-            is_store: write_intent,
-        });
 
         if hit {
             if self.cores[core].prefetched_lines.remove(&line_addr) && !is_prefetch {
@@ -121,15 +106,7 @@ impl MemorySystem {
         let miss_seen_at = t + l2_lat;
         let t = self.cores[core].l2_mshr.next_free_at(miss_seen_at);
         let l2_mshr_wait = t > miss_seen_at;
-        let retired = self.cores[core].l2_mshr.retire_completed(t);
-        if retired > 0 {
-            self.emit(ObsEvent::MshrRetire {
-                core: core as u32,
-                cycle: t,
-                level: CacheLevel::L2,
-                retired: retired as u32,
-            });
-        }
+        self.cores[core].l2_mshr.retire_completed(t);
         self.bus_queued = false;
         let data_at = if self.smp {
             self.miss_coherent(core, line_addr, t, write_intent)
@@ -139,13 +116,6 @@ impl MemorySystem {
         let bus_wait = self.bus_queued;
 
         self.cores[core].l2_mshr.allocate(line_addr, data_at);
-        self.emit(ObsEvent::MshrAlloc {
-            core: core as u32,
-            cycle: t,
-            level: CacheLevel::L2,
-            line: line_addr,
-            ready_at: data_at,
-        });
         let ev = {
             let cm = &mut self.cores[core];
             let (l1d, l1i) = (&cm.l1d, &cm.l1i);

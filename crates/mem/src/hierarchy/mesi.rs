@@ -5,7 +5,6 @@
 use super::MemorySystem;
 use crate::bus::BusOp;
 use crate::coherence::{Mesi, ReadOutcome};
-use s64v_observe::{CohAction, ObsEvent};
 
 impl MemorySystem {
     pub(super) fn miss_coherent(
@@ -27,33 +26,13 @@ impl MemorySystem {
             if let Some(owner) = w.move_out_from {
                 self.cores[owner].stats.coherence.move_outs_out.incr();
                 self.cores[core].stats.coherence.move_outs_in.incr();
-                self.emit(ObsEvent::Coherence {
-                    core: core as u32,
-                    cycle: t,
-                    line: line_addr,
-                    action: CohAction::MoveOut {
-                        owner: owner as u32,
-                    },
-                });
                 self.move_out_transfer(core, owner, t)
             } else {
-                self.emit(ObsEvent::Coherence {
-                    core: core as u32,
-                    cycle: t,
-                    line: line_addr,
-                    action: CohAction::WriteMiss,
-                });
                 self.miss_from_memory(core, line_addr, t, snoop)
             }
         } else {
             match self.dir.read(core, line_addr) {
                 ReadOutcome::FromMemory | ReadOutcome::SharedFill => {
-                    self.emit(ObsEvent::Coherence {
-                        core: core as u32,
-                        cycle: t,
-                        line: line_addr,
-                        action: CohAction::ReadShared,
-                    });
                     self.miss_from_memory(core, line_addr, t, snoop)
                 }
                 ReadOutcome::MoveOut { owner } => {
@@ -62,14 +41,6 @@ impl MemorySystem {
                     // The owner keeps a now-clean copy (M→S downgrade).
                     self.cores[owner].l2.mark_clean(line_addr);
                     self.cores[owner].l1d.invalidate(line_addr);
-                    self.emit(ObsEvent::Coherence {
-                        core: core as u32,
-                        cycle: t,
-                        line: line_addr,
-                        action: CohAction::MoveOut {
-                            owner: owner as u32,
-                        },
-                    });
                     self.move_out_transfer(core, owner, t)
                 }
             }
@@ -163,12 +134,6 @@ impl MemorySystem {
                     .invalidations_caused
                     .add(w.invalidations as u64);
                 self.invalidate_remote_copies(core, line_addr);
-                self.emit(ObsEvent::Coherence {
-                    core: core as u32,
-                    cycle: ready,
-                    line: line_addr,
-                    action: CohAction::Upgrade,
-                });
                 let snoop = self.cfg.snoop_latency as u64;
                 if let Some(owner) = w.move_out_from {
                     self.cores[owner].stats.coherence.move_outs_out.incr();

@@ -22,8 +22,8 @@
 //! L1I and L1D: `fetch`, `load`/`store`, `warm_fetch`, `warm_data`),
 //! `l2.rs` (the L2, its MSHR file and the prefetcher), `offchip.rs` (the
 //! backplane and board buses and DRAM) and `mesi.rs` (the directory glue:
-//! coherent misses, move-outs, ownership). `mod.rs` holds the state, its
-//! construction and `fork`, and the snapshots, audits and fault hooks.
+//! coherent misses, move-outs, ownership). `mod.rs` holds the state and
+//! its construction, and the snapshots, audits and fault hooks.
 
 use crate::bus::SystemBus;
 use crate::cache::{BankSelector, Cache, MshrFile};
@@ -33,7 +33,7 @@ use crate::dram::Dram;
 use crate::prefetch::StridePrefetcher;
 use crate::stats::MemStats;
 use crate::tlb::Tlb;
-use s64v_observe::{ObsEvent, Probe};
+use s64v_observe::BusTransfer;
 use std::collections::HashSet;
 
 mod l1;
@@ -191,6 +191,10 @@ impl CoreMem {
     }
 }
 
+/// How many bus transfers [`MemorySystem::log_bus`] keeps: the first
+/// 2^20 (32 MB), more than a 16-CPU TPC-C run at default sizes grants.
+pub const BUS_LOG_CAP: usize = 1 << 20;
+
 /// The complete memory system for one or more CPUs.
 ///
 /// # Examples
@@ -204,7 +208,13 @@ impl CoreMem {
 /// let again = mem.load(0, 0x1000, first.ready_at);
 /// assert!(again.l1_hit);
 /// ```
-#[derive(Debug)]
+///
+/// A clone is a deep copy of every structure — caches, TLBs, MSHR files,
+/// prefetchers, directory, buses, DRAM, statistics and the warm memos. A
+/// clone of a functionally warmed system is indistinguishable from one
+/// warmed afresh over the same records, which is what lets one warming
+/// pass serve many detailed windows.
+#[derive(Debug, Clone)]
 pub struct MemorySystem {
     cfg: MemConfig,
     cores: Vec<CoreMem>,
@@ -224,8 +234,10 @@ pub struct MemorySystem {
     untracked: Vec<usize>,
     /// Per-CPU "drop the next fill" fault flags (fault injection only).
     drop_fill: Vec<bool>,
-    /// Optional structured-event sink (pure observer, see `s64v-observe`).
-    probe: Option<Box<dyn Probe>>,
+    /// The bus transfers granted since [`MemorySystem::log_bus`], at most
+    /// [`BUS_LOG_CAP`] of them; `None` when not logging. Pure observation:
+    /// a grant is logged after it is decided.
+    bus_log: Option<Vec<BusTransfer>>,
     /// Generation counter guarding the per-core warm memos: bumped by
     /// every timed access and by any warm-path eviction/coherence action,
     /// so a memo is only honoured while nothing else has touched the
@@ -272,33 +284,10 @@ impl MemorySystem {
                 Vec::new()
             },
             drop_fill: vec![false; cores],
-            probe: None,
+            bus_log: None,
             warm_epoch: 0,
             bus_queued: false,
             cfg,
-        }
-    }
-
-    /// A deep copy of every structure — caches, TLBs, MSHR files,
-    /// prefetchers, directory, buses, DRAM, statistics and the warm memos
-    /// — with no probe attached. A fork of a functionally warmed system
-    /// is indistinguishable from one warmed afresh over the same records,
-    /// which is what lets one warming pass serve many detailed windows.
-    pub fn fork(&self) -> Self {
-        MemorySystem {
-            cfg: self.cfg.clone(),
-            cores: self.cores.clone(),
-            bus: self.bus.clone(),
-            boards: self.boards.clone(),
-            dram: self.dram.clone(),
-            dir: self.dir.clone(),
-            smp: self.smp,
-            l1d_banks: self.l1d_banks,
-            untracked: self.untracked.clone(),
-            drop_fill: self.drop_fill.clone(),
-            probe: None,
-            warm_epoch: self.warm_epoch,
-            bus_queued: self.bus_queued,
         }
     }
 
@@ -329,22 +318,16 @@ impl MemorySystem {
         &self.bus
     }
 
-    /// Attaches a structured-event [`Probe`]. Probes only observe: every
-    /// access outcome and completion time is identical with or without
-    /// one attached (the timed paths below emit *after* deciding).
-    pub fn attach_probe(&mut self, probe: Box<dyn Probe>) {
-        self.probe = Some(probe);
+    /// Starts logging granted bus transfers (the first [`BUS_LOG_CAP`];
+    /// later ones are not kept), discarding any earlier log.
+    pub fn log_bus(&mut self) {
+        self.bus_log = Some(Vec::new());
     }
 
-    /// Detaches and returns the probe, if one was attached.
-    pub fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        self.probe.take()
-    }
-
-    fn emit(&mut self, ev: ObsEvent) {
-        if let Some(p) = self.probe.as_mut() {
-            p.event(ev);
-        }
+    /// Stops logging and returns the transfers logged, in the order
+    /// their grants were computed (empty if nothing was logging).
+    pub fn take_bus_log(&mut self) -> Vec<BusTransfer> {
+        self.bus_log.take().unwrap_or_default()
     }
 
     // ----- integrity: snapshots, audits, fault hooks ---------------------

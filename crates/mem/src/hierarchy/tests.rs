@@ -1,4 +1,5 @@
 use super::*;
+use crate::bus::BusOp;
 
 fn up() -> MemorySystem {
     MemorySystem::new(MemConfig::sparc64_v(), 1)
@@ -169,28 +170,44 @@ fn smp_store_invalidates_remote_copies() {
 }
 
 #[test]
-fn probes_observe_without_perturbing() {
+fn logging_bus_transfers_does_not_perturb_accesses() {
     let mut plain = up();
-    let mut observed = up();
-    observed.attach_probe(Box::new(s64v_observe::EventLog::with_capacity(100_000)));
+    let mut logged = up();
+    logged.log_bus();
     let (mut t1, mut t2) = (0, 0);
     for i in 0..64u64 {
         let a = plain.load(0, i * 64, t1);
-        let b = observed.load(0, i * 64, t2);
-        assert_eq!(a, b, "observation must not change access outcomes");
+        let b = logged.load(0, i * 64, t2);
+        assert_eq!(a, b, "logging must not change access outcomes");
         t1 = a.ready_at + 1;
         t2 = b.ready_at + 1;
         let f1 = plain.fetch(0, 0x40_0000 + i * 64, t1);
-        let f2 = observed.fetch(0, 0x40_0000 + i * 64, t2);
+        let f2 = logged.fetch(0, 0x40_0000 + i * 64, t2);
         assert_eq!(f1, f2);
     }
-    let log = observed.take_probe().expect("attached").into_events();
-    for kind in ["cache", "mshr-alloc", "bus-grant"] {
-        assert!(
-            log.iter().any(|e| e.kind() == kind),
-            "no {kind} events recorded"
-        );
+    assert_eq!(
+        format!("{:?}", plain.stats(0)),
+        format!("{:?}", logged.stats(0))
+    );
+    assert!(!logged.take_bus_log().is_empty(), "the misses used the bus");
+    assert!(plain.take_bus_log().is_empty(), "nothing logs unasked");
+}
+
+#[test]
+fn the_bus_log_keeps_the_first_transfers() {
+    let mut m = up();
+    m.log_bus();
+    for i in 0..BUS_LOG_CAP as u64 + 3 {
+        m.req_backplane(i * 100, BusOp::Command, 0);
     }
+    let log = m.take_bus_log();
+    assert_eq!(log.len(), BUS_LOG_CAP);
+    assert_eq!(log[0].requested_at, 0);
+    assert_eq!(
+        log[BUS_LOG_CAP - 1].requested_at,
+        (BUS_LOG_CAP as u64 - 1) * 100
+    );
+    assert!(m.take_bus_log().is_empty(), "taking the log stops logging");
 }
 
 #[test]

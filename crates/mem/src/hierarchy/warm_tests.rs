@@ -31,7 +31,7 @@ fn fork_copies_warm_state_and_then_diverges_independently() {
     };
     let mut original = MemorySystem::new(MemConfig::sparc64_v(), 1);
     warm(&mut original, 0..200);
-    let mut fork = original.fork();
+    let mut fork = original.clone();
     // Timed traffic on the fork leaves the original untouched ...
     let timed: Vec<DataAccess> = (0..300u64)
         .map(|i| fork.load(0, 0x4000 + i * 64, 10 + i))
@@ -42,7 +42,7 @@ fn fork_copies_warm_state_and_then_diverges_independently() {
     warm(&mut original, 200..400);
     let mut fresh = MemorySystem::new(MemConfig::sparc64_v(), 1);
     warm(&mut fresh, 0..400);
-    let mut late = original.fork();
+    let mut late = original.clone();
     for i in 0..500u64 {
         assert_eq!(
             late.load(0, 0x4000 + i * 64, 10 + i),
@@ -72,7 +72,7 @@ fn a_fork_renders_as_its_original_and_shares_no_storage_with_it() {
     };
     let mut original = MemorySystem::new(MemConfig::sparc64_v(), 1);
     churn(&mut original, 0);
-    let mut fork = original.fork();
+    let mut fork = original.clone();
     let rendered = format!("{original:?}");
     assert_eq!(format!("{fork:?}"), rendered);
     // Neither side can reach the other's arrays: whatever one does,

@@ -37,6 +37,6 @@ pub mod tlb;
 
 pub use config::{BusTopology, CacheGeometry, L2Location, MemConfig};
 pub use hierarchy::{
-    CoreMemSnapshot, DataAccess, FetchAccess, MemSnapshot, MemorySystem, MshrLevel,
+    CoreMemSnapshot, DataAccess, FetchAccess, MemSnapshot, MemorySystem, MshrLevel, BUS_LOG_CAP,
 };
 pub use stats::{CacheStats, MemStats};

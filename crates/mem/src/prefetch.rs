@@ -129,11 +129,6 @@ impl StridePrefetcher {
             }
         }
     }
-
-    /// Number of streams currently tracked.
-    pub fn active_streams(&self) -> usize {
-        self.streams.len()
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +180,7 @@ mod tests {
         for i in 0..10 {
             pf.on_demand_miss(i << 22);
         }
-        assert!(pf.active_streams() <= 2);
+        assert!(pf.streams.len() <= 2);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! - counter (`"C"`) tracks from the interval samples: aggregate IPC and
 //!   backplane-bus utilization over time.
 
-use crate::event::{BusId, ObsEvent};
+use crate::bus::BusId;
 use crate::json::Value;
 use crate::RunObservation;
 
@@ -106,35 +106,30 @@ pub fn perfetto_trace(obs: &RunObservation) -> Value {
         }
     }
 
+    // Slices in request order; a stable sort keeps the memory system's
+    // order among requests made on the same cycle.
+    let mut transfers: Vec<_> = obs.bus.iter().collect();
+    transfers.sort_by_key(|t| t.requested_at);
     let mut bus_pids_named = std::collections::BTreeSet::new();
-    for ev in &obs.events {
-        if let ObsEvent::BusGrant {
-            bus,
-            cycle,
-            line_transfer,
-            granted_at,
-            done_at,
-        } = *ev
-        {
-            let (pid, name) = match bus {
-                BusId::Backplane => (BUS_PID, "backplane bus".to_string()),
-                BusId::Board(i) => (BUS_PID + 1 + i as i64, format!("board {i} bus")),
-            };
-            if bus_pids_named.insert(pid) {
-                events.push(meta("process_name", pid, 0, &name));
-            }
-            events.push(slice(
-                if line_transfer { "line" } else { "cmd" },
-                "bus",
-                pid,
-                0,
-                granted_at,
-                done_at - granted_at,
-                Value::obj()
-                    .field("requested_at", cycle)
-                    .field("queue_delay", granted_at - cycle),
-            ));
+    for t in transfers {
+        let (pid, name) = match t.bus {
+            BusId::Backplane => (BUS_PID, "backplane bus".to_string()),
+            BusId::Board(i) => (BUS_PID + 1 + i as i64, format!("board {i} bus")),
+        };
+        if bus_pids_named.insert(pid) {
+            events.push(meta("process_name", pid, 0, &name));
         }
+        events.push(slice(
+            if t.line_transfer { "line" } else { "cmd" },
+            "bus",
+            pid,
+            0,
+            t.granted_at,
+            t.done_at - t.granted_at,
+            Value::obj()
+                .field("requested_at", t.requested_at)
+                .field("queue_delay", t.granted_at - t.requested_at),
+        ));
     }
 
     for s in &obs.intervals {
@@ -165,26 +160,27 @@ pub fn perfetto_json(obs: &RunObservation) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bus::BusTransfer;
     use crate::interval::{CpuInterval, IntervalSample};
     use crate::stage::InstrTimeline;
     use s64v_isa::OpClass;
 
     fn observation() -> RunObservation {
         RunObservation {
-            events: vec![
-                ObsEvent::BusGrant {
-                    bus: BusId::Backplane,
-                    cycle: 10,
-                    line_transfer: true,
-                    granted_at: 12,
-                    done_at: 28,
-                },
-                ObsEvent::BusGrant {
+            bus: vec![
+                BusTransfer {
                     bus: BusId::Board(0),
-                    cycle: 30,
+                    requested_at: 30,
                     line_transfer: false,
                     granted_at: 30,
                     done_at: 34,
+                },
+                BusTransfer {
+                    bus: BusId::Backplane,
+                    requested_at: 10,
+                    line_transfer: true,
+                    granted_at: 12,
+                    done_at: 28,
                 },
             ],
             intervals: vec![IntervalSample {
@@ -273,6 +269,14 @@ mod tests {
             .filter_map(|e| e.get("pid").and_then(Value::as_i64))
             .collect();
         assert_eq!(bus_pids.len(), 2);
+
+        // Bus slices come in request order, whatever order they were logged.
+        let requested: Vec<i64> = events
+            .iter()
+            .filter(|e| e.get("cat").and_then(Value::as_str) == Some("bus"))
+            .filter_map(|e| e.get("args")?.get("requested_at")?.as_i64())
+            .collect();
+        assert_eq!(requested, [10, 30]);
     }
 
     #[test]

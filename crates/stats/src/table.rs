@@ -56,11 +56,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of `Display` values.
-    pub fn row_of<D: fmt::Display>(&mut self, cells: &[D]) -> &mut Self {
-        self.row(cells.iter().map(|c| c.to_string()).collect())
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -137,17 +132,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats a float with a fixed number of decimals (report helper).
-pub fn fmt_f(value: f64, decimals: usize) -> String {
-    format!("{value:.decimals$}")
-}
-
-/// Formats a signed percentage like the paper's figure captions, e.g.
-/// `-5.6%`.
-pub fn fmt_pct(value: f64) -> String {
-    format!("{value:+.1}%")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,7 +139,7 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::with_headers(&["a", "bb"]);
-        t.row_of(&["xxxx", "y"]);
+        t.row(vec!["xxxx".into(), "y".into()]);
         let s = t.to_string();
         let lines: Vec<_> = s.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -177,12 +161,5 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"a,b\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(fmt_f(1.23456, 2), "1.23");
-        assert_eq!(fmt_pct(-5.6), "-5.6%");
-        assert_eq!(fmt_pct(2.0), "+2.0%");
     }
 }

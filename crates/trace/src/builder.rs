@@ -44,12 +44,6 @@ impl TraceBuilder {
         self.pc
     }
 
-    /// Forces the program counter (models a trap or context switch whose
-    /// redirect is not expressed as a branch instruction).
-    pub fn set_pc(&mut self, pc: u64) {
-        self.pc = pc;
-    }
-
     /// Appends an instruction at the current pc and advances.
     pub fn push(&mut self, instr: Instr) -> &mut Self {
         let rec = TraceRecord::new(self.pc, instr);
@@ -104,15 +98,5 @@ mod tests {
         b.push(Instr::alu(OpClass::IntAlu, Reg::int(1), &[]));
         let t = b.finish();
         assert_eq!(t.records()[1].pc, 0x104);
-    }
-
-    #[test]
-    fn set_pc_models_traps() {
-        let mut b = TraceBuilder::new(0x100);
-        b.push(Instr::nop());
-        b.set_pc(0xffff_0000);
-        b.push(Instr::special().kernel());
-        let t = b.finish();
-        assert_eq!(t.records()[1].pc, 0xffff_0000);
     }
 }

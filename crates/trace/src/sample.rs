@@ -76,11 +76,6 @@ impl SamplePlan {
         }
         out
     }
-
-    /// Total records simulated in detail over a trace of `trace_len`.
-    pub fn sampled_records(&self, trace_len: u64) -> u64 {
-        self.windows(trace_len).iter().map(|&(_, len)| len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +94,6 @@ mod tests {
             assert_eq!(start, phase + 100 * i as u64);
             assert!(len <= 20 && len > 0);
         }
-        assert_eq!(p.sampled_records(1_000), w.iter().map(|&(_, l)| l).sum());
     }
 
     #[test]
@@ -108,7 +102,6 @@ mod tests {
         // window == period: zero slack, phase 0, windows tile the trace.
         assert_eq!(p.phase(), 0);
         assert_eq!(p.windows(25), vec![(0, 10), (10, 10), (20, 5)]);
-        assert_eq!(p.sampled_records(25), 25);
         assert!(p.windows(0).is_empty());
     }
 

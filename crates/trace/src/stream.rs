@@ -21,42 +21,6 @@ pub trait TraceStream {
     fn remaining_hint(&self) -> Option<u64> {
         None
     }
-
-    /// Adapts this stream to stop after `limit` records.
-    fn take_records(self, limit: u64) -> Take<Self>
-    where
-        Self: Sized,
-    {
-        Take {
-            inner: self,
-            remaining: limit,
-        }
-    }
-}
-
-/// Stream adaptor returned by [`TraceStream::take_records`].
-#[derive(Debug, Clone)]
-pub struct Take<S> {
-    inner: S,
-    remaining: u64,
-}
-
-impl<S: TraceStream> TraceStream for Take<S> {
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let r = self.inner.next_record()?;
-        self.remaining -= 1;
-        Some(r)
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        match self.inner.remaining_hint() {
-            Some(inner) => Some(inner.min(self.remaining)),
-            None => Some(self.remaining),
-        }
-    }
 }
 
 /// An owned, fully materialized trace.
@@ -180,25 +144,6 @@ impl TraceStream for SliceStream<'_> {
     }
 }
 
-/// Adapts any iterator of records into a [`TraceStream`].
-#[derive(Debug, Clone)]
-pub struct IterStream<I> {
-    iter: I,
-}
-
-impl<I: Iterator<Item = TraceRecord>> IterStream<I> {
-    /// Wraps an iterator.
-    pub fn new(iter: I) -> Self {
-        IterStream { iter }
-    }
-}
-
-impl<I: Iterator<Item = TraceRecord>> TraceStream for IterStream<I> {
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        self.iter.next()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,32 +168,10 @@ mod tests {
     }
 
     #[test]
-    fn take_limits_records() {
-        let t = nops(10);
-        let mut s = t.stream().take_records(4);
-        assert_eq!(s.remaining_hint(), Some(4));
-        let mut n = 0;
-        while s.next_record().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 4);
-    }
-
-    #[test]
     fn vec_trace_collects_and_extends() {
         let mut t: VecTrace = nops(2).into_iter().collect();
         t.extend(nops(3));
         assert_eq!(t.len(), 5);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn iter_stream_adapts_iterators() {
-        let mut s = IterStream::new(nops(5).into_iter());
-        let mut n = 0;
-        while s.next_record().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 5);
     }
 }

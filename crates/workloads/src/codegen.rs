@@ -291,11 +291,6 @@ impl StaticCode {
         ((self.pcs[id + 1] - self.pcs[id]) / TraceRecord::INSTR_BYTES) as usize
     }
 
-    /// Total code bytes (footprint).
-    pub fn code_bytes(&self) -> u64 {
-        self.pcs[self.blocks()] - self.pcs[0]
-    }
-
     /// Picks the next loop: (first block index, block count, iterations).
     pub fn choose_loop(&self, rng: &mut StdRng) -> (usize, usize, u32) {
         let spec = &self.spec;
@@ -422,7 +417,6 @@ mod tests {
             let branch = out.last().expect("a block ends with a branch");
             assert_eq!(branch.next_pc(), code.pc_start(id + 1), "taken or not");
         }
-        assert!(code.code_bytes() > 0);
     }
 
     #[test]

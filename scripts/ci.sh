@@ -79,10 +79,14 @@ echo "== observability smoke campaign (trace + metrics artifacts must validate)"
 OBS_SCRATCH=target/ci-observe
 rm -rf "$OBS_SCRATCH"
 S64V_RECORDS=8000 S64V_WARMUP=40000 \
+S64V_SMP_CPUS=2 S64V_SMP_RECORDS=4000 S64V_SMP_WARMUP=20000 \
 S64V_SEED=42 S64V_RESULTS_DIR="$OBS_SCRATCH/results" \
 cargo run --release -p s64v-harness --bin campaign -- \
-    --figures fig08_issue_width \
+    --figures fig08_issue_width,ablation_bus \
     --trace "" --metrics --cache-dir "$OBS_SCRATCH/cache" --quiet > /dev/null
+# ablation_bus's board + backplane points must have drawn board-bus
+# transfers into their Perfetto traces.
+grep -l '"board 0 bus"' "$OBS_SCRATCH"/cache/*.trace.json > /dev/null
 # Every point must have written all four artifacts (the top-down
 # .cpi.json stacks ride along on every simulating campaign); validate
 # them all in one invocation (an unmatched glob reaches the validator as
