@@ -833,7 +833,7 @@ mod tests {
     #[test]
     fn the_hot_entry_is_one_cache_line() {
         // A third of the 200-byte `InstrState` it replaced, which also
-        // held the 56-byte record now kept beside it.
+        // held the trace record (32 bytes) now kept beside it.
         assert_eq!(std::mem::size_of::<Entry>(), 64);
     }
 }

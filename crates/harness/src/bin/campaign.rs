@@ -34,14 +34,7 @@
 //! `s64v-explore` for the spec grammar): the grid is pruned statically,
 //! screened at short trace length, successively halved up to full
 //! length, and the winner plus Pareto frontier land as a structured
-//! report on stdout (and in the report cache). `serve` is the long-lived
-//! variant: it reads queries from stdin — one per line, either a path to
-//! a spec file or an inline JSON object — streams search events to
-//! stderr, and emits one compact report JSON per query on stdout. It
-//! drains gracefully: stdin EOF or SIGINT finishes the in-flight query
-//! (journals and caches are flushed per write), prints a final
-//! `served/rejected/failed/quarantined` summary line, and exits 0 on a
-//! clean drain.
+//! report on stdout (and in the report cache).
 //!
 //! `perf` is the regression observatory: it diffs two performance
 //! sources — each a campaign cache directory (aggregating its
@@ -55,6 +48,8 @@
 //! render (including a model verification mismatch), any journaled
 //! failure from a previous run is still unresolved, or any exploration
 //! query had failed points.
+
+#![forbid(unsafe_code)]
 
 use s64v_core::{ChaosPlan, SystemConfig};
 use s64v_explore::{ExploreEvent, ExploreReport, ExploreSpec};
@@ -72,9 +67,8 @@ use s64v_harness::validate::{
 };
 use s64v_observe::json::Value;
 use s64v_workloads::SuiteKind;
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -288,7 +282,7 @@ fn print_explore_event(event: &ExploreEvent) {
     }
 }
 
-/// How the `explore`/`serve` flags say to execute a query.
+/// How the `explore` flags say to execute a query.
 fn explore_opts(args: &Args) -> ExploreOpts {
     ExploreOpts {
         threads: threads(args),
@@ -304,7 +298,6 @@ fn answer_query(
     spec: &ExploreSpec,
     args: &Args,
     opts: &ExploreOpts,
-    compact: bool,
 ) -> Result<ExploreReport, String> {
     let quiet = args.has("--quiet");
     let report = with_printer(quiet, |tx| {
@@ -320,11 +313,7 @@ fn answer_query(
     } else {
         report.to_value()
     };
-    if compact {
-        println!("{doc}");
-    } else {
-        println!("{doc:#}");
-    }
+    println!("{doc:#}");
     std::io::stdout().flush().ok();
 
     if let Some(out) = args.text("--out").map(Path::new) {
@@ -333,9 +322,8 @@ fn answer_query(
             path.parent().map_or(Ok(()), std::fs::create_dir_all)?;
             std::fs::write(path, &text)
         };
-        // In serve mode --out names a directory; reports land under the
-        // query's name.
-        let path = if out.is_dir() || compact {
+        // An existing directory gets the report under the query's name.
+        let path = if out.is_dir() {
             out.join(format!("{}.explore.json", spec.name))
         } else {
             out.to_path_buf()
@@ -367,7 +355,7 @@ fn explore_main(args: &Args) -> ! {
         eprintln!("invalid spec {spec_path}: {e}");
         std::process::exit(2);
     });
-    let report = answer_query(&spec, args, &opts, false).unwrap_or_else(|e| {
+    let report = answer_query(&spec, args, &opts).unwrap_or_else(|e| {
         eprintln!("explore error: {e}");
         std::process::exit(2);
     });
@@ -376,115 +364,6 @@ fn explore_main(args: &Args) -> ! {
         eprintln!("explore FAILED: {failed} point(s) failed to simulate");
     }
     std::process::exit(i32::from(failed > 0));
-}
-
-/// Set by the SIGINT handler; the serve loop polls it between queries.
-static INTERRUPTED: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn note_sigint(_signum: i32) {
-    INTERRUPTED.store(true, Ordering::SeqCst);
-}
-
-/// Routes SIGINT to [`note_sigint`] so an interrupt drains the serve
-/// loop (finish the in-flight query, print the final summary) instead of
-/// killing the process mid-write. Raw `signal(2)` keeps the binary free
-/// of platform crates; a store to an atomic is async-signal-safe.
-#[cfg(unix)]
-fn install_sigint_handler() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    unsafe {
-        signal(SIGINT, note_sigint as extern "C" fn(i32) as usize);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_sigint_handler() {}
-
-fn serve_main(args: &Args) -> ! {
-    let opts = explore_opts(args);
-    install_sigint_handler();
-    eprintln!(
-        "serve: reading queries from stdin (one per line: a spec-file path, or inline JSON); \
-         ^D or ^C to finish"
-    );
-    // Stdin is read on a helper thread so the serve loop can notice a
-    // SIGINT that arrives while no query is pending; queries themselves
-    // run synchronously here, so an interrupt mid-query finishes that
-    // query (caches and journals flush per write) before draining.
-    let (line_tx, line_rx) = mpsc::channel::<std::io::Result<String>>();
-    std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            if line_tx.send(line).is_err() {
-                break;
-            }
-        }
-    });
-    let mut answered = 0usize;
-    let mut failed_queries = 0usize;
-    let mut failed_points = 0usize;
-    let mut quarantined = 0usize;
-    let mut clean_drain = true;
-    loop {
-        if INTERRUPTED.load(Ordering::SeqCst) {
-            eprintln!("serve: interrupt — draining");
-            break;
-        }
-        let line = match line_rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(Ok(l)) => l,
-            Ok(Err(e)) => {
-                eprintln!("serve: stdin error: {e}");
-                clean_drain = false;
-                break;
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        };
-        let query = line.trim();
-        if query.is_empty() || query.starts_with('#') {
-            continue;
-        }
-        let parsed = if query.starts_with('{') {
-            ExploreSpec::parse(query)
-        } else {
-            std::fs::read_to_string(query)
-                .map_err(|e| format!("cannot read {query}: {e}"))
-                .and_then(|text| ExploreSpec::parse(&text))
-        };
-        let spec = match parsed {
-            Ok(s) => s,
-            Err(e) => {
-                // A malformed query degrades the service, never kills it.
-                eprintln!("serve: bad query: {e}");
-                failed_queries += 1;
-                continue;
-            }
-        };
-        eprintln!("serve: query \"{}\" accepted", spec.name);
-        match answer_query(&spec, args, &opts, true) {
-            Ok(report) => {
-                answered += 1;
-                failed_points += report.execution.failed;
-                quarantined += report.execution.quarantined;
-            }
-            Err(e) => {
-                eprintln!("serve: query \"{}\" error: {e}", spec.name);
-                failed_queries += 1;
-            }
-        }
-    }
-    eprintln!(
-        "serve: {answered} answered, {failed_queries} rejected, {failed_points} failed point(s), \
-         {quarantined} quarantined"
-    );
-    std::process::exit(if failed_queries > 0 || failed_points > 0 || !clean_drain {
-        1
-    } else {
-        0
-    });
 }
 
 /// The soak gate's fixed campaign: small, fast, varied enough that
@@ -921,7 +800,6 @@ fn main() {
     }
     match mode {
         "explore" => explore_main(&args),
-        "serve" => serve_main(&args),
         "validate" => validate_main(&args, opts),
         "soak" => soak_main(&args),
         "perf" => perf_main(&args),

@@ -1,6 +1,6 @@
 //! The `campaign` command line, stated once: [`TABLE`] is the flag list
 //! exactly as `--help` prints it, and the same lines — flag, value name,
-//! help, accepting modes — are what [`parse`] admits for each of the six
+//! help, accepting modes — are what [`parse`] admits for each of the five
 //! modes, so the parser cannot drift from its help.
 
 use std::ops::RangeBounds;
@@ -9,10 +9,9 @@ use std::str::FromStr;
 /// The modes, in usage order: each one's name — what [`TABLE`] knows it
 /// by and the first argument that selects it (figures, the default, has
 /// no selecting word) — and what must follow `campaign` to run it.
-pub const MODES: [(&str, &str); 6] = [
+pub const MODES: [(&str, &str); 5] = [
     ("figures", ""),
     ("explore", "explore --spec FILE "),
-    ("serve", "serve "),
     ("validate", "validate "),
     ("soak", "soak "),
     ("perf", "perf BASE NEW "),
@@ -23,21 +22,20 @@ pub const MODES: [(&str, &str); 6] = [
 /// repeat for modes that read it differently.
 pub const TABLE: &str = "  --figures all|NAME,...   figures to run, in this order (default: all) [figures]
   --list                   print the figure names and exit [figures]
-  --threads N              worker threads (default: every core) [figures explore serve validate soak]
-  --cache-dir DIR          result cache and journal (default: results-cache) [figures explore serve validate]
-  --no-cache               neither read nor write a result cache [figures explore serve validate]
+  --threads N              worker threads (default: every core) [figures explore validate soak]
+  --cache-dir DIR          result cache and journal (default: results-cache) [figures explore validate]
+  --no-cache               neither read nor write a result cache [figures explore validate]
   --checked                run every point under the invariant auditor (same results) [figures validate]
   --trace PATTERN          trace points whose label contains PATTERN into the cache directory (repeatable) [figures]
   --metrics                write <fingerprint>.metrics.jsonl interval series for every point [figures]
-  --deadline SECS          wall-clock limit per point attempt [figures explore serve]
-  --cycle-budget N         simulated-cycle limit per attempt [figures explore serve]
-  --retries N              re-attempts before quarantine (default: 2) [figures explore serve]
+  --deadline SECS          wall-clock limit per point attempt [figures explore]
+  --cycle-budget N         simulated-cycle limit per attempt [figures explore]
+  --retries N              re-attempts before quarantine (default: 2) [figures explore]
   --check-artifact PATH    validate a written artifact by its extension and exit; runs nothing (repeatable) [figures]
   --spec FILE              the query to answer (JSON, see specs/*.explore.json) [explore]
   --out FILE               also write the full report here [explore validate]
-  --out DIR                also write DIR/<query name>.explore.json [serve]
-  --answer-only            print the deterministic answer section only [explore serve]
-  --fresh                  search again even if the report is cached (points still hit the cache) [explore serve]
+  --answer-only            print the deterministic answer section only [explore]
+  --fresh                  search again even if the report is cached (points still hit the cache) [explore]
   --tolerance PCT          relative IPC error allowed (default: 2) [validate]
   --windows N              detailed windows per workload (default: 10) [validate]
   --window N               records per window (default: a tenth of the timed region, at least 2000) [validate]
@@ -47,8 +45,8 @@ pub const TABLE: &str = "  --figures all|NAME,...   figures to run, in this orde
   --rate PER_MILLE         share of faults that fire (default: 400) [soak]
   --dir DIR                scratch directory, kept afterwards (default: a temporary one) [soak]
   --folded PATH            also write NEW's CPI stacks in folded (flamegraph) form [perf]
-  --quiet                  no per-point progress on stderr [figures explore serve validate soak]
-  --help                   print this text and exit [figures explore serve validate soak perf]
+  --quiet                  no per-point progress on stderr [figures explore validate soak]
+  --help                   print this text and exit [figures explore validate soak perf]
 ";
 
 /// One line of [`TABLE`].

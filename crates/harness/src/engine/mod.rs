@@ -685,8 +685,7 @@ pub fn run_campaign(
         }
     }
     // The last group: everything stored since the last commit is durable
-    // before the campaign returns, however it ended (`serve` drains an
-    // interrupted query to here).
+    // before the campaign returns, however it ended.
     if let Some(cache) = &campaign.cache {
         let _ = cache.commit();
     }

@@ -48,6 +48,8 @@
 //! engine: `cargo run --release -p s64v-harness --bin campaign --
 //! --figures all`.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod cli;
 pub mod engine;

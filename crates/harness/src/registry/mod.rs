@@ -96,7 +96,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Records a pass generates, warms and forgets at a time: small enough
-/// (224 KB) to be read back from the host's cache by every cursor, large
+/// (128 KB) to be read back from the host's cache by every cursor, large
 /// enough that taking the pass's lock is noise.
 const CHUNK: usize = 4096;
 

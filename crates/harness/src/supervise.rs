@@ -1,9 +1,9 @@
 //! The campaign supervision layer: watchdogs, retry policy, crash-safe
 //! storage primitives, the cache lock, and the chaos injector.
 //!
-//! A resident campaign engine (`campaign serve`) lives or dies by the
-//! harness surviving individual failures: one hung point, one torn cache
-//! write, or one panicking worker must never wedge or corrupt a session.
+//! A campaign lives or dies by the harness surviving individual
+//! failures: one hung point, one torn cache write, or one panicking
+//! worker must never wedge or corrupt a session.
 //! This module supplies the shared mechanisms the rest of the harness
 //! threads through its layers:
 //!

@@ -4,7 +4,8 @@
 //! gives it — anything else stays a usage error (exit 2) — and prints
 //! that table on `--help`. The environment carries run sizes only: a
 //! malformed one is a usage error, and the variables that once mirrored
-//! engine flags are not read.
+//! engine flags are not read. A spec no parser should recurse through is
+//! a bad spec (exit 2), not a crash.
 
 use s64v_harness::cli::{flags, Flag, MODES};
 use std::path::{Path, PathBuf};
@@ -118,6 +119,19 @@ fn a_malformed_size_is_a_usage_error_naming_the_variable() {
 }
 
 #[test]
+fn a_nesting_bomb_spec_is_an_invalid_spec_not_a_crash() {
+    let dir = scratch("deep");
+    let spec = dir.join("deep.explore.json");
+    std::fs::write(&spec, "[".repeat(200_000)).expect("write spec");
+    let spec = spec.to_str().expect("utf-8 path");
+    let (code, stdout, stderr) = campaign(&dir, &["explore", "--spec", spec, "--no-cache"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("invalid spec"), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn print_only_figures_run_as_empty_campaigns() {
     let dir = scratch("empty");
     let cache = dir.join("cache");
@@ -168,9 +182,9 @@ fn every_subcommand_shares_the_engine_flags_and_rejects_the_rest() {
     };
     // What selects each mode, arguments that end it soon after parsing,
     // and how it must end with every flag it takes given at once:
-    // `--list` prints names, an unreadable spec stops explore, serve
-    // drains an empty stdin, validate runs one tiny A/B to its epilogue
-    // (the gate may fail there), soak passes, perf finds no sources.
+    // `--list` prints names, an unreadable spec stops explore, validate
+    // runs one tiny A/B to its epilogue (the gate may fail there), soak
+    // passes, perf finds no sources.
     type Invocation = (
         Vec<&'static str>,
         Vec<&'static str>,
@@ -181,7 +195,6 @@ fn every_subcommand_shares_the_engine_flags_and_rejects_the_rest() {
         match mode {
             "figures" => (vec![], vec!["--list"], &[0], ""),
             "explore" => (vec!["explore"], vec![], &[2], "cannot read"),
-            "serve" => (vec!["serve"], vec![], &[0], "serve: 0 answered"),
             "validate" => (
                 vec!["validate"],
                 vec!["--no-cache", "--windows", "2", "--window", "100"],

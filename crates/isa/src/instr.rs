@@ -41,7 +41,11 @@ pub enum Privilege {
 }
 
 /// Memory attributes of a load or store.
+///
+/// Packed to 9 bytes (see [`Instr`]): read the fields by value, as in
+/// `{ m.addr }`; a reference to a packed field does not compile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(C, packed)]
 pub struct MemInfo {
     /// Effective virtual address.
     pub addr: u64,
@@ -50,7 +54,10 @@ pub struct MemInfo {
 }
 
 /// Control-flow attributes of a branch.
+///
+/// Packed to 9 bytes like [`MemInfo`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(C, packed)]
 pub struct BranchInfo {
     /// Whether the branch was taken in the trace (the architecturally
     /// correct outcome — the predictor is scored against this).
@@ -65,6 +72,10 @@ pub struct BranchInfo {
 /// [`Instr::load`], [`Instr::store`], [`Instr::branch`], [`Instr::nop`],
 /// [`Instr::special`]) which enforce per-class invariants.
 ///
+/// Every field has alignment 1, so an `Instr` is exactly its 24 bytes of
+/// payload: op 1, dest 1, srcs 3, mem 9, branch 9, privilege 1. Traces
+/// hold millions of these, so the layout is pinned below.
+///
 /// # Examples
 ///
 /// ```
@@ -72,7 +83,7 @@ pub struct BranchInfo {
 ///
 /// let ld = Instr::load(Reg::fp(2), Reg::int(4), 0x1000, MemWidth::B8);
 /// assert!(ld.op.is_mem());
-/// assert_eq!(ld.mem.unwrap().addr, 0x1000);
+/// assert_eq!({ ld.mem.unwrap().addr }, 0x1000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Instr {
@@ -89,6 +100,14 @@ pub struct Instr {
     /// Privilege level.
     pub privilege: Privilege,
 }
+
+const _: () = {
+    use std::mem::size_of;
+    assert!(size_of::<Option<Reg>>() == 1);
+    assert!(size_of::<Option<MemInfo>>() == 9);
+    assert!(size_of::<Option<BranchInfo>>() == 9);
+    assert!(size_of::<Instr>() == 24);
+};
 
 impl Instr {
     fn base(op: OpClass) -> Self {
@@ -196,11 +215,11 @@ impl fmt::Display for Instr {
         for s in self.srcs.iter().flatten() {
             write!(f, " {s}")?;
         }
-        if let Some(m) = self.mem {
-            write!(f, " [{:#x}]/{}", m.addr, m.width.bytes())?;
+        if let Some(MemInfo { addr, width }) = self.mem {
+            write!(f, " [{addr:#x}]/{}", width.bytes())?;
         }
-        if let Some(b) = self.branch {
-            write!(f, " {}->{:#x}", if b.taken { "T" } else { "N" }, b.target)?;
+        if let Some(BranchInfo { taken, target }) = self.branch {
+            write!(f, " {}->{target:#x}", if taken { "T" } else { "N" })?;
         }
         Ok(())
     }
@@ -214,7 +233,7 @@ mod tests {
     fn load_carries_memory_info_and_dest() {
         let ld = Instr::load(Reg::int(3), Reg::int(4), 0xdead_beef, MemWidth::B4);
         assert_eq!(ld.op, OpClass::Load);
-        assert_eq!(ld.mem.unwrap().addr, 0xdead_beef);
+        assert_eq!({ ld.mem.unwrap().addr }, 0xdead_beef);
         assert_eq!(ld.mem.unwrap().width.bytes(), 4);
         assert_eq!(ld.real_dest(), Some(Reg::int(3)));
     }

@@ -9,6 +9,7 @@
 //! (see the workload generators), not by renaming extra windowed names.
 
 use std::fmt;
+use std::num::NonZeroU8;
 
 /// Number of architectural integer register names.
 pub const NUM_INT_REGS: u8 = 32;
@@ -43,6 +44,11 @@ impl fmt::Display for RegClass {
 /// `Reg::int(0)` is the SPARC `%g0` hard-wired zero register: it is never a
 /// real dependence and the core model treats it as always-ready.
 ///
+/// A name is one byte holding its [dense index](Reg::dense_index) plus one,
+/// so `Option<Reg>` is one byte too and a trace record's four register
+/// slots cost four bytes. The dense numbering lists the classes in order,
+/// so the derived `Ord` is the `(class, index)` order.
+///
 /// # Examples
 ///
 /// ```
@@ -54,11 +60,11 @@ impl fmt::Display for RegClass {
 /// assert!(Reg::int(0).is_zero());
 /// assert!(!Reg::fp(0).is_zero());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Reg {
-    class: RegClass,
-    index: u8,
-}
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Reg(NonZeroU8);
+
+const FP_BASE: u8 = NUM_INT_REGS;
+const CC_DENSE: u8 = NUM_INT_REGS + NUM_FP_REGS;
 
 impl Reg {
     /// Creates an integer register name.
@@ -71,10 +77,7 @@ impl Reg {
             index < NUM_INT_REGS,
             "integer register index {index} out of range"
         );
-        Reg {
-            class: RegClass::Int,
-            index,
-        }
+        Self::dense(index)
     }
 
     /// Creates a floating-point register name.
@@ -87,28 +90,40 @@ impl Reg {
             index < NUM_FP_REGS,
             "fp register index {index} out of range"
         );
-        Reg {
-            class: RegClass::Fp,
-            index,
-        }
+        Self::dense(FP_BASE + index)
     }
 
     /// The condition-code register.
     pub fn cc() -> Self {
-        Reg {
-            class: RegClass::Cc,
-            index: 0,
-        }
+        Self::dense(CC_DENSE)
+    }
+
+    /// The register whose [`Reg::dense_index`] is `dense`, or `None` if
+    /// `dense >= Reg::DENSE_COUNT`.
+    pub fn from_dense(dense: usize) -> Option<Self> {
+        (dense < Self::DENSE_COUNT).then(|| Self::dense(dense as u8))
+    }
+
+    fn dense(dense: u8) -> Self {
+        Reg(NonZeroU8::new(dense + 1).expect("dense index is below 255"))
     }
 
     /// The register's class.
     pub fn class(self) -> RegClass {
-        self.class
+        match self.dense_u8() {
+            d if d < FP_BASE => RegClass::Int,
+            d if d < CC_DENSE => RegClass::Fp,
+            _ => RegClass::Cc,
+        }
     }
 
     /// The register's index within its class.
     pub fn index(self) -> u8 {
-        self.index
+        match self.class() {
+            RegClass::Int => self.dense_u8(),
+            RegClass::Fp => self.dense_u8() - FP_BASE,
+            RegClass::Cc => 0,
+        }
     }
 
     /// Whether this is the hard-wired integer zero register `%g0`.
@@ -116,28 +131,37 @@ impl Reg {
     /// Reads of `%g0` never create a dependence and writes to it are
     /// discarded, so the core model skips it during renaming.
     pub fn is_zero(self) -> bool {
-        self.class == RegClass::Int && self.index == 0
+        self.dense_u8() == 0
     }
 
     /// A dense index unique across all register classes, usable as a table
     /// key in rename maps (`0..NUM_INT_REGS` int, then fp, then cc).
     pub fn dense_index(self) -> usize {
-        match self.class {
-            RegClass::Int => self.index as usize,
-            RegClass::Fp => NUM_INT_REGS as usize + self.index as usize,
-            RegClass::Cc => NUM_INT_REGS as usize + NUM_FP_REGS as usize,
-        }
+        self.dense_u8() as usize
+    }
+
+    fn dense_u8(self) -> u8 {
+        self.0.get() - 1
     }
 
     /// Total number of dense indices ([`Reg::dense_index`] is `< DENSE_COUNT`).
-    pub const DENSE_COUNT: usize = NUM_INT_REGS as usize + NUM_FP_REGS as usize + 1;
+    pub const DENSE_COUNT: usize = CC_DENSE as usize + 1;
+}
+
+impl fmt::Debug for Reg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Reg")
+            .field("class", &self.class())
+            .field("index", &self.index())
+            .finish()
+    }
 }
 
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.class {
-            RegClass::Int => write!(f, "%r{}", self.index),
-            RegClass::Fp => write!(f, "%f{}", self.index),
+        match self.class() {
+            RegClass::Int => write!(f, "%r{}", self.index()),
+            RegClass::Fp => write!(f, "%f{}", self.index()),
             RegClass::Cc => write!(f, "%cc"),
         }
     }
@@ -167,6 +191,45 @@ mod tests {
         assert!(seen.insert(Reg::cc().dense_index()));
         assert_eq!(seen.len(), Reg::DENSE_COUNT);
         assert!(seen.iter().all(|&d| d < Reg::DENSE_COUNT));
+    }
+
+    #[test]
+    fn every_name_round_trips_and_keeps_its_order_and_forms() {
+        let classes = [
+            (RegClass::Int, NUM_INT_REGS, "%r"),
+            (RegClass::Fp, NUM_FP_REGS, "%f"),
+            (RegClass::Cc, 1, "%cc"),
+        ];
+        let mut names = Vec::new();
+        for (class, count, prefix) in classes {
+            for index in 0..count {
+                let reg = match class {
+                    RegClass::Int => Reg::int(index),
+                    RegClass::Fp => Reg::fp(index),
+                    RegClass::Cc => Reg::cc(),
+                };
+                assert_eq!((reg.class(), reg.index()), (class, index));
+                assert_eq!(Reg::from_dense(reg.dense_index()), Some(reg));
+                let shown = match class {
+                    RegClass::Cc => prefix.to_string(),
+                    _ => format!("{prefix}{index}"),
+                };
+                assert_eq!(reg.to_string(), shown);
+                assert_eq!(
+                    format!("{reg:?}"),
+                    format!("Reg {{ class: {class:?}, index: {index} }}")
+                );
+                names.push(((class, index), reg));
+            }
+        }
+        assert_eq!(names.len(), 65);
+        assert_eq!(names.len(), Reg::DENSE_COUNT);
+        assert_eq!(Reg::from_dense(Reg::DENSE_COUNT), None);
+        for (a, ra) in &names {
+            for (b, rb) in &names {
+                assert_eq!(a.cmp(b), ra.cmp(rb), "{ra} vs {rb}");
+            }
+        }
     }
 
     #[test]

@@ -95,6 +95,7 @@ impl Value {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -235,9 +236,25 @@ fn write_string(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     write!(f, "\"")
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so without a limit a long run of `[` overflows the stack and
+/// aborts the process instead of returning `Err`. No document the tool
+/// writes or reads comes near it.
+const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
+}
+
+/// Names what [`Parser::peek`] found, for error messages.
+fn found(b: Option<u8>) -> String {
+    match b {
+        Some(c) => format!("{:?}", c as char),
+        None => "end of input".to_string(),
+    }
 }
 
 impl Parser<'_> {
@@ -261,10 +278,10 @@ impl Parser<'_> {
             Ok(())
         } else {
             Err(format!(
-                "expected '{}' at byte {}, found {:?}",
+                "expected '{}' at byte {}, found {}",
                 b as char,
                 self.pos,
-                self.peek().map(|c| c as char)
+                found(self.peek())
             ))
         }
     }
@@ -284,15 +301,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
+            other => Err(format!("unexpected {} at byte {}", found(other), self.pos)),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -515,6 +543,36 @@ mod tests {
         ] {
             assert!(Value::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_bombs_are_rejected_not_overflowed() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let bomb = open.repeat(200_000);
+            let start = std::time::Instant::now();
+            let err = Value::parse(&bomb).expect_err("a nesting bomb parsed");
+            assert!(err.contains("nesting deeper than 256"), "{err}");
+            assert!(start.elapsed() < std::time::Duration::from_secs(1));
+            let at_limit = format!("{}1{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            assert!(
+                Value::parse(&at_limit).is_ok(),
+                "{open} x {MAX_DEPTH} rejected"
+            );
+            let over = format!("{open}{at_limit}{close}");
+            assert!(
+                Value::parse(&over).is_err(),
+                "{open} x {} parsed",
+                MAX_DEPTH + 1
+            );
+        }
+    }
+
+    #[test]
+    fn end_of_input_is_named_not_debug_printed() {
+        let err = Value::parse("[1,").unwrap_err();
+        assert_eq!(err, "unexpected end of input at byte 3");
+        let err = Value::parse("{\"a\"").unwrap_err();
+        assert_eq!(err, "expected ':' at byte 4, found end of input");
     }
 
     #[test]

@@ -113,18 +113,9 @@ fn reg_from_u8(v: u8) -> Result<Option<Reg>, DecodeTraceError> {
     if v == NO_REG {
         return Ok(None);
     }
-    let d = v as usize;
-    let ni = s64v_isa::NUM_INT_REGS as usize;
-    let nf = s64v_isa::NUM_FP_REGS as usize;
-    if d < ni {
-        Ok(Some(Reg::int(d as u8)))
-    } else if d < ni + nf {
-        Ok(Some(Reg::fp((d - ni) as u8)))
-    } else if d == ni + nf {
-        Ok(Some(Reg::cc()))
-    } else {
-        Err(DecodeTraceError::Corrupt("register index"))
-    }
+    Reg::from_dense(v as usize)
+        .map(Some)
+        .ok_or(DecodeTraceError::Corrupt("register index"))
 }
 
 fn width_to_bits(w: MemWidth) -> u8 {

@@ -27,6 +27,10 @@ pub struct TraceRecord {
     pub instr: Instr,
 }
 
+// A held trace is almost all of the tool's memory: keep a record at the
+// `pc` plus the 24-byte packed `Instr`, with no padding.
+const _: () = assert!(std::mem::size_of::<TraceRecord>() == 32);
+
 impl TraceRecord {
     /// Instruction size in bytes (all SPARC-V9 instructions are 4 bytes).
     pub const INSTR_BYTES: u64 = 4;

@@ -2,8 +2,8 @@
 # The full gate: formatting, lints, the workspace's tests (what bare
 # `cargo test -q`, the tier-1 command, runs), the kernel microtrace and
 # figures goldens and the release-mode equivalence suites, the smoke campaigns
-# against their goldens, the repo benchmark's smoke pass and the chaos
-# soak.
+# against their goldens, the repo benchmark's smoke pass and one
+# full-size run of each of its workloads, and the chaos soak.
 # Usage: scripts/ci.sh  (from the repository root)
 set -eu
 
@@ -167,10 +167,11 @@ fi
 rm -rf "$SAMPLING_SCRATCH"
 
 echo "== benchmark smoke (all six workloads, end to end and traced, must check out)"
-# Invokes the repo benchmark (BENCHMARK.json) at 1/20 size: every
-# workload's exact statistics are compared against benchmark/expected/
-# and, in the traced pass, against the benchmark's own hand-driven
-# execution of the same points. A result line that is not
+# Invokes the repo benchmark (BENCHMARK.json) at 1/20 size, where
+# benchmark/expected/ has no values: each workload's statistics are
+# checked only across its own paths (repetition against repetition and,
+# in the traced pass, against the benchmark's own hand-driven execution
+# of the same points). A result line that is not
 # `"correct":true` with `"failed":0` fails the gate. (run.sh pipes
 # through tee, so the result lines — not its exit status — are checked.)
 sh benchmark/run.sh --smoke > /dev/null
@@ -182,6 +183,22 @@ for sink in end_to_end per_layer; do
         cat "benchmark/out/$sink.jsonl" >&2
         exit 1
     fi
+done
+
+echo "== benchmark at full size (every workload's exact statistics against benchmark/expected/)"
+# benchmark/expected/ holds the statistics of full-size, seed-42 runs
+# only; one short run of each workload at that size compares every
+# exact statistic against them. The smoke pass built both binaries, so
+# these runs skip the builds.
+for w in up_cpu_bound up_mem_bound smp_tpcc sampled_long campaign_cold explore_sweep; do
+    line=$(BENCH_BUILT=1 sh benchmark/bench.sh --workload "$w" --seconds 1 | tail -n 1)
+    case $line in
+        '{"correct":true,"attempted":'*',"failed":0,'*) ;;
+        *)
+            echo "benchmark-full: $w did not check out: $line" >&2
+            exit 1
+            ;;
+    esac
 done
 
 echo "== chaos soak (supervised runtime must absorb every injected fault)"
