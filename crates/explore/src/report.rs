@@ -12,8 +12,7 @@
 //!   comparisons.
 //!
 //! Reports parse back ([`ExploreReport::parse`]) so the harness can
-//! validate them as artifacts and reuse cached reports; any structural
-//! problem is an `Err` (degraded to "warning + re-run" by the caller),
+//! validate them as artifacts; any structural problem is an `Err`,
 //! never a panic.
 
 use crate::search::{CandidateResult, Measurement, RoundSummary, SearchCounters, SearchResult};
@@ -41,8 +40,6 @@ pub struct ExecutionStats {
     pub sim_wall_seconds: f64,
     /// Worker threads used.
     pub threads: usize,
-    /// Whether the whole report was served from the report cache.
-    pub report_cached: bool,
 }
 
 /// A parsed or freshly computed exploration report.
@@ -247,14 +244,13 @@ impl ExploreReport {
                     .field("quarantined", self.execution.quarantined)
                     .field("simulated_records", self.execution.simulated_records)
                     .field("sim_wall_seconds", self.execution.sim_wall_seconds)
-                    .field("threads", self.execution.threads)
-                    .field("report_cached", self.execution.report_cached),
+                    .field("threads", self.execution.threads),
             )
     }
 
     /// Parses and structurally validates a report document. Every
-    /// failure is a reason string — callers treat a bad report like a
-    /// cache miss (warn and recompute), never a crash.
+    /// failure is a reason string naming what is wrong, never a crash;
+    /// every section and field is required.
     pub fn parse(text: &str) -> Result<ExploreReport, String> {
         let v = Value::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
         match v.get("format").and_then(Value::as_str) {
@@ -302,14 +298,10 @@ impl ExploreReport {
             cache_hits: get_usize(e, "cache_hits", "execution")?,
             simulated: get_usize(e, "simulated", "execution")?,
             failed: get_usize(e, "failed", "execution")?,
-            // Lenient: reports written before the supervision layer have
-            // no quarantine counter; default it to zero instead of
-            // invalidating an otherwise healthy cached answer.
-            quarantined: get_usize(e, "quarantined", "execution").unwrap_or(0),
+            quarantined: get_usize(e, "quarantined", "execution")?,
             simulated_records: get_u64(e, "simulated_records", "execution")?,
             sim_wall_seconds: get_f64(e, "sim_wall_seconds", "execution")?,
             threads: get_usize(e, "threads", "execution")?,
-            report_cached: matches!(e.get("report_cached"), Some(Value::Bool(true))),
         };
 
         Ok(ExploreReport {
@@ -400,7 +392,6 @@ mod tests {
                 simulated_records: 120_000,
                 sim_wall_seconds: 1.25,
                 threads: 4,
-                report_cached: false,
             },
         }
     }
@@ -432,6 +423,10 @@ mod tests {
                 "spec_fingerprint",
             ),
             (text.replacen("\"counters\"", "\"konters\"", 1), "counters"),
+            (
+                text.replacen("\"quarantined\"", "\"quarantine\"", 1),
+                "quarantined",
+            ),
         ] {
             let err = ExploreReport::parse(&mangle).unwrap_err();
             assert!(err.contains(needle), "wanted {needle:?} in {err:?}");

@@ -478,7 +478,7 @@ impl ExploreSpec {
 
     /// The canonical re-encoding: fixed key order, defaults materialized.
     /// `from_value(to_value(s)) == s`, and equal specs serialize to equal
-    /// bytes — the property the fingerprint and report cache rely on.
+    /// bytes — the property the fingerprint relies on.
     pub fn to_value(&self) -> Value {
         let knobs: Vec<Value> = self
             .knobs
@@ -547,8 +547,8 @@ impl ExploreSpec {
 
     /// The query's content-addressed identity: a stable hash of the
     /// canonical encoding plus the model version (seeded into every
-    /// [`StableHasher`]), so reports cache and invalidate exactly like
-    /// simulation points.
+    /// [`StableHasher`]); a report's `spec_fingerprint` names exactly
+    /// the query it answers.
     pub fn fingerprint(&self) -> Fingerprint {
         let mut h = StableHasher::new();
         h.write_str("explore-spec");

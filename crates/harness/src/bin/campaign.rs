@@ -34,7 +34,7 @@
 //! `s64v-explore` for the spec grammar): the grid is pruned statically,
 //! screened at short trace length, successively halved up to full
 //! length, and the winner plus Pareto frontier land as a structured
-//! report on stdout (and in the report cache).
+//! report on stdout.
 //!
 //! `perf` is the regression observatory: it diffs two performance
 //! sources — each a campaign cache directory (aggregating its
@@ -61,7 +61,7 @@ use s64v_harness::journal::{journal_path, Journal};
 use s64v_harness::perf::{sampled_cpi_artifact, validate_cpi_artifact, PerfDiff, PerfSource};
 use s64v_harness::progress::ProgressEvent;
 use s64v_harness::spec::{CampaignSpec, HarnessOpts, SimPoint, WorkUnit};
-use s64v_harness::supervise::{atomic_write, unseal_lenient, SupervisePolicy};
+use s64v_harness::supervise::{atomic_write, SupervisePolicy};
 use s64v_harness::validate::{
     assess_onto, full_point, sampled_points, validate_workloads, SampleOpts, DEFAULT_TOLERANCE,
 };
@@ -161,12 +161,9 @@ fn check_artifact(path: &str) -> Result<(), String> {
             return Err("empty diagram".to_string());
         }
     } else if path.ends_with(".explore.json") {
-        // Report-cache copies carry a length+checksum seal; `--out`
-        // copies are plain text. Verify the seal when present, then the
-        // full structure: spec, fingerprint, answer and execution
-        // sections must all parse back.
-        let payload = unseal_lenient(&text)?;
-        ExploreReport::parse(payload)?;
+        // Spec, fingerprint, answer and execution sections must all
+        // parse back.
+        ExploreReport::parse(&text)?;
     } else {
         return Err("unknown artifact extension".to_string());
     }
@@ -282,68 +279,28 @@ fn print_explore_event(event: &ExploreEvent) {
     }
 }
 
-/// How the `explore` flags say to execute a query.
-fn explore_opts(args: &Args) -> ExploreOpts {
-    ExploreOpts {
+/// Writes `mode`'s `--out` report whole (parent directories created,
+/// temp file + atomic rename), or ends the process with exit 2.
+fn write_report(mode: &str, path: &Path, report: &Value) {
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| atomic_write(path, format!("{report:#}\n").as_bytes()));
+    if let Err(e) = written {
+        eprintln!("{mode} error: could not write {}: {e}", path.display());
+        std::process::exit(2);
+    }
+}
+
+/// Answers one query: the report (or its answer section) on stdout, the
+/// full report at `--out`, the search's events and a summary on stderr.
+fn explore_main(args: &Args) -> ! {
+    let opts = ExploreOpts {
         threads: threads(args),
         cache_dir: cache_dir(args, Some("results-cache")),
-        fresh: args.has("--fresh"),
         heartbeat: Some(Duration::from_secs(10)),
         supervise: supervise(args),
-    }
-}
-
-/// Runs one query end to end; returns the report (and prints it).
-fn answer_query(
-    spec: &ExploreSpec,
-    args: &Args,
-    opts: &ExploreOpts,
-) -> Result<ExploreReport, String> {
-    let quiet = args.has("--quiet");
-    let report = with_printer(quiet, |tx| {
-        run_explore(spec, opts, Some(tx), |e| {
-            if !quiet {
-                print_explore_event(e);
-            }
-        })
-    })?;
-
-    let doc = if args.has("--answer-only") {
-        report.answer_value()
-    } else {
-        report.to_value()
     };
-    println!("{doc:#}");
-    std::io::stdout().flush().ok();
-
-    if let Some(out) = args.text("--out").map(Path::new) {
-        let text = format!("{:#}\n", report.to_value());
-        let write = |path: &Path| {
-            path.parent().map_or(Ok(()), std::fs::create_dir_all)?;
-            std::fs::write(path, &text)
-        };
-        // An existing directory gets the report under the query's name.
-        let path = if out.is_dir() {
-            out.join(format!("{}.explore.json", spec.name))
-        } else {
-            out.to_path_buf()
-        };
-        if let Err(e) = write(&path) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
-    }
-
-    let cached = if report.execution.report_cached {
-        " [report cache]"
-    } else {
-        ""
-    };
-    eprintln!("explore: {}{cached}", report.summary());
-    Ok(report)
-}
-
-fn explore_main(args: &Args) -> ! {
-    let opts = explore_opts(args);
     let Some(spec_path) = args.text("--spec") else {
         usage_error("explore needs --spec FILE");
     };
@@ -355,10 +312,35 @@ fn explore_main(args: &Args) -> ! {
         eprintln!("invalid spec {spec_path}: {e}");
         std::process::exit(2);
     });
-    let report = answer_query(&spec, args, &opts).unwrap_or_else(|e| {
+    let quiet = args.has("--quiet");
+    let report = with_printer(quiet, |tx| {
+        run_explore(&spec, &opts, Some(tx), |e| {
+            if !quiet {
+                print_explore_event(e);
+            }
+        })
+    })
+    .unwrap_or_else(|e| {
         eprintln!("explore error: {e}");
         std::process::exit(2);
     });
+    let doc = if args.has("--answer-only") {
+        report.answer_value()
+    } else {
+        report.to_value()
+    };
+    println!("{doc:#}");
+    std::io::stdout().flush().ok();
+    if let Some(out) = args.text("--out").map(Path::new) {
+        // An existing directory gets the report under the query's name.
+        let path = if out.is_dir() {
+            out.join(format!("{}.explore.json", spec.name))
+        } else {
+            out.to_path_buf()
+        };
+        write_report("explore", &path, &report.to_value());
+    }
+    eprintln!("explore: {}", report.summary());
     let failed = report.execution.failed;
     if failed > 0 {
         eprintln!("explore FAILED: {failed} point(s) failed to simulate");
@@ -675,11 +657,7 @@ fn validate_main(args: &Args, opts: HarnessOpts) -> ! {
     }
 
     if let Some(path) = &out {
-        let text = format!("{:#}\n", report.to_value());
-        if let Err(e) = atomic_write(path, text.as_bytes()) {
-            eprintln!("validate error: could not write {}: {e}", path.display());
-            std::process::exit(2);
-        }
+        write_report("validate", path, &report.to_value());
         eprintln!("validate: wrote report to {}", path.display());
     }
 

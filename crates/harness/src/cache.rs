@@ -14,8 +14,8 @@
 //! [`crate::supervise::seal`]) verified on every read, so what a host
 //! crash before a commit can leave — an empty or torn entry at its final
 //! path — or an in-place bit flip is detected as corruption rather than
-//! misparsed, and the point re-simulates. Legacy unsealed entries from
-//! pre-supervision caches still load.
+//! misparsed, and the point re-simulates. An entry without its footer
+//! is a miss like any other damaged one.
 //!
 //! Staleness never needs detection here: the fingerprint covers the
 //! configuration, workload, seed, lengths and model version, so a stale
@@ -23,7 +23,7 @@
 
 use crate::registry::lock;
 use crate::spec::PointMetrics;
-use crate::supervise::{replace, seal, sync_group, unseal_lenient, ChaosInjector};
+use crate::supervise::{replace, seal, sync_group, unseal, ChaosInjector};
 use s64v_core::fingerprint::Fingerprint;
 use s64v_core::HarnessFaultClass;
 use std::fmt::Write as _;
@@ -83,7 +83,7 @@ impl ResultCache {
     pub fn load(&self, fp: Fingerprint) -> Option<PointMetrics> {
         let path = self.path_of(fp);
         let text = std::fs::read_to_string(&path).ok()?;
-        let payload = match unseal_lenient(&text) {
+        let payload = match unseal(&text) {
             Ok(p) => p,
             Err(why) => {
                 eprintln!(
@@ -364,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn entries_are_sealed_and_legacy_unsealed_entries_still_load() {
+    fn entries_are_sealed_and_unsealed_entries_are_misses() {
         let dir = std::env::temp_dir().join(format!("s64v-cache-seal-{}", std::process::id()));
         let cache = ResultCache::open(&dir).expect("create");
         let fp = crate::test_fp("seal-test");
@@ -379,9 +379,10 @@ mod tests {
         std::fs::write(cache.path_of(fp), &on_disk[..on_disk.len() / 2]).expect("tear");
         assert_eq!(cache.load(fp), None, "torn entry must read as a miss");
 
-        // A pre-supervision cache entry (no footer) still loads.
-        std::fs::write(cache.path_of(fp), encode(&sample())).expect("legacy");
-        assert_eq!(cache.load(fp), Some(sample()), "legacy entries still hit");
+        // Every current-format entry was written sealed, so one without
+        // its footer has lost it.
+        std::fs::write(cache.path_of(fp), encode(&sample())).expect("unsealed");
+        assert_eq!(cache.load(fp), None, "an unsealed entry is a miss");
         std::fs::remove_dir_all(&dir).ok();
     }
 

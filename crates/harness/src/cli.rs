@@ -35,7 +35,6 @@ pub const TABLE: &str = "  --figures all|NAME,...   figures to run, in this orde
   --spec FILE              the query to answer (JSON, see specs/*.explore.json) [explore]
   --out FILE               also write the full report here [explore validate]
   --answer-only            print the deterministic answer section only [explore]
-  --fresh                  search again even if the report is cached (points still hit the cache) [explore]
   --tolerance PCT          relative IPC error allowed (default: 2) [validate]
   --windows N              detailed windows per workload (default: 10) [validate]
   --window N               records per window (default: a tenth of the timed region, at least 2000) [validate]

@@ -7,24 +7,16 @@
 //! or overlapping queries (successive-halving rounds re-run survivors at
 //! the screening length of the previous round only when lengths differ;
 //! re-asked questions hit the cache point-for-point) never re-simulate.
-//!
-//! Finished answers are cached too: the report lands at
-//! `<cache_dir>/<spec fingerprint>.explore.json` and a later run of the
-//! byte-identical spec is served from that file without touching the
-//! pool. A corrupted or truncated report degrades exactly like a
-//! corrupted point entry — a warning and a re-run, never a panic — and
-//! `fresh: true` bypasses the *report* cache while still using the
-//! *point* cache (that is what the determinism tests exercise).
 
 use crate::engine::{default_threads, run_campaign};
 use crate::progress::ProgressEvent;
 use crate::spec::{CampaignSpec, PointMetrics, SimPoint, WorkUnit};
-use crate::supervise::{atomic_write, seal, unseal_lenient, CacheLock, SupervisePolicy};
+use crate::supervise::SupervisePolicy;
 use s64v_explore::{
     run_search, ExecutionStats, ExploreEvent, ExploreReport, ExploreSpec, Measurement, RoundPlan,
 };
 use std::cell::RefCell;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
@@ -33,50 +25,12 @@ use std::time::{Duration, Instant};
 pub struct ExploreOpts {
     /// Worker threads (`None` = available parallelism).
     pub threads: Option<usize>,
-    /// Point-cache directory; also hosts the report cache (`None` = no
-    /// caching at all).
+    /// Point-cache directory (`None` = no caching at all).
     pub cache_dir: Option<PathBuf>,
-    /// Skip the report cache (the point cache is still used).
-    pub fresh: bool,
     /// Heartbeat period for round campaigns.
     pub heartbeat: Option<Duration>,
     /// Per-point supervision for every round campaign.
     pub supervise: SupervisePolicy,
-}
-
-/// The cached-report file for a spec inside a cache directory.
-pub fn report_path(cache_dir: &Path, spec: &ExploreSpec) -> PathBuf {
-    cache_dir.join(format!("{}.explore.json", spec.fingerprint()))
-}
-
-/// Loads a cached report for `spec`, applying the cache's
-/// corruption-is-a-miss convention: an unreadable, unparsable,
-/// checksum-failing or mismatched file warns and returns `None`, and the
-/// caller re-runs the query (the fresh store repairs the entry). Sealed
-/// and legacy unsealed reports both load.
-pub fn load_cached_report(cache_dir: &Path, spec: &ExploreSpec) -> Option<ExploreReport> {
-    let path = report_path(cache_dir, spec);
-    let text = std::fs::read_to_string(&path).ok()?;
-    let report = unseal_lenient(&text).and_then(ExploreReport::parse);
-    match report {
-        Ok(report) if report.spec == *spec => Some(report),
-        Ok(_) => {
-            // Fingerprint collision or a hand-edited file: either way the
-            // answer is not this spec's.
-            eprintln!(
-                "warning: cached report {} is for a different spec (re-running)",
-                path.display()
-            );
-            None
-        }
-        Err(reason) => {
-            eprintln!(
-                "warning: corrupted exploration report {} ({reason}); re-running the query",
-                path.display()
-            );
-            None
-        }
-    }
 }
 
 /// Converts cached/simulated point metrics into the search's measurement
@@ -111,8 +65,8 @@ fn round_points(spec: &ExploreSpec, plan: &RoundPlan) -> Vec<SimPoint> {
 }
 
 /// Answers one query: adaptive search in `s64v-explore`, every round
-/// executed as a campaign over the shared pool and point cache. The
-/// finished report is stored in the report cache (when configured).
+/// executed as a campaign over the shared pool and point cache, so a
+/// re-asked query is answered from point-cache hits alone.
 ///
 /// `progress` receives the underlying campaigns' per-point events;
 /// `on_event` receives the search-level events (grid, rounds, frontier).
@@ -125,23 +79,6 @@ pub fn run_explore(
     progress: Option<Sender<ProgressEvent>>,
     mut on_event: impl FnMut(&ExploreEvent),
 ) -> Result<ExploreReport, String> {
-    // Hold the cache-directory lock across the whole query — the report
-    // read, every round campaign (re-entrant) and the final report store
-    // — so a concurrent campaign cannot interleave with any of them.
-    let _lock = match &opts.cache_dir {
-        Some(dir) => Some(CacheLock::acquire(dir).map_err(|e| format!("locking cache dir: {e}"))?),
-        None => None,
-    };
-
-    if !opts.fresh {
-        if let Some(dir) = &opts.cache_dir {
-            if let Some(mut report) = load_cached_report(dir, spec) {
-                report.execution.report_cached = true;
-                return Ok(report);
-            }
-        }
-    }
-
     let start = Instant::now();
     let template = CampaignSpec {
         threads: opts.threads,
@@ -195,27 +132,11 @@ pub fn run_explore(
     let mut execution = execution.into_inner();
     execution.sim_wall_seconds = start.elapsed().as_secs_f64();
     execution.threads = opts.threads.unwrap_or_else(default_threads);
-    let report = ExploreReport {
+    Ok(ExploreReport {
         spec: spec.clone(),
         result,
         execution,
-    };
-
-    if let Some(dir) = &opts.cache_dir {
-        store_report(dir, &report).map_err(|e| format!("storing report: {e}"))?;
-    }
-    Ok(report)
-}
-
-/// Writes a report into the report cache — sealed with an integrity
-/// footer and landed crash-safely (temp file + fsync + atomic rename),
-/// like every other cache write — and returns its path.
-pub fn store_report(cache_dir: &Path, report: &ExploreReport) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(cache_dir)?;
-    let path = report_path(cache_dir, &report.spec);
-    let sealed = seal(&format!("{:#}\n", report.to_value()));
-    atomic_write(&path, sealed.as_bytes())?;
-    Ok(path)
+    })
 }
 
 #[cfg(test)]
@@ -262,82 +183,13 @@ mod tests {
         assert!(report.execution.simulated > 0);
     }
 
-    #[test]
-    fn report_cache_serves_and_corruption_reruns() {
-        let dir = scratch("report-cache");
-        let spec = tiny_spec("driver-cache");
-        let opts = ExploreOpts {
-            cache_dir: Some(dir.clone()),
-            ..ExploreOpts::default()
-        };
-        let first = run_explore(&spec, &opts, None, |_| {}).expect("first run");
-        assert!(!first.execution.report_cached);
-        assert!(report_path(&dir, &spec).exists());
-
-        let second = run_explore(&spec, &opts, None, |_| {}).expect("second run");
-        assert!(
-            second.execution.report_cached,
-            "served from the report cache"
-        );
-        assert_eq!(
-            second.answer_value().to_string(),
-            first.answer_value().to_string(),
-            "cached answer is byte-identical"
-        );
-
-        // Truncate the stored report: the next run must warn, re-run and
-        // repair the entry — never panic.
-        let path = report_path(&dir, &spec);
-        let text = std::fs::read_to_string(&path).expect("report readable");
-        std::fs::write(&path, &text[..text.len() / 3]).expect("truncate");
-        let third = run_explore(&spec, &opts, None, |_| {}).expect("re-run after corruption");
-        assert!(!third.execution.report_cached, "corruption is a miss");
-        assert_eq!(
-            third.answer_value().to_string(),
-            first.answer_value().to_string()
-        );
-        let repaired = std::fs::read_to_string(&path).expect("repaired");
-        let payload = unseal_lenient(&repaired).expect("repaired entry verifies");
-        ExploreReport::parse(payload).expect("fresh store repaired the entry");
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bit_flipped_report_is_a_miss_and_the_answer_is_identical() {
-        let dir = scratch("report-flip");
-        let spec = tiny_spec("driver-flip");
-        let opts = ExploreOpts {
-            cache_dir: Some(dir.clone()),
-            ..ExploreOpts::default()
-        };
-        let first = run_explore(&spec, &opts, None, |_| {}).expect("first run");
-
-        // Flip one byte inside the payload: the length still matches, so
-        // only the checksum catches it.
-        let path = report_path(&dir, &spec);
-        let mut bytes = std::fs::read(&path).expect("report readable");
-        let mid = bytes.len() / 2;
-        bytes[mid] = if bytes[mid] == b'1' { b'2' } else { b'1' };
-        std::fs::write(&path, &bytes).expect("flip");
-
-        let second = run_explore(&spec, &opts, None, |_| {}).expect("re-run after bit flip");
-        assert!(!second.execution.report_cached, "bit flip is a miss");
-        assert_eq!(
-            second.answer_value().to_string(),
-            first.answer_value().to_string(),
-            "the re-run answer is byte-identical"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
+    /// A re-asked query searches again; the point cache answers it all.
     #[test]
     fn fresh_runs_reuse_the_point_cache_not_the_report() {
-        let dir = scratch("fresh");
-        let spec = tiny_spec("driver-fresh");
+        let dir = scratch("re-ask");
+        let spec = tiny_spec("driver-re-ask");
         let opts = ExploreOpts {
             cache_dir: Some(dir.clone()),
-            fresh: true,
             ..ExploreOpts::default()
         };
         let first = run_explore(&spec, &opts, None, |_| {}).expect("first run");
@@ -345,10 +197,6 @@ mod tests {
         assert!(first.execution.simulated > 0);
 
         let second = run_explore(&spec, &opts, None, |_| {}).expect("second run");
-        assert!(
-            !second.execution.report_cached,
-            "fresh skips the report cache"
-        );
         assert_eq!(
             second.execution.cache_hits, second.result.counters.evaluations,
             "every evaluation is a point-cache hit"

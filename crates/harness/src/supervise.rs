@@ -21,8 +21,7 @@
 //!   by [`sync_group`]. Corruption is always a warning and a miss, never
 //!   a panic.
 //! * [`CacheLock`] — a pid-stamped lock file per `results-cache/` so two
-//!   concurrent campaigns cannot interleave writes to one directory
-//!   (re-entrant within a process: exploration rounds share one lock).
+//!   concurrent campaigns cannot interleave writes to one directory.
 //! * [`ChaosInjector`] — the harness half of
 //!   [`s64v_core::ChaosPlan`]: consults the seeded schedule at each
 //!   opportunity and keeps a log of fired faults for the soak gate.
@@ -33,7 +32,7 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -265,18 +264,6 @@ pub fn unseal(text: &str) -> Result<&str, String> {
     Ok(payload)
 }
 
-/// Like [`unseal`], but passes unsealed text through untouched: used by
-/// validators that accept both sealed cache artifacts and plain copies
-/// written for humans (`--out` reports). A *present but invalid* footer
-/// is still an error.
-pub fn unseal_lenient(text: &str) -> Result<&str, String> {
-    if text.contains(SEAL_MARKER) {
-        unseal(text)
-    } else {
-        Ok(text)
-    }
-}
-
 /// Writes `data` to `path` crash-safely: a temp file in the same
 /// directory, fsync, atomic rename over the destination, then a
 /// best-effort directory fsync so the rename itself is durable. A crash
@@ -357,11 +344,6 @@ pub const LOCK_FILE: &str = ".campaign.lock";
 /// How long an acquirer waits for a live holder before giving up.
 const LOCK_TIMEOUT: Duration = Duration::from_secs(30);
 
-fn held_locks() -> &'static Mutex<HashMap<PathBuf, usize>> {
-    static HELD: OnceLock<Mutex<HashMap<PathBuf, usize>>> = OnceLock::new();
-    HELD.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
 #[cfg(target_os = "linux")]
 fn pid_alive(pid: u32) -> bool {
     Path::new(&format!("/proc/{pid}")).exists()
@@ -374,16 +356,15 @@ fn pid_alive(_pid: u32) -> bool {
     true
 }
 
-/// An exclusive, re-entrant advisory lock on one cache directory.
+/// An exclusive advisory lock on one cache directory.
 ///
 /// The lock is a `.campaign.lock` file stamped with the holder's pid,
 /// created with `O_EXCL` so exactly one process wins. A second campaign
 /// against the same `results-cache/` waits for the holder to finish
 /// (bounded by a timeout) instead of interleaving writes with it; a lock
 /// left behind by a dead process is detected by pid liveness and
-/// reclaimed. Within one process the lock is re-entrant by refcount —
-/// exploration rounds, nested campaigns and the report store all share
-/// the session's single hold.
+/// reclaimed. A second acquire from the same process waits like any
+/// other.
 #[derive(Debug)]
 pub struct CacheLock {
     dir: PathBuf,
@@ -400,13 +381,6 @@ impl CacheLock {
     pub fn acquire_with_timeout(dir: &Path, timeout: Duration) -> std::io::Result<CacheLock> {
         std::fs::create_dir_all(dir)?;
         let dir = dir.canonicalize()?;
-        {
-            let mut held = held_locks().lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(count) = held.get_mut(&dir) {
-                *count += 1;
-                return Ok(CacheLock { dir });
-            }
-        }
         let path = dir.join(LOCK_FILE);
         let start = Instant::now();
         loop {
@@ -418,8 +392,6 @@ impl CacheLock {
                 Ok(mut file) => {
                     let _ = writeln!(file, "pid {}", std::process::id());
                     let _ = file.sync_all();
-                    let mut held = held_locks().lock().unwrap_or_else(|e| e.into_inner());
-                    held.insert(dir.clone(), 1);
                     return Ok(CacheLock { dir });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
@@ -427,7 +399,7 @@ impl CacheLock {
                         .ok()
                         .and_then(|text| text.strip_prefix("pid ")?.trim().parse::<u32>().ok());
                     if let Some(pid) = holder {
-                        if pid != std::process::id() && !pid_alive(pid) {
+                        if !pid_alive(pid) {
                             // Reclaim a dead holder's lock. Rename-then-
                             // remove so only one contender wins the
                             // reclaim; the loser just loops.
@@ -463,14 +435,7 @@ impl CacheLock {
 
 impl Drop for CacheLock {
     fn drop(&mut self) {
-        let mut held = held_locks().lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(count) = held.get_mut(&self.dir) {
-            *count -= 1;
-            if *count == 0 {
-                held.remove(&self.dir);
-                let _ = std::fs::remove_file(self.dir.join(LOCK_FILE));
-            }
-        }
+        let _ = std::fs::remove_file(self.dir.join(LOCK_FILE));
     }
 }
 
@@ -558,9 +523,8 @@ mod tests {
         let padded = sealed.replace(SEAL_MARKER, &format!("extra line\n{SEAL_MARKER}"));
         assert!(unseal(&padded).is_err());
 
-        // Unsealed legacy text is an explicit miss, not a panic.
+        // Unsealed text is an explicit miss, not a panic.
         assert!(unseal(payload).is_err());
-        assert_eq!(unseal_lenient(payload), Ok(payload));
     }
 
     #[test]
@@ -603,31 +567,19 @@ mod tests {
     }
 
     #[test]
-    fn cache_lock_is_reentrant_and_blocks_live_holders() {
+    fn cache_lock_blocks_a_second_acquire_and_reclaims_dead_holders() {
         let dir = std::env::temp_dir().join(format!("s64v-lock-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
 
-        let outer = CacheLock::acquire(&dir).expect("first acquire");
+        // A second acquire while the lock is held — from this process or
+        // any other live one — waits, then gives up at the timeout.
+        let held = CacheLock::acquire(&dir).expect("first acquire");
         assert!(dir.join(LOCK_FILE).exists());
-        {
-            let _inner = CacheLock::acquire(&dir).expect("re-entrant acquire");
-        }
-        assert!(
-            dir.join(LOCK_FILE).exists(),
-            "inner release must not drop the outer hold"
-        );
-        drop(outer);
-        assert!(!dir.join(LOCK_FILE).exists(), "last release removes it");
-
-        // A lock held by a live foreign process (simulated: our own pid,
-        // but not registered in this process's held table — so it looks
-        // like another live campaign) blocks until the timeout.
-        std::fs::write(dir.join(LOCK_FILE), format!("pid {}\n", std::process::id()))
-            .expect("plant live lock");
         let err = CacheLock::acquire_with_timeout(&dir, Duration::from_millis(80))
-            .expect_err("live holder must block");
+            .expect_err("a held lock must block");
         assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
-        std::fs::remove_file(dir.join(LOCK_FILE)).ok();
+        drop(held);
+        assert!(!dir.join(LOCK_FILE).exists(), "release removes it");
 
         // A dead holder's lock is reclaimed immediately.
         std::fs::write(dir.join(LOCK_FILE), "pid 999999999\n").expect("plant stale lock");

@@ -5,7 +5,9 @@
 //! that table on `--help`. The environment carries run sizes only: a
 //! malformed one is a usage error, and the variables that once mirrored
 //! engine flags are not read. A spec no parser should recurse through is
-//! a bad spec (exit 2), not a crash.
+//! a bad spec (exit 2), not a crash, and a report that cannot be written
+//! where `--out` says is an error (exit 2), not a warning. README.md
+//! quotes the usage text verbatim.
 
 use s64v_harness::cli::{flags, Flag, MODES};
 use std::path::{Path, PathBuf};
@@ -128,6 +130,36 @@ fn a_nesting_bomb_spec_is_an_invalid_spec_not_a_crash() {
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("invalid spec"), "{stderr}");
     assert!(stdout.is_empty(), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_unwritable_out_report_fails_the_run() {
+    let dir = scratch("out");
+    let spec = dir.join("tiny.explore.json");
+    let query = r#"{"name": "tiny", "workload": {"suite": "SPECint95", "index": 0}, "seed": 42,
+        "screen": {"records": 400, "warmup": 200}, "full": {"records": 400, "warmup": 200},
+        "knobs": [{"name": "rse_entries", "values": [6, 10]}], "objective": {"maximize": "ipc"}}"#;
+    std::fs::write(&spec, query).expect("write spec");
+    // `--out` under a regular file: its parent cannot be created.
+    let out = dir.join("tiny.explore.json/report.json");
+    let (spec, out) = (spec.to_str().expect("utf-8"), out.to_str().expect("utf-8"));
+    let runs: [(&str, &[&str]); 2] = [
+        ("explore", &["explore", "--spec", spec]),
+        (
+            "validate",
+            &["validate", "--windows", "2", "--window", "100"],
+        ),
+    ];
+    for (mode, select) in runs {
+        let args = [select, &["--no-cache", "--quiet", "--out", out]].concat();
+        let (code, _, stderr) = campaign(&dir, &args);
+        assert_eq!(code, Some(2), "{mode}:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("{mode} error: could not write {out}")),
+            "{mode}:\n{stderr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -256,8 +288,12 @@ fn every_subcommand_shares_the_engine_flags_and_rejects_the_rest() {
         }
     }
 
-    // The help is the table: every flag with its value and help line.
+    // The help is the table: every flag with its value and help line,
+    // and README.md quotes it verbatim.
     assert!(help.starts_with("usage: campaign [FLAG]..."), "{help}");
+    let readme = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../README.md");
+    let readme = std::fs::read_to_string(readme).expect("README.md");
+    assert!(readme.contains(&help), "README.md must quote:\n{help}");
     for f in flags() {
         assert!(
             help.contains(&format!("  {}", f.name)) && help.contains(f.help),

@@ -1,7 +1,7 @@
 //! End-to-end tests of the exploration engine's contract: answers are
 //! deterministic functions of the spec (byte-identical across repeated
-//! runs, cache states and thread counts), repeated queries are served
-//! from the caches, and the search simulates strictly fewer full-length
+//! runs, cache states and thread counts), a repeated query is answered
+//! from point-cache hits alone, and the search simulates strictly fewer full-length
 //! points than the grid holds.
 
 use s64v_explore::ExploreSpec;
@@ -34,11 +34,10 @@ fn spec(name: &str) -> ExploreSpec {
     .expect("spec parses")
 }
 
-fn opts(threads: usize, cache_dir: Option<PathBuf>, fresh: bool) -> ExploreOpts {
+fn opts(threads: usize, cache_dir: Option<PathBuf>) -> ExploreOpts {
     ExploreOpts {
         threads: Some(threads),
         cache_dir,
-        fresh,
         heartbeat: None,
         supervise: SupervisePolicy::default(),
     }
@@ -55,33 +54,22 @@ fn same_spec_twice_gives_a_byte_identical_answer_from_the_cache() {
     let dir = temp_dir("repeat");
     let spec = spec("xit-repeat");
 
-    let first = run_explore(&spec, &opts(2, Some(dir.clone()), false), None, |_| {}).expect("run");
-    assert!(!first.execution.report_cached);
+    let first = run_explore(&spec, &opts(2, Some(dir.clone())), None, |_| {}).expect("run");
     assert!(first.execution.simulated > 0, "first run simulates");
     assert_eq!(first.execution.cache_hits, 0, "cold cache");
 
-    // Identical question, warm cache: the whole answer comes back from
-    // the report cache without a single evaluation.
-    let second = run_explore(&spec, &opts(2, Some(dir.clone()), false), None, |_| {}).expect("run");
-    assert!(second.execution.report_cached);
+    // Identical question, warm cache: the search runs again and every
+    // evaluation is a point-cache hit.
+    let second = run_explore(&spec, &opts(2, Some(dir.clone())), None, |_| {}).expect("run");
+    assert_eq!(
+        second.execution.cache_hits, second.result.counters.evaluations,
+        "warm point cache serves every evaluation"
+    );
+    assert_eq!(second.execution.simulated, 0, "nothing re-simulates");
     assert_eq!(
         second.answer_value().to_string(),
         first.answer_value().to_string(),
         "answers must be byte-identical"
-    );
-
-    // Forcing the search to re-run (`fresh`) still answers identically,
-    // and every evaluation is a point-cache hit.
-    let third = run_explore(&spec, &opts(2, Some(dir.clone()), true), None, |_| {}).expect("run");
-    assert!(!third.execution.report_cached);
-    assert_eq!(
-        third.execution.cache_hits, third.result.counters.evaluations,
-        "warm point cache serves every evaluation"
-    );
-    assert_eq!(third.execution.simulated, 0, "nothing re-simulates");
-    assert_eq!(
-        third.answer_value().to_string(),
-        first.answer_value().to_string()
     );
 
     std::fs::remove_dir_all(&dir).ok();
@@ -90,8 +78,8 @@ fn same_spec_twice_gives_a_byte_identical_answer_from_the_cache() {
 #[test]
 fn thread_count_never_changes_the_frontier() {
     let spec = spec("xit-threads");
-    let one = run_explore(&spec, &opts(1, None, false), None, |_| {}).expect("run");
-    let many = run_explore(&spec, &opts(4, None, false), None, |_| {}).expect("run");
+    let one = run_explore(&spec, &opts(1, None), None, |_| {}).expect("run");
+    let many = run_explore(&spec, &opts(4, None), None, |_| {}).expect("run");
     assert_eq!(
         one.answer_value().to_string(),
         many.answer_value().to_string(),
@@ -104,7 +92,7 @@ fn thread_count_never_changes_the_frontier() {
 #[test]
 fn halving_simulates_fewer_full_length_points_than_the_grid() {
     let spec = spec("xit-halving");
-    let report = run_explore(&spec, &opts(2, None, false), None, |_| {}).expect("run");
+    let report = run_explore(&spec, &opts(2, None), None, |_| {}).expect("run");
     let c = &report.result.counters;
     assert_eq!(c.grid_size, 9);
     assert!(

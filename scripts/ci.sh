@@ -113,21 +113,24 @@ rm -rf "$EXPLORE_SCRATCH"
 mkdir -p "$EXPLORE_SCRATCH"
 # Cold cache first, then a warm re-ask: both answers must be
 # byte-identical to specs/ci_smoke.golden.json — the search is a
-# deterministic function of the spec, and neither the report cache nor
-# the point cache may change a single byte of the answer.
+# deterministic function of the spec, and the point cache may not change
+# a single byte of the answer. The re-ask runs the search again and must
+# be answered from point-cache hits alone: its summary says 0 simulated.
 cargo run --release -p s64v-harness --bin campaign -- \
     explore --spec specs/ci_smoke.explore.json --answer-only \
     --cache-dir "$EXPLORE_SCRATCH/cache" --quiet \
+    --out "$EXPLORE_SCRATCH/report.explore.json" \
     > "$EXPLORE_SCRATCH/cold.json" 2> /dev/null
 diff specs/ci_smoke.golden.json "$EXPLORE_SCRATCH/cold.json"
 cargo run --release -p s64v-harness --bin campaign -- \
     explore --spec specs/ci_smoke.explore.json --answer-only \
     --cache-dir "$EXPLORE_SCRATCH/cache" --quiet \
-    > "$EXPLORE_SCRATCH/warm.json" 2> /dev/null
+    > "$EXPLORE_SCRATCH/warm.json" 2> "$EXPLORE_SCRATCH/warm.err"
 diff specs/ci_smoke.golden.json "$EXPLORE_SCRATCH/warm.json"
-# The stored report is a first-class artifact: the validator must accept it.
+grep -q ' cached, 0 simulated, ' "$EXPLORE_SCRATCH/warm.err"
+# The `--out` report is a first-class artifact: the validator must accept it.
 cargo run --release -p s64v-harness --bin campaign -- \
-    --check-artifact "$EXPLORE_SCRATCH"/cache/*.explore.json > /dev/null 2>&1
+    --check-artifact "$EXPLORE_SCRATCH/report.explore.json" > /dev/null 2>&1
 rm -rf "$EXPLORE_SCRATCH"
 
 echo "== sampled-simulation accuracy smoke (gate + golden + negative control)"
