@@ -25,11 +25,16 @@
 //! one walk of each core's window for the schedule audit; the
 //! directory-wide coherence sweep runs every [`SWEEP_INTERVAL`] cycles.
 //!
-//! The deterministic fault-injection framework in [`crate::faultinject`]
-//! exists to prove these invariants actually fire: every fault class it
-//! can inject is caught by at least one auditor check.
+//! The per-core checks over one snapshot are [`check_pipeline`] and
+//! [`check_cpi`]; the schedule, MSHR, bus, coherence and inclusion audits
+//! live with the state they read (`Core::audit_schedule`,
+//! `MemorySystem::audit_*`). That every check fires is shown twice: each
+//! has a unit test in the crate that owns its state, corrupting that
+//! state directly, and `scripts/mutate.sh` plants each fault class of
+//! `specs/mutants/` in a copy of the source and requires the checked run
+//! of `tests/fault_matrix.rs` to fail naming the expected [`Component`].
 
-use s64v_cpu::{Core, CoreError, PipelineSnapshot};
+use s64v_cpu::{Core, CoreError, CoreStats, PipelineSnapshot};
 use s64v_mem::{MemSnapshot, MemorySystem};
 use std::fmt;
 
@@ -128,6 +133,19 @@ impl SimError {
             message: err.to_string(),
             pipeline: Some(Box::new(err.snapshot)),
             memory: Some(Box::new(mem.snapshot())),
+        }
+    }
+
+    /// A per-core invariant violation on the cycle `s` describes,
+    /// carrying the snapshot (and no memory snapshot).
+    fn in_pipeline(s: &PipelineSnapshot, component: Component, message: String) -> Self {
+        SimError {
+            cycle: s.cycle,
+            core: Some(s.core_id),
+            component,
+            message,
+            pipeline: Some(Box::new(*s)),
+            memory: None,
         }
     }
 
@@ -237,140 +255,30 @@ impl Auditor {
         }
     }
 
-    fn err(
-        &self,
-        now: u64,
-        core: Option<usize>,
-        component: Component,
-        message: String,
-        pipeline: Option<PipelineSnapshot>,
-        mem: &MemorySystem,
-    ) -> SimError {
-        SimError {
-            cycle: now,
-            core,
-            component,
-            message,
-            pipeline: pipeline.map(Box::new),
-            memory: Some(Box::new(mem.snapshot())),
-        }
-    }
-
     /// Per-cycle invariant check over every core and the memory system.
     pub fn check(&mut self, now: u64, cores: &[Core], mem: &MemorySystem) -> Result<(), SimError> {
+        let with_memory = |mut e: SimError| {
+            e.memory = Some(Box::new(mem.snapshot()));
+            e
+        };
         for (i, core) in cores.iter().enumerate() {
             let s = core.snapshot(now);
-
-            // Commit monotonicity first: a rewound counter also breaks
-            // conservation, and the root cause is the rewind.
-            if s.committed < self.last_committed[i] {
-                return Err(self.err(
-                    now,
-                    Some(i),
-                    Component::Commit,
-                    format!(
-                        "committed-instruction count moved backwards: {} after {}",
-                        s.committed, self.last_committed[i]
-                    ),
-                    Some(s),
-                    mem,
-                ));
-            }
+            check_pipeline(&s, self.last_committed[i]).map_err(with_memory)?;
             self.last_committed[i] = s.committed;
-
-            // Conservation: every decoded instruction is either committed
-            // or still in the window (wrong-path fetches are never decoded
-            // in this model, so the balance is exact).
-            if s.next_seq != s.committed + s.rob_len as u64 {
-                return Err(self.err(
-                    now,
-                    Some(i),
-                    Component::Conservation,
-                    format!(
-                        "instruction conservation broken: {} decoded != {} committed + {} in window",
-                        s.next_seq, s.committed, s.rob_len
-                    ),
-                    Some(s),
-                    mem,
-                ));
-            }
-
-            if s.rob_len > s.rob_capacity {
-                return Err(self.err(
-                    now,
-                    Some(i),
-                    Component::Window,
-                    format!(
-                        "instruction window over capacity: {} entries in a {}-entry window",
-                        s.rob_len, s.rob_capacity
-                    ),
-                    Some(s),
-                    mem,
-                ));
-            }
-
-            for rs in &s.rs {
-                if rs.occupancy > rs.capacity {
-                    return Err(self.err(
-                        now,
-                        Some(i),
-                        Component::ReservationStation,
-                        format!(
-                            "{} over capacity: {} entries in a {}-entry station",
-                            rs.kind, rs.occupancy, rs.capacity
-                        ),
-                        Some(s),
-                        mem,
-                    ));
-                }
-            }
-
-            if s.loads_in_flight > s.load_queue || s.stores_in_flight > s.store_queue {
-                return Err(self.err(
-                    now,
-                    Some(i),
-                    Component::LoadStoreQueue,
-                    format!(
-                        "LSQ over capacity: {}/{} loads, {}/{} stores",
-                        s.loads_in_flight, s.load_queue, s.stores_in_flight, s.store_queue
-                    ),
-                    Some(s),
-                    mem,
-                ));
-            }
-
             core.audit_schedule(now)
-                .map_err(|m| self.err(now, Some(i), Component::Schedule, m, Some(s), mem))?;
-
-            // Top-down CPI conservation: every simulated cycle must be
-            // attributed to exactly one blame-taxonomy leaf, so the leaf
-            // counters partition the cycle counter exactly.
-            let stats = core.stats();
-            if !stats.cpi.conserves(stats.cycles.get()) {
-                return Err(self.err(
-                    now,
-                    Some(i),
-                    Component::Conservation,
-                    format!(
-                        "CPI-stack conservation broken: {} attributed cycles != {} simulated",
-                        stats.cpi.total(),
-                        stats.cycles.get()
-                    ),
-                    Some(s),
-                    mem,
-                ));
-            }
+                .map_err(|m| with_memory(SimError::in_pipeline(&s, Component::Schedule, m)))?;
+            check_cpi(&s, core.stats()).map_err(with_memory)?;
         }
 
         mem.audit_mshr_credit()
-            .map_err(|m| self.err(now, None, Component::Mshr, m, None, mem))?;
+            .map_err(|m| system_error(now, Component::Mshr, m, mem))?;
         mem.audit_bus_credit()
-            .map_err(|m| self.err(now, None, Component::Bus, m, None, mem))?;
+            .map_err(|m| system_error(now, Component::Bus, m, mem))?;
 
         if now >= self.next_sweep {
             self.next_sweep = now + SWEEP_INTERVAL;
             mem.audit_coherence()
-                .map_err(|m| self.err(now, None, Component::Coherence, m, None, mem))?;
+                .map_err(|m| system_error(now, Component::Coherence, m, mem))?;
         }
         Ok(())
     }
@@ -386,11 +294,103 @@ impl Auditor {
     ) -> Result<(), SimError> {
         self.check(now, cores, mem)?;
         mem.audit_coherence()
-            .map_err(|m| self.err(now, None, Component::Coherence, m, None, mem))?;
+            .map_err(|m| system_error(now, Component::Coherence, m, mem))?;
         mem.audit_inclusion()
-            .map_err(|m| self.err(now, None, Component::Inclusion, m, None, mem))?;
+            .map_err(|m| system_error(now, Component::Inclusion, m, mem))?;
         Ok(())
     }
+}
+
+/// A system-wide (memory-side) violation at `now`, with the memory
+/// system's snapshot.
+fn system_error(now: u64, component: Component, message: String, mem: &MemorySystem) -> SimError {
+    SimError {
+        cycle: now,
+        core: None,
+        component,
+        message,
+        pipeline: None,
+        memory: Some(Box::new(mem.snapshot())),
+    }
+}
+
+/// The per-core invariants one [`PipelineSnapshot`] must hold, given the
+/// committed count the previous cycle's snapshot showed: commit
+/// monotonicity, instruction conservation, and occupancy within capacity
+/// for the window, every reservation station and the load/store queues.
+/// A violation names the snapshot's cycle and CPU and carries the
+/// snapshot; [`Auditor::check`] attaches the memory system's.
+pub fn check_pipeline(s: &PipelineSnapshot, last_committed: u64) -> Result<(), SimError> {
+    let fail = |component, message| Err(SimError::in_pipeline(s, component, message));
+    // Commit monotonicity first: a rewound counter also breaks
+    // conservation, and the root cause is the rewind.
+    if s.committed < last_committed {
+        return fail(
+            Component::Commit,
+            format!(
+                "committed-instruction count moved backwards: {} after {last_committed}",
+                s.committed
+            ),
+        );
+    }
+    // Conservation: every decoded instruction is either committed or
+    // still in the window (wrong-path fetches are never decoded in this
+    // model, so the balance is exact).
+    if s.next_seq != s.committed + s.rob_len as u64 {
+        return fail(
+            Component::Conservation,
+            format!(
+                "instruction conservation broken: {} decoded != {} committed + {} in window",
+                s.next_seq, s.committed, s.rob_len
+            ),
+        );
+    }
+    if s.rob_len > s.rob_capacity {
+        return fail(
+            Component::Window,
+            format!(
+                "instruction window over capacity: {} entries in a {}-entry window",
+                s.rob_len, s.rob_capacity
+            ),
+        );
+    }
+    if let Some(rs) = s.rs.iter().find(|rs| rs.occupancy > rs.capacity) {
+        return fail(
+            Component::ReservationStation,
+            format!(
+                "{} over capacity: {} entries in a {}-entry station",
+                rs.kind, rs.occupancy, rs.capacity
+            ),
+        );
+    }
+    if s.loads_in_flight > s.load_queue || s.stores_in_flight > s.store_queue {
+        return fail(
+            Component::LoadStoreQueue,
+            format!(
+                "LSQ over capacity: {}/{} loads, {}/{} stores",
+                s.loads_in_flight, s.load_queue, s.stores_in_flight, s.store_queue
+            ),
+        );
+    }
+    Ok(())
+}
+
+/// Top-down CPI conservation for the core `s` describes: every simulated
+/// cycle is attributed to exactly one blame-taxonomy leaf, so the leaf
+/// counters partition the cycle counter exactly.
+pub fn check_cpi(s: &PipelineSnapshot, stats: &CoreStats) -> Result<(), SimError> {
+    if stats.cpi.conserves(stats.cycles.get()) {
+        return Ok(());
+    }
+    Err(SimError::in_pipeline(
+        s,
+        Component::Conservation,
+        format!(
+            "CPI-stack conservation broken: {} attributed cycles != {} simulated",
+            stats.cpi.total(),
+            stats.cycles.get()
+        ),
+    ))
 }
 
 #[cfg(test)]
@@ -408,6 +408,11 @@ mod tests {
         )
     }
 
+    /// A consistent snapshot of an idle core at `cycle`, to corrupt.
+    fn snapshot(cycle: u64) -> PipelineSnapshot {
+        parts().0[0].snapshot(cycle)
+    }
+
     #[test]
     fn idle_system_passes_all_checks() {
         let (cores, mem) = parts();
@@ -418,94 +423,81 @@ mod tests {
 
     #[test]
     fn rewound_commit_counter_is_flagged_as_commit_violation() {
-        let (mut cores, mem) = parts();
-        let mut a = Auditor::new(1);
-        a.last_committed[0] = 500;
-        cores[0].fault_rewind_committed();
-        let err = a.check(10, &cores, &mem).unwrap_err();
+        let s = snapshot(10);
+        let err = check_pipeline(&s, 500).unwrap_err();
         assert_eq!(err.component, Component::Commit);
         assert_eq!(err.cycle, 10);
         assert_eq!(err.core, Some(0));
-        assert!(err.to_string().contains("moved backwards"), "{err}");
+        assert!(
+            err.to_string().contains("moved backwards: 0 after 500"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn undecoded_commits_break_instruction_conservation() {
+        let mut s = snapshot(6);
+        s.committed = 3;
+        let err = check_pipeline(&s, 0).unwrap_err();
+        assert_eq!(err.component, Component::Conservation);
+        assert!(
+            err.message
+                .contains("0 decoded != 3 committed + 0 in window"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn an_overfull_window_is_flagged() {
+        let mut s = snapshot(2);
+        s.rob_len = s.rob_capacity + 1;
+        s.next_seq = s.rob_len as u64;
+        let err = check_pipeline(&s, 0).unwrap_err();
+        assert_eq!(err.component, Component::Window);
+        assert!(err.message.contains("window over capacity"), "{err}");
     }
 
     #[test]
     fn leaked_cpi_cycle_breaks_topdown_conservation() {
-        let (mut cores, mem) = parts();
-        let mut a = Auditor::new(1);
-        cores[0].fault_leak_cpi_cycle();
-        let err = a.check(4, &cores, &mem).unwrap_err();
+        let s = snapshot(4);
+        let mut stats = CoreStats::new(64, 16, 10);
+        stats.cycles.incr();
+        let err = check_cpi(&s, &stats).unwrap_err();
         assert_eq!(err.component, Component::Conservation);
         assert_eq!(err.core, Some(0));
-        assert!(err.message.contains("CPI-stack"), "{err}");
+        assert!(
+            err.message
+                .contains("CPI-stack conservation broken: 0 attributed cycles != 1"),
+            "{err}"
+        );
     }
 
     #[test]
     fn stuck_rs_slots_break_the_occupancy_invariant() {
-        let (mut cores, mem) = parts();
-        let mut a = Auditor::new(1);
-        cores[0].fault_stall_rs_slots(s64v_isa::RsKind::Rsa, 64);
-        let err = a.check(3, &cores, &mem).unwrap_err();
+        let mut s = snapshot(3);
+        let rsa = s.rs.iter_mut().find(|rs| rs.kind == s64v_isa::RsKind::Rsa);
+        let rsa = rsa.expect("every station is in the snapshot");
+        rsa.occupancy = rsa.capacity + 64;
+        let err = check_pipeline(&s, 0).unwrap_err();
         assert_eq!(err.component, Component::ReservationStation);
-        assert!(err.message.contains("RSA"), "{err}");
+        assert_eq!(err.cycle, 3);
+        assert!(err.message.contains("RSA over capacity"), "{err}");
     }
 
     #[test]
-    fn a_lost_event_breaks_the_schedule_invariant() {
-        use s64v_isa::{Instr, OpClass, Reg};
-        use s64v_trace::{TraceRecord, VecTrace};
-        let (mut cores, mut mem) = parts();
-        let mut a = Auditor::new(1);
-        let trace: VecTrace = (0..40)
-            .map(|i| {
-                let op = Instr::alu(OpClass::IntMul, Reg::int(1), &[Reg::int(1)]);
-                TraceRecord::new(0x1000 + i * 4, op)
-            })
-            .collect();
-        let mut stream = trace.stream();
-        let mut now = 0;
-        // Step until something is executing, audited clean all the way.
-        while !cores[0].fault_lose_event() {
-            cores[0].try_step(&mut mem, &mut stream, now).unwrap();
-            a.check(now, &cores, &mem)
-                .expect("a clean run audits clean");
-            now += 1;
-        }
-        cores[0].try_step(&mut mem, &mut stream, now).unwrap();
-        let err = a.check(now, &cores, &mem).unwrap_err();
-        assert_eq!(err.component, Component::Schedule);
-        assert_eq!(err.core, Some(0));
-        assert!(err.message.contains("is lost"), "{err}");
-        assert!(err.message.contains("slot "), "{err}");
-    }
-
-    #[test]
-    fn overcommitted_mshr_is_flagged() {
-        let (cores, mut mem) = parts();
-        let mut a = Auditor::new(1);
-        let cap = mem.mshr_levels(0)[1].capacity as usize;
-        for _ in 0..=cap {
-            mem.fault_overcommit_mshr(0);
-        }
-        let err = a.check(7, &cores, &mem).unwrap_err();
-        assert_eq!(err.component, Component::Mshr);
-    }
-
-    #[test]
-    fn lost_bus_grant_breaks_credit_conservation() {
-        let (cores, mut mem) = parts();
-        let mut a = Auditor::new(1);
-        mem.fault_lose_bus_grant();
-        let err = a.check(9, &cores, &mem).unwrap_err();
-        assert_eq!(err.component, Component::Bus);
+    fn an_overfull_load_queue_is_flagged() {
+        let mut s = snapshot(5);
+        s.loads_in_flight = s.load_queue + 1;
+        let err = check_pipeline(&s, 0).unwrap_err();
+        assert_eq!(err.component, Component::LoadStoreQueue);
+        assert!(err.message.contains("LSQ over capacity"), "{err}");
     }
 
     #[test]
     fn json_dump_is_self_contained() {
-        let (mut cores, mem) = parts();
         let mut a = Auditor::new(1);
         a.last_committed[0] = 5;
-        cores[0].fault_rewind_committed();
+        let (cores, mem) = parts();
         let err = a.check(42, &cores, &mem).unwrap_err();
         let json = err.to_json();
         assert!(json.contains("\"cycle\": 42"), "{json}");

@@ -31,13 +31,13 @@
 //! * [`knobs`] — the named-parameter registry design-space exploration
 //!   steers through, and [`cost`] — the first-order die-area model that
 //!   prices each configuration,
-//! * [`faultinject`] — deterministic fault injection proving the auditor
-//!   catches every corruption class it claims to.
+//! * [`chaos`] — the seeded chaos schedules soak campaigns disturb the
+//!   harness with.
 
 pub mod accuracy;
+pub mod chaos;
 pub mod cost;
 pub mod experiment;
-pub mod faultinject;
 pub mod fingerprint;
 pub mod integrity;
 pub mod knobs;
@@ -49,9 +49,9 @@ pub mod system;
 pub mod versions;
 pub mod warm;
 
+pub use chaos::{ChaosPlan, HarnessFaultClass};
 pub use cost::{area_mm2, CostEstimate};
 pub use experiment::program_seed;
-pub use faultinject::{ChaosPlan, FaultClass, FaultPlan, HarnessFaultClass};
 pub use fingerprint::{
     config_fingerprint, memory_warm_key, predictor_warm_key, Fingerprint, StableHasher,
     MODEL_FINGERPRINT_VERSION,

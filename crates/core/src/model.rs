@@ -1,6 +1,5 @@
 //! The performance-model façade.
 
-use crate::faultinject::FaultPlan;
 use crate::integrity::{Auditor, SimError};
 use crate::observe::{ObserveConfig, Observer};
 use crate::system::{RunResult, SystemConfig};
@@ -65,36 +64,25 @@ impl CycleBudget {
 
 /// Per-run options that do not describe the simulated system (and
 /// therefore never enter [`SystemConfig`] or any cache fingerprint):
-/// checked-mode auditing, fault injection, and supervision budgets.
+/// checked-mode auditing and supervision budgets.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Run the invariant auditor every cycle (see [`crate::integrity`]).
     pub checked: bool,
-    /// Inject a deterministic fault (see [`crate::faultinject`]).
-    pub fault: Option<FaultPlan>,
     /// Cycle ceiling and cancellation flag (see [`CycleBudget`]).
     pub budget: Option<CycleBudget>,
     /// Step every core on every cycle: no core is ever put to sleep.
     /// Results are byte-identical either way (the equivalence test suite
     /// asserts exactly that); the switch exists for those tests and for
-    /// debugging. Checked and faulted runs never sleep regardless.
+    /// debugging. Checked runs never sleep regardless.
     pub no_skip: bool,
 }
 
 impl RunOptions {
-    /// Checked mode, no fault.
+    /// Checked mode.
     pub fn checked() -> Self {
         RunOptions {
             checked: true,
-            ..RunOptions::default()
-        }
-    }
-
-    /// Checked mode with a fault plan (fault-matrix validation runs).
-    pub fn checked_with_fault(fault: FaultPlan) -> Self {
-        RunOptions {
-            checked: true,
-            fault: Some(fault),
             ..RunOptions::default()
         }
     }
@@ -114,8 +102,8 @@ impl RunOptions {
 /// provably frozen until cycle `w` is not stepped again before `w`, and
 /// the counter advances to the earliest wake time among unfinished cores.
 /// "Every core is asleep" and a uniprocessor run are instances of that
-/// rule, not separate paths. Applies any pending fault and (in checked
-/// mode) audits the invariants every cycle. Returns the final cycle count.
+/// rule, not separate paths. In checked mode it audits the invariants
+/// every cycle. Returns the final cycle count.
 pub(crate) fn drive<S: TraceStream>(
     cores: &mut [Core],
     mem: &mut MemorySystem,
@@ -124,14 +112,12 @@ pub(crate) fn drive<S: TraceStream>(
     mut observer: Option<&mut Observer>,
 ) -> Result<u64, SimError> {
     let mut auditor = opts.checked.then(|| Auditor::new(cores.len()));
-    let mut fault = opts.fault;
     // Hoisted out of `opts` so an inactive budget costs one branch.
     let budget = opts.budget.filter(CycleBudget::is_active);
     // Sleeping is sound only when nothing outside a core needs it stepped
     // on an arbitrary cycle — so never under an auditor (it must see
-    // every cycle of every core) or a fault plan (it fires at scheduled
-    // cycles).
-    let may_sleep = !opts.no_skip && auditor.is_none() && fault.is_none();
+    // every cycle of every core).
+    let may_sleep = !opts.no_skip && auditor.is_none();
     let observe_interval = observer.as_ref().map_or(0, |o| o.interval());
     /// Wake time of a core that has drained its stream.
     const FINISHED: u64 = u64::MAX;
@@ -143,9 +129,6 @@ pub(crate) fn drive<S: TraceStream>(
     loop {
         if let Some(b) = &budget {
             b.check(now)?;
-        }
-        if let Some(f) = fault.as_mut() {
-            f.apply(now, cores, mem);
         }
         inert.clear();
         let mut stepped = false;
@@ -264,7 +247,7 @@ pub struct Run<'a> {
     pub warmup: usize,
     /// Time only `[start, start + len)` of every trace.
     pub window: Option<(usize, usize)>,
-    /// Checked mode, fault injection, budgets (see [`RunOptions`]).
+    /// Checked mode and budgets (see [`RunOptions`]).
     pub opts: RunOptions,
     /// Record timelines, bus transfers and interval metrics of the timed
     /// part (recording starts after the warm-up). Observation is

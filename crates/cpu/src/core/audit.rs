@@ -172,11 +172,4 @@ impl Core {
         }
         Ok(())
     }
-
-    /// Fault-injection hook: drops one scheduled completion event (see
-    /// `Wheel::fault_lose`). Returns whether there was one to drop.
-    #[doc(hidden)]
-    pub fn fault_lose_event(&mut self) -> bool {
-        self.wheel.fault_lose(Lane::Complete).is_some()
-    }
 }

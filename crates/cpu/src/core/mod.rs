@@ -386,26 +386,4 @@ impl Core {
             last_commit_cycle: self.last_commit_cycle,
         }
     }
-
-    /// Fault-injection hook: marks `n` reservation-station slots of `kind`
-    /// as stuck-held (see `ReservationStations::fault_stall_slots`).
-    #[doc(hidden)]
-    pub fn fault_stall_rs_slots(&mut self, kind: RsKind, n: usize) {
-        self.rs.fault_stall_slots(kind, n);
-    }
-
-    /// Fault-injection hook: rewinds the committed-instruction counter to
-    /// zero, violating commit monotonicity for the auditor to catch.
-    #[doc(hidden)]
-    pub fn fault_rewind_committed(&mut self) {
-        self.stats.committed.reset();
-    }
-
-    /// Fault-injection hook: counts a cycle that is never attributed to
-    /// any CPI-taxonomy leaf, breaking the top-down conservation invariant
-    /// for the auditor to catch.
-    #[doc(hidden)]
-    pub fn fault_leak_cpi_cycle(&mut self) {
-        self.stats.cycles.incr();
-    }
 }

@@ -7,6 +7,7 @@ use s64v_isa::Instr;
 use s64v_mem::{MemConfig, MemorySystem};
 use s64v_trace::{TraceBuilder, VecTrace};
 
+mod audit;
 mod behaviour;
 mod blame;
 mod observation;

@@ -79,9 +79,6 @@ pub struct ReservationStations {
     steer: [u8; 4],
     /// Parked entries over all buffers.
     parked: usize,
-    /// Fault-injection: slots reported as stuck-held per kind (in
-    /// [`RsKind::ALL`] order). Always zero outside seeded fault runs.
-    stuck: [usize; 4],
 }
 
 fn kind_index(kind: RsKind) -> usize {
@@ -119,7 +116,6 @@ impl ReservationStations {
             buffers,
             steer: [0; 4],
             parked: 0,
-            stuck: [0; 4],
         }
     }
 
@@ -257,11 +253,9 @@ impl ReservationStations {
         home.waiting.get(slot) || home.parked.get(slot)
     }
 
-    /// Total entries waiting in stations of `kind` (stuck-slot faults
-    /// count as held entries).
+    /// Total entries waiting in stations of `kind`.
     pub fn occupancy(&self, kind: RsKind) -> usize {
-        let k = kind_index(kind);
-        self.buffers[k].iter().map(|b| b.len).sum::<usize>() + self.stuck[k]
+        self.buffers[kind_index(kind)].iter().map(|b| b.len).sum()
     }
 
     /// Configured capacity of stations of `kind` (both buffers combined
@@ -271,15 +265,6 @@ impl ReservationStations {
             .iter()
             .map(|b| b.capacity)
             .sum()
-    }
-
-    /// Fault-injection hook: marks `n` slots of `kind` as stuck-held, as
-    /// if a release was lost. The slots never free and never dispatch, so
-    /// the reported occupancy drifts past the capacity — exactly the
-    /// corruption the integrity auditor's RS invariant exists to catch.
-    #[doc(hidden)]
-    pub fn fault_stall_slots(&mut self, kind: RsKind, n: usize) {
-        self.stuck[kind_index(kind)] += n;
     }
 
     /// Whether any cancelled instruction is parked awaiting a free place

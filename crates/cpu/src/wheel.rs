@@ -233,27 +233,23 @@ impl Wheel {
         let (index, bit) = self.bit_of(lane, slot, at);
         self.masks[index] & bit != 0
     }
-
-    /// Fault-injection hook: silently drops the bit of the first armed
-    /// event on `lane`, leaving its stamp, and returns the event's slot
-    /// and cycle. The event will never be delivered.
-    #[doc(hidden)]
-    pub fn fault_lose(&mut self, lane: Lane) -> Option<(usize, u64)> {
-        for slot in 0..self.slots {
-            if self.is_scheduled(lane, slot) {
-                let at = self.stamp(lane, slot);
-                let (index, bit) = self.bit_of(lane, slot, at);
-                self.masks[index] &= !bit;
-                return Some((slot, at));
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Wheel {
+        /// Loses the event armed for `slot` on `lane`: clears its bucket
+        /// bit, keeps its stamp — the event is never delivered. Returns
+        /// the cycle it was due.
+        pub(crate) fn lose(&mut self, lane: Lane, slot: usize) -> u64 {
+            let at = self.stamp(lane, slot);
+            let (index, bit) = self.bit_of(lane, slot, at);
+            self.masks[index] &= !bit;
+            at
+        }
+    }
 
     fn delivered(wheel: &mut Wheel, now: u64) -> Vec<(Lane, usize)> {
         let mut out = Vec::new();
@@ -376,10 +372,9 @@ mod tests {
         w.arm(Lane::Confirm, 1, 4);
         w.arm(Lane::Complete, 2, 4);
         assert!(w.is_scheduled(Lane::Complete, 2));
-        assert_eq!(w.fault_lose(Lane::Complete), Some((2, 4)));
+        assert_eq!(w.lose(Lane::Complete, 2), 4);
         assert!(!w.is_scheduled(Lane::Complete, 2));
         assert_eq!(w.stamp(Lane::Complete, 2), 4);
         assert_eq!(delivered(&mut w, 4), vec![(Lane::Confirm, 1)]);
-        assert_eq!(w.fault_lose(Lane::Complete), None);
     }
 }

@@ -40,11 +40,13 @@ fn slow_fill_with_an_empty_window_does_not_trip_the_watchdog() {
 
 #[test]
 fn a_genuinely_wedged_window_is_reported_with_a_snapshot() {
-    // Drop the fill under a load: its data never arrives, the load sits at
-    // the window head forever, and the watchdog must report a structured
+    // A core that can never commit: the load completes, but sits at the
+    // window head forever, and the watchdog must report a structured
     // wedge instead of spinning.
     let mut mem = MemorySystem::new(MemConfig::sparc64_v(), 1);
-    let mut core = Core::new(CoreConfig::sparc64_v(), 0);
+    let mut cfg = CoreConfig::sparc64_v();
+    cfg.commit_width = 0;
+    let mut core = Core::new(cfg, 0);
 
     let mut b = TraceBuilder::new(0x10_0000);
     b.push(Instr::load(Reg::int(1), Reg::int(2), 0x8000, MemWidth::B8));
@@ -54,10 +56,9 @@ fn a_genuinely_wedged_window_is_reported_with_a_snapshot() {
     let trace = b.finish();
     let mut stream = trace.stream();
 
-    mem.fault_drop_next_fill(0);
     let err = core
         .try_run_from(&mut mem, &mut stream, 0)
-        .expect_err("a dropped fill must wedge the pipeline");
+        .expect_err("a core that cannot commit must wedge");
     let CoreFault::Wedged { horizon } = err.fault;
     assert!(horizon >= 1_000_000);
     assert_eq!(err.snapshot.core_id, 0);

@@ -221,9 +221,13 @@ fn parse(text: &str) -> Option<PointMetrics> {
         return None;
     }
     let mut m = PointMetrics::default();
-    let mut seen = 0u32;
+    let mut seen: Vec<&str> = Vec::with_capacity(16);
     for line in lines {
         let (key, value) = line.split_once(": ")?;
+        if seen.contains(&key) {
+            return None;
+        }
+        seen.push(key);
         match key {
             "cycles" => m.cycles = value.parse().ok()?,
             "committed" => m.committed = value.parse().ok()?,
@@ -243,10 +247,10 @@ fn parse(text: &str) -> Option<PointMetrics> {
             "same_work" => m.same_work = value.parse().ok()?,
             _ => return None,
         }
-        seen += 1;
     }
-    // Every field must be present exactly once.
-    (seen == 16).then_some(m)
+    // Every field must be present exactly once: no key repeats, and an
+    // unknown key is a miss, so sixteen keys are the sixteen fields.
+    (seen.len() == 16).then_some(m)
 }
 
 fn parse_cells<const N: usize>(value: &str) -> Option<[u64; N]> {
@@ -297,6 +301,9 @@ mod tests {
         assert_eq!(parse(&truncated), None);
         let tampered = encode(&sample()).replace("cycles:", "cycels:");
         assert_eq!(parse(&tampered), None);
+        // A repeated field cannot stand in for a missing one.
+        let duplicated = encode(&sample()).replace("committed: 10000", "cycles: 7");
+        assert_eq!(parse(&duplicated), None);
     }
 
     #[test]

@@ -172,8 +172,8 @@ fn execute_in(
             observe: ocfg,
         }),
         WorkUnit::Verify { .. } => {
-            // `compare` drives both machines itself; checked mode and
-            // fault injection do not apply to the reference cross-check.
+            // `compare` drives both machines itself; checked mode does
+            // not apply to the reference cross-check.
             let check = compare(&point.config, &traces[0], point.warmup);
             let metrics = PointMetrics {
                 cycles: check.model_cycles,
@@ -481,7 +481,6 @@ impl Campaign<'_> {
         });
         let opts = RunOptions {
             checked: self.spec.checked,
-            fault: self.spec.fault,
             budget,
             ..RunOptions::default()
         };

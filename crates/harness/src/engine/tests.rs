@@ -3,7 +3,7 @@
 use super::*;
 use crate::spec::ObservePlan;
 use crate::supervise::SupervisePolicy;
-use s64v_core::{ChaosPlan, FaultClass, FaultPlan, SystemConfig};
+use s64v_core::{ChaosPlan, SystemConfig};
 use s64v_workloads::SuiteKind;
 use std::time::Duration;
 
@@ -401,19 +401,21 @@ fn invariant_violation_fails_the_point_and_writes_a_dump() {
     let dir = std::env::temp_dir().join(format!("s64v-engine-dump-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
+    // A core that can never commit wedges: the deadlock watchdog fails
+    // the run with a pipeline SimError, deterministically.
+    let wedged = |seed| {
+        let mut point = program_point(3_000, seed);
+        point.config.core.commit_width = 0;
+        point
+    };
     let spec = CampaignSpec {
-        checked: true,
-        fault: Some(FaultPlan::at(FaultClass::RewindCommit, 0, 1)),
         cache_dir: Some(dir.clone()),
-        ..CampaignSpec::new(
-            "unit",
-            vec![program_point(3_000, 1), program_point(3_000, 2)],
-        )
+        ..CampaignSpec::new("unit", vec![wedged(1), wedged(2)])
     };
     let outcome = run_campaign(&spec, None).expect("run");
 
-    // Every point gets the fault, every point fails — and the
-    // campaign still visits all of them.
+    // Every point wedges, every point fails — and the campaign still
+    // visits all of them.
     assert_eq!(outcome.report.failed, 2);
     for o in &outcome.outcomes {
         let PointOutcome::Failed {
@@ -423,14 +425,14 @@ fn invariant_violation_fails_the_point_and_writes_a_dump() {
             quarantined,
         } = o
         else {
-            panic!("faulted point must fail, got {o:?}");
+            panic!("a wedged point must fail, got {o:?}");
         };
-        assert!(error.contains("commit"), "got: {error}");
+        assert!(error.contains("pipeline"), "got: {error}");
         assert_eq!(*attempts, 1, "deterministic SimErrors fail fast, no retry");
         assert!(!quarantined, "a fail-fast point is not quarantined");
         let path = dump_path.as_ref().expect("dump written next to cache");
         let json = std::fs::read_to_string(path).expect("dump readable");
-        assert!(json.contains("\"component\": \"commit\""), "got: {json}");
+        assert!(json.contains("\"component\": \"pipeline\""), "got: {json}");
         assert!(json.contains("\"pipeline\""), "dump carries the snapshot");
     }
 

@@ -77,7 +77,9 @@ fn topdown(agg: &SuiteAgg) -> (CpiStack, u64) {
     let mut stack = CpiStack::default();
     let mut committed = 0u64;
     for p in &agg.programs {
-        stack.merge(&CpiStack::from_cells(p.cpi));
+        stack
+            .merge(&CpiStack::from_cells(p.cpi))
+            .expect("a suite's simulated cycles fit in u64");
         committed += p.committed;
     }
     (stack, committed)

@@ -41,8 +41,9 @@
 //! * **Design-space exploration** — [`explore`] turns the engine into a
 //!   query answerer: a declarative `s64v-explore` spec (knob grid +
 //!   objective + constraints) runs as successive-halving rounds over the
-//!   same pool and point cache, and the finished report (winner, Pareto
-//!   frontier, search accounting) is itself cached by spec fingerprint.
+//!   same pool and point cache. The report (winner, Pareto frontier,
+//!   search accounting) is not cached: a re-asked query searches again,
+//!   and every evaluation it repeats is a point-cache hit.
 //!
 //! The `campaign` binary drives the whole evaluation through this
 //! engine: `cargo run --release -p s64v-harness --bin campaign --

@@ -116,9 +116,11 @@ pub fn validate_cpi_artifact(doc: &Value) -> Result<(), String> {
     if !stack.conserves(core_cycles) {
         return Err(format!(
             "leaves sum to {} but core_cycles is {core_cycles} — conservation broken",
-            stack.total()
+            stack.total_text()
         ));
     }
+    // The leaves sum to `core_cycles` without overflow, so no group sum
+    // overflows either.
     let groups = doc.get("groups").ok_or("missing groups")?;
     for g in CpiGroup::ALL {
         let claimed = groups
@@ -221,17 +223,17 @@ impl PerfSource {
     fn absorb_artifact(&mut self, doc: &Value) -> Result<(), String> {
         validate_cpi_artifact(doc)?;
         let label = doc.get("label").and_then(Value::as_str).expect("validated");
-        let w = self.workloads.entry(label.to_string()).or_default();
-        w.core_cycles += doc
-            .get("core_cycles")
-            .and_then(Value::as_i64)
-            .expect("validated") as u64;
-        w.committed += doc
-            .get("committed")
-            .and_then(Value::as_i64)
-            .expect("validated") as u64;
+        let count = |key| doc.get(key).and_then(Value::as_i64).expect("validated") as u64;
+        let (core_cycles, committed) = (count("core_cycles"), count("committed"));
         let stack = CpiStack::from_value(doc.get("leaves").expect("validated"))?;
-        w.stack.merge(&stack);
+        let w = self.workloads.entry(label.to_string()).or_default();
+        let overflow = || format!("{label}: summed cycles or instructions overflow u64");
+        w.stack.merge(&stack).map_err(|_| overflow())?;
+        w.core_cycles = w
+            .core_cycles
+            .checked_add(core_cycles)
+            .ok_or_else(overflow)?;
+        w.committed = w.committed.checked_add(committed).ok_or_else(overflow)?;
         Ok(())
     }
 
@@ -446,6 +448,50 @@ mod tests {
 
         let err = validate_cpi_artifact(&Value::obj()).unwrap_err();
         assert!(err.contains("label"), "got: {err}");
+    }
+
+    #[test]
+    fn leaves_summing_past_u64_are_rejected_not_wrapped() {
+        // Three leaves at i64::MAX (the largest a JSON integer holds),
+        // claiming the core_cycles their u64 sum wraps to.
+        let max = i64::MAX as u64;
+        let mut cells = [0u64; 16];
+        for leaf in [CpiLeaf::Retire, CpiLeaf::MemDram, CpiLeaf::MemBus] {
+            cells[leaf.index()] = max;
+        }
+        let doc = Value::obj()
+            .field("label", "forged")
+            .field("fingerprint", fp("o").to_hex())
+            .field("cycles", 1u64)
+            .field("core_cycles", max.wrapping_mul(3))
+            .field("committed", 1u64)
+            .field("leaves", CpiStack::from_cells(cells).to_value());
+        assert_eq!(
+            doc.get("core_cycles").and_then(Value::as_i64),
+            Some(9_223_372_036_854_775_805)
+        );
+        let err = validate_cpi_artifact(&doc).unwrap_err();
+        assert!(
+            err.contains("leaves sum to more than u64::MAX"),
+            "got: {err}"
+        );
+    }
+
+    #[test]
+    fn sources_whose_sums_overflow_fail_to_load() {
+        let dir = std::env::temp_dir().join(format!("s64v-perf-overflow-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        // Each artifact is valid; three of one label sum past u64::MAX.
+        let max = i64::MAX as u64;
+        let m = metrics(max, 1, stack(max, 0));
+        for tag in ["a", "b", "c"] {
+            let text = cpi_artifact("int[0]", fp(tag), &m);
+            std::fs::write(dir.join(format!("{tag}.cpi.json")), text).expect("write");
+        }
+        let err = PerfSource::load(&dir).expect_err("must not wrap");
+        assert!(err.contains("int[0]: summed cycles"), "got: {err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

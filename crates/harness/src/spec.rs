@@ -8,7 +8,7 @@
 
 use crate::supervise::SupervisePolicy;
 use s64v_core::fingerprint::{Fingerprint, StableHasher};
-use s64v_core::{ChaosPlan, FaultPlan, SystemConfig};
+use s64v_core::{ChaosPlan, SystemConfig};
 use s64v_workloads::SuiteKind;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -334,11 +334,6 @@ pub struct CampaignSpec {
     /// entries are shared freely between checked and unchecked runs, and
     /// the flag stays out of the point fingerprint.
     pub checked: bool,
-    /// Inject this fault into every point (integrity-validation
-    /// campaigns only). Pair it with a scratch cache directory: cache
-    /// hits skip simulation, so a previously cached success would mask
-    /// the fault.
-    pub fault: Option<FaultPlan>,
     /// Tracing/metrics recording (see [`ObservePlan`]). Observation is
     /// read-only, so it stays out of point fingerprints; traced points
     /// bypass cache *reads* (the artifacts require a live simulation) but
@@ -367,7 +362,6 @@ impl CampaignSpec {
             threads: None,
             cache_dir: None,
             checked: false,
-            fault: None,
             observe: ObservePlan::default(),
             heartbeat: Some(Duration::from_secs(10)),
             supervise: SupervisePolicy::default(),

@@ -191,14 +191,6 @@ impl SystemBus {
         self.line_cycles as u64
     }
 
-    /// Fault-injection hook: counts a transaction that never actually
-    /// occupied the bus — a "lost grant". Breaks the busy-cycle credit
-    /// conservation a checked run verifies.
-    #[doc(hidden)]
-    pub fn fault_lose_grant(&mut self) {
-        self.transactions.incr();
-    }
-
     /// Total cycles the bus spent occupied.
     pub fn busy_cycles(&self) -> u64 {
         self.busy_cycles.get()
@@ -222,6 +214,13 @@ impl SystemBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SystemBus {
+        /// Counts a grant that never booked its occupancy.
+        pub(crate) fn lose_grant(&mut self) {
+            self.transactions.incr();
+        }
+    }
 
     #[test]
     fn back_to_back_requests_serialize() {

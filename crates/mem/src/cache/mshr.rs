@@ -112,23 +112,20 @@ impl MshrFile {
     pub fn capacity(&self) -> u32 {
         self.capacity
     }
-
-    /// Fault-injection hook: inserts a phantom in-flight entry *bypassing*
-    /// the capacity check, pushing the file over its credit limit. The
-    /// entry never retires within any realistic run (completion at
-    /// `u64::MAX`), so a checked run must flag occupancy > capacity.
-    #[doc(hidden)]
-    pub fn fault_overcommit(&mut self, extra: usize) {
-        let base = u64::MAX - self.pending.len() as u64 - extra as u64;
-        for i in 0..extra as u64 {
-            self.pending.push((base + i, u64::MAX));
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MshrFile {
+        /// Holds one more in-flight miss than fits, past the capacity
+        /// check; it never completes.
+        pub(crate) fn overcommit(&mut self) {
+            let line = u64::MAX - self.pending.len() as u64;
+            self.pending.push((line, u64::MAX));
+        }
+    }
 
     #[test]
     fn merge_returns_existing_completion() {

@@ -218,20 +218,18 @@ impl Directory {
     pub fn lines(&self) -> impl Iterator<Item = (u64, &[Mesi])> {
         self.lines.iter().map(|(&addr, v)| (addr, v.as_slice()))
     }
-
-    /// Fault-injection hook: forces `core`'s directory state for
-    /// `line_addr` behind the protocol's back, e.g. creating a second
-    /// Modified owner. A checked run must flag the MESI legality breach.
-    #[doc(hidden)]
-    pub fn fault_force_state(&mut self, core: usize, line_addr: u64, state: Mesi) {
-        assert!(core < self.cores, "core {core} out of range");
-        self.entry(line_addr)[core] = state;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Directory {
+        /// Sets `core`'s state for `line_addr` behind the protocol's back.
+        pub(crate) fn force_state(&mut self, core: usize, line_addr: u64, state: Mesi) {
+            self.entry(line_addr)[core] = state;
+        }
+    }
 
     #[test]
     fn first_reader_is_exclusive() {

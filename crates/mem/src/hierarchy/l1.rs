@@ -4,10 +4,6 @@
 use super::{DataAccess, FetchAccess, MemorySystem};
 use crate::addr::line_of;
 
-/// Completion time assigned to a fill dropped by fault injection: far
-/// enough out that the request never completes within any realistic run.
-const DROPPED_FILL_READY: u64 = u64::MAX >> 2;
-
 impl MemorySystem {
     /// Instruction fetch of the line containing `pc` at cycle `now`.
     pub fn fetch(&mut self, core: usize, pc: u64, now: u64) -> FetchAccess {
@@ -84,13 +80,7 @@ impl MemorySystem {
 
     /// Data load from `addr` at cycle `now`.
     pub fn load(&mut self, core: usize, addr: u64, now: u64) -> DataAccess {
-        let mut access = self.data_access(core, addr, now, false);
-        if self.drop_fill[core] && !access.l1_hit {
-            // Fault injection: the fill for this miss is lost; the load's
-            // data never arrives.
-            self.drop_fill[core] = false;
-            access.ready_at = DROPPED_FILL_READY;
-        }
+        let access = self.data_access(core, addr, now, false);
         self.cores[core]
             .stats
             .record_load_latency(access.ready_at.saturating_sub(now));

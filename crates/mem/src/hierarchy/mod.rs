@@ -23,11 +23,11 @@
 //! `l2.rs` (the L2, its MSHR file and the prefetcher), `offchip.rs` (the
 //! backplane and board buses and DRAM) and `mesi.rs` (the directory glue:
 //! coherent misses, move-outs, ownership). `mod.rs` holds the state and
-//! its construction, and the snapshots, audits and fault hooks.
+//! its construction, and the snapshots and audits.
 
 use crate::bus::SystemBus;
 use crate::cache::{BankSelector, Cache, MshrFile};
-use crate::coherence::{Directory, Mesi};
+use crate::coherence::Directory;
 use crate::config::{BusTopology, MemConfig};
 use crate::dram::Dram;
 use crate::prefetch::StridePrefetcher;
@@ -232,8 +232,6 @@ pub struct MemorySystem {
     /// with its own in-flight fill after the line was evicted or
     /// invalidated. An invalidation sweeps these as well as the holders.
     untracked: Vec<usize>,
-    /// Per-CPU "drop the next fill" fault flags (fault injection only).
-    drop_fill: Vec<bool>,
     /// The bus transfers granted since [`MemorySystem::log_bus`], at most
     /// [`BUS_LOG_CAP`] of them; `None` when not logging. Pure observation:
     /// a grant is logged after it is decided.
@@ -283,7 +281,6 @@ impl MemorySystem {
             } else {
                 Vec::new()
             },
-            drop_fill: vec![false; cores],
             bus_log: None,
             warm_epoch: 0,
             bus_queued: false,
@@ -330,7 +327,7 @@ impl MemorySystem {
         self.bus_log.take().unwrap_or_default()
     }
 
-    // ----- integrity: snapshots, audits, fault hooks ---------------------
+    // ----- integrity: snapshots and audits --------------------------------
 
     /// MSHR occupancy/capacity for `core`'s three files (L1I, L1D, L2).
     pub fn mshr_levels(&self, core: usize) -> [MshrLevel; 3] {
@@ -450,48 +447,5 @@ impl MemorySystem {
             }
         }
         Ok(())
-    }
-
-    /// Fault-injection hook: the next L1D fill requested by `core` is
-    /// dropped — its data never arrives, wedging the consuming load.
-    #[doc(hidden)]
-    pub fn fault_drop_next_fill(&mut self, core: usize) {
-        self.drop_fill[core] = true;
-    }
-
-    /// Fault-injection hook: corrupts directory state by forcing `core` to
-    /// Modified on a line another CPU validly holds, creating an illegal
-    /// second owner. Returns the corrupted line, or `None` if no suitable
-    /// line is tracked yet (caller should retry after more traffic).
-    #[doc(hidden)]
-    pub fn fault_corrupt_tag(&mut self, core: usize) -> Option<u64> {
-        let line = self
-            .dir
-            .lines()
-            .filter(|(_, states)| {
-                states
-                    .iter()
-                    .enumerate()
-                    .any(|(c, s)| c != core && s.is_valid())
-            })
-            .map(|(line, _)| line)
-            .min()?;
-        self.warm_epoch += 1; // coherence state no longer matches the memos
-        self.dir.fault_force_state(core, line, Mesi::Modified);
-        Some(line)
-    }
-
-    /// Fault-injection hook: count a backplane-bus grant that never booked
-    /// its occupancy.
-    #[doc(hidden)]
-    pub fn fault_lose_bus_grant(&mut self) {
-        self.bus.fault_lose_grant();
-    }
-
-    /// Fault-injection hook: overcommit `core`'s L1D MSHR file past its
-    /// capacity.
-    #[doc(hidden)]
-    pub fn fault_overcommit_mshr(&mut self, core: usize) {
-        self.cores[core].l1d_mshr.fault_overcommit(1);
     }
 }

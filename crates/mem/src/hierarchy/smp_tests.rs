@@ -1,4 +1,5 @@
 use super::*;
+use crate::coherence::Mesi;
 
 #[test]
 fn read_sharing_is_free_of_move_outs() {

@@ -1,5 +1,6 @@
 use super::*;
 use crate::bus::BusOp;
+use crate::coherence::Mesi;
 
 fn up() -> MemorySystem {
     MemorySystem::new(MemConfig::sparc64_v(), 1)
@@ -217,4 +218,45 @@ fn up_never_touches_coherence() {
     m.load(0, 0x100, 1000);
     assert_eq!(m.stats(0).coherence.upgrades.get(), 0);
     assert_eq!(m.stats(0).coherence.move_outs_in.get(), 0);
+}
+
+#[test]
+fn overcommitted_mshr_is_flagged() {
+    let mut m = up();
+    assert_eq!(m.audit_mshr_credit(), Ok(()));
+    let cap = m.mshr_levels(0)[1].capacity;
+    for _ in 0..=cap {
+        m.cores[0].l1d_mshr.overcommit();
+    }
+    let err = m.audit_mshr_credit().unwrap_err();
+    let want = format!(
+        "cpu 0 L1D MSHR file over capacity: {} entries in a {cap}-entry file",
+        cap + 1
+    );
+    assert_eq!(err, want);
+}
+
+#[test]
+fn lost_bus_grant_breaks_credit_conservation() {
+    let mut m = up();
+    m.load(0, 0x4000, 0);
+    assert_eq!(m.audit_bus_credit(), Ok(()));
+    m.bus.lose_grant();
+    let err = m.audit_bus_credit().unwrap_err();
+    assert!(
+        err.starts_with("backplane bus transaction count mismatch"),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_second_owner_breaks_the_mesi_sweep() {
+    let mut m = MemorySystem::new(MemConfig::sparc64_v(), 2);
+    m.load(1, 0x4000, 0);
+    assert_eq!(m.audit_coherence(), Ok(()));
+    let line = crate::addr::line_of(0x4000);
+    m.dir.force_state(0, line, Mesi::Modified);
+    let err = m.audit_coherence().unwrap_err();
+    let want = format!("MESI violation on line {line:#x}: states [Modified, Exclusive]");
+    assert_eq!(err, want);
 }

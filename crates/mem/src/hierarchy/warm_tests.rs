@@ -1,4 +1,5 @@
 use super::*;
+use crate::coherence::Mesi;
 
 #[test]
 fn warming_fills_without_stats_or_timing() {

@@ -273,17 +273,39 @@ impl CpiStack {
         self.cells.iter().sum()
     }
 
-    /// Whether the stack conserves `cycles` exactly (the checked-mode
-    /// invariant: every cycle attributed to exactly one leaf).
-    pub fn conserves(&self, cycles: u64) -> bool {
-        self.total() == cycles
+    /// Total attributed cycles, or `None` if the sum overflows `u64` (a
+    /// simulated stack's cannot; a damaged artifact's can).
+    pub fn checked_total(&self) -> Option<u64> {
+        self.cells
+            .iter()
+            .try_fold(0u64, |sum, &c| sum.checked_add(c))
     }
 
-    /// Merges another stack in (multi-core aggregation).
-    pub fn merge(&mut self, other: &CpiStack) {
-        for (mine, theirs) in self.cells.iter_mut().zip(other.cells) {
-            *mine += theirs;
+    /// [`CpiStack::checked_total`] for a message: the sum, or that it
+    /// overflows.
+    pub fn total_text(&self) -> String {
+        self.checked_total()
+            .map_or_else(|| "more than u64::MAX".to_string(), |t| t.to_string())
+    }
+
+    /// Whether the stack conserves `cycles` exactly (the checked-mode
+    /// invariant: every cycle attributed to exactly one leaf). Leaves
+    /// whose sum overflows conserve nothing.
+    pub fn conserves(&self, cycles: u64) -> bool {
+        self.checked_total() == Some(cycles)
+    }
+
+    /// Merges another stack in (multi-core aggregation). Fails, leaving
+    /// `self` unchanged, if a cell would overflow `u64`.
+    pub fn merge(&mut self, other: &CpiStack) -> Result<(), String> {
+        let mut cells = self.cells;
+        for (mine, theirs) in cells.iter_mut().zip(other.cells) {
+            *mine = mine
+                .checked_add(theirs)
+                .ok_or("merged CPI stack overflows u64")?;
         }
+        self.cells = cells;
+        Ok(())
     }
 
     /// Cycles attributed to one group (sum of its leaves).
@@ -316,11 +338,13 @@ impl CpiStack {
             if !stack.conserves(c) {
                 return Err(format!(
                     "window {i} breaks conservation: {} cycles attributed, {c} simulated",
-                    stack.total()
+                    stack.total_text()
                 ));
             }
-            agg.merge(stack);
-            cycles += c;
+            agg.merge(stack)?;
+            cycles = cycles
+                .checked_add(c)
+                .ok_or("summed window cycles overflow u64")?;
         }
         Ok((agg, cycles))
     }
@@ -435,7 +459,7 @@ mod tests {
         let mut b = CpiStack::default();
         b.record_n(CpiLeaf::Retire, 5);
         b.record_n(CpiLeaf::MemBus, 2);
-        a.merge(&b);
+        a.merge(&b).unwrap();
         assert_eq!(a.get(CpiLeaf::Retire), 15);
         assert_eq!(a.get(CpiLeaf::MemBus), 2);
         assert_eq!(a.total(), 17);

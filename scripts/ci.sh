@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # The full gate: formatting, lints, the workspace's tests (what bare
 # `cargo test -q`, the tier-1 command, runs), the kernel microtrace and
-# figures goldens and the release-mode equivalence suites, the smoke campaigns
+# figures goldens, the planted-fault mutants and the release-mode
+# equivalence suites, the smoke campaigns
 # against their goldens, the repo benchmark's smoke pass and one
 # full-size run of each of its workloads, and the chaos soak.
 # Usage: scripts/ci.sh  (from the repository root)
@@ -38,8 +39,8 @@ cargo run --release -p s64v-harness --bin campaign -- --help > /dev/null
 echo "== phase ledger builds (the off-by-default instrumentation must not rot)"
 cargo build --release -p s64v-cpu --features phase-profile --example kernel_profile
 
-echo "== fault-injection matrix (every fault class must be caught, a lost event the cycle it is lost)"
-cargo test --release -p s64v-core --test fault_matrix -q
+echo "== mutation stage (every planted fault caught by its component, a lost event the cycle it is lost; the control survives)"
+sh scripts/mutate.sh
 
 echo "== shared-input equivalence (stream = pinned bytes; cursor = fresh warm pass; sharing never changes a result or, across thread counts, a count)"
 # Prefix, chunking invariance and the digests pinned from the
