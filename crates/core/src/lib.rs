@@ -30,12 +30,9 @@
 //!   invariant auditor,
 //! * [`knobs`] — the named-parameter registry design-space exploration
 //!   steers through, and [`cost`] — the first-order die-area model that
-//!   prices each configuration,
-//! * [`chaos`] — the seeded chaos schedules soak campaigns disturb the
-//!   harness with.
+//!   prices each configuration.
 
 pub mod accuracy;
-pub mod chaos;
 pub mod cost;
 pub mod experiment;
 pub mod fingerprint;
@@ -49,7 +46,6 @@ pub mod system;
 pub mod versions;
 pub mod warm;
 
-pub use chaos::{ChaosPlan, HarnessFaultClass};
 pub use cost::{area_mm2, CostEstimate};
 pub use experiment::program_seed;
 pub use fingerprint::{

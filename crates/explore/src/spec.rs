@@ -29,7 +29,10 @@
 //! [`Metric`]. Constraints bound either a knob value or a metric;
 //! knob and area constraints prune *before* simulation, all others
 //! filter the winner after full-length runs. The `search` block is
-//! optional (defaults shown above).
+//! optional (defaults shown above). The workload index must name one of
+//! the suite's programs, and the grid may hold at most
+//! [`MAX_CANDIDATES`] candidates: its size is checked before any axis
+//! is expanded.
 //!
 //! [`ExploreSpec::to_value`] re-encodes a parsed spec canonically —
 //! fixed key order, defaults materialized — and
@@ -41,7 +44,11 @@ use s64v_core::fingerprint::{Fingerprint, StableHasher};
 use s64v_core::knobs;
 use s64v_observe::json::Value;
 use s64v_stats::RateEstimate;
-use s64v_workloads::SuiteKind;
+use s64v_workloads::{Suite, SuiteKind};
+
+/// The most candidates a query's grid may hold (every committed spec
+/// has at most 100).
+pub const MAX_CANDIDATES: u64 = 10_000;
 
 /// A metric a query can optimize or constrain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -322,6 +329,11 @@ fn parse_axis(v: &Value) -> Result<KnobAxis, String> {
                 "knob \"{name}\": range needs step ≥ 1 and to ≥ from"
             ));
         }
+        if (to - from) / step >= MAX_CANDIDATES {
+            return Err(format!(
+                "knob \"{name}\": range holds more than {MAX_CANDIDATES} values"
+            ));
+        }
         (from..=to).step_by(step as usize).collect()
     } else {
         return Err(format!("knob \"{name}\": needs \"values\" or \"range\""));
@@ -392,6 +404,13 @@ impl ExploreSpec {
             .find(|k| k.label().eq_ignore_ascii_case(suite_name))
             .ok_or_else(|| format!("unknown suite \"{suite_name}\""))?;
         let index = get_usize(w, "index", "workload")?;
+        let programs = Suite::preset(suite).programs().len();
+        if index >= programs {
+            return Err(format!(
+                "workload: {} has {programs} programs, no index {index}",
+                suite.label()
+            ));
+        }
 
         let seed = v.get("seed").and_then(Value::as_i64).unwrap_or(42) as u64;
         let screen = parse_lengths(v.get("screen").ok_or("spec: missing \"screen\"")?, "screen")?;
@@ -408,6 +427,15 @@ impl ExploreSpec {
             return Err("spec: needs at least one knob axis".to_string());
         }
         let knobs: Vec<KnobAxis> = axes.iter().map(parse_axis).collect::<Result<_, _>>()?;
+        let candidates = knobs.iter().try_fold(1u64, |n, a| {
+            n.checked_mul(a.values.len() as u64)
+                .filter(|&n| n <= MAX_CANDIDATES)
+        });
+        if candidates.is_none() {
+            return Err(format!(
+                "spec: the grid holds more than {MAX_CANDIDATES} candidates"
+            ));
+        }
         let mut seen = std::collections::HashSet::new();
         for a in &knobs {
             if !seen.insert(a.name.clone()) {
@@ -443,9 +471,10 @@ impl ExploreSpec {
             .and_then(|s| s.get("eta"))
             .and_then(Value::as_i64)
             .unwrap_or(3);
-        if eta < 2 {
-            return Err("search.eta must be ≥ 2".to_string());
-        }
+        let eta = u32::try_from(eta)
+            .ok()
+            .filter(|&eta| eta >= 2)
+            .ok_or_else(|| format!("search.eta must be in 2..={}", u32::MAX))?;
         let min_survivors = search
             .and_then(|s| s.get("min_survivors"))
             .and_then(Value::as_i64)
@@ -470,7 +499,7 @@ impl ExploreSpec {
             knobs,
             objective,
             constraints,
-            eta: eta as u32,
+            eta,
             min_survivors: min_survivors as usize,
             z,
         })
@@ -645,6 +674,36 @@ mod tests {
         assert_ne!(base.fingerprint(), other.fingerprint());
     }
 
+    /// [`SAMPLE`] with a `search` block.
+    fn with_search(search: &str) -> String {
+        SAMPLE.replace(
+            "\"constraints\": [",
+            &format!("\"search\": {search},\n\"constraints\": ["),
+        )
+    }
+
+    /// An axis sweeping `name` over `1..=to`.
+    fn range(name: &str, to: &str) -> String {
+        format!(r#"{{"name": "{name}", "range": {{"from": 1, "to": {to}, "step": 1}}}}"#)
+    }
+
+    /// [`SAMPLE`] with `axes` for its knobs.
+    fn with_axes(axes: &[String]) -> String {
+        let (head, tail) = SAMPLE.split_once(r#""knobs": ["#).expect("knobs");
+        let (_, tail) = tail
+            .split_once("],\n        \"objective\"")
+            .expect("objective");
+        format!(
+            "{head}\"knobs\": [{}],\n\"objective\"{tail}",
+            axes.join(", ")
+        )
+    }
+
+    /// Three axes of 100 values each.
+    fn cube() -> [String; 3] {
+        ["rse_entries", "rsf_entries", "rsa_entries"].map(|k| range(k, "100"))
+    }
+
     #[test]
     fn bad_specs_are_rejected_with_reasons() {
         for (frag, needle) in [
@@ -660,10 +719,68 @@ mod tests {
                 &SAMPLE.replace("\"records\": 8000", "\"records\": 100"),
                 "full.records",
             ),
+            // Truncated to 0, the halving divides by zero after round 1.
+            (&with_search(r#"{"eta": 4294967296}"#), "search.eta"),
+            // Truncated to 1, no round ever eliminates anything.
+            (&with_search(r#"{"eta": 4294967297}"#), "search.eta"),
+            (
+                &with_axes(&[range("window_size", "9223372036854775807")]),
+                "range holds",
+            ),
+            (&with_axes(&cube()), "grid holds"),
+            (
+                &SAMPLE.replace(r#""index": 0"#, r#""index": 99"#),
+                "no index 99",
+            ),
         ] {
             let err = ExploreSpec::parse(frag).unwrap_err();
             assert!(err.contains(needle), "{frag:.60}...: got {err:?}");
         }
+    }
+
+    #[test]
+    fn the_parser_limits_are_inclusive() {
+        let square = ExploreSpec::parse(&with_axes(&cube()[..2])).expect("100 x 100");
+        assert_eq!(square.knobs[0].values.len() as u64 * 100, MAX_CANDIDATES);
+        let long =
+            ExploreSpec::parse(&with_axes(&[range("window_size", "10000")])).expect("1 axis");
+        assert_eq!(long.knobs[0].values.len() as u64, MAX_CANDIDATES);
+        let last = Suite::preset(SuiteKind::SpecInt95).programs().len() - 1;
+        let text = SAMPLE.replace(r#""index": 0"#, &format!(r#""index": {last}"#));
+        assert_eq!(
+            ExploreSpec::parse(&text).expect("index").workload.index,
+            last
+        );
+        let widest = ExploreSpec::parse(&with_search(r#"{"eta": 4294967295}"#)).expect("eta");
+        assert_eq!(widest.eta, u32::MAX);
+    }
+
+    #[test]
+    fn committed_specs_use_only_keys_the_grammar_reads() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&dir).expect("specs/") {
+            let path = entry.expect("entry").path();
+            if !path.to_string_lossy().ends_with(".explore.json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("spec");
+            // The canonical encoding materializes every key the grammar
+            // reads; a key it lacks is one the parser never looked at.
+            let canonical = ExploreSpec::parse(&text).expect("spec parses").to_value();
+            let Value::Obj(fields) = Value::parse(&text).expect("JSON") else {
+                panic!("{}: not an object", path.display());
+            };
+            for (key, _) in &fields {
+                assert!(
+                    canonical.get(key).is_some(),
+                    "{}: top-level \"{key}\" is never read",
+                    path.display()
+                );
+            }
+            checked += 1;
+        }
+        assert!(checked >= 2, "found {checked} specs");
     }
 
     #[test]

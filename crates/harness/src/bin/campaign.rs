@@ -22,14 +22,6 @@
 //! stacks conserve their cycles. Its `--out` report is deterministic:
 //! the CI smoke stage diffs it against a golden.
 //!
-//! `soak` is the supervision layer's chaos gate: it runs a small fixed
-//! campaign once undisturbed and twice under a seeded chaos schedule
-//! (torn cache writes, truncated journal appends, injected point hangs,
-//! spurious worker panics) against one cache directory, and exits
-//! nonzero unless the chaos runs' results are byte-identical to the
-//! clean run's, every injected fault is journaled, and every hang/panic
-//! was recovered by retry rather than quarantine.
-//!
 //! `explore` answers one declarative design-space query (see
 //! `s64v-explore` for the spec grammar): the grid is pruned statically,
 //! screened at short trace length, successively halved up to full
@@ -51,22 +43,19 @@
 
 #![forbid(unsafe_code)]
 
-use s64v_core::{ChaosPlan, SystemConfig};
 use s64v_explore::{ExploreEvent, ExploreReport, ExploreSpec};
 use s64v_harness::cli::{self, Args};
-use s64v_harness::engine::{run_campaign, CampaignOutcome, PointOutcome};
+use s64v_harness::engine::{run_campaign, CampaignOutcome};
 use s64v_harness::explore::{run_explore, ExploreOpts};
 use s64v_harness::figures::{figure_names, run_figures, Page, PointStore};
-use s64v_harness::journal::{journal_path, Journal};
 use s64v_harness::perf::{sampled_cpi_artifact, validate_cpi_artifact, PerfDiff, PerfSource};
 use s64v_harness::progress::ProgressEvent;
-use s64v_harness::spec::{CampaignSpec, HarnessOpts, SimPoint, WorkUnit};
+use s64v_harness::spec::{CampaignSpec, HarnessOpts, SimPoint};
 use s64v_harness::supervise::{atomic_write, SupervisePolicy};
 use s64v_harness::validate::{
     assess_onto, full_point, sampled_points, validate_workloads, SampleOpts, DEFAULT_TOLERANCE,
 };
 use s64v_observe::json::Value;
-use s64v_workloads::SuiteKind;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
@@ -108,9 +97,12 @@ fn cache_dir(args: &Args, default: Option<&str>) -> Option<PathBuf> {
 /// `--deadline`, `--cycle-budget`, `--retries` over the default policy.
 fn supervise(args: &Args) -> SupervisePolicy {
     let policy = SupervisePolicy::default();
-    let deadline = number(args, "--deadline", f64::MIN_POSITIVE..f64::MAX);
+    let deadline = number(args, "--deadline", f64::MIN_POSITIVE..).map(|secs| {
+        Duration::try_from_secs_f64(secs)
+            .unwrap_or_else(|_| usage_error(&format!("--deadline {secs}: too long to wait")))
+    });
     SupervisePolicy {
-        deadline: deadline.map(Duration::from_secs_f64),
+        deadline,
         cycle_budget: number(args, "--cycle-budget", 1..),
         retries: number(args, "--retries", ..).unwrap_or(policy.retries),
         ..policy
@@ -346,181 +338,6 @@ fn explore_main(args: &Args) -> ! {
         eprintln!("explore FAILED: {failed} point(s) failed to simulate");
     }
     std::process::exit(i32::from(failed > 0));
-}
-
-/// The soak gate's fixed campaign: small, fast, varied enough that
-/// every harness fault class gets several opportunities to fire.
-fn soak_points() -> Vec<SimPoint> {
-    (0..6)
-        .map(|i| SimPoint {
-            config: SystemConfig::sparc64_v(),
-            work: WorkUnit::Program {
-                suite: SuiteKind::SpecInt95,
-                index: i,
-            },
-            records: 2_000,
-            warmup: 1_000,
-            seed: 0x50AC + i as u64,
-        })
-        .collect()
-}
-
-/// One line per point — fingerprint, label, full metrics — so two runs
-/// compare byte for byte. Any failed or timed-out point is an error:
-/// chaos fires only on first attempts, so retries must always recover.
-fn canonical_results(points: &[SimPoint], outcome: &CampaignOutcome) -> Result<String, String> {
-    let mut text = String::new();
-    for (point, result) in points.iter().zip(&outcome.outcomes) {
-        match result {
-            PointOutcome::Metrics(m) => {
-                text.push_str(&format!(
-                    "{} {} {m:?}\n",
-                    point.fingerprint().to_hex(),
-                    point.label()
-                ));
-            }
-            PointOutcome::Failed { error, .. } | PointOutcome::TimedOut { error, .. } => {
-                return Err(format!("point {} was lost: {error}", point.label()));
-            }
-        }
-    }
-    Ok(text)
-}
-
-fn soak_main(args: &Args) -> ! {
-    let seed: u64 = number(args, "--seed", ..).unwrap_or(7);
-    let rate: u16 = number(args, "--rate", ..).unwrap_or(400);
-    let dir = args.text("--dir").map(PathBuf::from);
-    let quiet = args.has("--quiet");
-
-    let keep_artifacts = dir.is_some();
-    let base = dir
-        .unwrap_or_else(|| std::env::temp_dir().join(format!("s64v-soak-{}", std::process::id())));
-    let clean_dir = base.join("clean");
-    let chaos_dir = base.join("chaos");
-    for d in [&clean_dir, &chaos_dir] {
-        if d.exists() {
-            std::fs::remove_dir_all(d).unwrap_or_else(|e| {
-                eprintln!("soak: cannot clear {}: {e}", d.display());
-                std::process::exit(2);
-            });
-        }
-    }
-
-    let points = soak_points();
-    // The gate fixes its own directories and supervision policy; only
-    // the worker count comes from the command line.
-    let template = template(args, None);
-    let run = |cache: &Path, chaos: Option<ChaosPlan>| {
-        let spec = CampaignSpec {
-            name: "soak".to_string(),
-            points: points.clone(),
-            cache_dir: Some(cache.to_path_buf()),
-            heartbeat: None,
-            supervise: SupervisePolicy::default(),
-            chaos,
-            ..template.clone()
-        };
-        run_points("soak: campaign", quiet, &spec)
-    };
-
-    eprintln!(
-        "soak: {} points, chaos seed {seed}, rate {rate}/1000, scratch {}",
-        points.len(),
-        base.display()
-    );
-    let clean = run(&clean_dir, None);
-    let plan = ChaosPlan::new(seed, rate);
-    // Pass 1 simulates everything under chaos; pass 2 reuses pass 1's
-    // cache, so it exercises the read-side recovery paths too (torn
-    // entries must degrade to a miss and re-simulate, torn journal tails
-    // must be skipped) while the schedule re-fires identically.
-    let pass1 = run(&chaos_dir, Some(plan));
-    let pass2 = run(&chaos_dir, Some(plan));
-
-    let mut failed: Vec<String> = Vec::new();
-    let clean_text = canonical_results(&points, &clean).unwrap_or_else(|e| {
-        eprintln!("soak FAILED: clean run: {e}");
-        std::process::exit(1);
-    });
-    for (name, outcome) in [("chaos pass 1", &pass1), ("chaos pass 2", &pass2)] {
-        match canonical_results(&points, outcome) {
-            Ok(text) if text == clean_text => {
-                eprintln!("soak: {name}: results byte-identical to the clean run");
-            }
-            Ok(_) => failed.push(format!("{name}: results diverge from the clean run")),
-            Err(e) => failed.push(format!("{name}: {e}")),
-        }
-        for (label, error) in &outcome.report.quarantined {
-            failed.push(format!(
-                "{name} quarantined {label} ({error}) — chaos fires only on a point's first \
-                 attempt, so one retry must always recover"
-            ));
-        }
-    }
-
-    // Fault visibility: every fired fault must have left evidence — a
-    // `chaos` line naming it, a retry for each hang/panic, a skipped
-    // corrupt line for each torn journal append, and a cache miss (no
-    // more, no fewer) for each torn cache entry on the second pass.
-    let state = Journal::load(&journal_path(&chaos_dir));
-    let count = |class: &str| state.chaos.iter().filter(|(c, _)| c == class).count();
-    let torn = count("torn-write");
-    let truncated = count("truncated-journal");
-    let hangs = count("point-hang");
-    let panics = count("worker-panic");
-    eprintln!(
-        "soak: journal: {} chaos fault(s) recorded ({torn} torn-write, {truncated} \
-         truncated-journal, {hangs} point-hang, {panics} worker-panic), {} retry line(s), \
-         {} corrupt line(s) skipped",
-        state.chaos.len(),
-        state.retries.len(),
-        state.corrupt_lines
-    );
-    if state.chaos.is_empty() {
-        failed.push("the chaos schedule fired nothing — raise --rate or vary --seed".into());
-    }
-    let retries = pass1.report.retries + pass2.report.retries;
-    if retries != hangs + panics {
-        failed.push(format!(
-            "{} injected hang(s)/panic(s) but {retries} retries — every one must be recovered \
-             by exactly one retry",
-            hangs + panics
-        ));
-    }
-    if truncated > 0 && state.corrupt_lines == 0 {
-        failed.push("journal appends were truncated but no corrupt line was skipped".into());
-    }
-    // TornWrite decisions are per fingerprint, so each torn entry fires
-    // once per simulating pass: pass 2 misses exactly the torn half.
-    let (hits, expected_hits) = (pass2.report.cache_hits, points.len() - torn / 2);
-    if hits != expected_hits {
-        failed.push(format!(
-            "pass 2 had {hits} cache hit(s), expected {expected_hits} ({} torn entries must \
-             miss, the rest must hit)",
-            torn / 2
-        ));
-    }
-
-    for failure in &failed {
-        eprintln!("soak FAILED: {failure}");
-    }
-    if failed.is_empty() {
-        eprintln!(
-            "soak PASSED: 3 runs, {} injected fault(s), all recovered, results byte-identical",
-            state.chaos.len()
-        );
-        if !keep_artifacts {
-            std::fs::remove_dir_all(&base).ok();
-        }
-        std::process::exit(0);
-    }
-    let bad = failed.len();
-    eprintln!(
-        "soak FAILED: {bad} check(s) failed (artifacts kept in {})",
-        base.display()
-    );
-    std::process::exit(1);
 }
 
 fn perf_main(args: &Args) -> ! {
@@ -779,7 +596,6 @@ fn main() {
     match mode {
         "explore" => explore_main(&args),
         "validate" => validate_main(&args, opts),
-        "soak" => soak_main(&args),
         "perf" => perf_main(&args),
         _ => figures_main(&args, opts),
     }

@@ -23,9 +23,8 @@
 
 use crate::registry::lock;
 use crate::spec::PointMetrics;
-use crate::supervise::{replace, seal, sync_group, unseal, ChaosInjector};
+use crate::supervise::{replace, seal, sync_group, unseal};
 use s64v_core::fingerprint::Fingerprint;
-use s64v_core::HarnessFaultClass;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -44,7 +43,6 @@ const FORMAT_FAMILY: &str = "s64v-point v";
 #[derive(Debug, Clone, Default)]
 pub struct ResultCache {
     dir: PathBuf,
-    chaos: Option<Arc<ChaosInjector>>,
     /// Files renamed into place since the last commit.
     uncommitted: Arc<Mutex<Vec<PathBuf>>>,
 }
@@ -57,16 +55,6 @@ impl ResultCache {
             dir: dir.to_path_buf(),
             ..ResultCache::default()
         })
-    }
-
-    /// Arms the seeded chaos injector: a store whose key the schedule
-    /// selects is torn (a truncated prefix lands at the final path, as a
-    /// crash mid-write without the atomic rename would leave). The sealed
-    /// footer makes the damage detectable, so the next load warns,
-    /// misses, and the point re-simulates.
-    pub fn with_chaos(mut self, chaos: Arc<ChaosInjector>) -> Self {
-        self.chaos = Some(chaos);
-        self
     }
 
     /// The file a fingerprint maps to.
@@ -112,18 +100,8 @@ impl ResultCache {
     /// written whole (temp file + atomic rename); durable at the next
     /// [`commit`](ResultCache::commit).
     pub fn store(&self, fp: Fingerprint, m: &PointMetrics) -> std::io::Result<()> {
-        let sealed = seal(&encode(m));
-        let path = self.path_of(fp);
-        if let Some(chaos) = &self.chaos {
-            if chaos.fire(HarnessFaultClass::TornWrite, &fp.to_hex()) {
-                // Land a truncated prefix at the final path, bypassing the
-                // atomic path — exactly the damage a crash between write
-                // and rename is designed to prevent. The footer check on
-                // the next load turns this into a warning and a miss.
-                return std::fs::write(&path, &sealed.as_bytes()[..sealed.len() * 3 / 5]);
-            }
-        }
-        self.write(path, sealed.as_bytes()).map(drop)
+        self.write(self.path_of(fp), seal(&encode(m)).as_bytes())
+            .map(drop)
     }
 
     /// Lands `data` at `path` and lists it for the next commit.
@@ -390,32 +368,6 @@ mod tests {
         // its footer has lost it.
         std::fs::write(cache.path_of(fp), encode(&sample())).expect("unsealed");
         assert_eq!(cache.load(fp), None, "an unsealed entry is a miss");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn torn_write_chaos_is_detected_and_repaired_by_the_next_store() {
-        use crate::supervise::ChaosInjector;
-        use s64v_core::ChaosPlan;
-
-        let dir = std::env::temp_dir().join(format!("s64v-cache-chaos-{}", std::process::id()));
-        let chaos = ChaosInjector::new(Some(ChaosPlan::new(11, 1000)));
-        let torn = ResultCache::open(&dir)
-            .expect("create")
-            .with_chaos(Arc::clone(&chaos));
-        let fp = crate::test_fp("chaos-test");
-        torn.store(fp, &sample()).expect("chaos store");
-        assert_eq!(
-            chaos.fired().len(),
-            1,
-            "rate 1000 per mille must tear every store"
-        );
-        assert_eq!(torn.load(fp), None, "the torn entry is a miss");
-
-        // A clean store (re-simulation under no chaos) repairs the entry.
-        let clean = ResultCache::open(&dir).expect("reopen");
-        clean.store(fp, &sample()).expect("repair");
-        assert_eq!(clean.load(fp), Some(sample()));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,6 +1,6 @@
 //! The `campaign` command line, stated once: [`TABLE`] is the flag list
 //! exactly as `--help` prints it, and the same lines — flag, value name,
-//! help, accepting modes — are what [`parse`] admits for each of the five
+//! help, accepting modes — are what [`parse`] admits for each of the four
 //! modes, so the parser cannot drift from its help.
 
 use std::ops::RangeBounds;
@@ -9,11 +9,10 @@ use std::str::FromStr;
 /// The modes, in usage order: each one's name — what [`TABLE`] knows it
 /// by and the first argument that selects it (figures, the default, has
 /// no selecting word) — and what must follow `campaign` to run it.
-pub const MODES: [(&str, &str); 5] = [
+pub const MODES: [(&str, &str); 4] = [
     ("figures", ""),
     ("explore", "explore --spec FILE "),
     ("validate", "validate "),
-    ("soak", "soak "),
     ("perf", "perf BASE NEW "),
 ];
 
@@ -22,7 +21,7 @@ pub const MODES: [(&str, &str); 5] = [
 /// repeat for modes that read it differently.
 pub const TABLE: &str = "  --figures all|NAME,...   figures to run, in this order (default: all) [figures]
   --list                   print the figure names and exit [figures]
-  --threads N              worker threads (default: every core) [figures explore validate soak]
+  --threads N              worker threads (default: every core) [figures explore validate]
   --cache-dir DIR          result cache and journal (default: results-cache) [figures explore validate]
   --no-cache               neither read nor write a result cache [figures explore validate]
   --checked                run every point under the invariant auditor (same results) [figures validate]
@@ -40,12 +39,9 @@ pub const TABLE: &str = "  --figures all|NAME,...   figures to run, in this orde
   --window N               records per window (default: a tenth of the timed region, at least 2000) [validate]
   --sample-warmup N        records replayed functionally before each window (default: from record 0) [validate]
   --under-warm             no per-window warm-up: the negative control, expected to fail the gate [validate]
-  --seed N                 chaos schedule seed (default: 7) [soak]
-  --rate PER_MILLE         share of faults that fire (default: 400) [soak]
-  --dir DIR                scratch directory, kept afterwards (default: a temporary one) [soak]
   --folded PATH            also write NEW's CPI stacks in folded (flamegraph) form [perf]
-  --quiet                  no per-point progress on stderr [figures explore validate soak]
-  --help                   print this text and exit [figures explore validate soak perf]
+  --quiet                  no per-point progress on stderr [figures explore validate]
+  --help                   print this text and exit [figures explore validate perf]
 ";
 
 /// One line of [`TABLE`].

@@ -21,13 +21,6 @@
 //! pure function reproduces the same fault), with the error journaled
 //! and a JSON diagnostic dump next to the point's cache entry. Either
 //! way the campaign continues: no single point can take it down.
-//!
-//! When the spec carries a [`ChaosPlan`](s64v_core::ChaosPlan), the
-//! seeded chaos schedule injects harness faults — point hangs and worker
-//! panics on a point's *first* attempt (so retries always recover), torn
-//! cache writes and truncated journal appends at the storage layer — and
-//! every fired fault is journaled. The `campaign soak` gate asserts a
-//! chaos run's final results are byte-identical to an undisturbed one.
 
 mod schedule;
 
@@ -36,11 +29,11 @@ use crate::journal::{journal_path, FailedPoint, Journal};
 use crate::progress::{CampaignReport, ProgressEvent};
 use crate::registry::{lock, Registry};
 use crate::spec::{CampaignSpec, PointMetrics, SimPoint, WorkUnit};
-use crate::supervise::{CacheLock, ChaosInjector, Watchdog};
+use crate::supervise::{CacheLock, Watchdog};
 use s64v_core::fingerprint::Fingerprint;
 use s64v_core::{
-    compare, CycleBudget, HarnessFaultClass, ObserveConfig, PerformanceModel, Run, RunObservation,
-    RunOptions, RunResult, SimError,
+    compare, CycleBudget, ObserveConfig, PerformanceModel, Run, RunObservation, RunOptions,
+    RunResult, SimError,
 };
 use s64v_observe::{perfetto_json, render_pipeline, to_jsonl};
 use schedule::Schedule;
@@ -311,7 +304,6 @@ struct Campaign<'a> {
     since_commit: Mutex<(usize, Instant)>,
     journal: Option<Journal>,
     watchdog: Option<Watchdog>,
-    chaos: Arc<ChaosInjector>,
     progress: Option<Sender<ProgressEvent>>,
     slots: Vec<Mutex<Option<PointOutcome>>>,
     /// What the workers count as they go; `slowest` holds every
@@ -396,7 +388,7 @@ impl Campaign<'_> {
             // Classify: success returns; a deterministic fault returns
             // (fail fast); a transient failure falls through to the
             // retry ladder.
-            let (error, was_timeout) = match self.attempt(v, attempt, observe) {
+            let (error, was_timeout) = match self.attempt(v, observe) {
                 Ok(Ok((metrics, obs))) => {
                     self.finish(v, &metrics, Some(&obs));
                     return PointOutcome::Metrics(Box::new(metrics));
@@ -465,7 +457,6 @@ impl Campaign<'_> {
     fn attempt(
         &self,
         v: &Visit,
-        attempt: u32,
         observe: Option<ObserveConfig>,
     ) -> std::thread::Result<Result<(PointMetrics, RunObservation), SimError>> {
         // Each attempt gets a fresh cancel flag; the watchdog monitor
@@ -475,6 +466,10 @@ impl Campaign<'_> {
         let watchdog = self.watchdog.as_ref();
         let _guard = watchdog.map(|w| w.register(Arc::clone(&cancel)));
         let cycle_budget = self.spec.supervise.cycle_budget;
+        // The engine's one test seam: a budget armed for this point's
+        // next attempt only, so that attempt fails mid-run.
+        #[cfg(test)]
+        let cycle_budget = cycle_budget.or(tests::take_one_shot_budget(v.fp));
         let budget = (watchdog.is_some() || cycle_budget.is_some()).then(|| CycleBudget {
             max_cycles: cycle_budget,
             cancel: watchdog.is_some().then(|| Arc::clone(&cancel)),
@@ -485,16 +480,6 @@ impl Campaign<'_> {
             ..RunOptions::default()
         };
         catch_unwind(AssertUnwindSafe(|| {
-            // Chaos strikes only a point's first attempt, so the retry
-            // ladder always recovers and a chaos campaign's final results
-            // stay byte-identical to an undisturbed run's.
-            let fp_hex = v.fp.to_hex();
-            if attempt == 0 && self.chaos.fire(HarnessFaultClass::PointHang, &fp_hex) {
-                return Err(SimError::watchdog(0, "chaos: injected point hang"));
-            }
-            if attempt == 0 && self.chaos.fire(HarnessFaultClass::WorkerPanic, &fp_hex) {
-                panic!("chaos: injected worker panic");
-            }
             execute_in(&self.registry, v.index, v.point, opts, observe)
         }))
     }
@@ -597,7 +582,6 @@ pub fn run_campaign(
     progress: Option<Sender<ProgressEvent>>,
 ) -> std::io::Result<CampaignOutcome> {
     let start = Instant::now();
-    let chaos = ChaosInjector::new(spec.chaos);
     // One campaign per cache directory: held until this run returns, so a
     // concurrent campaign against the same results-cache/ waits instead
     // of interleaving writes with us.
@@ -605,10 +589,10 @@ pub fn run_campaign(
     let (mut cache, mut journal, mut prior_failures) = (None, None, Vec::new());
     if let Some(dir) = &spec.cache_dir {
         _lock = Some(CacheLock::acquire(dir)?);
-        cache = Some(ResultCache::open(dir)?.with_chaos(Arc::clone(&chaos)));
+        cache = Some(ResultCache::open(dir)?);
         let path = journal_path(dir);
         prior_failures = Journal::load(&path).failed;
-        journal = Some(Journal::open(&path)?.with_chaos(Arc::clone(&chaos)));
+        journal = Some(Journal::open(&path)?);
     }
 
     let workers = spec.threads.unwrap_or_else(default_threads);
@@ -621,7 +605,6 @@ pub fn run_campaign(
         since_commit: Mutex::new((0, start)),
         journal,
         watchdog: spec.supervise.deadline.map(Watchdog::spawn),
-        chaos,
         progress,
         slots: spec.points.iter().map(|_| Mutex::new(None)).collect(),
         report: Mutex::default(),
@@ -675,14 +658,6 @@ pub fn run_campaign(
         let _ = handle.join();
     }
 
-    // Journal every chaos fault that fired, sorted — so the trail is
-    // independent of worker scheduling and the soak gate can assert each
-    // injected fault is visible.
-    if let Some(j) = &campaign.journal {
-        for fault in campaign.chaos.fired() {
-            j.record_chaos(fault.class, &fault.key);
-        }
-    }
     // The last group: everything stored since the last commit is durable
     // before the campaign returns, however it ended.
     if let Some(cache) = &campaign.cache {

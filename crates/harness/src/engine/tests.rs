@@ -3,9 +3,25 @@
 use super::*;
 use crate::spec::ObservePlan;
 use crate::supervise::SupervisePolicy;
-use s64v_core::{ChaosPlan, SystemConfig};
+use s64v_core::SystemConfig;
 use s64v_workloads::SuiteKind;
 use std::time::Duration;
+
+/// Cycle budgets armed for one attempt each, by point fingerprint.
+static ONE_SHOT_BUDGETS: Mutex<Vec<(Fingerprint, u64)>> = Mutex::new(Vec::new());
+
+/// Runs the next attempt of the point `fp` under a `max_cycles` budget;
+/// later attempts run under the campaign's policy alone.
+fn arm_one_shot_budget(fp: Fingerprint, max_cycles: u64) {
+    lock(&ONE_SHOT_BUDGETS).push((fp, max_cycles));
+}
+
+/// The budget armed for `fp`'s attempt, disarmed as it is taken.
+pub(super) fn take_one_shot_budget(fp: Fingerprint) -> Option<u64> {
+    let mut armed = lock(&ONE_SHOT_BUDGETS);
+    let at = armed.iter().position(|&(armed_fp, _)| armed_fp == fp)?;
+    Some(armed.swap_remove(at).1)
+}
 
 /// The default retry ladder with no backoff sleeps (unit-test speed).
 fn fast_policy() -> SupervisePolicy {
@@ -147,27 +163,44 @@ fn wall_clock_deadline_cancels_a_hung_point() {
 }
 
 #[test]
-fn chaos_campaign_matches_a_clean_run_byte_for_byte() {
-    let points = vec![program_point(3_000, 1), program_point(3_000, 2)];
-    let clean = run_campaign(&CampaignSpec::new("unit", points.clone()), None).expect("run");
-    // Rate 1000: every chaos opportunity fires, so every point's
-    // first attempt is hung and every one must recover by retry.
-    let chaos = run_campaign(
-        &CampaignSpec {
-            supervise: fast_policy(),
-            chaos: Some(ChaosPlan::new(3, 1_000)),
-            ..CampaignSpec::new("unit", points)
-        },
-        None,
-    )
-    .expect("run");
-    assert_eq!(chaos.report.completed, 2);
-    assert_eq!(chaos.report.retries, 2, "each first attempt was injected");
-    assert_eq!(chaos.report.timed_out, 2, "injected hangs read as timeouts");
-    assert!(chaos.report.quarantined.is_empty(), "retries recover chaos");
-    for (c, d) in clean.outcomes.iter().zip(&chaos.outcomes) {
-        assert_eq!(c.metrics(), d.metrics(), "chaos must never change results");
-    }
+fn a_mid_run_cancel_recovers_on_retry_over_the_same_inputs() {
+    let dir = std::env::temp_dir().join(format!("s64v-engine-retry-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    // A seed no other test uses: the armed budget is keyed by fingerprint.
+    let point = program_point(3_000, 0x7e7_4a11);
+    let clean = run_campaign(&CampaignSpec::new("unit", vec![point.clone()]), None).expect("run");
+
+    // The first attempt takes its trace and warmed state from the
+    // registry, then trips the budget a thousand cycles into its timed
+    // window; the retry runs over the same inputs, unbudgeted.
+    arm_one_shot_budget(point.fingerprint(), 1_000);
+    let spec = CampaignSpec {
+        supervise: fast_policy(),
+        cache_dir: Some(dir.clone()),
+        ..CampaignSpec::new("unit", vec![point])
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    let retried = run_campaign(&spec, Some(tx)).expect("run");
+
+    assert_eq!(retried.outcomes[0].metrics(), clean.outcomes[0].metrics());
+    let r = &retried.report;
+    assert_eq!((r.retries, r.timed_out), (1, 1));
+    assert!(r.quarantined.is_empty(), "the retry recovered");
+    let journal = Journal::load(&journal_path(&dir));
+    assert_eq!(journal.retries.len(), 1);
+    assert!(journal.retries[0].error.contains("cycle budget"));
+    let retrying = rx
+        .try_iter()
+        .filter(|e| matches!(e, ProgressEvent::Retrying { .. }))
+        .count();
+    assert_eq!(retrying, 1);
+    // Nothing was generated or warmed twice: only the requests grew.
+    let (once, twice) = (&clean.report.registry, &r.registry);
+    assert_eq!(once.traces_generated, twice.traces_generated);
+    assert_eq!(once.warm_passes, twice.warm_passes);
+    assert_eq!(once.records_warmed, twice.records_warmed);
+    assert!(twice.traces_requested > once.traces_requested);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -16,21 +16,17 @@
 //! ok     <fingerprint> <label...> |c=<crc>
 //! fail   <fingerprint> <label> :: <error message> |c=<crc>
 //! retry  <fingerprint> <label> :: <transient error> |c=<crc>
-//! chaos  <fault-class> <key> |c=<crc>
 //! ```
 //!
 //! `retry` lines record recovered transient failures (the point went on
-//! to succeed or be quarantined — later lines say which); `chaos` lines
-//! record every fault the soak harness injected, so the soak gate can
-//! assert each one left a visible trail.
+//! to succeed or be quarantined — later lines say which).
 
-use crate::supervise::{line_crc, ChaosInjector};
+use crate::supervise::line_crc;
 use s64v_core::fingerprint::Fingerprint;
-use s64v_core::HarnessFaultClass;
 use std::collections::HashSet;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// One failed point recorded in a journal.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,8 +50,6 @@ pub struct JournalState {
     /// Recovered transient failures, in journal order (each one is an
     /// attempt that failed and was re-run).
     pub retries: Vec<FailedPoint>,
-    /// Chaos faults injected by a soak campaign: `(class, key)` pairs.
-    pub chaos: Vec<(String, String)>,
     /// Lines that are not UTF-8 or whose checksum failed (torn appends)
     /// — skipped, counted.
     pub corrupt_lines: usize,
@@ -65,12 +59,6 @@ pub struct JournalState {
 #[derive(Debug)]
 pub struct Journal {
     file: Mutex<std::fs::File>,
-    chaos: Option<Arc<ChaosInjector>>,
-    /// The last append was chaos-torn (no trailing newline); the next
-    /// append seals the fragment off first, exactly as [`Journal::open`]
-    /// does for a real crash, so one torn line never swallows its
-    /// successor.
-    torn: std::sync::atomic::AtomicBool,
 }
 
 /// The journal file inside a cache directory.
@@ -100,20 +88,7 @@ impl Journal {
         }
         Ok(Journal {
             file: Mutex::new(file),
-            chaos: None,
-            torn: std::sync::atomic::AtomicBool::new(false),
         })
-    }
-
-    /// Arms the seeded chaos injector: an append whose key the schedule
-    /// selects is truncated mid-line with no trailing newline, exactly as
-    /// a crash mid-append would leave the file. The per-line checksum
-    /// makes the loader skip the damage (the torn fragment merges with
-    /// the next line and both fail their checksum) instead of misparsing
-    /// it.
-    pub fn with_chaos(mut self, chaos: Arc<ChaosInjector>) -> Self {
-        self.chaos = Some(chaos);
-        self
     }
 
     /// Reads the accumulated state (missing file = empty state). A line
@@ -147,10 +122,6 @@ impl Journal {
             else {
                 continue;
             };
-            if tag == "chaos" {
-                state.chaos.push((second.to_string(), rest.to_string()));
-                continue;
-            }
             let Some(fp) = Fingerprint::parse_hex(second) else {
                 continue;
             };
@@ -183,61 +154,34 @@ impl Journal {
 
     /// Records a completed point.
     pub fn record_ok(&self, fp: Fingerprint, label: &str) {
-        self.append(&format!("ok {fp} {}", sanitize(label)), true);
+        self.append(&format!("ok {fp} {}", sanitize(label)));
     }
 
     /// Records a failed point with its error message.
     pub fn record_fail(&self, fp: Fingerprint, label: &str, error: &str) {
         let (label, error) = (sanitize(label), sanitize(error));
-        self.append(&format!("fail {fp} {label} :: {error}"), true);
+        self.append(&format!("fail {fp} {label} :: {error}"));
     }
 
     /// Records a recovered transient failure (the attempt will be re-run;
     /// a later `ok` or `fail` line carries the point's final outcome).
     pub fn record_retry(&self, fp: Fingerprint, label: &str, error: &str) {
         let (label, error) = (sanitize(label), sanitize(error));
-        self.append(&format!("retry {fp} {label} :: {error}"), true);
+        self.append(&format!("retry {fp} {label} :: {error}"));
     }
 
-    /// Records one injected chaos fault, making it visible for the soak
-    /// gate's every-fault-left-a-trail assertion. Written outside the
-    /// chaos hook: the fault *trail* must land intact even when the
-    /// journal itself is under truncation chaos.
-    pub fn record_chaos(&self, class: HarnessFaultClass, key: &str) {
-        self.append(&format!("chaos {class} {}", sanitize(key)), false);
-    }
-
-    /// Appends one line; `exposed` to the chaos hook or not.
-    fn append(&self, body: &str, exposed: bool) {
+    /// Appends one line.
+    fn append(&self, body: &str) {
         let line = format!("{body} |c={}\n", line_crc(body));
         // A poisoned lock means some worker panicked mid-append; the file
         // handle itself is still fine (at worst one line is torn, and the
         // loader skips checksum-failing lines), so keep journaling rather
         // than letting one dead worker silence the rest of the campaign.
         let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        self.seal_torn_fragment(&mut file);
-        if let Some(chaos) = self.chaos.as_ref().filter(|_| exposed) {
-            if chaos.fire(HarnessFaultClass::TruncatedJournal, body) {
-                // A torn append: half the line, no newline — what a crash
-                // mid-write leaves. The fragment fails its checksum on
-                // load and is skipped; the next append seals it off.
-                let cut = line.len() / 2;
-                let _ = file.write_all(&line.as_bytes()[..cut]);
-                let _ = file.flush();
-                self.torn.store(true, std::sync::atomic::Ordering::Relaxed);
-                return;
-            }
-        }
         // Journal writes are best-effort: losing a line degrades the
         // resume report, never the results (the cache holds those).
         let _ = file.write_all(line.as_bytes());
         let _ = file.flush();
-    }
-
-    fn seal_torn_fragment(&self, file: &mut std::fs::File) {
-        if self.torn.swap(false, std::sync::atomic::Ordering::Relaxed) {
-            let _ = file.write_all(b"\n");
-        }
     }
 }
 
@@ -306,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn retry_and_chaos_lines_round_trip() {
+    fn retry_lines_round_trip() {
         let dir = std::env::temp_dir().join(format!("s64v-journal-rc-{}", std::process::id()));
         let path = journal_path(&dir);
         std::fs::remove_file(&path).ok();
@@ -314,7 +258,6 @@ mod tests {
         let j = Journal::open(&path).expect("open");
         j.record_retry(fp("a"), "point a", "panic: worker died");
         j.record_ok(fp("a"), "point a");
-        j.record_chaos(HarnessFaultClass::PointHang, "deadbeef");
 
         let state = Journal::load(&path);
         assert!(state.completed.contains(&fp("a")));
@@ -324,10 +267,6 @@ mod tests {
         );
         assert_eq!(state.retries.len(), 1);
         assert!(state.retries[0].error.contains("worker died"));
-        assert_eq!(
-            state.chaos,
-            vec![("point-hang".to_string(), "deadbeef".to_string())]
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -409,36 +348,6 @@ mod tests {
         );
         assert_eq!(state.completed.len(), 2);
         assert_eq!(state.corrupt_lines, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn chaos_truncation_damages_only_the_selected_append() {
-        use crate::supervise::ChaosInjector;
-        use s64v_core::ChaosPlan;
-
-        let dir = std::env::temp_dir().join(format!("s64v-journal-chaos-{}", std::process::id()));
-        let path = journal_path(&dir);
-        std::fs::remove_file(&path).ok();
-
-        // Rate 1000 per mille: every append is torn.
-        let chaos = ChaosInjector::new(Some(ChaosPlan::new(5, 1000)));
-        let j = Journal::open(&path).expect("open").with_chaos(chaos);
-        j.record_ok(fp("x"), "point x");
-        j.record_ok(fp("y"), "point y");
-        drop(j);
-
-        // Both torn fragments merge into checksum-failing garbage; the
-        // loader skips them without panicking or misparsing.
-        let state = Journal::load(&path);
-        assert!(state.completed.is_empty());
-        assert!(state.corrupt_lines >= 1);
-
-        // A clean journal reopened on the same file still works.
-        let j = Journal::open(&path).expect("reopen");
-        j.record_ok(fp("z"), "point z");
-        let state = Journal::load(&path);
-        assert!(state.completed.contains(&fp("z")));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -35,9 +35,8 @@
 //!   retry with deterministic backoff and a quarantine list for points
 //!   that keep failing transiently, crash-safe artifact storage (atomic
 //!   rename, group-committed fsyncs, length/checksum footers verified on
-//!   read), a
-//!   per-cache-directory lock, and a seeded chaos injector the
-//!   `campaign soak` gate uses to prove all of the above recovers.
+//!   read) and a per-cache-directory lock. Each recovery path is proved
+//!   by tests that damage real files or fail real attempts.
 //! * **Design-space exploration** — [`explore`] turns the engine into a
 //!   query answerer: a declarative `s64v-explore` spec (knob grid +
 //!   objective + constraints) runs as successive-halving rounds over the

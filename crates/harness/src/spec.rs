@@ -8,7 +8,7 @@
 
 use crate::supervise::SupervisePolicy;
 use s64v_core::fingerprint::{Fingerprint, StableHasher};
-use s64v_core::{ChaosPlan, SystemConfig};
+use s64v_core::SystemConfig;
 use s64v_workloads::SuiteKind;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -346,11 +346,6 @@ pub struct CampaignSpec {
     /// policy (see [`SupervisePolicy`]). Supervision never changes what a
     /// healthy point computes, so it stays out of point fingerprints.
     pub supervise: SupervisePolicy,
-    /// Seeded chaos schedule for soak campaigns (`None` = no chaos).
-    /// Faults are injected only on a point's first attempt and only into
-    /// recoverable paths, so a chaos campaign's final results are
-    /// byte-identical to an undisturbed run — the soak gate's property.
-    pub chaos: Option<ChaosPlan>,
 }
 
 impl CampaignSpec {
@@ -365,7 +360,6 @@ impl CampaignSpec {
             observe: ObservePlan::default(),
             heartbeat: Some(Duration::from_secs(10)),
             supervise: SupervisePolicy::default(),
-            chaos: None,
         }
     }
 

@@ -1,5 +1,5 @@
 //! The campaign supervision layer: watchdogs, retry policy, crash-safe
-//! storage primitives, the cache lock, and the chaos injector.
+//! storage primitives and the cache lock.
 //!
 //! A campaign lives or dies by the harness surviving individual
 //! failures: one hung point, one torn cache write, or one panicking
@@ -22,12 +22,8 @@
 //!   a panic.
 //! * [`CacheLock`] — a pid-stamped lock file per `results-cache/` so two
 //!   concurrent campaigns cannot interleave writes to one directory.
-//! * [`ChaosInjector`] — the harness half of
-//!   [`s64v_core::ChaosPlan`]: consults the seeded schedule at each
-//!   opportunity and keeps a log of fired faults for the soak gate.
 
 use s64v_core::fingerprint::{Fingerprint, StableHasher};
-use s64v_core::{ChaosPlan, HarnessFaultClass};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -439,63 +435,6 @@ impl Drop for CacheLock {
     }
 }
 
-// ---------------------------------------------------------------------
-// Chaos injector
-// ---------------------------------------------------------------------
-
-/// One fault the chaos layer actually injected.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct FiredFault {
-    /// The fault class.
-    pub class: HarnessFaultClass,
-    /// The opportunity key (a point fingerprint, an entry file name…).
-    pub key: String,
-}
-
-/// The harness half of a [`ChaosPlan`]: consults the seeded schedule at
-/// each opportunity and logs what fired, so the soak gate can assert
-/// every injected fault left a visible recovery trail. With no plan the
-/// injector is inert and every query costs one branch.
-#[derive(Debug, Default)]
-pub struct ChaosInjector {
-    plan: Option<ChaosPlan>,
-    fired: Mutex<Vec<FiredFault>>,
-}
-
-impl ChaosInjector {
-    /// An injector over `plan` (`None` = inert).
-    pub fn new(plan: Option<ChaosPlan>) -> Arc<Self> {
-        Arc::new(ChaosInjector {
-            plan,
-            fired: Mutex::new(Vec::new()),
-        })
-    }
-
-    /// Consults the schedule for one opportunity; `true` means the caller
-    /// must inject the fault (and the decision has been logged).
-    pub fn fire(&self, class: HarnessFaultClass, key: &str) -> bool {
-        let Some(plan) = &self.plan else {
-            return false;
-        };
-        if !plan.should_fire(class, key) {
-            return false;
-        }
-        let mut fired = self.fired.lock().unwrap_or_else(|e| e.into_inner());
-        fired.push(FiredFault {
-            class,
-            key: key.to_string(),
-        });
-        true
-    }
-
-    /// Everything that fired, sorted for schedule-independent reporting.
-    pub fn fired(&self) -> Vec<FiredFault> {
-        let mut fired = self.fired.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        fired.sort();
-        fired
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,19 +554,5 @@ mod tests {
             .count();
         assert_eq!(stray, 0);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn injector_logs_fired_faults_deterministically() {
-        let inert = ChaosInjector::new(None);
-        assert!(!inert.fire(HarnessFaultClass::TornWrite, "k"));
-        assert!(inert.fired().is_empty());
-
-        let chaos = ChaosInjector::new(Some(ChaosPlan::new(3, 1000)));
-        assert!(chaos.fire(HarnessFaultClass::TornWrite, "k"));
-        assert!(chaos.fire(HarnessFaultClass::WorkerPanic, "k"));
-        let fired = chaos.fired();
-        assert_eq!(fired.len(), 2);
-        assert!(fired.windows(2).all(|w| w[0] <= w[1]), "sorted log");
     }
 }

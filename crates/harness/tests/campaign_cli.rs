@@ -4,11 +4,13 @@
 //! gives it — anything else stays a usage error (exit 2) — and prints
 //! that table on `--help`. The environment carries run sizes only: a
 //! malformed one is a usage error, and the variables that once mirrored
-//! engine flags are not read. A spec no parser should recurse through is
+//! engine flags are not read. A spec no parser should recurse through,
+//! or one that would panic, never end or ask for unbounded memory, is
 //! a bad spec (exit 2), not a crash, and a report that cannot be written
 //! where `--out` says is an error (exit 2), not a warning. README.md
 //! quotes the usage text verbatim.
 
+use s64v_explore::ExploreSpec;
 use s64v_harness::cli::{flags, Flag, MODES};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -122,14 +124,40 @@ fn a_malformed_size_is_a_usage_error_naming_the_variable() {
 
 #[test]
 fn a_nesting_bomb_spec_is_an_invalid_spec_not_a_crash() {
-    let dir = scratch("deep");
-    let spec = dir.join("deep.explore.json");
-    std::fs::write(&spec, "[".repeat(200_000)).expect("write spec");
-    let spec = spec.to_str().expect("utf-8 path");
-    let (code, stdout, stderr) = campaign(&dir, &["explore", "--spec", spec, "--no-cache"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("invalid spec"), "{stderr}");
-    assert!(stdout.is_empty(), "{stdout}");
+    let dir = scratch("hostile");
+    let query = |search: &str, knobs: &str, index: usize| {
+        format!(
+            r#"{{"name": "hostile", "workload": {{"suite": "SPECint95", "index": {index}}},
+            "screen": {{"records": 400, "warmup": 200}}, "full": {{"records": 400, "warmup": 200}},
+            "knobs": [{knobs}], "objective": {{"maximize": "ipc"}}, "search": {search}}}"#
+        )
+    };
+    let axis = |name: &str, to: &str| {
+        format!(r#"{{"name": "{name}", "range": {{"from": 1, "to": {to}, "step": 1}}}}"#)
+    };
+    let small = axis("rse_entries", "4");
+    let cube = ["rse_entries", "rsf_entries", "rsa_entries"].map(|k| axis(k, "100"));
+    // Each would recurse without bound, panic, never end, ask for
+    // unbounded memory or fail every point, in that order.
+    let hostile = [
+        "[".repeat(200_000),
+        query(r#"{"eta": 4294967296}"#, &small, 0),
+        query(r#"{"eta": 4294967297}"#, &small, 0),
+        query("{}", &axis("window_size", "9223372036854775807"), 0),
+        query("{}", &cube.join(", "), 0),
+        query("{}", &small, 99),
+    ];
+    for (i, text) in hostile.iter().enumerate() {
+        // Rejected by the parser first: the binary never gets to run it.
+        assert!(ExploreSpec::parse(text).is_err(), "case {i} parses");
+        let spec = dir.join(format!("hostile{i}.explore.json"));
+        std::fs::write(&spec, text).expect("write spec");
+        let spec = spec.to_str().expect("utf-8 path");
+        let (code, stdout, stderr) = campaign(&dir, &["explore", "--spec", spec, "--no-cache"]);
+        assert_eq!(code, Some(2), "case {i}: {stderr}");
+        assert!(stderr.contains("invalid spec"), "case {i}: {stderr}");
+        assert!(stdout.is_empty(), "case {i}: {stdout}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -199,14 +227,11 @@ fn every_subcommand_shares_the_engine_flags_and_rejects_the_rest() {
     let dir = scratch("flags");
     let path = |leaf: &str| dir.join(leaf).to_str().expect("utf-8 path").to_string();
     // A well-formed value for each flag that takes one; paths land in the
-    // scratch directory (`--check-artifact` gets one that is not there),
-    // and soak gets the schedule its gate is known to pass under.
+    // scratch directory (`--check-artifact` gets one that is not there).
     let value = |f: &Flag| {
         f.value.map(|kind| match (f.name, kind) {
             ("--figures", _) => "table1".to_string(),
             ("--spec", _) => "/nonexistent.json".to_string(),
-            ("--seed", _) => "7".to_string(),
-            ("--rate", _) => "400".to_string(),
             (_, "N") => "2".to_string(),
             (_, "SECS" | "PCT") => "30".to_string(),
             (name, _) => path(name.trim_start_matches('-')),
@@ -215,8 +240,8 @@ fn every_subcommand_shares_the_engine_flags_and_rejects_the_rest() {
     // What selects each mode, arguments that end it soon after parsing,
     // and how it must end with every flag it takes given at once:
     // `--list` prints names, an unreadable spec stops explore, validate
-    // runs one tiny A/B to its epilogue (the gate may fail there), soak
-    // passes, perf finds no sources.
+    // runs one tiny A/B to its epilogue (the gate may fail there), perf
+    // finds no sources.
     type Invocation = (
         Vec<&'static str>,
         Vec<&'static str>,
@@ -233,7 +258,6 @@ fn every_subcommand_shares_the_engine_flags_and_rejects_the_rest() {
                 &[0, 1],
                 "validate: full-detail",
             ),
-            "soak" => (vec!["soak"], vec![], &[0], "soak PASSED"),
             "perf" => (
                 vec!["perf", "/nonexistent/a", "/nonexistent/b"],
                 vec![],
@@ -312,9 +336,9 @@ fn every_subcommand_shares_the_engine_flags_and_rejects_the_rest() {
     rejected(&["--threads", "many"]);
     rejected(&["--threads"]);
     rejected(&["--deadline", "0"]);
+    rejected(&["--deadline", "1e300"]);
     rejected(&["--cycle-budget", "0"]);
     rejected(&["validate", "--windows", "1"]);
-    rejected(&["soak", "--rate", "65536"]);
     rejected(&["perf", "only-one"]);
     rejected(&["perf", "a", "b", "c"]);
     rejected(&["stray"]);

@@ -1,10 +1,14 @@
 //! End-to-end tests of the campaign engine's contract: determinism
-//! across thread counts, resume-from-cache equivalence, fingerprint
-//! sensitivity, and per-point failure isolation.
+//! across thread counts, resume-from-cache equivalence (torn entries
+//! and journal lines included), fingerprint sensitivity, and per-point
+//! failure isolation.
 
 use s64v_core::{program_seed, SystemConfig};
+use s64v_harness::cache::ResultCache;
+use s64v_harness::journal::{journal_path, Journal};
 use s64v_harness::{run_campaign, CampaignSpec, SimPoint, WorkUnit};
 use s64v_workloads::SuiteKind;
+use std::io::Write as _;
 use std::path::PathBuf;
 
 /// A small but non-trivial point set: two configurations over a few
@@ -77,9 +81,34 @@ fn resumed_campaign_matches_a_fresh_run() {
     );
     assert_eq!(fresh.outcomes, resumed.outcomes);
 
-    // A third run is pure cache.
+    // What a crash can leave behind: two entries torn to 3/5 of their
+    // length, and half a journal line with no newline at the tail.
+    let n = small_points().len();
+    let cache = ResultCache::open(&dir).expect("open");
+    for p in [&small_points()[0], &small_points()[4]] {
+        let path = cache.path_of(p.fingerprint());
+        let entry = std::fs::read(&path).expect("entry");
+        std::fs::write(&path, &entry[..entry.len() * 3 / 5]).expect("tear");
+    }
+    let journal = journal_path(&dir);
+    let text = std::fs::read_to_string(&journal).expect("journal");
+    let line = text.lines().next().expect("a journal line");
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&journal)
+        .expect("open");
+    file.write_all(&line.as_bytes()[..line.len() / 2])
+        .expect("tear");
+    drop(file);
+
+    let repaired = run_campaign(&spec(small_points(), 2, Some(dir.clone())), None).expect("run");
+    assert_eq!(repaired.report.cache_hits, n - 2, "the torn entries miss");
+    assert_eq!(fresh.outcomes, repaired.outcomes);
+    assert_eq!(Journal::load(&journal).corrupt_lines, 1, "the torn line");
+
+    // A fourth run is pure cache: re-simulating repaired both entries.
     let cached = run_campaign(&spec(small_points(), 2, Some(dir.clone())), None).expect("run");
-    assert_eq!(cached.report.cache_hits, small_points().len());
+    assert_eq!(cached.report.cache_hits, n);
     assert_eq!(fresh.outcomes, cached.outcomes);
 
     std::fs::remove_dir_all(&dir).ok();

@@ -3,7 +3,7 @@
 //! before the first campaign ran — even when campaigns overlap. (Alone
 //! in its test binary: the hook is per process.)
 
-use s64v_core::{ChaosPlan, HarnessFaultClass, SystemConfig};
+use s64v_core::SystemConfig;
 use s64v_harness::supervise::SupervisePolicy;
 use s64v_harness::{run_campaign, CampaignSpec, SimPoint, WorkUnit};
 use s64v_workloads::SuiteKind;
@@ -13,7 +13,9 @@ use std::time::Duration;
 
 static HOOK_CALLS: AtomicUsize = AtomicUsize::new(0);
 
-fn points(seed: u64) -> Vec<SimPoint> {
+/// Four programs; the `panicking` ones time no records, so every
+/// attempt of theirs panics ("warmup must leave records to time").
+fn points(seed: u64, panicking: &[usize]) -> Vec<SimPoint> {
     (0..4)
         .map(|index| SimPoint {
             config: SystemConfig::sparc64_v(),
@@ -21,19 +23,11 @@ fn points(seed: u64) -> Vec<SimPoint> {
                 suite: SuiteKind::SpecInt95,
                 index,
             },
-            records: 3_000,
+            records: if panicking.contains(&index) { 0 } else { 3_000 },
             warmup: 2_000,
             seed,
         })
         .collect()
-}
-
-/// Whether `plan` makes `point`'s first attempt panic (a hang is tried
-/// first and would pre-empt it).
-fn panics(plan: &ChaosPlan, point: &SimPoint) -> bool {
-    let key = point.fingerprint().to_hex();
-    !plan.should_fire(HarnessFaultClass::PointHang, &key)
-        && plan.should_fire(HarnessFaultClass::WorkerPanic, &key)
 }
 
 #[test]
@@ -42,38 +36,36 @@ fn overlapping_campaigns_leave_the_previous_panic_hook_live() {
         HOOK_CALLS.fetch_add(1, Ordering::SeqCst);
     }));
 
-    // Two campaigns, each with a schedule that panics at least one worker.
-    let campaigns: Vec<(CampaignSpec, usize)> = [11u64, 12]
+    // Two campaigns, each with points that panic a worker on every attempt.
+    let campaigns: Vec<(CampaignSpec, &[usize])> = [(11u64, &[1][..]), (12, &[0, 3][..])]
         .into_iter()
-        .map(|seed| {
-            let points = points(seed);
-            let (plan, injected) = (0..)
-                .map(|s| ChaosPlan::new(s, 500))
-                .map(|plan| (plan, points.iter().filter(|p| panics(&plan, p)).count()))
-                .find(|(_, injected)| *injected > 0)
-                .expect("some seed panics a point");
+        .map(|(seed, panicking)| {
             let spec = CampaignSpec {
-                chaos: Some(plan),
                 supervise: SupervisePolicy {
                     backoff: Duration::ZERO,
                     ..SupervisePolicy::default()
                 },
-                ..CampaignSpec::new("hook", points).with_heartbeat(None)
+                ..CampaignSpec::new("hook", points(seed, panicking)).with_heartbeat(None)
             };
-            (spec, injected)
+            (spec, panicking)
         })
         .collect();
 
     // Both start together and each runs on two workers.
     let start = Barrier::new(campaigns.len());
     std::thread::scope(|scope| {
-        for (spec, injected) in &campaigns {
+        for (spec, panicking) in &campaigns {
             let start = &start;
             scope.spawn(move || {
                 start.wait();
                 let outcome = run_campaign(&spec.clone().with_threads(2), None).expect("run");
-                assert!(outcome.failures().is_empty(), "retries recover chaos");
-                assert!(outcome.report.retries >= *injected, "{:?}", outcome.report);
+                let failed: Vec<usize> = outcome.failures().iter().map(|f| f.0).collect();
+                assert_eq!(failed, *panicking, "only the panicking points fail");
+                let quarantined = &outcome.report.quarantined;
+                assert_eq!(quarantined.len(), panicking.len(), "{quarantined:?}");
+                assert!(quarantined
+                    .iter()
+                    .all(|(_, e)| e.contains("warmup must leave")));
             });
         }
     });

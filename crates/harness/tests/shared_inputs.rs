@@ -1,12 +1,10 @@
 //! End-to-end tests of the per-campaign shared-input registry and the
 //! reuse-affine schedule: sharing and scheduling change how much gets
 //! generated and replayed, never a result; the counters are exact; and
-//! nothing outlives the campaign, including across retries, injected
-//! faults and quarantines.
+//! nothing outlives the campaign, including across retries, mid-run
+//! cancellations and quarantines.
 
-use s64v_core::{
-    memory_warm_key, program_seed, ChaosPlan, Fingerprint, HarnessFaultClass, SystemConfig,
-};
+use s64v_core::{memory_warm_key, program_seed, Fingerprint, SystemConfig};
 use s64v_harness::engine::PointOutcome;
 use s64v_harness::registry::{Registry, ReuseKey};
 use s64v_harness::validate::{full_point, sampled_points, SampleOpts};
@@ -318,54 +316,6 @@ fn the_registry_holds_nothing_once_every_point_is_released() {
     );
     // `run_campaign` itself asserts `live() == 0` before it returns (a
     // debug assertion, active in every test above and below).
-}
-
-/// A seed under which the chaos schedule hangs one window's first
-/// attempt and panics another's (a hang pre-empts a panic on the same
-/// point, so the panicking window must not also be hung).
-fn chaos_striking_windows(points: &[SimPoint]) -> (ChaosPlan, usize) {
-    let windows: Vec<String> = points
-        .iter()
-        .filter(|p| matches!(p.work, WorkUnit::SampledWindow { .. }))
-        .map(|p| p.fingerprint().to_hex())
-        .collect();
-    for seed in 0..200 {
-        let plan = ChaosPlan::new(seed, 150);
-        let hung = |fp: &String| plan.should_fire(HarnessFaultClass::PointHang, fp);
-        let panicked =
-            |fp: &String| !hung(fp) && plan.should_fire(HarnessFaultClass::WorkerPanic, fp);
-        if windows.iter().any(hung) && windows.iter().any(panicked) {
-            let struck = points
-                .iter()
-                .map(|p| p.fingerprint().to_hex())
-                .filter(|fp| hung(fp) || panicked(fp))
-                .count();
-            return (plan, struck);
-        }
-    }
-    panic!("no seed under 200 strikes windows both ways");
-}
-
-#[test]
-fn injected_hangs_and_panics_on_windows_recover_with_the_registry_intact() {
-    let points = mixed_points();
-    let clean = run(&points, 2);
-    let (plan, struck) = chaos_striking_windows(&points);
-    for threads in [1, 2] {
-        let mut spec = spec(&points, threads);
-        spec.chaos = Some(plan);
-        let chaos = run_campaign(&spec, None).expect("run");
-        assert_eq!(chaos.outcomes, clean.outcomes, "{threads} threads");
-        assert_eq!(chaos.report.retries, struck, "every fault, one retry each");
-        assert!(chaos.report.quarantined.is_empty());
-        // A struck first attempt never reached the registry; its retry
-        // found its window and warm state where the pass published them.
-        assert_eq!(chaos.report.registry.traces_requested, points.len() as u64);
-        assert_eq!(
-            chaos.report.registry.traces_generated,
-            distinct_keys(&points)
-        );
-    }
 }
 
 #[test]
