@@ -94,9 +94,8 @@ fn cache_dir(args: &Args, default: Option<&str>) -> Option<PathBuf> {
     }
 }
 
-/// `--deadline`, `--cycle-budget`, `--retries` over the default policy.
+/// `--deadline` and `--cycle-budget`.
 fn supervise(args: &Args) -> SupervisePolicy {
-    let policy = SupervisePolicy::default();
     let deadline = number(args, "--deadline", f64::MIN_POSITIVE..).map(|secs| {
         Duration::try_from_secs_f64(secs)
             .unwrap_or_else(|_| usage_error(&format!("--deadline {secs}: too long to wait")))
@@ -104,8 +103,6 @@ fn supervise(args: &Args) -> SupervisePolicy {
     SupervisePolicy {
         deadline,
         cycle_budget: number(args, "--cycle-budget", 1..),
-        retries: number(args, "--retries", ..).unwrap_or(policy.retries),
-        ..policy
     }
 }
 
@@ -162,18 +159,20 @@ fn check_artifact(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs `work` with the per-point progress printer listening (silent
-/// when `quiet`), and the printer drained before returning.
-fn with_printer<T>(quiet: bool, work: impl FnOnce(mpsc::Sender<ProgressEvent>) -> T) -> T {
+/// Runs `work` with the per-point progress printer listening, and the
+/// printer drained before returning. When `quiet`, `work` gets no sender
+/// and no printer runs: the engine then builds no event and starts no
+/// heartbeat.
+fn with_printer<T>(quiet: bool, work: impl FnOnce(Option<mpsc::Sender<ProgressEvent>>) -> T) -> T {
+    if quiet {
+        return work(None);
+    }
     let (tx, rx) = mpsc::channel::<ProgressEvent>();
     let printer = std::thread::spawn(move || {
         let mut done = 0usize;
         for event in rx {
-            if quiet {
-                continue;
-            }
             match event {
-                ProgressEvent::Started { .. } => {}
+                ProgressEvent::Started { .. } | ProgressEvent::Retrying { .. } => {}
                 ProgressEvent::Finished {
                     label,
                     cache_hit,
@@ -190,18 +189,6 @@ fn with_printer<T>(quiet: bool, work: impl FnOnce(mpsc::Sender<ProgressEvent>) -
                 ProgressEvent::Failed { label, error, .. } => {
                     done += 1;
                     eprintln!("[{done:>4}] FAILED   {label}: {error}");
-                }
-                ProgressEvent::Retrying {
-                    label,
-                    attempt,
-                    error,
-                    ..
-                } => {
-                    // A retry is not a completed point; the counter holds.
-                    eprintln!(
-                        "[....] retry    {label} (attempt {} failed: {error})",
-                        attempt + 1
-                    );
                 }
                 ProgressEvent::Heartbeat {
                     done: d,
@@ -223,7 +210,7 @@ fn with_printer<T>(quiet: bool, work: impl FnOnce(mpsc::Sender<ProgressEvent>) -
             }
         }
     });
-    let result = work(tx);
+    let result = work(Some(tx));
     printer.join().expect("progress printer panicked");
     result
 }
@@ -231,7 +218,7 @@ fn with_printer<T>(quiet: bool, work: impl FnOnce(mpsc::Sender<ProgressEvent>) -
 /// Runs one campaign with the progress printer; a cache or journal I/O
 /// error ends `who`'s process with exit code 2.
 fn run_points(who: &str, quiet: bool, spec: &CampaignSpec) -> CampaignOutcome {
-    with_printer(quiet, |tx| run_campaign(spec, Some(tx))).unwrap_or_else(|e| {
+    with_printer(quiet, |tx| run_campaign(spec, tx)).unwrap_or_else(|e| {
         eprintln!("{who} error: {e}");
         std::process::exit(2);
     })
@@ -306,7 +293,7 @@ fn explore_main(args: &Args) -> ! {
     });
     let quiet = args.has("--quiet");
     let report = with_printer(quiet, |tx| {
-        run_explore(&spec, &opts, Some(tx), |e| {
+        run_explore(&spec, &opts, tx, |e| {
             if !quiet {
                 print_explore_event(e);
             }
@@ -539,7 +526,7 @@ fn figures_main(args: &Args, opts: HarnessOpts) {
         Some(list) => list.split(',').map(str::trim).collect(),
     };
     let summary = with_printer(args.has("--quiet"), |tx| {
-        run_figures(&names, &opts, &template, Some(tx))
+        run_figures(&names, &opts, &template, tx)
     })
     .unwrap_or_else(|e| {
         eprintln!("campaign error: {e}");

@@ -27,9 +27,8 @@ pub const TABLE: &str = "  --figures all|NAME,...   figures to run, in this orde
   --checked                run every point under the invariant auditor (same results) [figures validate]
   --trace PATTERN          trace points whose label contains PATTERN into the cache directory (repeatable) [figures]
   --metrics                write <fingerprint>.metrics.jsonl interval series for every point [figures]
-  --deadline SECS          wall-clock limit per point attempt [figures explore]
-  --cycle-budget N         simulated-cycle limit per attempt [figures explore]
-  --retries N              re-attempts before quarantine (default: 2) [figures explore]
+  --deadline SECS          wall-clock limit per point [figures explore]
+  --cycle-budget N         simulated-cycle limit per point [figures explore]
   --check-artifact PATH    validate a written artifact by its extension and exit; runs nothing (repeatable) [figures]
   --spec FILE              the query to answer (JSON, see specs/*.explore.json) [explore]
   --out FILE               also write the full report here [explore validate]

@@ -11,16 +11,16 @@
 //! ready, never *what* it computes.
 //!
 //! Per point, in order: consult the content-addressed cache (hit = no
-//! simulation), else simulate under the campaign's
-//! [supervision policy](crate::supervise::SupervisePolicy). A *transient*
-//! failure — a worker panic, or a watchdog cancellation (wall-clock
-//! deadline or simulated-cycle budget) — is retried up to the policy's
-//! budget with deterministic backoff, then quarantined; a *deterministic*
-//! simulation fault ([`SimError`]: a wedged pipeline, or an invariant
-//! violation in checked mode) fails the point immediately (re-running a
-//! pure function reproduces the same fault), with the error journaled
-//! and a JSON diagnostic dump next to the point's cache entry. Either
-//! way the campaign continues: no single point can take it down.
+//! simulation), else simulate once under the campaign's
+//! [supervision policy](crate::supervise::SupervisePolicy). A point is a
+//! pure function of its spec, so it is never re-run: a watchdog
+//! cancellation (wall-clock deadline or simulated-cycle budget) times it
+//! out, a simulation fault ([`SimError`]: a wedged pipeline, or an
+//! invariant violation in checked mode) fails it with a JSON diagnostic
+//! dump next to its cache entry, and a caught panic fails it. Every
+//! final failure is journaled and announced, and the campaign continues:
+//! no single point can take it down. Resuming the campaign re-attempts
+//! every point the cache does not hold.
 
 mod schedule;
 
@@ -64,19 +64,12 @@ pub enum PointOutcome {
         /// when the failure was a structured [`SimError`] and a cache
         /// directory was configured.
         dump_path: Option<PathBuf>,
-        /// Attempts made (1 = failed on the first try).
-        attempts: u32,
-        /// Whether transient failures exhausted the retry budget (as
-        /// opposed to a deterministic fault failing fast).
-        quarantined: bool,
     },
-    /// Every attempt was cancelled by the watchdog (wall-clock deadline
-    /// or simulated-cycle budget); the campaign continued without it.
+    /// The watchdog cancelled the point (wall-clock deadline or
+    /// simulated-cycle budget); the campaign continued without it.
     TimedOut {
-        /// The last watchdog error.
+        /// The watchdog error.
         error: String,
-        /// Attempts made before giving up.
-        attempts: u32,
     },
 }
 
@@ -367,109 +360,56 @@ impl Campaign<'_> {
             None => self.simulate(&v, observe),
         };
         *lock(&self.slots[index]) = Some(outcome);
-        // The outcome is final (retries are over): the point stops
-        // holding its window and warm state alive.
+        // The outcome is final: the point stops holding its window and
+        // warm state alive.
         self.registry.release(index);
         self.group_commit();
         self.done.fetch_add(1, Ordering::Relaxed);
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// The attempt loop: transient failures (panics, watchdog
-    /// cancellations) retry with deterministic backoff up to the policy's
-    /// budget, then quarantine; deterministic simulation faults fail fast.
+    /// Simulates the point once and classifies the result once: metrics
+    /// finish it; a watchdog cancellation times it out; a simulation
+    /// fault fails it with its diagnostics dumped next to the cache entry
+    /// (best effort); a caught panic fails it.
     fn simulate(&self, v: &Visit, observe: Option<ObserveConfig>) -> PointOutcome {
-        let Visit {
-            index, fp, label, ..
-        } = v;
-        let policy = &self.spec.supervise;
-        let mut attempt: u32 = 0;
-        loop {
-            // Classify: success returns; a deterministic fault returns
-            // (fail fast); a transient failure falls through to the
-            // retry ladder.
-            let (error, was_timeout) = match self.attempt(v, observe) {
-                Ok(Ok((metrics, obs))) => {
-                    self.finish(v, &metrics, Some(&obs));
-                    return PointOutcome::Metrics(Box::new(metrics));
-                }
-                Ok(Err(sim)) if sim.is_watchdog() => {
-                    self.count(|r| r.timed_out += 1);
-                    (sim.to_string(), true)
-                }
-                Ok(Err(sim)) => {
-                    // Deterministic simulation fault: retrying a pure
-                    // function reproduces it, so fail fast — dump the
-                    // full diagnostics next to the cache entry (best
-                    // effort) and keep the campaign going.
-                    let error = sim.to_string();
-                    let dump_path = self
-                        .cache
-                        .as_ref()
-                        .and_then(|c| c.store_artifact(*fp, "fail.json", &sim.to_json()).ok());
-                    self.fail(v, &error);
-                    return PointOutcome::Failed {
-                        error,
-                        dump_path,
-                        attempts: attempt + 1,
-                        quarantined: false,
-                    };
-                }
-                Err(payload) => (panic_message(payload.as_ref()), false),
-            };
-
-            if attempt < policy.retries {
-                self.count(|r| r.retries += 1);
-                if let Some(j) = &self.journal {
-                    j.record_retry(*fp, label, &error);
-                }
-                self.send(|| ProgressEvent::Retrying {
-                    index: *index,
-                    label: label.clone(),
-                    attempt,
-                    error: error.clone(),
-                });
-                std::thread::sleep(policy.backoff_for(*fp, attempt + 1));
-                attempt += 1;
-                continue;
+        let (error, dump_path) = match self.attempt(v, observe) {
+            Ok(Ok((metrics, obs))) => {
+                self.finish(v, &metrics, Some(&obs));
+                return PointOutcome::Metrics(Box::new(metrics));
             }
-
-            // Retry budget exhausted: quarantine the point.
-            self.fail(v, &error);
-            return if was_timeout {
-                PointOutcome::TimedOut {
-                    error,
-                    attempts: attempt + 1,
-                }
-            } else {
-                PointOutcome::Failed {
-                    error,
-                    dump_path: None,
-                    attempts: attempt + 1,
-                    quarantined: true,
-                }
-            };
-        }
+            Ok(Err(sim)) if sim.is_watchdog() => {
+                self.count(|r| r.timed_out += 1);
+                let error = sim.to_string();
+                self.fail(v, &error);
+                return PointOutcome::TimedOut { error };
+            }
+            Ok(Err(sim)) => {
+                let dump_path = self
+                    .cache
+                    .as_ref()
+                    .and_then(|c| c.store_artifact(v.fp, "fail.json", &sim.to_json()).ok());
+                (sim.to_string(), dump_path)
+            }
+            Err(payload) => (panic_message(payload.as_ref()), None),
+        };
+        self.fail(v, &error);
+        PointOutcome::Failed { error, dump_path }
     }
 
-    /// One supervised attempt: `Err` is a caught panic, `Ok(Err)` a
-    /// simulation fault or a watchdog cancellation.
+    /// The point's one supervised run: `Err` is a caught panic, `Ok(Err)`
+    /// a simulation fault or a watchdog cancellation.
     fn attempt(
         &self,
         v: &Visit,
         observe: Option<ObserveConfig>,
     ) -> std::thread::Result<Result<(PointMetrics, RunObservation), SimError>> {
-        // Each attempt gets a fresh cancel flag; the watchdog monitor
-        // sets it once the attempt is overdue and the model's cycle loop
-        // notices.
+        // A fresh cancel flag: the watchdog monitor sets it once the
+        // point is overdue and the model's cycle loop notices.
         let cancel = Arc::new(AtomicBool::new(false));
         let watchdog = self.watchdog.as_ref();
         let _guard = watchdog.map(|w| w.register(Arc::clone(&cancel)));
         let cycle_budget = self.spec.supervise.cycle_budget;
-        // The engine's one test seam: a budget armed for this point's
-        // next attempt only, so that attempt fails mid-run.
-        #[cfg(test)]
-        let cycle_budget = cycle_budget.or(tests::take_one_shot_budget(v.fp));
         let budget = (watchdog.is_some() || cycle_budget.is_some()).then(|| CycleBudget {
             max_cycles: cycle_budget,
             cancel: watchdog.is_some().then(|| Arc::clone(&cancel)),
@@ -674,20 +614,6 @@ pub fn run_campaign(
     report.registry = campaign.registry.counters();
     report.completed = outcomes.iter().filter(|o| o.metrics().is_some()).count();
     report.failed = outcomes.len() - report.completed;
-    // In point order, so the report is independent of worker scheduling.
-    report.quarantined = outcomes
-        .iter()
-        .zip(&spec.points)
-        .filter_map(|(outcome, point)| match outcome {
-            PointOutcome::Failed {
-                error,
-                quarantined: true,
-                ..
-            }
-            | PointOutcome::TimedOut { error, .. } => Some((point.label(), error.clone())),
-            _ => None,
-        })
-        .collect();
     report.elapsed = start.elapsed();
     let slowest = &mut report.slowest;
     slowest.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));

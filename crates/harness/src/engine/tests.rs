@@ -7,30 +7,6 @@ use s64v_core::SystemConfig;
 use s64v_workloads::SuiteKind;
 use std::time::Duration;
 
-/// Cycle budgets armed for one attempt each, by point fingerprint.
-static ONE_SHOT_BUDGETS: Mutex<Vec<(Fingerprint, u64)>> = Mutex::new(Vec::new());
-
-/// Runs the next attempt of the point `fp` under a `max_cycles` budget;
-/// later attempts run under the campaign's policy alone.
-fn arm_one_shot_budget(fp: Fingerprint, max_cycles: u64) {
-    lock(&ONE_SHOT_BUDGETS).push((fp, max_cycles));
-}
-
-/// The budget armed for `fp`'s attempt, disarmed as it is taken.
-pub(super) fn take_one_shot_budget(fp: Fingerprint) -> Option<u64> {
-    let mut armed = lock(&ONE_SHOT_BUDGETS);
-    let at = armed.iter().position(|&(armed_fp, _)| armed_fp == fp)?;
-    Some(armed.swap_remove(at).1)
-}
-
-/// The default retry ladder with no backoff sleeps (unit-test speed).
-fn fast_policy() -> SupervisePolicy {
-    SupervisePolicy {
-        backoff: Duration::ZERO,
-        ..SupervisePolicy::default()
-    }
-}
-
 /// Tracing and interval metrics for every point.
 fn trace_everything() -> ObservePlan {
     ObservePlan {
@@ -78,15 +54,10 @@ fn engine_matches_direct_execution() {
 }
 
 #[test]
-fn panicking_point_is_contained_and_quarantined() {
+fn panicking_point_is_contained_and_failed() {
     // records = 0 trips the model's "warmup must leave records to
-    // time" assertion. A panic is a transient failure: the default
-    // policy re-runs it (deterministically panicking again) until the
-    // retry budget is spent, then quarantines the point.
-    let spec = CampaignSpec {
-        supervise: fast_policy(),
-        ..CampaignSpec::new("unit", vec![program_point(0, 1), program_point(3_000, 1)])
-    };
+    // time" assertion: the panic is caught and fails the point.
+    let spec = CampaignSpec::new("unit", vec![program_point(0, 1), program_point(3_000, 1)]);
     let outcome = run_campaign(&spec, None).expect("run");
     assert!(outcome.outcomes[0].metrics().is_none());
     assert!(outcome.outcomes[1].metrics().is_some());
@@ -100,44 +71,68 @@ fn panicking_point_is_contained_and_quarantined() {
     );
     assert_eq!(outcome.report.failed, 1);
     assert_eq!(outcome.report.completed, 1);
-    assert_eq!(outcome.report.retries, 2, "default policy retries twice");
-    let PointOutcome::Failed {
-        attempts,
-        quarantined,
-        ..
-    } = &outcome.outcomes[0]
-    else {
-        panic!("expected a failure, got {:?}", outcome.outcomes[0]);
-    };
-    assert_eq!(*attempts, 3, "first try plus two retries");
-    assert!(*quarantined, "exhausted retries quarantine the point");
-    assert_eq!(outcome.report.quarantined.len(), 1);
-    assert!(outcome.report.quarantined[0].1.contains("warmup"));
+    assert!(
+        matches!(&outcome.outcomes[0], PointOutcome::Failed { .. }),
+        "got {:?}",
+        outcome.outcomes[0]
+    );
 }
 
 #[test]
-fn cycle_budget_cancels_and_quarantines_a_runaway_point() {
+fn cycle_budget_cancels_a_runaway_point() {
     let spec = CampaignSpec {
         supervise: SupervisePolicy {
             cycle_budget: Some(5_000),
-            retries: 1,
-            ..fast_policy()
+            ..SupervisePolicy::default()
         },
         ..CampaignSpec::new("unit", vec![program_point(60_000, 1)])
     };
     let outcome = run_campaign(&spec, None).expect("run");
-    let PointOutcome::TimedOut { error, attempts } = &outcome.outcomes[0] else {
+    let PointOutcome::TimedOut { error } = &outcome.outcomes[0] else {
         panic!("expected a timeout, got {:?}", outcome.outcomes[0]);
     };
     assert!(error.contains("cycle budget"), "got: {error}");
-    assert_eq!(*attempts, 2, "one retry, then quarantine");
-    assert_eq!(outcome.report.timed_out, 2, "both attempts were cancelled");
-    assert_eq!(outcome.report.retries, 1);
-    assert_eq!(outcome.report.quarantined.len(), 1);
-    assert_eq!(
-        outcome.report.failed, 1,
-        "a quarantined point counts failed"
-    );
+    assert_eq!(outcome.report.timed_out, 1);
+    assert_eq!(outcome.report.failed, 1, "a timed-out point counts failed");
+}
+
+#[test]
+fn a_failed_point_is_attempted_once() {
+    // One point panics building its machine (a window of no entries)
+    // after it took its inputs from the registry, one is cut off by the
+    // budget mid-run, one finishes inside it.
+    let mut panicking = program_point(3_000, 1);
+    panicking.config.core.window_size = 0;
+    let short = program_point(3_000, 3);
+    let clean = try_execute_point(&short, RunOptions::default()).expect("clean point");
+    let spec = CampaignSpec {
+        supervise: SupervisePolicy {
+            cycle_budget: Some(clean.cycles + 1),
+            ..SupervisePolicy::default()
+        },
+        ..CampaignSpec::new("unit", vec![panicking, program_point(60_000, 2), short])
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    let outcome = run_campaign(&spec, Some(tx)).expect("run");
+    let r = &outcome.report;
+    assert_eq!((r.completed, r.failed, r.timed_out), (1, 2, 1));
+    assert_eq!(r.retries, 0);
+    // Every point asks for its inputs once per attempt.
+    assert_eq!(r.registry.traces_requested, 3);
+    assert_eq!(r.registry.machines_requested, 3);
+    let events: Vec<ProgressEvent> = rx.try_iter().collect();
+    let started = events
+        .iter()
+        .filter(|e| matches!(e, ProgressEvent::Started { .. }))
+        .count();
+    let failed = events
+        .iter()
+        .filter(|e| matches!(e, ProgressEvent::Failed { .. }))
+        .count();
+    assert_eq!((started, failed), (3, 2));
+    let failures = outcome.failures();
+    assert!(failures[0].1.contains("window needs at least one entry"));
+    assert!(failures[1].1.contains("cycle budget"));
 }
 
 #[test]
@@ -148,59 +143,16 @@ fn wall_clock_deadline_cancels_a_hung_point() {
     let spec = CampaignSpec {
         supervise: SupervisePolicy {
             deadline: Some(Duration::from_nanos(1)),
-            retries: 0,
-            ..fast_policy()
+            ..SupervisePolicy::default()
         },
         ..CampaignSpec::new("unit", vec![program_point(200_000, 1)])
     };
     let outcome = run_campaign(&spec, None).expect("run");
-    let PointOutcome::TimedOut { error, attempts } = &outcome.outcomes[0] else {
+    let PointOutcome::TimedOut { error } = &outcome.outcomes[0] else {
         panic!("expected a timeout, got {:?}", outcome.outcomes[0]);
     };
     assert!(error.contains("wall-clock watchdog"), "got: {error}");
-    assert_eq!(*attempts, 1, "retries = 0 gives up after the first attempt");
     assert_eq!(outcome.report.timed_out, 1);
-}
-
-#[test]
-fn a_mid_run_cancel_recovers_on_retry_over_the_same_inputs() {
-    let dir = std::env::temp_dir().join(format!("s64v-engine-retry-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    // A seed no other test uses: the armed budget is keyed by fingerprint.
-    let point = program_point(3_000, 0x7e7_4a11);
-    let clean = run_campaign(&CampaignSpec::new("unit", vec![point.clone()]), None).expect("run");
-
-    // The first attempt takes its trace and warmed state from the
-    // registry, then trips the budget a thousand cycles into its timed
-    // window; the retry runs over the same inputs, unbudgeted.
-    arm_one_shot_budget(point.fingerprint(), 1_000);
-    let spec = CampaignSpec {
-        supervise: fast_policy(),
-        cache_dir: Some(dir.clone()),
-        ..CampaignSpec::new("unit", vec![point])
-    };
-    let (tx, rx) = std::sync::mpsc::channel();
-    let retried = run_campaign(&spec, Some(tx)).expect("run");
-
-    assert_eq!(retried.outcomes[0].metrics(), clean.outcomes[0].metrics());
-    let r = &retried.report;
-    assert_eq!((r.retries, r.timed_out), (1, 1));
-    assert!(r.quarantined.is_empty(), "the retry recovered");
-    let journal = Journal::load(&journal_path(&dir));
-    assert_eq!(journal.retries.len(), 1);
-    assert!(journal.retries[0].error.contains("cycle budget"));
-    let retrying = rx
-        .try_iter()
-        .filter(|e| matches!(e, ProgressEvent::Retrying { .. }))
-        .count();
-    assert_eq!(retrying, 1);
-    // Nothing was generated or warmed twice: only the requests grew.
-    let (once, twice) = (&clean.report.registry, &r.registry);
-    assert_eq!(once.traces_generated, twice.traces_generated);
-    assert_eq!(once.warm_passes, twice.warm_passes);
-    assert_eq!(once.records_warmed, twice.records_warmed);
-    assert!(twice.traces_requested > once.traces_requested);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -451,18 +403,10 @@ fn invariant_violation_fails_the_point_and_writes_a_dump() {
     // visits all of them.
     assert_eq!(outcome.report.failed, 2);
     for o in &outcome.outcomes {
-        let PointOutcome::Failed {
-            error,
-            dump_path,
-            attempts,
-            quarantined,
-        } = o
-        else {
+        let PointOutcome::Failed { error, dump_path } = o else {
             panic!("a wedged point must fail, got {o:?}");
         };
         assert!(error.contains("pipeline"), "got: {error}");
-        assert_eq!(*attempts, 1, "deterministic SimErrors fail fast, no retry");
-        assert!(!quarantined, "a fail-fast point is not quarantined");
         let path = dump_path.as_ref().expect("dump written next to cache");
         let json = std::fs::read_to_string(path).expect("dump readable");
         assert!(json.contains("\"component\": \"pipeline\""), "got: {json}");

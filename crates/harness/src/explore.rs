@@ -113,7 +113,6 @@ pub fn run_explore(
                     ex.cache_hits += outcome.report.cache_hits;
                     ex.simulated += outcome.report.completed - outcome.report.cache_hits;
                     ex.failed += outcome.report.failed;
-                    ex.quarantined += outcome.report.quarantined.len();
                     ex.simulated_records += outcome.report.simulated_records;
                     outcome
                         .outcomes

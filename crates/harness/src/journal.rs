@@ -4,7 +4,7 @@
 //! happens, so an interrupted campaign leaves a complete account of what
 //! finished and what failed. On resume the *results* come back through
 //! the content-addressed cache; the journal's job is the bookkeeping the
-//! cache cannot do — which points panicked (and why), and how far the
+//! cache cannot do — which points failed (and why), and how far the
 //! previous run got.
 //!
 //! Line format (space-separated, message is the line's tail; every line
@@ -15,11 +15,10 @@
 //! ```text
 //! ok     <fingerprint> <label...> |c=<crc>
 //! fail   <fingerprint> <label> :: <error message> |c=<crc>
-//! retry  <fingerprint> <label> :: <transient error> |c=<crc>
 //! ```
 //!
-//! `retry` lines record recovered transient failures (the point went on
-//! to succeed or be quarantined — later lines say which).
+//! A line with any other tag — such as the `retry` lines of journals
+//! written when failed points were re-run — is skipped.
 
 use crate::supervise::line_crc;
 use s64v_core::fingerprint::Fingerprint;
@@ -45,10 +44,10 @@ pub struct JournalState {
     /// Fingerprints of points that completed.
     pub completed: HashSet<Fingerprint>,
     /// Points that failed, in journal order (a point that later
-    /// succeeded — e.g. on a retry run — is dropped from this list).
+    /// succeeded — e.g. in a resumed run — is dropped from this list).
     pub failed: Vec<FailedPoint>,
-    /// Recovered transient failures, in journal order (each one is an
-    /// attempt that failed and was re-run).
+    /// Always empty: no line fills it. Kept, inert, because the benchmark
+    /// crate still reads it; it goes with ROADMAP item 3.
     pub retries: Vec<FailedPoint>,
     /// Lines that are not UTF-8 or whose checksum failed (torn appends)
     /// — skipped, counted.
@@ -130,21 +129,16 @@ impl Journal {
                     state.completed.insert(fp);
                     state.failed.retain(|f| f.fingerprint != fp);
                 }
-                "fail" | "retry" => {
+                "fail" => {
                     let (label, error) = match rest.split_once(" :: ") {
                         Some((l, e)) => (l.to_string(), e.to_string()),
                         None => (rest.to_string(), String::new()),
                     };
-                    let record = FailedPoint {
+                    state.failed.push(FailedPoint {
                         fingerprint: fp,
                         label,
                         error,
-                    };
-                    if tag == "retry" {
-                        state.retries.push(record);
-                    } else {
-                        state.failed.push(record);
-                    }
+                    });
                 }
                 _ => {}
             }
@@ -161,13 +155,6 @@ impl Journal {
     pub fn record_fail(&self, fp: Fingerprint, label: &str, error: &str) {
         let (label, error) = (sanitize(label), sanitize(error));
         self.append(&format!("fail {fp} {label} :: {error}"));
-    }
-
-    /// Records a recovered transient failure (the attempt will be re-run;
-    /// a later `ok` or `fail` line carries the point's final outcome).
-    pub fn record_retry(&self, fp: Fingerprint, label: &str, error: &str) {
-        let (label, error) = (sanitize(label), sanitize(error));
-        self.append(&format!("retry {fp} {label} :: {error}"));
     }
 
     /// Appends one line.
@@ -250,23 +237,24 @@ mod tests {
     }
 
     #[test]
-    fn retry_lines_round_trip() {
+    fn lines_of_an_unknown_tag_are_skipped_whole() {
         let dir = std::env::temp_dir().join(format!("s64v-journal-rc-{}", std::process::id()));
         let path = journal_path(&dir);
         std::fs::remove_file(&path).ok();
 
+        // A `retry` line as older journals hold them: well formed, its
+        // checksum intact, its tag no longer written.
         let j = Journal::open(&path).expect("open");
-        j.record_retry(fp("a"), "point a", "panic: worker died");
+        j.append(&format!("retry {} point a :: panic: worker died", fp("a")));
+        j.record_fail(fp("b"), "point b", "boom");
         j.record_ok(fp("a"), "point a");
 
         let state = Journal::load(&path);
         assert!(state.completed.contains(&fp("a")));
-        assert!(
-            state.failed.is_empty(),
-            "a recovered retry is not a failure"
-        );
-        assert_eq!(state.retries.len(), 1);
-        assert!(state.retries[0].error.contains("worker died"));
+        assert_eq!(state.failed.len(), 1, "only the fail line is a failure");
+        assert_eq!(state.failed[0].label, "point b");
+        assert!(state.retries.is_empty());
+        assert_eq!(state.corrupt_lines, 0, "an unknown tag is not damage");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -31,12 +31,13 @@
 //!   turns silent model-state corruption into first-faulting-cycle
 //!   errors.
 //! * **Supervised execution** — a [`supervise`] layer adds per-point
-//!   watchdogs (wall-clock deadline + simulated-cycle budget), bounded
-//!   retry with deterministic backoff and a quarantine list for points
-//!   that keep failing transiently, crash-safe artifact storage (atomic
-//!   rename, group-committed fsyncs, length/checksum footers verified on
-//!   read) and a per-cache-directory lock. Each recovery path is proved
-//!   by tests that damage real files or fail real attempts.
+//!   watchdogs (wall-clock deadline + simulated-cycle budget),
+//!   crash-safe artifact storage (atomic rename, group-committed fsyncs,
+//!   length/checksum footers verified on read) and a per-cache-directory
+//!   lock. A point is attempted once — it is a pure function of its
+//!   spec, so a second attempt would fail the same way; a resumed
+//!   campaign re-attempts what the cache does not hold. Each recovery
+//!   path is proved by tests that damage real files or fail real points.
 //! * **Design-space exploration** — [`explore`] turns the engine into a
 //!   query answerer: a declarative `s64v-explore` spec (knob grid +
 //!   objective + constraints) runs as successive-halving rounds over the

@@ -174,8 +174,8 @@ pub struct PerfSource {
     /// (re-runs, per-program points of one suite sweep) are merged by
     /// summing — consistent on both sides of a diff of like campaigns.
     pub workloads: BTreeMap<String, WorkloadPerf>,
-    /// Labels of points excluded from aggregation: failed, quarantined
-    /// or timed-out per the source's journal (cache-dir sources only).
+    /// Labels of points excluded from aggregation: failed or timed out
+    /// per the source's journal (cache-dir sources only).
     pub excluded: Vec<String>,
 }
 
@@ -212,9 +212,9 @@ impl PerfSource {
                 "{name}: no .cpi.json artifacts (run the campaign with a cache directory first)"
             ));
         }
-        // Journaled failures are the exclusion record: every failed,
-        // quarantined or timed-out point lands there (and drops out
-        // again once a later run succeeds). A lone artifact has none.
+        // Journaled failures are the exclusion record: every failed or
+        // timed-out point lands there (and drops out again once a later
+        // run succeeds). A lone artifact has none.
         let journal = Journal::load(&journal_path(path));
         source.excluded = journal.failed.into_iter().map(|f| f.label).collect();
         Ok(source)

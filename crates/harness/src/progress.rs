@@ -32,25 +32,26 @@ pub enum ProgressEvent {
         /// Wall time spent on this point.
         elapsed: Duration,
     },
-    /// The point panicked; the campaign continues without it.
+    /// The point failed — a simulation error, a caught panic or a
+    /// watchdog cancellation; the campaign continues without it.
     Failed {
         /// Index into the campaign's point list.
         index: usize,
         /// The point's label.
         label: String,
-        /// The recovered panic message.
+        /// The simulation error, panic message or watchdog error.
         error: String,
     },
-    /// An attempt failed transiently (panic or watchdog timeout) and the
-    /// point is being re-run after a deterministic backoff.
+    /// Never sent: a point is attempted once. Kept, inert, because the
+    /// benchmark crate still names it; it goes with ROADMAP item 3.
     Retrying {
         /// Index into the campaign's point list.
         index: usize,
         /// The point's label.
         label: String,
-        /// The attempt that just failed (0-based).
+        /// The attempt that failed (0-based).
         attempt: u32,
-        /// The transient error recovered from.
+        /// Its error.
         error: String,
     },
     /// Periodic liveness pulse while points are running (period set by
@@ -74,17 +75,17 @@ pub enum ProgressEvent {
 pub struct CampaignReport {
     /// Points that produced metrics (including cache hits).
     pub completed: usize,
-    /// Points that panicked.
+    /// Points that failed: a simulation error, a caught panic or a
+    /// watchdog cancellation.
     pub failed: usize,
     /// Completed points served from the cache.
     pub cache_hits: usize,
-    /// Attempts that failed transiently and were re-run.
+    /// Always 0: a point is attempted once. Kept, inert, because the
+    /// benchmark crate still reads it; it goes with ROADMAP item 3.
     pub retries: usize,
-    /// Attempts cancelled by the watchdog (deadline or cycle budget).
+    /// Points cancelled by the watchdog (deadline or cycle budget), a
+    /// subset of `failed`.
     pub timed_out: usize,
-    /// Points whose transient failures exhausted the retry budget; their
-    /// labels and last errors, in point order.
-    pub quarantined: Vec<(String, String)>,
     /// Trace records the simulated points' statistics rest on (cache
     /// hits excluded): each point's warm-up plus timed records, whether
     /// or not a shared warm state spared it the replay.
@@ -152,13 +153,8 @@ impl CampaignReport {
                 shared.tables_trained,
             ));
         }
-        if self.retries > 0 || self.timed_out > 0 || !self.quarantined.is_empty() {
-            s.push_str(&format!(
-                ", {} retried, {} timed out, {} quarantined",
-                self.retries,
-                self.timed_out,
-                self.quarantined.len()
-            ));
+        if self.timed_out > 0 {
+            s.push_str(&format!(", {} timed out", self.timed_out));
         }
         s
     }
@@ -184,7 +180,7 @@ mod tests {
         assert!(s.contains("4 from cache"));
         assert!(s.contains("1 failed"));
         assert!(
-            !s.contains("quarantined"),
+            !s.contains("timed out"),
             "a healthy campaign's summary stays unchanged"
         );
     }
@@ -227,15 +223,14 @@ mod tests {
     fn summary_reports_supervision_counts_when_present() {
         let r = CampaignReport {
             completed: 5,
-            retries: 3,
+            failed: 1,
             timed_out: 1,
-            quarantined: vec![("bad point".to_string(), "panic: boom".to_string())],
             ..Default::default()
         };
         let s = r.summary();
-        assert!(s.contains("3 retried"));
-        assert!(s.contains("1 timed out"));
-        assert!(s.contains("1 quarantined"));
+        assert!(s.contains("1 failed"));
+        assert!(s.ends_with(", 1 timed out"), "{s}");
+        assert!(!s.contains("retried"), "{s}");
     }
 
     #[test]

@@ -61,9 +61,8 @@
 //!
 //! **What is held when.** Every point is a *consumer* of its key and a
 //! *user* of its window and stop. The engine releases a point when its
-//! outcome is final (metrics, cache hit, deterministic failure or
-//! quarantine — never between retries, so a retry finds its inputs where
-//! the first attempt did). A published state or window is dropped with
+//! outcome is final — metrics, cache hit, failure or timeout, after its
+//! one attempt. A published state or window is dropped with
 //! its last user, and one nobody is left to want is never built; the
 //! whole entry — generator, cursors — goes with the key's last consumer.
 //! A key in service thus holds one chunk, the cursors of chains with a
@@ -158,7 +157,8 @@ impl ReuseKey {
 /// registry actually did (see [`crate::progress::CampaignReport`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegistryCounters {
-    /// Trace sets points asked for (one per executed attempt).
+    /// Trace sets points asked for (one per point that ran; a cache hit
+    /// asks for none).
     pub traces_requested: u64,
     /// Generators started: one per program pass, one per SMP trace set.
     pub traces_generated: u64,
@@ -168,12 +168,12 @@ pub struct RegistryCounters {
     /// program key, the whole trace set of an SMP key.
     pub records_materialized: u64,
     /// Functional warm-up records uniprocessor points (program points
-    /// and sampled windows) asked for: Σ `(stop − origin)` over executed
-    /// attempts.
+    /// and sampled windows) asked for: Σ `(stop − origin)` over the points
+    /// that ran.
     pub records_warm_requested: u64,
     /// Records actually replayed through a memory state to serve them.
     pub records_warmed: u64,
-    /// Warmed machines those attempts asked for (one each).
+    /// Warmed machines those points asked for (one each).
     pub machines_requested: u64,
     /// Cold memory states started at a chain's origin.
     pub warm_passes: u64,

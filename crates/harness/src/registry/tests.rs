@@ -88,7 +88,7 @@ fn out_of_order_and_repeated_requests_replay_nothing_twice() {
     assert_eq!(reg.warmed(0).pos(), 3_000);
     // Behind the pass: published on its way to the first asker.
     assert_eq!(reg.warmed(1).pos(), 1_000);
-    assert_eq!(reg.warmed(1).pos(), 1_000, "a retry");
+    assert_eq!(reg.warmed(1).pos(), 1_000, "asked again");
     assert_eq!(
         reg.traces(1)[0].records(),
         &reference().records()[1_000..1_500]
@@ -167,7 +167,7 @@ fn a_stops_users_copy_one_state_in_place_and_it_goes_with_the_last() {
         let machine = reg.warmed(at);
         assert_eq!((machine.origin(), machine.pos()), (0, 1_500));
         assert_eq!(reg.traces(at)[0].len(), 500);
-        // A retry before release finds the state where it was.
+        // Asked again before release, it finds the state where it was.
         reg.warmed(at);
         assert_eq!(held(&reg, at), (1, 1), "one state and one window");
         if at + 1 < points.len() {

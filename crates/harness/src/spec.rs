@@ -342,8 +342,8 @@ pub struct CampaignSpec {
     /// Emit a [`crate::progress::ProgressEvent::Heartbeat`] at this
     /// period while points are running (`None` = no heartbeat).
     pub heartbeat: Option<Duration>,
-    /// Per-point supervision: deadline, cycle budget, retry/quarantine
-    /// policy (see [`SupervisePolicy`]). Supervision never changes what a
+    /// Per-point supervision: wall-clock deadline and cycle budget (see
+    /// [`SupervisePolicy`]). Supervision never changes what a
     /// healthy point computes, so it stays out of point fingerprints.
     pub supervise: SupervisePolicy,
 }

@@ -1,5 +1,5 @@
-//! The campaign supervision layer: watchdogs, retry policy, crash-safe
-//! storage primitives and the cache lock.
+//! The campaign supervision layer: watchdogs, crash-safe storage
+//! primitives and the cache lock.
 //!
 //! A campaign lives or dies by the harness surviving individual
 //! failures: one hung point, one torn cache write, or one panicking
@@ -7,9 +7,9 @@
 //! This module supplies the shared mechanisms the rest of the harness
 //! threads through its layers:
 //!
-//! * [`SupervisePolicy`] — per-point wall-clock deadline, simulated-cycle
-//!   budget, bounded retries and deterministic backoff, set on the spec
-//!   (`campaign --deadline` / `--cycle-budget` / `--retries`).
+//! * [`SupervisePolicy`] — per-point wall-clock deadline and
+//!   simulated-cycle budget, set on the spec (`campaign --deadline` /
+//!   `--cycle-budget`).
 //! * [`Watchdog`] — a monitor thread that cancels overdue in-flight
 //!   points cooperatively (the model polls a flag; see
 //!   [`s64v_core::CycleBudget`]) so the worker returns with a structured
@@ -23,7 +23,7 @@
 //! * [`CacheLock`] — a pid-stamped lock file per `results-cache/` so two
 //!   concurrent campaigns cannot interleave writes to one directory.
 
-use s64v_core::fingerprint::{Fingerprint, StableHasher};
+use s64v_core::fingerprint::StableHasher;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -37,57 +37,16 @@ use std::time::{Duration, Instant};
 
 /// The per-point supervision contract of one campaign.
 ///
-/// The defaults keep historical behaviour for healthy campaigns (no
-/// deadline, no cycle ceiling) while arming the retry ladder: transient
-/// failures — a worker panic or a watchdog timeout — are retried up to
-/// [`SupervisePolicy::retries`] times with deterministic backoff, then
-/// quarantined; deterministic [`s64v_core::SimError`]s fail fast with no
-/// retry (re-running a pure function reproduces the same fault).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The default sets neither limit, so a healthy campaign runs as if
+/// unsupervised. Each point is attempted once: it is a pure function of
+/// its spec, so a second attempt would fail the same way, and resuming
+/// the campaign re-attempts every point the cache does not hold.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SupervisePolicy {
-    /// Wall-clock deadline per point *attempt* (`None` = no watchdog).
+    /// Wall-clock deadline per point (`None` = no watchdog).
     pub deadline: Option<Duration>,
-    /// Simulated-cycle ceiling per point attempt (`None` = unlimited).
+    /// Simulated-cycle ceiling per point (`None` = unlimited).
     pub cycle_budget: Option<u64>,
-    /// Re-attempts allowed after a transient failure before the point is
-    /// quarantined (0 = fail on the first transient fault).
-    pub retries: u32,
-    /// Base backoff unit between attempts; attempt `n` sleeps
-    /// `n * backoff` plus a deterministic jitter in `[0, backoff)`.
-    pub backoff: Duration,
-}
-
-impl Default for SupervisePolicy {
-    fn default() -> Self {
-        SupervisePolicy {
-            deadline: None,
-            cycle_budget: None,
-            retries: 2,
-            backoff: Duration::from_millis(20),
-        }
-    }
-}
-
-impl SupervisePolicy {
-    /// The deterministic backoff before retry attempt `attempt` (1-based)
-    /// of the point with fingerprint `fp`: linear in the attempt number
-    /// plus a seeded jitter, so the backoff *schedule* of a campaign is a
-    /// pure function of its points — reproducible run to run — while
-    /// still decorrelating retries of different points.
-    pub fn backoff_for(&self, fp: Fingerprint, attempt: u32) -> Duration {
-        let base = self.backoff;
-        if base.is_zero() {
-            return Duration::ZERO;
-        }
-        let mut h = StableHasher::new();
-        h.write_str("backoff");
-        h.write_str(&fp.to_hex());
-        h.write_u64(u64::from(attempt));
-        let digest = h.finish().to_hex();
-        let bits = u64::from_str_radix(&digest[..16], 16).expect("hex digest");
-        let jitter_nanos = bits % base.as_nanos().max(1) as u64;
-        base * attempt + Duration::from_nanos(jitter_nanos)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -100,11 +59,11 @@ struct Flight {
     cancel: Arc<AtomicBool>,
 }
 
-/// A monitor thread that cancels overdue in-flight point attempts.
+/// A monitor thread that cancels overdue in-flight points.
 ///
-/// Workers [`register`](Watchdog::register) each attempt with its cancel
+/// Workers [`register`](Watchdog::register) each point with its cancel
 /// flag; the monitor ticks a few times per deadline and sets the flag on
-/// any attempt older than the deadline. Cancellation is cooperative —
+/// any point running past the deadline. Cancellation is cooperative —
 /// the simulation polls the flag from its cycle loop and returns a
 /// structured watchdog [`s64v_core::SimError`] — so an overdue point is
 /// *marked* timed out and the campaign carries on; nothing is ever torn
@@ -135,7 +94,7 @@ impl Drop for WatchGuard<'_> {
 }
 
 impl Watchdog {
-    /// Spawns the monitor thread for a per-attempt `deadline`.
+    /// Spawns the monitor thread for a per-point `deadline`.
     pub fn spawn(deadline: Duration) -> Self {
         let flights: Arc<Mutex<HashMap<u64, Flight>>> = Arc::new(Mutex::new(HashMap::new()));
         let stop = Arc::new(AtomicBool::new(false));
@@ -163,8 +122,8 @@ impl Watchdog {
         }
     }
 
-    /// Registers an in-flight attempt whose `cancel` flag the monitor may
-    /// set; drop the guard when the attempt finishes.
+    /// Registers an in-flight point whose `cancel` flag the monitor may
+    /// set; drop the guard when the point finishes.
     pub fn register(&self, cancel: Arc<AtomicBool>) -> WatchGuard<'_> {
         let token = self.next_token.fetch_add(1, Ordering::Relaxed) as u64;
         let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
@@ -438,7 +397,6 @@ impl Drop for CacheLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_fp as fp;
 
     #[test]
     fn seal_round_trips_and_detects_damage() {
@@ -464,25 +422,6 @@ mod tests {
 
         // Unsealed text is an explicit miss, not a panic.
         assert!(unseal(payload).is_err());
-    }
-
-    #[test]
-    fn backoff_schedule_is_deterministic_and_grows() {
-        let policy = SupervisePolicy::default();
-        let a1 = policy.backoff_for(fp("p"), 1);
-        assert_eq!(a1, policy.backoff_for(fp("p"), 1), "pure function");
-        let a2 = policy.backoff_for(fp("p"), 2);
-        assert!(a2 > a1, "later attempts back off longer");
-        assert_ne!(
-            a1,
-            policy.backoff_for(fp("q"), 1),
-            "different points decorrelate"
-        );
-        let zero = SupervisePolicy {
-            backoff: Duration::ZERO,
-            ..SupervisePolicy::default()
-        };
-        assert_eq!(zero.backoff_for(fp("p"), 3), Duration::ZERO);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! engine flags are not read. A spec no parser should recurse through,
 //! or one that would panic, never end or ask for unbounded memory, is
 //! a bad spec (exit 2), not a crash, and a report that cannot be written
-//! where `--out` says is an error (exit 2), not a warning. README.md
-//! quotes the usage text verbatim.
+//! where `--out` says is an error (exit 2), not a warning. A failed point
+//! is attempted once, and `--quiet` prints no progress. README.md quotes
+//! the usage text verbatim.
 
 use s64v_explore::ExploreSpec;
 use s64v_harness::cli::{flags, Flag, MODES};
@@ -192,6 +193,53 @@ fn an_unwritable_out_report_fails_the_run() {
 }
 
 #[test]
+fn a_budgeted_figure_fails_each_point_once_and_quiet_prints_no_progress() {
+    let dir = scratch("budget");
+    let cache = dir.join("cache");
+    let args = [
+        "--figures",
+        "fig09_bht",
+        "--cycle-budget",
+        "500",
+        "--threads",
+        "2",
+        "--quiet",
+        "--cache-dir",
+        cache.to_str().expect("utf-8 path"),
+    ];
+    let sizes = [("S64V_RECORDS", "4000"), ("S64V_WARMUP", "4000")];
+    let (code, _, stderr) = campaign_with(&dir, &args, &sizes);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("campaign: 0 completed (0 from cache), 86 failed"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.lines().all(|line| !line.starts_with('[')),
+        "--quiet printed progress:\n{stderr}"
+    );
+    // Every point trips the budget the same way each time it runs, so
+    // each is run once: one `fail` line apiece and nothing else.
+    let journal = std::fs::read_to_string(cache.join("journal.log")).expect("journal");
+    let tagged = |tag: &str| journal.lines().filter(|l| l.starts_with(tag)).count();
+    assert_eq!((tagged("fail "), tagged("retry ")), (86, 0));
+    assert_eq!(journal.lines().count(), 86);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_report_with_a_retired_execution_field_passes_check_artifact() {
+    let dir = scratch("retired");
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../specs/fixtures/retired_execution_field.explore.json");
+    let fixture = fixture.to_str().expect("utf-8 path");
+    let (code, _, stderr) = campaign(&dir, &["--check-artifact", fixture]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("artifact ok"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn print_only_figures_run_as_empty_campaigns() {
     let dir = scratch("empty");
     let cache = dir.join("cache");
@@ -338,6 +386,7 @@ fn every_subcommand_shares_the_engine_flags_and_rejects_the_rest() {
     rejected(&["--deadline", "0"]);
     rejected(&["--deadline", "1e300"]);
     rejected(&["--cycle-budget", "0"]);
+    rejected(&["--retries", "2"]);
     rejected(&["validate", "--windows", "1"]);
     rejected(&["perf", "only-one"]);
     rejected(&["perf", "a", "b", "c"]);

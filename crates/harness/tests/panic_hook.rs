@@ -4,17 +4,15 @@
 //! in its test binary: the hook is per process.)
 
 use s64v_core::SystemConfig;
-use s64v_harness::supervise::SupervisePolicy;
 use s64v_harness::{run_campaign, CampaignSpec, SimPoint, WorkUnit};
 use s64v_workloads::SuiteKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
-use std::time::Duration;
 
 static HOOK_CALLS: AtomicUsize = AtomicUsize::new(0);
 
-/// Four programs; the `panicking` ones time no records, so every
-/// attempt of theirs panics ("warmup must leave records to time").
+/// Four programs; the `panicking` ones time no records, so they panic
+/// ("warmup must leave records to time").
 fn points(seed: u64, panicking: &[usize]) -> Vec<SimPoint> {
     (0..4)
         .map(|index| SimPoint {
@@ -36,17 +34,11 @@ fn overlapping_campaigns_leave_the_previous_panic_hook_live() {
         HOOK_CALLS.fetch_add(1, Ordering::SeqCst);
     }));
 
-    // Two campaigns, each with points that panic a worker on every attempt.
+    // Two campaigns, each with points that panic a worker.
     let campaigns: Vec<(CampaignSpec, &[usize])> = [(11u64, &[1][..]), (12, &[0, 3][..])]
         .into_iter()
         .map(|(seed, panicking)| {
-            let spec = CampaignSpec {
-                supervise: SupervisePolicy {
-                    backoff: Duration::ZERO,
-                    ..SupervisePolicy::default()
-                },
-                ..CampaignSpec::new("hook", points(seed, panicking)).with_heartbeat(None)
-            };
+            let spec = CampaignSpec::new("hook", points(seed, panicking)).with_heartbeat(None);
             (spec, panicking)
         })
         .collect();
@@ -59,13 +51,13 @@ fn overlapping_campaigns_leave_the_previous_panic_hook_live() {
             scope.spawn(move || {
                 start.wait();
                 let outcome = run_campaign(&spec.clone().with_threads(2), None).expect("run");
-                let failed: Vec<usize> = outcome.failures().iter().map(|f| f.0).collect();
+                let failures = outcome.failures();
+                let failed: Vec<usize> = failures.iter().map(|f| f.0).collect();
                 assert_eq!(failed, *panicking, "only the panicking points fail");
-                let quarantined = &outcome.report.quarantined;
-                assert_eq!(quarantined.len(), panicking.len(), "{quarantined:?}");
-                assert!(quarantined
-                    .iter()
-                    .all(|(_, e)| e.contains("warmup must leave")));
+                assert!(
+                    failures.iter().all(|f| f.1.contains("warmup must leave")),
+                    "{failures:?}"
+                );
             });
         }
     });

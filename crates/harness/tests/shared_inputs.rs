@@ -1,22 +1,20 @@
 //! End-to-end tests of the per-campaign shared-input registry and the
 //! reuse-affine schedule: sharing and scheduling change how much gets
 //! generated and replayed, never a result; the counters are exact; and
-//! nothing outlives the campaign, including across retries, mid-run
-//! cancellations and quarantines.
+//! nothing outlives the campaign, including across mid-run cancellations
+//! and panics.
 
 use s64v_core::{memory_warm_key, program_seed, Fingerprint, SystemConfig};
 use s64v_harness::engine::PointOutcome;
 use s64v_harness::registry::{Registry, ReuseKey};
 use s64v_harness::validate::{full_point, sampled_points, SampleOpts};
 use s64v_harness::{
-    run_campaign, try_execute_point, CampaignOutcome, CampaignSpec, HarnessOpts, SimPoint,
-    SupervisePolicy, WorkUnit,
+    run_campaign, try_execute_point, CampaignOutcome, CampaignSpec, HarnessOpts, SimPoint, WorkUnit,
 };
 use s64v_trace::VecTrace;
 use s64v_workloads::SuiteKind;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 
 const PROGRAMS: [(SuiteKind, usize); 3] = [
     (SuiteKind::SpecInt95, 0),
@@ -131,20 +129,10 @@ fn one_pass_per_plan(points: &[SimPoint]) -> u64 {
         .sum()
 }
 
-fn fast() -> SupervisePolicy {
-    SupervisePolicy {
-        backoff: Duration::ZERO,
-        ..SupervisePolicy::default()
-    }
-}
-
 fn spec(points: &[SimPoint], threads: usize) -> CampaignSpec {
-    CampaignSpec {
-        supervise: fast(),
-        ..CampaignSpec::new("shared-inputs", points.to_vec())
-            .with_threads(threads)
-            .with_heartbeat(None)
-    }
+    CampaignSpec::new("shared-inputs", points.to_vec())
+        .with_threads(threads)
+        .with_heartbeat(None)
 }
 
 fn run(points: &[SimPoint], threads: usize) -> CampaignOutcome {
@@ -324,7 +312,7 @@ fn points_that_die_mid_run_or_panic_every_time_leave_their_neighbours_whole() {
     let (suite, index) = PROGRAMS[0];
     let windows = sampled_points(suite, index, &o, &sample());
     // Shares the windows' trace (its length is their `records`) and
-    // panics on every attempt: "warmup must leave records to time".
+    // panics: "warmup must leave records to time".
     let panicking = SimPoint {
         records: 0,
         warmup: o.records + o.warmup,
@@ -344,31 +332,28 @@ fn points_that_die_mid_run_or_panic_every_time_leave_their_neighbours_whole() {
     );
 
     // A cycle budget between the two: every window finishes, the full
-    // point is cancelled *mid-run* on every attempt.
+    // point is cancelled *mid-run*.
     for threads in [1, 2, 5] {
         let mut spec = spec(&points, threads);
-        spec.supervise = fast();
         spec.supervise.cycle_budget = Some(longest_window + 1);
         let out = run_campaign(&spec, None).expect("run");
         assert!(
-            matches!(&out.outcomes[0], PointOutcome::Failed { error, attempts: 3, quarantined: true, .. }
+            matches!(&out.outcomes[0], PointOutcome::Failed { error, .. }
                 if error.contains("warmup must leave records to time")),
             "{threads} threads: got {:?}",
             out.outcomes[0]
         );
         assert!(
-            matches!(&out.outcomes[1], PointOutcome::TimedOut { attempts: 3, .. }),
+            matches!(&out.outcomes[1], PointOutcome::TimedOut { .. }),
             "{threads} threads: got {:?}",
             out.outcomes[1]
         );
         assert_eq!(out.outcomes[2..], clean.outcomes[2..], "{threads} threads");
-        assert_eq!(out.report.retries, 4);
-        assert_eq!(out.report.quarantined.len(), 2);
-        // The full point's three attempts plus five windows asked (the
-        // panicking point dies before it asks); one pass served every
-        // retry, then was dropped (`live() == 0` is asserted inside
-        // `run_campaign`).
-        assert_eq!(out.report.registry.traces_requested, 3 + 5);
+        assert_eq!((out.report.failed, out.report.timed_out), (2, 1));
+        // The full point and five windows asked once each (the panicking
+        // point dies before it asks); one pass served them all, then was
+        // dropped (`live() == 0` is asserted inside `run_campaign`).
+        assert_eq!(out.report.registry.traces_requested, 1 + 5);
         assert_eq!(out.report.registry.traces_generated, 1);
         assert_eq!(out.report.registry.warm_passes, 1);
     }

@@ -20,7 +20,6 @@ use s64v_harness::{
 use s64v_trace::SamplePlan;
 use s64v_workloads::{Suite, SuiteKind};
 use std::collections::HashSet;
-use std::time::Duration;
 
 const SEEDS: [u64; 3] = [3, 17, 40];
 const RECORDS: usize = 2_500;
@@ -61,19 +60,20 @@ fn program_points(suite: SuiteKind, seed: u64, configs: &[SystemConfig]) -> Vec<
         .collect()
 }
 
-fn fast() -> SupervisePolicy {
-    SupervisePolicy {
-        backoff: Duration::ZERO,
-        ..SupervisePolicy::default()
-    }
+fn spec(points: &[SimPoint], threads: usize) -> CampaignSpec {
+    CampaignSpec::new("shared-warm", points.to_vec())
+        .with_threads(threads)
+        .with_heartbeat(None)
 }
 
-fn spec(points: &[SimPoint], threads: usize) -> CampaignSpec {
+/// [`spec`] with every point held to `cycle_budget` simulated cycles.
+fn budgeted(points: &[SimPoint], threads: usize, cycle_budget: u64) -> CampaignSpec {
     CampaignSpec {
-        supervise: fast(),
-        ..CampaignSpec::new("shared-warm", points.to_vec())
-            .with_threads(threads)
-            .with_heartbeat(None)
+        supervise: SupervisePolicy {
+            cycle_budget: Some(cycle_budget),
+            ..SupervisePolicy::default()
+        },
+        ..spec(points, threads)
     }
 }
 
@@ -352,7 +352,7 @@ fn mid_run_cancels_on_a_sharing_point_leave_the_rest_whole() {
 
     // A cycle budget only the slowest machine — a sharer, so the list is
     // cut down to the sharers and one loner faster than it — overruns: it
-    // is cancelled mid-run, on its copy, on every attempt.
+    // is cancelled mid-run, on its copy.
     let cycles = |i: usize| clean.outcomes[i].metrics().expect("clean point").cycles;
     let slow = (0..4).max_by_key(|&i| cycles(i)).unwrap();
     let keep: Vec<usize> = (0..points.len())
@@ -378,34 +378,24 @@ fn mid_run_cancels_on_a_sharing_point_leave_the_rest_whole() {
     let memories = points.iter().map(|p| memory_warm_key(&p.config));
     let passes = memories.collect::<HashSet<_>>().len() as u64;
     for threads in [1, 2, 5] {
-        let out = run(&CampaignSpec {
-            supervise: SupervisePolicy {
-                cycle_budget: Some(budget),
-                ..fast()
-            },
-            ..spec(&points, threads)
-        });
+        let out = run(&budgeted(&points, threads, budget));
         for i in (0..points.len()).filter(|&i| i != slow) {
             assert_eq!(out.outcomes[i], clean.outcomes[i], "{threads} threads");
         }
         assert!(
-            matches!(
-                &out.outcomes[slow],
-                PointOutcome::TimedOut { attempts: 3, .. }
-            ),
+            matches!(&out.outcomes[slow], PointOutcome::TimedOut { .. }),
             "{threads} threads: got {:?}",
             out.outcomes[slow]
         );
         let r = &out.report;
-        assert_eq!(r.retries, 2, "{threads} threads");
+        assert_eq!(r.timed_out, 1, "{threads} threads");
         assert_eq!(
             r.registry.machines_requested,
-            3 + loners + 3,
+            4 + loners,
             "{threads} threads"
         );
-        // The cancelled point's copies died with its attempts; the state
-        // they were copied from stays until the point is released, so a
-        // retry never warms again.
+        // The cancelled point's copy died with it; the state it was
+        // copied from served the sharers and was never warmed again.
         assert_eq!(r.registry.warm_passes, passes, "{threads} threads");
         assert_eq!(r.registry.records_warmed, passes * WARMUP as u64);
         assert_eq!(r.registry.machines_copied, r.registry.machines_requested);
@@ -487,8 +477,8 @@ fn a_predictor_study_warms_each_programs_memory_once_beside_one_table_per_predic
     assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
 
     // A budget only the slowest point overruns cancels it mid-run on its
-    // copy, every attempt; its memory state and table stay put for the
-    // retries, and every other point is untouched.
+    // copy; every other point is untouched, and nothing is warmed or
+    // trained twice.
     let cycles = |i: usize| lone[i].metrics().expect("clean point").cycles;
     let slow = (0..points.len()).max_by_key(|&i| cycles(i)).unwrap();
     let budget = (0..points.len())
@@ -499,21 +489,12 @@ fn a_predictor_study_warms_each_programs_memory_once_beside_one_table_per_predic
         + 1;
     assert!(cycles(slow) > budget, "one point is strictly the slowest");
     for threads in [1, 2, 5] {
-        let out = run(&CampaignSpec {
-            supervise: SupervisePolicy {
-                cycle_budget: Some(budget),
-                ..fast()
-            },
-            ..spec(&points, threads)
-        });
+        let out = run(&budgeted(&points, threads, budget));
         for i in (0..points.len()).filter(|&i| i != slow) {
             assert_eq!(out.outcomes[i], lone[i], "{threads} threads");
         }
         assert!(
-            matches!(
-                &out.outcomes[slow],
-                PointOutcome::TimedOut { attempts: 3, .. }
-            ),
+            matches!(&out.outcomes[slow], PointOutcome::TimedOut { .. }),
             "{threads} threads: got {:?}",
             out.outcomes[slow]
         );

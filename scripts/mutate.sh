@@ -1,10 +1,12 @@
 #!/usr/bin/env sh
 # The mutation stage: plants each fault of specs/mutants/ in a throwaway
-# copy of the tree and requires the checked-mode auditor to catch it.
+# copy of the tree and requires the checked-mode auditor, or the tests
+# the patch names, to catch it.
 #
 # Each specs/mutants/NAME.patch is a `git diff` after a header:
 #
 #   Expect: COMPONENT        (or `Expect: survived` for a control)
+#   Tests: CARGO-TEST-ARGS   (optional)
 #
 #   What the mutant breaks, in prose.
 #
@@ -13,9 +15,16 @@
 # runs `fault_matrix::unfaulted_checked_run_is_violation_free` in release.
 # The mutant is *killed* when that test fails and its SimError names the
 # expected Component, and *survived* when it passes. If the mutant prints
-# `mutant: ... at cycle N`, the SimError must also name cycle N. The
-# stage fails unless every mutant has its expected outcome; a patch that
-# does not apply, a mutant that does not compile, a failure naming
+# `mutant: ... at cycle N`, the SimError must also name cycle N.
+#
+# A patch with a `Tests:` header runs `cargo test --release -q
+# CARGO-TEST-ARGS` instead (for a fault no invariant sees, such as one in
+# the harness), and any failure of those tests kills it; it needs no
+# `Expect:` line unless it is a control. Its tests must pass on the
+# unmutated copy first.
+#
+# The stage fails unless every mutant has its expected outcome; a patch
+# that does not apply, a mutant that does not compile, a failure naming
 # another component (or none) and a run past the time limit each fail it
 # and never count as a kill. The unmutated copy must pass first.
 #
@@ -53,18 +62,19 @@ cp Cargo.lock "$tree/"
 git -C "$tree" init -q
 
 export CARGO_TARGET_DIR="$work/target"
-# The build has no time limit; the run has $LIMIT seconds.
+checked="-p s64v-core --test fault_matrix -- --exact unfaulted_checked_run_is_violation_free"
+# `build ARGS` / `run ARGS`: the tests ARGS select. The build has no time
+# limit; the run has $LIMIT seconds. ARGS split on spaces.
 build() {
-    (cd "$tree" && cargo test --release -q -p s64v-core --test fault_matrix --no-run)
+    (cd "$tree" && cargo test --release -q --no-run $1)
 }
-checked_run() {
-    (cd "$tree" && timeout "$LIMIT" cargo test --release -q -p s64v-core \
-        --test fault_matrix -- --exact unfaulted_checked_run_is_violation_free)
+run() {
+    (cd "$tree" && timeout "$LIMIT" cargo test --release -q $1)
 }
 
 echo "mutate: building the unmutated copy"
 log="$logs/unmutated.log"
-if ! build > "$log" 2>&1 || ! checked_run >> "$log" 2>&1; then
+if ! build "$checked" > "$log" 2>&1 || ! run "$checked" >> "$log" 2>&1; then
     echo "mutate: the unmutated checked run fails (see $log)" >&2
     exit 1
 fi
@@ -76,19 +86,28 @@ for name in "$@"; do
     patch="$root/specs/mutants/$name.patch"
     log="$logs/$name.log"
     expect=$(sed -n 's/^Expect: *//p' "$patch" | head -n 1)
+    tests=$(sed -n 's/^Tests: *//p' "$patch" | head -n 1)
+    [ -z "$tests" ] || [ "$expect" = survived ] || expect="failing tests"
     [ "$expect" = survived ] || planted=$((planted + 1))
     start=$(date +%s)
+    if [ -n "$tests" ] && ! { build "$tests" && run "$tests"; } > "$log" 2>&1; then
+        echo "$name: ERROR: its tests fail on the unmutated copy (see $log)"
+        failed=1
+        continue
+    fi
     if ! git -C "$tree" apply "$patch" 2> "$log"; then
         echo "$name: ERROR: patch does not apply (see $log)"
         failed=1
         continue
     fi
-    if ! build > "$log" 2>&1; then
+    if ! build "${tests:-$checked}" > "$log" 2>&1; then
         outcome="ERROR: does not compile"
-    elif checked_run > "$log" 2>&1; then
+    elif run "${tests:-$checked}" > "$log" 2>&1; then
         outcome=survived
     elif [ $? -eq 124 ]; then
         outcome="ERROR: ran past the ${LIMIT}s limit"
+    elif [ -n "$tests" ]; then
+        outcome="killed by failing tests"
     else
         component=$(sed -n 's/.*SimError { cycle: [0-9]*, core: [^,]*, component: \([A-Za-z]*\).*/\1/p' \
             "$log" | head -n 1)
