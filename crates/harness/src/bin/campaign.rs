@@ -8,7 +8,7 @@
 //! `S64V_SMP_CPUS`, `S64V_SMP_RECORDS`, `S64V_SMP_WARMUP`, `S64V_SEED`;
 //! a malformed value is a usage error in every mode) and rendered tables
 //! go to `S64V_RESULTS_DIR`; everything else is a flag. Failed points
-//! leave a JSON diagnostic dump next to their cache entry; traced points
+//! leave a JSON failure record next to their cache entry; traced points
 //! leave `<fingerprint>.trace.json` (open at <https://ui.perfetto.dev>)
 //! and `<fingerprint>.pipeline.txt` there.
 //!
@@ -30,16 +30,16 @@
 //!
 //! `perf` is the regression observatory: it diffs two performance
 //! sources — each a campaign cache directory (aggregating its
-//! `<fingerprint>.cpi.json` top-down artifacts, with journaled
-//! failures surfaced as excluded points) or a single `.cpi.json`
-//! artifact — and attributes every CPI delta to the blame taxonomy
-//! ("TPC-C regressed 8%: +6% backend-memory/dram, +2%
+//! `<fingerprint>.cpi.json` top-down artifacts, with the points its
+//! `<fingerprint>.fail.json` failure records name surfaced as excluded)
+//! or a single `.cpi.json` artifact — and attributes every CPI delta to
+//! the blame taxonomy ("TPC-C regressed 8%: +6% backend-memory/dram, +2%
 //! bad-speculation/replay").
 //!
-//! Exits nonzero if any point failed to simulate, any figure failed to
-//! render (including a model verification mismatch), any journaled
-//! failure from a previous run is still unresolved, or any exploration
-//! query had failed points.
+//! Exits nonzero if any point of this run failed to simulate, any figure
+//! failed to render (including a model verification mismatch), or any
+//! exploration query had failed points. What an earlier run left in the
+//! cache directory does not decide it.
 
 #![forbid(unsafe_code)]
 
@@ -48,7 +48,9 @@ use s64v_harness::cli::{self, Args};
 use s64v_harness::engine::{run_campaign, CampaignOutcome};
 use s64v_harness::explore::{run_explore, ExploreOpts};
 use s64v_harness::figures::{figure_names, run_figures, Page, PointStore};
-use s64v_harness::perf::{sampled_cpi_artifact, validate_cpi_artifact, PerfDiff, PerfSource};
+use s64v_harness::perf::{
+    failure_label, sampled_cpi_artifact, validate_cpi_artifact, PerfDiff, PerfSource,
+};
 use s64v_harness::progress::ProgressEvent;
 use s64v_harness::spec::{CampaignSpec, HarnessOpts, SimPoint};
 use s64v_harness::supervise::{atomic_write, SupervisePolicy};
@@ -145,6 +147,10 @@ fn check_artifact(path: &str) -> Result<(), String> {
         // the sum of its member leaves.
         let doc = Value::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
         validate_cpi_artifact(&doc)?;
+    } else if path.ends_with(".fail.json") {
+        // A failure record, or a bare diagnostic dump from before them:
+        // the check `campaign perf` makes of it.
+        failure_label(&text)?;
     } else if path.ends_with(".pipeline.txt") {
         if text.trim().is_empty() {
             return Err("empty diagram".to_string());
@@ -215,7 +221,7 @@ fn with_printer<T>(quiet: bool, work: impl FnOnce(Option<mpsc::Sender<ProgressEv
     result
 }
 
-/// Runs one campaign with the progress printer; a cache or journal I/O
+/// Runs one campaign with the progress printer; a cache directory I/O
 /// error ends `who`'s process with exit code 2.
 fn run_points(who: &str, quiet: bool, spec: &CampaignSpec) -> CampaignOutcome {
     with_printer(quiet, |tx| run_campaign(spec, tx)).unwrap_or_else(|e| {
@@ -545,12 +551,6 @@ fn figures_main(args: &Args, opts: HarnessOpts) {
     }
     for (label, error) in &summary.point_failures {
         eprintln!("failed point: {label}: {error}");
-    }
-    for f in &summary.prior_failures {
-        eprintln!(
-            "unresolved failure from a previous run: {}: {}",
-            f.label, f.error
-        );
     }
     for (name, reason) in &summary.render_failures {
         eprintln!("figure {name} did not render: {reason}");

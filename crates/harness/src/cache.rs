@@ -125,7 +125,7 @@ impl ResultCache {
 
     /// The artifact file a fingerprint maps to for a given extension
     /// (`cpi.json`, `trace.json`, `pipeline.txt`, `metrics.jsonl`, or a
-    /// failed point's `fail.json` diagnostic dump), next to where the
+    /// failed point's `fail.json` failure record), next to where the
     /// point's result is cached.
     pub fn artifact_path(&self, fp: Fingerprint, ext: &str) -> PathBuf {
         self.dir.join(format!("{fp}.{ext}"))

@@ -22,7 +22,7 @@ pub const MODES: [(&str, &str); 4] = [
 pub const TABLE: &str = "  --figures all|NAME,...   figures to run, in this order (default: all) [figures]
   --list                   print the figure names and exit [figures]
   --threads N              worker threads (default: every core) [figures explore validate]
-  --cache-dir DIR          result cache and journal (default: results-cache) [figures explore validate]
+  --cache-dir DIR          result cache and failure records (default: results-cache) [figures explore validate]
   --no-cache               neither read nor write a result cache [figures explore validate]
   --checked                run every point under the invariant auditor (same results) [figures validate]
   --trace PATTERN          trace points whose label contains PATTERN into the cache directory (repeatable) [figures]

@@ -16,16 +16,17 @@
 //! pure function of its spec, so it is never re-run: a watchdog
 //! cancellation (wall-clock deadline or simulated-cycle budget) times it
 //! out, a simulation fault ([`SimError`]: a wedged pipeline, or an
-//! invariant violation in checked mode) fails it with a JSON diagnostic
-//! dump next to its cache entry, and a caught panic fails it. Every
-//! final failure is journaled and announced, and the campaign continues:
-//! no single point can take it down. Resuming the campaign re-attempts
-//! every point the cache does not hold.
+//! invariant violation in checked mode) fails it, and so does a caught
+//! panic. Every final failure is announced and leaves a
+//! [failure record](failure_record) beside the point's cache entry, and
+//! the campaign continues: no single point can take it down. Resuming
+//! the campaign re-attempts every point the cache does not hold, and a
+//! point's next success removes its stale failure record.
 
 mod schedule;
 
 use crate::cache::ResultCache;
-use crate::journal::{journal_path, FailedPoint, Journal};
+use crate::perf::failure_record;
 use crate::progress::{CampaignReport, ProgressEvent};
 use crate::registry::{lock, Registry};
 use crate::spec::{CampaignSpec, PointMetrics, SimPoint, WorkUnit};
@@ -60,16 +61,17 @@ pub enum PointOutcome {
     Failed {
         /// The simulation error or panic message.
         error: String,
-        /// JSON diagnostic dump, written next to the point's cache entry
-        /// when the failure was a structured [`SimError`] and a cache
-        /// directory was configured.
-        dump_path: Option<PathBuf>,
+        /// The point's failure record, when a cache directory was
+        /// configured and the record was written.
+        record: Option<PathBuf>,
     },
     /// The watchdog cancelled the point (wall-clock deadline or
     /// simulated-cycle budget); the campaign continued without it.
     TimedOut {
         /// The watchdog error.
         error: String,
+        /// The point's failure record, as for [`PointOutcome::Failed`].
+        record: Option<PathBuf>,
     },
 }
 
@@ -88,26 +90,23 @@ impl PointOutcome {
 pub struct CampaignOutcome {
     /// Per-point outcomes, index-aligned with the spec's point list.
     pub outcomes: Vec<PointOutcome>,
-    /// Failures left in the journal by *previous* runs (resume context;
-    /// empty without a cache directory).
-    pub prior_failures: Vec<FailedPoint>,
     /// Aggregate counters for the run.
     pub report: CampaignReport,
 }
 
 impl CampaignOutcome {
-    /// This run's failures as (point index, error message, dump path).
-    /// Timed-out points are failures too (with no dump).
+    /// This run's failures as (point index, error message, failure
+    /// record path). Timed-out points are failures too.
     pub fn failures(&self) -> Vec<(usize, &str, Option<&Path>)> {
         self.outcomes
             .iter()
             .enumerate()
             .filter_map(|(i, o)| match o {
                 PointOutcome::Metrics(_) => None,
-                PointOutcome::Failed {
-                    error, dump_path, ..
-                } => Some((i, error.as_str(), dump_path.as_deref())),
-                PointOutcome::TimedOut { error, .. } => Some((i, error.as_str(), None)),
+                PointOutcome::Failed { error, record }
+                | PointOutcome::TimedOut { error, record } => {
+                    Some((i, error.as_str(), record.as_deref()))
+                }
             })
             .collect()
     }
@@ -295,7 +294,6 @@ struct Campaign<'a> {
     /// Points finished since the cache's last group commit, and when it
     /// was.
     since_commit: Mutex<(usize, Instant)>,
-    journal: Option<Journal>,
     watchdog: Option<Watchdog>,
     progress: Option<Sender<ProgressEvent>>,
     slots: Vec<Mutex<Option<PointOutcome>>>,
@@ -370,31 +368,25 @@ impl Campaign<'_> {
 
     /// Simulates the point once and classifies the result once: metrics
     /// finish it; a watchdog cancellation times it out; a simulation
-    /// fault fails it with its diagnostics dumped next to the cache entry
-    /// (best effort); a caught panic fails it.
+    /// fault or a caught panic fails it. Every failure leaves its failure
+    /// record (best effort), a fault's with its diagnostic dump.
     fn simulate(&self, v: &Visit, observe: Option<ObserveConfig>) -> PointOutcome {
-        let (error, dump_path) = match self.attempt(v, observe) {
+        let (error, sim) = match self.attempt(v, observe) {
             Ok(Ok((metrics, obs))) => {
                 self.finish(v, &metrics, Some(&obs));
                 return PointOutcome::Metrics(Box::new(metrics));
             }
-            Ok(Err(sim)) if sim.is_watchdog() => {
-                self.count(|r| r.timed_out += 1);
-                let error = sim.to_string();
-                self.fail(v, &error);
-                return PointOutcome::TimedOut { error };
-            }
-            Ok(Err(sim)) => {
-                let dump_path = self
-                    .cache
-                    .as_ref()
-                    .and_then(|c| c.store_artifact(v.fp, "fail.json", &sim.to_json()).ok());
-                (sim.to_string(), dump_path)
-            }
+            Ok(Err(sim)) => (sim.to_string(), Some(sim)),
             Err(payload) => (panic_message(payload.as_ref()), None),
         };
-        self.fail(v, &error);
-        PointOutcome::Failed { error, dump_path }
+        let record = self.fail(v, &error, sim.as_ref());
+        match sim {
+            Some(sim) if sim.is_watchdog() => {
+                self.count(|r| r.timed_out += 1);
+                PointOutcome::TimedOut { error, record }
+            }
+            _ => PointOutcome::Failed { error, record },
+        }
     }
 
     /// The point's one supervised run: `Err` is a caught panic, `Ok(Err)`
@@ -426,7 +418,8 @@ impl Campaign<'_> {
 
     /// The one way a point finishes with metrics — `simulated` carries
     /// the run's observation, `None` is a cache hit: counters, cache
-    /// entry and artifacts, journal, progress event, in that order.
+    /// entry and artifacts, stale failure record removed, progress event,
+    /// in that order.
     fn finish(&self, v: &Visit, metrics: &PointMetrics, simulated: Option<&RunObservation>) {
         let Visit { fp, label, .. } = v;
         let elapsed = v.started.elapsed();
@@ -456,6 +449,10 @@ impl Campaign<'_> {
                     let _ = c.store_artifact(*fp, "cpi.json", &cpi);
                 }
             }
+            // The point has a result: a failure record an earlier run
+            // left for it is stale — also on a hit, since an observed
+            // re-run bypasses the cache and can fail beside an entry.
+            let _ = std::fs::remove_file(c.artifact_path(*fp, "fail.json"));
             if let Some(obs) = simulated {
                 if self.spec.observe.wants_trace(label) {
                     let _ = c.store_artifact(*fp, "trace.json", &perfetto_json(obs));
@@ -465,9 +462,6 @@ impl Campaign<'_> {
                     let _ = c.store_artifact(*fp, "metrics.jsonl", &to_jsonl(&obs.intervals));
                 }
             }
-        }
-        if let Some(j) = &self.journal {
-            j.record_ok(*fp, label);
         }
         self.send(|| ProgressEvent::Finished {
             index: v.index,
@@ -498,24 +492,27 @@ impl Campaign<'_> {
         let _ = cache.commit();
     }
 
-    /// Journals and announces a point's final failure.
-    fn fail(&self, v: &Visit, error: &str) {
-        if let Some(j) = &self.journal {
-            j.record_fail(v.fp, &v.label, error);
-        }
+    /// Records a point's final failure beside its cache entry (best
+    /// effort) and announces it; returns the record's path if written.
+    fn fail(&self, v: &Visit, error: &str, sim: Option<&SimError>) -> Option<PathBuf> {
+        let record = self.cache.as_ref().and_then(|c| {
+            let text = failure_record(&v.label, error, sim);
+            c.store_artifact(v.fp, "fail.json", &text).ok()
+        });
         self.send(|| ProgressEvent::Failed {
             index: v.index,
             label: v.label.clone(),
             error: error.to_string(),
         });
+        record
     }
 }
 
 /// Executes a campaign and returns every point's metrics.
 ///
 /// `progress` receives one event per point transition; pass `None` (or
-/// drop the receiver) to run silently. The error covers only cache or
-/// journal I/O setup — simulation panics are *contained* per point and
+/// drop the receiver) to run silently. The error covers only cache
+/// directory setup — simulation panics are *contained* per point and
 /// reported in the outcome, never returned as errors.
 pub fn run_campaign(
     spec: &CampaignSpec,
@@ -526,13 +523,10 @@ pub fn run_campaign(
     // concurrent campaign against the same results-cache/ waits instead
     // of interleaving writes with us.
     let mut _lock = None;
-    let (mut cache, mut journal, mut prior_failures) = (None, None, Vec::new());
+    let mut cache = None;
     if let Some(dir) = &spec.cache_dir {
         _lock = Some(CacheLock::acquire(dir)?);
         cache = Some(ResultCache::open(dir)?);
-        let path = journal_path(dir);
-        prior_failures = Journal::load(&path).failed;
-        journal = Some(Journal::open(&path)?);
     }
 
     let workers = spec.threads.unwrap_or_else(default_threads);
@@ -543,7 +537,6 @@ pub fn run_campaign(
         schedule: Schedule::new(&spec.points, workers),
         cache,
         since_commit: Mutex::new((0, start)),
-        journal,
         watchdog: spec.supervise.deadline.map(Watchdog::spawn),
         progress,
         slots: spec.points.iter().map(|_| Mutex::new(None)).collect(),
@@ -618,11 +611,7 @@ pub fn run_campaign(
     let slowest = &mut report.slowest;
     slowest.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     slowest.truncate(5);
-    Ok(CampaignOutcome {
-        outcomes,
-        prior_failures,
-        report,
-    })
+    Ok(CampaignOutcome { outcomes, report })
 }
 
 /// The worker count when the spec names none: every core.

@@ -88,7 +88,7 @@ fn cycle_budget_cancels_a_runaway_point() {
         ..CampaignSpec::new("unit", vec![program_point(60_000, 1)])
     };
     let outcome = run_campaign(&spec, None).expect("run");
-    let PointOutcome::TimedOut { error } = &outcome.outcomes[0] else {
+    let PointOutcome::TimedOut { error, .. } = &outcome.outcomes[0] else {
         panic!("expected a timeout, got {:?}", outcome.outcomes[0]);
     };
     assert!(error.contains("cycle budget"), "got: {error}");
@@ -148,7 +148,7 @@ fn wall_clock_deadline_cancels_a_hung_point() {
         ..CampaignSpec::new("unit", vec![program_point(200_000, 1)])
     };
     let outcome = run_campaign(&spec, None).expect("run");
-    let PointOutcome::TimedOut { error } = &outcome.outcomes[0] else {
+    let PointOutcome::TimedOut { error, .. } = &outcome.outcomes[0] else {
         panic!("expected a timeout, got {:?}", outcome.outcomes[0]);
     };
     assert!(error.contains("wall-clock watchdog"), "got: {error}");
@@ -403,11 +403,11 @@ fn invariant_violation_fails_the_point_and_writes_a_dump() {
     // visits all of them.
     assert_eq!(outcome.report.failed, 2);
     for o in &outcome.outcomes {
-        let PointOutcome::Failed { error, dump_path } = o else {
+        let PointOutcome::Failed { error, record } = o else {
             panic!("a wedged point must fail, got {o:?}");
         };
         assert!(error.contains("pipeline"), "got: {error}");
-        let path = dump_path.as_ref().expect("dump written next to cache");
+        let path = record.as_ref().expect("record written next to cache");
         let json = std::fs::read_to_string(path).expect("dump readable");
         assert!(json.contains("\"component\": \"pipeline\""), "got: {json}");
         assert!(json.contains("\"pipeline\""), "dump carries the snapshot");

@@ -20,7 +20,6 @@ mod extras;
 mod paper;
 
 use crate::engine::{run_campaign, PointOutcome};
-use crate::journal::FailedPoint;
 use crate::progress::{CampaignReport, ProgressEvent};
 use crate::spec::{CampaignSpec, HarnessOpts, PointMetrics, SimPoint, WorkUnit};
 use s64v_core::fingerprint::Fingerprint;
@@ -487,29 +486,21 @@ pub struct RunSummary {
     pub report: CampaignReport,
     /// This run's simulation failures (point label, panic message).
     pub point_failures: Vec<(String, String)>,
-    /// Failures left in the journal by previous runs and still
-    /// unresolved (points that succeeded *this* run are filtered out).
-    pub prior_failures: Vec<FailedPoint>,
     /// Figures that could not render (name, reason).
     pub render_failures: Vec<(&'static str, String)>,
 }
 
 impl RunSummary {
     /// One-line failure accounting for the end of the run, or `None`
-    /// when every point simulated, every figure rendered, and no failure
-    /// from a previous run is still unresolved. Drives the campaign
-    /// binary's exit code.
+    /// when every point of this run simulated and every figure rendered.
+    /// Drives the campaign binary's exit code. An earlier run's failure
+    /// of one of these points was attempted again, so it is resolved or
+    /// one of this run's.
     pub fn failure_line(&self) -> Option<String> {
-        let counts = [
-            self.point_failures.len(),
-            self.prior_failures.len(),
-            self.render_failures.len(),
-        ];
-        let [failed, prior, unrendered] = counts;
-        (counts != [0; 3]).then(|| {
+        let (failed, unrendered) = (self.point_failures.len(), self.render_failures.len());
+        (failed + unrendered > 0).then(|| {
             format!(
-                "campaign FAILED: {failed} point(s) failed this run, {prior} unresolved from \
-                 previous runs, {unrendered} figure(s) did not render"
+                "campaign FAILED: {failed} point(s) failed, {unrendered} figure(s) did not render"
             )
         })
     }
@@ -519,7 +510,7 @@ impl RunSummary {
 /// as `template` says (its name and points are replaced) and renders each
 /// from the shared result store.
 ///
-/// Returns `Err` only for unknown figure names or cache/journal I/O
+/// Returns `Err` only for unknown figure names or cache directory I/O
 /// failures; simulation and render failures are reported in the summary
 /// so one broken point cannot take down a whole evaluation run.
 pub fn run_figures(
@@ -566,28 +557,17 @@ pub fn run_figures(
     let point_failures = outcome
         .failures()
         .into_iter()
-        .map(|(i, error, dump)| {
+        .map(|(i, error, record)| {
             let mut msg = error.to_string();
-            if let Some(path) = dump {
-                msg.push_str(&format!(" (diagnostic dump: {})", path.display()));
+            if let Some(path) = record {
+                msg.push_str(&format!(" (failure record: {})", path.display()));
             }
             (spec.points[i].label(), msg)
         })
         .collect();
-    // A journaled failure counts as unresolved only while no success for
-    // the same point exists: the journal's own later-ok rule covers
-    // previous runs, and this filter covers successes from *this* run —
-    // the points the store holds (the prior list was snapshotted before
-    // the campaign started).
-    let prior_failures = outcome
-        .prior_failures
-        .into_iter()
-        .filter(|f| !store.map.contains_key(&f.fingerprint))
-        .collect();
     Ok(RunSummary {
         report: outcome.report,
         point_failures,
-        prior_failures,
         render_failures,
     })
 }

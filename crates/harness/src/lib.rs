@@ -20,11 +20,11 @@
 //!   [fingerprint](s64v_core::fingerprint) of everything that affects
 //!   its result (plus the model version); finished points persist under
 //!   that key and later campaigns reuse them.
-//! * **Resumable and failure-isolated** — an append-only [`journal`]
-//!   records every outcome as it happens; a point that fails (a
-//!   structured [simulation error](s64v_core::SimError) or a panic) is
-//!   reported and skipped instead of aborting the campaign, with a JSON
-//!   diagnostic dump written next to its cache entry.
+//! * **Resumable and failure-isolated** — the cache directory is the
+//!   only record of what a run left: a point that fails (a structured
+//!   [simulation error](s64v_core::SimError) or a panic) is reported and
+//!   skipped instead of aborting the campaign, leaving a JSON failure
+//!   record beside its cache entry until the point next succeeds.
 //! * **Checked mode** — [`CampaignSpec::checked`] (`campaign --checked`)
 //!   runs every point under the [invariant
 //!   auditor](s64v_core::integrity), which never perturbs results but

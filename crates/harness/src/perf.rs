@@ -1,21 +1,23 @@
-//! The performance-regression observatory: `.cpi.json` artifacts and
-//! the `campaign perf` diff mode.
+//! The performance-regression observatory: `.cpi.json` artifacts,
+//! `.fail.json` failure records and the `campaign perf` diff mode.
 //!
 //! Every successfully simulated point leaves a PMU-style top-down CPI
-//! artifact (`<fingerprint>.cpi.json`) next to its cache entry; this
-//! module renders those artifacts, loads them back from either source
-//! shape — a single artifact or a whole cache directory — and diffs two
-//! sources, attributing every cycles-per-instruction delta to the blame
-//! taxonomy (see [`s64v_observe::cpi`]): "TPC-C regressed 8%: +6%
-//! backend-memory/dram, +2% bad-speculation/replay".
+//! artifact (`<fingerprint>.cpi.json`) next to its cache entry, and every
+//! point whose last attempt failed a failure record
+//! (`<fingerprint>.fail.json`); this module renders both, loads them back
+//! from either source shape — a single artifact or a whole cache
+//! directory — and diffs two sources, attributing every
+//! cycles-per-instruction delta to the blame taxonomy (see
+//! [`s64v_observe::cpi`]): "TPC-C regressed 8%: +6% backend-memory/dram,
+//! +2% bad-speculation/replay".
 //!
 //! Attribution is exact, not heuristic: each core's stack conserves its
 //! cycle count, so per-leaf CPI deltas sum to the total CPI delta to
 //! within floating-point rounding.
 
-use crate::journal::{journal_path, Journal};
 use crate::spec::PointMetrics;
 use s64v_core::fingerprint::Fingerprint;
+use s64v_core::SimError;
 use s64v_observe::json::Value;
 use s64v_observe::{folded_stack, CpiGroup, CpiLeaf, CpiStack};
 use s64v_stats::SampleStats;
@@ -140,6 +142,40 @@ pub fn validate_cpi_artifact(doc: &Value) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
+// The `.fail.json` record
+// ---------------------------------------------------------------------
+
+/// Renders the failure record a point leaves when its attempt fails:
+/// one JSON object with its `label` and `error`, followed, for a
+/// structured [`SimError`], by that error's diagnostic dump fields
+/// (cycle, core, component, message and the snapshots).
+pub fn failure_record(label: &str, error: &str, sim: Option<&SimError>) -> String {
+    let mut doc = Value::obj().field("label", label).field("error", error);
+    let dump = sim.and_then(|e| Value::parse(&e.to_json()).ok());
+    if let (Value::Obj(fields), Some(Value::Obj(extra))) = (&mut doc, dump) {
+        fields.extend(extra);
+    }
+    format!("{doc:#}\n")
+}
+
+/// The label of a failure record, or why `text` is not one: a JSON
+/// object whose `label` and `error` are strings. `None` is a bare
+/// diagnostic dump written before failure records ([`SimError::to_json`]:
+/// `component` and `message` but no `label` or `error`); no later success
+/// removed it, so it says nothing about its point's last attempt.
+pub fn failure_label(text: &str) -> Result<Option<String>, String> {
+    let doc = Value::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    let field = |key| doc.get(key).and_then(Value::as_str);
+    let unlabelled = doc.get("label").is_none() && doc.get("error").is_none();
+    if unlabelled && field("component").is_some() && field("message").is_some() {
+        return Ok(None);
+    }
+    field("error").ok_or("missing error")?;
+    let label = field("label").ok_or("missing label")?;
+    Ok(Some(label.to_string()))
+}
+
+// ---------------------------------------------------------------------
 // Sources
 // ---------------------------------------------------------------------
 
@@ -174,25 +210,27 @@ pub struct PerfSource {
     /// (re-runs, per-program points of one suite sweep) are merged by
     /// summing — consistent on both sides of a diff of like campaigns.
     pub workloads: BTreeMap<String, WorkloadPerf>,
-    /// Labels of points excluded from aggregation: failed or timed out
-    /// per the source's journal (cache-dir sources only).
+    /// Labels of points excluded from aggregation: those whose last
+    /// attempt failed or timed out, one per failure record (cache-dir
+    /// sources only).
     pub excluded: Vec<String>,
 }
 
 impl PerfSource {
     /// Loads a source, dispatching on shape: a directory is a result
-    /// cache (every `*.cpi.json` inside plus its journal's failures), a
-    /// `*.cpi.json` file is a single point.
+    /// cache (every `*.cpi.json` inside, plus its `*.fail.json` failure
+    /// records as exclusions), a `*.cpi.json` file is a single point.
     pub fn load(path: &Path) -> Result<PerfSource, String> {
         let name = path.display().to_string();
-        let is_artifact = |p: &Path| p.to_string_lossy().ends_with(".cpi.json");
-        let mut paths = vec![path.to_path_buf()];
+        let ends = |p: &Path, ext: &str| p.to_string_lossy().ends_with(ext);
+        let (mut artifacts, mut records) = (vec![path.to_path_buf()], Vec::new());
         if path.is_dir() {
             let entries = std::fs::read_dir(path).map_err(|e| format!("{name}: {e}"))?;
-            paths = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
-            paths.retain(|p| is_artifact(p));
+            let mut paths: Vec<_> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
             paths.sort();
-        } else if !is_artifact(path) {
+            (artifacts, records) = paths.into_iter().partition(|p| ends(p, ".cpi.json"));
+            records.retain(|p| ends(p, ".fail.json"));
+        } else if !ends(path, ".cpi.json") {
             return Err(format!(
                 "{name}: not a cache directory or .cpi.json artifact"
             ));
@@ -201,22 +239,28 @@ impl PerfSource {
             name: name.clone(),
             ..PerfSource::default()
         };
-        for p in &paths {
-            let at = |e: String| format!("{}: {e}", p.display());
-            let text = std::fs::read_to_string(p).map_err(|e| at(e.to_string()))?;
-            let doc = Value::parse(&text).map_err(|e| at(format!("invalid JSON: {e}")))?;
-            source.absorb_artifact(&doc).map_err(at)?;
+        let at = |p: &Path, e: String| format!("{}: {e}", p.display());
+        let read = |p: &Path| std::fs::read_to_string(p).map_err(|e| at(p, e.to_string()));
+        for p in &artifacts {
+            let doc = Value::parse(&read(p)?).map_err(|e| at(p, format!("invalid JSON: {e}")))?;
+            source.absorb_artifact(&doc).map_err(|e| at(p, e))?;
         }
         if source.workloads.is_empty() {
             return Err(format!(
                 "{name}: no .cpi.json artifacts (run the campaign with a cache directory first)"
             ));
         }
-        // Journaled failures are the exclusion record: every failed or
-        // timed-out point lands there (and drops out again once a later
-        // run succeeds). A lone artifact has none.
-        let journal = Journal::load(&journal_path(path));
-        source.excluded = journal.failed.into_iter().map(|f| f.label).collect();
+        // Every point whose last attempt failed or timed out left a
+        // failure record, and a later success removed it again.
+        for p in &records {
+            match failure_label(&read(p)?).map_err(|e| at(p, e))? {
+                Some(label) => source.excluded.push(label),
+                None => eprintln!(
+                    "warning: {}: a diagnostic dump from before failure records (skipped)",
+                    p.display()
+                ),
+            }
+        }
         Ok(source)
     }
 
@@ -577,7 +621,22 @@ mod tests {
         assert_eq!(merged.core_cycles, 1_500);
         assert_eq!(merged.committed, 1_350);
         assert_eq!(merged.stack.get(CpiLeaf::MemDram), 150);
-        assert!(source.excluded.is_empty(), "no journal, no exclusions");
+        assert!(source.excluded.is_empty(), "no records, no exclusions");
+
+        // Each failure record excludes the point it names.
+        let record = failure_record("fp[2]", "cycle 9: watchdog: budget", None);
+        assert_eq!(failure_label(&record), Ok(Some("fp[2]".to_string())));
+        std::fs::write(dir.join(format!("{}.fail.json", fp("d"))), record).expect("write");
+        assert_eq!(PerfSource::load(&dir).expect("load").excluded, ["fp[2]"]);
+
+        // A bare diagnostic dump, as written before failure records, is
+        // skipped rather than failing the whole directory.
+        let dump = SimError::watchdog(9, "wedged").to_json();
+        assert_eq!(failure_label(&dump), Ok(None));
+        std::fs::write(dir.join(format!("{}.fail.json", fp("e"))), dump).expect("write");
+        assert_eq!(PerfSource::load(&dir).expect("load").excluded, ["fp[2]"]);
+        let half = failure_record("fp[3]", "watchdog", None).replace("\"label\"", "\"name\"");
+        assert_eq!(failure_label(&half), Err("missing label".to_string()));
 
         // Folded export is flamegraph-shaped and covers both workloads.
         let folded = source.folded();

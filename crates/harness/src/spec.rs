@@ -194,7 +194,7 @@ impl SimPoint {
         }
     }
 
-    /// A short human-readable label for progress lines and the journal.
+    /// A short human-readable label for progress lines and failure records.
     pub fn label(&self) -> String {
         match &self.work {
             WorkUnit::Program { suite, index } => {
@@ -320,13 +320,13 @@ impl ObservePlan {
 /// A declarative campaign: named points plus execution options.
 #[derive(Debug, Clone)]
 pub struct CampaignSpec {
-    /// Campaign name (journal/report headers).
+    /// Campaign name (report headers).
     pub name: String,
     /// The simulations to run. Order is preserved in the results.
     pub points: Vec<SimPoint>,
     /// Worker threads (`None` = available parallelism).
     pub threads: Option<usize>,
-    /// Result-cache directory (`None` = no cache, no journal).
+    /// Result-cache directory, failure records included (`None` = none).
     pub cache_dir: Option<PathBuf>,
     /// Run every point with the invariant auditor on (see
     /// [`s64v_core::integrity`]). Checked mode never perturbs results —

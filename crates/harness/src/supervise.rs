@@ -278,17 +278,6 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(format!("{name}.tmp{}", std::process::id()))
 }
 
-/// A short per-line checksum for journal lines: appended as
-/// ` |c=<hex>` by the journal writer and verified by the loader, so a
-/// torn append (truncated tail, merged lines) is detected and skipped
-/// instead of being misparsed as a valid record.
-pub fn line_crc(body: &str) -> String {
-    let mut h = StableHasher::new();
-    h.write_str("journal-line");
-    h.write_str(body);
-    h.finish().to_hex()[..8].to_string()
-}
-
 // ---------------------------------------------------------------------
 // Cache lock
 // ---------------------------------------------------------------------

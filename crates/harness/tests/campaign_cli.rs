@@ -8,8 +8,10 @@
 //! or one that would panic, never end or ask for unbounded memory, is
 //! a bad spec (exit 2), not a crash, and a report that cannot be written
 //! where `--out` says is an error (exit 2), not a warning. A failed point
-//! is attempted once, and `--quiet` prints no progress. README.md quotes
-//! the usage text verbatim.
+//! is attempted once per run and leaves one failure record, which
+//! `--check-artifact` validates; only a run's own points decide its exit
+//! status, and `--quiet` prints no progress. README.md quotes the usage
+//! text verbatim.
 
 use s64v_explore::ExploreSpec;
 use s64v_harness::cli::{flags, Flag, MODES};
@@ -76,7 +78,12 @@ fn retired_engine_variables_are_not_read() {
             "{tag}: the default cache directory was not used"
         );
         std::fs::remove_dir_all(&dir).ok();
-        (stdout, stderr)
+        // The summary's wall time and rate are the only text two equal
+        // runs may print differently.
+        let untimed = stderr
+            .lines()
+            .map(|l| l.split_once(" simulated in ").map_or(l, |t| t.0));
+        (stdout, untimed.map(str::to_string).collect::<Vec<_>>())
     };
     assert_eq!(run("hostile", &retired), run("plain", &[]));
 }
@@ -196,34 +203,49 @@ fn an_unwritable_out_report_fails_the_run() {
 fn a_budgeted_figure_fails_each_point_once_and_quiet_prints_no_progress() {
     let dir = scratch("budget");
     let cache = dir.join("cache");
-    let args = [
-        "--figures",
-        "fig09_bht",
-        "--cycle-budget",
-        "500",
-        "--threads",
-        "2",
-        "--quiet",
-        "--cache-dir",
-        cache.to_str().expect("utf-8 path"),
-    ];
+    let cache = cache.to_str().expect("utf-8 path");
+    let budgeted = "--figures fig09_bht --cycle-budget 500 --threads 2 --quiet --cache-dir";
+    let args: Vec<&str> = budgeted.split(' ').chain([cache]).collect();
     let sizes = [("S64V_RECORDS", "4000"), ("S64V_WARMUP", "4000")];
-    let (code, _, stderr) = campaign_with(&dir, &args, &sizes);
-    assert_eq!(code, Some(1), "{stderr}");
-    assert!(
-        stderr.contains("campaign: 0 completed (0 from cache), 86 failed"),
-        "{stderr}"
-    );
-    assert!(
-        stderr.lines().all(|line| !line.starts_with('[')),
-        "--quiet printed progress:\n{stderr}"
-    );
     // Every point trips the budget the same way each time it runs, so
-    // each is run once: one `fail` line apiece and nothing else.
-    let journal = std::fs::read_to_string(cache.join("journal.log")).expect("journal");
-    let tagged = |tag: &str| journal.lines().filter(|l| l.starts_with(tag)).count();
-    assert_eq!((tagged("fail "), tagged("retry ")), (86, 0));
-    assert_eq!(journal.lines().count(), 86);
+    // a second run over the same cache attempts each point once more
+    // and reports each failure once, as its own; `--quiet` prints no
+    // progress line.
+    for run in 1..=2 {
+        let (code, _, stderr) = campaign_with(&dir, &args, &sizes);
+        assert_eq!(code, Some(1), "run {run}:\n{stderr}");
+        assert!(
+            stderr.contains("campaign: 0 completed (0 from cache), 86 failed")
+                && stderr.contains("campaign FAILED: 86 point(s) failed,")
+                && !stderr.contains("previous run")
+                && stderr.lines().all(|line| !line.starts_with('[')),
+            "run {run}:\n{stderr}"
+        );
+    }
+    // One failure record per point, however many runs failed it; the
+    // records pass `--check-artifact`, a torn copy does not.
+    let entries = std::fs::read_dir(cache).expect("cache directory");
+    let paths = entries.map(|e| e.expect("entry").path());
+    let mut records: Vec<PathBuf> = paths
+        .filter(|p| p.to_string_lossy().ends_with(".fail.json"))
+        .collect();
+    assert_eq!(records.len(), 86);
+    let record = records.pop().expect("a failure record");
+    let bytes = std::fs::read(&record).expect("record");
+    let torn = dir.join("torn.fail.json");
+    std::fs::write(&torn, &bytes[..bytes.len() / 2]).expect("tear");
+    for (path, want, verdict) in [(&record, 0, "artifact ok"), (&torn, 1, "artifact BAD")] {
+        let path = path.to_str().expect("utf-8 path");
+        let (code, _, stderr) = campaign(&dir, &["--check-artifact", path]);
+        assert_eq!(code, Some(want), "{stderr}");
+        assert!(stderr.contains(verdict), "{stderr}");
+    }
+    // What other points left in the cache says nothing about a run whose
+    // own points all succeed.
+    let cheap = "--figures fig07_breakdown --quiet --cache-dir";
+    let cheap: Vec<&str> = cheap.split(' ').chain([cache]).collect();
+    let (code, _, stderr) = campaign(&dir, &cheap);
+    assert_eq!(code, Some(0), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,14 +1,13 @@
 //! End-to-end tests of the campaign engine's contract: determinism
 //! across thread counts, resume-from-cache equivalence (torn entries
-//! and journal lines included), fingerprint sensitivity, and per-point
-//! failure isolation.
+//! included), fingerprint sensitivity, per-point failure isolation, and
+//! a failure record that lives exactly until its point succeeds.
 
 use s64v_core::{program_seed, SystemConfig};
 use s64v_harness::cache::ResultCache;
-use s64v_harness::journal::{journal_path, Journal};
+use s64v_harness::perf::{failure_label, PerfSource};
 use s64v_harness::{run_campaign, CampaignSpec, SimPoint, WorkUnit};
 use s64v_workloads::SuiteKind;
-use std::io::Write as _;
 use std::path::PathBuf;
 
 /// A small but non-trivial point set: two configurations over a few
@@ -82,7 +81,7 @@ fn resumed_campaign_matches_a_fresh_run() {
     assert_eq!(fresh.outcomes, resumed.outcomes);
 
     // What a crash can leave behind: two entries torn to 3/5 of their
-    // length, and half a journal line with no newline at the tail.
+    // length.
     let n = small_points().len();
     let cache = ResultCache::open(&dir).expect("open");
     for p in [&small_points()[0], &small_points()[4]] {
@@ -90,21 +89,10 @@ fn resumed_campaign_matches_a_fresh_run() {
         let entry = std::fs::read(&path).expect("entry");
         std::fs::write(&path, &entry[..entry.len() * 3 / 5]).expect("tear");
     }
-    let journal = journal_path(&dir);
-    let text = std::fs::read_to_string(&journal).expect("journal");
-    let line = text.lines().next().expect("a journal line");
-    let mut file = std::fs::OpenOptions::new()
-        .append(true)
-        .open(&journal)
-        .expect("open");
-    file.write_all(&line.as_bytes()[..line.len() / 2])
-        .expect("tear");
-    drop(file);
 
     let repaired = run_campaign(&spec(small_points(), 2, Some(dir.clone())), None).expect("run");
     assert_eq!(repaired.report.cache_hits, n - 2, "the torn entries miss");
     assert_eq!(fresh.outcomes, repaired.outcomes);
-    assert_eq!(Journal::load(&journal).corrupt_lines, 1, "the torn line");
 
     // A fourth run is pure cache: re-simulating repaired both entries.
     let cached = run_campaign(&spec(small_points(), 2, Some(dir.clone())), None).expect("run");
@@ -163,12 +151,86 @@ fn panicking_point_fails_alone() {
     let healthy = outcome.report.completed;
     assert_eq!(healthy, points.len() - 1, "other points are unaffected");
 
-    // The journal remembers the failure; fixing the point and re-running
-    // clears it while everything else cache-hits.
+    // Fixing the point and re-running simulates it while everything else
+    // cache-hits.
     points[1].records = 500;
     let fixed = run_campaign(&spec(points.clone(), 2, Some(dir.clone())), None).expect("run");
     assert!(fixed.failures().is_empty());
     assert_eq!(fixed.report.cache_hits, points.len() - 1);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_failure_record_lives_until_its_point_succeeds() {
+    let dir = temp_dir("record");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut points = small_points();
+    let (point, other) = (points.remove(0), points.remove(0));
+
+    // Another point's artifact, so the directory is a perf source.
+    run_campaign(&spec(vec![other], 1, Some(dir.clone())), None).expect("run");
+
+    // A budget cuts the point off: it leaves a failure record naming it.
+    let mut budgeted = spec(vec![point.clone()], 1, Some(dir.clone()));
+    budgeted.supervise.cycle_budget = Some(100);
+    let cut = run_campaign(&budgeted, None).expect("run");
+    let cache = ResultCache::open(&dir).expect("open");
+    let record = cache.artifact_path(point.fingerprint(), "fail.json");
+    assert_eq!(cut.failures()[0].2, Some(record.as_path()), "reported");
+    let text = std::fs::read_to_string(&record).expect("a failure record");
+    assert_eq!(failure_label(&text), Ok(Some(point.label())));
+    let source = PerfSource::load(&dir).expect("load");
+    assert_eq!(source.excluded, [point.label()]);
+
+    // Supervision is not in the fingerprint: the same point without a
+    // budget simulates, succeeds and removes its stale record.
+    let plain = spec(vec![point], 1, Some(dir.clone()));
+    let clean = run_campaign(&plain, None).expect("run");
+    assert_eq!((clean.report.completed, clean.report.cache_hits), (1, 0));
+    assert!(!record.exists(), "the success left the stale record");
+    assert!(PerfSource::load(&dir).expect("load").excluded.is_empty());
+
+    // An observed re-run bypasses the cache and can fail beside the
+    // entry; the next plain run is a hit and removes that record too.
+    budgeted.observe.metrics = true;
+    run_campaign(&budgeted, None).expect("run");
+    assert!(record.exists(), "the observed run failed");
+    assert_eq!(
+        run_campaign(&plain, None).expect("run").report.cache_hits,
+        1
+    );
+    assert!(!record.exists(), "the hit left the stale record");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn no_truncation_of_a_failure_record_panics_the_perf_loader() {
+    let dir = temp_dir("torn-record");
+    std::fs::remove_dir_all(&dir).ok();
+    // A core that can never commit wedges: its record carries the
+    // pipeline snapshot. The other point leaves a `.cpi.json`.
+    let mut points: Vec<SimPoint> = small_points().into_iter().take(2).collect();
+    points[1].config.core.commit_width = 0;
+    run_campaign(&spec(points.clone(), 1, Some(dir.clone())), None).expect("run");
+    let cache = ResultCache::open(&dir).expect("open");
+    let record = cache.artifact_path(points[1].fingerprint(), "fail.json");
+    let bytes = std::fs::read(&record).expect("the wedge left a record");
+    let name = record.display().to_string();
+
+    // Every prefix loads cleanly or fails naming the record; so does a
+    // record that is not UTF-8.
+    let prefixes = (0..=bytes.len()).map(|len| bytes[..len].to_vec());
+    for text in prefixes.chain([b"{\"label\": \"\xff\", \"error\": \"\"}".to_vec()]) {
+        std::fs::write(&record, &text).expect("plant");
+        match PerfSource::load(&dir) {
+            Ok(source) => assert_eq!(source.excluded, [points[1].label()]),
+            Err(e) => assert!(e.starts_with(&name), "{} bytes: {e}", text.len()),
+        }
+    }
+    std::fs::write(&record, &bytes).expect("restore");
+    assert!(PerfSource::load(&dir).is_ok(), "the whole record loads");
 
     std::fs::remove_dir_all(&dir).ok();
 }

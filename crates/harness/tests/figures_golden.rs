@@ -129,10 +129,8 @@ fn the_smoke_evaluation_matches_the_golden_byte_for_byte() {
         unrendered[0]
     );
     assert!(
-        got.stderr.contains(
-            "campaign FAILED: 0 point(s) failed this run, 0 unresolved from previous runs, \
-             1 figure(s) did not render"
-        ),
+        got.stderr
+            .contains("campaign FAILED: 0 point(s) failed, 1 figure(s) did not render"),
         "{}",
         got.stderr
     );

@@ -5,8 +5,8 @@
 //! backend-memory, dominated by the DRAM leaf.
 
 use s64v_core::{program_seed, SystemConfig};
-use s64v_harness::journal::{journal_path, Journal};
-use s64v_harness::perf::{validate_cpi_artifact, PerfDiff, PerfSource};
+use s64v_harness::cache::ResultCache;
+use s64v_harness::perf::{failure_record, validate_cpi_artifact, PerfDiff, PerfSource};
 use s64v_harness::{run_campaign, CampaignSpec, SimPoint, WorkUnit};
 use s64v_observe::json::Value;
 use s64v_observe::CpiGroup;
@@ -118,16 +118,14 @@ fn dram_latency_regression_is_attributed_to_backend_memory() {
         );
     }
 
-    // Satellite check: a journaled failure on one side surfaces as an
-    // excluded point in the diff rather than silently vanishing.
-    {
-        let journal = Journal::open(&journal_path(&slow_dir)).expect("journal opens");
-        journal.record_fail(
-            points(&slow_cfg)[0].fingerprint(),
-            "tpcc[0] synthetic",
-            "watchdog: injected for the exclusion test",
-        );
-    }
+    // A failed point's record on one side surfaces as an excluded point
+    // in the diff rather than silently vanishing.
+    let fp = points(&slow_cfg)[0].fingerprint();
+    let record = failure_record("tpcc[0] synthetic", "watchdog: planted", None);
+    let cache = ResultCache::open(&slow_dir).expect("cache opens");
+    cache
+        .store_artifact(fp, "fail.json", &record)
+        .expect("stored");
     let new_with_failure = PerfSource::load(&slow_dir).expect("reloads");
     assert_eq!(
         new_with_failure.excluded,

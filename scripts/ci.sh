@@ -50,11 +50,12 @@ echo "== shared-input equivalence (stream = pinned bytes; cursor = fresh warm pa
 # engine: equal outcomes, and equal records generated / warmed /
 # trained / kept, at 1, 2 and 5 threads — on six configurations, a
 # predictor study and every knob off its default; then the cache's group
-# commit and a journal that survives bytes that are not UTF-8.
+# commit and the failure records `campaign perf` reads beside its
+# artifacts.
 cargo test --release -p s64v-workloads --test generator_contract -q
 cargo test --release -p s64v-cpu --test bht_reference -q
 cargo test --release -p s64v-core --test warm_cursor -q
-cargo test --release -p s64v-harness --lib -q -- registry:: cache:: journal::
+cargo test --release -p s64v-harness --lib -q -- registry:: cache:: perf::
 cargo test --release -p s64v-harness --test shared_inputs -q
 cargo test --release -p s64v-harness --test shared_warm -q
 # The benchmark's explore_sweep query at full size: one warming pass per
