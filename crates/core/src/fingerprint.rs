@@ -25,7 +25,7 @@ use std::fmt;
 /// Version tag for the model's behaviour, mixed into every fingerprint.
 ///
 /// Bump on any intentional timing change that `SystemConfig`'s fields do
-/// not capture (the same occasions that regenerate `tests/golden.rs`).
+/// not capture (the same occasions that call for `sh scripts/rebaseline.sh`).
 pub const MODEL_FINGERPRINT_VERSION: u32 = 1;
 
 /// A 128-bit stable hash digest, rendered as 32 lowercase hex digits.

@@ -12,8 +12,8 @@
 //! All three must agree on every statistic, and the statistics must equal
 //! `specs/kernel_microtraces.golden.json` byte for byte.
 //!
-//! After an intentional timing change:
-//! `cargo test -p s64v-cpu --test kernel_golden -- --ignored regenerate`.
+//! After an intentional timing change: `sh scripts/rebaseline.sh`, and
+//! explain the diff.
 
 use s64v_core::{PerformanceModel, Run, RunOptions, SystemConfig};
 use s64v_cpu::{Core, CoreConfig, CoreStats};

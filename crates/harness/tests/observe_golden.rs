@@ -7,8 +7,7 @@
 //! plus a backplane, so the Perfetto trace carries both board-bus and
 //! backplane transfers.
 //!
-//! After an *intentional* change to an artifact:
-//! `cargo test -p s64v-harness --test observe_golden -- --ignored regenerate`,
+//! After an *intentional* change to an artifact: `sh scripts/rebaseline.sh`,
 //! and explain the diff.
 
 use s64v_core::{program_seed, SystemConfig};
