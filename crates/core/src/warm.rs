@@ -161,6 +161,9 @@ impl WarmCursor {
             Some(at) => self.tables.swap_remove(at),
             None => Bht::new(core.bht),
         };
+        // A cursor that trained other predictors too is done with their
+        // tables: they go before the timed machine is built.
+        self.tables = Vec::new();
         let streams = vec![SliceStream::new(window)];
         let cores = vec![Core::warmed(core.clone(), 0, bht)];
         timed(cores, self.mem, streams, opts, ocfg)

@@ -278,6 +278,9 @@ mod tests {
             );
             assert_eq!(rounds, [(100, 25_000), (68, 25_000), (46, 100_000)]);
             assert_eq!((warmed, requested), (150_000, 8_800_000));
+            // Each round's one stop: every point copies it but the last
+            // to ask, which takes it (99 + 67 + 45).
+            assert_eq!(copied, 211);
         }
     }
 }

@@ -198,7 +198,7 @@ mod tests {
                 records_warmed: 11_520_000,
                 machines_requested: 64,
                 warm_passes: 8,
-                machines_copied: 120,
+                machines_copied: 56,
                 tables_trained: 16,
                 records_trained: 23_040_000,
             },
@@ -208,7 +208,7 @@ mod tests {
         assert!(s.contains("8 of 64 requested traces generated (11.76M records, 0.51M kept)"));
         assert!(s.contains(
             "11.52M of 47.36M requested warm-up records replayed through memory \
-             (56 of 64 warming passes saved, 120 machines copied), \
+             (56 of 64 warming passes saved, 56 machines copied), \
              23.04M records trained into 16 branch tables"
         ));
         let all_hits = CampaignReport {

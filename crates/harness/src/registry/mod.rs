@@ -34,23 +34,26 @@
 //! cold at its origin, training a table for each predictor still wanted;
 //! at a stop its cursor — memory state and tables — is copied into the
 //! stop (the chain's last wanted stop gets the cursor itself); a window
-//! complete at its end becomes a shared trace. A point's machine is a
-//! copy of its stop's memory state plus a copy of its own table: field
-//! for field what a cursor of that configuration alone would have built.
-//! Askers of something already published copy or share it from where it
-//! sits. Several workers may ask at once — the pass is behind one lock,
-//! held a chunk at a time, so they take turns advancing and each stops
-//! when its own item is out.
+//! complete at its end becomes a shared trace. A point's machine is its
+//! stop's memory state plus its own table: field for field what a cursor
+//! of that configuration alone would have built. Of the points that ask
+//! for a published state, every one but the last gets a copy of the
+//! memory state and of its own table, made under the pass's lock; the
+//! last takes the state itself. A window is shared the same way: the
+//! last asker takes the registry's handle on it. Several workers may ask
+//! at once — the pass is behind one lock, held a chunk at a time, so
+//! they take turns advancing and each stops when its own item is out.
 //!
 //! Nothing is therefore replayed or generated twice, whatever order
 //! points are served in and however many workers serve them: records
-//! generated, records warmed, tables trained and passes started are
-//! functions of the point list alone (a result-cache hit releases its
-//! point unasked and can only shorten the pass or spare a table). A
-//! hundred configurations of one sweep round replay the warm-up once and
-//! copy it a hundred times; a branch-predictor study warms each program's
-//! memory once beside one table per predictor; a plan's windows cost one
-//! replay up to the last start.
+//! generated, records warmed, tables trained, passes started and machines
+//! copied are functions of the point list alone (a result-cache hit
+//! releases its point unasked and can only shorten the pass, spare a
+//! table or save a copy). A hundred configurations of one sweep round
+//! replay the warm-up once and copy it ninety-nine times; a
+//! branch-predictor study warms each program's memory once beside one
+//! table per predictor; a plan's windows cost one replay up to the last
+//! start.
 //!
 //! The two keys split warm state along the boundary `s64v_cpu`'s
 //! `warm_record` already has — the memory system and the tables never
@@ -59,24 +62,28 @@
 //! from; the predictor key is the table's configuration. Both are
 //! computed once per point, when the plan is.
 //!
-//! **What is held when.** Every point is a *consumer* of its key and a
-//! *user* of its window and stop. The engine releases a point when its
-//! outcome is final — metrics, cache hit, failure or timeout, after its
-//! one attempt. A published state or window is dropped with
-//! its last user, and one nobody is left to want is never built; the
-//! whole entry — generator, cursors — goes with the key's last consumer.
-//! A key in service thus holds one chunk, the cursors of chains with a
-//! stop still ahead, and the states and windows published but not yet
-//! released: memory follows the plan, not the trace's length. A table is
-//! trained only if a point wanting it is unreleased when its chain
-//! starts. The registry is empty when the campaign returns.
+//! **What is held when.** Every point is a *consumer* of its key, and
+//! its window and stop each *wait* on it until it asks for them. A point
+//! is attempted once, so it asks for each at most once — a second ask
+//! panics — and the engine releases it when its outcome is final
+//! (metrics, cache hit, failure or timeout); a point released without
+//! having asked, a cache hit or one that failed first, stops being
+//! waited for then. A published state or window goes to its last asker
+//! (or is dropped, if its last waiting point is released instead), and
+//! one nobody waits for is never built; the whole entry — generator,
+//! cursors — goes with the key's last consumer. A key in service thus
+//! holds one chunk, the cursors of chains with a waited-for stop still
+//! ahead, and the states and windows published but not yet asked for by
+//! all their points: memory follows the plan, not the trace's length. A
+//! table is trained only if a point wanting it is unreleased when its
+//! chain starts. The registry is empty when the campaign returns.
 //!
 //! **A runner that dies.** A worker that unwinds while holding a pass
 //! leaves it half-advanced — some cursors past the chunk, some not. The
 //! next to lock it discards the pass whole: the generator, every cursor
-//! and everything published (whoever already copied or shares an item
-//! keeps it). The pass starts over from the seed and republishes what
-//! still has users.
+//! and everything published (whoever already took a copy or an item
+//! keeps it). The pass starts over from the seed and republishes only
+//! what some point still waits for.
 //!
 //! **SMP keys** ([`ReuseKey::Smp`]) run sixteen lock-stepped streams that
 //! the model warms itself: their trace set is generated whole, once, by
@@ -178,7 +185,8 @@ pub struct RegistryCounters {
     /// Cold memory states started at a chain's origin.
     pub warm_passes: u64,
     /// Warmed states copied: into a stop the cursor moves on from, and
-    /// out of a stop for a point to time on.
+    /// out of a stop for every point that times on it but the last to
+    /// ask, which takes the stop's own.
     pub machines_copied: u64,
     /// Cold branch history tables started beside a memory state.
     pub tables_trained: u64,
@@ -189,10 +197,11 @@ pub struct RegistryCounters {
 /// One stop of a chain: a trace position some points start timing from.
 #[derive(Debug, Default)]
 struct Stop {
-    /// Points timing from here that are not yet released.
-    users: usize,
-    /// The state warmed over `[origin, stop)`, once the pass has come by.
-    state: Option<Arc<WarmCursor>>,
+    /// Points timing from here that will still ask for the state.
+    waiting: BTreeSet<usize>,
+    /// The state warmed over `[origin, stop)`, once the pass has come by,
+    /// until its last waiting point takes it.
+    state: Option<WarmCursor>,
 }
 
 /// One memory key's stops, its predictors and the cursor warming towards
@@ -214,7 +223,9 @@ struct Chain {
 
 impl Chain {
     fn wanted_from(&self, pos: usize) -> bool {
-        self.stops.range(pos..).any(|(_, stop)| stop.users > 0)
+        self.stops
+            .range(pos..)
+            .any(|(_, stop)| !stop.waiting.is_empty())
     }
 
     /// The pass stands at `pos`, a chunk boundary: start the chain if
@@ -235,12 +246,12 @@ impl Chain {
         };
         let wanted_later = self.wanted_from(pos + 1);
         match self.stops.get_mut(&pos) {
-            Some(stop) if stop.users > 0 && wanted_later => {
+            Some(stop) if !stop.waiting.is_empty() && wanted_later => {
                 counters.machines_copied += 1;
-                stop.state = Some(Arc::new(cursor.fork()));
+                stop.state = Some(cursor.fork());
                 self.cursor = Some(cursor);
             }
-            Some(stop) if stop.users > 0 => stop.state = Some(Arc::new(cursor)),
+            Some(stop) if !stop.waiting.is_empty() => stop.state = Some(cursor),
             _ if wanted_later => self.cursor = Some(cursor),
             _ => {}
         }
@@ -250,11 +261,12 @@ impl Chain {
 /// One distinct range of records some points time.
 #[derive(Debug, Default)]
 struct Window {
-    /// Points timing it that are not yet released.
-    users: usize,
+    /// Points timing it that will still ask for it.
+    waiting: BTreeSet<usize>,
     /// The part of the range the pass has been through so far.
     filling: Vec<TraceRecord>,
-    /// The whole range as a one-CPU trace set, once the pass is past it.
+    /// The whole range as a one-CPU trace set, once the pass is past it,
+    /// until its last waiting point takes it.
     records: Option<Arc<Vec<VecTrace>>>,
 }
 
@@ -304,7 +316,7 @@ impl Pass {
         let mut materialized = 0;
         for (&(start, len), window) in self.windows.range_mut(..(upto, 0)) {
             let (from, to) = (start.max(pos), (start + len).min(upto));
-            if window.users == 0 || window.records.is_some() || from >= to {
+            if window.waiting.is_empty() || window.records.is_some() || from >= to {
                 continue;
             }
             window.filling.reserve_exact(len - window.filling.len());
@@ -338,7 +350,7 @@ impl Pass {
         }
         for window in self.windows.values_mut() {
             *window = Window {
-                users: window.users,
+                waiting: std::mem::take(&mut window.waiting),
                 ..Window::default()
             };
         }
@@ -436,7 +448,11 @@ impl<'a> Registry<'a> {
                 // A verification point times its whole trace on machines
                 // of its own; the others a window on a shared warm state.
                 let (start, len) = point.window().unwrap_or((0, point.records + point.warmup));
-                pass.windows.entry((start, len)).or_default().users += 1;
+                pass.windows
+                    .entry((start, len))
+                    .or_default()
+                    .waiting
+                    .insert(at);
                 pass.cuts.insert(start + len);
                 ask.window = Some((start, len));
                 if point.window().is_some() {
@@ -461,7 +477,7 @@ impl<'a> Registry<'a> {
                     pass.cuts.extend([origin, start]);
                     ask.stop = Some((chain, start));
                     let chain = &mut pass.chains[chain];
-                    chain.stops.entry(start).or_default().users += 1;
+                    chain.stops.entry(start).or_default().waiting.insert(at);
                     ask.table = predictor_warm_key(&point.config).map(|bht| {
                         let known = chain.tables.iter().position(|&(t, _)| t == bht);
                         let table = known.unwrap_or_else(|| {
@@ -497,12 +513,13 @@ impl<'a> Registry<'a> {
             .expect("point was registered and not yet released")
     }
 
-    /// Advances `pass` until `published` finds what it is after.
-    fn ask<T>(&self, pass: &Mutex<Pass>, published: impl Fn(&Pass) -> Option<T>) -> T {
+    /// Advances `pass` until `take` finds its item published, and returns
+    /// what `take` took of it.
+    fn ask<T>(&self, pass: &Mutex<Pass>, mut take: impl FnMut(&mut Pass) -> Option<T>) -> T {
         loop {
             // Locked a chunk at a time: others ask and release in between.
             let mut pass = runner(pass);
-            if let Some(found) = published(&pass) {
+            if let Some(found) = take(&mut pass) {
                 return found;
             }
             pass.step(self.points, &self.counters);
@@ -513,14 +530,29 @@ impl<'a> Registry<'a> {
     /// point's window of its program — record 0 of the trace is the first
     /// record timed (for a verification point, of the program) — or an
     /// SMP point's whole traces, warm-up included. Generated by whoever
-    /// asks first; everyone after shares it.
+    /// asks first; everyone after shares it, and a window's last asker
+    /// takes the registry's handle on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if point `at` already asked for its window.
     pub fn traces(&self, at: usize) -> Arc<Vec<VecTrace>> {
         lock(&self.counters).traces_requested += 1;
         let ask = self.asks[at];
         match &*self.entry(ask.key) {
             Entry::Program(pass) => {
                 let range = ask.window.expect("a program key's point");
-                self.ask(pass, |pass| pass.windows[&range].records.clone())
+                let waiting = runner(pass).windows[&range].waiting.contains(&at);
+                assert!(waiting, "{}", asked_twice(at, "window"));
+                self.ask(pass, |pass| {
+                    let window = pass.windows.get_mut(&range).expect("a planned window");
+                    let records = window.records.take()?;
+                    window.waiting.remove(&at);
+                    if !window.waiting.is_empty() {
+                        window.records = Some(Arc::clone(&records));
+                    }
+                    Some(records)
+                })
             }
             Entry::Smp(traces) => Arc::clone(traces.get_or_init(|| {
                 let ReuseKey::Smp {
@@ -544,38 +576,54 @@ impl<'a> Registry<'a> {
 
     /// The functional state after warming `[stop − warmup, stop)` of
     /// uniprocessor point `at`'s program, ready to time the point's
-    /// window from `stop`: a copy of the memory state its stop holds and
-    /// of the point's own table (see the module docs for who replays
-    /// what).
+    /// window from `stop`: the memory state its stop holds and the
+    /// point's own table — copies, unless no other point waits for the
+    /// stop, in which case the stop's state itself (see the module docs
+    /// for who replays what).
+    ///
+    /// # Panics
+    ///
+    /// Panics if point `at` already asked for its warm state.
     pub fn warmed(&self, at: usize) -> WarmCursor {
         let ask = self.asks[at];
         let (chain, stop) = ask.stop.expect("only uniprocessor points warm");
         let Entry::Program(pass) = &*self.entry(ask.key) else {
             unreachable!("a uniprocessor point's key");
         };
-        let (state, origin) = self.ask(pass, |pass| {
-            let chain = &pass.chains[chain];
-            let state = chain.stops[&stop].state.clone()?;
-            Some((state, chain.origin))
+        let waiting = runner(pass).chains[chain].stops[&stop]
+            .waiting
+            .contains(&at);
+        assert!(waiting, "{}", asked_twice(at, "warm state"));
+        let core = &self.points[at].config.core;
+        let (machine, copied, origin) = self.ask(pass, |pass| {
+            let chain = &mut pass.chains[chain];
+            let stop = chain.stops.get_mut(&stop).expect("a planned stop");
+            let state = stop.state.take()?;
+            stop.waiting.remove(&at);
+            if stop.waiting.is_empty() {
+                return Some((state, false, chain.origin));
+            }
+            // Copied under the lock: no asker holds the state outside it.
+            let copy = state.fork_for(core);
+            stop.state = Some(state);
+            Some((copy, true, chain.origin))
         });
         let mut counters = lock(&self.counters);
         counters.machines_requested += 1;
         counters.records_warm_requested += (stop - origin) as u64;
-        counters.machines_copied += 1;
-        drop(counters);
-        state.fork_for(&self.points[at].config.core)
+        counters.machines_copied += u64::from(copied);
+        machine
     }
 
-    /// Declares point `at` finished for good. Drops its window and its
-    /// stop's warm state with their last user and the key's whole entry
-    /// with its last consumer.
+    /// Declares point `at` finished for good. A window or stop it never
+    /// asked for stops waiting for it, and is dropped if nobody else
+    /// does; the key's whole entry goes with its last consumer.
     pub fn release(&self, at: usize) {
         let ask = self.asks[at];
         if let Entry::Program(pass) = &*self.entry(ask.key) {
             let mut pass = runner(pass);
             if let Some(window) = ask.window.and_then(|range| pass.windows.get_mut(&range)) {
-                window.users -= 1;
-                if window.users == 0 {
+                if window.waiting.remove(&at) && window.waiting.is_empty() {
                     *window = Window::default();
                 }
             }
@@ -585,9 +633,13 @@ impl<'a> Registry<'a> {
                     chain.tables[table].1 -= 1;
                 }
                 let stop = chain.stops.get_mut(&stop).expect("a planned stop");
-                stop.users -= 1;
-                if stop.users == 0 {
+                if stop.waiting.remove(&at) && stop.waiting.is_empty() {
                     stop.state = None;
+                    // With no stop waited for ahead, the cursor goes too.
+                    let cursor = chain.cursor.as_ref();
+                    if cursor.is_some_and(|c| !chain.wanted_from(c.pos() + 1)) {
+                        chain.cursor = None;
+                    }
                 }
             }
         }
@@ -609,6 +661,11 @@ impl<'a> Registry<'a> {
     pub fn counters(&self) -> RegistryCounters {
         *lock(&self.counters)
     }
+}
+
+/// Why a second ask by point `at` for its `item` is a bug.
+fn asked_twice(at: usize, item: &str) -> String {
+    format!("point {at} asked twice for its {item}: a point is attempted once, and asks once")
 }
 
 #[cfg(test)]

@@ -63,12 +63,12 @@ fn ascending_windows_warm_once_and_release_empties_the_registry() {
     for (at, &start) in starts.iter().enumerate() {
         let traces = reg.traces(at);
         assert_eq!(traces[0].records(), &whole.records()[start..start + LEN]);
-        assert!(Arc::ptr_eq(&traces, &reg.traces(at)), "published once");
+        assert_eq!(Arc::strong_count(&traces), 1, "its one asker took it");
         let machine = reg.warmed(at);
         assert_eq!((machine.origin(), machine.pos()), (0, start));
     }
     let c = reg.counters();
-    assert_eq!((c.traces_requested, c.traces_generated), (6, 1));
+    assert_eq!((c.traces_requested, c.traces_generated), (3, 1));
     assert_eq!(c.records_generated, 4_000 + LEN as u64, "to the last end");
     assert_eq!(c.records_materialized, 3 * LEN as u64);
     assert_eq!(c.records_warm_requested, 1_000 + 2_500 + 4_000);
@@ -82,13 +82,14 @@ fn ascending_windows_warm_once_and_release_empties_the_registry() {
 }
 
 #[test]
-fn out_of_order_and_repeated_requests_replay_nothing_twice() {
+fn out_of_order_requests_replay_nothing_twice() {
     let points: Vec<SimPoint> = [3_000, 1_000].iter().map(|&s| window(s, TRACE)).collect();
     let reg = Registry::new(&points);
     assert_eq!(reg.warmed(0).pos(), 3_000);
     // Behind the pass: published on its way to the first asker.
+    assert_eq!(held(&reg, 1).0, 1, "the stop behind waits for its asker");
     assert_eq!(reg.warmed(1).pos(), 1_000);
-    assert_eq!(reg.warmed(1).pos(), 1_000, "asked again");
+    assert_eq!(held(&reg, 1).0, 0, "and goes with it");
     assert_eq!(
         reg.traces(1)[0].records(),
         &reference().records()[1_000..1_500]
@@ -114,9 +115,9 @@ fn bounded_warm_windows_never_share_and_never_fork() {
     let c = reg.counters();
     assert_eq!(c.records_warmed, 800);
     assert_eq!(c.records_warm_requested, 800);
-    // Each chain's one stop gets the cursor itself; the only copies
-    // are the two askers' own.
-    assert_eq!((c.warm_passes, c.machines_copied), (2, 2));
+    // Each chain's one stop gets the cursor itself, and its one asker
+    // takes it: nothing is copied.
+    assert_eq!((c.warm_passes, c.machines_copied), (2, 0));
     assert_eq!(c.traces_generated, 1, "two chains, one pass");
 }
 
@@ -160,27 +161,119 @@ fn held(reg: &Registry, at: usize) -> (usize, usize) {
 }
 
 #[test]
-fn a_stops_users_copy_one_state_in_place_and_it_goes_with_the_last() {
+fn a_stops_last_asker_takes_its_state_and_only_earlier_askers_copy() {
     let points = sweep(4);
     let reg = Registry::new(&points);
+    let mut windows = Vec::new();
     for at in 0..points.len() {
         let machine = reg.warmed(at);
         assert_eq!((machine.origin(), machine.pos()), (0, 1_500));
-        assert_eq!(reg.traces(at)[0].len(), 500);
-        // Asked again before release, it finds the state where it was.
-        reg.warmed(at);
-        assert_eq!(held(&reg, at), (1, 1), "one state and one window");
-        if at + 1 < points.len() {
-            reg.release(at);
-        }
+        windows.push(reg.traces(at));
+        assert_eq!(windows[at][0].len(), 500);
+        let last = at + 1 == points.len();
+        let held_now = if last { (0, 0) } else { (1, 1) };
+        assert_eq!(
+            held(&reg, at),
+            held_now,
+            "one state and one window until the last asker"
+        );
+        assert_eq!(reg.counters().machines_copied, at as u64 + u64::from(!last));
     }
     let c = reg.counters();
-    assert_eq!(c.machines_copied, 8, "every asker copies, the pass never");
-    assert_eq!(c.records_warm_requested, 8 * 1_500);
+    assert_eq!(
+        c.machines_copied, 3,
+        "every asker but the last copies, the pass never"
+    );
+    assert_eq!(c.machines_requested, 4);
+    assert_eq!(c.records_warm_requested, 4 * 1_500);
     assert_eq!((c.warm_passes, c.records_warmed), (1, 1_500));
     assert_eq!((c.records_generated, c.records_materialized), (2_000, 500));
-    reg.release(3);
+    assert!(
+        windows.iter().all(|w| Arc::ptr_eq(w, &windows[0])),
+        "one window, shared"
+    );
+    assert_eq!(
+        Arc::strong_count(&windows[0]),
+        4,
+        "the registry holds none of it"
+    );
+    for at in 0..points.len() {
+        reg.release(at);
+    }
     assert_eq!(reg.live(), 0);
+}
+
+#[test]
+fn a_point_released_unasked_leaves_the_state_to_the_last_real_asker() {
+    // Point 2 is a result-cache hit: it never asks, and point 1, the
+    // last to ask, takes the state and the window.
+    let points = sweep(3);
+    let reg = Registry::new(&points);
+    reg.release(2);
+    for at in 0..2 {
+        assert_eq!(reg.warmed(at).pos(), 1_500);
+        reg.traces(at);
+    }
+    assert_eq!(held(&reg, 0), (0, 0));
+    let c = reg.counters();
+    assert_eq!((c.machines_requested, c.machines_copied), (2, 1));
+
+    // Released unasked once the state is out, the last waiting point
+    // drops it; the one that asked before it kept its copy.
+    let reg = Registry::new(&points);
+    assert_eq!(reg.warmed(0).pos(), 1_500);
+    reg.release(1);
+    assert_eq!(held(&reg, 0), (1, 0), "point 2 still waits");
+    reg.release(2);
+    assert_eq!(held(&reg, 0), (0, 0));
+    reg.release(0);
+    assert_eq!(reg.live(), 0);
+
+    // Nothing is built for nobody: the later window's only point is
+    // released unasked, so the pass stops at the end of the first one,
+    // which its asker takes — and a cursor already past the first stop
+    // goes with that release, not with the key.
+    let points: Vec<SimPoint> = [1_000, 2_500].iter().map(|&s| window(s, TRACE)).collect();
+    let reg = Registry::new(&points);
+    reg.warmed(0);
+    assert_eq!(held(&reg, 0).0, 1, "the cursor, on its way to 2 500");
+    reg.release(1);
+    assert_eq!(held(&reg, 0).0, 0);
+    reg.release(0);
+    let reg = Registry::new(&points);
+    reg.release(1);
+    assert_eq!(reg.warmed(0).pos(), 1_000);
+    reg.traces(0);
+    assert_eq!(held(&reg, 0), (0, 0));
+    let c = reg.counters();
+    assert_eq!(
+        (c.records_generated, c.records_warmed),
+        (1_000 + LEN as u64, 1_000)
+    );
+    assert_eq!((c.records_materialized, c.machines_copied), (LEN as u64, 0));
+}
+
+#[test]
+fn a_points_second_ask_panics_naming_the_one_attempt_rule() {
+    let points = sweep(2);
+    let reg = Registry::new(&points);
+    reg.warmed(0);
+    reg.traces(0);
+    let again = |ask: &dyn Fn()| {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(ask))
+            .expect_err("a second ask panics");
+        let message = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(message.contains("a point is attempted once"), "{message}");
+    };
+    again(&|| drop(reg.warmed(0)));
+    again(&|| drop(reg.traces(0)));
+    // The panic came before the pass's lock: nothing is discarded, and
+    // the other point is served as if nothing had happened.
+    assert_eq!(reg.warmed(1).pos(), 1_500);
+    assert_eq!(reg.traces(1)[0].len(), 500);
+    let c = reg.counters();
+    assert_eq!((c.traces_generated, c.records_warmed), (1, 1_500));
+    assert_eq!(c.machines_copied, 1);
 }
 
 #[test]
@@ -232,8 +325,8 @@ fn concurrent_first_requests_wait_for_one_pass() {
     let c = reg.counters();
     assert_eq!((c.warm_passes, c.records_warmed), (1, 1_500));
     assert_eq!((c.traces_generated, c.records_generated), (1, 2_000));
-    assert_eq!(c.machines_copied, 4);
-    assert_eq!(held(&reg, 0), (1, 1));
+    assert_eq!(c.machines_copied, 3, "whoever asked last took the state");
+    assert_eq!(held(&reg, 0), (0, 0), "and the window");
 }
 
 #[test]
@@ -244,15 +337,27 @@ fn a_chains_last_wanted_stop_gets_the_cursor_itself() {
         .collect();
     let reg = Registry::new(&points);
     reg.warmed(0);
-    assert_eq!(held(&reg, 0).0, 2, "the stop's copy and the cursor");
-    reg.release(0);
-    assert_eq!(held(&reg, 1).0, 1, "a state goes with its last user");
+    assert_eq!(
+        held(&reg, 0).0,
+        1,
+        "the cursor; the stop's copy went to its asker"
+    );
     reg.warmed(2);
-    assert_eq!(held(&reg, 2).0, 2, "no cursor left past the last stop");
+    assert_eq!(
+        held(&reg, 2).0,
+        1,
+        "the middle stop's copy; no cursor past the last"
+    );
     assert_eq!(
         reg.counters().machines_copied,
-        2 + 2,
-        "the pass's and the askers'"
+        2,
+        "the pass's, into the first two stops"
+    );
+    reg.release(1);
+    assert_eq!(
+        held(&reg, 1).0,
+        0,
+        "released unasked, its stop's state goes"
     );
 
     // A later stop served from the result cache is released unasked:
@@ -260,9 +365,9 @@ fn a_chains_last_wanted_stop_gets_the_cursor_itself() {
     let reg = Registry::new(&points[..2]);
     reg.release(1);
     reg.warmed(0);
-    assert_eq!(held(&reg, 0).0, 1);
+    assert_eq!(held(&reg, 0).0, 0);
     let c = reg.counters();
-    assert_eq!((c.records_warmed, c.machines_copied), (1_000, 1));
+    assert_eq!((c.records_warmed, c.machines_copied), (1_000, 0));
     reg.release(0);
     assert_eq!(reg.live(), 0);
 }
@@ -386,4 +491,49 @@ fn an_smp_keys_whole_trace_set_is_generated_once_and_shared() {
     reg.release(1);
     assert!(weak.upgrade().is_none(), "dropped with the last consumer");
     assert_eq!(reg.live(), 0);
+}
+
+#[test]
+fn a_dead_runners_discard_republishes_only_what_someone_still_waits_for() {
+    let points: Vec<SimPoint> = [1_000, 2_500, 4_000]
+        .iter()
+        .map(|&s| window(s, TRACE))
+        .collect();
+    let reg = Registry::new(&points);
+    // Point 0 took its window and its state; point 1 its window only.
+    reg.traces(0);
+    reg.warmed(0);
+    reg.traces(1);
+    let entry = reg.entry(reg.asks[1].key);
+    let Entry::Program(pass) = &*entry else {
+        panic!("a program key");
+    };
+    std::thread::scope(|scope| {
+        let died = scope.spawn(|| {
+            let mut pass = runner(pass);
+            pass.step(&points, &reg.counters);
+            panic!("mid-chunk");
+        });
+        assert!(died.join().is_err());
+    });
+    let before = reg.counters();
+    assert_eq!(held(&reg, 1), (0, 0), "nothing half-advanced survives");
+    let whole = reference();
+    assert_eq!(reg.warmed(1).pos(), 2_500);
+    assert_eq!(
+        reg.traces(2)[0].records(),
+        &whole.records()[4_000..4_000 + LEN]
+    );
+    assert_eq!(reg.warmed(2).pos(), 4_000);
+    let c = reg.counters();
+    // The second pass copies into the stop point 1 waits for and hands
+    // the last stop over whole; the first stop and the first two
+    // windows, already taken, are not built again.
+    assert_eq!(c.warm_passes, before.warm_passes + 1);
+    assert_eq!(c.machines_copied, before.machines_copied + 1);
+    assert_eq!(c.records_warmed, before.records_warmed + 4_000);
+    assert_eq!(
+        c.records_materialized,
+        before.records_materialized + LEN as u64
+    );
 }

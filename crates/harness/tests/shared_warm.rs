@@ -1,6 +1,7 @@
 //! Warm state as a shared campaign input: points whose configurations
-//! share a memory key time on copies of one warmed memory state, each
-//! with a copy of its own predictor's table, trained beside it. Sharing
+//! share a memory key time on one warmed memory state, each with its own
+//! predictor's table, trained beside it — every point on a copy but the
+//! last to ask, which takes the state itself. Sharing
 //! changes how many records get replayed and how many machines get
 //! built, never a result; a memory configuration warming *does* read
 //! gets a cursor of its own on the program's one pass; the counters are
@@ -149,9 +150,10 @@ fn six_configurations_of_one_trace_equal_lone_points_and_warm_once_per_warm_key(
                 // The base's memory trains both tables, the L2's its one.
                 assert_eq!(r.registry.tables_trained, 3, "{ctx}");
                 assert_eq!(r.registry.records_trained, 3 * WARMUP as u64, "{ctx}");
-                // Each chain's one stop gets the cursor itself; every
-                // point times on a copy of its own.
-                assert_eq!(r.registry.machines_copied, 6, "{ctx}");
+                // Each chain's one stop gets the cursor itself, and its
+                // last asker takes it: the base chain's other four points
+                // time on copies, the L2's one point on its cursor.
+                assert_eq!(r.registry.machines_copied, 4, "{ctx}");
                 assert_eq!(r.registry.traces_generated, 1, "{ctx}");
                 assert_eq!(
                     r.registry.records_generated,
@@ -216,7 +218,7 @@ fn a_sweep_round_replays_its_warm_up_once_at_one_thread_and_at_two() {
             "{threads} threads"
         );
         assert_eq!(r.registry.warm_passes, 1, "{threads} threads");
-        assert_eq!(r.registry.machines_copied, 100, "{threads} threads");
+        assert_eq!(r.registry.machines_copied, 99, "{threads} threads");
         assert_eq!(r.registry.records_materialized, RECORDS as u64);
         let s = r.summary();
         assert!(
@@ -268,6 +270,55 @@ fn a_full_detail_point_and_its_plans_windows_share_one_chain() {
                 "{suite:?}/{threads} threads"
             );
         }
+    }
+}
+
+/// The benchmark's `sampled_long` shape at a small size: eight programs,
+/// eight windows each, every window warmed from record 0. Each program's
+/// pass copies its state into the seven stops it moves on from and hands
+/// the eighth its cursor; every window is its stop's only point, so it
+/// takes the state whole and no point copies.
+#[test]
+fn a_sampled_campaign_copies_only_into_the_stops_the_pass_moves_on_from() {
+    let o = HarnessOpts {
+        records: 16_000,
+        warmup: 400,
+        ..HarnessOpts::smoke()
+    };
+    let sample = SampleOpts {
+        windows: 8,
+        window: 400,
+        warmup: 16_400,
+    };
+    let programs = [
+        (SuiteKind::SpecInt95, 0),
+        (SuiteKind::SpecFp95, 0),
+        (SuiteKind::SpecInt2000, 0),
+        (SuiteKind::SpecFp2000, 0),
+        (SuiteKind::SpecInt95, 1),
+        (SuiteKind::SpecFp95, 1),
+        (SuiteKind::SpecInt2000, 1),
+        (SuiteKind::Tpcc, 0),
+    ];
+    let points: Vec<SimPoint> = programs
+        .iter()
+        .flat_map(|&(suite, index)| sampled_points(suite, index, &o, &sample))
+        .collect();
+    assert_eq!(points.len(), 64, "eight windows per program");
+    let lone: Vec<String> = points
+        .iter()
+        .map(|p| {
+            let m = try_execute_point(p, RunOptions::default()).expect("clean point");
+            format!("{:?}", PointOutcome::Metrics(Box::new(m)))
+        })
+        .collect();
+    for threads in [1, 2, 5] {
+        let out = run(&spec(&points, threads));
+        assert_eq!(rendered(&out), lone, "{threads} threads");
+        let r = &out.report.registry;
+        assert_eq!(r.warm_passes, 8, "{threads} threads");
+        assert_eq!(r.machines_requested, 64, "{threads} threads");
+        assert_eq!(r.machines_copied, 56, "{threads} threads");
     }
 }
 
@@ -394,11 +445,16 @@ fn mid_run_cancels_on_a_sharing_point_leave_the_rest_whole() {
             4 + loners,
             "{threads} threads"
         );
-        // The cancelled point's copy died with it; the state it was
-        // copied from served the sharers and was never warmed again.
+        // The cancelled point's machine died with it; the state it came
+        // from served the sharers and was never warmed again. Each
+        // pass's one stop is taken by its last asker, whoever that is.
         assert_eq!(r.registry.warm_passes, passes, "{threads} threads");
         assert_eq!(r.registry.records_warmed, passes * WARMUP as u64);
-        assert_eq!(r.registry.machines_copied, r.registry.machines_requested);
+        assert_eq!(
+            r.registry.machines_copied,
+            r.registry.machines_requested - passes,
+            "{threads} threads"
+        );
     }
 }
 
@@ -471,7 +527,8 @@ fn a_predictor_study_warms_each_programs_memory_once_beside_one_table_per_predic
         // trains none.
         assert_eq!(r.tables_trained, 4, "{threads} threads");
         assert_eq!(r.records_trained, 4 * WARMUP as u64, "{threads} threads");
-        assert_eq!(r.machines_copied, 8, "{threads} threads");
+        // Each program's one stop: three copies and one taken.
+        assert_eq!(r.machines_copied, 6, "{threads} threads");
         counts.push(r);
     }
     assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
@@ -501,6 +558,7 @@ fn a_predictor_study_warms_each_programs_memory_once_beside_one_table_per_predic
         let r = out.report.registry;
         assert_eq!((r.warm_passes, r.records_warmed), (2, 2 * WARMUP as u64));
         assert_eq!(r.tables_trained, 4, "{threads} threads");
+        assert_eq!(r.machines_copied, 6, "{threads} threads");
     }
 }
 

@@ -11,6 +11,23 @@ set -eu
 # Default sizes, whatever the caller's environment holds.
 unset S64V_RECORDS S64V_WARMUP S64V_SMP_CPUS S64V_SMP_RECORDS \
     S64V_SMP_WARMUP S64V_SEED S64V_RESULTS_DIR
+# The snapshot goldens are the ignored tests named regenerate, and only
+# the test targets that hold one are built (building every release test
+# binary of the workspace costs minutes). A test file with a regenerate
+# test that is not listed here stops the script before anything is
+# written, so a new golden cannot be skipped silently.
+goldens="crates/cpu/tests/kernel_golden.rs crates/harness/tests/figures_golden.rs \
+crates/harness/tests/observe_golden.rs tests/golden.rs"
+for file in $(grep -l 'fn regenerate' crates/*/tests/*.rs tests/*.rs); do
+    case " $goldens " in
+        *" $file "*) ;;
+        *)
+            echo "rebaseline: $file has a regenerate test this script does not run" >&2
+            exit 1
+            ;;
+    esac
+done
+
 campaign=target/release/campaign
 scratch=target/rebaseline
 rm -rf "$scratch"
@@ -18,8 +35,13 @@ mkdir -p "$scratch"
 cargo build --release -q -p s64v-harness --bin campaign
 
 echo "== snapshot goldens (every ignored test named regenerate)"
-cargo test --release --workspace -q -- --ignored regenerate \
-    > "$scratch/regenerate.log" || { cat "$scratch/regenerate.log" >&2; exit 1; }
+regenerate() {
+    cargo test --release -q "$@" -- --ignored regenerate \
+        >> "$scratch/regenerate.log" || { cat "$scratch/regenerate.log" >&2; exit 1; }
+}
+regenerate -p s64v-cpu --test kernel_golden
+regenerate -p s64v-harness --test figures_golden --test observe_golden
+regenerate -p sparc64v --test golden
 
 echo "== specs/ci_smoke.golden.json and specs/ci_sampling.golden.json (ci.sh's sizes)"
 "$campaign" explore --spec specs/ci_smoke.explore.json --answer-only \
