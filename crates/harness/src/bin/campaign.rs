@@ -42,16 +42,17 @@
 //! cache directory does not decide it.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stderr, clippy::disallowed_methods)]
 
-use s64v_explore::{ExploreEvent, ExploreReport, ExploreSpec};
+use s64v_explore::{ExploreReport, ExploreSpec};
 use s64v_harness::cli::{self, Args};
-use s64v_harness::engine::{run_campaign, CampaignOutcome};
+use s64v_harness::engine::run_campaign;
 use s64v_harness::explore::{run_explore, ExploreOpts};
 use s64v_harness::figures::{figure_names, run_figures, Page, PointStore};
 use s64v_harness::perf::{
     failure_label, sampled_cpi_artifact, validate_cpi_artifact, PerfDiff, PerfSource,
 };
-use s64v_harness::progress::ProgressEvent;
+use s64v_harness::progress::Printer;
 use s64v_harness::spec::{CampaignSpec, HarnessOpts, SimPoint};
 use s64v_harness::supervise::{atomic_write, SupervisePolicy};
 use s64v_harness::validate::{
@@ -60,14 +61,12 @@ use s64v_harness::validate::{
 use s64v_observe::json::Value;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Prints the usage and why the command line does not fit it; exits 2.
 fn usage_error(reason: &str) -> ! {
-    eprint!("{}", cli::usage());
-    eprintln!("campaign: {reason}");
-    std::process::exit(2);
+    let usage = cli::usage();
+    Printer::stderr(false).fatal(format_args!("{usage}campaign: {reason}"))
 }
 
 /// The number given for `name`, within `range`; any other value is a
@@ -165,150 +164,39 @@ fn check_artifact(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs `work` with the per-point progress printer listening, and the
-/// printer drained before returning. When `quiet`, `work` gets no sender
-/// and no printer runs: the engine then builds no event and starts no
-/// heartbeat.
-fn with_printer<T>(quiet: bool, work: impl FnOnce(Option<mpsc::Sender<ProgressEvent>>) -> T) -> T {
-    if quiet {
-        return work(None);
-    }
-    let (tx, rx) = mpsc::channel::<ProgressEvent>();
-    let printer = std::thread::spawn(move || {
-        let mut done = 0usize;
-        for event in rx {
-            match event {
-                ProgressEvent::Started { .. } | ProgressEvent::Retrying { .. } => {}
-                ProgressEvent::Finished {
-                    label,
-                    cache_hit,
-                    elapsed,
-                    ..
-                } => {
-                    done += 1;
-                    if cache_hit {
-                        eprintln!("[{done:>4}] cached   {label}");
-                    } else {
-                        eprintln!("[{done:>4}] {:>6.1}s  {label}", elapsed.as_secs_f64());
-                    }
-                }
-                ProgressEvent::Failed { label, error, .. } => {
-                    done += 1;
-                    eprintln!("[{done:>4}] FAILED   {label}: {error}");
-                }
-                ProgressEvent::Heartbeat {
-                    done: d,
-                    total,
-                    in_flight,
-                    elapsed,
-                    eta,
-                } => {
-                    let eta = match eta {
-                        Some(t) => format!("{:.0}s", t.as_secs_f64()),
-                        None => "?".to_string(),
-                    };
-                    eprintln!(
-                        "[heartbeat] {d}/{total} done, {in_flight} in flight, \
-                         {:.0}s elapsed, ETA {eta}",
-                        elapsed.as_secs_f64()
-                    );
-                }
-            }
-        }
-    });
-    let result = work(Some(tx));
-    printer.join().expect("progress printer panicked");
-    result
-}
-
-/// Runs one campaign with the progress printer; a cache directory I/O
-/// error ends `who`'s process with exit code 2.
-fn run_points(who: &str, quiet: bool, spec: &CampaignSpec) -> CampaignOutcome {
-    with_printer(quiet, |tx| run_campaign(spec, tx)).unwrap_or_else(|e| {
-        eprintln!("{who} error: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// Narrates one search-level event on stderr.
-fn print_explore_event(event: &ExploreEvent) {
-    match event {
-        ExploreEvent::GridExpanded {
-            total,
-            invalid,
-            pruned,
-            feasible,
-        } => eprintln!(
-            "[explore] grid {total}: {invalid} invalid, {pruned} statically pruned, \
-             {feasible} feasible"
-        ),
-        ExploreEvent::RoundStarted {
-            round,
-            records,
-            candidates,
-        } => eprintln!("[explore] round {round}: {candidates} candidates x {records} records"),
-        ExploreEvent::RoundFinished(s) => {
-            let best = match (s.best_id, s.best_objective) {
-                (Some(id), Some(obj)) => format!("best #{id} ({obj:.4})"),
-                _ => "no survivors".to_string(),
-            };
-            eprintln!(
-                "[explore] round {} done: promoted {}, eliminated {} on rank + {} dominated, \
-                 {} failed, {best}",
-                s.round, s.promoted, s.eliminated_rank, s.eliminated_dominated, s.failed
-            );
-        }
-        ExploreEvent::FrontierExtracted { size } => {
-            eprintln!("[explore] frontier-update: {size} non-dominated configurations")
-        }
-    }
-}
-
 /// Writes `mode`'s `--out` report whole (parent directories created,
 /// temp file + atomic rename), or ends the process with exit 2.
-fn write_report(mode: &str, path: &Path, report: &Value) {
+fn write_report(out: &Printer, mode: &str, path: &Path, report: &Value) {
     let written = path
         .parent()
         .map_or(Ok(()), std::fs::create_dir_all)
         .and_then(|()| atomic_write(path, format!("{report:#}\n").as_bytes()));
     if let Err(e) = written {
-        eprintln!("{mode} error: could not write {}: {e}", path.display());
-        std::process::exit(2);
+        out.fatal(format_args!(
+            "{mode} error: could not write {}: {e}",
+            path.display()
+        ));
     }
 }
 
 /// Answers one query: the report (or its answer section) on stdout, the
 /// full report at `--out`, the search's events and a summary on stderr.
-fn explore_main(args: &Args) -> ! {
+fn explore_main(args: &Args, out: &Printer) -> ! {
     let opts = ExploreOpts {
         threads: threads(args),
         cache_dir: cache_dir(args, Some("results-cache")),
-        heartbeat: Some(Duration::from_secs(10)),
         supervise: supervise(args),
     };
     let Some(spec_path) = args.text("--spec") else {
         usage_error("explore needs --spec FILE");
     };
-    let text = std::fs::read_to_string(spec_path).unwrap_or_else(|e| {
-        eprintln!("cannot read {spec_path}: {e}");
-        std::process::exit(2);
-    });
-    let spec = ExploreSpec::parse(&text).unwrap_or_else(|e| {
-        eprintln!("invalid spec {spec_path}: {e}");
-        std::process::exit(2);
-    });
-    let quiet = args.has("--quiet");
-    let report = with_printer(quiet, |tx| {
-        run_explore(&spec, &opts, tx, |e| {
-            if !quiet {
-                print_explore_event(e);
-            }
-        })
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("explore error: {e}");
-        std::process::exit(2);
-    });
+    let text = std::fs::read_to_string(spec_path)
+        .unwrap_or_else(|e| out.fatal(format_args!("cannot read {spec_path}: {e}")));
+    let spec = ExploreSpec::parse(&text)
+        .unwrap_or_else(|e| out.fatal(format_args!("invalid spec {spec_path}: {e}")));
+    let report = out
+        .run(|tx| run_explore(&spec, &opts, tx, |e| out.explore_event(e)))
+        .unwrap_or_else(|e| out.fatal(format_args!("explore error: {e}")));
     let doc = if args.has("--answer-only") {
         report.answer_value()
     } else {
@@ -316,33 +204,39 @@ fn explore_main(args: &Args) -> ! {
     };
     println!("{doc:#}");
     std::io::stdout().flush().ok();
-    if let Some(out) = args.text("--out").map(Path::new) {
+    if let Some(to) = args.text("--out").map(Path::new) {
         // An existing directory gets the report under the query's name.
-        let path = if out.is_dir() {
-            out.join(format!("{}.explore.json", spec.name))
+        let path = if to.is_dir() {
+            to.join(format!("{}.explore.json", spec.name))
         } else {
-            out.to_path_buf()
+            to.to_path_buf()
         };
-        write_report("explore", &path, &report.to_value());
+        write_report(out, "explore", &path, &report.to_value());
     }
-    eprintln!("explore: {}", report.summary());
+    writeln!(out, "explore: {}", report.summary());
     let failed = report.execution.failed;
     if failed > 0 {
-        eprintln!("explore FAILED: {failed} point(s) failed to simulate");
+        writeln!(out, "explore FAILED: {failed} point(s) failed to simulate");
     }
     std::process::exit(i32::from(failed > 0));
 }
 
-fn perf_main(args: &Args) -> ! {
+fn perf_main(args: &Args, out: &Printer) -> ! {
     let folded_out = args.text("--folded").map(PathBuf::from);
     let [base_path, new_path] = args.positional.as_slice() else {
         unreachable!("the parser counted perf's two sources");
     };
     let load = |p: &str| {
-        PerfSource::load(Path::new(p)).unwrap_or_else(|e| {
-            eprintln!("perf: {e}");
-            std::process::exit(2);
-        })
+        let source =
+            PerfSource::load(Path::new(p)).unwrap_or_else(|e| out.fatal(format_args!("perf: {e}")));
+        for dump in &source.skipped {
+            writeln!(
+                out,
+                "warning: {}: a diagnostic dump from before failure records (skipped)",
+                dump.display()
+            );
+        }
+        source
     };
     let base = load(base_path);
     let new = load(new_path);
@@ -350,18 +244,16 @@ fn perf_main(args: &Args) -> ! {
     println!("perf: {} -> {}", base.name, new.name);
     print!("{}", diff.render());
 
-    if let Some(out) = &folded_out {
+    if let Some(path) = &folded_out {
         let text = new.folded();
-        match std::fs::write(out, &text) {
-            Ok(()) => eprintln!(
+        match std::fs::write(path, &text) {
+            Ok(()) => writeln!(
+                out,
                 "perf: wrote {} folded stack line(s) to {}",
                 text.lines().count(),
-                out.display()
+                path.display()
             ),
-            Err(e) => {
-                eprintln!("perf: cannot write {}: {e}", out.display());
-                std::process::exit(2);
-            }
+            Err(e) => out.fatal(format_args!("perf: cannot write {}: {e}", path.display())),
         }
     }
 
@@ -376,10 +268,9 @@ fn perf_main(args: &Args) -> ! {
 /// nonzero unless every workload passes the gate: sampled IPC within
 /// tolerance of full detail, confidence interval covering the
 /// full-detail value, and per-window CPI stacks conserving their cycles.
-fn validate_main(args: &Args, opts: HarnessOpts) -> ! {
+fn validate_main(args: &Args, opts: HarnessOpts, out: &Printer) -> ! {
     let template = template(args, Some("results-cache"));
-    let quiet = args.has("--quiet");
-    let out = args.text("--out").map(PathBuf::from);
+    let report_path = args.text("--out").map(PathBuf::from);
     let tolerance = number(args, "--tolerance", f64::MIN_POSITIVE..f64::MAX)
         .map_or(DEFAULT_TOLERANCE, |pct: f64| pct / 100.0);
     let mut sample = SampleOpts::for_sizes(&opts);
@@ -411,7 +302,11 @@ fn validate_main(args: &Args, opts: HarnessOpts) -> ! {
             ..template.clone()
         };
         let started = Instant::now();
-        (run_points("validate", quiet, &spec), started.elapsed())
+        let outcome = out
+            .run(|tx| run_campaign(&spec, tx))
+            .unwrap_or_else(|e| out.fatal(format_args!("validate error: {e}")));
+        out.corrupt_entries(&outcome.report);
+        (outcome, started.elapsed())
     };
     let (full, full_wall) = run("validate-full", &full_points);
     let (sampled, sampled_wall) = run("validate-sampled", &window_points);
@@ -420,7 +315,7 @@ fn validate_main(args: &Args, opts: HarnessOpts) -> ! {
     let mut failed_points = 0usize;
     for (outcome, points) in runs {
         for (i, error, _) in outcome.failures() {
-            eprintln!("failed point: {}: {error}", points[i].label());
+            writeln!(out, "failed point: {}: {error}", points[i].label());
             failed_points += 1;
         }
     }
@@ -441,11 +336,13 @@ fn validate_main(args: &Args, opts: HarnessOpts) -> ! {
     let report = match assess_onto(&mut page, &opts, &sample, tolerance, &store) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("validate error: {e}");
+            writeln!(out, "validate error: {e}");
             std::process::exit(if failed_points > 0 { 1 } else { 2 });
         }
     };
-    page.publish();
+    if let Err(e) = page.publish() {
+        out.fatal(format_args!("validate error: {e}"));
+    }
 
     // Per-workload aggregate artifacts: the standard `.cpi.json` schema
     // built from the merged window stacks, keyed by the full-detail
@@ -458,17 +355,17 @@ fn validate_main(args: &Args, opts: HarnessOpts) -> ! {
                 Ok(text) => {
                     let path = dir.join(format!("{}.sampled.cpi.json", fp.to_hex()));
                     if let Err(e) = atomic_write(&path, text.as_bytes()) {
-                        eprintln!("warning: could not write {}: {e}", path.display());
+                        writeln!(out, "warning: could not write {}: {e}", path.display());
                     }
                 }
-                Err(e) => eprintln!("warning: no aggregate artifact for {label}: {e}"),
+                Err(e) => writeln!(out, "warning: no aggregate artifact for {label}: {e}"),
             }
         }
     }
 
-    if let Some(path) = &out {
-        write_report("validate", path, &report.to_value());
-        eprintln!("validate: wrote report to {}", path.display());
+    if let Some(path) = &report_path {
+        write_report(out, "validate", path, &report.to_value());
+        writeln!(out, "validate: wrote report to {}", path.display());
     }
 
     // The speedup epilogue: both campaigns estimate the same simulated
@@ -476,7 +373,8 @@ fn validate_main(args: &Args, opts: HarnessOpts) -> ! {
     // Only meaningful on a cold cache (cache hits skip simulation).
     let represented = (workloads.len() * opts.records) as f64;
     let rate = |wall: std::time::Duration| represented / wall.as_secs_f64().max(1e-9) / 1_000.0;
-    eprintln!(
+    writeln!(
+        out,
         "validate: full-detail {:.1}s ({:.0}K rec/s), sampled {:.1}s ({:.0}K rec/s), speedup {:.1}x",
         full_wall.as_secs_f64(),
         rate(full_wall),
@@ -486,10 +384,13 @@ fn validate_main(args: &Args, opts: HarnessOpts) -> ! {
     );
 
     for line in report.failures() {
-        eprintln!("validate FAILED: {line}");
+        writeln!(out, "validate FAILED: {line}");
     }
     if failed_points > 0 {
-        eprintln!("validate FAILED: {failed_points} point(s) did not simulate");
+        writeln!(
+            out,
+            "validate FAILED: {failed_points} point(s) did not simulate"
+        );
     }
     std::process::exit(if failed_points == 0 && report.passed() {
         0
@@ -498,7 +399,7 @@ fn validate_main(args: &Args, opts: HarnessOpts) -> ! {
     });
 }
 
-fn figures_main(args: &Args, opts: HarnessOpts) {
+fn figures_main(args: &Args, opts: HarnessOpts, out: &Printer) {
     let template = template(args, Some("results-cache"));
     if args.has("--list") {
         for name in figure_names() {
@@ -511,9 +412,9 @@ fn figures_main(args: &Args, opts: HarnessOpts) {
         let mut bad = 0;
         for path in args.all("--check-artifact") {
             match check_artifact(path) {
-                Ok(()) => eprintln!("artifact ok: {path}"),
+                Ok(()) => writeln!(out, "artifact ok: {path}"),
                 Err(reason) => {
-                    eprintln!("artifact BAD: {path}: {reason}");
+                    writeln!(out, "artifact BAD: {path}: {reason}");
                     bad += 1;
                 }
             }
@@ -522,8 +423,7 @@ fn figures_main(args: &Args, opts: HarnessOpts) {
     }
 
     if !template.observe.trace_matches.is_empty() && template.cache_dir.is_none() {
-        eprintln!("--trace needs a cache directory for its artifacts (drop --no-cache)");
-        std::process::exit(2);
+        out.fatal("--trace needs a cache directory for its artifacts (drop --no-cache)");
     }
 
     // An unknown name fails the run before anything simulates.
@@ -531,41 +431,17 @@ fn figures_main(args: &Args, opts: HarnessOpts) {
         None | Some("all") => figure_names(),
         Some(list) => list.split(',').map(str::trim).collect(),
     };
-    let summary = with_printer(args.has("--quiet"), |tx| {
-        run_figures(&names, &opts, &template, tx)
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("campaign error: {e}");
-        std::process::exit(2);
-    });
-
-    eprintln!("campaign: {}", summary.report.summary());
-    if !summary.report.slowest.is_empty() {
-        eprintln!(
-            "simulation wall time {:.1}s across workers; slowest points:",
-            summary.report.sim_wall.as_secs_f64()
-        );
-        for (label, elapsed) in &summary.report.slowest {
-            eprintln!("  {:>6.1}s  {label}", elapsed.as_secs_f64());
-        }
-    }
-    for (label, error) in &summary.point_failures {
-        eprintln!("failed point: {label}: {error}");
-    }
-    for (name, reason) in &summary.render_failures {
-        eprintln!("figure {name} did not render: {reason}");
-    }
-    if let Some(line) = summary.failure_line() {
-        eprintln!("{line}");
+    let summary = out
+        .run(|tx| run_figures(&names, &opts, &template, tx))
+        .unwrap_or_else(|e| out.fatal(format_args!("campaign error: {e}")));
+    if out.figures_report(&summary) {
         std::process::exit(1);
     }
 }
 
 fn main() {
-    let opts = HarnessOpts::from_env().unwrap_or_else(|e| {
-        eprintln!("campaign: {e}");
-        std::process::exit(2);
-    });
+    let opts = HarnessOpts::from_env()
+        .unwrap_or_else(|e| Printer::stderr(false).fatal(format_args!("campaign: {e}")));
     let mut raw = std::env::args().skip(1).peekable();
     let worded = cli::MODES[1..].iter().map(|(mode, _)| *mode);
     let mode = raw
@@ -580,10 +456,11 @@ fn main() {
         print!("{}", cli::usage());
         return;
     }
+    let out = Printer::stderr(args.has("--quiet"));
     match mode {
-        "explore" => explore_main(&args),
-        "validate" => validate_main(&args, opts),
-        "perf" => perf_main(&args),
-        _ => figures_main(&args, opts),
+        "explore" => explore_main(&args, &out),
+        "validate" => validate_main(&args, opts, &out),
+        "perf" => perf_main(&args, &out),
+        _ => figures_main(&args, opts, &out),
     }
 }

@@ -9,13 +9,14 @@
 //! Entries are written whole or not at all — temp file, atomic rename —
 //! and made durable in groups: [`ResultCache::commit`] fsyncs every file
 //! written since the last commit, then the directory once (the engine
-//! commits every few dozen finished points, every heartbeat period and
-//! at the end of a campaign). Entries carry a length+checksum footer (see
-//! [`crate::supervise::seal`]) verified on every read, so what a host
-//! crash before a commit can leave — an empty or torn entry at its final
-//! path — or an in-place bit flip is detected as corruption rather than
-//! misparsed, and the point re-simulates. An entry without its footer
-//! is a miss like any other damaged one.
+//! commits every few dozen finished points, at the first to finish 10 s
+//! after the last commit, and at the end of a campaign). Entries carry a
+//! length+checksum footer (see [`crate::supervise::seal`]) verified on
+//! every read, so what a host crash before a commit can leave — an empty
+//! or torn entry at its final path — or an in-place bit flip is detected
+//! as corruption rather than misparsed: the point re-simulates and the
+//! engine counts the entry in its report. An entry without its footer is
+//! corrupt like any other damaged one.
 //!
 //! Staleness never needs detection here: the fingerprint covers the
 //! configuration, workload, seed, lengths and model version, so a stale
@@ -62,38 +63,30 @@ impl ResultCache {
         self.dir.join(format!("{fp}.point"))
     }
 
-    /// Looks a point up; any unreadable or unparsable file is a miss.
-    /// An entry that *exists* but fails its integrity footer or does not
-    /// parse is corruption (a partial write survived a crash, or the
-    /// bytes were damaged in place), so the miss is accompanied by a
-    /// warning — the point silently re-simulates and the next store
-    /// repairs the entry.
-    pub fn load(&self, fp: Fingerprint) -> Option<PointMetrics> {
-        let path = self.path_of(fp);
-        let text = std::fs::read_to_string(&path).ok()?;
-        let payload = match unseal(&text) {
-            Ok(p) => p,
-            Err(why) => {
-                eprintln!(
-                    "warning: corrupted cache entry {} ({why}; treating as a miss)",
-                    path.display()
-                );
-                return None;
-            }
+    /// Looks a point up. `Ok(None)` is a plain miss: no readable entry,
+    /// or a healthy one from another cache format. `Err` says why an
+    /// entry that exists is corrupt — it is not UTF-8, fails its
+    /// integrity footer or does not parse (a partial write survived a
+    /// crash, or the bytes were damaged in place): the point re-simulates
+    /// like on a miss, and its next store repairs the entry.
+    pub fn lookup(&self, fp: Fingerprint) -> Result<Option<PointMetrics>, String> {
+        let Ok(bytes) = std::fs::read(self.path_of(fp)) else {
+            return Ok(None);
         };
+        let text = String::from_utf8(bytes).map_err(|_| "not UTF-8".to_string())?;
+        let payload = unseal(&text)?;
         if is_stale_format(payload) {
-            // A healthy entry from an older (or newer) cache format:
-            // simply re-simulate; the store afterwards upgrades it.
-            return None;
+            // The store after the re-simulation upgrades it.
+            return Ok(None);
         }
-        let parsed = parse(payload);
-        if parsed.is_none() {
-            eprintln!(
-                "warning: corrupted cache entry {} (treating as a miss)",
-                path.display()
-            );
-        }
-        parsed
+        let parsed = parse(payload).ok_or("unparsable payload")?;
+        Ok(Some(parsed))
+    }
+
+    /// [`lookup`](ResultCache::lookup), with a corrupt entry one more
+    /// miss.
+    pub fn load(&self, fp: Fingerprint) -> Option<PointMetrics> {
+        self.lookup(fp).ok().flatten()
     }
 
     /// Stores a point's metrics, sealed with an integrity footer and
@@ -186,7 +179,7 @@ fn encode(m: &PointMetrics) -> String {
 
 /// Whether the payload is a well-formed entry from a *different* cache
 /// format version — a leftover from before an upgrade, which should miss
-/// silently (the next store rewrites it) rather than warn as corruption.
+/// silently (the next store rewrites it) rather than count as corruption.
 fn is_stale_format(text: &str) -> bool {
     text.lines()
         .next()
@@ -288,12 +281,12 @@ mod tests {
     fn stale_format_versions_miss_silently() {
         // An entry from a previous cache format is healthy text, not
         // damage: it must miss (and re-simulate) without the corruption
-        // warning path deciding anything about it.
+        // corruption path deciding anything about it.
         let old = encode(&sample()).replacen(FORMAT, "s64v-point v1", 1);
         assert!(is_stale_format(&old));
         assert_eq!(parse(&old), None);
         // The current format and garbage are both "not stale": one
-        // parses, the other warns as corruption.
+        // parses, the other is corruption.
         assert!(!is_stale_format(&encode(&sample())));
         assert!(!is_stale_format("wrong header\n"));
     }
@@ -342,7 +335,11 @@ mod tests {
         bytes[0] ^= 0xff;
         std::fs::write(&path, &bytes).expect("rewrite entry");
 
+        assert_eq!(cache.lookup(fp), Err("not UTF-8".to_string()));
         assert_eq!(cache.load(fp), None, "corruption must read as a miss");
+        std::fs::write(&path, "garbage").expect("overwrite entry");
+        let why = cache.lookup(fp).expect_err("a garbage entry is corrupt");
+        assert!(why.contains("missing integrity footer"), "{why}");
         cache.store(fp, &sample()).expect("restore");
         assert_eq!(cache.load(fp), Some(sample()), "a fresh store repairs it");
         std::fs::remove_dir_all(&dir).ok();

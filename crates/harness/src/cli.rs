@@ -39,7 +39,7 @@ pub const TABLE: &str = "  --figures all|NAME,...   figures to run, in this orde
   --sample-warmup N        records replayed functionally before each window (default: from record 0) [validate]
   --under-warm             no per-window warm-up: the negative control, expected to fail the gate [validate]
   --folded PATH            also write NEW's CPI stacks in folded (flamegraph) form [perf]
-  --quiet                  no per-point progress on stderr [figures explore validate]
+  --quiet                  only the report on stderr: no point lines, heartbeat or [explore] events [figures explore validate]
   --help                   print this text and exit [figures explore validate perf]
 ";
 

@@ -11,7 +11,8 @@
 //! ready, never *what* it computes.
 //!
 //! Per point, in order: consult the content-addressed cache (hit = no
-//! simulation), else simulate once under the campaign's
+//! simulation; a corrupt entry is a miss the report counts), else
+//! simulate once under the campaign's
 //! [supervision policy](crate::supervise::SupervisePolicy). A point is a
 //! pure function of its spec, so it is never re-run: a watchdog
 //! cancellation (wall-clock deadline or simulated-cycle budget) times it
@@ -22,6 +23,12 @@
 //! the campaign continues: no single point can take it down. Resuming
 //! the campaign re-attempts every point the cache does not hold, and a
 //! point's next success removes its stale failure record.
+//!
+//! The engine prints nothing: it sends a [`ProgressEvent`] per point
+//! transition to an optional channel (a
+//! [`Printer`](crate::progress::Printer) turns them into lines and a
+//! heartbeat) and returns the rest as data. The only threads it starts
+//! are its workers and, under a deadline, the watchdog.
 
 mod schedule;
 
@@ -41,14 +48,17 @@ use schedule::Schedule;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, Sender};
+use std::sync::atomic::AtomicBool;
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, Once};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Finished points per group commit of the cache's writes (a heartbeat
-/// period commits sooner; see `Campaign::group_commit`).
+/// Finished points per group commit of the cache's writes, unless
+/// [`COMMIT_PERIOD`] passes first (see `Campaign::group_commit`).
 const COMMIT_EVERY: usize = 32;
+
+/// Time after a group commit at which the next finished point commits.
+const COMMIT_PERIOD: Duration = Duration::from_secs(10);
 
 /// How one point ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -300,10 +310,6 @@ struct Campaign<'a> {
     /// What the workers count as they go; `slowest` holds every
     /// simulated point's timing until the end of the run.
     report: Mutex<CampaignReport>,
-    // `Arc` because the heartbeat thread reads them and outlives the
-    // worker scope's borrows (it is joined after the scope).
-    done: Arc<AtomicUsize>,
-    in_flight: Arc<AtomicUsize>,
 }
 
 impl Campaign<'_> {
@@ -329,10 +335,10 @@ impl Campaign<'_> {
             fp: point.fingerprint(),
             started: Instant::now(),
         };
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
         self.send(|| ProgressEvent::Started {
             index,
             label: v.label.clone(),
+            total: self.spec.points.len(),
         });
 
         // A point selected for tracing or metrics must actually simulate
@@ -347,7 +353,11 @@ impl Campaign<'_> {
                 .then(|| ObserveConfig::metrics_only(full.interval))
         };
         let hit = match (&self.cache, observe) {
-            (Some(cache), None) => cache.load(v.fp),
+            (Some(cache), None) => cache.lookup(v.fp).unwrap_or_else(|why| {
+                let entry = (cache.path_of(v.fp), why);
+                self.count(|r| r.corrupt_entries.push(entry));
+                None
+            }),
             _ => None,
         };
         let outcome = match hit {
@@ -362,8 +372,6 @@ impl Campaign<'_> {
         // warm state alive.
         self.registry.release(index);
         self.group_commit();
-        self.done.fetch_add(1, Ordering::Relaxed);
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Simulates the point once and classifies the result once: metrics
@@ -473,18 +481,17 @@ impl Campaign<'_> {
     }
 
     /// Counts a finished point towards the cache's next group commit and
-    /// commits once [`COMMIT_EVERY`] points or a heartbeat period have
-    /// finished since the last one. A failed commit leaves the files
-    /// whole but not durable: a host crash may then cost a re-simulation,
-    /// never a wrong result.
+    /// commits once [`COMMIT_EVERY`] points have finished or
+    /// [`COMMIT_PERIOD`] has passed since the last one. A failed commit
+    /// leaves the files whole but not durable: a host crash may then cost
+    /// a re-simulation, never a wrong result.
     fn group_commit(&self) {
         let Some(cache) = &self.cache else {
             return;
         };
         let mut since = lock(&self.since_commit);
         since.0 += 1;
-        let period_over = self.spec.heartbeat.is_some_and(|p| since.1.elapsed() >= p);
-        if since.0 < COMMIT_EVERY && !period_over {
+        if since.0 < COMMIT_EVERY && since.1.elapsed() < COMMIT_PERIOD {
             return;
         }
         *since = (0, Instant::now());
@@ -541,37 +548,6 @@ pub fn run_campaign(
         progress,
         slots: spec.points.iter().map(|_| Mutex::new(None)).collect(),
         report: Mutex::default(),
-        done: Arc::default(),
-        in_flight: Arc::default(),
-    };
-
-    let heartbeat = match (spec.heartbeat, &campaign.progress) {
-        (Some(period), Some(tx)) => {
-            let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
-            let tx = tx.clone();
-            let done = Arc::clone(&campaign.done);
-            let in_flight = Arc::clone(&campaign.in_flight);
-            let total = spec.points.len();
-            let handle = std::thread::spawn(move || {
-                // Anything but a timeout — a message or a dropped sender
-                // — means "stop".
-                while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(period) {
-                    let done = done.load(Ordering::Relaxed);
-                    let elapsed = start.elapsed();
-                    let eta =
-                        (done > 0).then(|| elapsed.mul_f64((total - done) as f64 / done as f64));
-                    let _ = tx.send(ProgressEvent::Heartbeat {
-                        done,
-                        total,
-                        in_flight: in_flight.load(Ordering::Relaxed),
-                        elapsed,
-                        eta,
-                    });
-                }
-            });
-            Some((stop_tx, handle))
-        }
-        _ => None,
     };
 
     silence_worker_panics();
@@ -586,10 +562,6 @@ pub fn run_campaign(
             });
         }
     });
-    if let Some((stop_tx, handle)) = heartbeat {
-        drop(stop_tx); // disconnect wakes the heartbeat thread immediately
-        let _ = handle.join();
-    }
 
     // The last group: everything stored since the last commit is durable
     // before the campaign returns, however it ended.
@@ -608,6 +580,7 @@ pub fn run_campaign(
     report.completed = outcomes.iter().filter(|o| o.metrics().is_some()).count();
     report.failed = outcomes.len() - report.completed;
     report.elapsed = start.elapsed();
+    report.corrupt_entries.sort();
     let slowest = &mut report.slowest;
     slowest.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     slowest.truncate(5);

@@ -267,38 +267,6 @@ fn trace_artifact_is_stable_across_thread_counts() {
 }
 
 #[test]
-fn heartbeat_pulses_while_points_run() {
-    let spec = CampaignSpec::new("unit", vec![program_point(60_000, 1)])
-        .with_heartbeat(Some(Duration::from_millis(1)));
-    let (tx, rx) = std::sync::mpsc::channel();
-    let outcome = run_campaign(&spec, Some(tx)).expect("run");
-    assert_eq!(outcome.report.completed, 1);
-
-    let beats: Vec<ProgressEvent> = rx
-        .try_iter()
-        .filter(|e| matches!(e, ProgressEvent::Heartbeat { .. }))
-        .collect();
-    assert!(!beats.is_empty(), "a 1ms period must pulse at least once");
-    for beat in &beats {
-        let ProgressEvent::Heartbeat {
-            done,
-            total,
-            in_flight,
-            eta,
-            ..
-        } = beat
-        else {
-            unreachable!()
-        };
-        assert_eq!(*total, 1);
-        assert!(*done <= 1 && *in_flight <= 1);
-        if *done == 0 {
-            assert!(eta.is_none(), "no finished point, no estimate");
-        }
-    }
-}
-
-#[test]
 fn schedule_keeps_reuse_groups_whole_and_splits_one_only_when_nothing_else_is_left() {
     // Four programs × four full-warming windows, listed window-major
     // and descending, so neither groups nor starts arrive in order.

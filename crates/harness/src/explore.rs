@@ -18,7 +18,7 @@ use s64v_explore::{
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::mpsc::Sender;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Execution options for one exploration run.
 #[derive(Debug, Clone, Default)]
@@ -27,8 +27,6 @@ pub struct ExploreOpts {
     pub threads: Option<usize>,
     /// Point-cache directory (`None` = no caching at all).
     pub cache_dir: Option<PathBuf>,
-    /// Heartbeat period for round campaigns.
-    pub heartbeat: Option<Duration>,
     /// Per-point supervision for every round campaign.
     pub supervise: SupervisePolicy,
 }
@@ -83,7 +81,6 @@ pub fn run_explore(
     let template = CampaignSpec {
         threads: opts.threads,
         cache_dir: opts.cache_dir.clone(),
-        heartbeat: opts.heartbeat,
         supervise: opts.supervise.clone(),
         ..CampaignSpec::new("", Vec::new())
     };
@@ -213,9 +210,9 @@ mod tests {
     /// The benchmark's `explore_sweep` query at full size: every round is
     /// one trace under candidates that differ only in reservation-station
     /// and window sizes, so each round replays its warm-up exactly once,
-    /// on one worker or two. Prints the counts EXPERIMENTS.md quotes:
+    /// on one worker or two. Pins the counts EXPERIMENTS.md quotes:
     /// `cargo test --release -p s64v-harness --lib -- --ignored
-    /// --nocapture sweep_warms_once_per_round`.
+    /// sweep_warms_once_per_round`.
     #[test]
     #[ignore = "full benchmark size; run in release"]
     fn the_benchmarks_sweep_warms_once_per_round() {
@@ -247,9 +244,8 @@ mod tests {
             run_search(
                 &spec,
                 |plan| {
-                    let campaign = CampaignSpec::new("sweep", round_points(&spec, plan))
-                        .with_threads(threads)
-                        .with_heartbeat(None);
+                    let campaign =
+                        CampaignSpec::new("sweep", round_points(&spec, plan)).with_threads(threads);
                     let outcome = run_campaign(&campaign, None).expect("run");
                     let r = &outcome.report;
                     assert_eq!(r.failed, 0);
@@ -272,15 +268,12 @@ mod tests {
                 },
                 |_| {},
             );
-            eprintln!(
-                "{threads} thread(s): rounds {rounds:?}, {warmed} of {requested} requested \
-                 warm-up records replayed in {passes} passes, {copied} machines copied"
-            );
-            assert_eq!(rounds, [(100, 25_000), (68, 25_000), (46, 100_000)]);
-            assert_eq!((warmed, requested), (150_000, 8_800_000));
+            let at = format!("{threads} thread(s)");
+            assert_eq!(rounds, [(100, 25_000), (68, 25_000), (46, 100_000)], "{at}");
+            assert_eq!((warmed, requested, passes), (150_000, 8_800_000, 3), "{at}");
             // Each round's one stop: every point copies it but the last
             // to ask, which takes it (99 + 67 + 45).
-            assert_eq!(copied, 211);
+            assert_eq!(copied, 211, "{at}");
         }
     }
 }

@@ -104,20 +104,19 @@ impl Page {
     /// Prints the page and writes each table as CSV under `results/`, or
     /// under `S64V_RESULTS_DIR` when set — smoke campaigns (CI) point it
     /// at a scratch directory so reduced-size runs never clobber the
-    /// committed full-size tables. Best effort: the directory is created
-    /// if missing and failures only warn.
-    pub fn publish(&self) {
+    /// committed full-size tables. The directory is created if missing;
+    /// `Err` names the first CSV that could not be written, and why.
+    pub fn publish(&self) -> Result<(), String> {
         print!("{}", self.text);
         let dir = std::env::var("S64V_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
         let dir = std::path::Path::new(&dir);
         for (name, csv) in &self.csvs {
-            if std::fs::create_dir_all(dir).is_ok() {
-                let path = dir.join(format!("{name}.csv"));
-                if let Err(e) = std::fs::write(&path, csv) {
-                    eprintln!("warning: could not write {}: {e}", path.display());
-                }
-            }
+            let path = dir.join(format!("{name}.csv"));
+            std::fs::create_dir_all(dir)
+                .and_then(|()| std::fs::write(&path, csv))
+                .map_err(|e| format!("could not write {}: {e}", path.display()))?;
         }
+        Ok(())
     }
 }
 
@@ -490,22 +489,6 @@ pub struct RunSummary {
     pub render_failures: Vec<(&'static str, String)>,
 }
 
-impl RunSummary {
-    /// One-line failure accounting for the end of the run, or `None`
-    /// when every point of this run simulated and every figure rendered.
-    /// Drives the campaign binary's exit code. An earlier run's failure
-    /// of one of these points was attempted again, so it is resolved or
-    /// one of this run's.
-    pub fn failure_line(&self) -> Option<String> {
-        let (failed, unrendered) = (self.point_failures.len(), self.render_failures.len());
-        (failed + unrendered > 0).then(|| {
-            format!(
-                "campaign FAILED: {failed} point(s) failed, {unrendered} figure(s) did not render"
-            )
-        })
-    }
-}
-
 /// Runs the named figures as one merged, deduplicated campaign executed
 /// as `template` says (its name and points are replaced) and renders each
 /// from the shared result store.
@@ -549,10 +532,12 @@ pub fn run_figures(
         if i > 0 {
             page.line("");
         }
-        if let Err(reason) = (fig.render)(opts, &store, &mut page) {
+        // What rendered is published either way; the first failure of
+        // the two is the figure's.
+        let rendered = (fig.render)(opts, &store, &mut page);
+        if let Err(reason) = rendered.and(page.publish()) {
             render_failures.push((fig.name, reason));
         }
-        page.publish();
     }
     let point_failures = outcome
         .failures()

@@ -50,6 +50,7 @@
 //! --figures all`.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stderr, clippy::disallowed_methods)]
 
 pub mod cache;
 pub mod cli;

@@ -22,7 +22,7 @@ use s64v_observe::json::Value;
 use s64v_observe::{folded_stack, CpiGroup, CpiLeaf, CpiStack};
 use s64v_stats::SampleStats;
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 // ---------------------------------------------------------------------
 // The `.cpi.json` artifact
@@ -214,6 +214,9 @@ pub struct PerfSource {
     /// attempt failed or timed out, one per failure record (cache-dir
     /// sources only).
     pub excluded: Vec<String>,
+    /// Diagnostic dumps from before failure records, which name no
+    /// point: skipped, neither excluded nor an error.
+    pub skipped: Vec<PathBuf>,
 }
 
 impl PerfSource {
@@ -255,10 +258,7 @@ impl PerfSource {
         for p in &records {
             match failure_label(&read(p)?).map_err(|e| at(p, e))? {
                 Some(label) => source.excluded.push(label),
-                None => eprintln!(
-                    "warning: {}: a diagnostic dump from before failure records (skipped)",
-                    p.display()
-                ),
+                None => source.skipped.push(p.clone()),
             }
         }
         Ok(source)
@@ -633,8 +633,13 @@ mod tests {
         // skipped rather than failing the whole directory.
         let dump = SimError::watchdog(9, "wedged").to_json();
         assert_eq!(failure_label(&dump), Ok(None));
-        std::fs::write(dir.join(format!("{}.fail.json", fp("e"))), dump).expect("write");
-        assert_eq!(PerfSource::load(&dir).expect("load").excluded, ["fp[2]"]);
+        let legacy = dir.join(format!("{}.fail.json", fp("e")));
+        std::fs::write(&legacy, dump).expect("write");
+        let loaded = PerfSource::load(&dir).expect("load");
+        assert_eq!(
+            (loaded.excluded, loaded.skipped),
+            (vec!["fp[2]".into()], vec![legacy])
+        );
         let half = failure_record("fp[3]", "watchdog", None).replace("\"label\"", "\"name\"");
         assert_eq!(failure_label(&half), Err("missing label".to_string()));
 

@@ -339,9 +339,6 @@ pub struct CampaignSpec {
     /// bypass cache *reads* (the artifacts require a live simulation) but
     /// still share cache *writes* with plain runs.
     pub observe: ObservePlan,
-    /// Emit a [`crate::progress::ProgressEvent::Heartbeat`] at this
-    /// period while points are running (`None` = no heartbeat).
-    pub heartbeat: Option<Duration>,
     /// Per-point supervision: wall-clock deadline and cycle budget (see
     /// [`SupervisePolicy`]). Supervision never changes what a
     /// healthy point computes, so it stays out of point fingerprints.
@@ -358,7 +355,6 @@ impl CampaignSpec {
             cache_dir: None,
             checked: false,
             observe: ObservePlan::default(),
-            heartbeat: Some(Duration::from_secs(10)),
             supervise: SupervisePolicy::default(),
         }
     }
@@ -369,9 +365,10 @@ impl CampaignSpec {
         self
     }
 
-    /// Sets the heartbeat period (`None` silences the heartbeat).
-    pub fn with_heartbeat(mut self, period: Option<Duration>) -> Self {
-        self.heartbeat = period;
+    /// Does nothing: the heartbeat is the [printer's](crate::progress::Printer),
+    /// not the engine's. Kept, inert, because the benchmark crate still
+    /// calls it; it goes with ROADMAP item 3.
+    pub fn with_heartbeat(self, _period: Option<Duration>) -> Self {
         self
     }
 }

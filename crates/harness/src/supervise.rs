@@ -18,8 +18,8 @@
 //!   a length+checksum footer verified on read; [`atomic_write`] lands
 //!   bytes via temp file + fsync + atomic rename, and [`replace`] via
 //!   temp file + rename alone, made durable later, many files at a time,
-//!   by [`sync_group`]. Corruption is always a warning and a miss, never
-//!   a panic.
+//!   by [`sync_group`]. Corruption is always a miss the caller can
+//!   count, never a panic.
 //! * [`CacheLock`] — a pid-stamped lock file per `results-cache/` so two
 //!   concurrent campaigns cannot interleave writes to one directory.
 
@@ -184,7 +184,7 @@ pub fn seal(payload: &str) -> String {
 
 /// Verifies and strips a [`seal`]ed artifact's footer, returning the
 /// payload. `Err` carries the reason (missing footer, length mismatch,
-/// checksum mismatch) — callers warn and treat the artifact as a miss.
+/// checksum mismatch) — callers treat the artifact as a miss and report it.
 pub fn unseal(text: &str) -> Result<&str, String> {
     let footer_at = text
         .rfind(SEAL_MARKER)

@@ -10,8 +10,9 @@
 //! where `--out` says is an error (exit 2), not a warning. A failed point
 //! is attempted once per run and leaves one failure record, which
 //! `--check-artifact` validates; only a run's own points decide its exit
-//! status, and `--quiet` prints no progress. README.md quotes the usage
-//! text verbatim.
+//! status, and a table that cannot be written fails its figure. Without
+//! `--quiet` stderr carries one progress line per point; with it, only
+//! the report. README.md quotes the usage text verbatim.
 
 use s64v_explore::ExploreSpec;
 use s64v_harness::cli::{flags, Flag, MODES};
@@ -78,14 +79,83 @@ fn retired_engine_variables_are_not_read() {
             "{tag}: the default cache directory was not used"
         );
         std::fs::remove_dir_all(&dir).ok();
-        // The summary's wall time and rate are the only text two equal
-        // runs may print differently.
-        let untimed = stderr
-            .lines()
-            .map(|l| l.split_once(" simulated in ").map_or(l, |t| t.0));
-        (stdout, untimed.map(str::to_string).collect::<Vec<_>>())
+        (stdout, untimed(&stderr))
     };
     assert_eq!(run("hostile", &retired), run("plain", &[]));
+}
+
+/// `text` with every wall time (`0.0s`) and rate (`(7897K rec/s)`)
+/// masked as `_`, padding included: all that two equal runs may print
+/// differently.
+fn untimed(text: &str) -> String {
+    let mut out = String::new();
+    let mut rest = text;
+    while let Some(at) = rest.find(|c: char| c.is_ascii_digit()) {
+        out.push_str(&rest[..at]);
+        let digits = rest[at..].find(|c: char| !c.is_ascii_digit() && c != '.');
+        let (number, after) = rest[at..].split_at(digits.unwrap_or(rest.len() - at));
+        if after.starts_with('s') || after.starts_with("K rec/s") {
+            let padded = out.ends_with(' ');
+            out.truncate(out.trim_end_matches(' ').len());
+            out.push_str(if padded { " _" } else { "_" });
+        } else {
+            out.push_str(number);
+        }
+        rest = after;
+    }
+    out + rest
+}
+
+#[test]
+fn quiet_stderr_is_the_report_alone_and_progress_adds_a_line_per_point() {
+    let dir = scratch("quiet");
+    let smoke = [
+        ("S64V_SMP_CPUS", "2"),
+        ("S64V_SMP_RECORDS", "4000"),
+        ("S64V_SMP_WARMUP", "20000"),
+    ];
+    let report = "\
+campaign: 3 completed (0 from cache), 0 failed, 0.14M records simulated in _s (_K rec/s); \
+1 of 3 requested traces generated (0.05M records, 0.05M kept)
+simulation wall time _s across workers; slowest points:
+ _s  tpcc-smp(2P) seed=0x2a
+ _s  tpcc-smp(2P) seed=0x2a
+ _s  tpcc-smp(2P) seed=0x2a
+";
+    // Each run on a fresh cache of its own.
+    for (quiet, cache) in [(true, "quiet-cache"), (false, "loud-cache")] {
+        let args = ["--figures", "ablation_bus", "--cache-dir", cache, "--quiet"];
+        let args = &args[..args.len() - usize::from(!quiet)];
+        let (code, _, stderr) = campaign_with(&dir, args, &smoke);
+        assert_eq!(code, Some(0), "{stderr}");
+        let (progress, rest): (Vec<&str>, Vec<&str>) =
+            stderr.lines().partition(|l| l.starts_with('['));
+        let numbered: Vec<&str> = progress.iter().map(|l| &l[..6]).collect();
+        let want: &[&str] = if quiet {
+            &[]
+        } else {
+            &["[   1]", "[   2]", "[   3]"]
+        };
+        assert_eq!(numbered, want, "{stderr}");
+        assert_eq!(untimed(&(rest.join("\n") + "\n")), report, "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_table_that_cannot_be_written_fails_its_figure() {
+    let dir = scratch("unwritable");
+    // The results directory is a regular file: no CSV can land under it.
+    let file = dir.join("results-file");
+    std::fs::write(&file, "").expect("write file");
+    let results = file.to_str().expect("utf-8 path");
+    let args = ["--figures", "table1", "--no-cache"];
+    let (code, _, stderr) = campaign_with(&dir, &args, &[("S64V_RESULTS_DIR", results)]);
+    assert_eq!(code, Some(1), "{stderr}");
+    let reason = format!("figure table1 did not render: could not write {results}/table1.csv: ");
+    assert!(stderr.contains(&reason), "{stderr}");
+    assert!(stderr.contains("campaign FAILED: 0 point(s) failed, 1 figure(s) did not render"));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! End-to-end tests of the campaign engine's contract: determinism
 //! across thread counts, resume-from-cache equivalence (torn entries
-//! included), fingerprint sensitivity, per-point failure isolation, and
-//! a failure record that lives exactly until its point succeeds.
+//! included, and counted), fingerprint sensitivity, per-point failure
+//! isolation, and a failure record that lives exactly until its point
+//! succeeds.
 
 use s64v_core::{program_seed, SystemConfig};
 use s64v_harness::cache::ResultCache;
@@ -84,19 +85,32 @@ fn resumed_campaign_matches_a_fresh_run() {
     // length.
     let n = small_points().len();
     let cache = ResultCache::open(&dir).expect("open");
+    let mut torn = Vec::new();
     for p in [&small_points()[0], &small_points()[4]] {
         let path = cache.path_of(p.fingerprint());
         let entry = std::fs::read(&path).expect("entry");
         std::fs::write(&path, &entry[..entry.len() * 3 / 5]).expect("tear");
+        torn.push(path);
     }
+    torn.sort();
 
+    // The torn entries miss, and the report counts them as corrupt.
     let repaired = run_campaign(&spec(small_points(), 2, Some(dir.clone())), None).expect("run");
-    assert_eq!(repaired.report.cache_hits, n - 2, "the torn entries miss");
+    let r = &repaired.report;
+    assert_eq!(r.cache_hits, n - 2, "the torn entries miss");
+    let corrupt: Vec<PathBuf> = r.corrupt_entries.iter().map(|(p, _)| p.clone()).collect();
+    assert_eq!(corrupt, torn);
+    let summary = r.summary();
+    assert!(
+        summary.ends_with(", 2 corrupt cache entries re-simulated"),
+        "{summary}"
+    );
     assert_eq!(fresh.outcomes, repaired.outcomes);
 
     // A fourth run is pure cache: re-simulating repaired both entries.
     let cached = run_campaign(&spec(small_points(), 2, Some(dir.clone())), None).expect("run");
     assert_eq!(cached.report.cache_hits, n);
+    assert!(!cached.report.summary().contains("corrupt"));
     assert_eq!(fresh.outcomes, cached.outcomes);
 
     std::fs::remove_dir_all(&dir).ok();

@@ -38,7 +38,6 @@ fn opts(threads: usize, cache_dir: Option<PathBuf>) -> ExploreOpts {
     ExploreOpts {
         threads: Some(threads),
         cache_dir,
-        heartbeat: None,
         supervise: SupervisePolicy::default(),
     }
 }

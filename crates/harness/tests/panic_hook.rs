@@ -38,7 +38,7 @@ fn overlapping_campaigns_leave_the_previous_panic_hook_live() {
     let campaigns: Vec<(CampaignSpec, &[usize])> = [(11u64, &[1][..]), (12, &[0, 3][..])]
         .into_iter()
         .map(|(seed, panicking)| {
-            let spec = CampaignSpec::new("hook", points(seed, panicking)).with_heartbeat(None);
+            let spec = CampaignSpec::new("hook", points(seed, panicking));
             (spec, panicking)
         })
         .collect();

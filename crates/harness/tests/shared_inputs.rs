@@ -130,9 +130,7 @@ fn one_pass_per_plan(points: &[SimPoint]) -> u64 {
 }
 
 fn spec(points: &[SimPoint], threads: usize) -> CampaignSpec {
-    CampaignSpec::new("shared-inputs", points.to_vec())
-        .with_threads(threads)
-        .with_heartbeat(None)
+    CampaignSpec::new("shared-inputs", points.to_vec()).with_threads(threads)
 }
 
 fn run(points: &[SimPoint], threads: usize) -> CampaignOutcome {

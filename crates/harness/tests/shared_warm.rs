@@ -62,9 +62,7 @@ fn program_points(suite: SuiteKind, seed: u64, configs: &[SystemConfig]) -> Vec<
 }
 
 fn spec(points: &[SimPoint], threads: usize) -> CampaignSpec {
-    CampaignSpec::new("shared-warm", points.to_vec())
-        .with_threads(threads)
-        .with_heartbeat(None)
+    CampaignSpec::new("shared-warm", points.to_vec()).with_threads(threads)
 }
 
 /// [`spec`] with every point held to `cycle_budget` simulated cycles.
